@@ -1,8 +1,8 @@
 """Gossip anti-entropy: convergence, delta savings, staleness waste.
 
-The ROADMAP flagged ``ObjectView.exchange`` as the large-cluster
-blocker: all-pairs handshakes are O(n^2) and every one re-shipped full
-state.  This bench measures what the epidemic digest/delta replacement
+The ROADMAP flagged the pairwise inventory handshake as the
+large-cluster blocker: all-pairs is O(n^2) and every one re-shipped
+full state.  This bench measures what the epidemic digest/delta replacement
 buys, in three shapes:
 
 * **convergence** - rounds until every view equals the union grow
@@ -25,7 +25,7 @@ import math
 
 from repro.dist.costmodel import choose
 from repro.dist.gossip import GossipCoordinator
-from repro.dist.objectview import ObjectView
+from repro.dist.objectview import EMPTY_DIGEST, ObjectView
 
 MB = 1 << 20
 
@@ -42,31 +42,42 @@ def seeded_views(n: int):
     return views
 
 
-def convergence_rounds(n: int, full_state: bool = False):
-    coordinator = GossipCoordinator(
-        seeded_views(n), fanout=1, seed=0, full_state=full_state
-    )
+def convergence_rounds(n: int):
+    coordinator = GossipCoordinator(seeded_views(n), fanout=1, seed=0)
     rounds = coordinator.run(max_rounds=CONVERGENCE_BUDGET)
     return rounds, coordinator
+
+
+def full_state_bytes(views, rounds) -> int:
+    """The ablation baseline: replay ``rounds`` (a coordinator's
+    schedule, pair for pair) on fresh ``views``, re-shipping both full
+    states on every handshake with no digests first - what the
+    pre-digest exchange did.  Returns the bytes that crossed."""
+    by_node = {view.node: view for view in views}
+    shipped = 0
+    for stats in rounds:
+        for initiator, responder in stats.pairs:
+            mine = by_node[initiator].delta_since(EMPTY_DIGEST)
+            theirs = by_node[responder].delta_since(EMPTY_DIGEST)
+            by_node[responder].merge_delta(mine)
+            by_node[initiator].merge_delta(theirs)
+            shipped += mine.wire_bytes() + theirs.wire_bytes()
+    return shipped
 
 
 def run_convergence_ladder():
     rows = []
     for n in CLUSTER_SIZES:
         rounds, delta_coord = convergence_rounds(n)
-        # Ablation: identical seed => identical peer schedule; run the
-        # same number of rounds shipping full state each handshake.
-        full_coord = GossipCoordinator(
-            seeded_views(n), fanout=1, seed=0, full_state=True
-        )
-        full_coord.run_rounds(rounds)
         rows.append(
             {
                 "nodes": n,
                 "rounds": rounds,
                 "log2n": math.ceil(math.log2(n)),
                 "delta_bytes": delta_coord.total_bytes,
-                "full_bytes": full_coord.total_bytes,
+                "full_bytes": full_state_bytes(
+                    seeded_views(n), delta_coord.rounds
+                ),
             }
         )
     return rows

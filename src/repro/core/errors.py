@@ -103,3 +103,32 @@ class SimulationError(FixError):
     Examples: a process resumed after the simulation ended, time moving
     backwards, or releasing more of a resource than was held.
     """
+
+
+class FrameReader:
+    """The one bounds check every ``unpack_*`` reads through: a read
+    past the frame raises ``error`` (the decoder's own :class:`FixError`
+    subclass) naming the field and the offset, instead of letting
+    ``struct`` raise a bare error - or a slice silently come back short
+    and the tail misparse as garbage fields.
+    """
+
+    def __init__(self, error: type):
+        self.error = error
+
+    def take(self, raw: bytes, offset: int, size: int, field: str):
+        """``size`` bytes at ``offset``: ``(bytes, end offset)``."""
+        end = offset + size
+        if end > len(raw):
+            raise self.error(
+                f"truncated frame: {field} needs {size} byte(s) at offset "
+                f"{offset} but only {len(raw)} byte(s) total"
+            )
+        return raw[offset:end], end
+
+    def unpack(self, fmt, raw: bytes, offset: int, field: str):
+        """One single-field ``struct.Struct``: ``(value, end offset)``."""
+        end = offset + fmt.size
+        if end > len(raw):
+            self.take(raw, offset, fmt.size, field)  # raises
+        return fmt.unpack_from(raw, offset)[0], end

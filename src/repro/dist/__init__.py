@@ -7,10 +7,11 @@ Five modules, mirroring the paper's distributed design (sections 4.2, 5-6):
 * :mod:`repro.dist.objectview` - :class:`ObjectView`, the passive,
   possibly-stale per-node replica map with its incremental holdings
   index and the versioned digest/delta anti-entropy state;
-* :mod:`repro.dist.gossip` - :class:`GossipCoordinator`, seeded
-  random-peer anti-entropy rounds (O(log n) convergence, O(delta) bytes
-  per handshake) plus the digest/delta wire codec the executing
-  runtime's GOSSIP frames use;
+* :mod:`repro.dist.gossip` - :class:`Participant`, the one
+  SYN/ACK/PUSH handshake core; :class:`GossipCoordinator`, its simulated
+  driver (seeded random-peer rounds, O(log n) convergence, O(delta)
+  bytes per handshake); and the digest/delta wire codec its executing
+  driver's GOSSIP frames use;
 * :mod:`repro.dist.membership` - :class:`MembershipView`, SWIM-style
   gossiped liveness (heartbeats, suspect -> confirm, tombstones) whose
   confirmations evict a dead node's beliefs and placement candidacy;
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from .costmodel import Quote, choose, price_moves
 from .gossip import (
+    ExchangeStats,
     GossipConfig,
     GossipCoordinator,
     GossipError,
@@ -66,11 +68,10 @@ from .multitenancy import (
 )
 from .membership import (
     Member,
-    MembershipConfig,
     MembershipError,
     MembershipView,
 )
-from .objectview import Delta, Digest, ExchangeStats, ObjectView
+from .objectview import Delta, Digest, ObjectView
 from .scheduler import DataflowScheduler, Placement
 
 __all__ = [
@@ -92,7 +93,6 @@ __all__ = [
     "JobGraph",
     "JobTicket",
     "Member",
-    "MembershipConfig",
     "MembershipError",
     "MembershipView",
     "ObjectView",

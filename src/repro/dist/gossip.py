@@ -22,6 +22,15 @@ Everything is seeded: the same seed replays the identical schedule of
 peer choices round by round, which is what makes convergence-rounds
 assertions deterministic.
 
+**One protocol core, two drivers.**  What each side of a handshake
+computes, merges and ships, and in which order, lives once, in
+:class:`Participant`.  :class:`GossipCoordinator` drives it by direct
+calls and accounts bytes from the values' ``wire_bytes()``;
+:meth:`repro.fixpoint.net.FixpointNode.gossip_with` drives the same four
+calls with a pack -> ``Channel`` -> unpack hop between them.  *When* a
+round happens (heartbeats, detector ticks, refreshing own holdings, peer
+choice, spans, metrics) is each driver's business; the step order is not.
+
 The module also carries the real wire codec for digests and deltas
 (:func:`pack_digest` / :func:`pack_delta` and their unpack twins) used
 by the executing runtime's GOSSIP frames in :mod:`repro.fixpoint.net` -
@@ -34,12 +43,12 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from ..core.errors import FixError
+from ..core.errors import FixError, FrameReader
 from ..obs import NULL_OBS, Obs
-from .membership import MembershipView
-from .objectview import Delta, Digest, EMPTY_DIGEST, Entry, ObjectView
+from .membership import Member, MembershipView, members_wire_bytes
+from .objectview import Delta, Digest, Entry, ObjectView
 
 _COUNT = struct.Struct("<I")
 _LEN = struct.Struct("<H")
@@ -55,6 +64,9 @@ class GossipError(FixError):
     """Anti-entropy failures (round budget exhausted, bad wire frames)."""
 
 
+_frame = FrameReader(GossipError)
+
+
 # ----------------------------------------------------------------------
 # Wire codec (shared with repro.fixpoint.net's GOSSIP frames)
 
@@ -68,17 +80,13 @@ def pack_digest(digest: Digest) -> bytes:
 
 
 def unpack_digest(raw: bytes, offset: int = 0) -> Tuple[Digest, int]:
-    (count,) = _COUNT.unpack_from(raw, offset)
-    offset += _COUNT.size
+    count, offset = _frame.unpack(_COUNT, raw, offset, "origin count")
     versions: Dict[str, int] = {}
     for _ in range(count):
-        (length,) = _LEN.unpack_from(raw, offset)
-        offset += _LEN.size
-        origin = raw[offset : offset + length].decode("utf-8")
-        offset += length
-        (version,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        versions[origin] = version
+        length, offset = _frame.unpack(_LEN, raw, offset, "origin length")
+        origin, offset = _frame.take(raw, offset, length, "origin")
+        version, offset = _frame.unpack(_U64, raw, offset, "version cap")
+        versions[origin.decode("utf-8")] = version
     return Digest(versions), offset
 
 
@@ -95,12 +103,9 @@ def _pack_name(name) -> bytes:
 
 
 def _unpack_name(raw: bytes, offset: int):
-    tag = raw[offset : offset + 1]
-    offset += 1
-    (length,) = _LEN.unpack_from(raw, offset)
-    offset += _LEN.size
-    body = raw[offset : offset + length]
-    offset += length
+    tag, offset = _frame.take(raw, offset, 1, "name tag")
+    length, offset = _frame.unpack(_LEN, raw, offset, "name length")
+    body, offset = _frame.take(raw, offset, length, "name")
     if tag == _NAME_BYTES:
         return bytes(body), offset
     if tag == _NAME_STR:
@@ -125,31 +130,130 @@ def pack_delta(delta: Delta) -> bytes:
 
 def unpack_delta(raw: bytes, offset: int = 0) -> Tuple[Delta, int]:
     caps, offset = unpack_digest(raw, offset)
-    (count,) = _COUNT.unpack_from(raw, offset)
-    offset += _COUNT.size
+    count, offset = _frame.unpack(_COUNT, raw, offset, "entry count")
     entries: List[Entry] = []
     for _ in range(count):
-        (length,) = _LEN.unpack_from(raw, offset)
-        offset += _LEN.size
-        origin = raw[offset : offset + length].decode("utf-8")
-        offset += length
-        (version,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
+        length, offset = _frame.unpack(_LEN, raw, offset, "origin length")
+        origin, offset = _frame.take(raw, offset, length, "origin")
+        version, offset = _frame.unpack(_U64, raw, offset, "version")
         name, offset = _unpack_name(raw, offset)
-        (length,) = _LEN.unpack_from(raw, offset)
-        offset += _LEN.size
-        location = raw[offset : offset + length].decode("utf-8")
-        offset += length
-        flag = raw[offset : offset + 1]
-        offset += 1
+        length, offset = _frame.unpack(_LEN, raw, offset, "location length")
+        location, offset = _frame.take(raw, offset, length, "location")
+        flag, offset = _frame.take(raw, offset, 1, "size flag")
         size: Optional[int] = None
         if flag == _HAS_SIZE:
-            (size,) = _U64.unpack_from(raw, offset)
-            offset += _U64.size
+            size, offset = _frame.unpack(_U64, raw, offset, "size")
         elif flag != _NO_SIZE:
             raise GossipError(f"bad size flag byte {flag!r} in gossip delta")
-        entries.append((origin, version, name, location, size))
+        entries.append(
+            (origin.decode("utf-8"), version, name,
+             location.decode("utf-8"), size)
+        )
     return Delta(tuple(entries), dict(caps.versions)), offset
+
+
+# ----------------------------------------------------------------------
+# The protocol core: one handshake, whoever carries the messages
+
+
+#: A membership map as it rides a frame - ``None`` on a frame with no
+#: liveness piggyback (a participant running without membership).
+Members = Optional[Tuple[Member, ...]]
+
+
+class Participant(NamedTuple):
+    """One side of the inventory handshake (paper 4.2.2): an
+    :class:`ObjectView` plus, optionally, its :class:`MembershipView`.
+
+    Four steps over plain values, their order written down only here::
+
+        initiator                                  responder
+        syn()        -- digest, members -------->  on_syn(*syn)
+        on_ack(*ack) <-- digest, delta, members --
+                     -- delta (the PUSH) ------->  on_push(push)
+
+    Two rules make it safe under death, false accusation and rejoin:
+
+    1. **Liveness merges before inventory.**  A tombstone must evict
+       ahead of the stale entries it shadows, and a rejoin must lift
+       the eviction gate ahead of the returning node's fresh entries -
+       inventory-first would drop those entries *and* advance the caps
+       past them, losing them for good.
+    2. **The PUSH delta is computed before the ACK merges.**  If the
+       ACK brings home this node's own tombstone, merging it refutes it
+       (incarnation bump + epoch restamp), and the restamped entries
+       must not ride a members-free PUSH to a peer that still believes
+       this node dead: its eviction gate would drop them while its caps
+       advanced past them.  They go out on the *next* round, whose SYN
+       carries the refutation ahead of them.
+
+    No clock, no channel, no bytes, no lock of its own: the views guard
+    themselves, one lock at a time, so crossing handshakes cannot
+    deadlock.
+    """
+
+    view: ObjectView
+    membership: Optional[MembershipView] = None
+
+    def _members(self) -> Members:
+        return None if self.membership is None else self.membership.members()
+
+    def syn(self) -> Tuple[Digest, Members]:
+        return self.view.digest(), self._members()
+
+    def on_syn(
+        self, digest: Digest, members: Members
+    ) -> Tuple[Digest, Delta, Members]:
+        """The ACK: own coverage, what the initiator lacks, and the
+        membership map *after* the SYN's merged into it."""
+        if self.membership is not None and members is not None:
+            self.membership.merge(members)  # rule 1
+        delta = self.view.delta_since(digest)
+        return self.view.digest(), delta, self._members()
+
+    def on_ack(self, digest: Digest, delta: Delta, members: Members) -> Delta:
+        push = self.view.delta_since(digest)  # rule 2
+        if self.membership is not None and members is not None:
+            self.membership.merge(members)  # rule 1
+        self.view.merge_delta(delta)
+        return push
+
+    def on_push(self, push: Delta) -> int:
+        """Returns how many of the pushed entries were news."""
+        return self.view.merge_delta(push)
+
+
+@dataclass(frozen=True)
+class ExchangeStats:
+    """What one handshake shipped, priced by the values' ``wire_bytes()``
+    (which mirror the codec above byte for byte)."""
+
+    digest_bytes: int
+    delta_bytes: int
+    entries_shipped: int
+    #: Liveness piggyback bytes (0 when membership is off): the
+    #: initiator's map on the SYN, the responder's merged map on the ACK.
+    membership_bytes: int = 0
+
+    @property
+    def bytes_shipped(self) -> int:
+        return self.digest_bytes + self.delta_bytes + self.membership_bytes
+
+
+def exchange(initiator: Participant, responder: Participant) -> ExchangeStats:
+    """One whole handshake by direct calls (the simulated driver): both
+    views end up holding the union; converged views ship empty deltas."""
+    digest, members = initiator.syn()
+    ack_digest, delta, ack_members = responder.on_syn(digest, members)
+    push = initiator.on_ack(ack_digest, delta, ack_members)
+    responder.on_push(push)
+    return ExchangeStats(
+        digest_bytes=digest.wire_bytes() + ack_digest.wire_bytes(),
+        delta_bytes=delta.wire_bytes() + push.wire_bytes(),
+        entries_shipped=len(delta) + len(push),
+        membership_bytes=members_wire_bytes(members)
+        + members_wire_bytes(ack_members),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -184,21 +288,12 @@ class GossipConfig:
 
 
 @dataclass(frozen=True)
-class RoundStats:
-    """Per-round accounting: who exchanged, and what it cost."""
+class RoundStats(ExchangeStats):
+    """Per-round accounting: who exchanged, and what it cost (the sum
+    over the round's handshakes)."""
 
-    index: int
-    pairs: Tuple[Tuple[str, str], ...]
-    digest_bytes: int
-    delta_bytes: int
-    entries_shipped: int
-    #: Liveness piggyback bytes (0 when membership is off): each
-    #: handshake also swapped both sides' membership maps.
-    membership_bytes: int = 0
-
-    @property
-    def bytes_shipped(self) -> int:
-        return self.digest_bytes + self.delta_bytes + self.membership_bytes
+    index: int = 0
+    pairs: Tuple[Tuple[str, str], ...] = ()
 
 
 class GossipCoordinator:
@@ -206,11 +301,8 @@ class GossipCoordinator:
 
     One round: every participating view (in registration order)
     initiates a push-pull exchange with ``fanout`` uniformly random
-    other participants.  With the digest/delta protocol each handshake
-    ships only what the peer lacks; ``full_state=True`` is the ablation
-    that re-ships both full states every handshake (what the old
-    ``exchange`` did), kept measurable so the benchmark can price the
-    difference.
+    other participants through :func:`exchange`, so each handshake
+    ships only what the peer lacks.
 
     The coordinator is a driver, not a lock: views guard themselves, so
     rounds may run concurrently with live traffic mutating the views
@@ -222,7 +314,6 @@ class GossipCoordinator:
         views: Iterable[ObjectView],
         fanout: int = 1,
         seed: int = 0,
-        full_state: bool = False,
         obs: Obs = NULL_OBS,
         membership: bool = False,
         suspect_after: int = 4,
@@ -232,7 +323,6 @@ class GossipCoordinator:
         if fanout < 1:
             raise GossipError("gossip fanout must be at least 1")
         self.fanout = fanout
-        self.full_state = full_state
         self.rng = random.Random(seed)
         self.rounds: List[RoundStats] = []
         #: Ground-truth dead set (:meth:`kill`): these views stop
@@ -278,7 +368,7 @@ class GossipCoordinator:
         )
 
     @property
-    def views(self) -> Sequence[ObjectView]:
+    def views(self) -> Tuple[ObjectView, ...]:
         return tuple(self._views)
 
     def add_view(self, view: ObjectView) -> None:
@@ -375,22 +465,6 @@ class GossipCoordinator:
 
     # ------------------------------------------------------------------
 
-    def _exchange(self, view: ObjectView, peer: ObjectView):
-        if not self.full_state:
-            return view.exchange(peer)
-        # Ablation: both directions ship everything, no digests first.
-        mine = view.delta_since(EMPTY_DIGEST)
-        theirs = peer.delta_since(EMPTY_DIGEST)
-        peer.merge_delta(mine)
-        view.merge_delta(theirs)
-        from .objectview import ExchangeStats
-
-        return ExchangeStats(
-            digest_bytes=0,
-            delta_bytes=mine.wire_bytes() + theirs.wire_bytes(),
-            entries_shipped=len(mine) + len(theirs),
-        )
-
     def round(self, participants: Optional[Set[str]] = None) -> RoundStats:
         """Run one gossip round; returns its accounting.
 
@@ -399,54 +473,36 @@ class GossipCoordinator:
         how much worse its placements price.
         """
         active = [
-            v
+            Participant(v, self._membership.get(v.node))
             for v in self._views
             if (participants is None or v.node in participants)
             and v.node not in self._dead
         ]
+        # Round policy (the step order inside a handshake is
+        # Participant's): heartbeats advance once per round a node
+        # participates in, before any handshake; detectors age one tick
+        # after the last.  A killed node's counter simply stops.
         if self._membership:
-            # Heartbeats advance once per round a node participates in -
-            # stamped like inventory versions, so the freshest beat wins
-            # any merge.  A killed node's counter simply stops.
-            for view in active:
-                self._membership[view.node].beat()
+            for party in active:
+                party.membership.beat()
         pairs: List[Tuple[str, str]] = []
         digest_bytes = delta_bytes = entries = membership_bytes = 0
-        for view in active:
-            peers = [p for p in active if p is not view]
+        for party in active:
+            peers = [p for p in active if p is not party]
             if not peers:
                 continue
-            chosen = self.rng.sample(peers, min(self.fanout, len(peers)))
-            for peer in chosen:
-                if self._membership:
-                    # The liveness piggyback: both maps ride the same
-                    # handshake (in fixpoint.net they ride the SYN/ACK
-                    # frames), merged with the same join algebra.
-                    # Liveness merges *before* inventory, so a
-                    # tombstone evicts ahead of the stale entries it
-                    # shadows and - the rejoin mirror - a readmission
-                    # lifts the eviction gate ahead of the returning
-                    # node's fresh entries.  Inventory-first would drop
-                    # those entries *and* advance the caps past them,
-                    # losing them for good.
-                    mine = self._membership[view.node]
-                    theirs = self._membership[peer.node]
-                    membership_bytes += mine.wire_bytes()
-                    membership_bytes += theirs.wire_bytes()
-                    members_out = mine.members()
-                    mine.merge(theirs.members())
-                    theirs.merge(members_out)
-                stats = self._exchange(view, peer)
-                pairs.append((view.node, peer.node))
-                digest_bytes += stats.digest_bytes
-                delta_bytes += stats.delta_bytes
-                entries += stats.entries_shipped
+            for peer in self.rng.sample(peers, min(self.fanout, len(peers))):
+                shipped = exchange(party, peer)
+                pairs.append((party.view.node, peer.view.node))
+                digest_bytes += shipped.digest_bytes
+                delta_bytes += shipped.delta_bytes
+                entries += shipped.entries_shipped
+                membership_bytes += shipped.membership_bytes
         if self._membership:
-            # One observed round per participant: age records, run the
-            # suspect -> confirm detector.  Confirmations fire on_dead,
-            # which evicts the dead node from the paired ObjectView.
-            for view in active:
-                self._membership[view.node].tick()
+            # Confirmations fire on_dead, which evicts the dead node
+            # from the paired ObjectView.
+            for party in active:
+                party.membership.tick()
         stats = RoundStats(
             index=len(self.rounds),
             pairs=tuple(pairs),

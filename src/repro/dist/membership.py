@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..analysis.sync import TrackedLock
-from ..core.errors import FixError
+from ..core.errors import FixError, FrameReader
 
 __all__ = [
     "ALIVE",
@@ -65,7 +65,7 @@ __all__ = [
     "SUSPECT",
     "Member",
     "join_members",
-    "MembershipConfig",
+    "members_wire_bytes",
     "MembershipError",
     "MembershipView",
     "pack_members",
@@ -90,6 +90,9 @@ _STATUS = struct.Struct("<B")
 
 class MembershipError(FixError):
     """Membership failures (bad wire frames, invalid transitions)."""
+
+
+_frame = FrameReader(MembershipError)
 
 
 @dataclass(frozen=True)
@@ -178,58 +181,31 @@ def pack_members(members: Iterable[Member]) -> bytes:
     return b"".join(parts)
 
 
-def _bounded(raw: bytes, offset: int, size: int, field: str) -> None:
-    """Refuse a read past the frame instead of letting ``struct`` raise
-    a bare error (or a name slice silently truncate and misparse the
-    tail as garbage fields)."""
-    if offset + size > len(raw):
-        raise MembershipError(
-            f"truncated membership frame: {field} needs {size} byte(s) at "
-            f"offset {offset} but only {len(raw)} byte(s) total"
-        )
+def members_wire_bytes(members: Optional[Iterable[Member]]) -> int:
+    """Bytes :func:`pack_members` spends on ``members`` - 0 for ``None``,
+    a frame with no liveness piggyback (the simulated driver's
+    accounting: it never runs the codec)."""
+    if members is None:
+        return 0
+    return _COUNT.size + sum(m.wire_bytes() for m in members)
 
 
 def unpack_members(raw: bytes, offset: int = 0) -> Tuple[Tuple[Member, ...], int]:
-    _bounded(raw, offset, _COUNT.size, "count")
-    (count,) = _COUNT.unpack_from(raw, offset)
-    offset += _COUNT.size
+    count, offset = _frame.unpack(_COUNT, raw, offset, "count")
     members: List[Member] = []
     for _ in range(count):
-        _bounded(raw, offset, _LEN.size, "node length")
-        (length,) = _LEN.unpack_from(raw, offset)
-        offset += _LEN.size
-        _bounded(raw, offset, length, "node name")
-        node = raw[offset : offset + length].decode("utf-8")
-        offset += length
-        _bounded(raw, offset, _U64.size, "incarnation")
-        (incarnation,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        _bounded(raw, offset, _U64.size, "heartbeat")
-        (heartbeat,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        _bounded(raw, offset, _STATUS.size, "status")
-        (rank,) = _STATUS.unpack_from(raw, offset)
-        offset += _STATUS.size
+        length, offset = _frame.unpack(_LEN, raw, offset, "node length")
+        node, offset = _frame.take(raw, offset, length, "node name")
+        incarnation, offset = _frame.unpack(_U64, raw, offset, "incarnation")
+        heartbeat, offset = _frame.unpack(_U64, raw, offset, "heartbeat")
+        rank, offset = _frame.unpack(_STATUS, raw, offset, "status")
         status = _BY_RANK.get(rank)
         if status is None:
             raise MembershipError(f"bad membership status byte {rank}")
-        members.append(Member(node, heartbeat, status, incarnation))
+        members.append(
+            Member(node.decode("utf-8"), heartbeat, status, incarnation)
+        )
     return tuple(members), offset
-
-
-@dataclass(frozen=True)
-class MembershipConfig:
-    """Failure-detector thresholds, in *observed gossip rounds*.
-
-    ``suspect_after`` rounds without a heartbeat advance mark a node
-    suspect; ``confirm_after`` further rounds of unrefuted suspicion
-    confirm it dead.  Both must exceed the epidemic propagation age
-    (~ceil(log2 n) rounds at fanout 1) or a live-but-lagging node's
-    suspicion can harden before its refuting beat arrives.
-    """
-
-    suspect_after: int = 4
-    confirm_after: int = 4
 
 
 class MembershipView:
@@ -242,6 +218,11 @@ class MembershipView:
     ``on_dead`` exactly once per view, no matter how many merges
     re-deliver the tombstone; each dead->alive flip (only possible via
     a higher incarnation) fires ``on_rejoin`` once per transition.
+
+    ``suspect_after`` and ``confirm_after`` count observed gossip
+    rounds; both must exceed the epidemic propagation age (~ceil(log2 n)
+    rounds at fanout 1) or a live-but-lagging node's suspicion can
+    harden before its refuting beat arrives.
     """
 
     def __init__(
@@ -344,12 +325,6 @@ class MembershipView:
         with self._lock:
             return tuple(
                 self._members[node] for node in sorted(self._members)
-            )
-
-    def wire_bytes(self) -> int:
-        with self._lock:
-            return _COUNT.size + sum(
-                m.wire_bytes() for m in self._members.values()
             )
 
     def __len__(self) -> int:

@@ -88,7 +88,10 @@ just shipped would double the round trip for nothing.
 
 **Gossip frames.**  Inventory knowledge is no longer connect-time-only:
 :meth:`FixpointNode.gossip_with` runs one push-pull anti-entropy round
-over a live channel, sequenced like every other frame::
+over a live channel, sequenced like every other frame.  What each side
+computes and merges, in which order and why, is documented once, on
+:class:`repro.dist.gossip.Participant`; this module is its wire driver
+(pack, cross the :class:`Channel`, unpack)::
 
     [u8 0x10][u16 sender length][sender utf-8][ctx][digest]        (SYN)
     [u8 0x11][ctx][digest][delta]                                  (ACK)
@@ -142,13 +145,14 @@ from ..analysis.sync import (
     TrackedRLock,
     note_blocking,
 )
-from ..core.errors import FixError, MissingObjectError
+from ..core.errors import FixError, FrameReader, MissingObjectError
 from ..core.handle import HANDLE_BYTES, Handle
 from ..core.minrepo import Footprint, transitive_footprint
 from ..core.serialize import decode_bundle, encode_bundle
 from ..core.storage import Repository
 from ..dist.costmodel import Quote, choose
 from ..dist.gossip import (
+    Participant,
     pack_delta,
     pack_digest,
     unpack_delta,
@@ -160,7 +164,7 @@ from ..dist.membership import (
     unpack_members,
 )
 from ..dist.objectview import ObjectView
-from ..obs import NULL_CONTEXT, Obs, SpanContext
+from ..obs import CONTEXT_BYTES, NULL_CONTEXT, Obs, SpanContext
 from .jobs import Job
 from .runtime import Fixpoint
 
@@ -208,6 +212,25 @@ class RemoteEvalError(NetworkError):
         self.remote_message = message
 
 
+_frame = FrameReader(NetworkError)
+
+
+def _pack_header(sender: str, ctx: SpanContext) -> bytes:
+    """``[u16 sender length][sender utf-8][16-byte span context]`` - how
+    a request, a gossip SYN and a gossip PUSH each name their sender."""
+    raw = sender.encode("utf-8")
+    return _SENDER_LEN.pack(len(raw)) + raw + ctx.pack()
+
+
+def _unpack_header(wire: bytes, offset: int) -> Tuple[str, SpanContext, int]:
+    length, offset = _frame.unpack(
+        _SENDER_LEN, wire, offset, "sender length"
+    )
+    sender, offset = _frame.take(wire, offset, length, "sender")
+    chunk, offset = _frame.take(wire, offset, CONTEXT_BYTES, "span context")
+    return sender.decode("utf-8"), SpanContext.unpack(chunk)[0], offset
+
+
 def _pack_error(exc: BaseException) -> bytes:
     """Serialize an exception into the error-response frame body."""
     error_type = type(exc).__name__.encode("utf-8")
@@ -222,14 +245,13 @@ def _pack_error(exc: BaseException) -> bytes:
 
 def _unpack_error(body: bytes) -> Tuple[str, str]:
     """Parse an error-response frame body into (type name, message)."""
-    (type_len,) = _ERR_TYPE_LEN.unpack_from(body, 0)
-    offset = _ERR_TYPE_LEN.size
-    error_type = body[offset : offset + type_len].decode("utf-8")
-    offset += type_len
-    (msg_len,) = _ERR_MSG_LEN.unpack_from(body, offset)
-    offset += _ERR_MSG_LEN.size
-    message = body[offset : offset + msg_len].decode("utf-8")
-    return error_type, message
+    length, offset = _frame.unpack(_ERR_TYPE_LEN, body, 0, "error type length")
+    error_type, offset = _frame.take(body, offset, length, "error type")
+    length, offset = _frame.unpack(
+        _ERR_MSG_LEN, body, offset, "error message length"
+    )
+    message, _ = _frame.take(body, offset, length, "error message")
+    return error_type.decode("utf-8"), message.decode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -617,6 +639,9 @@ class FixpointNode:
             on_refute=self._on_self_refute,
             incarnation=incarnation,
         )
+        #: This node's side of the gossip handshake: the step order
+        #: lives there; the GOSSIP methods below are its wire driver.
+        self._gossip = Participant(self.view, self.membership)
         #: In-flight delegations per peer - the load signal the cost
         #: model spreads equal-price candidates with.  Raised at
         #: dispatch, lowered when the reply has been absorbed, so it is
@@ -919,16 +944,12 @@ class FixpointNode:
         # traffic that is already crossing the wire.
         self.membership.beat()
         span = self.obs.tracer.start("gossip.round", peer=peer_name)
-        sender = self.name.encode("utf-8")
-        syn = (
-            _GOSSIP_SYN
-            + _SENDER_LEN.pack(len(sender))
-            + sender
-            + span.context.pack()
-            + pack_digest(self.view.digest())
-            + pack_members(self.membership.members())
+        header = _pack_header(self.name, span.context)
+        digest, members = self._gossip.syn()
+        wire, seq = channel.send(
+            self,
+            _GOSSIP_SYN + header + pack_digest(digest) + pack_members(members),
         )
-        wire, seq = channel.send(self, syn)
         with self._m_transit.time(peer=peer_name):
             channel.transit()
         with channel.arrival(self, seq):
@@ -944,32 +965,12 @@ class FixpointNode:
             peer_digest, offset = unpack_digest(ack_wire, offset)
             delta_in, offset = unpack_delta(ack_wire, offset)
             peer_members, _ = unpack_members(ack_wire, offset)
-            # The PUSH delta is computed *before* the ACK merges: if
-            # the ACK brings home this node's own tombstone, the merge
-            # refutes it (incarnation bump + epoch restamp), and the
-            # restamped entries must not ride a members-free PUSH to a
-            # peer that still believes us dead - its eviction gate
-            # would drop them while its caps advanced past them,
-            # losing them for good.  They go out on the *next* round,
-            # whose SYN carries the refutation ahead of them.
-            delta_out = self.view.delta_since(peer_digest)
-            # Liveness merges *before* inventory: a tombstone on the
-            # ACK must evict ahead of the stale entries it shadows, and
-            # a rejoin must lift the eviction gate ahead of the
-            # returning node's fresh entries - inventory-first would
-            # drop those entries while the caps advanced past them.
-            # (The serve path already orders it this way: members
-            # merge before the delta is computed.)
-            self.membership.merge(peer_members)
-            self.view.merge_delta(delta_in)
-        push = (
-            _GOSSIP_PUSH
-            + _SENDER_LEN.pack(len(sender))
-            + sender
-            + span.context.pack()
-            + pack_delta(delta_out)
+            delta_out = self._gossip.on_ack(
+                peer_digest, delta_in, peer_members
+            )
+        push_wire, push_seq = channel.send(
+            self, _GOSSIP_PUSH + header + pack_delta(delta_out)
         )
-        push_wire, push_seq = channel.send(self, push)
         with self._m_transit.time(peer=peer_name):
             channel.transit()
         with channel.arrival(self, push_seq):
@@ -1001,45 +1002,42 @@ class FixpointNode:
         """
         if wire[:1] != _GOSSIP_SYN:
             raise NetworkError(f"{self.name}: bad gossip syn tag {wire[:1]!r}")
-        (sender_len,) = _SENDER_LEN.unpack_from(wire, 1)
-        offset = 1 + _SENDER_LEN.size
-        sender = wire[offset : offset + sender_len].decode("utf-8")
-        ctx, offset = SpanContext.unpack(wire, offset + sender_len)
-        digest, offset = unpack_digest(wire, offset)
+        sender, ctx, offset = _unpack_header(wire, 1)
+        caller_digest, offset = unpack_digest(wire, offset)
         caller_members, _ = unpack_members(wire, offset)
         self._refresh_self()
-        # Serving a round is as alive as initiating one: beat, join the
-        # caller's liveness map, and ship the merged map back on the ACK.
+        # Serving a round is as alive as initiating one: beat before the
+        # handshake step joins the caller's liveness map into ours.
         self.membership.beat()
-        self.membership.merge(caller_members)
-        span = self.obs.tracer.start("gossip.serve", parent=ctx, peer=sender)
-        delta = self.view.delta_since(digest)
-        span.set(entries_out=len(delta)).finish()
-        ack = (
-            _GOSSIP_ACK
-            + span.context.pack()
-            + pack_digest(self.view.digest())
-            + pack_delta(delta)
-            + pack_members(self.membership.members())
-        )
+        with self.obs.tracer.start(
+            "gossip.serve", parent=ctx, peer=sender
+        ) as span:
+            digest, delta, members = self._gossip.on_syn(
+                caller_digest, caller_members
+            )
+            span.set(entries_out=len(delta))
         with self._lock:
             self.gossip_rounds += 1
         self._m_gossip_rounds.inc(peer=sender, role="server")
-        return self._send_back(sender, ack)
+        return self._send_back(
+            sender,
+            _GOSSIP_ACK
+            + span.context.pack()
+            + pack_digest(digest)
+            + pack_delta(delta)
+            + pack_members(members),
+        )
 
     def _absorb_gossip_push(self, wire: bytes) -> int:
         """Peer side of the closing PUSH: merge the caller's delta."""
         if wire[:1] != _GOSSIP_PUSH:
             raise NetworkError(f"{self.name}: bad gossip push tag {wire[:1]!r}")
-        (sender_len,) = _SENDER_LEN.unpack_from(wire, 1)
-        offset = 1 + _SENDER_LEN.size
-        sender = wire[offset : offset + sender_len].decode("utf-8")
-        ctx, offset = SpanContext.unpack(wire, offset + sender_len)
+        sender, ctx, offset = _unpack_header(wire, 1)
         delta, _ = unpack_delta(wire, offset)
         with self.obs.tracer.start(
             "gossip.absorb", parent=ctx, peer=sender
         ) as span:
-            applied = self.view.merge_delta(delta)
+            applied = self._gossip.on_push(delta)
             span.set(applied=applied)
         return applied
 
@@ -1134,27 +1132,17 @@ class FixpointNode:
         with self._lock:
             if fp is None:
                 fp = transitive_footprint(self.repo, encode)
-            to_ship: List[Handle] = []
-            for handle in self.repo.handles():
-                key = handle.content_key()
-                if key in fp.data and not self.view.knows(key, peer_name):
-                    to_ship.append(handle)
-            sender = self.name.encode("utf-8")
+            to_ship = self._unheld_by(peer_name, fp)
             request = (
-                _SENDER_LEN.pack(len(sender))
-                + sender
-                + span.context.pack()
+                _pack_header(self.name, span.context)
                 + encode.pack()
                 + encode_bundle(self.repo, to_ship)
             )
             wire, request_seq = channel.send(self, request)
             self.delegations_sent += 1
             self._m_sent.inc(peer=peer_name)
-            shipped: List[bytes] = []
-            for handle in to_ship:
-                key = handle.content_key()
-                self.view.learn(key, peer_name, handle.byte_size())
-                shipped.append(key)
+            self._note_held(peer_name, to_ship)
+            shipped = [handle.content_key() for handle in to_ship]
             self.outstanding[peer_name] = (
                 self.outstanding.get(peer_name, 0) + 1
             )
@@ -1296,17 +1284,13 @@ class FixpointNode:
             )
         result = Handle.unpack(body[:HANDLE_BYTES])
         absorbed = decode_bundle(self.repo, body[HANDLE_BYTES:])
-        for handle in absorbed:
-            self.view.learn(handle.content_key(), peer_name, handle.byte_size())
-        self.view.learn(result.content_key(), peer_name, result.byte_size())
+        self._note_held(peer_name, [*absorbed, result])
         self.repo.put_result(encode, result)
         span.set(bytes=len(wire_back), handles_absorbed=len(absorbed))
         span.finish()
         return result
 
-    def _serve(
-        self, wire: bytes, arrival: Optional[_Arrival] = None
-    ) -> Tuple[bytes, int]:
+    def _serve(self, wire: bytes, arrival: _Arrival) -> Tuple[bytes, int]:
         """Peer side: parse, evaluate, reply with the *filtered* bundle.
 
         The request names its sender, so the reply ships only result
@@ -1328,10 +1312,7 @@ class FixpointNode:
         sender: Optional[str] = None
         span = None
         try:
-            if arrival is not None:
-                with arrival:
-                    sender, encode, ctx = self._absorb_request(wire)
-            else:
+            with arrival:
                 sender, encode, ctx = self._absorb_request(wire)
             # The serve span parents to the caller's dispatch span (the
             # context the request frame carried): this is the hop where
@@ -1342,24 +1323,13 @@ class FixpointNode:
             self._m_served.inc(peer=sender)
             result = self.runtime.eval(encode)
             # Reply with the result and the data needed to read it,
-            # filtered through the view of the caller ("ship only what
-            # the peer is not known to hold" - the same rule the
-            # dispatcher applies).
+            # filtered through the view of the caller (the same rule
+            # the dispatcher applies).
             with self._lock:
-                result_fp = transitive_footprint(self.repo, result)
-                to_ship = [
-                    handle
-                    for handle in self.repo.handles()
-                    if handle.content_key() in result_fp.data
-                    and not self.view.knows(handle.content_key(), sender)
-                ]
-                for handle in to_ship:
-                    self.view.learn(
-                        handle.content_key(), sender, handle.byte_size()
-                    )
-                self.view.learn(
-                    result.content_key(), sender, result.byte_size()
+                to_ship = self._unheld_by(
+                    sender, transitive_footprint(self.repo, result)
                 )
+                self._note_held(sender, [*to_ship, result])
                 span.set(handles_shipped=len(to_ship)).finish()
                 payload = (
                     span.context.pack()
@@ -1388,19 +1358,31 @@ class FixpointNode:
         self, wire: bytes
     ) -> Tuple[str, Handle, SpanContext]:
         """Decode one request frame into the repository (wire order)."""
-        (sender_len,) = _SENDER_LEN.unpack_from(wire, 0)
-        offset = _SENDER_LEN.size
-        sender = wire[offset : offset + sender_len].decode("utf-8")
-        offset += sender_len
-        ctx, offset = SpanContext.unpack(wire, offset)
+        sender, ctx, offset = _unpack_header(wire, 0)
         encode = Handle.unpack(wire[offset : offset + HANDLE_BYTES])
         received = decode_bundle(self.repo, wire[offset + HANDLE_BYTES :])
         # The sender evidently holds everything it shipped: the server's
         # view of the caller advances on receive, mirroring the caller's
         # advance on send.
-        for handle in received:
-            self.view.learn(handle.content_key(), sender, handle.byte_size())
+        self._note_held(sender, received)
         return sender, encode, ctx
+
+    def _note_held(self, peer: str, handles: Sequence[Handle]) -> None:
+        """``peer`` evidently holds ``handles``: it shipped them, or was
+        just shipped them (the view advances on send *and* receive)."""
+        for handle in handles:
+            self.view.learn(handle.content_key(), peer, handle.byte_size())
+
+    def _unheld_by(self, peer: str, fp: Footprint) -> List[Handle]:
+        """The data of ``fp`` held here that ``peer`` is not believed to
+        hold: "ship only what the peer is not known to hold", the one
+        filter behind both the request and the reply bundle."""
+        return [
+            handle
+            for handle in self.repo.handles()
+            if (key := handle.content_key()) in fp.data
+            and not self.view.knows(key, peer)
+        ]
 
     def _send_back(self, sender: str, payload: bytes) -> Tuple[bytes, int]:
         channel = self.peers.get(sender)
@@ -1438,13 +1420,26 @@ class FixpointNode:
                     names.add(location)
         return sorted(names)
 
-    def _quote_peers(
+    def _place(
         self,
-        fp: Footprint,
-        local: Dict[bytes, int],
+        encode: Handle,
+        local: Optional[Dict[bytes, int]] = None,
         candidates: Optional[List[str]] = None,
-    ) -> Quote:
-        """Price every candidate for ``fp`` through the shared cost model.
+        prefer_local: bool = False,
+    ) -> Tuple[Footprint, Optional[Quote]]:
+        """The one placement step every entry point below shares:
+        footprint, local holdings, candidates, then a price for every
+        candidate through the shared cost model.
+
+        ``local`` and ``candidates`` let a batch snapshot them once
+        (replies absorbed mid-batch can only *add* holdings, so a stale
+        snapshot at worst re-prices or delegates work that just became
+        local - redundancy, never a wrong result).  ``prefer_local``
+        returns no quote when the footprint is complete here: that
+        prices at zero bytes moved and no remote quote can beat zero.
+        (A node cannot *pull* data, so an incomplete local footprint is
+        never a candidate.)  The footprint is returned so the dispatch
+        does not walk it a second time.
 
         Sizes are authoritative for locally-held data and believed (from
         the inventory gossip) otherwise; a key whose size nobody ever
@@ -1469,8 +1464,17 @@ class FixpointNode:
         placement policy), because a tombstone is a *liveness* fact,
         not a staleness guess - delegating there cannot succeed.
         """
+        fp = transitive_footprint(self.repo, encode)
+        if local is None:
+            local = self.runtime.holdings()
+        if prefer_local and fp.data <= local.keys():
+            return fp, None
         if candidates is None:
             candidates = self._candidates()
+        if not candidates:
+            if prefer_local:
+                raise MissingObjectError(encode, self.name)
+            raise NetworkError(f"{self.name}: no peers to delegate to")
         dead = self.membership.dead_nodes()
         with self._m_quote.time():
             needs = [
@@ -1485,7 +1489,7 @@ class FixpointNode:
             viable = [
                 peer for peer in candidates if stranded[peer] == 0
             ] or list(candidates)
-            return choose(
+            return fp, choose(
                 viable,
                 prices.__getitem__,
                 lambda peer: self.outstanding.get(peer, 0),
@@ -1505,36 +1509,20 @@ class FixpointNode:
         Candidates include nodes this one has never connected to, when
         gossip named them and the directory can dial them.
         """
-        candidates = self._candidates()
-        if not candidates:
-            raise NetworkError(f"{self.name}: no peers to delegate to")
-        fp = transitive_footprint(self.repo, encode)
-        return self._quote_peers(fp, self.runtime.holdings(), candidates)
+        return self._place(encode)[1]
 
     def delegate_best(self, encode: Handle) -> Handle:
         """Delegate to the peer the shared cost model prices cheapest."""
         return self.delegate(self.quote_best(encode).candidate, encode)
 
     def eval_anywhere(self, encode: Handle) -> Handle:
-        """Evaluate locally when that is cheapest; otherwise delegate
-        through the shared cost model (:meth:`delegate_best`).
-
-        A complete local footprint prices at zero bytes moved, and no
-        remote quote can be cheaper than zero - so "prefer local when
-        cheapest" reduces to: run here when everything is resident,
-        delegate to the cheapest peer otherwise.  (A node cannot *pull*
-        data, so an incomplete local footprint is not a candidate.)
-        """
-        fp = transitive_footprint(self.repo, encode)
-        local = self.runtime.holdings()
-        if fp.data <= local.keys():
+        """Evaluate here when everything is resident (nothing remote
+        beats zero bytes moved); otherwise on the peer the shared cost
+        model prices cheapest."""
+        fp, quote = self._place(encode, prefer_local=True)
+        if quote is None:
             return self.runtime.eval(encode)
-        candidates = self._candidates()
-        if not candidates:
-            raise MissingObjectError(encode, self.name)
-        return self.delegate(
-            self._quote_peers(fp, local, candidates).candidate, encode
-        )
+        return self._dispatch(quote.candidate, encode, fp).result()
 
     # ------------------------------------------------------------------
     # Fan-out: many delegations in flight at once
@@ -1545,22 +1533,14 @@ class FixpointNode:
         Each dispatch raises ``outstanding`` before the next quote runs,
         so equal-priced candidates spread round-robin across peers
         instead of piling onto the first name - the load tiebreak doing
-        real work.  Returns the futures in input order.
-
-        The local inventory is snapshotted once for the whole batch
-        (replies absorbed mid-dispatch could only *add* holdings, and a
-        conservative snapshot merely re-prices - staleness costs
-        redundancy, never correctness); each footprint is computed once
-        and shared between the quote and the dispatch.
+        real work.  Returns the futures in input order.  Candidates and
+        the local inventory are snapshotted once for the whole batch.
         """
         candidates = self._candidates()
-        if not candidates:
-            raise NetworkError(f"{self.name}: no peers to delegate to")
         local = self.runtime.holdings()
         futures: List[Delegation] = []
         for encode in encodes:
-            fp = transitive_footprint(self.repo, encode)
-            quote = self._quote_peers(fp, local, candidates)
+            fp, quote = self._place(encode, local, candidates)
             futures.append(self._dispatch(quote.candidate, encode, fp))
         return futures
 
@@ -1572,12 +1552,9 @@ class FixpointNode:
         asynchronously to the cheapest peer.  All remote dispatches
         happen *first*, so their wire time and peer-side evaluation
         overlap the local evaluations that follow; results return in
-        input order.  The first failed delegation raises.
-
-        As in :meth:`scatter`, the local inventory is snapshotted once:
-        a reply absorbed mid-dispatch can only add holdings, so the
-        snapshot at worst delegates work that just became local - a
-        redundant transfer, never a wrong result.
+        input order.  The first failed delegation raises.  As in
+        :meth:`scatter`, candidates and the local inventory are
+        snapshotted once.
         """
         remote: List[Tuple[int, Delegation]] = []
         local_work: List[Tuple[int, Handle]] = []
@@ -1585,13 +1562,12 @@ class FixpointNode:
         local = self.runtime.holdings()
         candidates = self._candidates()
         for index, encode in enumerate(encodes):
-            fp = transitive_footprint(self.repo, encode)
-            if fp.data <= local.keys():
+            fp, quote = self._place(
+                encode, local, candidates, prefer_local=True
+            )
+            if quote is None:
                 local_work.append((index, encode))
-            elif not candidates:
-                raise MissingObjectError(encode, self.name)
             else:
-                quote = self._quote_peers(fp, local, candidates)
                 remote.append(
                     (index, self._dispatch(quote.candidate, encode, fp))
                 )
@@ -1634,9 +1610,6 @@ class FixpointNode:
                 f"{self.name}: no surviving peers to retry the "
                 f"delegation that died on {failed.peer!r}"
             )
-        fp = transitive_footprint(self.repo, failed.encode)
-        quote = self._quote_peers(
-            fp, self.runtime.holdings(), candidates
-        )
+        fp, quote = self._place(failed.encode, candidates=candidates)
         self._m_retries.inc(peer=failed.peer, target=quote.candidate)
         return self._dispatch(quote.candidate, failed.encode, fp)

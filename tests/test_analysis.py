@@ -646,13 +646,15 @@ class TestObjectViewLockDiscipline:
 
     @staticmethod
     def _apply(view, peer, op):
+        from repro.dist.gossip import Participant, exchange
+
         kind = op[0]
         if kind == "learn":
             view.learn(op[1], op[2], size=op[3])
         elif kind == "forget":
             view.forget(op[1], op[2])
         elif kind == "exchange":
-            view.exchange(peer)
+            exchange(Participant(view), Participant(peer))
         elif kind == "price":
             view.price_moves([(op[1], 1024)], ["n0", "n1", "n2"])
 

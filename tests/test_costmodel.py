@@ -17,6 +17,7 @@ from repro.core.errors import SchedulingError
 from repro.core.minrepo import transitive_footprint
 from repro.core.thunks import make_application
 from repro.dist.costmodel import Quote, choose, price_moves, quote
+from repro.dist.gossip import Participant, exchange
 from repro.dist.graph import TaskSpec
 from repro.dist.objectview import ObjectView
 from repro.dist.scheduler import DataflowScheduler
@@ -138,7 +139,9 @@ class TestHoldingsIndex:
         cluster.add_object("a", 10, "node0")
         cluster.add_object("b", 20, "node1")
         v0, v1 = ObjectView("node0"), ObjectView("node1")
-        v0.exchange(v1, cluster)
+        v0.refresh_local(cluster)
+        v1.refresh_local(cluster)
+        exchange(Participant(v0), Participant(v1))
         for view in (v0, v1):
             assert view.holdings("node0") == {"a"}
             assert view.holdings("node1") == {"b"}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dist.engine import FixpointSim
+from repro.dist.gossip import Participant, exchange
 from repro.dist.graph import EXTERNAL, JobGraph, TaskSpec
 from repro.dist.objectview import ObjectView
 from repro.dist.scheduler import DataflowScheduler
@@ -56,7 +57,9 @@ class TestObjectView:
         cluster.add_object("a", 10, "node0")
         cluster.add_object("b", 20, "node1")
         v0, v1 = ObjectView("node0"), ObjectView("node1")
-        v0.exchange(v1, cluster)
+        v0.refresh_local(cluster)
+        v1.refresh_local(cluster)
+        exchange(Participant(v0), Participant(v1))
         assert v0.where("b") == {"node1"}
         assert v1.where("a") == {"node0"}
 

@@ -2,7 +2,7 @@
 
 Covers the versioned delta state in
 :class:`repro.dist.objectview.ObjectView` (``digest`` / ``delta_since``
-/ ``merge_delta``, the ``exchange`` wrapper and its converged
+/ ``merge_delta``, the ``gossip.exchange`` handshake and its converged
 short-circuit, forget-retracts-from-deltas), the seeded
 :class:`repro.dist.gossip.GossipCoordinator` (replayable schedules,
 O(log n) convergence, full-state ablation accounting, staleness
@@ -14,8 +14,10 @@ concurrency with live delegations).
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,8 @@ from repro.dist.gossip import (
     GossipConfig,
     GossipCoordinator,
     GossipError,
+    Participant,
+    exchange,
     pack_delta,
     pack_digest,
     unpack_delta,
@@ -36,6 +40,7 @@ from repro.dist.objectview import EMPTY_DIGEST, Digest, ObjectView
 from repro.fixpoint.net import FixpointNode, NodeDirectory
 
 MB = 1 << 20
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def seeded_views(n: int, objects_per_node: int = 3):
@@ -110,8 +115,8 @@ class TestDigestDelta:
         - the property epidemic spread rests on."""
         a, b, c = ObjectView("a"), ObjectView("b"), ObjectView("c")
         a.learn("x", "a", 10)
-        a.exchange(b)
-        b.exchange(c)
+        exchange(Participant(a), Participant(b))
+        exchange(Participant(b), Participant(c))
         assert c.knows("x", "a")
         assert c.believed_size("x") == 10
         # And c's coverage means a has nothing left to send it.
@@ -160,7 +165,9 @@ class TestDigestDelta:
         cluster.add_object("a", 10, "node0")
         cluster.add_object("b", 20, "node1")
         v0, v1 = ObjectView("node0"), ObjectView("node1")
-        v0.exchange(v1, cluster)
+        v0.refresh_local(cluster)
+        v1.refresh_local(cluster)
+        exchange(Participant(v0), Participant(v1))
         for view in (v0, v1):
             assert view.where("a") == {"node0"}
             assert view.where("b") == {"node1"}
@@ -175,9 +182,9 @@ class TestConvergedExchangeRegression:
         a, b = ObjectView("a"), ObjectView("b")
         for i in range(50):
             a.learn(f"obj{i}", "a", 1 * MB)
-        first = a.exchange(b)
+        first = exchange(Participant(a), Participant(b))
         assert first.entries_shipped == 50
-        again = a.exchange(b)
+        again = exchange(Participant(a), Participant(b))
         assert again.entries_shipped == 0
         # Only digests (+ empty-delta framing) cross the wire...
         assert again.delta_bytes <= 16
@@ -265,16 +272,21 @@ class TestCoordinator:
         assert len(coordinator.rounds) == rounds_needed
 
     def test_full_state_ablation_ships_more_bytes(self):
-        """Same seed, same schedule - the ablation re-sends everything
-        every handshake, the delta protocol only the news."""
-        delta_coord = GossipCoordinator(seeded_views(16), seed=3)
-        rounds = delta_coord.run()
-        full_coord = GossipCoordinator(
-            seeded_views(16), seed=3, full_state=True
+        """Same schedule - the ablation (the bench's local baseline)
+        re-sends everything every handshake, the delta protocol only
+        the news."""
+        spec = importlib.util.spec_from_file_location(
+            "_bench_gossip", BENCHMARKS / "bench_gossip.py"
         )
-        full_coord.run_rounds(rounds)
-        assert full_coord.converged()
-        assert delta_coord.total_bytes < full_coord.total_bytes / 2
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        delta_coord = GossipCoordinator(seeded_views(16), seed=3)
+        delta_coord.run()
+        full_views = seeded_views(16)
+        full_bytes = bench.full_state_bytes(full_views, delta_coord.rounds)
+        union = union_of(full_views)
+        assert all(view.snapshot() == union for view in full_views)
+        assert delta_coord.total_bytes < full_bytes / 2
 
     def test_late_joiner_catches_up(self):
         views = seeded_views(8)

@@ -5,7 +5,9 @@ instead of detonating five unrelated test modules at collection time
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +164,51 @@ class TestDistExports:
 
         assert repro.baselines.Platform is not None
         assert repro.dist.JobGraph is not None
+
+
+class TestSpanRecorderTargets:
+    """``benchmarks/perf/spans.py`` measures each layer *from outside*:
+    it rebinds ``owner.__dict__[attr]`` for every ``TARGETS`` entry and
+    relies on the runtime calling through that very binding.  A refactor
+    that renames a target crashes the traced run; one that moves its
+    caller out of ``fixpoint.net``'s namespace silently attributes 0 ms
+    to a layer.  Both fail here, in seconds."""
+
+    @staticmethod
+    def _targets():
+        path = (
+            Path(__file__).resolve().parent.parent
+            / "benchmarks" / "perf" / "spans.py"
+        )
+        spec = importlib.util.spec_from_file_location("_perf_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        return spans.TARGETS
+
+    def test_every_target_resolves_where_the_recorder_patches_it(self):
+        for owner, attr, _layer in self._targets():
+            assert attr in owner.__dict__, (owner, attr)
+
+    def test_net_targets_are_reached_through_fixpointnode_globals(self):
+        from repro.fixpoint import net
+
+        def global_names(code):
+            names = set(code.co_names)
+            for const in code.co_consts:
+                if hasattr(const, "co_names"):  # nested def / comprehension
+                    names |= global_names(const)
+            return names
+
+        methods = [
+            fn
+            for fn in vars(net.FixpointNode).values()
+            if callable(fn) and hasattr(fn, "__code__")
+        ]
+        assert all(fn.__globals__ is vars(net) for fn in methods)
+        reached = set().union(*(global_names(fn.__code__) for fn in methods))
+        for owner, attr, layer in self._targets():
+            if owner is net:
+                assert attr in reached, (
+                    f"no FixpointNode method calls net.{attr} by its "
+                    f"module-global name: the {layer} span would record 0"
+                )

@@ -26,7 +26,15 @@ import pytest
 from repro.codelets.stdlib import blob_int, int_blob
 from repro.core.errors import SchedulingError
 from repro.core.thunks import make_application
-from repro.dist.gossip import GossipConfig, GossipCoordinator, GossipError
+from repro.dist.gossip import (
+    GossipConfig,
+    GossipCoordinator,
+    GossipError,
+    pack_delta,
+    pack_digest,
+    unpack_delta,
+    unpack_digest,
+)
 from repro.dist.membership import (
     ALIVE,
     DEAD,
@@ -38,10 +46,12 @@ from repro.dist.membership import (
     pack_members,
     unpack_members,
 )
-from repro.dist.objectview import EMPTY_DIGEST, ObjectView
+from repro.dist.objectview import EMPTY_DIGEST, Digest, ObjectView
 from repro.dist.scheduler import DataflowScheduler
+from repro.fixpoint import net
 from repro.fixpoint.jobs import JobQueue
 from repro.fixpoint.net import FixpointNode, NetworkError, NodeDirectory
+from repro.obs import SpanContext
 from repro.sim.cluster import Cluster, MachineSpec
 from repro.sim.engine import Simulator
 
@@ -127,11 +137,22 @@ class TestMemberLattice:
         assert len(pack_members(members)) == 4 + per_member
 
 
+def _three_entry_delta():
+    view = ObjectView("origin-node")
+    view.learn(b"\x07" * 32, "holder-b", 7)  # bytes name, sized
+    view.learn("string-name", "c")  # str name, sizeless
+    view.learn("third", "a-much-longer-location-name", 1 << 40)
+    return view.delta_since(EMPTY_DIGEST)
+
+
 class TestCodecTruncation:
-    """Satellite: ``unpack_members`` on a truncated frame used to raise
-    a bare ``struct.error`` (or slice a short node name and misparse
-    the tail as garbage fields).  Every read is now bound-checked and
-    refuses with a :class:`MembershipError` naming the offset."""
+    """Satellite (PR 10, widened in PR 12 to every decoder): an
+    ``unpack_*`` on a truncated frame used to raise a bare
+    ``struct.error``, slice a short field and misparse the tail as
+    garbage, or - ``net._unpack_error`` - silently return a truncated
+    message.  Every read is now bounds-checked through the one
+    :class:`repro.core.errors.FrameReader` and refuses with the
+    decoder's own error type, naming the field and the offset."""
 
     FRAME = pack_members(
         [
@@ -140,15 +161,50 @@ class TestCodecTruncation:
             Member("z", 9, DEAD, incarnation=7),
         ]
     )
+    DELTA = pack_delta(_three_entry_delta())
 
-    def test_every_strict_prefix_is_refused_with_the_offset(self):
+    #: name -> (full frame, decoder(raw), its error type, offsets of
+    #: the u32 counts / u16 lengths a corrupt frame could inflate).
+    CODECS = {
+        "members": (FRAME, unpack_members, MembershipError, [(0, 4), (4, 2)]),
+        "digest": (
+            pack_digest(Digest({"a": 3, "node#2": 9, "z" * 40: 1})),
+            unpack_digest,
+            GossipError,
+            [(0, 4), (4, 2)],
+        ),
+        "delta": (
+            DELTA,
+            unpack_delta,
+            GossipError,
+            # caps count, first cap's length, entry count, first
+            # entry's origin length, its name length.
+            [(0, 4), (4, 2), (25, 4), (29, 2), (51, 2)],
+        ),
+        "error": (
+            net._pack_error(ValueError("boom: " + "x" * 20)),
+            net._unpack_error,
+            NetworkError,
+            [(0, 2), (12, 4)],
+        ),
+        "header": (
+            net._pack_header("sender-node", SpanContext(7, 9)),
+            lambda raw: net._unpack_header(raw, 0),
+            NetworkError,
+            [(0, 2)],
+        ),
+    }
+
+    @pytest.mark.parametrize("codec", sorted(CODECS))
+    def test_every_strict_prefix_is_refused_with_the_offset(self, codec):
         import struct as _struct
 
-        for cut in range(len(self.FRAME)):
-            prefix = self.FRAME[:cut]
+        frame, unpack, error, _fields = self.CODECS[codec]
+        unpack(frame)  # the full frame parses
+        for cut in range(len(frame)):
             try:
-                unpack_members(prefix)
-            except MembershipError as exc:
+                unpack(frame[:cut])
+            except error as exc:
                 assert "offset" in str(exc)
                 assert "truncated" in str(exc)
             except _struct.error as exc:  # pragma: no cover - the bug
@@ -159,6 +215,18 @@ class TestCodecTruncation:
                 raise AssertionError(
                     f"truncated frame of {cut} bytes parsed silently"
                 )
+
+    @pytest.mark.parametrize("codec", sorted(CODECS))
+    def test_inflated_count_or_length_never_over_reads(self, codec):
+        """A full frame whose count/length field is garbage must refuse
+        at the first read past the end - not spin through 2^32 phantom
+        entries, and not hand back bytes that were never sent."""
+        frame, unpack, error, fields = self.CODECS[codec]
+        for offset, width in fields:
+            corrupt = bytearray(frame)
+            corrupt[offset : offset + width] = b"\xff" * width
+            with pytest.raises(error, match="offset"):
+                unpack(bytes(corrupt))
 
     def test_full_frame_still_parses(self):
         decoded, offset = unpack_members(self.FRAME)
@@ -601,6 +669,47 @@ class TestCoordinatorMembership:
         assert views[0].where("new-obj") == {"n3"}
         # ...and the dead epoch stayed dead: no resurrection.
         assert views[0].where("old-obj") == set()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_false_positive_partition_heals(self, seed):
+        """The coordinator twin of ``TestNetRejoin``'s end-to-end heal.
+
+        The simulated driver used to merge the ACK's members *before*
+        computing the PUSH delta: the refuting node's restamped entries
+        rode the same handshake to a peer that still believed it dead,
+        whose eviction gate dropped them while its caps advanced - and
+        the poisoned caps then spread epidemically (never converged; 1-3
+        of 3 survivors lost all of the accused node's holdings for
+        good).  Both drivers now run the one step order in
+        :class:`repro.dist.gossip.Participant`.
+        """
+        views = [ObjectView(f"n{i}") for i in range(4)]
+        for view in views:
+            for j in range(5):
+                view.learn(f"obj-{view.node}-{j}", view.node, 100)
+        coordinator = GossipCoordinator(
+            views, seed=seed, membership=True, suspect_after=2, confirm_after=2
+        )
+        coordinator.run()
+        others = {"n1", "n2", "n3"}
+        rounds = 0
+        while coordinator.declared_dead("n0") != others:
+            coordinator.round(participants=others)  # n0 is partitioned out
+            rounds += 1
+            assert rounds < 16, "survivors never tombstoned the silent node"
+        assert all(view.is_evicted("n0") for view in views[1:])
+
+        healed = 0
+        while not coordinator.converged():
+            coordinator.round()  # the partition heals
+            healed += 1
+            assert healed <= 4, "views never re-converged after the heal"
+        for view in views:
+            detector = coordinator.membership_view(view.node)
+            assert detector.incarnation("n0") == 2
+            assert not detector.dead_nodes()
+            for j in range(5):
+                assert view.where(f"obj-n0-{j}") == {"n0"}
 
     def test_second_death_after_rejoin_is_detected_again(self):
         _views, coordinator = self._coordinator()
@@ -1055,6 +1164,113 @@ class TestNetRejoin:
                 assert node.membership.dead_nodes() == set()
         finally:
             for node in (a, b, c):
+                node.close()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sim_and_wire_drivers_agree_step_by_step(self, seed):
+        """Differential: one scripted scenario - writes, a crash, a false
+        accusation + refutation, a restart at incarnation 2 - applied to
+        a :class:`GossipCoordinator` over N views and to N
+        ``FixpointNode``s handshaking the same pairs in the same order.
+        Both drive the one ``Participant`` core, so after every step
+        each node's beliefs, liveness statuses/incarnations and dead
+        set must be equal across the drivers.
+
+        Every pair meets every round (``fanout = N - 1``): *when* a
+        suspicion starts is round policy (the wire driver beats per
+        handshake, the simulated one per round), and an all-pairs round
+        leaves no transient suspicion to disagree about at a step end.
+        """
+        names = [f"n{i}" for i in range(5)]
+        knobs = dict(
+            suspect_after=self.SUSPECT_AFTER, confirm_after=self.CONFIRM_AFTER
+        )
+        directory = NodeDirectory()
+        nodes = {n: FixpointNode(n, directory=directory, **knobs) for n in names}
+        views = {n: ObjectView(n) for n in names}
+        coordinator = GossipCoordinator(
+            list(views.values()),
+            seed=seed,
+            fanout=len(names) - 1,
+            membership=True,
+            **knobs,
+        )
+        down = set()
+
+        def write(name, payload):
+            """A write lands in the node's store; the simulated view
+            mirrors the store (what ``_refresh_self`` does on a wire)."""
+            nodes[name].repo.put_blob(payload)
+            for key, size in nodes[name].runtime.holdings().items():
+                views[name].learn(key, name, size)
+
+        def rounds(count, participants=None):
+            for _ in range(count):
+                for a, b in coordinator.round(participants).pairs:
+                    channel = nodes[a].peers.get(b)
+                    if channel is None or channel.closed:
+                        nodes[a].connect(nodes[b])  # the dial is a round
+                    else:
+                        nodes[a].gossip_with(b)
+                for name in participants or names:
+                    if name not in down:
+                        nodes[name].membership.tick()
+
+        def state(view, detector):
+            return (
+                view.snapshot(),
+                [(m.node, m.status, m.incarnation) for m in detector.members()],
+                detector.dead_nodes(),
+            )
+
+        def assert_agree(step, among=None):
+            for name in among or names:
+                if name not in down:
+                    assert state(
+                        views[name], coordinator.membership_view(name)
+                    ) == state(nodes[name].view, nodes[name].membership), (
+                        step,
+                        name,
+                    )
+
+        settle = self.SUSPECT_AFTER + self.CONFIRM_AFTER + 3
+        try:
+            for index, name in enumerate(names):
+                write(name, b"w%d" % index * 40)
+            rounds(3)
+            assert_agree("writes")
+            assert coordinator.converged()
+
+            coordinator.kill("n1")
+            nodes["n1"].crash()
+            down.add("n1")
+            rounds(settle)
+            assert_agree("crash")
+            assert nodes["n0"].membership.dead_nodes() == {"n1"}
+
+            others = set(names) - {"n1", "n2"}  # n2 is partitioned out
+            write("n2", b"partition-time" * 30)
+            rounds(settle, participants=others)
+            assert_agree("false accusation", among=others)
+            assert nodes["n0"].membership.dead_nodes() == {"n1", "n2"}
+
+            rounds(3)  # heal: n2 hears of its death, refutes, respreads
+            assert_agree("refutation")
+            assert nodes["n0"].membership.incarnation("n2") == 2
+            assert nodes["n0"].view.snapshot() == nodes["n2"].view.snapshot()
+
+            views["n1"] = coordinator.restart("n1")
+            nodes["n1"] = FixpointNode(
+                "n1", directory=directory, incarnation=2, **knobs
+            )
+            down.discard("n1")
+            write("n1", b"reborn" * 50)
+            rounds(3)
+            assert_agree("restart")
+            assert coordinator.converged()
+            assert not nodes["n0"].membership.dead_nodes()
+        finally:
+            for node in nodes.values():
                 node.close()
 
     def test_restarted_node_rejoins_with_bumped_incarnation(self):

@@ -19,7 +19,7 @@ from repro.core.thunks import (
     make_selection_range,
     strict,
 )
-from repro.dist.gossip import GossipCoordinator
+from repro.dist.gossip import GossipCoordinator, Participant, exchange
 from repro.dist.membership import (
     ALIVE,
     DEAD,
@@ -282,7 +282,7 @@ class TestGossipMergeAlgebra:
         """A pairwise exchange leaves both sides equal to their join."""
         views = _views_from_ops(ops, count=2)
         expected = _merge_into_fresh("join", *views).snapshot()
-        views[0].exchange(views[1])
+        exchange(Participant(views[0]), Participant(views[1]))
         assert views[0].snapshot() == expected
         assert views[1].snapshot() == expected
 
