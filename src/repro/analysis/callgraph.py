@@ -258,19 +258,6 @@ class Program:
                     todo.append(parent)
         return None
 
-    def lock_labels(self) -> Set[str]:
-        """Every creation-site label the analysis discovered."""
-        labels: Set[str] = set()
-        for mod in self.modules.values():
-            for t in mod.globals_types.values():
-                if isinstance(t, LockType):
-                    labels.add(t.label)
-        for cls in self.classes.values():
-            for t in cls.attr_types.values():
-                if isinstance(t, LockType):
-                    labels.add(t.label)
-        return labels
-
 
 # ----------------------------------------------------------------------
 # Small AST helpers (shared idiom with repro.analysis.lint).

@@ -46,14 +46,8 @@ now the build re-derives it instead:
     the encode-side-grew-a-field, decode-side-did-not drift that
     otherwise only surfaces as a corrupt frame at the far end.
 
-``lock-held-blocking``
-    No lexically blocking call - ``.result()``, ``.join()``,
-    ``sleep(...)`` - inside a ``with <lock>:`` body (identifier
-    containing ``lock``, ``cond`` or ``mutex``).  Holding a lock across
-    a blocking call is the hold-while-blocking pattern the runtime
-    tracker flags dynamically; this rule catches it before the code
-    ever runs.  (``Condition.wait`` is exempt: waiting releases the
-    lock - that is the point of a condition.)
+(Blocking while holding a lock is not checked here: it is
+:mod:`repro.analysis.flow`'s interprocedural ``hold-blocking`` rule.)
 
 A line may opt out of one rule with ``# lint: skip[<rule>]`` when the
 violation is deliberate (e.g. the wall-clock *default* in a module that
@@ -82,8 +76,6 @@ RAW_LOCK_EXEMPT = ("repro/analysis/",)
 _WALL_CLOCK_TIME = {"time", "monotonic", "perf_counter", "process_time", "sleep"}
 _WALL_CLOCK_DATE = {"now", "utcnow", "today"}
 _RAW_LOCK_NAMES = {"Lock", "RLock", "Condition"}
-_BLOCKING_ATTRS = {"result", "join"}
-_LOCKISH = re.compile(r"lock|cond|mutex", re.IGNORECASE)
 _SKIP = re.compile(r"#\s*lint:\s*skip\[([a-z-]+)\]")
 
 #: Modules whose import bindings we canonicalize: aliasing one of these
@@ -154,8 +146,6 @@ class _Checker(ast.NodeVisitor):
         self.violations: List[Violation] = []
         self.pack_defs: Dict[str, Tuple[int, str]] = {}
         self.unpack_defs: Dict[str, str] = {}
-        #: Lock-context nesting depth while walking with-bodies.
-        self._lock_depth = 0
         #: Local name -> canonical dotted path (``t`` -> ``time``,
         #: ``rnd`` -> ``random.random``) for the modules in
         #: _ALIAS_MODULES.
@@ -241,8 +231,6 @@ class _Checker(ast.NodeVisitor):
                 f"raw {shown}() is invisible to the --race tracker; use "
                 f"repro.analysis.sync.Tracked{attr}",
             )
-        if self._lock_depth > 0:
-            self._check_blocking_in_lock(node, dotted, attr)
         self._note_struct_call(node, canon)
         self.generic_visit(node)
 
@@ -258,33 +246,6 @@ class _Checker(ast.NodeVisitor):
             size = _fmt_size(node.args[0].value)
             if size is not None:
                 self._fn_literals.setdefault(fn, {})[node.args[0].value] = size
-
-    def _check_blocking_in_lock(
-        self, node: ast.Call, dotted: str, attr: str
-    ) -> None:
-        if attr == "sleep":
-            self._flag(
-                node, "lock-held-blocking",
-                "sleep() inside a `with <lock>:` body stalls every other "
-                "thread needing the lock",
-            )
-            return
-        if attr not in _BLOCKING_ATTRS:
-            return
-        value = node.func.value if isinstance(node.func, ast.Attribute) else None
-        # ", ".join(parts) / b"".join(...) are string plumbing, not thread
-        # joins: skip literal receivers and the classic generator-arg idiom.
-        if isinstance(value, ast.Constant):
-            return
-        if attr == "join" and node.args and isinstance(
-            node.args[0], (ast.GeneratorExp, ast.ListComp)
-        ):
-            return
-        self._flag(
-            node, "lock-held-blocking",
-            f".{attr}() inside a `with <lock>:` body blocks while holding "
-            "the lock (the hold-while-blocking deadlock shape)",
-        )
 
     # -- imports --------------------------------------------------------
 
@@ -353,7 +314,7 @@ class _Checker(ast.NodeVisitor):
             self._note_struct_const(node.target, node.value)
         self.generic_visit(node)
 
-    # -- except / with / defs -------------------------------------------
+    # -- except / defs --------------------------------------------------
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if node.type is None:
@@ -364,36 +325,11 @@ class _Checker(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    def visit_With(self, node: ast.With) -> None:
-        lockish = any(
-            _LOCKISH.search(_last_identifier(item.context_expr))
-            or (
-                isinstance(item.context_expr, ast.Call)
-                and _LOCKISH.search(_last_identifier(item.context_expr.func))
-            )
-            for item in node.items
-        )
-        for item in node.items:
-            self.visit(item.context_expr)
-        if lockish:
-            self._lock_depth += 1
-        for stmt in node.body:
-            self.visit(stmt)
-        if lockish:
-            self._lock_depth -= 1
-
-    def _visit_scope(self, node: ast.AST) -> None:
-        # A nested def/lambda body does not run under the enclosing
-        # lock; scan it with the lock context reset.
-        saved, self._lock_depth = self._lock_depth, 0
-        self.generic_visit(node)
-        self._lock_depth = saved
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._note_codec_def(node.name, node.lineno)
         self._fn_stack.append(node.name)
         try:
-            self._visit_scope(node)
+            self.generic_visit(node)
         finally:
             self._fn_stack.pop()
 
@@ -401,12 +337,9 @@ class _Checker(ast.NodeVisitor):
         self._note_codec_def(node.name, node.lineno)
         self._fn_stack.append(node.name)
         try:
-            self._visit_scope(node)
+            self.generic_visit(node)
         finally:
             self._fn_stack.pop()
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._visit_scope(node)
 
     def _note_codec_def(self, name: str, lineno: int) -> None:
         bare = name.lstrip("_")

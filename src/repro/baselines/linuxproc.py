@@ -12,17 +12,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 
 from .calibration import STATIC_CALL, VFORK_EXEC, VIRTUAL_CALL
-
-
-@dataclass(frozen=True)
-class InvocationCost:
-    """Modeled cost of invoking a trivial function under one mechanism."""
-
-    mechanism: str
-    seconds: float
 
 
 def modeled_costs() -> dict[str, float]:

@@ -82,10 +82,6 @@ class EvalStats:
     def snapshot(self) -> "EvalStats":
         return EvalStats(**vars(self))
 
-    def total_thunks_forced(self) -> int:
-        return self.applications + self.identifications + self.selections
-
-
 class Evaluator:
     """Evaluates Fix objects against a repository and an apply hook."""
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from typing import Optional
 
 from .errors import HandleError
 
@@ -391,8 +390,3 @@ class Handle:
         if self.is_data:
             parts.append("ref" if self.is_ref else "object")
         return ":".join(parts)
-
-
-def literal_or_none(handle: Handle) -> Optional[bytes]:
-    """The inline payload of a literal handle, or ``None``."""
-    return handle.literal_data if handle.is_literal else None

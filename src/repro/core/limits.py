@@ -59,12 +59,3 @@ class ResourceLimits:
 
 
 DEFAULT_LIMITS = ResourceLimits()
-
-
-def limits_from_handle(handle: Handle, payload: bytes | None = None) -> ResourceLimits:
-    """Decode limits from a handle (literal) or an out-of-line payload."""
-    if handle.is_literal:
-        return ResourceLimits.unpack(handle.literal_data)
-    if payload is None:
-        raise HandleError("out-of-line limits blob requires its payload")
-    return ResourceLimits.unpack(payload)

@@ -43,13 +43,13 @@ def encode_frame(repo: Repository, handle: Handle) -> bytes:
 def decode_frame(repo: Repository, raw: bytes, offset: int = 0) -> tuple[Handle, int]:
     """Parse one frame, verify it, store the datum; return (handle, next offset)."""
     if len(raw) - offset < HANDLE_BYTES + _LEN.size:
-        raise SerializationError("truncated frame header")
+        raise SerializationError(f"truncated frame header at offset {offset}")
     handle = Handle.unpack(raw[offset : offset + HANDLE_BYTES])
     offset += HANDLE_BYTES
     (length,) = _LEN.unpack_from(raw, offset)
     offset += _LEN.size
     if len(raw) - offset < length:
-        raise SerializationError("truncated frame payload")
+        raise SerializationError(f"truncated frame payload at offset {offset}")
     payload = raw[offset : offset + length]
     offset += length
     if handle.is_literal:
@@ -80,10 +80,10 @@ def encode_bundle(repo: Repository, handles: Iterable[Handle]) -> bytes:
 
 def decode_bundle(repo: Repository, raw: bytes) -> List[Handle]:
     """Parse a bundle into the repository; return the handles in order."""
+    if len(raw) < 4 + _LEN.size:
+        raise SerializationError("truncated bundle header at offset 0")
     if raw[:4] != MAGIC:
         raise SerializationError("bad bundle magic")
-    if len(raw) < 4 + _LEN.size:
-        raise SerializationError("truncated bundle header")
     (count,) = _LEN.unpack_from(raw, 4)
     offset = 4 + _LEN.size
     handles: List[Handle] = []

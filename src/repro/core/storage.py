@@ -145,10 +145,6 @@ class Repository:
         with self._lock:
             return self._data.pop(handle.content_key(), None) is not None
 
-    def clear_results(self) -> None:
-        with self._lock:
-            self._results.clear()
-
     def absorb(self, other: "Repository") -> None:
         """Copy every datum and result from ``other`` into this repository."""
         with other._lock:

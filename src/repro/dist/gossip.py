@@ -563,17 +563,6 @@ class GossipCoordinator:
         first = live[0].snapshot()
         return all(view.snapshot() == first for view in live[1:])
 
-    def union_snapshot(self) -> Dict:
-        """What a converged group must agree on: the union of beliefs."""
-        union = ObjectView("gossip-union")
-        for view in self._views:
-            union.merge_delta(view.delta_since(union.digest()))
-        return union.snapshot()
-
     @property
     def total_bytes(self) -> int:
         return sum(r.bytes_shipped for r in self.rounds)
-
-    @property
-    def total_entries(self) -> int:
-        return sum(r.entries_shipped for r in self.rounds)

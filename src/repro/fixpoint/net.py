@@ -31,7 +31,7 @@ remote work that Nexus-style I/O offloading wins come from.  Fan-out
 helpers build on it: :meth:`FixpointNode.scatter` quotes and dispatches
 a batch without waiting, :meth:`FixpointNode.eval_many` overlaps remote
 delegations with local evaluation and gathers results in order.  The
-blocking :meth:`FixpointNode.delegate` is now just dispatch-plus-wait.
+blocking :meth:`FixpointNode.delegate` is dispatch-plus-wait.
 
 Placement (:meth:`FixpointNode.delegate_best` /
 :meth:`FixpointNode.eval_anywhere`) resolves through the same
@@ -52,65 +52,35 @@ concurrency.  A channel may carry a per-direction ``latency``; it is
 paid on the *serving* thread, never the dispatching one, so in-flight
 delegations overlap their wire time (pipelined, still ordered).
 
-Request frame::
+**Frames.**  Five frames cross a channel - a delegation *request* and
+its *reply* (ok or error), and the gossip *SYN*, *ACK* and *PUSH*.  Each
+has one ``pack_*``/``unpack_*`` pair below, and its layout is stated on
+the ``pack_*`` docstring and nowhere else; :class:`FixpointNode` only
+ever handles decoded values.  Every frame carries a 16-byte
+:class:`~repro.obs.SpanContext`, which is how tracing crosses the wire:
+the request carries the caller's *dispatch* span, the reply (ok or
+error) the peer's *serve* span, and the caller's *absorb* span parents
+to that - one dispatch -> serve -> absorb chain per delegation, across
+nodes, reassembled by :func:`repro.obs.stitch`.  A gossip SYN/PUSH
+ships the caller's *round* span and the ACK the peer's *serve* span.
+An untraced node ships :data:`~repro.obs.NULL_CONTEXT` and its peers
+degrade to local roots.
 
-    [u16 sender length][sender utf-8][16-byte span context]
-    [32-byte encode handle][bundle]
-
-Response frame::
-
-    [16-byte span context][u8 status=0]
-                          [32-byte result handle][bundle]   (ok)
-    [16-byte span context][u8 status=1]
-                          [u16 type length][type utf-8]
-                          [u32 message length][message utf-8]  (error)
-
-The 16-byte :class:`~repro.obs.SpanContext` is how tracing crosses the
-wire: the request carries the caller's *dispatch* span, the peer's
-*serve* span parents to it, and the reply (ok or error) carries the
-serve span back so the caller's *absorb* span parents to that - one
-stitched dispatch -> serve -> absorb chain per delegation, across
-nodes, reassembled by :func:`repro.obs.stitch`.  An untraced node
-ships :data:`~repro.obs.NULL_CONTEXT` and its peers degrade to local
-roots.
-
-The error frame is what carries a peer-side evaluation failure across
-the wire: the serve runs on the peer's thread, so raising through
-Python would strand the exception there - instead the caller's future
-fails with :class:`RemoteEvalError`, and the caller's optimistic view
-advance for the shipped data is rolled back
-(:meth:`~repro.dist.objectview.ObjectView.forget`), so the next attempt
-re-ships instead of stranding on a false belief.
-
-The ok-response bundle carries only the result data the server does
-*not* believe the caller already holds - echoing back what the caller
-just shipped would double the round trip for nothing.
-
-**Gossip frames.**  Inventory knowledge is no longer connect-time-only:
-:meth:`FixpointNode.gossip_with` runs one push-pull anti-entropy round
-over a live channel, sequenced like every other frame.  What each side
-computes and merges, in which order and why, is documented once, on
-:class:`repro.dist.gossip.Participant`; this module is its wire driver
-(pack, cross the :class:`Channel`, unpack)::
-
-    [u8 0x10][u16 sender length][sender utf-8][ctx][digest]        (SYN)
-    [u8 0x11][ctx][digest][delta]                                  (ACK)
-    [u8 0x12][u16 sender length][sender utf-8][ctx][delta]         (PUSH)
-
-(``ctx`` is the same 16-byte span context delegation frames carry: the
-SYN/PUSH ship the caller's *round* span, the ACK the peer's *serve*
-span, so a whole anti-entropy round is one stitched trace too.)
-
-using the codec in :mod:`repro.dist.gossip`.  Entries keep their origin
-stamps, so beliefs spread *transitively*: after beta gossips with gamma
-and alpha gossips with beta, alpha knows what gamma holds without ever
-having opened a channel to it - and because placement candidates
-include every gossip-learned node resolvable through the optional
-:class:`NodeDirectory`, :meth:`FixpointNode.quote_best` prices those
-nodes and delegation dials them on demand (:meth:`FixpointNode.connect`
-is itself just channel setup plus one gossip round).  Converged peers
-exchange digests and empty deltas - a handshake between nodes that
-already agree ships a few dozen bytes, not their inventories.
+**Gossip.**  :meth:`FixpointNode.gossip_with` runs one push-pull
+anti-entropy round over a live channel, sequenced like every other
+frame.  What each side computes and merges, in which order and why, is
+documented once, on :class:`repro.dist.gossip.Participant`; this module
+is its wire driver (pack, cross the :class:`Channel`, unpack).  Entries
+keep their origin stamps, so beliefs spread *transitively*: after beta
+gossips with gamma and alpha gossips with beta, alpha knows what gamma
+holds without ever having opened a channel to it - and because
+placement candidates include every gossip-learned node resolvable
+through the optional :class:`NodeDirectory`,
+:meth:`FixpointNode.quote_best` prices those nodes and delegation dials
+them on demand (:meth:`FixpointNode.connect` is itself just channel
+setup plus one gossip round).  Converged peers exchange digests and
+empty deltas - a handshake between nodes that already agree ships a few
+dozen bytes, not their inventories.
 
 **Membership.**  The SYN and ACK frames additionally piggyback each
 side's :class:`~repro.dist.membership.MembershipView` map (heartbeat
@@ -137,7 +107,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.sync import (
     TrackedCondition,
@@ -159,12 +129,13 @@ from ..dist.gossip import (
     unpack_digest,
 )
 from ..dist.membership import (
+    Member,
     MembershipView,
     pack_members,
     unpack_members,
 )
-from ..dist.objectview import ObjectView
-from ..obs import CONTEXT_BYTES, NULL_CONTEXT, Obs, SpanContext
+from ..dist.objectview import Delta, Digest, ObjectView
+from ..obs import CONTEXT_BYTES, Obs, SpanContext
 from .jobs import Job
 from .runtime import Fixpoint
 
@@ -212,7 +183,30 @@ class RemoteEvalError(NetworkError):
         self.remote_message = message
 
 
+#: The one bounds check every ``unpack_*`` below reads through.
 _frame = FrameReader(NetworkError)
+
+Members = Sequence[Member]
+#: What an error reply decodes to: (exception type name, message).
+RemoteError = Tuple[str, str]
+
+
+def _unpack_ctx(wire: bytes, offset: int) -> Tuple[SpanContext, int]:
+    raw, offset = _frame.take(wire, offset, CONTEXT_BYTES, "span context")
+    return SpanContext.unpack(raw)[0], offset
+
+
+def _unpack_handle(wire: bytes, offset: int, what: str) -> Tuple[Handle, int]:
+    raw, offset = _frame.take(wire, offset, HANDLE_BYTES, what)
+    return Handle.unpack(raw), offset
+
+
+def _unpack_tag(wire: bytes, tag: bytes, what: str) -> int:
+    """Check a frame's leading tag byte; returns the offset past it."""
+    got, offset = _frame.take(wire, 0, len(tag), what)
+    if got != tag:
+        raise NetworkError(f"bad {what} {got!r}")
+    return offset
 
 
 def _pack_header(sender: str, ctx: SpanContext) -> bytes:
@@ -223,16 +217,15 @@ def _pack_header(sender: str, ctx: SpanContext) -> bytes:
 
 
 def _unpack_header(wire: bytes, offset: int) -> Tuple[str, SpanContext, int]:
-    length, offset = _frame.unpack(
-        _SENDER_LEN, wire, offset, "sender length"
-    )
+    length, offset = _frame.unpack(_SENDER_LEN, wire, offset, "sender length")
     sender, offset = _frame.take(wire, offset, length, "sender")
-    chunk, offset = _frame.take(wire, offset, CONTEXT_BYTES, "span context")
-    return sender.decode("utf-8"), SpanContext.unpack(chunk)[0], offset
+    ctx, offset = _unpack_ctx(wire, offset)
+    return sender.decode("utf-8"), ctx, offset
 
 
 def _pack_error(exc: BaseException) -> bytes:
-    """Serialize an exception into the error-response frame body."""
+    """``[u16 type length][type utf-8][u32 message length][message
+    utf-8]`` - an exception, as the body of an error reply."""
     error_type = type(exc).__name__.encode("utf-8")
     message = str(exc).encode("utf-8")
     return (
@@ -243,15 +236,97 @@ def _pack_error(exc: BaseException) -> bytes:
     )
 
 
-def _unpack_error(body: bytes) -> Tuple[str, str]:
-    """Parse an error-response frame body into (type name, message)."""
-    length, offset = _frame.unpack(_ERR_TYPE_LEN, body, 0, "error type length")
-    error_type, offset = _frame.take(body, offset, length, "error type")
+def _unpack_error(wire: bytes, offset: int = 0) -> RemoteError:
     length, offset = _frame.unpack(
-        _ERR_MSG_LEN, body, offset, "error message length"
+        _ERR_TYPE_LEN, wire, offset, "error type length"
     )
-    message, _ = _frame.take(body, offset, length, "error message")
+    error_type, offset = _frame.take(wire, offset, length, "error type")
+    length, offset = _frame.unpack(
+        _ERR_MSG_LEN, wire, offset, "error message length"
+    )
+    message, _ = _frame.take(wire, offset, length, "error message")
     return error_type.decode("utf-8"), message.decode("utf-8")
+
+
+def pack_request(
+    sender: str, ctx: SpanContext, encode: Handle, bundle: bytes
+) -> bytes:
+    """``[header][32-byte encode handle][bundle]`` - evaluate ``encode``;
+    the bundle is the part of its minimum repository the peer lacks."""
+    return _pack_header(sender, ctx) + encode.pack() + bundle
+
+
+def unpack_request(wire: bytes) -> Tuple[str, SpanContext, Handle, bytes]:
+    sender, ctx, offset = _unpack_header(wire, 0)
+    encode, offset = _unpack_handle(wire, offset, "encode handle")
+    return sender, ctx, encode, wire[offset:]
+
+
+def pack_reply(
+    ctx: SpanContext,
+    outcome: Union[Handle, BaseException],
+    bundle: bytes = b"",
+) -> bytes:
+    """``[ctx][u8 0][32-byte result handle][bundle]`` for a result;
+    ``[ctx][u8 1][error]`` for the exception the evaluation raised."""
+    if isinstance(outcome, Handle):
+        return ctx.pack() + _STATUS_OK + outcome.pack() + bundle
+    return ctx.pack() + _STATUS_ERR + _pack_error(outcome)
+
+
+def unpack_reply(
+    wire: bytes,
+) -> Tuple[SpanContext, Union[Handle, RemoteError], bytes]:
+    ctx, offset = _unpack_ctx(wire, 0)
+    status, offset = _frame.take(wire, offset, 1, "status")
+    if status == _STATUS_ERR:
+        return ctx, _unpack_error(wire, offset), b""
+    if status != _STATUS_OK:
+        raise NetworkError(f"bad response status byte {status!r}")
+    result, offset = _unpack_handle(wire, offset, "result handle")
+    return ctx, result, wire[offset:]
+
+
+def pack_syn(
+    sender: str, ctx: SpanContext, digest: Digest, members: Members
+) -> bytes:
+    """``[u8 0x10][header][digest][members]``"""
+    body = pack_digest(digest) + pack_members(members)
+    return _GOSSIP_SYN + _pack_header(sender, ctx) + body
+
+
+def unpack_syn(wire: bytes) -> Tuple[str, SpanContext, Digest, Members]:
+    offset = _unpack_tag(wire, _GOSSIP_SYN, "gossip syn tag")
+    sender, ctx, offset = _unpack_header(wire, offset)
+    digest, offset = unpack_digest(wire, offset)
+    return sender, ctx, digest, unpack_members(wire, offset)[0]
+
+
+def pack_ack(
+    ctx: SpanContext, digest: Digest, delta: Delta, members: Members
+) -> bytes:
+    """``[u8 0x11][ctx][digest][delta][members]``"""
+    body = pack_digest(digest) + pack_delta(delta) + pack_members(members)
+    return _GOSSIP_ACK + ctx.pack() + body
+
+
+def unpack_ack(wire: bytes) -> Tuple[SpanContext, Digest, Delta, Members]:
+    offset = _unpack_tag(wire, _GOSSIP_ACK, "gossip ack tag")
+    ctx, offset = _unpack_ctx(wire, offset)
+    digest, offset = unpack_digest(wire, offset)
+    delta, offset = unpack_delta(wire, offset)
+    return ctx, digest, delta, unpack_members(wire, offset)[0]
+
+
+def pack_push(sender: str, ctx: SpanContext, delta: Delta) -> bytes:
+    """``[u8 0x12][header][delta]``"""
+    return _GOSSIP_PUSH + _pack_header(sender, ctx) + pack_delta(delta)
+
+
+def unpack_push(wire: bytes) -> Tuple[str, SpanContext, Delta]:
+    offset = _unpack_tag(wire, _GOSSIP_PUSH, "gossip push tag")
+    sender, ctx, offset = _unpack_header(wire, offset)
+    return sender, ctx, unpack_delta(wire, offset)[0]
 
 
 @dataclass(frozen=True)
@@ -376,6 +451,10 @@ class Channel:
         if sender is self.b:
             return "ba"
         raise NetworkError("sender is not an endpoint of this channel")
+
+    def far_end(self, node: "FixpointNode") -> "FixpointNode":
+        """The endpoint that is not ``node``."""
+        return self.b if node is self.a else self.a
 
     def send(self, sender: "FixpointNode", payload: bytes) -> Tuple[bytes, int]:
         """Put a frame on the wire; returns (wire copy, sequence).
@@ -507,8 +586,8 @@ class Delegation:
     settles it on completion; :meth:`cancel` (or a :meth:`result`
     timeout) settles it from the caller's side when the caller stops
     waiting.  Whichever side loses the race becomes a no-op, so a hung
-    peer can no longer leak phantom in-flight load and falsely-believed
-    shipped keys forever - the bug this settle path fixes.
+    peer cannot leak phantom in-flight load and falsely-believed shipped
+    keys forever.
     """
 
     __slots__ = ("peer", "encode", "_job", "_settler")
@@ -794,9 +873,7 @@ class FixpointNode:
         if self.directory is not None:
             channel = self.peers.get(peer_name)
             if channel is not None and not channel.closed:
-                self.directory.register(
-                    channel.b if channel.a is self else channel.a
-                )
+                self.directory.register(channel.far_end(self))
         self._m_rejoins.inc(peer=peer_name)
         self.obs.tracer.start(
             "membership.rejoin", peer=peer_name
@@ -834,12 +911,8 @@ class FixpointNode:
 
     def connect(self, other: "FixpointNode") -> Channel:
         """Link two nodes; the inventory handshake (paper 4.2.2) is one
-        digest/delta gossip round over the new channel.
-
-        The same round used to run only here - connect-time-only
-        exchange - which is exactly what :meth:`gossip_with` replaces:
-        any later round refreshes the link for O(delta) bytes, and
-        beliefs merged from one peer forward to the next.
+        digest/delta gossip round over the new channel (any later
+        :meth:`gossip_with` round refreshes it for O(delta) bytes).
 
         Safe to race: registration is atomic under the topology lock
         (double-checked), so concurrent dials of the same pair - from
@@ -880,12 +953,6 @@ class FixpointNode:
         ).set_function(lambda: channel.latency, peer=self.name)
         self.gossip_with(other.name)
         return channel
-
-    def _peer(self, name: str) -> "FixpointNode":
-        channel = self.peers.get(name)
-        if channel is None:
-            raise NetworkError(f"{self.name}: no peer named {name!r}")
-        return channel.b if channel.a is self else channel.a
 
     def _ensure_channel(self, peer_name: str) -> Channel:
         """A live channel to ``peer_name``, dialing through the
@@ -936,43 +1003,26 @@ class FixpointNode:
         channel = self.peers.get(peer_name)
         if channel is None:
             raise NetworkError(f"{self.name}: no peer named {peer_name!r}")
-        peer = self._peer(peer_name)
+        peer = channel.far_end(self)
         self._refresh_self()
         # Liveness piggyback: the heartbeat advances with every round
-        # this node initiates, and the whole membership map rides the
-        # SYN (and the peer's rides the ACK back) - O(nodes) bytes on
-        # traffic that is already crossing the wire.
+        # this node initiates, and rides the SYN with the membership map.
         self.membership.beat()
         span = self.obs.tracer.start("gossip.round", peer=peer_name)
-        header = _pack_header(self.name, span.context)
-        digest, members = self._gossip.syn()
         wire, seq = channel.send(
-            self,
-            _GOSSIP_SYN + header + pack_digest(digest) + pack_members(members),
+            self, pack_syn(self.name, span.context, *self._gossip.syn())
         )
-        with self._m_transit.time(peer=peer_name):
-            channel.transit()
+        self._transit(channel, peer_name)
         with channel.arrival(self, seq):
             ack_wire, ack_seq = peer._serve_gossip_syn(wire)
-        with self._m_transit.time(peer=peer_name):
-            channel.transit()
+        self._transit(channel, peer_name)
         with channel.arrival(peer, ack_seq):
-            if ack_wire[:1] != _GOSSIP_ACK:
-                raise NetworkError(
-                    f"{self.name}: bad gossip ack tag {ack_wire[:1]!r}"
-                )
-            _serve_ctx, offset = SpanContext.unpack(ack_wire, 1)
-            peer_digest, offset = unpack_digest(ack_wire, offset)
-            delta_in, offset = unpack_delta(ack_wire, offset)
-            peer_members, _ = unpack_members(ack_wire, offset)
-            delta_out = self._gossip.on_ack(
-                peer_digest, delta_in, peer_members
-            )
+            _ctx, digest, delta_in, members = unpack_ack(ack_wire)
+            delta_out = self._gossip.on_ack(digest, delta_in, members)
         push_wire, push_seq = channel.send(
-            self, _GOSSIP_PUSH + header + pack_delta(delta_out)
+            self, pack_push(self.name, span.context, delta_out)
         )
-        with self._m_transit.time(peer=peer_name):
-            channel.transit()
+        self._transit(channel, peer_name)
         with channel.arrival(self, push_seq):
             peer._absorb_gossip_push(push_wire)
         with self._lock:
@@ -1000,11 +1050,7 @@ class FixpointNode:
         Runs inside the SYN's delivery window on the gossiping thread;
         sends (and sequences) the ACK on the way out.
         """
-        if wire[:1] != _GOSSIP_SYN:
-            raise NetworkError(f"{self.name}: bad gossip syn tag {wire[:1]!r}")
-        sender, ctx, offset = _unpack_header(wire, 1)
-        caller_digest, offset = unpack_digest(wire, offset)
-        caller_members, _ = unpack_members(wire, offset)
+        sender, ctx, *syn = unpack_syn(wire)
         self._refresh_self()
         # Serving a round is as alive as initiating one: beat before the
         # handshake step joins the caller's liveness map into ours.
@@ -1012,28 +1058,18 @@ class FixpointNode:
         with self.obs.tracer.start(
             "gossip.serve", parent=ctx, peer=sender
         ) as span:
-            digest, delta, members = self._gossip.on_syn(
-                caller_digest, caller_members
-            )
+            digest, delta, members = self._gossip.on_syn(*syn)
             span.set(entries_out=len(delta))
         with self._lock:
             self.gossip_rounds += 1
         self._m_gossip_rounds.inc(peer=sender, role="server")
         return self._send_back(
-            sender,
-            _GOSSIP_ACK
-            + span.context.pack()
-            + pack_digest(digest)
-            + pack_delta(delta)
-            + pack_members(members),
+            sender, pack_ack(span.context, digest, delta, members)
         )
 
     def _absorb_gossip_push(self, wire: bytes) -> int:
         """Peer side of the closing PUSH: merge the caller's delta."""
-        if wire[:1] != _GOSSIP_PUSH:
-            raise NetworkError(f"{self.name}: bad gossip push tag {wire[:1]!r}")
-        sender, ctx, offset = _unpack_header(wire, 1)
-        delta, _ = unpack_delta(wire, offset)
+        sender, ctx, delta = unpack_push(wire)
         with self.obs.tracer.start(
             "gossip.absorb", parent=ctx, peer=sender
         ) as span:
@@ -1126,19 +1162,17 @@ class FixpointNode:
         the peer before this one's has landed in its repository.
         """
         channel = self._ensure_channel(peer_name)
-        peer = self._peer(peer_name)
+        peer = channel.far_end(self)
         future = Delegation(peer_name, encode)
         span = self.obs.tracer.start("delegate.dispatch", peer=peer_name)
         with self._lock:
             if fp is None:
                 fp = transitive_footprint(self.repo, encode)
             to_ship = self._unheld_by(peer_name, fp)
-            request = (
-                _pack_header(self.name, span.context)
-                + encode.pack()
-                + encode_bundle(self.repo, to_ship)
+            bundle = encode_bundle(self.repo, to_ship)
+            wire, request_seq = channel.send(
+                self, pack_request(self.name, span.context, encode, bundle)
             )
-            wire, request_seq = channel.send(self, request)
             self.delegations_sent += 1
             self._m_sent.inc(peer=peer_name)
             self._note_held(peer_name, to_ship)
@@ -1153,8 +1187,7 @@ class FixpointNode:
             # the first caller wins.  It owns the dispatch's two side
             # effects (the optimistic view advance and the load count),
             # so no outcome can leak them and no race can undo them
-            # twice (the PR 8 satellite-a leak: a timed-out ``result()``
-            # returned without either).
+            # twice.
             state = {"settled": False}
 
             def settle(rollback: bool) -> bool:
@@ -1171,6 +1204,7 @@ class FixpointNode:
                 return True
 
             future._settler = settle
+            span.set(bytes=len(wire), handles_shipped=len(shipped))
             # Spawn *inside* the dispatch lock: the serve task's queue
             # position must match its wire sequence number, or a
             # bounded peer pool can pick up frame k+1 first and wedge a
@@ -1179,8 +1213,7 @@ class FixpointNode:
             try:
                 peer.runtime.spawn(
                     lambda: self._finish_delegation(
-                        future, channel, peer, peer_name, encode,
-                        wire, request_seq,
+                        future, channel, peer, wire, request_seq
                     )
                 )
             except BaseException as exc:
@@ -1190,10 +1223,8 @@ class FixpointNode:
                 # number would wedge the direction forever).
                 settle(True)
                 channel.arrival(self, request_seq).release()
-                span.set(bytes=len(wire), handles_shipped=len(shipped))
                 span.finish(status="error", error=str(exc))
                 raise
-            span.set(bytes=len(wire), handles_shipped=len(shipped))
             span.finish()
         return future
 
@@ -1210,8 +1241,6 @@ class FixpointNode:
         future: Delegation,
         channel: Channel,
         peer: "FixpointNode",
-        peer_name: str,
-        encode: Handle,
         wire: bytes,
         request_seq: int,
     ) -> None:
@@ -1234,17 +1263,15 @@ class FixpointNode:
         assert settle is not None  # armed by _dispatch before spawn
         request_arrival = channel.arrival(self, request_seq)
         try:
-            with self._m_transit.time(peer=peer_name):
-                channel.transit()
+            self._transit(channel, peer.name)
             wire_back, reply_seq = peer._serve(wire, arrival=request_arrival)
-            with self._m_transit.time(peer=peer_name):
-                channel.transit()
+            self._transit(channel, peer.name)
             with channel.arrival(peer, reply_seq):
-                result = self._absorb_reply(peer_name, encode, wire_back)
+                result = self._absorb_reply(future, wire_back)
         except BaseException as exc:  # noqa: BLE001 - resolves the future
             if not isinstance(exc, FixError):
                 exc = NetworkError(
-                    f"{self.name}: delegation to {peer_name!r} died in "
+                    f"{self.name}: delegation to {peer.name!r} died in "
                     f"transit: {exc}"
                 )
             if settle(True):
@@ -1257,38 +1284,24 @@ class FixpointNode:
             # not wedge the direction; release is idempotent.
             request_arrival.release()
 
-    def _absorb_reply(
-        self, peer_name: str, encode: Handle, wire_back: bytes
-    ) -> Handle:
-        """Parse a response frame into the local repository and views.
-
-        The frame's leading span context is the peer's *serve* span, so
-        the absorb span minted here joins the delegation's trace as its
-        child - the caller-side tail of the stitched chain.  The error
-        frame carries it too: a failed delegation still traces end to
-        end.
-        """
-        ctx, offset = SpanContext.unpack(wire_back, 0)
-        status, body = wire_back[offset : offset + 1], wire_back[offset + 1 :]
+    def _absorb_reply(self, future: Delegation, wire_back: bytes) -> Handle:
+        """Parse a reply into the local repository and views; an error
+        reply raises :class:`RemoteEvalError`.  Either way the absorb
+        span parents to the peer's serve span the reply carried."""
+        ctx, outcome, bundle = unpack_reply(wire_back)
         span = self.obs.tracer.start(
-            "delegate.absorb", parent=ctx, peer=peer_name
+            "delegate.absorb", parent=ctx, peer=future.peer
         )
-        if status == _STATUS_ERR:
-            error_type, message = _unpack_error(body)
+        if not isinstance(outcome, Handle):
+            error_type, message = outcome
             span.finish(status="error", error=f"{error_type}: {message}")
-            raise RemoteEvalError(peer_name, error_type, message)
-        if status != _STATUS_OK:
-            span.finish(status="error", error=f"bad status byte {status!r}")
-            raise NetworkError(
-                f"{self.name}: bad response status byte {status!r}"
-            )
-        result = Handle.unpack(body[:HANDLE_BYTES])
-        absorbed = decode_bundle(self.repo, body[HANDLE_BYTES:])
-        self._note_held(peer_name, [*absorbed, result])
-        self.repo.put_result(encode, result)
+            raise RemoteEvalError(future.peer, error_type, message)
+        absorbed = decode_bundle(self.repo, bundle)
+        self._note_held(future.peer, [*absorbed, outcome])
+        self.repo.put_result(future.encode, outcome)
         span.set(bytes=len(wire_back), handles_absorbed=len(absorbed))
         span.finish()
-        return result
+        return outcome
 
     def _serve(self, wire: bytes, arrival: _Arrival) -> Tuple[bytes, int]:
         """Peer side: parse, evaluate, reply with the *filtered* bundle.
@@ -1309,61 +1322,40 @@ class FixpointNode:
         """
         with self._lock:
             self.delegations_served += 1
-        sender: Optional[str] = None
         span = None
         try:
             with arrival:
                 sender, encode, ctx = self._absorb_request(wire)
-            # The serve span parents to the caller's dispatch span (the
-            # context the request frame carried): this is the hop where
-            # the trace crosses nodes.
             span = self.obs.tracer.start(
                 "delegate.serve", parent=ctx, peer=sender
             )
             self._m_served.inc(peer=sender)
             result = self.runtime.eval(encode)
-            # Reply with the result and the data needed to read it,
-            # filtered through the view of the caller (the same rule
-            # the dispatcher applies).
             with self._lock:
                 to_ship = self._unheld_by(
                     sender, transitive_footprint(self.repo, result)
                 )
                 self._note_held(sender, [*to_ship, result])
                 span.set(handles_shipped=len(to_ship)).finish()
-                payload = (
-                    span.context.pack()
-                    + _STATUS_OK
-                    + result.pack()
-                    + encode_bundle(self.repo, to_ship)
+                bundle = encode_bundle(self.repo, to_ship)
+                return self._send_back(
+                    sender, pack_reply(span.context, result, bundle)
                 )
-                return self._send_back(sender, payload)
         except BaseException as exc:  # noqa: BLE001 - crosses the wire
-            if sender is None:
-                raise  # cannot even address a reply: a transport failure
-            # The error frame still carries the serve span (minted right
-            # after the request parsed, so it exists on every path that
-            # can address a reply): the caller's absorb span joins the
-            # trace even for failures.
-            if span is not None:
-                span.finish(
-                    status="error", error=f"{type(exc).__name__}: {exc}"
-                )
-            reply_ctx = span.context if span is not None else NULL_CONTEXT
-            return self._send_back(
-                sender, reply_ctx.pack() + _STATUS_ERR + _pack_error(exc)
-            )
+            if span is None:
+                raise  # the request never parsed: no sender to reply to
+            # The serve span is minted as soon as the sender is known, so
+            # the error reply carries it too: a failed delegation still
+            # traces end to end.
+            span.finish(status="error", error=f"{type(exc).__name__}: {exc}")
+            return self._send_back(sender, pack_reply(span.context, exc))
 
     def _absorb_request(
         self, wire: bytes
     ) -> Tuple[str, Handle, SpanContext]:
         """Decode one request frame into the repository (wire order)."""
-        sender, ctx, offset = _unpack_header(wire, 0)
-        encode = Handle.unpack(wire[offset : offset + HANDLE_BYTES])
-        received = decode_bundle(self.repo, wire[offset + HANDLE_BYTES :])
-        # The sender evidently holds everything it shipped: the server's
-        # view of the caller advances on receive, mirroring the caller's
-        # advance on send.
+        sender, ctx, encode, bundle = unpack_request(wire)
+        received = decode_bundle(self.repo, bundle)
         self._note_held(sender, received)
         return sender, encode, ctx
 
@@ -1383,6 +1375,11 @@ class FixpointNode:
             if (key := handle.content_key()) in fp.data
             and not self.view.knows(key, peer)
         ]
+
+    def _transit(self, channel: Channel, peer_name: str) -> None:
+        """One hop's wire time, recorded per peer."""
+        with self._m_transit.time(peer=peer_name):
+            channel.transit()
 
     def _send_back(self, sender: str, payload: bytes) -> Tuple[bytes, int]:
         channel = self.peers.get(sender)

@@ -96,10 +96,6 @@ class Trace:
         with self._lock:
             return sum(r.bytes_mapped for r in self.records)
 
-    def total_wall_seconds(self) -> float:
-        with self._lock:
-            return sum(r.wall_seconds for r in self.records)
-
     def by_function(self) -> Dict[str, int]:
         with self._lock:
             out: Dict[str, int] = {}

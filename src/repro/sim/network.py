@@ -33,15 +33,6 @@ class NIC:
         self.tx = Pipe(sim, bandwidth, name=f"{name}.tx")
         self.rx = Pipe(sim, bandwidth, name=f"{name}.rx")
 
-    @property
-    def bytes_sent(self) -> int:
-        return self.tx.bytes_moved
-
-    @property
-    def bytes_received(self) -> int:
-        return self.rx.bytes_moved
-
-
 class Network:
     """A full mesh of NICs with uniform (or per-pair) latency."""
 
@@ -114,9 +105,3 @@ class Network:
         """A latency-only control message (no NIC occupancy)."""
         self.messages += 1
         return self.sim.timeout(self.link_latency(src, dst))
-
-    def rpc(self, src: str, dst: str, service_time: float = 0.0) -> Event:
-        """Request/response round trip plus optional remote service time."""
-        rtt = 2.0 * self.link_latency(src, dst)
-        self.messages += 2
-        return self.sim.timeout(rtt + service_time)

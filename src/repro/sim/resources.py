@@ -72,10 +72,6 @@ class Resource:
             self.peak_in_use = max(self.peak_in_use, self.in_use)
             event.succeed(amount)
 
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-
 class Pipe:
     """A serializing channel: one transfer at a time, FIFO.
 

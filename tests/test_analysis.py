@@ -422,16 +422,6 @@ class TestLinter:
         ok = "import random as r\ns = r.Random(7)\nx = s.random()\n"
         assert _violations(ok, "src/repro/dist/gossip.py") == []
 
-    def test_aliased_sleep_inside_lock_still_flags(self):
-        bad = (
-            "from time import sleep as pause\n"
-            "def f(self):\n"
-            "    with self._lock:\n"
-            "        pause(0.1)\n"
-        )
-        out = _violations(bad)
-        assert [v.rule for v in out] == ["lock-held-blocking"]
-
     def test_raw_lock_outside_analysis(self):
         bad = "import threading\nlock = threading.Lock()\n"
         out = _violations(bad, "src/repro/fixpoint/new.py")
@@ -544,47 +534,6 @@ class TestLinter:
             "    return _U32.unpack_from(buf, 0)[0]\n"
         )
         assert _violations(bad) == []
-
-    def test_blocking_call_inside_with_lock(self):
-        bad = (
-            "import time\n"
-            "def f(self):\n"
-            "    with self._lock:\n"
-            "        time.sleep(1)\n"
-            "        self.future.result()\n"
-            "        self.thread.join()\n"
-        )
-        out = _violations(bad)
-        assert [v.rule for v in out] == ["lock-held-blocking"] * 3
-
-    def test_blocking_call_outside_lock_is_fine(self):
-        ok = (
-            "import time\n"
-            "def f(self):\n"
-            "    with self._lock:\n"
-            "        x = 1\n"
-            "    time.sleep(0)\n"
-            "    self.future.result()\n"
-        )
-        assert _violations(ok) == []
-
-    def test_string_join_inside_lock_not_flagged(self):
-        ok = (
-            "def f(self, parts):\n"
-            "    with self._lock:\n"
-            "        a = ', '.join(parts)\n"
-            "        b = SEP.join(p for p in parts)\n"
-        )
-        assert _violations(ok) == []
-
-    def test_nested_def_inside_lock_body_not_flagged(self):
-        ok = (
-            "def f(self):\n"
-            "    with self._lock:\n"
-            "        cb = lambda: self.future.result()\n"
-            "        self.spawn(cb)\n"
-        )
-        assert _violations(ok) == []
 
     def test_skip_comment_suppresses_one_rule(self):
         src = "import threading\nlock = threading.Lock()  # lint: skip[raw-lock]\n"

@@ -13,6 +13,7 @@ what the tracker can observe, the flow analysis must be able to derive
 from __future__ import annotations
 
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,78 @@ class Pool:
         assert "Pool._drain" in chain
         assert "Pool._settle" in chain
         assert chain.index("Pool.flush") < chain.index("Pool._settle")
+
+    #: The lexical shapes lint's deleted ``lock-held-blocking`` rule
+    #: decided, as the body of a method on a class with a tracked lock:
+    #: (import line, method body, expected blocking sites).
+    LEXICAL = {
+        "sleep-result-join": (
+            "import time",
+            """
+            with self._lock:
+                time.sleep(1)
+                self.future.result()
+                self.thread.join()
+            """,
+            ["time.sleep", ".result()", ".join()"],
+        ),
+        "aliased-sleep": (
+            "from time import sleep as pause",
+            """
+            with self._lock:
+                pause(0.1)
+            """,
+            ["time.sleep"],
+        ),
+        "blocking-after-the-lock-is-released": (
+            "import time",
+            """
+            with self._lock:
+                x = 1
+            time.sleep(0)
+            self.future.result()
+            """,
+            [],
+        ),
+        # string plumbing, not a thread join
+        "str-join": (
+            "SEP = ':'",
+            """
+            with self._lock:
+                a = ', '.join(parts)
+                b = SEP.join(p for p in parts)
+            """,
+            [],
+        ),
+        # a callback built under the lock does not run under it
+        "lambda-under-lock": (
+            "",
+            """
+            with self._lock:
+                cb = lambda: self.future.result()
+                self.spawn(cb)
+            """,
+            [],
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(LEXICAL))
+    def test_lexical_blocking_shapes_under_a_tracked_lock(self, shape):
+        imports, body, expected = self.LEXICAL[shape]
+        src = (
+            f"{imports}\n"
+            "from repro.analysis.sync import TrackedLock\n"
+            "class N:\n"
+            "    def __init__(self):\n"
+            "        self._lock = TrackedLock(name='N.lock')\n"
+            "    def f(self, parts):\n"
+            + textwrap.indent(textwrap.dedent(body), " " * 8)
+        )
+        r = report(src)
+        assert r.errors == []
+        assert rules(r) == ["hold-blocking"] * len(expected)
+        for finding, site in zip(r.findings, expected):
+            assert f"blocks on {site} while holding" in finding.message
 
     def test_condition_wait_exempts_its_own_lock(self):
         src = '''

@@ -189,7 +189,10 @@ class TestSpanRecorderTargets:
         for owner, attr, _layer in self._targets():
             assert attr in owner.__dict__, (owner, attr)
 
-    def test_net_targets_are_reached_through_fixpointnode_globals(self):
+    def test_net_targets_are_reached_through_net_globals(self):
+        """The recorder's rebinding is seen by any function whose
+        ``__globals__`` is ``vars(net)`` - a ``FixpointNode`` method or a
+        module-level codec (``pack_syn`` calling ``pack_digest``)."""
         from repro.fixpoint import net
 
         def global_names(code):
@@ -199,16 +202,19 @@ class TestSpanRecorderTargets:
                     names |= global_names(const)
             return names
 
-        methods = [
+        functions = [
             fn
-            for fn in vars(net.FixpointNode).values()
-            if callable(fn) and hasattr(fn, "__code__")
+            for scope in (vars(net), vars(net.FixpointNode))
+            for fn in scope.values()
+            if hasattr(fn, "__code__") and fn.__module__ == net.__name__
         ]
-        assert all(fn.__globals__ is vars(net) for fn in methods)
-        reached = set().union(*(global_names(fn.__code__) for fn in methods))
+        assert all(fn.__globals__ is vars(net) for fn in functions)
+        reached = set().union(
+            *(global_names(fn.__code__) for fn in functions)
+        )
         for owner, attr, layer in self._targets():
             if owner is net:
                 assert attr in reached, (
-                    f"no FixpointNode method calls net.{attr} by its "
+                    f"no function defined in net calls net.{attr} by its "
                     f"module-global name: the {layer} span would record 0"
                 )

@@ -24,8 +24,10 @@ import time
 import pytest
 
 from repro.codelets.stdlib import blob_int, int_blob
-from repro.core.errors import SchedulingError
-from repro.core.thunks import make_application
+from repro.core.errors import SchedulingError, SerializationError
+from repro.core.serialize import decode_bundle, encode_bundle
+from repro.core.storage import Repository
+from repro.core.thunks import make_application, make_identification, strict
 from repro.dist.gossip import (
     GossipConfig,
     GossipCoordinator,
@@ -145,30 +147,47 @@ def _three_entry_delta():
     return view.delta_since(EMPTY_DIGEST)
 
 
+def _bundled(unpack):
+    """A frame decoder whose last field is a bundle: decode that too,
+    as ``FixpointNode`` does, so a cut inside the bundle is refused."""
+    return lambda raw: decode_bundle(Repository(), unpack(raw)[-1])
+
+
 class TestCodecTruncation:
-    """Satellite (PR 10, widened in PR 12 to every decoder): an
-    ``unpack_*`` on a truncated frame used to raise a bare
-    ``struct.error``, slice a short field and misparse the tail as
-    garbage, or - ``net._unpack_error`` - silently return a truncated
-    message.  Every read is now bounds-checked through the one
-    :class:`repro.core.errors.FrameReader` and refuses with the
-    decoder's own error type, naming the field and the offset."""
+    """Satellite (PR 10, widened in PR 12 to every decoder and in PR 14
+    to the five ``fixpoint.net`` frames): an ``unpack_*`` on a truncated
+    frame used to raise a bare ``struct.error``, slice a short field and
+    misparse the tail as garbage, or - ``net._unpack_error`` - silently
+    return a truncated message.  Every read is now bounds-checked
+    through the one :class:`repro.core.errors.FrameReader` and refuses
+    with the decoder's own error type, naming the field and the
+    offset."""
 
-    FRAME = pack_members(
-        [
-            Member("alpha", 12, ALIVE),
-            Member("a-much-longer-node-name", 3, SUSPECT, incarnation=2),
-            Member("z", 9, DEAD, incarnation=7),
-        ]
-    )
-    DELTA = pack_delta(_three_entry_delta())
+    MEMBERS = [
+        Member("alpha", 12, ALIVE),
+        Member("a-much-longer-node-name", 3, SUSPECT, incarnation=2),
+        Member("z", 9, DEAD, incarnation=7),
+    ]
+    FRAME = pack_members(MEMBERS)
+    DIGEST = Digest({"a": 3, "node#2": 9, "z" * 40: 1})
+    ENTRIES = _three_entry_delta()
+    DELTA = pack_delta(ENTRIES)
 
-    #: name -> (full frame, decoder(raw), its error type, offsets of
-    #: the u32 counts / u16 lengths a corrupt frame could inflate).
+    CTX = SpanContext(7, 9)
+    REPO = Repository()
+    BLOB = REPO.put_blob(b"x" * 40)
+    BUNDLE = encode_bundle(REPO, [BLOB])
+    #: [u16 length]["sender-node"][16-byte ctx]: where a request's
+    #: handle, and (one tag byte later) a SYN's or PUSH's body, starts.
+    HEADER = 2 + 11 + 16
+
+    #: name -> (full frame, decoder(raw), its error type - plus those of
+    #: the codecs it nests - and the offsets of the u32 counts / u16
+    #: lengths a corrupt frame could inflate).
     CODECS = {
         "members": (FRAME, unpack_members, MembershipError, [(0, 4), (4, 2)]),
         "digest": (
-            pack_digest(Digest({"a": 3, "node#2": 9, "z" * 40: 1})),
+            pack_digest(DIGEST),
             unpack_digest,
             GossipError,
             [(0, 4), (4, 2)],
@@ -188,12 +207,118 @@ class TestCodecTruncation:
             [(0, 2), (12, 4)],
         ),
         "header": (
-            net._pack_header("sender-node", SpanContext(7, 9)),
+            net._pack_header("sender-node", CTX),
             lambda raw: net._unpack_header(raw, 0),
             NetworkError,
             [(0, 2)],
         ),
+        "request": (
+            net.pack_request(
+                "sender-node", CTX, strict(make_identification(BLOB)), BUNDLE
+            ),
+            _bundled(net.unpack_request),
+            (NetworkError, SerializationError),
+            # sender length; the bundle's frame count, its payload length.
+            [(0, 2), (HEADER + 32 + 4, 4), (HEADER + 32 + 8 + 32, 4)],
+        ),
+        "reply": (
+            net.pack_reply(CTX, BLOB, BUNDLE),
+            _bundled(net.unpack_reply),
+            (NetworkError, SerializationError),
+            [(16 + 1 + 32 + 4, 4), (16 + 1 + 32 + 8 + 32, 4)],
+        ),
+        "reply-error": (
+            net.pack_reply(CTX, ValueError("boom: " + "x" * 20)),
+            net.unpack_reply,
+            NetworkError,
+            [(17, 2), (17 + 12, 4)],
+        ),
+        "syn": (
+            net.pack_syn("sender-node", CTX, DIGEST, MEMBERS),
+            net.unpack_syn,
+            (NetworkError, GossipError, MembershipError),
+            # sender length, origin count, first origin's length, and
+            # (from the end) the member count.
+            [(1, 2), (1 + HEADER, 4), (1 + HEADER + 4, 2), (-len(FRAME), 4)],
+        ),
+        "ack": (
+            net.pack_ack(CTX, DIGEST, ENTRIES, MEMBERS),
+            net.unpack_ack,
+            (NetworkError, GossipError, MembershipError),
+            # origin count; from the end, entry count and member count.
+            [(17, 4), (-len(FRAME) - len(DELTA) + 25, 4), (-len(FRAME), 4)],
+        ),
+        "push": (
+            net.pack_push("sender-node", CTX, ENTRIES),
+            net.unpack_push,
+            (NetworkError, GossipError),
+            [(1, 2), (1 + HEADER, 4), (-len(DELTA) + 25, 4)],
+        ),
     }
+
+    #: The same frames as the parent of PR 14 built them inline at its
+    #: send sites (``header + encode.pack() + encode_bundle(...)`` and so
+    #: on): the wire format is frozen, so a layout drift fails here and
+    #: not only in the benchmark's exact ``wire_bytes_per_op``.
+    GOLDEN = {
+        "request": (
+            "0b0073656e6465722d6e6f64650700000000000000090000000000000019"
+            "15e0c42f927083e4068b0839309e4fa0a5cf8b413541d528000000000018"
+            "0046495842010000001915e0c42f927083e4068b0839309e4fa0a5cf8b41"
+            "3541d5280000000000000028000000787878787878787878787878787878"
+            "78787878787878787878787878787878787878787878787878"
+        ),
+        "reply": (
+            "07000000000000000900000000000000001915e0c42f927083e4068b0839"
+            "309e4fa0a5cf8b413541d5280000000000000046495842010000001915e0"
+            "c42f927083e4068b0839309e4fa0a5cf8b413541d5280000000000000028"
+            "000000787878787878787878787878787878787878787878787878787878"
+            "78787878787878787878787878"
+        ),
+        "reply-error": (
+            "07000000000000000900000000000000010a0056616c75654572726f721a"
+            "000000626f6f6d3a207878787878787878787878787878787878787878"
+        ),
+        "syn": (
+            "100b0073656e6465722d6e6f646507000000000000000900000000000000"
+            "03000000010061030000000000000006006e6f6465233209000000000000"
+            "0028007a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+            "7a7a7a7a7a7a7a7a7a7a7a7a7a0100000000000000030000001700612d6d"
+            "7563682d6c6f6e6765722d6e6f64652d6e616d6502000000000000000300"
+            "000000000000010500616c70686101000000000000000c00000000000000"
+            "0001007a0700000000000000090000000000000002"
+        ),
+        "ack": (
+            "110700000000000000090000000000000003000000010061030000000000"
+            "000006006e6f64652332090000000000000028007a7a7a7a7a7a7a7a7a7a"
+            "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+            "0100000000000000010000000b006f726967696e2d6e6f64650300000000"
+            "000000030000000b006f726967696e2d6e6f646501000000000000000120"
+            "000707070707070707070707070707070707070707070707070707070707"
+            "0707070800686f6c6465722d620107000000000000000b006f726967696e"
+            "2d6e6f64650200000000000000000b00737472696e672d6e616d65010063"
+            "000b006f726967696e2d6e6f646503000000000000000005007468697264"
+            "1b00612d6d7563682d6c6f6e6765722d6c6f636174696f6e2d6e616d6501"
+            "0000000000010000030000001700612d6d7563682d6c6f6e6765722d6e6f"
+            "64652d6e616d6502000000000000000300000000000000010500616c7068"
+            "6101000000000000000c000000000000000001007a070000000000000009"
+            "0000000000000002"
+        ),
+        "push": (
+            "120b0073656e6465722d6e6f646507000000000000000900000000000000"
+            "010000000b006f726967696e2d6e6f64650300000000000000030000000b"
+            "006f726967696e2d6e6f6465010000000000000001200007070707070707"
+            "070707070707070707070707070707070707070707070707070800686f6c"
+            "6465722d620107000000000000000b006f726967696e2d6e6f6465020000"
+            "0000000000000b00737472696e672d6e616d65010063000b006f72696769"
+            "6e2d6e6f6465030000000000000000050074686972641b00612d6d756368"
+            "2d6c6f6e6765722d6c6f636174696f6e2d6e616d65010000000000010000"
+        ),
+    }
+
+    @pytest.mark.parametrize("frame", sorted(GOLDEN))
+    def test_frame_bytes_are_frozen(self, frame):
+        assert self.CODECS[frame][0].hex() == self.GOLDEN[frame]
 
     @pytest.mark.parametrize("codec", sorted(CODECS))
     def test_every_strict_prefix_is_refused_with_the_offset(self, codec):
@@ -223,6 +348,7 @@ class TestCodecTruncation:
         entries, and not hand back bytes that were never sent."""
         frame, unpack, error, fields = self.CODECS[codec]
         for offset, width in fields:
+            offset %= len(frame)  # a negative offset counts from the end
             corrupt = bytearray(frame)
             corrupt[offset : offset + width] = b"\xff" * width
             with pytest.raises(error, match="offset"):
@@ -943,6 +1069,28 @@ class TestNetFailureDetection:
                 node.gossip_sweep()
         for node in (a, b, c):
             assert not node.membership.dead_nodes()
+
+    def test_sweep_survives_a_short_ack(self, trio):
+        """A peer answering a SYN with a frame cut inside the span
+        context used to leak a bare ``struct.error`` out of the sweep
+        (which only catches ``NetworkError``); the ACK codec refuses it,
+        so the peer is suspected and the sweep goes on."""
+        a, b, c = trio
+        real_serve = c._serve_gossip_syn
+
+        def short_ack(wire):
+            ack_wire, ack_seq = real_serve(wire)
+            return ack_wire[:9], ack_seq
+
+        c._serve_gossip_syn = short_ack
+        traffic = a.gossip_sweep()
+        assert [t.peer for t in traffic] == ["b"]
+        assert a.membership.status("c") == SUSPECT
+        # The refused ACK still left its delivery window: the link is
+        # not wedged, and an honest round refutes the suspicion.
+        c._serve_gossip_syn = real_serve
+        assert [t.peer for t in a.gossip_sweep()] == ["b", "c"]
+        assert a.membership.status("c") == ALIVE
 
     def test_crash_is_detected_evicted_and_excluded(self, trio):
         a, b, c = trio
