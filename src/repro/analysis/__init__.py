@@ -18,8 +18,7 @@ build.
   sim-clocked modules (aliased imports included), no raw ``threading``
   locks outside this package, no bare ``except:``, every ``pack_*``
   has its ``unpack_*`` *and* agrees with it on fixed-width struct
-  layout, no blocking call lexically inside a ``with <lock>:`` body.
-  Run it with ``python -m repro.analysis.lint src`` (CI fails on it).
+  layout.  Run it with ``python -m repro.analysis.lint src`` (CI fails on it).
 
 * :mod:`repro.analysis.flow` - the interprocedural layer the linter
   cannot be: a best-effort call graph (:mod:`repro.analysis.callgraph`)

@@ -7,7 +7,12 @@ lock identified by its **creation-site label** (the same label
 :mod:`repro.analysis.sync` gives the runtime object, so the static and
 dynamic lock graphs speak one vocabulary).
 
-The walker then lowers every function body into a flat list of *ops*:
+One walker (:class:`_Walker`) evaluates every expression and binds every
+statement.  Run over module bodies, class bodies and methods with its
+ops discarded it *infers* - module globals, class-body fields and
+``self.x = ...`` attribute types, to a cross-class fixpoint; run once
+more over every function, recording, it lowers the body into a flat
+list of *ops*:
 
 ``Acquire``
     Entering ``with <lock>:`` where the context expression types to a
@@ -52,7 +57,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
+
+from .lint import canonical, dotted, last_identifier, python_files
 
 __all__ = [
     "Acquire",
@@ -181,9 +190,6 @@ class FunctionInfo:
 @dataclass
 class ClassInfo:
     qname: str
-    name: str
-    relpath: str
-    lineno: int
     node: ast.ClassDef
     module: "ModuleInfo"
     bases: Tuple[str, ...] = ()
@@ -199,6 +205,9 @@ class ModuleInfo:
     relpath: str
     dotted: str
     tree: ast.Module
+    #: the text ``tree`` was parsed from (flow reads its suppression
+    #: comments here instead of opening the file a second time)
+    source: str = ""
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     globals_types: Dict[str, Type] = field(default_factory=dict)
@@ -220,12 +229,14 @@ class Program:
     # -- lookups -------------------------------------------------------
 
     def resolve_class(self, name: str) -> Optional[ClassInfo]:
+        """The class a bare or dotted ``name`` ends in, unless ambiguous."""
+        name = name.rsplit(".", 1)[-1]
         if name in self.ambiguous_classes:
             return None
         return self.classes.get(name)
 
-    def method(self, cls: ClassInfo, name: str) -> Optional[FunctionInfo]:
-        """Look ``name`` up on ``cls`` and its (bare-named) bases."""
+    def _lineage(self, cls: ClassInfo) -> Iterator[ClassInfo]:
+        """``cls`` and then its (bare-named) bases, breadth first."""
         seen: Set[str] = set()
         todo = [cls]
         while todo:
@@ -233,34 +244,28 @@ class Program:
             if cur.qname in seen:
                 continue
             seen.add(cur.qname)
-            fn = cur.methods.get(name)
-            if fn is not None:
-                return fn
+            yield cur
             for base in cur.bases:
                 parent = self.resolve_class(base)
                 if parent is not None:
                     todo.append(parent)
+
+    def method(self, cls: ClassInfo, name: str) -> Optional[FunctionInfo]:
+        """Look ``name`` up on ``cls`` and its (bare-named) bases."""
+        for cur in self._lineage(cls):
+            if name in cur.methods:
+                return cur.methods[name]
         return None
 
     def attr_type(self, cls: ClassInfo, name: str) -> Type:
-        seen: Set[str] = set()
-        todo = [cls]
-        while todo:
-            cur = todo.pop(0)
-            if cur.qname in seen:
-                continue
-            seen.add(cur.qname)
+        for cur in self._lineage(cls):
             if name in cur.attr_types:
                 return cur.attr_types[name]
-            for base in cur.bases:
-                parent = self.resolve_class(base)
-                if parent is not None:
-                    todo.append(parent)
         return None
 
 
 # ----------------------------------------------------------------------
-# Small AST helpers (shared idiom with repro.analysis.lint).
+# Name tables and small helpers.
 
 _FACTORY_KINDS = {
     "TrackedLock": (False, False),
@@ -293,23 +298,18 @@ _STR_ANN_CONTAINERS_DICT = {
     "OrderedDict", "Counter",
 }
 
+#: The pseudo-classes typed specially, and their one blocking method.
+_PSEUDO_CLASS_BLOCKING = {
+    "threading.Event": {"wait": "Event.wait"},
+    "threading.Thread": {"join": "Thread.join"},
+}
 
-def _dotted(node: ast.expr) -> str:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
-def _callee_text(node: ast.expr) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on parsed trees
-        return "<call>"
+#: Why a call whose callee is neither a name nor an attribute is
+#: unresolved, by the callee's node kind (anything else: the default).
+_INDIRECT_CALLEE = {
+    ast.Call: "call-of-call",
+    ast.Subscript: "container-callable",
+}
 
 
 def _const_str(node: Optional[ast.expr]) -> Optional[str]:
@@ -318,8 +318,22 @@ def _const_str(node: Optional[ast.expr]) -> Optional[str]:
     return None
 
 
+def _merge(types: Dict[str, Type], name: str, t: Type) -> bool:
+    """Record ``name: t`` unless a type is already known (a lock always
+    wins over a non-lock); True when ``types`` changed."""
+    cur = types.get(name)
+    if t is None or t == cur:
+        return False
+    if cur is None or (
+        isinstance(t, LockType) and not isinstance(cur, LockType)
+    ):
+        types[name] = t
+        return True
+    return False
+
+
 # ----------------------------------------------------------------------
-# Builder.
+# Builder: module/class/function index and annotation types.
 
 
 class _Builder:
@@ -328,9 +342,11 @@ class _Builder:
 
     # -- pass 1: index modules ----------------------------------------
 
-    def index_module(self, relpath: str, tree: ast.Module) -> ModuleInfo:
-        dotted = relpath[:-3].replace("/", ".").replace("\\", ".")
-        mod = ModuleInfo(relpath=relpath, dotted=dotted, tree=tree)
+    def index_module(
+        self, relpath: str, tree: ast.Module, source: str
+    ) -> ModuleInfo:
+        name = relpath[:-3].replace("/", ".").replace("\\", ".")
+        mod = ModuleInfo(relpath=relpath, dotted=name, tree=tree, source=source)
         self.program.modules[relpath] = mod
         for node in tree.body:
             self._index_top(mod, node)
@@ -360,16 +376,12 @@ class _Builder:
 
     def _index_class(self, mod: ModuleInfo, node: ast.ClassDef) -> None:
         qname = f"{mod.dotted}.{node.name}"
+        bases = (last_identifier(base) for base in node.bases)
         cls = ClassInfo(
             qname=qname,
-            name=node.name,
-            relpath=mod.relpath,
-            lineno=node.lineno,
             node=node,
             module=mod,
-            bases=tuple(
-                b for b in (_last_name(base) for base in node.bases) if b
-            ),
+            bases=tuple(b for b in bases if b),
         )
         mod.classes[node.name] = cls
         if node.name in self.program.classes:
@@ -391,7 +403,7 @@ class _Builder:
         qname: str,
     ) -> FunctionInfo:
         decorators = tuple(
-            _dotted(d.func) if isinstance(d, ast.Call) else _dotted(d)
+            dotted(d.func) if isinstance(d, ast.Call) else dotted(d)
             for d in node.decorator_list
         )
         fn = FunctionInfo(
@@ -415,46 +427,36 @@ class _Builder:
     # -- annotations ---------------------------------------------------
 
     def ann_type(self, mod: ModuleInfo, node: Optional[ast.expr]) -> Type:
-        if node is None:
-            return None
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        """The instance type an annotation promises (string annotations
+        are parsed; ``Optional``/``Union`` unwrap to their first known
+        member; the typing containers become Dict/ListType)."""
+        text = _const_str(node)
+        if text is not None:
             try:
-                node = ast.parse(node.value, mode="eval").body
+                node = ast.parse(text, mode="eval").body
             except SyntaxError:
                 return None
         if isinstance(node, (ast.Name, ast.Attribute)):
-            name = _last_name(node)
-            if name in ("None", "Any", "object"):
-                return None
-            if _dotted(node) in ("threading.Event", "threading.Thread"):
-                return ClassType(_dotted(node))
-            cls = self._class_for_name(mod, name)
-            if cls is not None:
-                return ClassType(cls.qname)
+            if dotted(node) in _PSEUDO_CLASS_BLOCKING:
+                return ClassType(dotted(node))
+            cls = self.class_for_name(mod, last_identifier(node))
+            return ClassType(cls.qname) if cls is not None else None
+        # Only ``Head[...]`` has a slice; anything else promises nothing.
+        inner = getattr(node, "slice", None)
+        if inner is None:
             return None
-        if isinstance(node, ast.Subscript):
-            head = _last_name(node.value)
-            inner = node.slice
-            elts = (
-                list(inner.elts) if isinstance(inner, ast.Tuple) else [inner]
-            )
-            if head == "Optional" and elts:
-                return self.ann_type(mod, elts[0])
-            if head == "Union":
-                for e in elts:
-                    t = self.ann_type(mod, e)
-                    if t is not None:
-                        return t
-                return None
-            if head in _STR_ANN_CONTAINERS_DICT and len(elts) == 2:
-                return DictType(self.ann_type(mod, elts[1]))
-            if head in _STR_ANN_CONTAINERS_LIST and elts:
-                return ListType(self.ann_type(mod, elts[0]))
-            if head == "Tuple":
-                return None
+        head = last_identifier(node.value)
+        elts = list(inner.elts) if isinstance(inner, ast.Tuple) else [inner]
+        if head in ("Optional", "Union"):
+            members = (self.ann_type(mod, e) for e in elts)
+            return next((t for t in members if t is not None), None)
+        if head in _STR_ANN_CONTAINERS_DICT and len(elts) == 2:
+            return DictType(self.ann_type(mod, elts[1]))
+        if head in _STR_ANN_CONTAINERS_LIST:
+            return ListType(self.ann_type(mod, elts[0]))
         return None
 
-    def _class_for_name(
+    def class_for_name(
         self, mod: ModuleInfo, name: str
     ) -> Optional[ClassInfo]:
         if not name:
@@ -462,238 +464,408 @@ class _Builder:
         cls = mod.classes.get(name)
         if cls is not None:
             return cls
-        target = mod.imports.get(name)
-        if target is not None:
-            name = target.rsplit(".", 1)[-1]
-        return self.program.resolve_class(name)
-
-    # -- lock factories ------------------------------------------------
-
-    def factory_kind(self, mod: ModuleInfo, func: ast.expr) -> Optional[str]:
-        """``TrackedLock``/``TrackedRLock``/``TrackedCondition`` when
-        ``func`` names a tracked factory (directly or via import)."""
-        name = _last_name(func)
-        if name in _FACTORY_KINDS:
-            target = mod.imports.get(name, name)
-            if target.rsplit(".", 1)[-1] == name or target.endswith(name):
-                return name
-        return None
-
-    def lock_from_factory(
-        self,
-        mod: ModuleInfo,
-        kind: str,
-        call: ast.Call,
-        env: Dict[str, Type],
-        typer: "_Typer",
-    ) -> LockType:
-        reentrant, condition = _FACTORY_KINDS[kind]
-        if kind == "TrackedCondition":
-            lock_arg: Optional[ast.expr] = None
-            name_arg: Optional[ast.expr] = None
-            if call.args:
-                lock_arg = call.args[0]
-            if len(call.args) > 1:
-                name_arg = call.args[1]
-            for kw in call.keywords:
-                if kw.arg == "lock":
-                    lock_arg = kw.value
-                elif kw.arg == "name":
-                    name_arg = kw.value
-            if lock_arg is not None and not (
-                isinstance(lock_arg, ast.Constant) and lock_arg.value is None
-            ):
-                under = typer.type_of(lock_arg, env)
-                if isinstance(under, LockType):
-                    return LockType(
-                        label=under.label,
-                        reentrant=under.reentrant,
-                        condition=True,
-                    )
-            label = _const_str(name_arg)
-            if label is None:
-                label = f"{mod.relpath}:{call.lineno}"
-            return LockType(label=label, reentrant=False, condition=True)
-        name_arg = call.args[0] if call.args else None
-        for kw in call.keywords:
-            if kw.arg == "name":
-                name_arg = kw.value
-        label = _const_str(name_arg)
-        if label is None:
-            label = f"{mod.relpath}:{call.lineno}"
-        return LockType(label=label, reentrant=reentrant, condition=condition)
+        return self.program.resolve_class(mod.imports.get(name, name))
 
 
-def _last_name(node: ast.expr) -> str:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.rsplit(".", 1)[-1].strip("'\" ")
-    return ""
+def _param_env(builder: _Builder, fn: FunctionInfo) -> Dict[str, Type]:
+    env: Dict[str, Type] = dict(fn.closure)
+    args = fn.node.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+    for a in params:
+        env[a.arg] = builder.ann_type(fn.module, a.annotation)
+    if fn.cls is not None and not fn.is_static and params:
+        if params[0].arg == "self":
+            env["self"] = ClassType(fn.cls.qname)
+        elif params[0].arg == "cls":
+            env["cls"] = ClassRef(fn.cls.qname)
+    return env
 
 
 # ----------------------------------------------------------------------
-# Expression typing (no op emission - used by attribute inference; the
-# walker wraps it with emission).
+# The walker: the one place that dispatches on AST node kinds.
 
 
-class _Typer:
-    def __init__(self, builder: _Builder, mod: ModuleInfo):
+class _Walker:
+    """Evaluate expressions (:meth:`wtype`) and bind statements
+    (:meth:`stmt`) of one scope: a module body, a class body, or - given
+    ``fn`` - a function body.
+
+    The walk is the same whatever it is for; the uses differ only in
+    where its ops go.  With ``record`` they are appended to ``fn`` and
+    nested functions are registered for their own walk.  Without, the
+    ops are discarded and the walk *infers*: ``self.x = ...`` merges
+    into the class's ``attr_types``, and outside a function a plain
+    name binds a class-body field or a module global.
+    """
+
+    def __init__(
+        self,
+        builder: _Builder,
+        mod: ModuleInfo,
+        cls: Optional[ClassInfo] = None,
+        fn: Optional[FunctionInfo] = None,
+        record: bool = False,
+    ):
         self.builder = builder
         self.program = builder.program
         self.mod = mod
+        self.cls = cls
+        self.fn = fn
+        self.record = record
+        self.env: Dict[str, Type] = _param_env(builder, fn) if fn else {}
+        #: where a plain-name binding lands outside a function body
+        self.fields: Optional[Dict[str, Type]] = None
+        if fn is None:
+            self.fields = cls.attr_types if cls else mod.globals_types
+        self.changed = False  # an inferred type was added
+        self.held: List[str] = []  # labels of the enclosing ``with``s
+        self.nested: List[FunctionInfo] = []
+        self._anon = 0
 
-    def canonical(self, node: ast.expr) -> str:
-        """Alias-aware dotted name: ``t.monotonic`` -> ``time.monotonic``."""
-        dotted = _dotted(node)
-        if not dotted:
-            return ""
-        head, _, rest = dotted.partition(".")
-        target = self.mod.imports.get(head)
-        if target is None:
-            return dotted
-        return f"{target}.{rest}" if rest else target
+    def walk(self) -> "_Walker":
+        scope = self.fn or self.cls
+        node = scope.node if scope else self.mod.tree
+        if isinstance(node, ast.Lambda):
+            self.wtype(node.body)
+        else:
+            self._block(node.body)
+        return self
 
-    def name_type(self, name: str, env: Dict[str, Type]) -> Type:
-        if name in env:
-            return env[name]
-        if name in self.mod.globals_types:
-            return self.mod.globals_types[name]
-        if name in self.mod.functions:
-            return FuncRef(self.mod.functions[name].qname)
-        cls = self.builder._class_for_name(self.mod, name)
-        if cls is not None:
-            return ClassRef(cls.qname)
-        return None
+    # -- statements ----------------------------------------------------
 
-    def attr_type(self, vt: Type, attr: str) -> Type:
-        if isinstance(vt, ClassType):
-            cls = self.program.resolve_class(vt.qname.rsplit(".", 1)[-1])
+    def _block(self, stmts: Sequence[ast.stmt]) -> None:
+        for s in stmts:
+            self.stmt(s)
+
+    def stmt(self, node: ast.stmt) -> None:
+        if isinstance(node, ast.Assign):
+            t = self.wtype(node.value)
+            for target in node.targets:
+                self._bind(target, t)
+        elif isinstance(node, ast.AnnAssign):
+            t = None
+            if node.value is not None:
+                t = self.wtype(node.value)
+            if t in (None, DictType(None)):
+                # An empty container knows less than its annotation.
+                t = self.builder.ann_type(self.mod, node.annotation) or t
+            self._bind(node.target, t)
+        elif isinstance(node, ast.AugAssign):
+            self.wtype(node.value)
+        elif isinstance(node, (ast.If, ast.While)):
+            self.wtype(node.test)
+            self._block(node.body + node.orelse)
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            it = self.wtype(node.iter)
+            target = node.target
+            if (
+                isinstance(it, ItemsType)
+                and isinstance(target, ast.Tuple)
+                and len(target.elts) == 2
+            ):
+                self._bind(target.elts[0], None)
+                self._bind(target.elts[1], it.value)
+            else:
+                self._bind(target, it.elem if isinstance(it, ListType) else None)
+            self._block(node.body + node.orelse)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            self._with(node)
+        elif isinstance(node, ast.Try):
+            self._block(node.body)
+            for handler in node.handlers:
+                self._block(handler.body)
+            self._block(node.orelse + node.finalbody)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if self.record:
+                self.env[node.name] = self._nested(node, node.name)
+        elif not isinstance(node, ast.ClassDef):
+            # Expr/Return/Raise/Assert/Delete: just their expressions
+            # (Pass/Break/Import/Global/... have none).  Nested classes
+            # are out of scope for the model.
+            self._operands(node)
+
+    def _bind(self, target: ast.expr, t: Type) -> None:
+        if isinstance(target, ast.Name):
+            if self.fields is None:
+                self.env[target.id] = t
+            else:
+                self.changed |= _merge(self.fields, target.id, t)
+        elif isinstance(target, ast.Tuple):
+            for elt in target.elts:
+                if isinstance(elt, ast.Name):
+                    self._bind(elt, None)
+        elif isinstance(target, ast.Attribute):
+            self.wtype(target.value)
+            # Attribute types settle while inferring; the recording
+            # walk reads them (and must not see them move under it).
+            if (
+                not self.record
+                and self.cls is not None
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                self.changed |= _merge(self.cls.attr_types, target.attr, t)
+
+    def _with(self, node: Union[ast.With, ast.AsyncWith]) -> None:
+        outer = len(self.held)
+        exits: List[Tuple[FunctionInfo, int]] = []
+        for item in node.items:
+            t = self.wtype(item.context_expr)
+            line = item.context_expr.lineno
+            if isinstance(t, LockType):
+                if self.record:
+                    held = tuple(self.held)
+                    self.fn.acquires.append(
+                        Acquire(t.label, t.reentrant, t.condition, line, held)
+                    )
+                self.held.append(t.label)
+            elif isinstance(t, ClassType):
+                cls = self.program.resolve_class(t.qname)
+                if cls is not None:
+                    enter = self.program.method(cls, "__enter__")
+                    exit_ = self.program.method(cls, "__exit__")
+                    if enter is not None:
+                        self._site([enter], None, "__enter__", line)
+                    if exit_ is not None:
+                        exits.append((exit_, line))
+            if isinstance(item.optional_vars, ast.Name):
+                self._bind(item.optional_vars, t)
+        self._block(node.body)
+        for exit_fn, line in exits:
+            self._site([exit_fn], None, "__exit__", line)
+        del self.held[outer:]
+
+    # -- expressions ---------------------------------------------------
+
+    def wtype(self, node: ast.expr) -> Type:
+        """Walk ``node`` (emitting ops for calls) and return its
+        best-effort type; never raises."""
+        if isinstance(node, ast.Call):
+            return self._call(node)
+        if isinstance(node, ast.Attribute):
+            vt = self.wtype(node.value)
+            if not isinstance(vt, ClassType):
+                return None
+            cls = self.program.resolve_class(vt.qname)
             if cls is None:
                 return None
-            t = self.program.attr_type(cls, attr)
-            if t is not None:
-                return t
-            m = self.program.method(cls, attr)
-            if m is not None:
-                if m.is_property:
-                    return m.return_type
-                return FuncRef(m.qname)
-            return None
-        return None
-
-    def type_of(self, node: ast.expr, env: Dict[str, Type]) -> Type:
-        """Best-effort type of ``node``; never raises."""
+            m = self.program.method(cls, node.attr)
+            if m is not None and m.is_property and isinstance(
+                node.ctx, ast.Load
+            ):
+                # Reading a property runs its getter.
+                self._site([m], None, node, node.lineno)
+                return m.return_type
+            t = self.program.attr_type(cls, node.attr)
+            if t is None and m is not None:
+                t = m.return_type if m.is_property else FuncRef(m.qname)
+            return t
         if isinstance(node, ast.Name):
-            return self.name_type(node.id, env)
-        if isinstance(node, ast.Attribute):
-            return self.attr_type(self.type_of(node.value, env), node.attr)
-        if isinstance(node, ast.Call):
-            return self.call_result(node, env)
+            return self.name_type(node.id)
+        if isinstance(node, ast.Lambda):
+            return self._nested(node, f"<lambda:{node.lineno}>")
         if isinstance(node, ast.IfExp):
-            return (
-                self.type_of(node.body, env)
-                or self.type_of(node.orelse, env)
-            )
-        if isinstance(node, ast.BoolOp):
-            for value in node.values:
-                t = self.type_of(value, env)
-                if t is not None:
-                    return t
-            return None
+            self.wtype(node.test)
+            return self._first((node.body, node.orelse))
         if isinstance(node, ast.NamedExpr):
-            return self.type_of(node.value, env)
+            t = self.wtype(node.value)
+            if isinstance(node.target, ast.Name):
+                self.env[node.target.id] = t
+            return t
         if isinstance(node, ast.Await):
-            return self.type_of(node.value, env)
+            return self.wtype(node.value)
         if isinstance(node, ast.Subscript):
-            vt = self.type_of(node.value, env)
+            vt = self.wtype(node.value)
+            self.wtype(node.slice)
             if isinstance(vt, DictType):
                 return vt.value
             if isinstance(vt, ListType):
                 return vt.elem
             return None
+        if isinstance(
+            node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        ):
+            for gen in node.generators:
+                self.wtype(gen.iter)
+                for cond in gen.ifs:
+                    self.wtype(cond)
+            if isinstance(node, ast.DictComp):
+                self.wtype(node.key)
+                self.wtype(node.value)
+                return DictType(None)
+            self.wtype(node.elt)
+            return ListType(None)
         if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
-            for elt in node.elts:
-                t = self.type_of(elt, env)
-                if t is not None:
-                    return ListType(t)
-            return ListType(None)
+            return ListType(self._first(node.elts))
         if isinstance(node, ast.Dict):
-            for v in node.values:
-                if v is not None:
-                    t = self.type_of(v, env)
-                    if t is not None:
-                        return DictType(t)
-            return DictType(None)
-        if isinstance(node, ast.ListComp):
-            return ListType(None)
+            self._first(key for key in node.keys if key is not None)
+            return DictType(self._first(node.values))
+        if isinstance(node, ast.BoolOp):
+            return self._first(node.values)
+        self._operands(node)  # everything else: type unknown
         return None
 
-    def call_result(self, node: ast.Call, env: Dict[str, Type]) -> Type:
-        """Result type of a call (no emission; mirror of resolve_call)."""
-        kind, payload, result = self.resolve_call(node, env)
-        del kind, payload
+    def _operands(self, node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                self.wtype(child)
+
+    def _first(self, nodes: Iterable[ast.expr]) -> Type:
+        """Walk every node; the first type known among them."""
+        first: Type = None
+        for node in nodes:
+            t = self.wtype(node)
+            first = first or t
+        return first
+
+    def name_type(self, name: str) -> Type:
+        if name in self.env:
+            return self.env[name]
+        if name in self.mod.globals_types:
+            return self.mod.globals_types[name]
+        if name in self.mod.functions:
+            return FuncRef(self.mod.functions[name].qname)
+        cls = self.builder.class_for_name(self.mod, name)
+        if cls is not None:
+            return ClassRef(cls.qname)
+        return None
+
+    def canonical(self, node: ast.expr) -> str:
+        """Alias-aware dotted name: ``t.monotonic`` -> ``time.monotonic``."""
+        return canonical(dotted(node), self.mod.imports)
+
+    # -- calls ---------------------------------------------------------
+
+    def _call(self, node: ast.Call) -> Type:
+        """Walk one call and emit its op.  The receiver chain and the
+        arguments go first: their calls are real and happen before this
+        one."""
+        func = node.func
+        recv: Type = None
+        if isinstance(func, ast.Attribute):
+            recv = self.wtype(func.value)
+        elif not isinstance(func, ast.Name):
+            recv = self.wtype(func)
+        args = [self.wtype(arg) for arg in node.args]
+        kwargs = {kw.arg: self.wtype(kw.value) for kw in node.keywords}
+        if self.fields is not None and last_identifier(func) == "field":
+            # A dataclass field holds whatever its default_factory makes.
+            for kw in node.keywords:
+                if kw.arg == "default_factory":
+                    if isinstance(kw.value, ast.Lambda):
+                        return self.wtype(kw.value.body)
+                    made = ast.Call(func=kw.value, args=[], keywords=[])
+                    return self._call(ast.copy_location(made, node))
+
+        kind, payload, result = self.resolve_call(node, recv, args, kwargs)
+        if kind == "targets":
+            self._site(payload, None, func, node.lineno)
+        elif kind == "unresolved":
+            self._site((), payload, func, node.lineno)
+        elif kind == "blocking" and self.record:
+            what, exempt = payload
+            held = tuple(label for label in self.held if label != exempt)
+            self.fn.blocks.append(Blocking(what, node.lineno, held))
+        # "opaque": nothing to emit.
         return result
 
-    # -- the shared resolver ------------------------------------------
+    def _site(
+        self,
+        targets: Sequence[FunctionInfo],
+        reason: Optional[str],
+        callee: Union[str, ast.expr],
+        line: int,
+    ) -> None:
+        if not self.record:
+            return
+        if not isinstance(callee, str):
+            callee = ast.unparse(callee)
+        qnames = tuple(t.qname for t in targets)
+        self.fn.calls.append(
+            CallSite(qnames, reason, callee, line, tuple(self.held))
+        )
 
     def resolve_call(
-        self, node: ast.Call, env: Dict[str, Type]
+        self,
+        node: ast.Call,
+        recv: Type,
+        args: List[Type],
+        kwargs: Dict[Optional[str], Type],
     ) -> Tuple[str, object, Type]:
-        """Classify one call.
+        """Classify one call whose receiver (``recv``: the type left of
+        the dot, or of a callee that is itself an expression) and
+        arguments the walker has already typed.
 
         Returns ``(kind, payload, result_type)`` where kind is one of
-        ``targets`` (payload: list of FunctionInfo), ``factory``
-        (payload: LockType), ``blocking`` (payload: (what, exempt_label)),
-        ``opaque`` (payload: None) or ``unresolved`` (payload: reason).
+        ``targets`` (payload: list of FunctionInfo), ``blocking``
+        (payload: (what, exempt_label)), ``opaque`` (payload: None) or
+        ``unresolved`` (payload: reason).
         """
         func = node.func
-        builder = self.builder
+        name = last_identifier(func)
 
         # Tracked-lock factories, by local or dotted name.
-        kind = builder.factory_kind(self.mod, func)
-        if kind is not None:
-            lock = builder.lock_from_factory(self.mod, kind, node, env, self)
-            return "factory", lock, lock
+        if name in _FACTORY_KINDS and self.mod.imports.get(
+            name, name
+        ).endswith(name):
+            return "opaque", None, self._factory_lock(name, node, args, kwargs)
 
-        canon = self.canonical(func) if not isinstance(func, ast.Call) else ""
+        canon = self.canonical(func)
         if canon:
-            base = canon.rsplit(".", 1)[-1]
-            if base == "note_blocking":
+            if canon.rsplit(".", 1)[-1] == "note_blocking":
                 what = _const_str(node.args[0]) if node.args else None
                 return "blocking", (what or "note_blocking", None), None
             if canon == "time.sleep":
                 return "blocking", ("time.sleep", None), None
             if canon.startswith(("socket.", "select.")):
                 return "blocking", (canon, None), None
-            if canon == "threading.Event":
-                return "opaque", None, ClassType("threading.Event")
-            if canon == "threading.Thread":
-                # The target runs later, on its own thread, with an
-                # empty lock context: no call edge here by design.
-                return "opaque", None, ClassType("threading.Thread")
+            if canon in _PSEUDO_CLASS_BLOCKING:
+                # A Thread's target runs later, on its own thread, with
+                # an empty lock context: no call edge here by design.
+                return "opaque", None, ClassType(canon)
 
         if isinstance(func, ast.Name):
-            return self._resolve_name_call(func.id, node, env)
+            return self._resolve_name_call(func.id, args)
         if isinstance(func, ast.Attribute):
-            return self._resolve_attr_call(func, node, env)
-        if isinstance(func, ast.Subscript):
-            return "unresolved", "container-callable", None
-        if isinstance(func, ast.Call):
-            inner = self.type_of(func, env)
-            if isinstance(inner, FuncRef):
-                fn = self.program.functions.get(inner.qname)
-                if fn is not None:
-                    return "targets", [fn], fn.return_type
-            return "unresolved", "call-of-call", None
-        return "unresolved", "dynamic-callable", None
+            return self._resolve_attr_call(func, node, recv)
+        if isinstance(func, ast.Call) and isinstance(recv, FuncRef):
+            fn = self.program.functions.get(recv.qname)
+            if fn is not None:
+                return "targets", [fn], fn.return_type
+        return (
+            "unresolved",
+            _INDIRECT_CALLEE.get(type(func), "dynamic-callable"),
+            None,
+        )
+
+    def _factory_lock(
+        self,
+        kind: str,
+        node: ast.Call,
+        args: List[Type],
+        kwargs: Dict[Optional[str], Type],
+    ) -> LockType:
+        """The lock one ``Tracked*`` call creates, labelled by its
+        ``name`` or, unnamed, by its creation site."""
+        reentrant, condition = _FACTORY_KINDS[kind]
+        if condition:
+            # TrackedCondition(lock, name): over a tracked lock, the
+            # condition *is* that lock.
+            under = kwargs.get("lock", args[0] if args else None)
+            if isinstance(under, LockType):
+                return LockType(under.label, under.reentrant, True)
+        at = 1 if condition else 0
+        name_arg = node.args[at] if len(node.args) > at else None
+        for kw in node.keywords:
+            if kw.arg == "name":
+                name_arg = kw.value
+        label = _const_str(name_arg) or f"{self.mod.relpath}:{node.lineno}"
+        return LockType(label, reentrant, condition)
 
     def _resolve_name_call(
-        self, name: str, node: ast.Call, env: Dict[str, Type]
+        self, name: str, args: List[Type]
     ) -> Tuple[str, object, Type]:
-        bound = env.get(name)
+        bound = self.env.get(name)
         if isinstance(bound, FuncRef):
             fn = self.program.functions.get(bound.qname)
             if fn is not None:
@@ -705,7 +877,7 @@ class _Typer:
         if name in self.mod.functions:
             fn = self.mod.functions[name]
             return "targets", [fn], fn.return_type
-        cls = self.builder._class_for_name(self.mod, name)
+        cls = self.builder.class_for_name(self.mod, name)
         if cls is not None:
             return self._constructor(cls.qname)
         target = self.mod.imports.get(name)
@@ -717,91 +889,70 @@ class _Typer:
         if name == "super":
             return "unresolved", "super", None
         if name in _LIST_BUILTINS:
-            arg_t = (
-                self.type_of(node.args[0], env) if node.args else None
-            )
-            if isinstance(arg_t, (ListType, DictType, ItemsType)):
-                if isinstance(arg_t, DictType):
-                    return "opaque", None, ListType(None)
-                if isinstance(arg_t, ItemsType):
-                    return "opaque", None, arg_t
-                return "opaque", None, arg_t
+            # A list or an items view keeps its elements; a dict yields
+            # its keys, like anything else unknown.
+            if args and isinstance(args[0], (ListType, ItemsType)):
+                return "opaque", None, args[0]
             return "opaque", None, ListType(None)
         if name in _OPAQUE_BUILTINS:
             return "opaque", None, None
         return "unresolved", "unknown-name", None
 
     def _function_by_bare_name(self, name: str) -> Optional[FunctionInfo]:
-        found: Optional[FunctionInfo] = None
-        for mod in self.program.modules.values():
-            fn = mod.functions.get(name)
-            if fn is not None:
-                if found is not None:
-                    return None  # ambiguous across modules
-                found = fn
-        return found
+        found = [
+            mod.functions[name]
+            for mod in self.program.modules.values()
+            if name in mod.functions
+        ]
+        return found[0] if len(found) == 1 else None  # else ambiguous
 
     def _constructor(self, qname: str) -> Tuple[str, object, Type]:
-        bare = qname.rsplit(".", 1)[-1]
-        cls = self.program.resolve_class(bare)
+        cls = self.program.resolve_class(qname)
         if cls is None:
             return "opaque", None, ClassType(qname)
-        targets: List[FunctionInfo] = []
-        init = self.program.method(cls, "__init__")
-        if init is not None:
-            targets.append(init)
-        post = self.program.method(cls, "__post_init__")
-        if post is not None:
-            targets.append(post)
-        result: Type = ClassType(cls.qname)
-        if targets:
-            return "targets", targets, result
-        return "opaque", None, result
+        made = (
+            self.program.method(cls, "__init__"),
+            self.program.method(cls, "__post_init__"),
+        )
+        targets = [m for m in made if m is not None]
+        kind = "targets" if targets else "opaque"
+        return kind, targets, ClassType(cls.qname)
 
     def _resolve_attr_call(
-        self, func: ast.Attribute, node: ast.Call, env: Dict[str, Type]
+        self, func: ast.Attribute, node: ast.Call, vt: Type
     ) -> Tuple[str, object, Type]:
         attr = func.attr
-        vt = self.type_of(func.value, env)
 
         if isinstance(vt, LockType):
             if vt.condition and attr in ("wait", "wait_for"):
                 return "blocking", ("Condition.wait", vt.label), None
-            if attr in ("acquire", "release", "locked", "notify",
-                        "notify_all"):
+            if attr == "acquire":
                 # Explicit acquire/release pairs are invisible to the
                 # with-scoped model; surface them for the report.
-                if attr == "acquire":
-                    return "unresolved", "explicit-lock-op", None
-                return "opaque", None, None
+                return "unresolved", "explicit-lock-op", None
             return "opaque", None, None
 
         if isinstance(vt, ClassType):
-            if vt.qname == "threading.Event":
-                if attr == "wait":
-                    return "blocking", ("Event.wait", None), None
+            if vt.qname in _PSEUDO_CLASS_BLOCKING:
+                what = _PSEUDO_CLASS_BLOCKING[vt.qname].get(attr)
+                if what is not None:
+                    return "blocking", (what, None), None
                 return "opaque", None, None
-            if vt.qname == "threading.Thread":
-                if attr == "join":
-                    return "blocking", ("Thread.join", None), None
-                return "opaque", None, None
-            cls = self.program.resolve_class(vt.qname.rsplit(".", 1)[-1])
+            cls = self.program.resolve_class(vt.qname)
             if cls is not None:
                 m = self.program.method(cls, attr)
                 if m is not None and not m.is_property:
                     return "targets", [m], m.return_type
-                at = self.program.attr_type(cls, attr)
-                if at is not None or attr in _collect_attr_names(cls):
+                if self.program.attr_type(cls, attr) is not None:
                     return "unresolved", "dynamic-callable", None
                 return "unresolved", "unresolved-attribute", None
 
+        if isinstance(vt, ClassRef):
+            cls = self.program.resolve_class(vt.qname)
+            m = self.program.method(cls, attr) if cls is not None else None
+            if m is not None:
+                return "targets", [m], m.return_type
         if isinstance(vt, (ClassRef, FuncRef)):
-            if isinstance(vt, ClassRef):
-                cls = self.program.resolve_class(vt.qname.rsplit(".", 1)[-1])
-                if cls is not None:
-                    m = self.program.method(cls, attr)
-                    if m is not None:
-                        return "targets", [m], m.return_type
             return "unresolved", "dynamic-callable", None
 
         if isinstance(vt, DictType):
@@ -832,451 +983,23 @@ class _Typer:
                 node.args[0], (ast.GeneratorExp, ast.ListComp)
             ):
                 return "opaque", None, None
-            canon = self.canonical(func)
-            if canon.startswith(("os.", "posixpath.", "ntpath.")):
+            if self.canonical(func).startswith(("os.", "posixpath.", "ntpath.")):
                 return "opaque", None, None
             return "blocking", (".join()", None), None
         return "unresolved", "unknown-receiver", None
 
+    # -- nested functions ----------------------------------------------
 
-def _collect_attr_names(cls: ClassInfo) -> Set[str]:
-    return set(cls.attr_types)
-
-
-# ----------------------------------------------------------------------
-# Attribute inference (pass 2): a light, ordered walk of every method
-# recording ``self.x = ...`` types, iterated to a cross-class fixpoint.
-
-
-class _AttrPass(ast.NodeVisitor):
-    def __init__(self, builder: _Builder, cls: ClassInfo, fn: FunctionInfo):
-        self.builder = builder
-        self.cls = cls
-        self.typer = _Typer(builder, cls.module)
-        self.env: Dict[str, Type] = _param_env(builder, fn)
-        self.changed = False
-
-    def _merge_attr(self, attr: str, t: Type) -> None:
-        if t is None:
-            return
-        cur = self.cls.attr_types.get(attr)
-        if cur is None or (
-            isinstance(t, LockType) and not isinstance(cur, LockType)
-        ):
-            if cur != t:
-                self.cls.attr_types[attr] = t
-                self.changed = True
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        t = self.typer.type_of(node.value, self.env)
-        for target in node.targets:
-            self._bind(target, t, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        t = None
-        if node.value is not None:
-            t = self.typer.type_of(node.value, self.env)
-        if t is None:
-            t = self.builder.ann_type(self.cls.module, node.annotation)
-        self._bind(node.target, t, node.value)
-        self.generic_visit(node)
-
-    def visit_For(self, node: ast.For) -> None:
-        _bind_for_target(self, node)
-        self.generic_visit(node)
-
-    def _bind(
-        self, target: ast.expr, t: Type, value: Optional[ast.expr]
-    ) -> None:
-        if isinstance(target, ast.Name):
-            self.env[target.id] = t
-        elif (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            self._merge_attr(target.attr, t)
-
-    # Do not descend into nested scopes when inferring attributes.
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        pass
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        pass
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        pass
-
-
-def _bind_for_target(walker, node: ast.For) -> None:
-    it = walker.typer.type_of(node.iter, walker.env)
-    elem: Type = None
-    if isinstance(it, ListType):
-        elem = it.elem
-    elif isinstance(it, ItemsType):
-        if isinstance(node.target, ast.Tuple) and len(node.target.elts) == 2:
-            key_t, val_t = None, it.value
-            for tgt, t in zip(node.target.elts, (key_t, val_t)):
-                if isinstance(tgt, ast.Name):
-                    walker.env[tgt.id] = t
-            return
-    if isinstance(node.target, ast.Name):
-        walker.env[node.target.id] = elem
-    elif isinstance(node.target, ast.Tuple):
-        for tgt in node.target.elts:
-            if isinstance(tgt, ast.Name):
-                walker.env[tgt.id] = None
-
-
-def _param_env(builder: _Builder, fn: FunctionInfo) -> Dict[str, Type]:
-    env: Dict[str, Type] = dict(fn.closure)
-    node = fn.node
-    args = node.args
-    all_args = (
-        list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-    )
-    for a in all_args:
-        env[a.arg] = builder.ann_type(fn.module, a.annotation)
-    if (
-        fn.cls is not None
-        and not fn.is_static
-        and all_args
-        and all_args[0].arg in ("self", "cls")
-    ):
-        if all_args[0].arg == "self":
-            env["self"] = ClassType(fn.cls.qname)
-        else:
-            env["cls"] = ClassRef(fn.cls.qname)
-    return env
-
-
-def _class_body_attrs(builder: _Builder, cls: ClassInfo) -> bool:
-    """Class-body fields: plain and ``dataclass`` ``field(...)`` forms."""
-    typer = _Typer(builder, cls.module)
-    changed = False
-
-    def merge(attr: str, t: Type) -> None:
-        nonlocal changed
-        if t is None:
-            return
-        cur = cls.attr_types.get(attr)
-        if cur is None or (
-            isinstance(t, LockType) and not isinstance(cur, LockType)
-        ):
-            if cur != t:
-                cls.attr_types[attr] = t
-                changed = True
-
-    for item in cls.node.body:
-        if isinstance(item, ast.AnnAssign) and isinstance(
-            item.target, ast.Name
-        ):
-            t: Type = None
-            value = item.value
-            if (
-                isinstance(value, ast.Call)
-                and _last_name(value.func) == "field"
-            ):
-                for kw in value.keywords:
-                    if kw.arg == "default_factory":
-                        factory = kw.value
-                        if isinstance(factory, ast.Lambda):
-                            t = typer.type_of(factory.body, {})
-                        elif isinstance(factory, (ast.Name, ast.Attribute)):
-                            fake = ast.Call(
-                                func=factory, args=[], keywords=[]
-                            )
-                            ast.copy_location(fake, value)
-                            t = typer.type_of(fake, {})
-            elif value is not None:
-                t = typer.type_of(value, {})
-            if t is None:
-                t = builder.ann_type(cls.module, item.annotation)
-            merge(item.target.id, t)
-        elif isinstance(item, ast.Assign):
-            t = typer.type_of(item.value, {})
-            for target in item.targets:
-                if isinstance(target, ast.Name):
-                    merge(target.id, t)
-    return changed
-
-
-# ----------------------------------------------------------------------
-# Body walk (pass 3): emit ops per function.
-
-
-class _FunctionWalker:
-    def __init__(self, builder: _Builder, fn: FunctionInfo):
-        self.builder = builder
-        self.program = builder.program
-        self.fn = fn
-        self.typer = _Typer(builder, fn.module)
-        self.env = _param_env(builder, fn)
-        #: stack of (label, reentrant, condition)
-        self.held: List[Tuple[str, bool, bool]] = []
-        self._anon = 0
-
-    def held_labels(self) -> Tuple[str, ...]:
-        return tuple(label for label, _, _ in self.held)
-
-    def run(self) -> List[FunctionInfo]:
-        """Walk the body; returns nested functions discovered."""
-        self.nested: List[FunctionInfo] = []
-        node = self.fn.node
-        if isinstance(node, ast.Lambda):
-            self.wtype(node.body)
-        else:
-            for stmt in node.body:
-                self.stmt(stmt)
-        return self.nested
-
-    # -- statements ----------------------------------------------------
-
-    def stmt(self, node: ast.stmt) -> None:
-        if isinstance(node, ast.Expr):
-            self.wtype(node.value)
-        elif isinstance(node, ast.Assign):
-            t = self.wtype(node.value)
-            for target in node.targets:
-                self._bind(target, t)
-        elif isinstance(node, ast.AnnAssign):
-            t = None
-            if node.value is not None:
-                t = self.wtype(node.value)
-            if t is None:
-                t = self.builder.ann_type(self.fn.module, node.annotation)
-            self._bind(node.target, t)
-        elif isinstance(node, ast.AugAssign):
-            self.wtype(node.value)
-        elif isinstance(node, ast.Return):
-            if node.value is not None:
-                self.wtype(node.value)
-        elif isinstance(node, (ast.If, ast.While)):
-            self.wtype(node.test)
-            for s in node.body:
-                self.stmt(s)
-            for s in node.orelse:
-                self.stmt(s)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            self.wtype(node.iter)
-            _bind_for_target(self, node)
-            for s in node.body:
-                self.stmt(s)
-            for s in node.orelse:
-                self.stmt(s)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            self._with(node)
-        elif isinstance(node, ast.Try):
-            for s in node.body:
-                self.stmt(s)
-            for handler in node.handlers:
-                for s in handler.body:
-                    self.stmt(s)
-            for s in node.orelse:
-                self.stmt(s)
-            for s in node.finalbody:
-                self.stmt(s)
-        elif isinstance(node, ast.Raise):
-            if node.exc is not None:
-                self.wtype(node.exc)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            nested = self._nested_function(node, node.name)
-            self.env[node.name] = FuncRef(nested.qname)
-        elif isinstance(node, ast.Assert):
-            self.wtype(node.test)
-            if node.msg is not None:
-                self.wtype(node.msg)
-        elif isinstance(node, ast.Delete):
-            for t in node.targets:
-                self.wtype(t)
-        elif isinstance(node, ast.ClassDef):
-            pass  # nested classes: out of scope for the model
-        # Pass/Break/Continue/Import/Global/Nonlocal: nothing to do.
-
-    def _bind(self, target: ast.expr, t: Type) -> None:
-        if isinstance(target, ast.Name):
-            self.env[target.id] = t
-        elif isinstance(target, ast.Tuple):
-            for elt in target.elts:
-                if isinstance(elt, ast.Name):
-                    self.env[elt.id] = None
-        elif isinstance(target, ast.Attribute):
-            self.wtype(target.value)
-
-    def _with(self, node: Union[ast.With, ast.AsyncWith]) -> None:
-        pushed = 0
-        exit_calls: List[Tuple[FunctionInfo, int]] = []
-        for item in node.items:
-            t = self.wtype(item.context_expr)
-            if isinstance(t, LockType):
-                self.fn.acquires.append(
-                    Acquire(
-                        label=t.label,
-                        reentrant=t.reentrant,
-                        condition=t.condition,
-                        line=item.context_expr.lineno,
-                        held=self.held_labels(),
-                    )
-                )
-                self.held.append((t.label, t.reentrant, t.condition))
-                pushed += 1
-                if isinstance(item.optional_vars, ast.Name):
-                    self.env[item.optional_vars.id] = t
-            else:
-                if isinstance(t, ClassType):
-                    cls = self.program.resolve_class(
-                        t.qname.rsplit(".", 1)[-1]
-                    )
-                    if cls is not None:
-                        enter = self.program.method(cls, "__enter__")
-                        exit_ = self.program.method(cls, "__exit__")
-                        line = item.context_expr.lineno
-                        if enter is not None:
-                            self._emit_targets([enter], "__enter__", line)
-                        if exit_ is not None:
-                            exit_calls.append((exit_, line))
-                if isinstance(item.optional_vars, ast.Name):
-                    self.env[item.optional_vars.id] = t
-        for s in node.body:
-            self.stmt(s)
-        for exit_fn, line in exit_calls:
-            self._emit_targets([exit_fn], "__exit__", line)
-        for _ in range(pushed):
-            self.held.pop()
-
-    # -- expressions ---------------------------------------------------
-
-    def wtype(self, node: ast.expr) -> Type:
-        """Walk ``node`` (emitting ops for calls) and return its type."""
-        if isinstance(node, ast.Call):
-            return self._call(node)
-        if isinstance(node, ast.Attribute):
-            vt = self.wtype(node.value)
-            if isinstance(vt, ClassType):
-                cls = self.program.resolve_class(vt.qname.rsplit(".", 1)[-1])
-                if cls is not None:
-                    m = self.program.method(cls, node.attr)
-                    if m is not None and m.is_property and isinstance(
-                        node.ctx, ast.Load
-                    ):
-                        # Reading a property runs its getter.
-                        self._emit_targets([m], _callee_text(node), node.lineno)
-                        return m.return_type
-            return self.typer.attr_type(vt, node.attr)
-        if isinstance(node, ast.Name):
-            return self.typer.name_type(node.id, self.env)
-        if isinstance(node, ast.Lambda):
-            nested = self._nested_function(node, f"<lambda:{node.lineno}>")
-            return FuncRef(nested.qname)
-        if isinstance(node, ast.IfExp):
-            self.wtype(node.test)
-            t1 = self.wtype(node.body)
-            t2 = self.wtype(node.orelse)
-            return t1 or t2
-        if isinstance(node, ast.BoolOp):
-            result: Type = None
-            for value in node.values:
-                t = self.wtype(value)
-                result = result or t
-            return result
-        if isinstance(node, ast.NamedExpr):
-            t = self.wtype(node.value)
-            if isinstance(node.target, ast.Name):
-                self.env[node.target.id] = t
-            return t
-        if isinstance(node, ast.Await):
-            return self.wtype(node.value)
-        if isinstance(node, ast.Subscript):
-            vt = self.wtype(node.value)
-            self.wtype(node.slice)
-            if isinstance(vt, DictType):
-                return vt.value
-            if isinstance(vt, ListType):
-                return vt.elem
-            return None
-        if isinstance(
-            node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        ):
-            for gen in node.generators:
-                self.wtype(gen.iter)
-                for cond in gen.ifs:
-                    self.wtype(cond)
-            if isinstance(node, ast.DictComp):
-                self.wtype(node.key)
-                self.wtype(node.value)
-            else:
-                self.wtype(node.elt)
-            return ListType(None)
-        # Generic recursion for everything else.
-        result = None
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                t = self.wtype(child)
-                if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
-                    result = result or (ListType(t) if t else None)
-        if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
-            return result or ListType(None)
-        return None
-
-    def _call(self, node: ast.Call) -> Type:
-        # Walk the receiver chain and arguments first (their calls are
-        # real and happen before this one).
-        receiver_walked = False
-        if isinstance(node.func, ast.Attribute):
-            self.wtype(node.func.value)
-            receiver_walked = True
-        elif isinstance(node.func, (ast.Call, ast.Subscript, ast.Lambda)):
-            self.wtype(node.func)
-            receiver_walked = True
-        for arg in node.args:
-            self.wtype(arg.value if isinstance(arg, ast.Starred) else arg)
-        for kw in node.keywords:
-            self.wtype(kw.value)
-        del receiver_walked
-
-        kind, payload, result = self.typer.resolve_call(node, self.env)
-        callee = _callee_text(node.func)
-        line = node.lineno
-        if kind == "targets":
-            self._emit_targets(list(payload), callee, line)
-        elif kind == "blocking":
-            what, exempt = payload
-            held = self.held_labels()
-            if exempt is not None:
-                held = tuple(l for l in held if l != exempt)
-            self.fn.blocks.append(Blocking(what=what, line=line, held=held))
-        elif kind == "unresolved":
-            self.fn.calls.append(
-                CallSite(
-                    targets=(),
-                    reason=str(payload),
-                    callee=callee,
-                    line=line,
-                    held=self.held_labels(),
-                )
-            )
-        # "factory" and "opaque": nothing to emit.
-        return result
-
-    def _emit_targets(
-        self, targets: List[FunctionInfo], callee: str, line: int
-    ) -> None:
-        self.fn.calls.append(
-            CallSite(
-                targets=tuple(t.qname for t in targets),
-                reason=None,
-                callee=callee,
-                line=line,
-                held=self.held_labels(),
-            )
-        )
-
-    def _nested_function(
+    def _nested(
         self,
         node: Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda],
         name: str,
-    ) -> FunctionInfo:
+    ) -> Type:
+        """Register a nested def/lambda for its own standalone walk and
+        return a reference to it (unknown while only inferring: nothing
+        is registered then)."""
+        if not self.record:
+            return None
         qname = f"{self.fn.qname}.{name}"
         if qname in self.program.functions:
             self._anon += 1
@@ -1287,70 +1010,38 @@ class _FunctionWalker:
             relpath=self.fn.relpath,
             lineno=node.lineno,
             node=node,
-            module=self.fn.module,
-            cls=self.fn.cls,
+            module=self.mod,
+            cls=self.cls,
             closure=dict(self.env),
         )
         if not isinstance(node, ast.Lambda):
-            fn.return_type = self.builder.ann_type(
-                self.fn.module, node.returns
-            )
+            fn.return_type = self.builder.ann_type(self.mod, node.returns)
         self.program.functions[qname] = fn
         self.nested.append(fn)
-        return fn
-
-
-# ----------------------------------------------------------------------
-# Module-level globals (locks and simple constants).
-
-
-def _module_globals(builder: _Builder, mod: ModuleInfo) -> None:
-    typer = _Typer(builder, mod)
-    for node in mod.tree.body:
-        if isinstance(node, ast.Assign):
-            t = typer.type_of(node.value, {})
-            if t is None:
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    mod.globals_types.setdefault(target.id, t)
-        elif isinstance(node, ast.AnnAssign) and isinstance(
-            node.target, ast.Name
-        ):
-            t = None
-            if node.value is not None:
-                t = typer.type_of(node.value, {})
-            if t is None:
-                t = builder.ann_type(mod, node.annotation)
-            if t is not None:
-                mod.globals_types.setdefault(node.target.id, t)
+        return FuncRef(qname)
 
 
 # ----------------------------------------------------------------------
 # Entry point.
 
 
-def _iter_sources(roots: Sequence[Path]):
-    for root in roots:
-        files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-        for path in files:
-            yield path
-
-
 def build_program(roots: Sequence[Path]) -> Program:
     """Parse every ``*.py`` under ``roots`` into a :class:`Program`.
 
-    Files that fail to parse are recorded in :attr:`Program.errors`
-    and skipped; the builder itself never raises on input source.
+    Files that cannot be read or fail to parse are recorded in
+    :attr:`Program.errors` and skipped; the builder itself never raises
+    on input source.
     """
     sources: List[Tuple[str, str]] = []
-    for path in _iter_sources(roots):
+    unreadable: List[str] = []
+    for path in python_files(roots):
         try:
             sources.append((str(path), path.read_text(encoding="utf-8")))
-        except OSError as exc:  # pragma: no cover - racing deletions
-            sources.append((str(path), ""))
-            del exc
-    return build_program_from_sources(sources)
+        except (OSError, UnicodeDecodeError) as exc:
+            unreadable.append(f"{path}:0: cannot read: {exc}")
+    program = build_program_from_sources(sources)
+    program.errors.extend(unreadable)
+    return program
 
 
 def build_program_from_sources(
@@ -1359,53 +1050,38 @@ def build_program_from_sources(
     """Build a :class:`Program` from ``(relpath, source)`` pairs."""
     program = Program()
     builder = _Builder(program)
-    parsed: List[Tuple[str, ast.Module]] = []
     for relpath, text in sources:
         try:
             tree = ast.parse(text, filename=relpath)
         except SyntaxError as exc:
             program.errors.append(f"{relpath}:{exc.lineno or 0}: {exc.msg}")
             continue
-        parsed.append((relpath, tree))
-
-    for relpath, tree in parsed:
-        builder.index_module(relpath, tree)
+        builder.index_module(relpath, tree, text)
 
     # Resolve return annotations now that every class is indexed.
-    for fn in list(program.functions.values()):
-        node = fn.node
-        if not isinstance(node, ast.Lambda):
-            fn.return_type = builder.ann_type(fn.module, node.returns)
+    for fn in program.functions.values():
+        fn.return_type = builder.ann_type(fn.module, fn.node.returns)
 
-    for mod in program.modules.values():
-        _module_globals(builder, mod)
-
-    # Attribute inference to a cross-class fixpoint.
+    # Inference: module globals, class-body fields and ``self.x = ...``
+    # to a cross-class fixpoint (a type learned in one class can unlock
+    # an attribute of another on the next round).
     for _ in range(8):
         changed = False
-        for cls in [
-            c for m in program.modules.values() for c in m.classes.values()
-        ]:
-            changed |= _class_body_attrs(builder, cls)
-            for fn in cls.methods.values():
-                if isinstance(fn.node, ast.Lambda):
-                    continue
-                attr_pass = _AttrPass(builder, cls, fn)
-                for stmt in fn.node.body:
-                    attr_pass.visit(stmt)
-                changed |= attr_pass.changed
+        for mod in program.modules.values():
+            changed |= _Walker(builder, mod).walk().changed
+            for cls in mod.classes.values():
+                changed |= _Walker(builder, mod, cls).walk().changed
+                for fn in cls.methods.values():
+                    changed |= _Walker(builder, mod, cls, fn).walk().changed
         if not changed:
             break
 
-    # Body walk; nested functions are appended and walked in turn.
+    # Body walk, recording; nested functions are appended and walked in
+    # turn (each is registered exactly once, so none is walked twice).
     todo = list(program.functions.values())
-    walked: Set[str] = set()
     while todo:
         fn = todo.pop(0)
-        if fn.qname in walked:
-            continue
-        walked.add(fn.qname)
-        walker = _FunctionWalker(builder, fn)
-        todo.extend(walker.run())
-
+        todo.extend(
+            _Walker(builder, fn.module, fn.cls, fn, record=True).walk().nested
+        )
     return program

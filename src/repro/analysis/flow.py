@@ -43,23 +43,21 @@ callbacks, containers of functions), grouped by reason.
 
 from __future__ import annotations
 
-import ast
 import json
 import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .callgraph import (
-    Acquire,
-    Blocking,
-    CallSite,
     FunctionInfo,
     LockType,
     Program,
     build_program,
+    build_program_from_sources,
 )
+from .lint import skip_marks
 
 __all__ = [
     "Edge",
@@ -69,8 +67,6 @@ __all__ = [
     "analyze_tree",
     "main",
 ]
-
-_SKIP = re.compile(r"#\s*flow:\s*skip\[([a-z-]+)\]")
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ class _Solver:
         self._collect_lock_meta()
         #: qname -> base blocking fact reached (or absent)
         self.may_block: Dict[str, str] = {}
-        #: qname -> witness step: ("direct", Blocking) | ("call", cs, g)
+        #: qname -> witness step: ("direct", line) | ("call", cs, g)
         self.block_via: Dict[str, Tuple] = {}
         #: qname -> {label -> ("acquire", line) | ("call", cs, g)}
         self.acq: Dict[str, Dict[str, Tuple]] = {
@@ -179,7 +175,7 @@ class _Solver:
             if fn.blocks:
                 b = fn.blocks[0]
                 self.may_block[qname] = b.what
-                self.block_via[qname] = ("direct", b)
+                self.block_via[qname] = ("direct", b.line)
             for a in fn.acquires:
                 self.acq[qname].setdefault(a.label, ("acquire", a.line))
 
@@ -206,47 +202,39 @@ class _Solver:
     def _fmt(self, fn: FunctionInfo, line: int, text: str) -> str:
         return f"{fn.relpath}:{line}: {fn.qname} {text}"
 
-    def acquire_chain(self, qname: str, label: str) -> List[str]:
-        """Call-chain frames from ``qname`` down to the acquire site."""
+    def _chain(self, qname: str, step_of, last: str) -> List[str]:
+        """Witness frames from ``qname`` down to the terminal frame
+        (text ``last``).  ``step_of(qname)`` is that function's step:
+        ``("call", cs, callee)``, a terminal ``(kind, line)``, or None."""
         frames: List[str] = []
         seen: Set[str] = set()
         cur = qname
         while cur not in seen:
             seen.add(cur)
-            fn = self.fns[cur]
-            step = self.acq[cur].get(label)
+            fn, step = self.fns[cur], step_of(cur)
             if step is None:
                 break
-            if step[0] == "acquire":
-                frames.append(self._fmt(fn, step[1], f"acquires {label!r}"))
+            if step[0] != "call":
+                frames.append(self._fmt(fn, step[1], last))
                 break
-            _, cs, tq = step
+            _, cs, cur = step
             frames.append(
-                self._fmt(fn, cs.line, f"calls {self.fns[tq].qname}")
+                self._fmt(fn, cs.line, f"calls {self.fns[cur].qname}")
             )
-            cur = tq
         return frames
 
+    def acquire_chain(self, qname: str, label: str) -> List[str]:
+        """Call-chain frames from ``qname`` down to the acquire site."""
+        return self._chain(
+            qname, lambda q: self.acq[q].get(label), f"acquires {label!r}"
+        )
+
     def block_chain(self, qname: str) -> List[str]:
-        frames: List[str] = []
-        seen: Set[str] = set()
-        cur = qname
-        while cur not in seen:
-            seen.add(cur)
-            fn = self.fns[cur]
-            step = self.block_via.get(cur)
-            if step is None:
-                break
-            if step[0] == "direct":
-                b = step[1]
-                frames.append(self._fmt(fn, b.line, f"blocks on {b.what}"))
-                break
-            _, cs, tq = step
-            frames.append(
-                self._fmt(fn, cs.line, f"calls {self.fns[tq].qname}")
-            )
-            cur = tq
-        return frames
+        return self._chain(
+            qname,
+            self.block_via.get,
+            f"blocks on {self.may_block.get(qname)}",
+        )
 
     # -- the static lock graph ----------------------------------------
 
@@ -443,21 +431,10 @@ def _simple_cycles(graph: Dict[str, Set[str]]) -> List[List[str]]:
 # Suppressions.
 
 
-def _suppressed_lines(source: str) -> Dict[int, str]:
-    marked: Dict[int, str] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        match = _SKIP.search(text)
-        if match is not None:
-            marked[lineno] = match.group(1)
-    return marked
-
-
-def _apply_suppressions(
-    report: FlowReport, sources: Dict[str, str]
-) -> FlowReport:
+def _apply_suppressions(report: FlowReport, program: Program) -> FlowReport:
     marks: Dict[str, Dict[int, str]] = {
-        relpath: _suppressed_lines(text)
-        for relpath, text in sources.items()
+        relpath: skip_marks(mod.source, "flow")
+        for relpath, mod in program.modules.items()
     }
 
     def line_marked(relpath: str, line: int, rule: str) -> bool:
@@ -496,9 +473,7 @@ def _witness_heads(chain: Sequence[str]) -> List[Tuple[str, int]]:
 # Entry points.
 
 
-def _analyze_program(
-    program: Program, sources: Dict[str, str]
-) -> FlowReport:
+def _analyze_program(program: Program) -> FlowReport:
     solver = _Solver(program)
     solver.solve()
     edges = solver.lock_edges()
@@ -525,27 +500,17 @@ def _analyze_program(
                         function=fn.qname,
                     )
                 )
-    return _apply_suppressions(report, sources)
+    return _apply_suppressions(report, program)
 
 
 def analyze_tree(roots: Sequence[Path]) -> FlowReport:
     """Analyze every ``*.py`` under each root."""
-    program = build_program(roots)
-    sources: Dict[str, str] = {}
-    for relpath in program.modules:
-        try:
-            sources[relpath] = Path(relpath).read_text(encoding="utf-8")
-        except OSError:
-            sources[relpath] = ""
-    return _analyze_program(program, sources)
+    return _analyze_program(build_program(roots))
 
 
 def analyze_source(source: str, relpath: str = "<string>") -> FlowReport:
     """Analyze a single in-memory module (the test entry point)."""
-    from .callgraph import build_program_from_sources
-
-    program = build_program_from_sources([(relpath, source)])
-    return _analyze_program(program, {relpath: source})
+    return _analyze_program(build_program_from_sources([(relpath, source)]))
 
 
 # ----------------------------------------------------------------------

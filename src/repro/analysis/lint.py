@@ -64,7 +64,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["Violation", "lint_source", "lint_path", "lint_tree", "main"]
+__all__ = [
+    "Violation",
+    "canonical",
+    "dotted",
+    "last_identifier",
+    "lint_path",
+    "lint_source",
+    "lint_tree",
+    "main",
+    "python_files",
+    "skip_marks",
+]
 
 #: Path fragments marking a module as sim-clocked (seeded-replay
 #: bit-identity applies; see PR 6's snapshot byte-equality test).
@@ -76,7 +87,6 @@ RAW_LOCK_EXEMPT = ("repro/analysis/",)
 _WALL_CLOCK_TIME = {"time", "monotonic", "perf_counter", "process_time", "sleep"}
 _WALL_CLOCK_DATE = {"now", "utcnow", "today"}
 _RAW_LOCK_NAMES = {"Lock", "RLock", "Condition"}
-_SKIP = re.compile(r"#\s*lint:\s*skip\[([a-z-]+)\]")
 
 #: Modules whose import bindings we canonicalize: aliasing one of these
 #: (``import time as t``, ``from random import random as rnd``) must
@@ -107,7 +117,7 @@ class Violation:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def _last_identifier(node: ast.expr) -> str:
+def last_identifier(node: ast.expr) -> str:
     """The trailing identifier of a Name/Attribute chain (else '')."""
     if isinstance(node, ast.Attribute):
         return node.attr
@@ -116,7 +126,7 @@ def _last_identifier(node: ast.expr) -> str:
     return ""
 
 
-def _dotted(node: ast.expr) -> str:
+def dotted(node: ast.expr) -> str:
     """``a.b.c`` for a Name/Attribute chain (best effort, else '')."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -126,6 +136,20 @@ def _dotted(node: ast.expr) -> str:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return ""
+
+
+def canonical(spelled: str, aliases: Dict[str, str]) -> str:
+    """Resolve the leading identifier through an import-binding map.
+
+    ``t.monotonic`` -> ``time.monotonic``; bare ``sleep`` (bound by
+    ``from time import sleep``) -> ``time.sleep``.  Unknown heads pass
+    through unchanged.
+    """
+    head, _, rest = spelled.partition(".")
+    target = aliases.get(head)
+    if target is None:
+        return spelled
+    return f"{target}.{rest}" if rest else target
 
 
 def _fmt_size(fmt: str) -> Optional[int]:
@@ -164,21 +188,6 @@ class _Checker(ast.NodeVisitor):
             Violation(self.relpath, node.lineno, rule, message)
         )
 
-    def _canonical(self, dotted: str) -> str:
-        """Resolve the leading identifier through the import-binding map.
-
-        ``t.monotonic`` -> ``time.monotonic``; bare ``sleep`` (bound by
-        ``from time import sleep``) -> ``time.sleep``.  Unknown heads
-        pass through unchanged.
-        """
-        if not dotted:
-            return dotted
-        head, _, rest = dotted.partition(".")
-        target = self._aliases.get(head)
-        if target is None:
-            return dotted
-        return f"{target}.{rest}" if rest else target
-
     def _current_fn(self) -> Optional[str]:
         # Nested helpers fold into their outermost def: a struct
         # referenced by a closure counts toward the enclosing codec.
@@ -187,12 +196,12 @@ class _Checker(ast.NodeVisitor):
     # -- calls ----------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
-        canon = self._canonical(dotted)
+        spelled = dotted(node.func)
+        canon = canonical(spelled, self._aliases)
         # Rule matching runs on the canonical spelling; messages show
         # the source spelling (plus the resolution when they differ).
-        shown = dotted if canon == dotted else f"{dotted} (= {canon})"
-        attr = canon.rsplit(".", 1)[-1] if canon else _last_identifier(node.func)
+        shown = spelled if canon == spelled else f"{spelled} (= {canon})"
+        attr = canon.rsplit(".", 1)[-1] if canon else last_identifier(node.func)
         if self.sim_clocked:
             if canon.startswith("time.") and attr in _WALL_CLOCK_TIME:
                 self._flag(
@@ -296,7 +305,7 @@ class _Checker(ast.NodeVisitor):
             return
         if not (isinstance(value, ast.Call) and value.args):
             return
-        if self._canonical(_dotted(value.func)) != "struct.Struct":
+        if canonical(dotted(value.func), self._aliases) != "struct.Struct":
             return
         arg = value.args[0]
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
@@ -410,11 +419,16 @@ def _layout_text(refs: Dict[str, int]) -> str:
     )
 
 
-def _suppressed(source_lines: Sequence[str], violation: Violation) -> bool:
-    if violation.line - 1 >= len(source_lines):
-        return False
-    match = _SKIP.search(source_lines[violation.line - 1])
-    return match is not None and match.group(1) == violation.rule
+def skip_marks(source: str, tool: str) -> Dict[int, str]:
+    """Line number -> rule for every ``# <tool>: skip[<rule>]`` comment
+    (``tool`` is ``lint`` here, ``flow`` in :mod:`repro.analysis.flow`)."""
+    marker = re.compile(rf"#\s*{tool}:\s*skip\[([a-z-]+)\]")
+    marks: Dict[int, str] = {}
+    for lineno, text in enumerate(source.splitlines(), start=1):
+        match = marker.search(text)
+        if match is not None:
+            marks[lineno] = match.group(1)
+    return marks
 
 
 def lint_source(source: str, relpath: str) -> List[Violation]:
@@ -436,21 +450,28 @@ def lint_source(source: str, relpath: str) -> List[Violation]:
     )
     checker.visit(tree)
     checker.finish()
-    lines = source.splitlines()
-    return [v for v in checker.violations if not _suppressed(lines, v)]
+    marks = skip_marks(source, "lint")
+    return [v for v in checker.violations if marks.get(v.line) != v.rule]
 
 
 def lint_path(path: Path) -> List[Violation]:
     return lint_source(path.read_text(encoding="utf-8"), str(path))
 
 
+def python_files(roots: Sequence[Path]) -> List[Path]:
+    """Every ``*.py`` under each root, sorted (a file root is itself)."""
+    return [
+        path
+        for root in roots
+        for path in ([root] if root.is_file() else sorted(root.rglob("*.py")))
+    ]
+
+
 def lint_tree(roots: Sequence[Path]) -> List[Violation]:
     """Lint every ``*.py`` under each root (a file root lints itself)."""
     violations: List[Violation] = []
-    for root in roots:
-        files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-        for path in files:
-            violations.extend(lint_path(path))
+    for path in python_files(roots):
+        violations.extend(lint_path(path))
     return violations
 
 
@@ -467,9 +488,7 @@ def main(argv: Sequence[str]) -> int:
     violations = lint_tree(roots)
     for violation in violations:
         print(violation.format())
-    checked = sum(
-        1 if r.is_file() else len(list(r.rglob("*.py"))) for r in roots
-    )
+    checked = len(python_files(roots))
     if violations:
         print(
             f"lint: {len(violations)} violation(s) in {checked} file(s)",

@@ -15,7 +15,7 @@ from .net import (
     RemoteEvalError,
 )
 from .runtime import Fixpoint
-from .tracing import InvocationRecord, Stopwatch, Trace
+from .tracing import Stopwatch, Trace
 
 __all__ = [
     "Bill",
@@ -24,7 +24,6 @@ __all__ = [
     "Fixpoint",
     "FixpointNode",
     "InvocationMeter",
-    "InvocationRecord",
     "Job",
     "JobQueue",
     "NetworkError",

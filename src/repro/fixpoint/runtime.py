@@ -39,7 +39,7 @@ from ..core.limits import DEFAULT_LIMITS, ResourceLimits
 from ..core.storage import Repository
 from ..core.thunks import Invocation, make_application
 from .jobs import JobQueue
-from .tracing import InvocationRecord, Stopwatch, Trace
+from .tracing import Stopwatch, Trace
 
 
 class _WorkerEvaluator(Evaluator):
@@ -232,12 +232,10 @@ class Fixpoint:
         with Stopwatch() as watch:
             result = linked.run(fix, resolved)
         self.trace.record(
-            InvocationRecord(
-                function=linked.name,
-                wall_seconds=watch.elapsed,
-                bytes_mapped=fix.bytes_used,
-                worker=threading.current_thread().name,
-            )
+            linked.name,
+            watch.elapsed,
+            fix.bytes_used,
+            threading.current_thread().name,
         )
         return result
 

@@ -20,31 +20,21 @@ Since the observability pass, :class:`Trace` is also a facade over
 wire and scheduling metrics.  By default each Trace owns a private
 registry; a runtime constructed with an :class:`~repro.obs.Obs` shares
 that obs' registry instead (``Trace(registry=obs.registry)``).  The
-in-memory :class:`InvocationRecord` list remains the queryable ground
-truth for the Table-2 count assertions - it is exact, ordered, and
-independent of which registry (real or null) backs the metrics.
-:meth:`clear` resets only the three families this trace emits, never a
-shared registry wholesale.
+trace's own per-function invocation and byte counts remain the
+queryable ground truth for the Table-2 count assertions - exact, and
+independent of which registry (real or null) backs the metrics - and
+they are all it keeps: its state grows with the number of functions,
+not of invocations.  :meth:`clear` resets only the three families this
+trace emits, never a shared registry wholesale.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..analysis.sync import TrackedLock
 from ..obs.metrics import MetricsRegistry
-
-
-@dataclass
-class InvocationRecord:
-    """One codelet invocation as observed by the runtime."""
-
-    function: str
-    wall_seconds: float
-    bytes_mapped: int
-    worker: str
 
 
 class Trace:
@@ -61,7 +51,9 @@ class Trace:
             registry if registry is not None
             else MetricsRegistry(name="fixpoint.trace")
         )
-        self.records: List[InvocationRecord] = []
+        #: function -> invocations / bytes mapped, in first-seen order
+        self._counts: Dict[str, int] = {}
+        self._mapped: Dict[str, int] = {}
         self._lock = TrackedLock("Trace._lock")
         self._invocations = self.registry.counter(
             "fixpoint_invocations_total",
@@ -76,36 +68,38 @@ class Trace:
             "Per-invocation wall time, by function",
         )
 
-    def record(self, record: InvocationRecord) -> None:
+    def record(
+        self, function: str, wall_seconds: float, bytes_mapped: int, worker: str
+    ) -> None:
+        """One codelet invocation as observed by the runtime."""
         with self._lock:
-            self.records.append(record)
-        self._invocations.inc(
-            function=record.function, worker=record.worker
-        )
-        if record.bytes_mapped:
-            self._bytes.inc(record.bytes_mapped, function=record.function)
-        self._wall.observe(record.wall_seconds, function=record.function)
+            self._counts[function] = self._counts.get(function, 0) + 1
+            self._mapped[function] = (
+                self._mapped.get(function, 0) + bytes_mapped
+            )
+        self._invocations.inc(function=function, worker=worker)
+        if bytes_mapped:
+            self._bytes.inc(bytes_mapped, function=function)
+        self._wall.observe(wall_seconds, function=function)
 
     def invocation_count(self, function: Optional[str] = None) -> int:
         with self._lock:
             if function is None:
-                return len(self.records)
-            return sum(1 for r in self.records if r.function == function)
+                return sum(self._counts.values())
+            return self._counts.get(function, 0)
 
     def total_bytes_mapped(self) -> int:
         with self._lock:
-            return sum(r.bytes_mapped for r in self.records)
+            return sum(self._mapped.values())
 
     def by_function(self) -> Dict[str, int]:
         with self._lock:
-            out: Dict[str, int] = {}
-            for r in self.records:
-                out[r.function] = out.get(r.function, 0) + 1
-            return out
+            return dict(self._counts)
 
     def clear(self) -> None:
         with self._lock:
-            self.records.clear()
+            self._counts.clear()
+            self._mapped.clear()
         # Scoped: only the families this trace emits - a shared
         # registry's other instruments are not this trace's to wipe.
         self._invocations.reset()

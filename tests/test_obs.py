@@ -385,3 +385,26 @@ class TestObs:
         counter = obs.registry.counter("fixpoint_invocations_total")
         assert counter.total() == node.runtime.trace.invocation_count()
         assert counter.total() >= 1
+
+    @pytest.mark.parametrize("registry", [None, NULL_OBS.registry])
+    def test_trace_state_is_bounded_by_functions(self, registry):
+        """10 000 invocations of one codelet leave the trace holding one
+        count and one byte total per *function* - no per-invocation
+        record - whichever registry (real or null) backs the metrics."""
+        from repro.fixpoint.tracing import Trace
+
+        trace = Trace(registry=registry)
+        for _ in range(10_000):
+            trace.record("spin", 1e-6, 8, "worker-0")
+        trace.record("other", 1e-6, 0, "worker-1")
+        assert trace.invocation_count() == 10_001
+        assert trace.invocation_count("spin") == 10_000
+        assert trace.total_bytes_mapped() == 80_000
+        assert trace.by_function() == {"spin": 10_000, "other": 1}
+        held = [
+            v for v in vars(trace).values()
+            if isinstance(v, (list, dict, set, tuple))
+        ]
+        assert sum(len(v) for v in held) == 2 * 2  # two dicts x two functions
+        trace.clear()
+        assert trace.invocation_count() == 0 and trace.by_function() == {}
