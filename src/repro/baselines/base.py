@@ -33,7 +33,7 @@ from ..sim.cluster import Cluster
 from ..sim.engine import Event, Simulator, all_of
 from ..sim.stats import CpuReport, report
 from ..sim.storage_service import StorageService
-from .calibration import Calibration, DEFAULT_CALIBRATION
+from .calibration import DEFAULT_CALIBRATION
 
 
 @dataclass
@@ -120,22 +120,17 @@ class Platform:
         self,
         sim: Simulator,
         cluster: Cluster,
-        calib: Calibration = DEFAULT_CALIBRATION,
         storage: Optional[StorageService] = None,
         seed: int = 0,
-        client_bandwidth: Optional[float] = None,
     ):
         self.sim = sim
         self.cluster = cluster
-        self.calib = calib
         self.storage = storage
         self.rng = random.Random(seed)
         self.invocations = 0
         # The client is a network endpoint (uploads, driver round trips).
         if CLIENT not in cluster.network._nics:
-            cluster.network.attach(
-                CLIENT, client_bandwidth or calib.tcp_stream_bw
-            )
+            cluster.network.attach(CLIENT, DEFAULT_CALIBRATION.tcp_stream_bw)
         self._task_done: Dict[str, Event] = {}
         self._job_seq = 0
         # In-flight replica transfers, deduplicated per (object, node): a
@@ -155,21 +150,16 @@ class Platform:
     # ------------------------------------------------------------------
     # Execution driver
 
-    def invoke(
-        self, task: TaskSpec, submitter: str, job: Optional[JobRun] = None
-    ) -> Event:
-        """Run one task; the event's value is the machine that ran it.
-
-        Subclasses implement :meth:`_invoke_proc`; engines that keep
-        per-job state (scheduler views) override :meth:`invoke` itself to
-        thread ``job`` through.
-        """
+    def invoke(self, task: TaskSpec, submitter: str, job: JobRun) -> Event:
+        """Run one task of ``job``; the event's value is the machine that
+        ran it.  Subclasses implement :meth:`_invoke_proc`."""
         self.invocations += 1
         return self.sim.process(
-            self._invoke_proc(task, submitter), name=f"{self.name}:{task.name}"
+            self._invoke_proc(task, submitter, job),
+            name=f"{self.name}:{task.name}",
         )
 
-    def _invoke_proc(self, task: TaskSpec, submitter: str):
+    def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
         raise NotImplementedError
 
     def _meter(
@@ -263,13 +253,27 @@ class Platform:
     # ------------------------------------------------------------------
     # Shared helpers (processes)
 
-    def _busy(self, machine: str, state: str, cores: int, seconds: float):
-        """Charge ``cores`` in ``state`` on ``machine`` for ``seconds``.
+    def _reserved(self, task: TaskSpec, node: str, body):
+        """Run the process ``body`` while holding ``task``'s cores and
+        memory on ``node``.
 
-        Uses :meth:`CpuAccountant.track` so a process interrupted at the
-        yield (engine throw/close) still closes its token - the interval
-        actually held is charged instead of vanishing.
+        The one place a platform binds resources.  What ``body`` waits
+        for inside the reservation is a claimed core starving (wrap the
+        wait in ``accountant.track(node, "iowait", task.cores)``); what
+        the caller waits for *before* it leaves the cores idle, i.e.
+        schedulable - fig. 8's distinction.
         """
+        machine = self.cluster.machine(node)
+        yield machine.cores.acquire(task.cores)
+        yield machine.memory.acquire(task.memory_bytes)
+        try:
+            yield from body
+        finally:
+            machine.memory.release(task.memory_bytes)
+            machine.cores.release(task.cores)
+
+    def _busy(self, machine: str, state: str, cores: int, seconds: float):
+        """Charge ``cores`` in ``state`` on ``machine`` for ``seconds``."""
         with self.cluster.accountant.track(machine, state, cores):
             yield self.sim.timeout(seconds)
 

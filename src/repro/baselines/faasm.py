@@ -14,7 +14,7 @@ from typing import Dict
 from ..dist.graph import TaskSpec
 from ..sim.cluster import Cluster
 from ..sim.engine import Simulator
-from .base import Platform
+from .base import JobRun, Platform
 from .calibration import FAASM_CORE, FAASM_INVOKE
 
 
@@ -29,33 +29,24 @@ class Faasm(Platform):
             name: 0 for name in cluster.machine_names()
         }
 
-    def _invoke_proc(self, task: TaskSpec, submitter: str):
+    def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
         node = min(self._outstanding, key=lambda m: (self._outstanding[m], m))
-        machine = self.cluster.machine(node)
         self._outstanding[node] += 1
         try:
             yield self.cluster.network.message(submitter, node)
-            yield machine.cores.acquire(task.cores)
-            yield machine.memory.acquire(task.memory_bytes)
-            try:
-                # Dispatcher + module activation + host interface setup.
-                yield from self._busy(
-                    node, "system", task.cores, FAASM_INVOKE - FAASM_CORE
-                )
-                # State comes through host calls while the core is held.
-                started = self.sim.now
-                yield self._fetch_all(task.inputs, node)
-                self.cluster.accountant.charge(
-                    node, "iowait", (self.sim.now - started) * task.cores
-                )
-                yield from self._busy(node, "system", task.cores, FAASM_CORE)
-                yield from self._busy(
-                    node, "user", task.cores, task.compute_seconds
-                )
-            finally:
-                machine.memory.release(task.memory_bytes)
-                machine.cores.release(task.cores)
+            yield from self._reserved(task, node, self._run(task, node))
         finally:
             self._outstanding[node] -= 1
         self.cluster.add_object(task.output, task.output_size, node)
         return node
+
+    def _run(self, task: TaskSpec, node: str):
+        # Dispatcher + module activation + host interface setup.
+        yield from self._busy(
+            node, "system", task.cores, FAASM_INVOKE - FAASM_CORE
+        )
+        # State comes through host calls while the core is held.
+        with self.cluster.accountant.track(node, "iowait", task.cores):
+            yield self._fetch_all(task.inputs, node)
+        yield from self._busy(node, "system", task.cores, FAASM_CORE)
+        yield from self._busy(node, "user", task.cores, task.compute_seconds)

@@ -28,7 +28,7 @@ def _shard(name: str, buckets: int) -> int:
 class MinIO:
     """Object store: name -> (size, holder node)."""
 
-    def __init__(self, sim: Simulator, cluster: Cluster, seed: int = 1349):
+    def __init__(self, sim: Simulator, cluster: Cluster):
         self.sim = sim
         self.cluster = cluster
         self._nodes = cluster.machine_names()
@@ -38,7 +38,7 @@ class MinIO:
         # Erasure coding spreads reads over the deployment; the serving
         # node is effectively arbitrary per GET (seeded for determinism,
         # uncorrelated with any scheduler's placement rotation).
-        self._stripe_rng = random.Random(seed)
+        self._stripe_rng = random.Random(1349)
         self.gets = 0
         self.puts = 0
         self.bytes_read = 0

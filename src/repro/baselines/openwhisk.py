@@ -16,7 +16,7 @@ from __future__ import annotations
 from ..dist.graph import JobGraph, TaskSpec
 from ..sim.cluster import Cluster
 from ..sim.engine import Simulator
-from .base import Platform
+from .base import JobRun, Platform
 from .calibration import (
     MINIO_STREAM_BW,
     OPENWHISK_CORE,
@@ -72,57 +72,40 @@ class OpenWhisk(Platform):
             for task in graph.tasks.values():
                 self.k8s.prewarm_everywhere(task.fn)
 
-    def _invoke_proc(self, task: TaskSpec, submitter: str):
+    def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
         # Control path: gateway -> controller -> Kafka; charged as system
         # time on the controller node.
         pre = OW_GATEWAY + OW_CONTROLLER + OW_KAFKA
         yield self.cluster.network.message(submitter, self._controller)
         yield from self._busy(self._controller, "system", 1, pre)
         node = self.k8s.place()
-        machine = self.cluster.machine(node)
         try:
             if not self.warm:
                 yield self._pull_image(task.fn, node)
             # The pod's resources are reserved at scheduling time; the
             # container then boots while holding them (internal I/O from
             # the very first moment).
-            yield machine.cores.acquire(task.cores)
-            yield machine.memory.acquire(task.memory_bytes)
-            try:
-                started = self.sim.now
-                yield self.k8s.pod_start(task.fn, node)
-                self.cluster.accountant.charge(
-                    node, "iowait", (self.sim.now - started) * task.cores
-                )
-                yield from self._busy(node, "system", task.cores, OW_INVOKER)
-                # GET every input from MinIO while occupying the pod.
-                started = self.sim.now
-                for name in task.inputs:
-                    yield self.minio.get(name, node)
-                self.cluster.accountant.charge(
-                    node, "iowait", (self.sim.now - started) * task.cores
-                )
-                yield from self._busy(
-                    node, "system", task.cores, OPENWHISK_CORE
-                )
-                yield from self._busy(
-                    node, "user", task.cores, task.compute_seconds
-                )
-                # PUT the output back to MinIO, still inside the pod.
-                started = self.sim.now
-                yield self.minio.put(task.output, task.output_size, node)
-                self.cluster.accountant.charge(
-                    node, "iowait", (self.sim.now - started) * task.cores
-                )
-            finally:
-                machine.memory.release(task.memory_bytes)
-                machine.cores.release(task.cores)
+            yield from self._reserved(task, node, self._run_pod(task, node))
             yield from self._busy(self._controller, "system", 1, OW_RESULT_PATH)
         finally:
             self.k8s.pod_finished(node)
         holder = self.minio.node_for(task.output)
         self.cluster.add_object(task.output, task.output_size, holder)
         return node
+
+    def _run_pod(self, task: TaskSpec, node: str):
+        with self.cluster.accountant.track(node, "iowait", task.cores):
+            yield self.k8s.pod_start(task.fn, node)
+        yield from self._busy(node, "system", task.cores, OW_INVOKER)
+        # GET every input from MinIO while occupying the pod.
+        with self.cluster.accountant.track(node, "iowait", task.cores):
+            for name in task.inputs:
+                yield self.minio.get(name, node)
+        yield from self._busy(node, "system", task.cores, OPENWHISK_CORE)
+        yield from self._busy(node, "user", task.cores, task.compute_seconds)
+        # PUT the output back to MinIO, still inside the pod.
+        with self.cluster.accountant.track(node, "iowait", task.cores):
+            yield self.minio.put(task.output, task.output_size, node)
 
     def _pull_image(self, function: str, node: str):
         """Pull the action's Docker image on first use (deduplicated)."""

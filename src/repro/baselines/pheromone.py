@@ -11,12 +11,10 @@ cannot be expressed at all (the paper could only run its map phase).
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..dist.graph import JobGraph, TaskSpec
 from ..sim.cluster import Cluster
 from ..sim.engine import Simulator
-from .base import Platform
+from .base import JobRun, Platform
 from .calibration import (
     PHEROMONE_CHAIN_STEP,
     PHEROMONE_CORE,
@@ -38,9 +36,6 @@ class Pheromone(Platform):
     def __init__(self, sim: Simulator, cluster: Cluster, **kwargs):
         super().__init__(sim, cluster, **kwargs)
         self._rr = 0  # round-robin cursor for external-input functions
-        self._outstanding: Dict[str, int] = {
-            name: 0 for name in cluster.machine_names()
-        }
 
     def _place(self, task: TaskSpec) -> str:
         intermediates = [
@@ -73,42 +68,29 @@ class Pheromone(Platform):
         super().load(graph)
         self._produced = set(graph.producers())
 
-    def _invoke_proc(self, task: TaskSpec, submitter: str):
+    def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
         node = self._place(task)
-        machine = self.cluster.machine(node)
-        self._outstanding[node] += 1
-        try:
-            chained = all(self._is_intermediate(n) for n in task.inputs) and bool(
-                task.inputs
-            )
-            if chained:
-                # A pre-declared workflow step fires locally off its
-                # trigger bucket: no scheduler dispatch.
-                overhead = PHEROMONE_CHAIN_STEP
-            else:
-                yield self.cluster.network.message(submitter, node)
-                overhead = PHEROMONE_INVOKE
-            # Claim the executor, then fetch any non-local data while
-            # holding it (Pheromone executors own their resources).
-            yield machine.cores.acquire(task.cores)
-            yield machine.memory.acquire(task.memory_bytes)
-            try:
-                yield from self._busy(
-                    node, "system", task.cores, overhead - PHEROMONE_CORE
-                )
-                started = self.sim.now
-                yield self._fetch_all(task.inputs, node)
-                self.cluster.accountant.charge(
-                    node, "iowait", (self.sim.now - started) * task.cores
-                )
-                yield from self._busy(node, "system", task.cores, PHEROMONE_CORE)
-                yield from self._busy(
-                    node, "user", task.cores, task.compute_seconds
-                )
-            finally:
-                machine.memory.release(task.memory_bytes)
-                machine.cores.release(task.cores)
-        finally:
-            self._outstanding[node] -= 1
+        chained = all(self._is_intermediate(n) for n in task.inputs) and bool(
+            task.inputs
+        )
+        if chained:
+            # A pre-declared workflow step fires locally off its
+            # trigger bucket: no scheduler dispatch.
+            overhead = PHEROMONE_CHAIN_STEP
+        else:
+            yield self.cluster.network.message(submitter, node)
+            overhead = PHEROMONE_INVOKE
+        # Claim the executor, then fetch any non-local data while
+        # holding it (Pheromone executors own their resources).
+        yield from self._reserved(task, node, self._run(task, node, overhead))
         self.cluster.add_object(task.output, task.output_size, node)
         return node
+
+    def _run(self, task: TaskSpec, node: str, overhead: float):
+        yield from self._busy(
+            node, "system", task.cores, overhead - PHEROMONE_CORE
+        )
+        with self.cluster.accountant.track(node, "iowait", task.cores):
+            yield self._fetch_all(task.inputs, node)
+        yield from self._busy(node, "system", task.cores, PHEROMONE_CORE)
+        yield from self._busy(node, "user", task.cores, task.compute_seconds)

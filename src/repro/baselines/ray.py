@@ -27,7 +27,7 @@ from ..dist.graph import JobGraph, TaskSpec
 from ..sim.cluster import Cluster
 from ..sim.engine import Simulator
 from ..sim.resources import Resource
-from .base import Platform
+from .base import JobRun, Platform
 from .calibration import (
     PY_DESER_BW,
     RAY_DRIVER_SUBMIT,
@@ -42,6 +42,8 @@ from .calibration import MINIO_STREAM_BW
 from .minio import MinIO
 
 STYLES = ("blocking", "cps", "popen")
+#: Size of the Popen-style executables, pulled once per node.
+POPEN_BINARY_BYTES = 100 << 20
 
 
 class RayPlatform(Platform):
@@ -54,9 +56,6 @@ class RayPlatform(Platform):
         sim: Simulator,
         cluster: Cluster,
         style: str = "blocking",
-        minio: Optional[MinIO] = None,
-        binary_home: Optional[str] = None,
-        binary_size: int = 100 << 20,
         **kwargs,
     ):
         super().__init__(sim, cluster, **kwargs)
@@ -70,13 +69,11 @@ class RayPlatform(Platform):
         }[style]
         # The driver is one Python process: submissions serialize.
         self._driver = Resource(sim, 1, name="ray.driver")
-        self._head = cluster.machine_names()[0]
-        self.minio = minio
-        if style == "popen" and minio is None:
-            self.minio = MinIO(sim, cluster)
+        self.minio: Optional[MinIO] = (
+            MinIO(sim, cluster) if style == "popen" else None
+        )
         # Popen style: executables start on one machine, loaded on demand.
-        self._binary_home = binary_home or self._head
-        self._binary_size = binary_size
+        self._binary_home = cluster.machine_names()[0]
         self._binaries_loaded: Set[str] = {self._binary_home}
         self._outstanding: Dict[str, int] = {
             name: 0 for name in cluster.machine_names()
@@ -114,7 +111,7 @@ class RayPlatform(Platform):
         # Blocking: arguments are opaque refs; no locality information.
         return self.rng.choice(self.cluster.machine_names())
 
-    def _invoke_proc(self, task: TaskSpec, submitter: str):
+    def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
         # Driver-side serialization: pickle + submit, one task at a time.
         yield self._driver.acquire(1)
         yield self.sim.timeout(RAY_DRIVER_SUBMIT)
@@ -123,14 +120,20 @@ class RayPlatform(Platform):
         self._outstanding[node] += 1
         try:
             yield self.cluster.network.message(submitter, node)
-            if self.style == "blocking":
-                yield from self._run_blocking(task, node)
-            elif self.style == "cps":
-                yield from self._run_cps(task, node)
-            else:
-                yield from self._run_popen(task, node)
+            if self.style == "cps":
+                yield from self._resolve_args(task, node)
+            elif self.style == "popen" and node not in self._binaries_loaded:
+                # Load the executable on first use.
+                self._binaries_loaded.add(node)
+                yield self.cluster.network.transfer(
+                    self._binary_home, node, POPEN_BINARY_BYTES
+                )
+            run = self._run_popen if self.style == "popen" else self._run_worker
+            yield from self._reserved(task, node, run(task, node))
         finally:
             self._outstanding[node] -= 1
+        holder = node if self.minio is None else self.minio.node_for(task.output)
+        self.cluster.add_object(task.output, task.output_size, holder)
         return node
 
     # ------------------------------------------------------------------
@@ -140,34 +143,7 @@ class RayPlatform(Platform):
         total = sum(self.cluster.object(n).size for n in task.inputs)
         return total / PY_DESER_BW
 
-    def _run_blocking(self, task: TaskSpec, node: str):
-        machine = self.cluster.machine(node)
-        yield machine.cores.acquire(task.cores)
-        yield machine.memory.acquire(task.memory_bytes)
-        try:
-            yield from self._busy(
-                node, "system", task.cores, RAY_TASK_OVERHEAD
-            )
-            # ray.get inside the function: the core starves while plasma
-            # pulls each object.
-            started = self.sim.now
-            for name in task.inputs:
-                yield self._fetch(name, node)
-                yield self.sim.timeout(RAY_LOCAL_GET)
-            self.cluster.accountant.charge(
-                node, "iowait", (self.sim.now - started) * task.cores
-            )
-            yield from self._busy(
-                node, "user", task.cores, self._deser_seconds(task)
-            )
-            yield from self._busy(node, "user", task.cores, task.compute_seconds)
-            yield from self._busy(node, "system", task.cores, RAY_RESULT_STORE)
-        finally:
-            machine.memory.release(task.memory_bytes)
-            machine.cores.release(task.cores)
-        self.cluster.add_object(task.output, task.output_size, node)
-
-    def _run_cps(self, task: TaskSpec, node: str):
+    def _resolve_args(self, task: TaskSpec, node: str):
         # Resolving each nested ObjectRef costs an ownership round trip.
         for name in task.inputs:
             if self.cluster.object(name).locations != {node}:
@@ -175,52 +151,29 @@ class RayPlatform(Platform):
         # The raylet pulls arguments before a worker is assigned: no core
         # or memory is held during the fetch (Ray's own late binding).
         yield self._fetch_all(task.inputs, node)
-        machine = self.cluster.machine(node)
-        yield machine.cores.acquire(task.cores)
-        yield machine.memory.acquire(task.memory_bytes)
-        try:
-            yield from self._busy(node, "system", task.cores, RAY_TASK_OVERHEAD)
-            yield from self._busy(
-                node, "user", task.cores, self._deser_seconds(task)
-            )
-            yield from self._busy(node, "user", task.cores, task.compute_seconds)
-            yield from self._busy(node, "system", task.cores, RAY_RESULT_STORE)
-        finally:
-            machine.memory.release(task.memory_bytes)
-            machine.cores.release(task.cores)
-        self.cluster.add_object(task.output, task.output_size, node)
+
+    def _run_worker(self, task: TaskSpec, node: str):
+        yield from self._busy(node, "system", task.cores, RAY_TASK_OVERHEAD)
+        if self.style == "blocking":
+            # ray.get inside the function: the core starves while plasma
+            # pulls each object.
+            with self.cluster.accountant.track(node, "iowait", task.cores):
+                for name in task.inputs:
+                    yield self._fetch(name, node)
+                    yield self.sim.timeout(RAY_LOCAL_GET)
+        yield from self._busy(node, "user", task.cores, self._deser_seconds(task))
+        yield from self._busy(node, "user", task.cores, task.compute_seconds)
+        yield from self._busy(node, "system", task.cores, RAY_RESULT_STORE)
 
     def _run_popen(self, task: TaskSpec, node: str):
-        assert self.minio is not None
-        machine = self.cluster.machine(node)
-        # Load the executable on first use (binaries live on one machine).
-        if node not in self._binaries_loaded:
-            self._binaries_loaded.add(node)
-            yield self.cluster.network.transfer(
-                self._binary_home, node, self._binary_size
-            )
-        yield machine.cores.acquire(task.cores)
-        yield machine.memory.acquire(task.memory_bytes)
-        try:
-            yield from self._busy(node, "system", task.cores, RAY_TASK_OVERHEAD)
-            yield from self._busy(node, "system", task.cores, VFORK_EXEC)
-            started = self.sim.now
+        yield from self._busy(node, "system", task.cores, RAY_TASK_OVERHEAD)
+        yield from self._busy(node, "system", task.cores, VFORK_EXEC)
+        with self.cluster.accountant.track(node, "iowait", task.cores):
             for name in task.inputs:
                 yield self.minio.get(name, node)
-            self.cluster.accountant.charge(
-                node, "iowait", (self.sim.now - started) * task.cores
-            )
-            yield from self._busy(node, "user", task.cores, task.compute_seconds)
-            started = self.sim.now
+        yield from self._busy(node, "user", task.cores, task.compute_seconds)
+        with self.cluster.accountant.track(node, "iowait", task.cores):
             yield self.minio.put(task.output, task.output_size, node)
-            self.cluster.accountant.charge(
-                node, "iowait", (self.sim.now - started) * task.cores
-            )
-        finally:
-            machine.memory.release(task.memory_bytes)
-            machine.cores.release(task.cores)
-        holder = self.minio.node_for(task.output)
-        self.cluster.add_object(task.output, task.output_size, holder)
 
 
 class RayPopenMinIO(RayPlatform):

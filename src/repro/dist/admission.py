@@ -156,16 +156,12 @@ class AdmissionController:
         capacity_bytes: Optional[int] = None,
         policy: str = "footprint",
         fairness: str = "drr",
-        quantum: Optional[float] = None,
-        namespace: bool = True,
         obs: Optional[Obs] = None,
     ):
         if policy not in ("footprint", "peak"):
             raise AdmissionError(f"unknown admission policy {policy!r}")
         if fairness not in ("drr", "fifo"):
             raise AdmissionError(f"unknown fairness discipline {fairness!r}")
-        if quantum is not None and quantum <= 0:
-            raise AdmissionError(f"quantum must be positive: {quantum}")
         self.platform = platform
         self.sim = platform.sim
         self.capacity_bytes = (
@@ -177,8 +173,6 @@ class AdmissionController:
             )
         self.policy = policy
         self.fairness = fairness
-        self.quantum = quantum
-        self.namespace = namespace
         self.queues: Dict[str, TenantQueue] = {}
         self.tickets: List[JobTicket] = []
         self.admit_order: List[str] = []
@@ -252,7 +246,7 @@ class AdmissionController:
             # would silently alias two tenants' objects onto each other.
             raise AdmissionError(f"duplicate submission name {name!r}")
         graph.validate()
-        namespaced = graph.prefixed(name) if self.namespace else graph
+        namespaced = graph.prefixed(name)
         profile = profile_from_graph(namespaced, name=name)
         if profile.peak_bytes > self.capacity_bytes:
             self._m_rejected.inc(tenant=tenant, reason="peak_over_capacity")
@@ -422,12 +416,10 @@ class AdmissionController:
             busy = [q for q in self.queues.values() if q.pending]
             if not busy:
                 return
-            quantum = self.quantum
-            if quantum is None:
-                # Adaptive: the largest head cost this round, so every
-                # tenant can afford at least its head job - fairness
-                # comes from the quantum being *equal*, not small.
-                quantum = max(q.pending[0].cost for q in busy)
+            # The largest head cost this round, so every tenant can
+            # afford at least its head job - fairness comes from the
+            # quantum being *equal*, not small.
+            quantum = max(q.pending[0].cost for q in busy)
             admitted = False
             deficit_blocked = False
             for tenant in list(self._rr):

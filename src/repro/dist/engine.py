@@ -57,7 +57,7 @@ from ..baselines.calibration import (
 )
 from ..obs import Obs
 from ..sim.cluster import Cluster
-from ..sim.engine import Event, Simulator
+from ..sim.engine import Simulator
 from .gossip import GossipConfig, GossipCoordinator
 from .graph import CLIENT, JobGraph, TaskSpec
 from .objectview import ObjectView
@@ -119,7 +119,6 @@ class FixpointSim(Platform):
         )
         #: job_id -> that job's scheduler (own view, shared load).
         self._job_schedulers: Dict[str, DataflowScheduler] = {}
-        self._graph: Optional[JobGraph] = None
         #: Gossiped-belief mode: per-machine views plus the scheduler's
         #: view anti-entropy through one seeded coordinator; the global
         #: view then learns only what gossip has carried to it.
@@ -166,7 +165,6 @@ class FixpointSim(Platform):
 
     def load(self, graph: JobGraph) -> None:
         super().load(graph)
-        self._graph = graph
         if self.gossip is None:
             # The scheduler's view snapshots the initial placements;
             # outputs are learned as they materialize (note_output below).
@@ -275,10 +273,7 @@ class FixpointSim(Platform):
         return 1.0
 
     def _consumer_hint(
-        self,
-        task: TaskSpec,
-        graph: Optional[JobGraph],
-        scheduler: DataflowScheduler,
+        self, task: TaskSpec, graph: JobGraph, scheduler: DataflowScheduler
     ) -> Optional[str]:
         """Where this task's consumer is expected to run, if known.
 
@@ -292,8 +287,6 @@ class FixpointSim(Platform):
         pin = self.consumer_pins.get(task.name)
         if pin is not None:
             return pin
-        if graph is None:
-            return None
         consumers = [
             t for t in graph.tasks.values() if task.output in t.inputs
         ]
@@ -317,77 +310,24 @@ class FixpointSim(Platform):
 
     # ------------------------------------------------------------------
 
-    def invoke(
-        self, task: TaskSpec, submitter: str, job: Optional[JobRun] = None
-    ) -> Event:
-        """Run one task, placed by its job's scheduler when it has one."""
-        self.invocations += 1
-        return self.sim.process(
-            self._invoke_proc(task, submitter, job),
-            name=f"{self.name}:{task.name}",
-        )
-
-    def _invoke_proc(
-        self, task: TaskSpec, submitter: str, job: Optional[JobRun] = None
-    ):
-        scheduler = self.scheduler
-        graph = self._graph
-        if job is not None and job.job_id in self._job_schedulers:
-            scheduler = self._job_schedulers[job.job_id]
-            graph = job.graph
+    def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
+        scheduler = self._job_schedulers[job.job_id]
         placement = scheduler.place(
-            task, consumer_location=self._consumer_hint(task, graph, scheduler)
+            task,
+            consumer_location=self._consumer_hint(task, job.graph, scheduler),
         )
         node = placement.machine
-        machine = self.cluster.machine(node)
         scheduler.task_started(node)
         try:
             # Delegation is one self-describing message: the handle carries
             # the dependency information (no scheduler round trips).
             yield self.cluster.network.message(submitter, node)
-            penalty = self._compute_penalty(node)
-            if self.internal_io:
-                # Ablation: provision first, fetch while occupying the
-                # reservation - the claimed core starves (iowait).
-                yield machine.cores.acquire(task.cores)
-                yield machine.memory.acquire(task.memory_bytes)
-                try:
-                    started = self.sim.now
-                    yield self._fetch_all(task.inputs, node)
-                    self.cluster.accountant.charge(
-                        node, "iowait", (self.sim.now - started) * task.cores
-                    )
-                    # The blocked worker resumes through the run queue: the
-                    # per-invocation price of reading while provisioned.
-                    yield from self._busy(
-                        node,
-                        "system",
-                        task.cores,
-                        FIXPOINT_INVOKE + INTERNAL_IO_RESUME,
-                    )
-                    yield from self._busy(
-                        node, "user", task.cores, task.compute_seconds * penalty
-                    )
-                finally:
-                    machine.memory.release(task.memory_bytes)
-                    machine.cores.release(task.cores)
-            else:
+            if not self.internal_io:
                 # Externalized I/O: network workers make every input
-                # resident while cores stay free (idle, not iowait)...
+                # resident while cores stay free (idle, not iowait), and
+                # late binding claims resources only afterwards.
                 yield self._fetch_all(task.inputs, node)
-                # ...and late binding claims resources only now.
-                yield machine.cores.acquire(task.cores)
-                yield machine.memory.acquire(task.memory_bytes)
-                try:
-                    yield from self._busy(
-                        node, "system", task.cores, FIXPOINT_INVOKE
-                    )
-                    yield from self._busy(
-                        node, "user", task.cores, task.compute_seconds * penalty
-                    )
-                finally:
-                    machine.memory.release(task.memory_bytes)
-                    machine.cores.release(task.cores)
+            yield from self._reserved(task, node, self._run(task, node))
         finally:
             scheduler.task_finished(node)
         # The output materializes at the execution site, and the
@@ -397,8 +337,7 @@ class FixpointSim(Platform):
         if self.gossip is None:
             # The platform-global view learns it too: it is the
             # coordinator-eye belief other jobs snapshot at admission.
-            if scheduler is not self.scheduler:
-                self.scheduler.note_output(task.output, node, task.output_size)
+            self.scheduler.note_output(task.output, node, task.output_size)
         else:
             # Gossiped beliefs: the executing machine knows its own new
             # replica; everyone else - the global view included - only
@@ -408,3 +347,22 @@ class FixpointSim(Platform):
             )
             self.gossip.run_rounds(self.gossip_config.rounds_per_output)
         return node
+
+    def _run(self, task: TaskSpec, node: str):
+        """What an invocation does while it holds its cores and memory."""
+        overhead = FIXPOINT_INVOKE
+        if self.internal_io:
+            # Ablation: the fetch happens inside the reservation - the
+            # claimed core starves (iowait) - and the blocked worker then
+            # resumes through the run queue, the per-invocation price of
+            # reading while provisioned.
+            with self.cluster.accountant.track(node, "iowait", task.cores):
+                yield self._fetch_all(task.inputs, node)
+            overhead += INTERNAL_IO_RESUME
+        yield from self._busy(node, "system", task.cores, overhead)
+        yield from self._busy(
+            node,
+            "user",
+            task.cores,
+            task.compute_seconds * self._compute_penalty(node),
+        )

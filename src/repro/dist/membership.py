@@ -31,7 +31,7 @@ machinery instead of adding a second protocol:
   the SWIM self-defense refutes suspicion - by reasserting itself one
   incarnation up (:meth:`MembershipView.beat` on a tombstoned self).
 
-Consumers subscribe with ``on_dead`` callbacks (fired once per
+Consumers pass an ``on_dead`` hook at construction (fired once per
 tombstoned *(node, incarnation)*, outside this view's lock): the gossip
 coordinator and :class:`~repro.fixpoint.net.FixpointNode` use them to
 evict the dead node's beliefs from every :class:`ObjectView`, drop it
@@ -213,7 +213,7 @@ class MembershipView:
 
     Thread-safe the same way :class:`ObjectView` is: every public
     method holds the view's lock, and the ``on_dead`` / ``on_rejoin`` /
-    ``on_refute`` callbacks fire *outside* it (they close channels and
+    ``on_refute`` hooks fire *outside* it (they close channels and
     take other locks).  Each tombstoned *(node, incarnation)* fires
     ``on_dead`` exactly once per view, no matter how many merges
     re-deliver the tombstone; each dead->alive flip (only possible via
@@ -252,33 +252,13 @@ class MembershipView:
         #: rejoin) announces again; re-delivery of the same tombstone
         #: never does.
         self._announced: Dict[str, int] = {}
-        self._callbacks: List[Callable[[str], None]] = (
-            [on_dead] if on_dead is not None else []
-        )
-        self._rejoin_callbacks: List[Callable[[str], None]] = (
-            [on_rejoin] if on_rejoin is not None else []
-        )
-        self._refute_callbacks: List[Callable[[int], None]] = (
-            [on_refute] if on_refute is not None else []
-        )
-
-    def on_dead(self, callback: Callable[[str], None]) -> None:
-        """Subscribe to tombstone transitions (fired outside the lock)."""
-        with self._lock:
-            self._callbacks.append(callback)
-
-    def on_rejoin(self, callback: Callable[[str], None]) -> None:
-        """Subscribe to dead->alive transitions: a tombstoned node came
-        back at a higher incarnation (fired outside the lock)."""
-        with self._lock:
-            self._rejoin_callbacks.append(callback)
-
-    def on_refute(self, callback: Callable[[int], None]) -> None:
-        """Subscribe to self-refutations: *this* node saw its own
-        tombstone and reasserted life; the callback receives the new
-        incarnation (fired outside the lock)."""
-        with self._lock:
-            self._refute_callbacks.append(callback)
+        # The three hooks, fixed at construction and fired outside the
+        # lock: a tombstone transition, a dead->alive flip at a higher
+        # incarnation, and this node refuting its own tombstone (the
+        # hook receives the new incarnation).
+        self._on_dead = on_dead
+        self._on_rejoin = on_rejoin
+        self._on_refute = on_refute
 
     # ------------------------------------------------------------------
     # Introspection
@@ -495,23 +475,15 @@ class MembershipView:
         rejoined: Iterable[str] = (),
         refuted: Optional[int] = None,
     ) -> None:
-        """Run subscribers outside the lock: they evict views, close
+        """Run the hooks outside the lock: they evict views, close
         channels, and unregister directories - all of which take their
         own locks.  Order matters: deaths first, then rejoins, then
         this node's own refutation."""
-        rejoined = list(rejoined)
-        if not newly_dead and not rejoined and refuted is None:
-            return
-        with self._lock:
-            callbacks = list(self._callbacks)
-            rejoin_callbacks = list(self._rejoin_callbacks)
-            refute_callbacks = list(self._refute_callbacks)
-        for node in newly_dead:
-            for callback in callbacks:
-                callback(node)
-        for node in rejoined:
-            for callback in rejoin_callbacks:
-                callback(node)
-        if refuted is not None:
-            for callback in refute_callbacks:
-                callback(refuted)
+        if self._on_dead is not None:
+            for node in newly_dead:
+                self._on_dead(node)
+        if self._on_rejoin is not None:
+            for node in rejoined:
+                self._on_rejoin(node)
+        if refuted is not None and self._on_refute is not None:
+            self._on_refute(refuted)

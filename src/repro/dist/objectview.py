@@ -488,10 +488,10 @@ class ObjectView:
                 if locs
             }
 
-    def believed_size(self, name: Hashable, default: int = 0) -> int:
-        """The last observed size of ``name`` (``default`` when unseen)."""
+    def believed_size(self, name: Hashable) -> int:
+        """The last observed size of ``name`` (0 when unseen)."""
         with self._lock:
-            return self._sizes.get(name, default)
+            return self._sizes.get(name, 0)
 
     def bytes_held(self, location: str) -> int:
         """Believed bytes resident at ``location`` (the size index)."""

@@ -61,16 +61,11 @@ class Obs:
 
     enabled = True
 
-    def __init__(
-        self,
-        name: str = "obs",
-        clock: Optional[Clock] = None,
-        max_spans: int = 100_000,
-    ):
+    def __init__(self, name: str = "obs", clock: Optional[Clock] = None):
         self.name = name
         self.clock: Clock = clock if clock is not None else time.perf_counter
         self.registry = MetricsRegistry(name=name, clock=self.clock)
-        self.tracer = Tracer(node=name, clock=self.clock, max_spans=max_spans)
+        self.tracer = Tracer(node=name, clock=self.clock)
 
     # ------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from .network import (
     Network,
 )
 from .resources import Pipe, Resource, TokenBucket
-from .stats import BUSY_STATES, CpuAccountant, CpuReport, StateToken, report
+from .stats import BUSY_STATES, CpuAccountant, CpuReport, report
 from .storage_service import S3_SMALL_OBJECT_LATENCY, StorageService
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "Resource",
     "S3_SMALL_OBJECT_LATENCY",
     "Simulator",
-    "StateToken",
     "StorageService",
     "TokenBucket",
     "all_of",

@@ -14,7 +14,7 @@ information inside handles.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from ..core.errors import SimulationError
 from .engine import Event, Simulator
@@ -34,17 +34,11 @@ class NIC:
         self.rx = Pipe(sim, bandwidth, name=f"{name}.rx")
 
 class Network:
-    """A full mesh of NICs with uniform (or per-pair) latency."""
+    """A full mesh of NICs with uniform latency."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        latency: float = DEFAULT_LATENCY,
-        latency_fn: Optional[Callable[[str, str], float]] = None,
-    ):
+    def __init__(self, sim: Simulator, latency: float = DEFAULT_LATENCY):
         self.sim = sim
         self.latency = latency
-        self._latency_fn = latency_fn
         self._nics: Dict[str, NIC] = {}
         self.transfers = 0
         self.bytes_transferred = 0
@@ -64,11 +58,7 @@ class Network:
             raise SimulationError(f"no NIC named {name!r}") from None
 
     def link_latency(self, src: str, dst: str) -> float:
-        if src == dst:
-            return 0.0
-        if self._latency_fn is not None:
-            return self._latency_fn(src, dst)
-        return self.latency
+        return 0.0 if src == dst else self.latency
 
     # ------------------------------------------------------------------
     # Transfers

@@ -31,17 +31,6 @@ from .engine import Simulator
 BUSY_STATES = ("user", "system", "iowait")
 
 
-@dataclass
-class StateToken:
-    """An open accounting interval; close it with :meth:`CpuAccountant.end`."""
-
-    machine: str
-    state: str
-    cores: int
-    started: float
-    closed: bool = False
-
-
 class CpuAccountant:
     """Accumulates core-seconds by (machine, state)."""
 
@@ -49,50 +38,27 @@ class CpuAccountant:
         self.sim = sim
         self._core_seconds: Dict[str, Dict[str, float]] = {}
 
-    def begin(self, machine: str, state: str, cores: int = 1) -> StateToken:
-        if state not in BUSY_STATES:
-            raise SimulationError(f"unknown CPU state {state!r}")
-        return StateToken(machine, state, cores, self.sim.now)
-
-    def end(self, token: StateToken) -> None:
-        if token.closed:
-            raise SimulationError("accounting token closed twice")
-        token.closed = True
-        elapsed = self.sim.now - token.started
-        per_machine = self._core_seconds.setdefault(
-            token.machine, {state: 0.0 for state in BUSY_STATES}
-        )
-        per_machine[token.state] += elapsed * token.cores
-
     @contextmanager
-    def track(
-        self, machine: str, state: str, cores: int = 1
-    ) -> Iterator[StateToken]:
-        """Scoped :meth:`begin`/:meth:`end` that survives exceptions.
+    def track(self, machine: str, state: str, cores: int = 1) -> Iterator[None]:
+        """Charge ``cores`` in ``state`` on ``machine`` while the block is open.
 
-        The bare token pattern (``token = begin(...); ...; end(token)``)
-        silently loses the interval when the body raises - or, in a
-        simulation process, when the engine throws into the generator at
-        a yield point - leaving ``busy`` under-accounted and the idle
-        residue inflated.  The ``finally`` here closes the token either
-        way, so an aborted activity is still charged for the core-time
-        it actually held.
+        The charge lands in a ``finally``, so an activity that raises -
+        or, in a simulation process, that the engine throws into at a
+        yield point (a failed fetch) - is still charged for the
+        core-time it actually held; a stopwatch around the wait would
+        lose the interval, leaving ``busy`` under-accounted and the idle
+        residue inflated.
         """
-        token = self.begin(machine, state, cores)
-        try:
-            yield token
-        finally:
-            if not token.closed:
-                self.end(token)
-
-    def charge(self, machine: str, state: str, core_seconds: float) -> None:
-        """Directly add core-seconds (for closed-form charges)."""
         if state not in BUSY_STATES:
             raise SimulationError(f"unknown CPU state {state!r}")
-        per_machine = self._core_seconds.setdefault(
-            machine, {state: 0.0 for state in BUSY_STATES}
-        )
-        per_machine[state] += core_seconds
+        started = self.sim.now
+        try:
+            yield
+        finally:
+            per_machine = self._core_seconds.setdefault(
+                machine, {state: 0.0 for state in BUSY_STATES}
+            )
+            per_machine[state] += (self.sim.now - started) * cores
 
     def core_seconds(self, machine: str | None = None) -> Dict[str, float]:
         """Busy core-seconds by state, for one machine or the whole cluster."""

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench import fig7a, fig7b, fig8a, table2
+from repro.bench.__main__ import main as bench_main
 from repro.bench.harness import (
     ExperimentResult,
     factor,
@@ -55,6 +58,24 @@ class TestHarness:
 
     def test_empty_result(self):
         assert "(no rows)" in ExperimentResult("y", "empty").format_table()
+
+
+class TestGoldenTables:
+    """The equivalence oracle for refactors of the simulated platforms.
+
+    The file is the stdout of ``python -m repro.bench {fig8a,fig8b,fig10}
+    --scale 0.0625`` (in that order).  The simulation is deterministic, so
+    any change to event order, CPU-state accounting (the ``iowait_pct`` /
+    ``waiting_pct`` columns) or bytes moved shows up as a byte diff.
+    Regenerate it only with a change that *means* to move a figure.
+    """
+
+    GOLDEN = Path(__file__).parent / "golden" / "fig8a_fig8b_fig10_scale_0.0625.txt"
+
+    def test_rendered_tables_match_golden(self, capsys):
+        for name in ("fig8a", "fig8b", "fig10"):
+            assert bench_main([name, "--scale", "0.0625"]) == 0
+        assert capsys.readouterr().out == self.GOLDEN.read_text()
 
 
 class TestExperimentSmoke:

@@ -18,6 +18,7 @@ readmission over real channels.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -48,6 +49,8 @@ from repro.dist.membership import (
     pack_members,
     unpack_members,
 )
+from repro.dist import gossip as gossip_module
+from repro.dist import membership as membership_module
 from repro.dist.objectview import EMPTY_DIGEST, Digest, ObjectView
 from repro.dist.scheduler import DataflowScheduler
 from repro.fixpoint import net
@@ -354,6 +357,37 @@ class TestCodecTruncation:
             with pytest.raises(error, match="offset"):
                 unpack(bytes(corrupt))
 
+    def test_every_unpack_definition_is_reached_by_a_codec(self):
+        """A module-level ``unpack_*`` / ``_unpack_*`` added to one of
+        the three wire modules must join ``CODECS`` (directly, or as a
+        helper a listed decoder calls) - else the prefix and
+        inflated-field fuzz above silently skip it.  Measured, not
+        listed: decode every full frame under a profiler and require
+        each definition's code object among the calls."""
+        defined = {
+            fn.__code__
+            for module in (net, gossip_module, membership_module)
+            for name, fn in vars(module).items()
+            if name.lstrip("_").startswith("unpack_")
+            and getattr(fn, "__module__", None) == module.__name__
+        }
+        # The walk finds public decoders and private helpers alike.
+        assert {unpack_members.__code__, net._unpack_tag.__code__} <= defined
+        called = set()
+
+        def on_event(frame, event, _arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        previous = sys.getprofile()
+        sys.setprofile(on_event)
+        try:
+            for frame, unpack, _error, _fields in self.CODECS.values():
+                unpack(frame)
+        finally:
+            sys.setprofile(previous)
+        assert sorted(code.co_name for code in defined - called) == []
+
     def test_full_frame_still_parses(self):
         decoded, offset = unpack_members(self.FRAME)
         assert len(decoded) == 3
@@ -539,8 +573,9 @@ class TestMembershipView:
         """Callbacks run outside the lock: one that reads the view back
         (as FixpointNode's eviction path does) must not deadlock."""
         seen = []
-        view = MembershipView("me")
-        view.on_dead(lambda node: seen.append(view.dead_nodes()))
+        view = MembershipView(
+            "me", on_dead=lambda node: seen.append(view.dead_nodes())
+        )
         view.merge([Member("peer", 1, DEAD)])
         assert seen == [{"peer"}]
 

@@ -14,7 +14,10 @@ import json
 
 import pytest
 
+from repro.baselines.calibration import RAY_PULL_BW
+from repro.baselines.ray import RayPlatform
 from repro.codelets.stdlib import blob_int, int_blob
+from repro.core.errors import SchedulingError
 from repro.dist.engine import FixpointSim
 from repro.dist.graph import EXTERNAL, JobGraph, TaskSpec
 from repro.fixpoint.net import FixpointNode, RemoteEvalError
@@ -321,7 +324,7 @@ class TestSimDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Satellite: CpuAccountant.track survives raising activities
+# CpuAccountant.track survives raising activities
 
 
 class TestCpuAccountantTrack:
@@ -340,12 +343,37 @@ class TestCpuAccountantTrack:
         # ... but the 2 cores x 5 s actually held were accounted.
         assert acct.core_seconds("m0")["user"] == pytest.approx(10.0)
 
-    def test_manual_end_inside_track_is_not_double_closed(self):
-        sim = Simulator()
-        acct = CpuAccountant(sim)
-        with acct.track("m0", "system") as token:
-            acct.end(token)  # caller closed early: track must not re-close
-        assert token.closed
+    def test_fetch_failing_mid_wait_still_charges_iowait(self):
+        """A blocking Ray worker claims 2 cores, pulls a peer-held input
+        (time passes), then fails on an EXTERNAL one with no storage
+        service.  The reservation is released, and the iowait the cores
+        held until then is on the books (a stopwatch read after the wait
+        never ran, leaving 0)."""
+        size = 64 << 20
+        platform = RayPlatform.build(nodes=2, style="blocking")
+        graph = JobGraph()
+        # One input per node: wherever the task lands, one is a peer's.
+        graph.add_data("held0", size, "node0")
+        graph.add_data("held1", size, "node1")
+        graph.add_data("ext", 1 << 20, EXTERNAL)
+        graph.add_task(
+            TaskSpec(
+                name="t",
+                fn="f",
+                inputs=("held0", "held1", "ext"),
+                output="t.out",
+                output_size=8,
+                compute_seconds=0.01,
+                cores=2,
+            )
+        )
+        with pytest.raises(SchedulingError):
+            platform.run(graph)
+        cluster = platform.cluster
+        assert all(m.cores.in_use == 0 for m in cluster.machines.values())
+        busy = cluster.accountant.core_seconds()
+        assert busy["iowait"] >= 2 * size / RAY_PULL_BW
+        assert busy["user"] == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -591,9 +591,8 @@ class TestSimConservation:
 
         def job(sim, n, duration):
             yield cores.acquire(n)
-            token = acct.begin("m", "user", n)
-            yield sim.timeout(duration)
-            acct.end(token)
+            with acct.track("m", "user", n):
+                yield sim.timeout(duration)
             cores.release(n)
 
         done = all_of(sim, [sim.process(job(sim, n, d)) for n, d in tasks])

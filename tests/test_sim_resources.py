@@ -202,12 +202,10 @@ class TestCpuAccounting:
         acct = CpuAccountant(sim)
 
         def work(sim):
-            token = acct.begin("node0", "user", cores=2)
-            yield sim.timeout(3.0)
-            acct.end(token)
-            token = acct.begin("node0", "iowait")
-            yield sim.timeout(1.0)
-            acct.end(token)
+            with acct.track("node0", "user", cores=2):
+                yield sim.timeout(3.0)
+            with acct.track("node0", "iowait"):
+                yield sim.timeout(1.0)
 
         sim.process(work(sim))
         sim.run()
@@ -221,31 +219,27 @@ class TestCpuAccounting:
     def test_waiting_pct_is_idle_plus_iowait(self):
         sim = Simulator()
         acct = CpuAccountant(sim)
-        acct.charge("node0", "user", 2.0)
-        acct.charge("node0", "iowait", 1.0)
+        with acct.track("node0", "user"):
+            sim.run_until(sim.timeout(2.0))
+        with acct.track("node0", "iowait"):
+            sim.run_until(sim.timeout(1.0))
         rep = report(acct, total_cores=1, window_seconds=4.0)
         assert rep.waiting_pct == pytest.approx(100 * (1.0 + 1.0) / 4.0)
 
     def test_overaccounting_detected(self):
         sim = Simulator()
         acct = CpuAccountant(sim)
-        acct.charge("node0", "user", 100.0)
+        with acct.track("node0", "user", cores=100):
+            sim.run_until(sim.timeout(1.0))
         with pytest.raises(SimulationError):
             report(acct, total_cores=1, window_seconds=1.0)
-
-    def test_double_close_rejected(self):
-        sim = Simulator()
-        acct = CpuAccountant(sim)
-        token = acct.begin("node0", "user")
-        acct.end(token)
-        with pytest.raises(SimulationError):
-            acct.end(token)
 
     def test_unknown_state_rejected(self):
         sim = Simulator()
         acct = CpuAccountant(sim)
         with pytest.raises(SimulationError):
-            acct.begin("node0", "naptime")
+            with acct.track("node0", "naptime"):
+                pass
 
 
 class TestCluster:
