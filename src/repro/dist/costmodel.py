@@ -14,7 +14,21 @@ name.  Both runtimes in this repo resolve placements here:
 
 Keeping the policy in one module means a delegation-policy change is
 made exactly once and both the perf conclusions (simulated) and the
-executing code follow it.
+executing code follow it: the ``(priced bytes, load, name)`` order is
+written in :func:`choose` and nowhere else, the output-size hint in
+:func:`hint_bytes`, the pricing pass in :func:`price_held`.
+
+What a decision costs: :func:`choose` compares its candidates in one
+pass and builds the winner's :class:`Quote` only.  :func:`price_held`
+walks the inputs once and reports only the candidates believed to hold
+some of them (O(needs + believed replicas)); :func:`price_moves` is the
+same pass laid out densely, one entry per candidate, for callers that
+want the whole table - today both runtimes.  :func:`contenders` turns
+the sparse form into the candidates that can still be the minimum, so
+that every candidate is looked at only when all of them tie on bytes
+(nothing believed held), where the spread by ``(load, name)`` has to
+see them all; the scheduler does not pre-filter with it yet (ROADMAP
+1(c) says why), so a placement still scans every machine once.
 
 Everything here is pure: no cluster, no repository, no I/O.  Beliefs
 arrive as callables/pairs so any view representation can plug in.
@@ -25,11 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Callable,
+    Collection,
     Container,
     Dict,
     Hashable,
     Iterable,
-    List,
     Optional,
     Tuple,
 )
@@ -57,9 +71,43 @@ class Quote:
         """The quantity the policy minimises: input + hinted output bytes."""
         return self.move_bytes + self.hint_bytes
 
-    def sort_key(self) -> Tuple[int, int, str]:
-        """Cheapest bytes first; ties spread by load, then name."""
-        return (self.priced_bytes, self.load, self.candidate)
+
+def price_held(
+    needs: Iterable[Tuple[Hashable, int]],
+    locations: Callable[[Hashable], Iterable[str]],
+    candidates: Container[str],
+) -> Tuple[int, Dict[str, int]]:
+    """The pricing pass in its sparse form: ``(total, held)``.
+
+    ``needs`` is ``(object, size)`` pairs; ``locations(object)`` yields
+    the believed replica holders.  ``total`` is every needed byte and
+    ``held[candidate]`` the part of it ``candidate`` is believed to
+    hold already, so ``total - held.get(candidate, 0)`` must move there.
+    Only candidates believed to hold *some* need have an entry (it is 0
+    for a holder of zero-size objects only): the pass costs
+    O(needs + believed replicas) whatever the number of candidates,
+    which is why ``candidates`` is only asked ``in`` - pass a set.
+
+    Each object is visited once and charged by subtraction, never per
+    candidate - O(candidates x needs) is what made fig. 10's 1,987-input
+    link task a scheduler hot spot.  This is the only accumulation
+    loop; :func:`price_moves` is the same pass spread over a dense dict.
+
+    Concurrency contract: this function is pure but iterates whatever
+    ``locations`` returns, so the *caller* must keep those collections
+    stable for the duration of the pass.  Belief stores that mutate on
+    other threads (the executing runtime's async delegation absorbs
+    replies concurrently) satisfy this by holding their own lock around
+    the whole call - see :meth:`repro.dist.objectview.ObjectView.price_held`.
+    """
+    held: Dict[str, int] = {}
+    total = 0
+    for name, size in needs:
+        total += size
+        for location in locations(name):
+            if location in candidates:
+                held[location] = held.get(location, 0) + size
+    return total, held
 
 
 def price_moves(
@@ -67,31 +115,63 @@ def price_moves(
     locations: Callable[[Hashable], Iterable[str]],
     candidates: Iterable[str],
 ) -> Dict[str, int]:
-    """Believed bytes that must move to each candidate, in one pass.
+    """Believed bytes that must move to each candidate: the dense view
+    of :func:`price_held` (same pass, same concurrency contract), one
+    entry per candidate, O(needs + believed replicas + candidates)."""
+    present = dict.fromkeys(candidates)
+    total, held = price_held(needs, locations, present)
+    prices = dict.fromkeys(present, total)
+    for candidate, size in held.items():
+        prices[candidate] = total - size
+    return prices
 
-    ``needs`` is ``(object, size)`` pairs; ``locations(object)`` yields
-    the believed replica holders.  Each object is visited once and
-    charged to the candidates *not* believed to hold it by subtraction
-    (total minus believed-present), so the cost is
-    O(needs + believed replicas + candidates) - not
-    O(candidates x needs), which is what made fig. 10's 1,987-input
-    link task a scheduler hot spot.
 
-    Concurrency contract: this function is pure but iterates whatever
-    ``locations`` returns, so the *caller* must keep those collections
-    stable for the duration of the pass.  Belief stores that mutate on
-    other threads (the executing runtime's async delegation absorbs
-    replies concurrently) satisfy this by holding their own lock around
-    the whole call - see :meth:`repro.dist.objectview.ObjectView.price_moves`.
+def contenders(
+    candidates: Collection[str],
+    held: Dict[str, int],
+    *,
+    consumer_location: Optional[str] = None,
+    exclude: Optional[Container[str]] = None,
+) -> Collection[str]:
+    """The candidates that can still win :func:`choose`, given the
+    sparse prices of :func:`price_held`.
+
+    A candidate that holds nothing and is not the consumer moves every
+    byte and pays the full hint, so any live candidate holding even one
+    byte prices strictly below it: when such a holder exists, only the
+    live holders and the consumer (the one candidate the hint can
+    favour) need a price.  With no live byte-holder - nothing believed
+    anywhere, zero-size inputs only, every holder tombstoned - everyone
+    ties on input bytes and it is all ``candidates``.  Either way the
+    result goes through :func:`choose`, which applies ``exclude`` and
+    the order itself; this only spares it the candidates that cannot be
+    its answer, so a placement costs its contenders, not the cluster.
     """
-    present = dict.fromkeys(candidates, 0)
-    total = 0
-    for name, size in needs:
-        total += size
-        for location in locations(name):
-            if location in present:
-                present[location] += size
-    return {candidate: total - held for candidate, held in present.items()}
+    live = [
+        candidate
+        for candidate, size in held.items()
+        if size > 0 and (exclude is None or candidate not in exclude)
+    ]
+    if not live:
+        return candidates
+    if (
+        consumer_location is not None
+        and consumer_location not in live
+        and consumer_location in candidates
+    ):
+        live.append(consumer_location)
+    return live
+
+
+def hint_bytes(
+    candidate: str, output_size: int, consumer_location: Optional[str]
+) -> int:
+    """The output-size hint: the output's journey to its consumer,
+    charged only when the consumer's location is known and is not
+    ``candidate``."""
+    if consumer_location is None or candidate == consumer_location:
+        return 0
+    return output_size
 
 
 def quote(
@@ -103,15 +183,10 @@ def quote(
     consumer_location: Optional[str] = None,
 ) -> Quote:
     """Price one candidate; the output hint applies only off-consumer."""
-    hint_bytes = (
-        output_size
-        if consumer_location is not None and candidate != consumer_location
-        else 0
-    )
     return Quote(
         candidate=candidate,
         move_bytes=move_bytes,
-        hint_bytes=hint_bytes,
+        hint_bytes=hint_bytes(candidate, output_size, consumer_location),
         load=load,
     )
 
@@ -127,9 +202,14 @@ def choose(
 ) -> Quote:
     """The shared decision: the cheapest :class:`Quote`.
 
-    Minimises ``(priced bytes, load, name)``.  A candidate believed to
-    hold *nothing* is still priced (the full footprint), never skipped:
-    staleness costs a redundant transfer, not a scheduling failure.
+    Minimises ``(priced bytes, load, name)`` - cheapest bytes first,
+    ties spread by load, then name - in one pass that keeps the best key
+    and builds a :class:`Quote` for the winner alone.  A candidate
+    believed to hold *nothing* is still priced (the full footprint),
+    never skipped: staleness costs a redundant transfer, not a
+    scheduling failure.  (Callers may pre-filter with
+    :func:`contenders`, which drops only candidates that provably
+    cannot be the minimum.)
 
     ``exclude`` is the one exception, and it is about *liveness*, not
     staleness: membership tombstones (:mod:`repro.dist.membership`)
@@ -139,17 +219,30 @@ def choose(
     one-placement-policy invariant: the simulated scheduler and the
     executing runtime drop dead candidates by exactly the same rule.
     """
-    quotes: List[Quote] = [
-        quote(
-            candidate,
-            move_bytes(candidate),
+    best: Optional[Tuple[int, int, str]] = None
+    seen = 0
+    for seen, candidate in enumerate(candidates, 1):
+        if exclude is not None and candidate in exclude:
+            continue
+        key = (
+            move_bytes(candidate)
+            + hint_bytes(candidate, output_size, consumer_location),
             load(candidate),
-            output_size=output_size,
-            consumer_location=consumer_location,
+            candidate,
         )
-        for candidate in candidates
-        if exclude is None or candidate not in exclude
-    ]
-    if not quotes:
-        raise SchedulingError("no candidate locations to place on")
-    return min(quotes, key=Quote.sort_key)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        raise SchedulingError(
+            f"all {seen} candidate locations are excluded (confirmed dead)"
+            if seen
+            else "no candidate locations to place on"
+        )
+    _priced, busy, winner = best
+    return quote(
+        winner,
+        move_bytes(winner),
+        busy,
+        output_size=output_size,
+        consumer_location=consumer_location,
+    )

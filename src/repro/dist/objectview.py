@@ -89,6 +89,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Container,
     Dict,
     Hashable,
     Iterable,
@@ -717,8 +718,24 @@ class ObjectView:
         threads) see an atomic pricing: no belief changes mid-quote.
         """
         with self._lock:
-            return costmodel.price_moves(
-                needs,
-                lambda name: self._locations.get(name, _NOTHING),
-                candidates,
-            )
+            return costmodel.price_moves(needs, self._believed, candidates)
+
+    def price_held(
+        self,
+        needs: Iterable[Tuple[Hashable, int]],
+        candidates: Container[str],
+    ) -> Tuple[int, Dict[str, int]]:
+        """:meth:`price_moves` in its sparse form, ``(total, held)``
+        with an entry only per believed holder among ``candidates``
+        (:func:`repro.dist.costmodel.price_held`) - the input of
+        :func:`repro.dist.costmodel.contenders`, for a caller that must
+        not touch the machines that hold nothing.  Same contract: the
+        lock is held across the whole pass, including the consumption
+        of ``needs``.
+        """
+        with self._lock:
+            return costmodel.price_held(needs, self._believed, candidates)
+
+    def _believed(self, name: Hashable) -> Iterable[str]:
+        """Believed holders of ``name``, uncopied (lock held by caller)."""
+        return self._locations.get(name, _NOTHING)

@@ -8,8 +8,14 @@ data is local.  Pricing and the decision itself live in
 :meth:`repro.fixpoint.net.FixpointNode.delegate_best` resolves through -
 and all machines are priced in one pass over the inputs (the holdings
 index in the view), so a wide task like fig. 10's 1,987-input link does
-not pay O(machines x inputs).  Equal-cost candidates (independent tasks,
-external-only inputs) spread by outstanding load, fed back through
+not pay O(machines x inputs).  The decision scans the machines once,
+comparing ``(priced bytes, load, name)`` keys, and builds a
+:class:`~repro.dist.costmodel.Quote` for the winner only, so a
+placement is O(inputs + believed replicas + machines) with a small
+per-machine constant.  (The per-machine scan itself goes once placement
+is restricted to :func:`~repro.dist.costmodel.contenders` - ROADMAP
+1(c).)  Equal-cost candidates (independent tasks, external-only inputs)
+spread by outstanding load, fed back through
 :meth:`DataflowScheduler.task_started` / :meth:`task_finished`.
 
 Two ablation/extension levers:
@@ -107,7 +113,12 @@ class DataflowScheduler:
     # Load feedback
 
     def task_started(self, machine: str) -> None:
-        self._outstanding[machine] += 1
+        try:
+            self._outstanding[machine] += 1
+        except KeyError:
+            raise SchedulingError(
+                f"no machine {machine!r} to start a task on"
+            ) from None
 
     def task_finished(self, machine: str) -> None:
         if self._outstanding.get(machine, 0) <= 0:

@@ -11,14 +11,31 @@ they hold the same beliefs.
 
 from __future__ import annotations
 
+import random
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Tuple
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import SchedulingError
 from repro.core.minrepo import transitive_footprint
 from repro.core.thunks import make_application
-from repro.dist.costmodel import Quote, choose, price_moves, quote
+from repro.dist import costmodel
+from repro.dist import scheduler as scheduler_module
+from repro.dist.costmodel import (
+    Quote,
+    choose,
+    contenders,
+    price_held,
+    price_moves,
+    quote,
+)
 from repro.dist.gossip import Participant, exchange
 from repro.dist.graph import TaskSpec
+from repro.dist.membership import ALIVE, Member, MembershipView
 from repro.dist.objectview import ObjectView
 from repro.dist.scheduler import DataflowScheduler
 from repro.fixpoint.net import FixpointNode
@@ -98,8 +115,86 @@ class TestChoose:
         )
 
     def test_empty_candidates_is_an_error(self):
-        with pytest.raises(SchedulingError):
+        with pytest.raises(SchedulingError, match="no candidate"):
             choose([], lambda m: 0, lambda m: 0)
+
+    def test_all_candidates_excluded_names_the_cause(self):
+        """Nothing to place on and everything tombstoned are different
+        failures; the message says which, and how many."""
+        with pytest.raises(SchedulingError, match="all 2 candidate.*excluded"):
+            choose(["m1", "m2"], lambda m: 0, lambda m: 0, exclude={"m1", "m2"})
+
+
+class TestSparsePricing:
+    """``price_held`` is the one accumulation loop; the dense
+    ``price_moves`` is a view of it."""
+
+    TABLE = {"a": {"m1"}, "b": {"m2", "elsewhere"}, "c": {"m1", "m2"}, "z": {"m3"}}
+    NEEDS = [("a", 10), ("b", 20), ("c", 5), ("z", 0), ("ghost", 7)]
+
+    def locations(self, name):
+        return self.TABLE.get(name, ())
+
+    def test_held_lists_only_believed_holders_among_the_candidates(self):
+        total, held = price_held(
+            self.NEEDS, self.locations, {"m1", "m2", "m3", "m4"}
+        )
+        assert total == 42
+        # m3 holds only the zero-size object, m4 nothing, and
+        # "elsewhere" is not a candidate.
+        assert held == {"m1": 15, "m2": 25, "m3": 0}
+
+    def test_dense_prices_are_total_minus_held(self):
+        candidates = ["m1", "m2", "m3", "m4"]
+        total, held = price_held(self.NEEDS, self.locations, set(candidates))
+        dense = price_moves(self.NEEDS, self.locations, candidates)
+        assert dense == {m: total - held.get(m, 0) for m in candidates}
+        assert list(dense) == candidates  # candidate order is kept
+
+    def test_view_exposes_both_forms(self):
+        view = ObjectView("sched")
+        for name, locations in self.TABLE.items():
+            for location in locations:
+                view.learn(name, location)
+        candidates = ["m1", "m2", "m3", "m4"]
+        total, held = view.price_held(self.NEEDS, frozenset(candidates))
+        assert (total, held) == (42, {"m1": 15, "m2": 25, "m3": 0})
+        assert view.price_moves(self.NEEDS, candidates) == {
+            "m1": 27, "m2": 17, "m3": 42, "m4": 42,
+        }
+
+
+class TestContenders:
+    """The dominance pre-filter: who can still be the argmin."""
+
+    MACHINES = ["m1", "m2", "m3", "m4"]
+
+    def test_live_holders_only(self):
+        assert sorted(contenders(self.MACHINES, {"m2": 5, "m4": 1})) == ["m2", "m4"]
+
+    def test_zero_byte_holder_is_not_a_contender_among_real_ones(self):
+        assert list(contenders(self.MACHINES, {"m2": 5, "m3": 0})) == ["m2"]
+
+    def test_nothing_held_means_everyone(self):
+        assert list(contenders(self.MACHINES, {})) == self.MACHINES
+        assert list(contenders(self.MACHINES, {"m3": 0})) == self.MACHINES
+
+    def test_every_holder_tombstoned_means_everyone(self):
+        assert (
+            list(contenders(self.MACHINES, {"m2": 5}, exclude={"m2"}))
+            == self.MACHINES
+        )
+
+    def test_hinted_consumer_joins_the_holders(self):
+        got = contenders(self.MACHINES, {"m2": 5}, consumer_location="m4")
+        assert sorted(got) == ["m2", "m4"]
+        # ...once, even when it is a holder itself
+        got = contenders(self.MACHINES, {"m2": 5}, consumer_location="m2")
+        assert list(got) == ["m2"]
+
+    def test_consumer_outside_the_candidates_is_never_added(self):
+        got = contenders(self.MACHINES, {"m2": 5}, consumer_location="client")
+        assert list(got) == ["m2"]
 
 
 class TestHoldingsIndex:
@@ -425,3 +520,382 @@ class TestViewConcurrency:
             stop.set()
             thread.join(timeout=5)
         assert not errors, f"churn thread died: {errors[0]!r}"
+
+
+# ----------------------------------------------------------------------
+# Same-decision oracle: winner-only Quote (what the scheduler runs) and
+# sparse pricing + contenders (what it will) against the dense,
+# Quote-per-candidate policy
+
+
+def reference_quote(
+    candidate, move_bytes, load, *, output_size=0, consumer_location=None
+):
+    """``costmodel.quote`` as it stood before the one-pass ``choose``,
+    kept here so the oracle does not share the hint rule with its subject."""
+    hint_bytes = (
+        output_size
+        if consumer_location is not None and candidate != consumer_location
+        else 0
+    )
+    return Quote(
+        candidate=candidate,
+        move_bytes=move_bytes,
+        hint_bytes=hint_bytes,
+        load=load,
+    )
+
+
+def reference_sort_key(q: Quote) -> Tuple[int, int, str]:
+    return (q.move_bytes + q.hint_bytes, q.load, q.candidate)
+
+
+def reference_choose(
+    candidates,
+    move_bytes,
+    load,
+    *,
+    output_size=0,
+    consumer_location=None,
+    exclude=None,
+):
+    """``costmodel.choose`` as it stood before the one-pass rewrite: a
+    ``Quote`` for every live candidate, then ``min``.  The reference
+    implementation the property and the seeded loop compare against."""
+    quotes = [
+        reference_quote(
+            candidate,
+            move_bytes(candidate),
+            load(candidate),
+            output_size=output_size,
+            consumer_location=consumer_location,
+        )
+        for candidate in candidates
+        if exclude is None or candidate not in exclude
+    ]
+    if not quotes:
+        raise SchedulingError("no candidate locations to place on")
+    return min(quotes, key=reference_sort_key)
+
+
+OUTSIDE = ["ext0", "ext1"]  # believed locations that are not machines
+
+
+@dataclass
+class Case:
+    """One placement question: beliefs, loads, hint, tombstones."""
+
+    machines: List[str]
+    sizes: Dict[str, int]
+    #: ``(object, location)`` in the order the view learns them.
+    beliefs: List[Tuple[str, str]]
+    needs: List[str]
+    loads: Dict[str, int]
+    use_hints: bool
+    output_size: int
+    consumer: Optional[str]
+    dead: FrozenSet[str]
+
+    @property
+    def sized_needs(self) -> List[Tuple[str, int]]:
+        return [(name, self.sizes[name]) for name in self.needs]
+
+    @property
+    def hinted_consumer(self) -> Optional[str]:
+        return self.consumer if self.use_hints else None
+
+    def holders(self) -> List[str]:
+        """Machines believed to hold at least one needed object."""
+        return sorted(
+            {
+                location
+                for name, location in self.beliefs
+                if name in self.needs and location in self.loads
+            }
+        )
+
+    def view(self, order: Optional[random.Random] = None) -> ObjectView:
+        beliefs = list(self.beliefs)
+        if order is not None:
+            order.shuffle(beliefs)
+        view = ObjectView("sched")
+        for name, location in beliefs:
+            view.learn(name, location, self.sizes[name])
+        return view
+
+
+def random_case(rng: random.Random) -> Case:
+    """Small numbers on purpose: sizes 0-8 and loads 0-2 make byte ties,
+    load ties and zero-byte holders the common case, not the rare one."""
+    machines = [f"m{i}" for i in range(rng.randint(1, 8))]
+    sizes = {
+        f"o{i}": rng.choice((0, 0, 1, 1, 2, 3, 5, 8))
+        for i in range(rng.randint(1, 6))
+    }
+    places = machines + OUTSIDE
+    beliefs = [
+        (name, location)
+        for name in sizes
+        for location in rng.sample(places, rng.randint(0, min(3, len(places))))
+    ]
+    needs = [rng.choice(sorted(sizes)) for _ in range(rng.randint(1, 6))]
+    case = Case(
+        machines=machines,
+        sizes=sizes,
+        beliefs=beliefs,
+        needs=needs,  # drawn with replacement: duplicates happen
+        loads={m: rng.randint(0, 2) for m in machines},
+        use_hints=rng.random() < 0.6,
+        output_size=rng.choice((0, 0, 1, 4, 30)),
+        consumer=None,
+        dead=frozenset(),
+    )
+    holders = case.holders()
+    case.consumer = rng.choice(
+        [None, rng.choice(machines), OUTSIDE[0]] + holders[:1]
+    )
+    case.dead = frozenset(
+        rng.choice(
+            [
+                [],
+                [],
+                holders[:1],
+                holders,
+                rng.sample(machines, rng.randint(0, len(machines))),
+                machines,
+            ]
+        )
+    )
+    return case
+
+
+def outcome(decide, *args):
+    try:
+        return decide(*args)
+    except SchedulingError:
+        return "SchedulingError"
+
+
+def decide_reference(case: Case, view: ObjectView) -> Quote:
+    dense = view.price_moves(case.sized_needs, case.machines)
+    return reference_choose(
+        case.machines,
+        dense.__getitem__,
+        case.loads.__getitem__,
+        output_size=case.output_size,
+        consumer_location=case.hinted_consumer,
+        exclude=case.dead,
+    )
+
+
+def decide_sparse(case: Case, view: ObjectView) -> Quote:
+    """The sparse path on its own: ``price_held`` -> ``contenders`` ->
+    ``choose``, the calls a placement makes once it pre-filters."""
+    total, held = view.price_held(case.sized_needs, frozenset(case.machines))
+    return choose(
+        contenders(
+            case.machines,
+            held,
+            consumer_location=case.hinted_consumer,
+            exclude=case.dead,
+        ),
+        lambda m: total - held.get(m, 0),
+        case.loads.__getitem__,
+        output_size=case.output_size,
+        consumer_location=case.hinted_consumer,
+        exclude=case.dead,
+    )
+
+
+def decide_placed(case: Case, view: ObjectView) -> Quote:
+    """The scheduler itself, with the Quote it got from ``choose``."""
+    cluster = Cluster(
+        Simulator(), [MachineSpec(m, cores=1) for m in case.machines]
+    )
+    for name, size in case.sizes.items():
+        # The registry wants some location; beliefs are the view's.
+        cluster.add_object(name, size, OUTSIDE[0])
+    membership = MembershipView("sched")
+    membership.merge([Member(m, 1, ALIVE) for m in case.machines])
+    for machine in sorted(case.dead):
+        membership.declare_dead(machine)
+    scheduler = DataflowScheduler(
+        cluster,
+        view,
+        use_hints=case.use_hints,
+        outstanding=dict(case.loads),
+        membership=membership,
+    )
+    task = TaskSpec(
+        name="t",
+        fn="f",
+        inputs=tuple(case.needs),
+        output="t.out",
+        output_size=case.output_size,
+        compute_seconds=0.0,
+    )
+    quotes = []
+
+    def spy(*args, **kwargs):
+        quotes.append(costmodel.choose(*args, **kwargs))
+        return quotes[-1]
+
+    with mock.patch.object(scheduler_module, "choose", spy):
+        placement = scheduler.place(task, case.consumer)
+    (best,) = quotes
+    assert placement.machine == best.candidate
+    assert placement.predicted_move_bytes == best.move_bytes
+    return best
+
+
+def check_same_decision(case: Case, reorder: random.Random) -> object:
+    """Every path gives the reference's Quote - all four fields - or
+    fails where it fails, whatever order the beliefs arrived in."""
+    want = outcome(decide_reference, case, case.view())
+    for view in (case.view(), case.view(reorder)):
+        assert outcome(decide_sparse, case, view) == want, case
+        assert outcome(decide_placed, case, view) == want, case
+    return want
+
+
+class TestSameDecisionOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.randoms(use_true_random=False))
+    def test_every_path_equals_the_dense_reference(self, rng, reorder):
+        check_same_decision(random_case(rng), reorder)
+
+    def test_two_thousand_seeded_cases(self):
+        """The same property without a shrinker, plus proof that the
+        generator reaches every corner the sparse path has."""
+        rng = random.Random(18)
+        seen = dict.fromkeys(
+            (
+                "refused",
+                "hint_priced",
+                "consumer_outside",
+                "consumer_holds",
+                "all_holders_dead",
+                "zero_byte_holder_ties",
+                "duplicate_needs",
+            ),
+            0,
+        )
+        for _ in range(2000):
+            case = random_case(rng)
+            want = check_same_decision(case, random.Random(rng.random()))
+            holders = case.holders()
+            if want == "SchedulingError":
+                assert case.dead >= set(case.machines)
+                seen["refused"] += 1
+                continue
+            assert want.candidate not in case.dead
+            seen["hint_priced"] += want.hint_bytes > 0
+            seen["consumer_outside"] += case.hinted_consumer in OUTSIDE
+            seen["consumer_holds"] += case.hinted_consumer in holders
+            seen["all_holders_dead"] += bool(holders) and case.dead >= set(holders)
+            seen["duplicate_needs"] += len(set(case.needs)) < len(case.needs)
+            total = sum(size for _name, size in case.sized_needs)
+            seen["zero_byte_holder_ties"] += (
+                want.candidate in holders and want.move_bytes == total
+            )
+        assert all(count >= 20 for count in seen.values()), seen
+
+
+class TestPlacementCostIsItsContenders:
+    """Cost as a count, not a stopwatch, at 100 and at 1 000 candidates:
+    every decision builds one Quote; the sparse path reads the load of
+    its contenders only, and the scheduler - which does not pre-filter
+    yet (ROADMAP 1(c)) - the load of every machine once."""
+
+    class CountingLoads(dict):
+        reads = 0
+
+        def __getitem__(self, key):
+            self.reads += 1
+            return super().__getitem__(key)
+
+    def build(self, machines):
+        names = [f"node{i:04d}" for i in range(machines)]
+        cluster = Cluster(Simulator(), [MachineSpec(n, cores=1) for n in names])
+        cluster.add_object("a", 10, names[7])
+        cluster.add_object("b", 20, names[42])
+        cluster.add_object("c", 5, names[7])
+        cluster.add_object("c", 5, names[42])
+        cluster.add_object("elsewhere", 9, "client")
+        view = ObjectView("sched")
+        view.sync_from_cluster(cluster)
+        loads = self.CountingLoads(dict.fromkeys(names, 1))
+        return names, DataflowScheduler(cluster, view, outstanding=loads), loads
+
+    def task(self, *inputs):
+        return TaskSpec(
+            name="t",
+            fn="f",
+            inputs=inputs,
+            output="t.out",
+            output_size=8,
+            compute_seconds=0.0,
+        )
+
+    @pytest.fixture
+    def quotes_built(self, monkeypatch):
+        built = []
+
+        class CountingQuote(Quote):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(costmodel, "Quote", CountingQuote)
+        return built
+
+    @pytest.mark.parametrize("machines", [100, 1000])
+    def test_sparse_path_reads_its_two_holders(self, machines, quotes_built):
+        names, scheduler, loads = self.build(machines)
+        total, held = scheduler.view.price_held(
+            [("a", 10), ("b", 20), ("c", 5)], frozenset(names)
+        )
+        best = choose(
+            contenders(names, held),
+            lambda m: total - held.get(m, 0),
+            loads.__getitem__,
+        )
+        assert (best.candidate, best.move_bytes) == (names[42], 10)
+        assert loads.reads == 2  # the contenders, not the cluster
+        assert len(quotes_built) == 1
+
+    @pytest.mark.parametrize("machines", [100, 1000])
+    def test_narrow_task_builds_one_quote(self, machines, quotes_built):
+        names, scheduler, loads = self.build(machines)
+        placement = scheduler.place(self.task("a", "b", "c"))
+        assert (placement.machine, placement.predicted_move_bytes) == (
+            names[42], 10,
+        )
+        assert len(quotes_built) == 1
+        # One scan of the cluster; 2 once place() takes contenders().
+        assert loads.reads == machines
+
+    @pytest.mark.parametrize("machines", [100, 1000])
+    def test_no_holder_task_scans_everyone_and_spreads_by_load(
+        self, machines, quotes_built
+    ):
+        names, scheduler, loads = self.build(machines)
+        dict.__setitem__(loads, names[-1], 0)
+        dict.__setitem__(loads, names[-2], 0)
+        placement = scheduler.place(self.task("elsewhere"))
+        # All tie on bytes: least load wins, then the smaller name.
+        assert (placement.machine, placement.predicted_move_bytes) == (
+            names[-2], 9,
+        )
+        assert loads.reads == machines
+        assert len(quotes_built) == 1
+
+
+class TestLoadFeedbackErrors:
+    def test_unknown_machine_is_a_typed_error_on_both_sides(self):
+        _sim, cluster = make_cluster()
+        scheduler = DataflowScheduler(cluster, ObjectView("sched"))
+        with pytest.raises(SchedulingError, match="nowhere"):
+            scheduler.task_started("nowhere")
+        with pytest.raises(SchedulingError, match="nowhere"):
+            scheduler.task_finished("nowhere")

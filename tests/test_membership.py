@@ -933,6 +933,15 @@ class TestSchedulerExcludesDead:
         membership.declare_dead("node2")
         placement = scheduler.place(self._task("t2", ["big"]))
         assert placement.machine != "node2"
+        # Every holder dead (a second replica's machine too): the data
+        # is out of reach, not the cluster - placement falls back to a
+        # live non-holder at full price instead of raising.
+        cluster.add_object("big", 500 * MB, "node1")
+        view.sync_from_cluster(cluster)
+        membership.declare_dead("node1")
+        placement = scheduler.place(self._task("t3", ["big"]))
+        assert placement.machine == "node0"
+        assert placement.predicted_move_bytes == 500 * MB
 
     def test_random_ablation_also_excludes_dead(self):
         _cluster, _view, membership, scheduler = self._setup()
@@ -947,7 +956,11 @@ class TestSchedulerExcludesDead:
         _cluster, _view, membership, scheduler = self._setup()
         for i in range(3):
             membership.declare_dead(f"node{i}")
-        with pytest.raises(SchedulingError):
+        # Both paths name the cause: tombstones, not an empty cluster.
+        with pytest.raises(SchedulingError, match="all 3 .*confirmed dead"):
+            scheduler.place(self._task("t"))
+        scheduler.locality = False
+        with pytest.raises(SchedulingError, match="confirmed dead"):
             scheduler.place(self._task("t"))
 
 
