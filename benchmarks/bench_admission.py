@@ -9,6 +9,10 @@ Two shapes, both on *executed* jobs (not synthetic profiles):
 * **fairness** - under deficit-round-robin a light tenant rides through
   a heavy tenant's burst with a bounded wait, where the single global
   FIFO queue makes it wait behind the entire burst.
+
+The two ablations live here, as subclasses of the one controller, and
+nowhere else: ``tests/test_admission.py`` and
+``examples/admission_billing.py`` load them from this file by path.
 """
 
 from __future__ import annotations
@@ -18,6 +22,29 @@ from repro.dist.engine import FixpointSim
 from repro.dist.multitenancy import validate_timeline
 
 GB = 1 << 30
+
+
+class PeakReservation(AdmissionController):
+    """The status quo footprint admission beats: every admitted job
+    reserves its peak for its whole lifetime."""
+
+    def _admits(self, ticket):
+        reserved = sum(t.profile.peak_bytes for t in self._active)
+        return reserved + ticket.profile.peak_bytes <= self.capacity_bytes
+
+    def _schedule_retry(self):
+        """A reservation frees only at completion: nothing to wake for."""
+
+
+class GlobalFifo(AdmissionController):
+    """One queue for every tenant: the head-of-line blocking that
+    deficit round robin exists to avoid."""
+
+    def _drain(self):
+        while self._fifo and self._admits(self._fifo[0]):
+            self._launch(self._fifo[0])
+        if self._fifo:
+            self._schedule_retry()
 
 
 def _submit_spike_fleet(ctrl, tenants, jobs_per_tenant, step=0.5):
@@ -30,9 +57,9 @@ def _submit_spike_fleet(ctrl, tenants, jobs_per_tenant, step=0.5):
             )
 
 
-def _run_density(policy):
+def _run_density(controller):
     platform = FixpointSim.build(nodes=4, cores=16)
-    ctrl = AdmissionController(platform, capacity_bytes=13 * GB, policy=policy)
+    ctrl = controller(platform, capacity_bytes=13 * GB)
     _submit_spike_fleet(ctrl, ["t0", "t1", "t2", "t3"], jobs_per_tenant=8)
     report = ctrl.run()
     validate_timeline(report.timeline, 13 * GB)
@@ -41,7 +68,7 @@ def _run_density(policy):
 
 def test_admission_density(benchmark, run_once):
     def both():
-        return _run_density("footprint"), _run_density("peak")
+        return _run_density(AdmissionController), _run_density(PeakReservation)
 
     aware, peak = run_once(benchmark, both)
     ratio = peak.makespan / aware.makespan
@@ -58,11 +85,9 @@ def test_admission_density(benchmark, run_once):
     assert aware.max_concurrent > peak.max_concurrent
 
 
-def _run_fairness(fairness):
+def _run_fairness(controller):
     platform = FixpointSim.build(nodes=4, cores=16)
-    ctrl = AdmissionController(
-        platform, capacity_bytes=5 * GB, fairness=fairness
-    )
+    ctrl = controller(platform, capacity_bytes=5 * GB)
     # A heavy tenant dumps a burst at t=0; a light tenant wants one job.
     for i in range(10):
         ctrl.submit("heavy", spike_job(location=f"node{i % 4}"))
@@ -73,7 +98,7 @@ def _run_fairness(fairness):
 
 def test_admission_fairness(benchmark, run_once):
     def both():
-        return _run_fairness("drr"), _run_fairness("fifo")
+        return _run_fairness(AdmissionController), _run_fairness(GlobalFifo)
 
     drr_wait, fifo_wait = run_once(benchmark, both)
     print(

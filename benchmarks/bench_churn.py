@@ -24,20 +24,19 @@ shapes:
   rejoined node's fresh-epoch holdings win placements again, and its
   pre-death beliefs stay buried (no resurrection).
 
-The snapshot persists as ``BENCH_churn.json`` (weekly CI artifact,
-alongside ``BENCH_core.json``; schema 2 added the rejoin ladder).
+Nothing is persisted: the ladders are printed and asserted on.  The
+32-node rows are also pinned, run after run, by ``benchmarks/perf``'s
+``dist.membership.rounds_to_tombstone`` / ``rounds_to_readmit`` /
+``bytes_32n``; growth in n is measured only here.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from repro.dist.costmodel import choose
 from repro.dist.gossip import GossipCoordinator
 from repro.dist.objectview import ObjectView
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 MB = 1 << 20
 
@@ -362,7 +361,7 @@ def test_churn_detection_recovery_and_bounded_state(benchmark, run_once):
     # the suspect/confirm lag (the rejoin assertion is direct evidence,
     # not inferred silence): O(log n)-ish rounds, nowhere near linear.
     for row in rejoin:
-        assert row["rounds_to_readmit"] <= row["bound"], row
+        assert 1 <= row["rounds_to_readmit"] <= row["bound"], row
         assert row["rounds_to_respread"] <= row["bound"] + 2 * row["log2n"], row
     by_nodes = {row["nodes"]: row for row in rejoin}
     assert (
@@ -383,21 +382,3 @@ def test_churn_detection_recovery_and_bounded_state(benchmark, run_once):
     # compaction trigger, compaction actually ran.
     assert state["log_entries"] < 64
     assert state["compactions"] >= 1
-
-    from repro.obs import dump_bench, load_bench
-
-    path = dump_bench(
-        REPO_ROOT / "BENCH_churn.json",
-        {
-            "schema": 2,  # v2: + rejoin_ladder (incarnations, PR 10)
-            "detection_ladder": ladder,
-            "rejoin_ladder": rejoin,
-            "lost_work": lost,
-            "bounded_state": state,
-        },
-    )
-    back = load_bench(path)
-    assert back["schema"] == 2
-    assert back["lost_work"]["retried"] >= 1
-    assert back["rejoin_ladder"][0]["rounds_to_readmit"] >= 1
-    print(f"BENCH_churn.json written: {path}")

@@ -4,8 +4,9 @@
 One shared FixpointSim cluster, two tenants, many jobs:
 
 * Part 1 packs a staggered-spike fleet twice - footprint-aware
-  admission vs the peak-reservation ablation - and shows the density
-  headroom on *executed* jobs.
+  admission vs the peak-reservation ablation (a subclass kept in
+  ``benchmarks/bench_admission.py``, loaded from there) - and shows the
+  density headroom on *executed* jobs.
 * Part 2 runs two tenants' wordcounts concurrently, once with good
   placement and once deliberately bad (``locality=False``), and prints
   the pay-for-results vs pay-for-effort bills metered from the real
@@ -14,6 +15,9 @@ One shared FixpointSim cluster, two tenants, many jobs:
 
 Run:  python examples/admission_billing.py
 """
+
+import importlib.util
+from pathlib import Path
 
 from repro.dist.admission import AdmissionController, spike_job
 from repro.dist.engine import FixpointSim
@@ -25,14 +29,23 @@ GB = 1 << 30
 MB = 1 << 20
 
 
+def _peak_reservation():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_admission.py"
+    spec = importlib.util.spec_from_file_location("_bench_admission", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench.PeakReservation
+
+
 def density_demo() -> None:
     print("=== staggered spikes: footprint-aware vs peak reservation ===")
     reports = {}
-    for policy in ("footprint", "peak"):
+    for policy, controller in (
+        ("footprint", AdmissionController),
+        ("peak", _peak_reservation()),
+    ):
         platform = FixpointSim.build(nodes=4, cores=16)
-        ctrl = AdmissionController(
-            platform, capacity_bytes=9 * GB, policy=policy
-        )
+        ctrl = controller(platform, capacity_bytes=9 * GB)
         for tenant, count in (("alice", 6), ("bob", 4)):
             for i in range(count):
                 ctrl.submit(

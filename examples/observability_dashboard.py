@@ -6,8 +6,8 @@ Alpha delegates work to beta over the framed channel, then runs an
 anti-entropy gossip round.  Every hop carried a 16-byte span context
 inside the wire frames, so afterwards the two nodes' tracers stitch
 into per-job causal trees (dispatch -> remote serve -> absorb), and
-each node's metrics registry holds the counters/histograms the weekly
-bench snapshot (``BENCH_core.json``) is built from.
+each node's metrics registry holds the counters/histograms of the
+traffic it saw.
 
 Run:  python examples/observability_dashboard.py
 """

@@ -18,73 +18,19 @@ Public surface:
 * :mod:`repro.workloads` - the paper's evaluation workloads.
 * :mod:`repro.bench` - the experiment harness regenerating every figure.
 * :mod:`repro.obs` - cluster-wide metrics registry + causal tracing
-  (spans stitched across delegation/gossip wire frames), with JSON
-  ``BENCH_*.json`` snapshot export.
+  (spans stitched across delegation/gossip wire frames).
 * :mod:`repro.analysis` - machine-checked concurrency discipline: the
   tracked-lock race detector behind ``pytest --race`` and the
   repo-invariant AST linter (``python -m repro.analysis.lint src``).
 
-Subpackages beyond ``core`` and ``fixpoint`` load lazily (PEP 562):
-``repro.dist`` is reachable as an attribute of ``repro`` without paying
-for - or creating import cycles through - the baselines at package-import
-time.
+Every name is imported from the module that defines it (``from
+repro.core.handle import Handle``); a package re-exports a name only
+where callers use that spelling: ``from repro import Fixpoint`` (every
+example's entry point) and the :mod:`repro.obs` facade's ``__all__``.
 """
 
-from __future__ import annotations
-
-import importlib
-
-from .core import (
-    Blob,
-    Evaluator,
-    FixAPI,
-    FixError,
-    Handle,
-    Repository,
-    ResourceLimits,
-    Tree,
-)
-from .fixpoint import Fixpoint
+from .fixpoint.runtime import Fixpoint
 
 __version__ = "1.0.0"
 
-#: Subpackages resolvable as ``repro.<name>`` attributes on first touch.
-_SUBPACKAGES = (
-    "analysis",
-    "baselines",
-    "bench",
-    "codelets",
-    "core",
-    "dist",
-    "fixpoint",
-    "flatware",
-    "obs",
-    "sim",
-    "workloads",
-)
-
-__all__ = [
-    "Blob",
-    "Evaluator",
-    "FixAPI",
-    "FixError",
-    "Fixpoint",
-    "Handle",
-    "Repository",
-    "ResourceLimits",
-    "Tree",
-    "__version__",
-    *_SUBPACKAGES,
-]
-
-
-def __getattr__(name: str):
-    if name in _SUBPACKAGES:
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module  # cache: __getattr__ runs once per name
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SUBPACKAGES))
+__all__ = ["Fixpoint", "__version__"]

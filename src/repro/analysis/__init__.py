@@ -32,75 +32,3 @@ build.
   (:mod:`repro.analysis.crosscheck`): dynamic-only edges are model
   bugs, static-only edges are unexercised coverage.
 """
-
-from .sync import (
-    DeadlockError,
-    LockOrderError,
-    LockTracker,
-    RaceReport,
-    TrackedCondition,
-    TrackedLock,
-    TrackedRLock,
-    base_label,
-    current_tracker,
-    disable_tracking,
-    enable_tracking,
-    note_blocking,
-    tracking,
-)
-
-#: Static-analysis names resolve lazily (PEP 562): ``python -m
-#: repro.analysis.lint`` / ``...flow`` must be able to execute the
-#: submodule as ``__main__`` without this package having imported it
-#: first (runpy warns otherwise).
-_LINT_NAMES = ("Violation", "lint_source", "lint_tree", "lint")
-_FLOW_NAMES = ("FlowReport", "analyze_source", "analyze_tree", "flow")
-_CROSSCHECK_NAMES = ("CrossCheck", "crosscheck")
-
-
-def __getattr__(name: str):
-    # importlib.import_module, not ``from . import``: the latter probes
-    # the package attribute first (hasattr via this very __getattr__)
-    # and recurses before the submodule import ever starts.
-    import importlib
-
-    if name in _LINT_NAMES:
-        mod = importlib.import_module(".lint", __name__)
-        value = mod if name == "lint" else getattr(mod, name)
-    elif name in _FLOW_NAMES:
-        mod = importlib.import_module(".flow", __name__)
-        value = mod if name == "flow" else getattr(mod, name)
-    elif name in _CROSSCHECK_NAMES:
-        mod = importlib.import_module(".crosscheck", __name__)
-        value = getattr(mod, name)
-    else:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    globals()[name] = value
-    return value
-
-
-__all__ = [
-    "CrossCheck",
-    "DeadlockError",
-    "FlowReport",
-    "LockOrderError",
-    "LockTracker",
-    "RaceReport",
-    "TrackedCondition",
-    "TrackedLock",
-    "TrackedRLock",
-    "Violation",
-    "analyze_source",
-    "analyze_tree",
-    "base_label",
-    "crosscheck",
-    "current_tracker",
-    "disable_tracking",
-    "enable_tracking",
-    "lint_source",
-    "lint_tree",
-    "note_blocking",
-    "tracking",
-]

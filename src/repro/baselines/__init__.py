@@ -6,30 +6,3 @@ same :class:`~repro.dist.graph.JobGraph`s as distributed Fixpoint on the
 same simulated clusters.  Every constant lives in
 :mod:`repro.baselines.calibration` with provenance notes.
 """
-
-from .base import JobRun, Platform, RunResult
-from .calibration import Calibration, DEFAULT_CALIBRATION
-from .faasm import Faasm
-from .kubernetes import KubeScheduler
-from .linuxproc import measure_process_spawn, measure_python_call, modeled_costs
-from .minio import MinIO
-from .openwhisk import OpenWhisk
-from .pheromone import Pheromone
-from .ray import RayPlatform
-
-__all__ = [
-    "Calibration",
-    "DEFAULT_CALIBRATION",
-    "Faasm",
-    "JobRun",
-    "KubeScheduler",
-    "MinIO",
-    "OpenWhisk",
-    "Pheromone",
-    "Platform",
-    "RayPlatform",
-    "RunResult",
-    "measure_process_spawn",
-    "measure_python_call",
-    "modeled_costs",
-]

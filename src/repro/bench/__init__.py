@@ -9,14 +9,6 @@ Run from the command line::
     python -m repro.bench all --scale 0.1
 """
 
-from .harness import (
-    ExperimentResult,
-    factor,
-    factor_within,
-    ordering_holds,
-    relative_error,
-)
-
 EXPERIMENTS = (
     "fig7a",
     "fig7b",
@@ -27,12 +19,3 @@ EXPERIMENTS = (
     "table2",
     "summary",
 )
-
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "factor",
-    "factor_within",
-    "ordering_holds",
-    "relative_error",
-]

@@ -5,27 +5,3 @@ Mirrors Fixpoint's ahead-of-time compilation architecture (paper section
 is stored as content-addressed codelet blobs, and is linked in-memory
 against the Fix API before any invocation runs.
 """
-
-from .linker import Entrypoint, LinkedCodelet, Linker
-from .sandbox import ENTRYPOINT, SAFE_BUILTINS, forbidden_names, seal_globals, validate_source
-from .stdlib import SOURCES, blob_int, compile_stdlib, int_blob
-from .toolchain import MAGIC, CodeletImage, Toolchain, is_codelet_blob
-
-__all__ = [
-    "CodeletImage",
-    "ENTRYPOINT",
-    "Entrypoint",
-    "LinkedCodelet",
-    "Linker",
-    "MAGIC",
-    "SAFE_BUILTINS",
-    "SOURCES",
-    "Toolchain",
-    "blob_int",
-    "compile_stdlib",
-    "forbidden_names",
-    "int_blob",
-    "is_codelet_blob",
-    "seal_globals",
-    "validate_source",
-]

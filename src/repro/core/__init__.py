@@ -5,138 +5,3 @@ serializable representation of computations shared by users, programs, and
 the platform.  Everything else in ``repro`` (the Fixpoint runtime, the
 cluster simulator, the baselines) is built on these types.
 """
-
-from .api import FixAPI
-from .attestation import (
-    Attestation,
-    AttestationError,
-    Auditor,
-    Provider,
-    sign,
-    verify as verify_attestation,
-)
-from .data import Blob, Datum, Tree, handle_for, verify
-from .errors import (
-    AccessError,
-    CodeletError,
-    EvaluationError,
-    FixError,
-    HandleError,
-    MissingObjectError,
-    NotAFunctionError,
-    ResourceLimitError,
-    SandboxError,
-    SchedulingError,
-    SelectionError,
-    SerializationError,
-    SimulationError,
-    StorageError,
-)
-from .eval import ApplyFn, EvalStats, Evaluator
-from .gc import (
-    CollectionReport,
-    RecomputeIndex,
-    RecoveringRepository,
-    collect,
-    index_from_repository,
-)
-from .handle import (
-    DIGEST_BYTES,
-    HANDLE_BYTES,
-    LITERAL_MAX,
-    EncodeStyle,
-    Handle,
-    ThunkStyle,
-    blob_digest,
-    tree_digest,
-)
-from .limits import DEFAULT_LIMITS, DEFAULT_MEMORY_LIMIT, ResourceLimits
-from .minrepo import Footprint, check_derivation, footprint
-from .serialize import decode_bundle, decode_frame, encode_bundle, encode_frame
-from .storage import Repository
-from .thunks import (
-    Invocation,
-    Selection,
-    identified_value,
-    make_application,
-    make_identification,
-    make_invocation_tree,
-    make_selection,
-    make_selection_range,
-    pack_index,
-    parse_invocation,
-    parse_selection,
-    shallow,
-    strict,
-    unpack_index,
-)
-
-__all__ = [
-    "AccessError",
-    "Attestation",
-    "AttestationError",
-    "Auditor",
-    "CollectionReport",
-    "Provider",
-    "RecomputeIndex",
-    "RecoveringRepository",
-    "collect",
-    "index_from_repository",
-    "sign",
-    "verify_attestation",
-    "ApplyFn",
-    "Blob",
-    "CodeletError",
-    "Datum",
-    "DEFAULT_LIMITS",
-    "DEFAULT_MEMORY_LIMIT",
-    "DIGEST_BYTES",
-    "EncodeStyle",
-    "EvalStats",
-    "EvaluationError",
-    "Evaluator",
-    "FixAPI",
-    "FixError",
-    "Footprint",
-    "HANDLE_BYTES",
-    "Handle",
-    "HandleError",
-    "Invocation",
-    "LITERAL_MAX",
-    "MissingObjectError",
-    "NotAFunctionError",
-    "Repository",
-    "ResourceLimitError",
-    "ResourceLimits",
-    "SandboxError",
-    "SchedulingError",
-    "Selection",
-    "SelectionError",
-    "SerializationError",
-    "SimulationError",
-    "StorageError",
-    "ThunkStyle",
-    "Tree",
-    "blob_digest",
-    "check_derivation",
-    "decode_bundle",
-    "decode_frame",
-    "encode_bundle",
-    "encode_frame",
-    "footprint",
-    "handle_for",
-    "identified_value",
-    "make_application",
-    "make_identification",
-    "make_invocation_tree",
-    "make_selection",
-    "make_selection_range",
-    "pack_index",
-    "parse_invocation",
-    "parse_selection",
-    "shallow",
-    "strict",
-    "tree_digest",
-    "unpack_index",
-    "verify",
-]

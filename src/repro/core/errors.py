@@ -107,10 +107,11 @@ class SimulationError(FixError):
 
 class FrameReader:
     """The one bounds check every ``unpack_*`` reads through: a read
-    past the frame raises ``error`` (the decoder's own :class:`FixError`
-    subclass) naming the field and the offset, instead of letting
-    ``struct`` raise a bare error - or a slice silently come back short
-    and the tail misparse as garbage fields.
+    past the frame - or a string field that is not UTF-8 - raises
+    ``error`` (the decoder's own :class:`FixError` subclass) naming the
+    field and the offset, instead of letting ``struct`` or ``decode``
+    raise a bare error - or a slice silently come back short and the
+    tail misparse as garbage fields.
     """
 
     def __init__(self, error: type):
@@ -132,3 +133,16 @@ class FrameReader:
         if end > len(raw):
             self.take(raw, offset, fmt.size, field)  # raises
         return fmt.unpack_from(raw, offset)[0], end
+
+    def text(self, raw: bytes, offset: int, size: int, field: str):
+        """``size`` bytes of UTF-8 at ``offset``: ``(str, end offset)``."""
+        end = offset + size
+        if end > len(raw):
+            self.take(raw, offset, size, field)  # raises
+        try:
+            return raw[offset:end].decode("utf-8"), end
+        except UnicodeDecodeError as exc:
+            raise self.error(
+                f"malformed frame: {field} at offset {offset} is not "
+                f"UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None

@@ -14,17 +14,13 @@ class here reproduces a specific section-6 claim:
   critical-path schedule), and admits a job only when the *pointwise*
   projected footprint sum stays within capacity
   (:func:`~repro.dist.multitenancy.fits_online` - the online single-bin
-  form of ``footprint_aware_packing``).  The ``policy="peak"`` ablation
-  is the status quo it beats: every admitted job reserves its peak for
-  its whole lifetime.
+  form of ``footprint_aware_packing``).
 
 * :class:`TenantQueue` - *"dense multitenancy must not mean starvation"*:
   jobs that do not fit yet wait in per-tenant FIFO queues, and a
   deficit-round-robin pass (equal byte-second quanta per tenant per
   round) picks which queued job starts when capacity frees, so one
   tenant's burst cannot push another's jobs back beyond its fair share.
-  The ``fairness="fifo"`` ablation is the single global queue whose
-  head-of-line blocking DRR exists to avoid.
 
 * :class:`JobTicket` / :class:`TenantBill` - *"pay for results, not for
   effort"*: every completed invocation of an admitted job emits a real
@@ -36,7 +32,9 @@ class here reproduces a specific section-6 claim:
 
 The controller never overcommits: every admission decision is provable
 after the fact by :func:`~repro.dist.multitenancy.validate_timeline`
-over :attr:`AdmissionController.timeline`.
+over :attr:`AdmissionController.timeline`.  The two designs it beats -
+peak reservation and one global FIFO queue - are subclasses in
+``benchmarks/bench_admission.py``, next to the shapes that measure them.
 """
 
 from __future__ import annotations
@@ -142,26 +140,16 @@ class AdmissionController:
 
     ``capacity_bytes`` defaults to the cluster's total RAM; pass a
     smaller budget to study admission under pressure without shrinking
-    the simulated machines.  ``policy`` picks the admission check
-    (``"footprint"`` pointwise vs ``"peak"`` reservation ablation);
-    ``fairness`` picks the dequeue discipline (``"drr"`` deficit round
-    robin vs ``"fifo"`` single global queue).  Everything is
-    deterministic: same submissions, same seed, same clock - same admit
-    order and same bills.
+    the simulated machines.  Everything is deterministic: same
+    submissions, same seed, same clock - same admit order and same bills.
     """
 
     def __init__(
         self,
         platform: "Platform",
         capacity_bytes: Optional[int] = None,
-        policy: str = "footprint",
-        fairness: str = "drr",
         obs: Optional[Obs] = None,
     ):
-        if policy not in ("footprint", "peak"):
-            raise AdmissionError(f"unknown admission policy {policy!r}")
-        if fairness not in ("drr", "fifo"):
-            raise AdmissionError(f"unknown fairness discipline {fairness!r}")
         self.platform = platform
         self.sim = platform.sim
         self.capacity_bytes = (
@@ -171,13 +159,12 @@ class AdmissionController:
             raise AdmissionError(
                 f"capacity must be positive: {self.capacity_bytes}"
             )
-        self.policy = policy
-        self.fairness = fairness
         self.queues: Dict[str, TenantQueue] = {}
         self.tickets: List[JobTicket] = []
         self.admit_order: List[str] = []
         self.timeline: List[Tuple[AppProfile, float]] = []
         self.max_concurrent = 0
+        #: Every queued ticket in arrival order, across tenants.
         self._fifo: Deque[JobTicket] = deque()
         #: DRR service order: rotated on every admission so the tenant
         #: just served goes to the back - without this, the fixed visit
@@ -315,9 +302,6 @@ class AdmissionController:
 
     def _admits(self, ticket: JobTicket) -> bool:
         """Can ``ticket`` start *now* without ever exceeding capacity?"""
-        if self.policy == "peak":
-            reserved = sum(t.profile.peak_bytes for t in self._active)
-            return reserved + ticket.profile.peak_bytes <= self.capacity_bytes
         return fits_online(
             [(t.profile, t.admitted_at) for t in self._active],
             ticket.profile,
@@ -362,17 +346,14 @@ class AdmissionController:
     def _schedule_retry(self) -> None:
         """Wake the pump at the next declared-footprint breakpoint.
 
-        Under the pointwise policy, capacity frees by *pure passage of
+        Under the pointwise check, capacity frees by *pure passage of
         time* - an active job's declared spike decaying into its tail -
         not only by submissions and completions.  Without this alarm a
         head blocked at t=0 would wait for a whole job to finish even
         though ``fits_online`` admits it the instant the spike ends,
-        silently degenerating footprint admission into the peak
-        ablation.  (Peak reservations hold for a job's entire lifetime,
-        so under ``policy="peak"`` there is nothing to wake for.)
+        silently degenerating footprint admission into peak
+        reservation.
         """
-        if self.policy != "footprint":
-            return
         now = self.sim.now
         future = [
             ticket.admitted_at + point
@@ -400,13 +381,6 @@ class AdmissionController:
         self._stirred.fire()
 
     def _drain(self) -> None:
-        if self.fairness == "fifo":
-            # The ablation: one global queue, head-of-line blocking.
-            while self._fifo and self._admits(self._fifo[0]):
-                self._launch(self._fifo[0])
-            if self._fifo:
-                self._schedule_retry()
-            return
         # Deficit round robin over tenant queues.  Tenants are visited in
         # rotating service order (the tenant just served goes last);
         # each busy tenant earns one equal quantum per round and admits

@@ -84,9 +84,9 @@ def unpack_digest(raw: bytes, offset: int = 0) -> Tuple[Digest, int]:
     versions: Dict[str, int] = {}
     for _ in range(count):
         length, offset = _frame.unpack(_LEN, raw, offset, "origin length")
-        origin, offset = _frame.take(raw, offset, length, "origin")
+        origin, offset = _frame.text(raw, offset, length, "origin")
         version, offset = _frame.unpack(_U64, raw, offset, "version cap")
-        versions[origin.decode("utf-8")] = version
+        versions[origin] = version
     return Digest(versions), offset
 
 
@@ -105,11 +105,11 @@ def _pack_name(name) -> bytes:
 def _unpack_name(raw: bytes, offset: int):
     tag, offset = _frame.take(raw, offset, 1, "name tag")
     length, offset = _frame.unpack(_LEN, raw, offset, "name length")
+    if tag == _NAME_STR:
+        return _frame.text(raw, offset, length, "name")
     body, offset = _frame.take(raw, offset, length, "name")
     if tag == _NAME_BYTES:
         return bytes(body), offset
-    if tag == _NAME_STR:
-        return body.decode("utf-8"), offset
     raise GossipError(f"bad name tag byte {tag!r} in gossip delta")
 
 
@@ -134,21 +134,18 @@ def unpack_delta(raw: bytes, offset: int = 0) -> Tuple[Delta, int]:
     entries: List[Entry] = []
     for _ in range(count):
         length, offset = _frame.unpack(_LEN, raw, offset, "origin length")
-        origin, offset = _frame.take(raw, offset, length, "origin")
+        origin, offset = _frame.text(raw, offset, length, "origin")
         version, offset = _frame.unpack(_U64, raw, offset, "version")
         name, offset = _unpack_name(raw, offset)
         length, offset = _frame.unpack(_LEN, raw, offset, "location length")
-        location, offset = _frame.take(raw, offset, length, "location")
+        location, offset = _frame.text(raw, offset, length, "location")
         flag, offset = _frame.take(raw, offset, 1, "size flag")
         size: Optional[int] = None
         if flag == _HAS_SIZE:
             size, offset = _frame.unpack(_U64, raw, offset, "size")
         elif flag != _NO_SIZE:
             raise GossipError(f"bad size flag byte {flag!r} in gossip delta")
-        entries.append(
-            (origin.decode("utf-8"), version, name,
-             location.decode("utf-8"), size)
-        )
+        entries.append((origin, version, name, location, size))
     return Delta(tuple(entries), dict(caps.versions)), offset
 
 

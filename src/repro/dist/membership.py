@@ -195,16 +195,14 @@ def unpack_members(raw: bytes, offset: int = 0) -> Tuple[Tuple[Member, ...], int
     members: List[Member] = []
     for _ in range(count):
         length, offset = _frame.unpack(_LEN, raw, offset, "node length")
-        node, offset = _frame.take(raw, offset, length, "node name")
+        node, offset = _frame.text(raw, offset, length, "node name")
         incarnation, offset = _frame.unpack(_U64, raw, offset, "incarnation")
         heartbeat, offset = _frame.unpack(_U64, raw, offset, "heartbeat")
         rank, offset = _frame.unpack(_STATUS, raw, offset, "status")
         status = _BY_RANK.get(rank)
         if status is None:
             raise MembershipError(f"bad membership status byte {rank}")
-        members.append(
-            Member(node.decode("utf-8"), heartbeat, status, incarnation)
-        )
+        members.append(Member(node, heartbeat, status, incarnation))
     return tuple(members), offset
 
 

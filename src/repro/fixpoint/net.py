@@ -218,9 +218,9 @@ def _pack_header(sender: str, ctx: SpanContext) -> bytes:
 
 def _unpack_header(wire: bytes, offset: int) -> Tuple[str, SpanContext, int]:
     length, offset = _frame.unpack(_SENDER_LEN, wire, offset, "sender length")
-    sender, offset = _frame.take(wire, offset, length, "sender")
+    sender, offset = _frame.text(wire, offset, length, "sender")
     ctx, offset = _unpack_ctx(wire, offset)
-    return sender.decode("utf-8"), ctx, offset
+    return sender, ctx, offset
 
 
 def _pack_error(exc: BaseException) -> bytes:
@@ -240,12 +240,12 @@ def _unpack_error(wire: bytes, offset: int = 0) -> RemoteError:
     length, offset = _frame.unpack(
         _ERR_TYPE_LEN, wire, offset, "error type length"
     )
-    error_type, offset = _frame.take(wire, offset, length, "error type")
+    error_type, offset = _frame.text(wire, offset, length, "error type")
     length, offset = _frame.unpack(
         _ERR_MSG_LEN, wire, offset, "error message length"
     )
-    message, _ = _frame.take(wire, offset, length, "error message")
-    return error_type.decode("utf-8"), message.decode("utf-8")
+    message, _ = _frame.text(wire, offset, length, "error message")
+    return error_type, message
 
 
 def pack_request(
@@ -1080,10 +1080,12 @@ class FixpointNode:
     def gossip_sweep(self) -> List[GossipTraffic]:
         """One failure-detector round: gossip with every live peer.
 
-        A peer whose handshake dies at the transport (closed channel, a
-        crashed endpoint) is recorded as *suspected* at its believed
-        heartbeat; a live-but-slow peer refutes that on any later sweep
-        simply by having beaten past it.  The sweep then ages the
+        A peer whose handshake fails - at the transport (closed channel,
+        a crashed endpoint) or in a decoder (every ``unpack_*`` refuses a
+        malformed frame with its own :class:`FixError`, whichever codec
+        the bad field sits in) - is recorded as *suspected* at its
+        believed heartbeat; a live-but-slow peer refutes that on any later
+        sweep simply by having beaten past it.  The sweep then ages the
         detector one tick - a peer silent for ``suspect_after`` sweeps
         is suspected even without a failed send, and unrefuted
         suspicion hardens into a tombstone after ``confirm_after``
@@ -1096,7 +1098,7 @@ class FixpointNode:
                 continue
             try:
                 results.append(self.gossip_with(peer_name))
-            except NetworkError:
+            except FixError:
                 self.membership.suspect(peer_name)
         self.membership.tick()
         return results

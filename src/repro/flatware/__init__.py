@@ -4,58 +4,3 @@ Filesystems as nested dirent Trees (paper fig. 4), a WASI-like program
 driver (paper 4.1.4), and the SeBS-port dependencies: a Jinja-subset
 template engine and a tar-like archive/RLE codec (paper 5.6).
 """
-
-from .asyncify import (
-    ASYNCIFY_PRELUDE,
-    compile_io_program,
-    io_invocation,
-    run_io_program,
-)
-from .archive import (
-    ArchiveError,
-    compress,
-    compress_archive,
-    create_archive,
-    decompress,
-    extract_archive,
-    extract_compressed,
-)
-from .fs import (
-    GET_FILE_SOURCE,
-    FileTree,
-    PathError,
-    build_fs,
-    list_dir,
-    read_dir,
-    read_file,
-    resolve_path,
-)
-from .template import TemplateError, render
-from .wasi import FLATWARE_PRELUDE, compile_program, run_program
-
-__all__ = [
-    "ASYNCIFY_PRELUDE",
-    "ArchiveError",
-    "FLATWARE_PRELUDE",
-    "FileTree",
-    "GET_FILE_SOURCE",
-    "PathError",
-    "TemplateError",
-    "build_fs",
-    "compile_io_program",
-    "compile_program",
-    "io_invocation",
-    "run_io_program",
-    "compress",
-    "compress_archive",
-    "create_archive",
-    "decompress",
-    "extract_archive",
-    "extract_compressed",
-    "list_dir",
-    "read_dir",
-    "read_file",
-    "render",
-    "resolve_path",
-    "run_program",
-]

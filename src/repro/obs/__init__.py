@@ -12,11 +12,8 @@ shares:
   gossip wire frames of :mod:`repro.fixpoint.net`, so one job's spans
   stitch across nodes (:func:`stitch`).
 
-Snapshots persist the perf trajectory the ROADMAP calls for:
-:meth:`Obs.export` is a JSON-ready dict and :func:`dump_bench` writes a
-``BENCH_<name>.json`` a future session (or a CI artifact diff) can
-``json.load``; :meth:`Obs.summary` renders the text dashboard the
-examples print.
+:meth:`Obs.export` is a JSON-ready dict; :meth:`Obs.summary` renders
+the text dashboard the examples print.
 
 ``NULL_OBS`` is the disabled twin - same API, no work - both the
 default for components that predate a caller opting in, and the control
@@ -25,34 +22,22 @@ the overhead benchmark prices real instrumentation against.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Optional
 
-from .metrics import (
-    Clock,
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsRegistry,
-    NullRegistry,
-)
+from .metrics import Clock, MetricsError, MetricsRegistry, NullRegistry
 from .trace import (
     CONTEXT_BYTES,
     NULL_CONTEXT,
     NullTracer,
-    Span,
     SpanContext,
     Tracer,
     render_trace,
     stitch,
 )
 
-#: Schema version stamped into every exported snapshot, so a future
-#: reader of an old ``BENCH_*.json`` knows what it is parsing.
+#: Schema version stamped into every exported snapshot, so a reader of
+#: a stored one knows what it is parsing.
 SNAPSHOT_SCHEMA = 1
 
 
@@ -92,11 +77,6 @@ class Obs:
                 lines.append(render_trace(traces[trace_id]))
         return "\n".join(lines)
 
-    def dump_bench(self, path: Union[str, Path]) -> Path:
-        """Persist this snapshot as ``BENCH_<name>.json`` (see
-        :func:`dump_bench`)."""
-        return dump_bench(path, self.export())
-
     def reset(self) -> None:
         self.registry.reset()
         self.tracer.reset()
@@ -129,49 +109,18 @@ class NullObs(Obs):
 NULL_OBS = NullObs()
 
 
-def dump_bench(path: Union[str, Path], payload: Dict[str, object]) -> Path:
-    """Write one ``BENCH_*.json`` snapshot; returns the path written.
-
-    The file is a single JSON object with sorted keys (diffable across
-    runs - the perf trajectory is a git log of these), always loadable
-    back with ``json.load``.  A bare name like ``"core"`` becomes
-    ``BENCH_core.json`` in the working directory.
-    """
-    path = Path(path)
-    if not path.suffix:
-        path = path.with_name(f"BENCH_{path.name}.json")
-    body = {"schema": SNAPSHOT_SCHEMA, **payload}
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_bench(path: Union[str, Path]) -> Dict[str, object]:
-    """Read a snapshot back (the trivial inverse, kept for symmetry)."""
-    with open(path) as fh:
-        return json.load(fh)
-
-
 __all__ = [
     "CONTEXT_BYTES",
-    "Clock",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
     "MetricsError",
     "MetricsRegistry",
     "NULL_CONTEXT",
     "NULL_OBS",
     "NullObs",
     "NullRegistry",
-    "NullTracer",
     "Obs",
     "SNAPSHOT_SCHEMA",
-    "Span",
     "SpanContext",
     "Tracer",
-    "dump_bench",
-    "load_bench",
     "render_trace",
     "stitch",
 ]

@@ -3,8 +3,8 @@
 The paper's whole evaluation is runtime-side measurement - per-invocation
 wall/bytes traces (Table 2), CPU-state breakdowns (fig. 8), per-operation
 cost models (fig. 9) - and the ROADMAP's throughput work needs scheduler
-µs/decision, queue latencies, and persisted ``BENCH_*.json`` curves.
-This module is the one place all of that lands: labeled
+µs/decision and queue latencies.  This module is the one place all of
+that lands: labeled
 :class:`Counter`\\ s, :class:`Gauge`\\ s, and fixed-bucket
 :class:`Histogram`\\ s owned by a :class:`MetricsRegistry`.
 

@@ -4,101 +4,3 @@ Each workload has two layers: real codelets exercised on the in-process
 runtime (correctness), and declared-size job graphs executed by the
 simulated platforms (performance shape at paper scale).
 """
-
-from .bptree import (
-    AccessCosts,
-    BPTree,
-    GET_SOURCE,
-    WalkStats,
-    build_bptree,
-    compile_get,
-    fixpoint_costs,
-    lookup,
-    lookup_thunk,
-    ray_blocking_costs,
-    ray_cps_costs,
-    required_depth,
-    sample_queries,
-    walk_real_tree,
-)
-from .chain import (
-    ChainLatency,
-    build_chain,
-    chain_latencies,
-    fixpoint_chain_latency,
-    pheromone_chain_latency,
-    ray_chain_latency,
-    run_chain,
-)
-from .compilejob import (
-    COMPILE_SOURCE,
-    LINK_SOURCE,
-    build_compile_graph,
-    compile_project,
-    make_headers,
-    make_source,
-)
-from .corpus import (
-    ShardSpec,
-    declare_shards,
-    make_corpus,
-    make_shard,
-    paper_shards,
-    reference_count,
-)
-from .oneoff import ADD_TO_SELF_SOURCE, build_oneoff_graph
-from .titles import make_titles, mean_length
-from .wordcount import (
-    COUNT_STRING_SOURCE,
-    MERGE_COUNTS_SOURCE,
-    build_wordcount_graph,
-    compile_wordcount,
-    count_corpus,
-    map_only_graph,
-)
-
-__all__ = [
-    "ADD_TO_SELF_SOURCE",
-    "AccessCosts",
-    "BPTree",
-    "COMPILE_SOURCE",
-    "COUNT_STRING_SOURCE",
-    "ChainLatency",
-    "GET_SOURCE",
-    "LINK_SOURCE",
-    "MERGE_COUNTS_SOURCE",
-    "ShardSpec",
-    "WalkStats",
-    "build_bptree",
-    "build_chain",
-    "build_compile_graph",
-    "build_oneoff_graph",
-    "build_wordcount_graph",
-    "chain_latencies",
-    "compile_get",
-    "compile_project",
-    "compile_wordcount",
-    "count_corpus",
-    "declare_shards",
-    "fixpoint_chain_latency",
-    "fixpoint_costs",
-    "lookup",
-    "lookup_thunk",
-    "make_corpus",
-    "make_headers",
-    "make_shard",
-    "make_source",
-    "make_titles",
-    "map_only_graph",
-    "mean_length",
-    "paper_shards",
-    "pheromone_chain_latency",
-    "ray_blocking_costs",
-    "ray_chain_latency",
-    "ray_cps_costs",
-    "reference_count",
-    "required_depth",
-    "run_chain",
-    "sample_queries",
-    "walk_real_tree",
-]

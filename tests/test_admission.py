@@ -3,6 +3,9 @@ admit, DRR fair share, per-tenant pay-for-results bills)."""
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.dist.admission import (
@@ -23,6 +26,19 @@ from repro.workloads.wordcount import build_wordcount_graph
 
 GB = 1 << 30
 MB = 1 << 20
+
+
+def _ablations():
+    """The two designs the controller beats are subclasses kept with
+    the bench that measures them; load them from there, by path."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_admission.py"
+    spec = importlib.util.spec_from_file_location("_bench_admission", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench.PeakReservation, bench.GlobalFifo
+
+
+PeakReservation, GlobalFifo = _ablations()
 
 
 def build_platform(**kwargs):
@@ -151,17 +167,14 @@ class TestSharedClusterExecution:
         """The acceptance ratio: staggered spikes interleave under the
         pointwise check but serialize under peak reservation."""
 
-        def run(policy):
-            platform = build_platform()
-            ctrl = AdmissionController(
-                platform, capacity_bytes=9 * GB, policy=policy
-            )
+        def run(controller):
+            ctrl = controller(build_platform(), capacity_bytes=9 * GB)
             for tenant, count in (("alice", 6), ("bob", 2)):
                 spike_fleet(ctrl, tenant, count)
             return ctrl.run()
 
-        aware = run("footprint")
-        peak = run("peak")
+        aware = run(AdmissionController)
+        peak = run(PeakReservation)
         assert aware.max_concurrent > peak.max_concurrent
         ratio = peak.makespan / aware.makespan
         assert ratio > 1.0, f"expected denser packing, got ratio {ratio}"
@@ -198,11 +211,8 @@ class TestTenantIsolation:
         tenant's small job that fits right now (the fifo ablation does
         block - that is what DRR buys)."""
 
-        def run(fairness):
-            platform = build_platform()
-            ctrl = AdmissionController(
-                platform, capacity_bytes=9 * GB, fairness=fairness
-            )
+        def run(controller):
+            ctrl = controller(build_platform(), capacity_bytes=9 * GB)
             ctrl.submit("alice", spike_job(peak_bytes=8 * GB), name="big-0")
             ctrl.submit("alice", spike_job(peak_bytes=8 * GB), name="big-1")
             small = ctrl.submit(
@@ -213,8 +223,9 @@ class TestTenantIsolation:
             ctrl.run()
             return small.queue_delay
 
-        assert run("drr") == 0.0  # admitted immediately alongside big-0
-        assert run("fifo") > 0.0  # stuck behind big-1's head of line
+        # admitted immediately alongside big-0
+        assert run(AdmissionController) == 0.0
+        assert run(GlobalFifo) > 0.0  # stuck behind big-1's head of line
 
 
 # ----------------------------------------------------------------------
@@ -286,12 +297,15 @@ class TestAdmissionSafety:
         # every instant - validate_packing over the online timeline.
         validate_timeline(ctrl.timeline, 6 * GB)
 
-    @pytest.mark.parametrize("policy", ["footprint", "peak"])
-    def test_timeline_always_validates(self, policy):
-        platform = build_platform()
-        ctrl = AdmissionController(
-            platform, capacity_bytes=9 * GB, policy=policy
-        )
+    @pytest.mark.parametrize(
+        "controller",
+        [
+            pytest.param(AdmissionController, id="footprint"),
+            pytest.param(PeakReservation, id="peak"),
+        ],
+    )
+    def test_timeline_always_validates(self, controller):
+        ctrl = controller(build_platform(), capacity_bytes=9 * GB)
         spike_fleet(ctrl, "alice", 5)
         spike_fleet(ctrl, "bob", 3, start=0.5)
         ctrl.run()

@@ -479,35 +479,6 @@ class TestSrcTree:
 # CLI
 
 
-def test_package_boundary_lazy_attrs_in_a_fresh_process():
-    """``from repro.analysis import flow`` in a cold interpreter.
-
-    Regression: the lazy PEP-562 ``__getattr__`` used ``from . import
-    flow``, whose fromlist handling probes the package attribute first
-    - re-entering ``__getattr__`` and recursing forever before the
-    submodule import ever starts.  Only a fresh process sees it: once
-    the submodule is cached the probe short-circuits.
-    """
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    code = (
-        "from repro.analysis import flow, lint, analyze_tree, "
-        "lint_tree, crosscheck, CrossCheck, base_label\n"
-        "assert callable(analyze_tree) and callable(lint_tree)\n"
-        "print('ok')\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "ok"
-
-
 class TestCLI:
     def test_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"

@@ -4,14 +4,32 @@ instead of detonating five unrelated test modules at collection time
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import repro
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a cold interpreter with ``src/`` importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.strip()
 
 #: Every module in the package, spelled out so a deletion is a visible
 #: diff here - pkgutil walking below catches *additions* we forgot.
@@ -121,49 +139,122 @@ def test_no_unlisted_modules():
     assert not unlisted, f"modules missing from EXPECTED_MODULES: {sorted(unlisted)}"
 
 
-class TestDistExports:
-    def test_all_names_resolve(self):
-        """Every name in repro.dist.__all__ must actually exist (including
-        the lazily-loaded engine exports)."""
-        dist = importlib.import_module("repro.dist")
-        missing = [name for name in dist.__all__ if not hasattr(dist, name)]
-        assert not missing, f"repro.dist.__all__ names that fail: {missing}"
+class TestOneImportPathPerName:
+    """No package re-exports its submodules, so the import graph of
+    ``src/repro`` is its module graph - and that graph needs no lazy
+    loader to stay acyclic."""
 
-    def test_exports_match_public_surface(self):
-        """__all__ covers exactly the public (non-underscore, non-module)
-        names the package exposes."""
-        dist = importlib.import_module("repro.dist")
-        submodules = {
-            "admission",
-            "costmodel",
-            "gossip",
-            "graph",
-            "membership",
-            "objectview",
-            "scheduler",
-            "engine",
-            "multitenancy",
-        }
-        public = {
-            name
-            for name in dir(dist)
-            if not name.startswith("_")
-            and name not in submodules
-            and name not in {"annotations"}
-        }
-        assert public == set(dist.__all__)
+    @staticmethod
+    def _import_time_imports(tree):
+        """Import nodes a module's body executes on import: function
+        bodies and ``if TYPE_CHECKING:`` blocks are skipped."""
+        stack = list(tree.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield node
+            elif isinstance(node, ast.If) and "TYPE_CHECKING" in ast.dump(node.test):
+                stack.extend(node.orelse)
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack.extend(ast.iter_child_nodes(node))
 
-    def test_dist_reachable_from_top_level(self):
-        assert repro.dist.FixpointSim.build(nodes=1).name == "Fixpoint"
+    @classmethod
+    def _graph(cls):
+        """module -> modules whose bodies must run first.  Importing
+        ``a.b.c`` runs ``a`` and ``a.b`` too; a module's own ancestors
+        are already executing, so they count only when it pulls a name
+        out of one (``from repro import Fixpoint``)."""
+        sources = {}
+        for path in SRC.rglob("*.py"):
+            parts = path.relative_to(SRC).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            if parts[-1] != "__main__":
+                sources[".".join(parts)] = path
 
-    def test_baselines_first_import_order(self):
-        """Importing baselines before dist must not deadlock on the
-        baselines <-> dist cycle (engine is lazy for exactly this)."""
-        import repro.baselines  # noqa: F401
-        import repro.dist  # noqa: F401
+        def ancestors(name):  # "a.b.c" -> {"a", "a.b"}
+            return {name[:i] for i, ch in enumerate(name) if ch == "."}
 
-        assert repro.baselines.Platform is not None
-        assert repro.dist.JobGraph is not None
+        graph = {}
+        for name, path in sources.items():
+            package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+            own, imported, pulled_from = ancestors(name), set(), set()
+            for node in cls._import_time_imports(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.name for alias in node.names}
+                    continue
+                base = node.module or ""
+                if node.level:
+                    up = package.split(".")
+                    up = up[: len(up) - node.level + 1]
+                    base = ".".join(up + ([base] if base else []))
+                for alias in node.names:
+                    submodule = f"{base}.{alias.name}"
+                    if submodule in sources:
+                        imported.add(submodule)
+                    else:
+                        imported.add(base)
+                        pulled_from.add(base)
+            run_first = set().union(*(ancestors(m) | {m} for m in imported))
+            graph[name] = (
+                (run_first & sources.keys()) - own | (pulled_from & own)
+            ) - {name}
+        return graph
+
+    def test_import_graph_is_acyclic(self):
+        graph = self._graph()
+        assert set(graph) == {"repro", *EXPECTED_MODULES}
+        done, path = set(), []
+
+        def visit(module):
+            if module in done:
+                return
+            assert module not in path, " -> ".join(
+                path[path.index(module):] + [module]
+            )
+            path.append(module)
+            for dep in sorted(graph[module]):
+                visit(dep)
+            path.pop()
+            done.add(module)
+
+        for module in sorted(graph):
+            visit(module)
+
+    def test_no_package_has_a_lazy_loader(self):
+        for init in SRC.rglob("__init__.py"):
+            defined = {
+                node.name
+                for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.FunctionDef)
+            }
+            assert not defined & {"__getattr__", "__dir__"}, init
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("repro.baselines.base", "repro.dist.engine"),
+            ("repro.dist.engine", "repro.baselines.base"),
+        ],
+    )
+    def test_baselines_and_dist_import_in_either_order(self, first, second):
+        """``dist.engine`` builds on ``baselines.base``, which consumes
+        ``dist.graph``: a package-level re-export on either side would
+        close that into a cycle only one import order survives."""
+        assert _fresh_python(f"import {first}\nimport {second}\nprint('ok')") == "ok"
+
+    def test_tracking_enabled_first_tracks_the_module_level_lock(self):
+        """What ``conftest.pytest_configure`` relies on under ``--race``:
+        importing ``repro.analysis.sync`` must not drag in
+        ``fixpoint.net`` (through ``repro/__init__``) before tracking is
+        on, or ``_TOPOLOGY_LOCK`` is a raw lock for the whole session."""
+        code = (
+            "from repro.analysis.sync import enable_tracking\n"
+            "enable_tracking()\n"
+            "from repro.fixpoint import net\n"
+            "print(type(net._TOPOLOGY_LOCK).__name__)\n"
+        )
+        assert _fresh_python(code) == "_TrackedLock"
 
 
 class TestSpanRecorderTargets:

@@ -164,7 +164,7 @@ class TestCodecTruncation:
     return a truncated message.  Every read is now bounds-checked
     through the one :class:`repro.core.errors.FrameReader` and refuses
     with the decoder's own error type, naming the field and the
-    offset."""
+    offset; so is every string field that does not decode."""
 
     MEMBERS = [
         Member("alpha", 12, ALIVE),
@@ -356,6 +356,39 @@ class TestCodecTruncation:
             corrupt[offset : offset + width] = b"\xff" * width
             with pytest.raises(error, match="offset"):
                 unpack(bytes(corrupt))
+
+    #: (codec, string field as its refusal names it, text the frame
+    #: carries there) - one row per ``FrameReader.text`` read site.
+    TEXT_FIELDS = [
+        ("header", "sender", b"sender-node"),
+        ("error", "error type", b"ValueError"),
+        ("error", "error message", b"boom"),
+        ("digest", "origin", b"node#2"),
+        ("delta", "origin", b"origin-node"),
+        ("delta", "name", b"string-name"),
+        ("delta", "location", b"holder-b"),
+        ("members", "node name", b"alpha"),
+        ("push", "location", b"holder-b"),  # nested, through a frame
+    ]
+
+    @pytest.mark.parametrize(
+        "codec, field, text",
+        TEXT_FIELDS,
+        ids=[f"{codec}-{field}" for codec, field, _ in TEXT_FIELDS],
+    )
+    def test_a_non_utf8_string_is_refused_with_the_offset(
+        self, codec, field, text
+    ):
+        """A string field that is not UTF-8 used to leave every decoder
+        as a bare ``UnicodeDecodeError``."""
+        frame, unpack, error, _fields = self.CODECS[codec]
+        offset = frame.rindex(text)  # the last one is the decoder's own
+        corrupt = bytearray(frame)
+        corrupt[offset] = 0xFF
+        with pytest.raises(
+            error, match=f"{field} at offset {offset} is not UTF-8"
+        ):
+            unpack(bytes(corrupt))
 
     def test_every_unpack_definition_is_reached_by_a_codec(self):
         """A module-level ``unpack_*`` / ``_unpack_*`` added to one of
@@ -1119,26 +1152,39 @@ class TestNetFailureDetection:
             assert not node.membership.dead_nodes()
 
     def test_sweep_survives_a_short_ack(self, trio):
-        """A peer answering a SYN with a frame cut inside the span
-        context used to leak a bare ``struct.error`` out of the sweep
-        (which only catches ``NetworkError``); the ACK codec refuses it,
-        so the peer is suspected and the sweep goes on."""
+        """A peer answering a SYN with a malformed ACK - cut at any
+        byte, or carrying a name that is not UTF-8 - used to leak a
+        ``struct.error``, then (past the span context) a nested codec's
+        ``GossipError`` / ``MembershipError`` or a bare
+        ``UnicodeDecodeError`` out of the sweep, skipping the remaining
+        peers and the detector's tick.  Every decoder refuses with a
+        ``FixError`` and the sweep catches exactly that: the peer is
+        suspected and the sweep goes on."""
         a, b, c = trio
         real_serve = c._serve_gossip_syn
 
-        def short_ack(wire):
-            ack_wire, ack_seq = real_serve(wire)
-            return ack_wire[:9], ack_seq
+        def refused(mangle):
+            sizes = []
 
-        c._serve_gossip_syn = short_ack
-        traffic = a.gossip_sweep()
-        assert [t.peer for t in traffic] == ["b"]
-        assert a.membership.status("c") == SUSPECT
-        # The refused ACK still left its delivery window: the link is
-        # not wedged, and an honest round refutes the suspicion.
-        c._serve_gossip_syn = real_serve
-        assert [t.peer for t in a.gossip_sweep()] == ["b", "c"]
-        assert a.membership.status("c") == ALIVE
+            def bad_ack(wire):
+                ack_wire, ack_seq = real_serve(wire)
+                sizes.append(len(ack_wire))
+                return mangle(ack_wire), ack_seq
+
+            c._serve_gossip_syn = bad_ack
+            assert [t.peer for t in a.gossip_sweep()] == ["b"]
+            assert a.membership.status("c") == SUSPECT
+            # The refused ACK still left its delivery window: the link
+            # is not wedged, and an honest round refutes the suspicion.
+            c._serve_gossip_syn = real_serve
+            assert [t.peer for t in a.gossip_sweep()] == ["b", "c"]
+            assert a.membership.status("c") == ALIVE
+            return sizes[0]
+
+        # The frame ends [name "c"][u64 incarnation][u64 heartbeat][u8].
+        size = refused(lambda ack: ack[:-18] + b"\xff" + ack[-17:])
+        for cut in range(size):
+            assert refused(lambda ack: ack[:cut]) == size
 
     def test_crash_is_detected_evicted_and_excluded(self, trio):
         a, b, c = trio
