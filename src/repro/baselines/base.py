@@ -156,7 +156,7 @@ class Platform:
         self.invocations += 1
         return self.sim.process(
             self._invoke_proc(task, submitter, job),
-            name=f"{self.name}:{task.name}",
+            name=("{}:{}", self.name, task.name),
         )
 
     def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
@@ -225,7 +225,7 @@ class Platform:
 
         for task in graph.topological_order():
             done_events[task.name] = self.sim.process(
-                task_driver(task), name=f"driver:{job.job_id}:{task.name}"
+                task_driver(task), name=("driver:{}:{}", job.job_id, task.name)
             )
         job.done = all_of(self.sim, list(done_events.values()))
         return job
@@ -293,7 +293,7 @@ class Platform:
         if inflight is not None and not inflight.triggered:
             return inflight
         event = self.sim.process(
-            self._fetch_proc(obj_name, dst), name=f"fetch {obj_name}->{dst}"
+            self._fetch_proc(obj_name, dst), name=("fetch {}->{}", obj_name, dst)
         )
         self._inflight_fetches[key] = event
         return event

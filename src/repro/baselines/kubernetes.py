@@ -74,7 +74,7 @@ class KubeScheduler:
             self.cold_starts += 1
             self._warm.add((function, node))
         return self.sim.process(
-            self._pod_start_proc(node, cold), name=f"pod_start {node}"
+            self._pod_start_proc(node, cold), name=("pod_start {}", node)
         )
 
     def _pod_start_proc(self, node: str, cold: bool):

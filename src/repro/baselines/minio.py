@@ -76,7 +76,7 @@ class MinIO:
         self.gets += 1
         self.bytes_read += size
         return self.sim.process(
-            self._op(source, dst, size), name=f"minio.get {name}"
+            self._op(source, dst, size), name=("minio.get {}", name)
         )
 
     def put(self, name: str, size: int, src: str) -> Event:
@@ -85,7 +85,7 @@ class MinIO:
         self._objects[name] = (size, node)
         self.puts += 1
         self.bytes_written += size
-        return self.sim.process(self._op(src, node, size), name=f"minio.put {name}")
+        return self.sim.process(self._op(src, node, size), name=("minio.put {}", name))
 
     def _op(self, src: str, dst: str, size: int):
         yield self.sim.timeout(MINIO_REQUEST_OVERHEAD)

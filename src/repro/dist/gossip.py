@@ -237,20 +237,27 @@ class ExchangeStats:
         return self.digest_bytes + self.delta_bytes + self.membership_bytes
 
 
-def exchange(initiator: Participant, responder: Participant) -> ExchangeStats:
-    """One whole handshake by direct calls (the simulated driver): both
-    views end up holding the union; converged views ship empty deltas."""
+def _handshake(
+    initiator: Participant, responder: Participant
+) -> Tuple[int, int, int, int]:
+    """One whole handshake by direct calls; what it shipped, as plain
+    ints in :class:`ExchangeStats` field order for a round to sum."""
     digest, members = initiator.syn()
     ack_digest, delta, ack_members = responder.on_syn(digest, members)
     push = initiator.on_ack(ack_digest, delta, ack_members)
     responder.on_push(push)
-    return ExchangeStats(
-        digest_bytes=digest.wire_bytes() + ack_digest.wire_bytes(),
-        delta_bytes=delta.wire_bytes() + push.wire_bytes(),
-        entries_shipped=len(delta) + len(push),
-        membership_bytes=members_wire_bytes(members)
-        + members_wire_bytes(ack_members),
+    return (
+        digest.wire_bytes() + ack_digest.wire_bytes(),
+        delta.wire_bytes() + push.wire_bytes(),
+        len(delta) + len(push),
+        members_wire_bytes(members) + members_wire_bytes(ack_members),
     )
+
+
+def exchange(initiator: Participant, responder: Participant) -> ExchangeStats:
+    """One whole handshake by direct calls (the simulated driver): both
+    views end up holding the union; converged views ship empty deltas."""
+    return ExchangeStats(*_handshake(initiator, responder))
 
 
 # ----------------------------------------------------------------------
@@ -298,8 +305,8 @@ class GossipCoordinator:
 
     One round: every participating view (in registration order)
     initiates a push-pull exchange with ``fanout`` uniformly random
-    other participants through :func:`exchange`, so each handshake
-    ships only what the peer lacks.
+    other participants (the handshake :func:`exchange` runs), so each
+    handshake ships only what the peer lacks.
 
     The coordinator is a driver, not a lock: views guard themselves, so
     rounds may run concurrently with live traffic mutating the views
@@ -484,17 +491,17 @@ class GossipCoordinator:
                 party.membership.beat()
         pairs: List[Tuple[str, str]] = []
         digest_bytes = delta_bytes = entries = membership_bytes = 0
-        for party in active:
-            peers = [p for p in active if p is not party]
-            if not peers:
-                continue
+        for index, party in enumerate(active):
+            # Everyone else, in registration order - the population the
+            # seeded schedule draws from (alone: 0 of 0, draws nothing).
+            peers = active[:index] + active[index + 1:]
             for peer in self.rng.sample(peers, min(self.fanout, len(peers))):
-                shipped = exchange(party, peer)
+                digests, deltas, news, liveness = _handshake(party, peer)
                 pairs.append((party.view.node, peer.view.node))
-                digest_bytes += shipped.digest_bytes
-                delta_bytes += shipped.delta_bytes
-                entries += shipped.entries_shipped
-                membership_bytes += shipped.membership_bytes
+                digest_bytes += digests
+                delta_bytes += deltas
+                entries += news
+                membership_bytes += liveness
         if self._membership:
             # Confirmations fire on_dead, which evicts the dead node
             # from the paired ObjectView.

@@ -86,7 +86,10 @@ respect to concurrent observations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Container,
@@ -124,10 +127,28 @@ def _name_wire_weight(name: Hashable) -> int:
     return _U64_BYTES
 
 
+@lru_cache(maxsize=4096)
+def _node_wire_weight(node: str) -> int:
+    """UTF-8 bytes of an origin id or a location - memoised, a cluster
+    has a handful and every handshake asks about the same ones (object
+    names are unbounded, so not those)."""
+    return len(node.encode("utf-8"))
+
+
+def _caps_wire_bytes(versions: Dict[str, int]) -> int:
+    """Bytes of the per-origin ``[u16 len][origin][u64 cap]`` rows."""
+    return (_LEN_BYTES + _U64_BYTES) * len(versions) + sum(
+        map(_node_wire_weight, versions)
+    )
+
+
 #: One versioned belief: ``(origin, version, name, location, size)``.
 #: ``origin`` is the node that *first* recorded the belief; the stamp
 #: travels with the entry through any number of merge hops.
 Entry = Tuple[str, int, Hashable, str, Optional[int]]
+
+#: ``bisect`` key: the version of a log row ``(version, name, ...)``.
+_VERSION = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -142,16 +163,23 @@ class Digest:
     """
 
     versions: Dict[str, int] = field(default_factory=dict)
+    _wire_bytes: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def covers(self, origin: str, version: int) -> bool:
         return version <= self.versions.get(origin, 0)
 
     def wire_bytes(self) -> int:
-        """Believed wire footprint (the real codec in repro.dist.gossip)."""
-        return _COUNT_BYTES + sum(
-            _LEN_BYTES + len(origin.encode("utf-8")) + _U64_BYTES
-            for origin in self.versions
-        )
+        """``len(pack_digest(self))`` (the codec is in repro.dist.gossip)
+        without running it.  Computed on the first call and kept with
+        the value: a digest never changes once built, so nothing
+        invalidates it - a view that moved hands out a new one."""
+        size = self._wire_bytes
+        if size is None:
+            size = _COUNT_BYTES + _caps_wire_bytes(self.versions)
+            object.__setattr__(self, "_wire_bytes", size)  # frozen
+        return size
 
 
 #: The digest of a view that has seen nothing: a delta against it is the
@@ -179,15 +207,29 @@ class Delta:
         return not self.entries and not self.versions
 
     def wire_bytes(self) -> int:
-        total = Digest(self.versions).wire_bytes() + _COUNT_BYTES
+        """``len(pack_delta(self))`` without running the codec.  Not
+        kept: a delta is priced once."""
+        # Fixed-width fields by count (per entry: origin length and
+        # version, name tag and length, location length, size flag),
+        # then the variable ones by weight.
+        total = (
+            2 * _COUNT_BYTES
+            + _caps_wire_bytes(self.versions)
+            + (3 * _LEN_BYTES + _U64_BYTES + 2) * len(self.entries)
+        )
         for origin, _version, name, location, size in self.entries:
             total += (
-                _LEN_BYTES + len(origin.encode("utf-8")) + _U64_BYTES
-                + 1 + _LEN_BYTES + _name_wire_weight(name)
-                + _LEN_BYTES + len(location.encode("utf-8"))
-                + 1 + (_U64_BYTES if size is not None else 0)
+                _node_wire_weight(origin)
+                + _name_wire_weight(name)
+                + _node_wire_weight(location)
+                + (_U64_BYTES if size is not None else 0)
             )
         return total
+
+
+#: What a view ships to a peer that has covered everything it has: one
+#: shared value, so a converged handshake allocates nothing.
+EMPTY_DELTA = Delta(())
 
 
 class ObjectView:
@@ -227,6 +269,9 @@ class ObjectView:
         #: which is what lets :meth:`forget` retract the entry from
         #: future deltas, not just from the maps.
         self._vector: Dict[str, int] = {}
+        #: ``_vector`` as :meth:`digest` last handed it out; ``None``
+        #: once ``_vector`` has moved since.
+        self._digest: Optional[Digest] = None
         self._log: Dict[str, List[Tuple[int, Hashable, str, Optional[int]]]] = {}
         self._stamps: Dict[Tuple[Hashable, str], List[Tuple[str, int]]] = {}
         #: Tombstoned locations (membership-confirmed dead): beliefs
@@ -286,6 +331,7 @@ class ObjectView:
         ascending by construction.
         """
         self._vector[origin] = max(self._vector.get(origin, 0), version)
+        self._digest = None
         self._log.setdefault(origin, []).append((version, name, location, size))
         self._stamps.setdefault((name, location), []).append((origin, version))
         self._log_total += 1
@@ -603,38 +649,43 @@ class ObjectView:
         """This view's coverage summary: origin -> highest version seen.
 
         O(origins) bytes, independent of entry count - the thing a
-        gossip round ships *instead of* full state.
+        gossip round ships *instead of* full state.  The value is kept
+        (and its ``wire_bytes()`` with it): every call returns the same
+        :class:`Digest` until ``_vector`` moves, in :meth:`_record` or
+        the cap advance of :meth:`merge_delta`, which drop it; the next
+        call then copies the vector once.  Treat it as immutable.
         """
         with self._lock:
-            return Digest(dict(self._vector))
+            if self._digest is None:
+                self._digest = Digest(dict(self._vector))
+            return self._digest
 
     def delta_since(self, digest: Digest) -> Delta:
         """Everything this view holds beyond ``digest``'s coverage.
 
-        Per-origin logs are ascending, so the uncovered tail is a binary
-        search plus a slice; a peer that has seen everything gets an
-        empty delta (the short-circuit that makes converged handshakes
-        ~free).  Entries forwarded keep their original origin stamp, so
-        a third party can tell what it already covers.
+        A peer that has covered exactly what this view has gets the
+        shared :data:`EMPTY_DELTA` after one dict comparison - no log
+        is read, which is what makes converged handshakes ~free.
+        Otherwise only the origins this view is *ahead* on are visited:
+        per-origin logs are ascending, so the uncovered tail is a binary
+        search plus a slice.  Entries forwarded keep their original
+        origin stamp, so a third party can tell what it already covers.
         """
         with self._lock:
-            entries: List[Entry] = []
+            if digest.versions == self._vector:
+                return EMPTY_DELTA
+            covered = digest.versions.get
             caps: Dict[str, int] = {}
-            for origin in sorted(self._vector):
-                top = self._vector[origin]
-                floor = digest.versions.get(origin, 0)
-                if top <= floor:
-                    continue
-                caps[origin] = top
-                log = self._log.get(origin, [])
-                lo, hi = 0, len(log)
-                while lo < hi:  # first entry with version > floor
-                    mid = (lo + hi) // 2
-                    if log[mid][0] <= floor:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                for version, name, location, size in log[lo:]:
+            for origin, top in self._vector.items():
+                if top > covered(origin, 0):
+                    caps[origin] = top
+            if not caps:
+                return EMPTY_DELTA  # the peer is ahead everywhere
+            entries: List[Entry] = []
+            for origin in sorted(caps):
+                log = self._log.get(origin, ())
+                tail = bisect_right(log, covered(origin, 0), key=_VERSION)
+                for version, name, location, size in log[tail:]:
                     entries.append((origin, version, name, location, size))
             return Delta(tuple(entries), caps)
 
@@ -647,8 +698,11 @@ class ObjectView:
         under their *original* origin, which is what lets this view
         serve them onward - the transitive spread gossip relies on.
         Finally the version caps advance coverage even across entries
-        the sender had forgotten (gaps ship no tombstone).
+        the sender had forgotten (gaps ship no tombstone).  An empty
+        delta is nothing to apply and returns without taking the lock.
         """
+        if delta.is_empty:
+            return 0
         with self._lock:
             applied = 0
             for origin, version, name, location, size in delta.entries:
@@ -669,6 +723,7 @@ class ObjectView:
             for origin, top in delta.versions.items():
                 if top > self._vector.get(origin, 0):
                     self._vector[origin] = top
+                    self._digest = None
             if applied and self._clock is not None:
                 self.last_advance = self._clock()
             return applied

@@ -158,7 +158,7 @@ class Cluster:
         if not info.locations:
             raise SchedulingError(f"object {name!r} has no replicas")
         src = min(info.locations)  # deterministic choice
-        done = self.sim.event(f"replicate {name} -> {dst}")
+        done = self.sim.event(("replicate {} -> {}", name, dst))
 
         def finish(event: Event) -> None:
             if event.ok:

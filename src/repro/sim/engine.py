@@ -5,6 +5,16 @@ engine is the substitute substrate: simulated time, generator-based
 processes, events, and a strictly deterministic event order (ties broken
 by schedule sequence), so every experiment is exactly reproducible.
 
+**The ordering rule.**  Callbacks run by time, then in the order they
+were scheduled.  Most have no delay (an event firing, a process
+starting), and those skip the heap: a callback due at ``now + delay ==
+now`` joins a FIFO lane.  The loop runs the heap entries due at ``now``,
+then the lane until it is empty, and only then advances the clock - the
+same (time, sequence) order one heap gives, because a heap entry due at
+``now`` was pushed at an earlier clock reading (pushed at ``now`` it
+would be due later, or be in the lane), hence before anything in the
+lane, and the lane itself is appended to in schedule order.
+
 The programming model mirrors SimPy's, implemented from scratch:
 
 * a *process* is a generator that ``yield``s :class:`Event` objects and is
@@ -31,7 +41,10 @@ Example::
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import (
+    Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple,
+)
 
 from ..core.errors import SimulationError
 
@@ -41,15 +54,22 @@ ProcessGen = Generator["Event", Any, Any]
 class Event:
     """A one-shot occurrence carrying a value or an exception."""
 
-    __slots__ = ("sim", "_callbacks", "_done", "_ok", "value", "name")
+    __slots__ = ("sim", "_callbacks", "_done", "_ok", "value", "_name")
 
-    def __init__(self, sim: "Simulator", name: str = ""):
+    def __init__(self, sim: "Simulator", name: str | tuple = ""):
         self.sim = sim
-        self.name = name
+        self._name = name
         self._callbacks: List[Callable[[Event], None]] = []
         self._done = False
         self._ok = False
         self.value: Any = None
+
+    @property
+    def name(self) -> str:
+        """Built when read: only error messages read it, so a hot path
+        passes ``(template, *args)`` and pays for no formatting."""
+        name = self._name
+        return name if isinstance(name, str) else name[0].format(*name[1:])
 
     @property
     def triggered(self) -> bool:
@@ -79,12 +99,13 @@ class Event:
 
     def _fire(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
+        lane = self.sim._lane  # no delay: straight to the lane
         for callback in callbacks:
-            self.sim._schedule_call(callback, self)
+            lane.append((callback, self))
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         if self._done:
-            self.sim._schedule_call(callback, self)
+            self.sim._lane.append((callback, self))
         else:
             self._callbacks.append(callback)
 
@@ -94,16 +115,16 @@ class Process(Event):
 
     __slots__ = ("_gen",)
 
-    def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = ""):
+    def __init__(self, sim: "Simulator", gen: ProcessGen, name: str | tuple = ""):
         super().__init__(sim, name or getattr(gen, "__name__", "process"))
         self._gen = gen
-        sim._schedule_call(self._resume, _Bootstrap(sim))
+        sim._lane.append((self._resume, sim._bootstrap))
 
     def _resume(self, event: Event) -> None:
         if self._done:
             raise SimulationError(f"process {self.name!r} resumed after completion")
         try:
-            if event.ok or isinstance(event, _Bootstrap):
+            if event._ok:
                 target = self._gen.send(event.value)
             else:
                 target = self._gen.throw(event.value)
@@ -123,25 +144,18 @@ class Process(Event):
         target.add_callback(self._resume)
 
 
-class _Bootstrap(Event):
-    """Internal: kicks off a freshly created process."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator"):
-        super().__init__(sim, "bootstrap")
-        self._done = True
-        self._ok = True
-
-
 class Simulator:
-    """The event loop: a heap of (time, seq, callback, event)."""
+    """The event loop: a heap of (time, seq, callback, event) for later
+    and a FIFO lane of (callback, event) for now (module docstring)."""
 
     def __init__(self):
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Callable[[Event], None], Event]] = []
+        self._lane: Deque[Tuple[Callable[[Event], None], Event]] = deque()
         self._seq = 0
-        self._running = False
+        #: What every new process is first resumed with (value ``None``).
+        self._bootstrap = Event(self, "bootstrap")
+        self._bootstrap._done = self._bootstrap._ok = True
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -151,54 +165,69 @@ class Simulator:
     ) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, callback, event))
+        due = self.now + delay
+        if due == self.now:  # also a delay too small to move the clock
+            self._lane.append((callback, event))
+        else:
+            self._seq += 1
+            heapq.heappush(self._heap, (due, self._seq, callback, event))
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that succeeds ``delay`` simulated seconds from now."""
-        event = Event(self, f"timeout({delay})")
+        event = Event(self, ("timeout({})", delay))
         self._schedule_call(lambda e: e.succeed(value), event, delay)
         return event
 
-    def event(self, name: str = "") -> Event:
+    def event(self, name: str | tuple = "") -> Event:
         return Event(self, name)
 
-    def process(self, gen: ProcessGen, name: str = "") -> Process:
+    def process(self, gen: ProcessGen, name: str | tuple = "") -> Process:
         return Process(self, gen, name)
 
     # ------------------------------------------------------------------
     # Running
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Drain the event heap; returns the final simulated time."""
-        self._running = True
-        try:
-            while self._heap:
-                time, _seq, callback, event = self._heap[0]
-                if until is not None and time > until:
-                    self.now = until
-                    return self.now
-                heapq.heappop(self._heap)
-                if time < self.now:
+    def _drain(self, until: Optional[float], target: Optional[Event]) -> None:
+        """Run callbacks in order until ``target`` has triggered, the
+        next one is due after ``until``, or none is left."""
+        heap, lane = self._heap, self._lane
+        while target is None or not target._done:
+            if heap and heap[0][0] == self.now:
+                _time, _seq, callback, event = heapq.heappop(heap)
+            elif lane:
+                callback, event = lane.popleft()
+            elif heap and (until is None or heap[0][0] <= until):
+                if heap[0][0] < self.now:
                     raise SimulationError("time moved backwards")
-                self.now = time
-                callback(event)
-        finally:
-            self._running = False
+                self.now = heap[0][0]
+                continue
+            else:
+                return
+            callback(event)
+
+    def run(self, until: Optional[float] = None) -> float:
+        """Drain the pending callbacks; returns the final simulated time.
+        With ``until``, stops before the first one due later and leaves
+        the clock at ``until`` - even when that turns it back, in which
+        case the lane's entries move to the heap to keep their time."""
+        if until is None or until >= self.now:
+            self._drain(until, None)
+        else:
+            while self._lane:
+                self._seq += 1
+                entry = (self.now, self._seq, *self._lane.popleft())
+                heapq.heappush(self._heap, entry)
+        if until is not None and self._heap:
+            self.now = until
         return self.now
 
     def run_until(self, event: Event) -> Any:
         """Run until ``event`` triggers; returns its value (or raises)."""
-        while not event.triggered:
-            if not self._heap:
-                raise SimulationError(
-                    f"deadlock: event {event.name!r} can never trigger"
-                )
-            time, _seq, callback, target = heapq.heappop(self._heap)
-            if time < self.now:
-                raise SimulationError("time moved backwards")
-            self.now = time
-            callback(target)
+        self._drain(None, event)
+        if not event.triggered:
+            raise SimulationError(
+                f"deadlock: event {event.name!r} can never trigger"
+            )
         if not event.ok:
             raise event.value
         return event.value
@@ -226,7 +255,7 @@ class Signal:
     def wait(self) -> Event:
         """The event the next :meth:`fire` will succeed."""
         if self._event is None or self._event.triggered:
-            self._event = self.sim.event(f"signal:{self.name}")
+            self._event = self.sim.event(("signal:{}", self.name))
         return self._event
 
     def fire(self, value: Any = None) -> None:

@@ -73,7 +73,7 @@ class Network:
             # In-memory copy: no NIC involvement.
             return self.sim.timeout(nbytes / LOCAL_BANDWIDTH, value=nbytes)
         return self.sim.process(
-            self._transfer_proc(src, dst, nbytes), name=f"xfer {src}->{dst}"
+            self._transfer_proc(src, dst, nbytes), name=("xfer {}->{}", src, dst)
         )
 
     def _transfer_proc(self, src: str, dst: str, nbytes: int):

@@ -44,7 +44,7 @@ class Resource:
                 f"{self.name}: request of {amount} exceeds capacity "
                 f"{self.capacity} and would never be granted"
             )
-        event = self.sim.event(f"{self.name}.acquire({amount})")
+        event = self.sim.event(("{}.acquire({})", self.name, amount))
         self._waiters.append((amount, event))
         self._grant()
         return event
@@ -94,7 +94,7 @@ class Pipe:
         """An event succeeding when ``nbytes`` have passed the pipe."""
         if nbytes < 0:
             raise SimulationError("cannot send negative bytes")
-        done = self.sim.event(f"{self.name}.send({nbytes})")
+        done = self.sim.event(("{}.send({})", self.name, nbytes))
         duration = nbytes / self.bandwidth
 
         def start(grant: Event) -> None:

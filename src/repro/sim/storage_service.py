@@ -48,14 +48,14 @@ class StorageService:
             raise SimulationError("cannot GET negative bytes")
         self.gets += 1
         self.bytes_read += nbytes
-        return self.sim.process(self._op(nbytes), name=f"{self.name}.get")
+        return self.sim.process(self._op(nbytes), name=("{}.get", self.name))
 
     def put(self, nbytes: int) -> Event:
         if nbytes < 0:
             raise SimulationError("cannot PUT negative bytes")
         self.puts += 1
         self.bytes_written += nbytes
-        return self.sim.process(self._op(nbytes), name=f"{self.name}.put")
+        return self.sim.process(self._op(nbytes), name=("{}.put", self.name))
 
     def _op(self, nbytes: int):
         yield self._connections.acquire(1)

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import random
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codelets.stdlib import blob_int, int_blob
 from repro.core.thunks import make_application
@@ -36,7 +39,14 @@ from repro.dist.gossip import (
     unpack_digest,
 )
 from repro.dist.graph import JobGraph, TaskSpec
-from repro.dist.objectview import EMPTY_DIGEST, Digest, ObjectView
+from repro.dist.membership import pack_members
+from repro.dist.objectview import (
+    EMPTY_DELTA,
+    EMPTY_DIGEST,
+    Digest,
+    ObjectView,
+    _node_wire_weight,
+)
 from repro.fixpoint.net import FixpointNode, NodeDirectory
 
 MB = 1 << 20
@@ -215,6 +225,333 @@ class TestConvergedExchangeRegression:
         view.learn(("tuple", "name"), "b", 1)  # fine in simulation...
         with pytest.raises(GossipError):
             pack_delta(view.delta_since(EMPTY_DIGEST))  # ...not on a wire
+
+
+# ----------------------------------------------------------------------
+# Byte accounting is the real codec's, and the kept digest never stale
+
+
+#: Node names the accounting must weigh like the codec does: multi-byte
+#: UTF-8, and a ``#`` that is not an epoch separator.
+ODD_NODES = ("n0", "nœud-é", "节点-二", "m#1", "ß" * 9)
+ODD_NAMES = ("obj", "objet-ü", b"", b"\x07" * 32, "名" * 5, b"\xff\x00key")
+
+
+def assert_bytes_are_the_codecs(views):
+    """Every value the views can hand each other, priced two ways."""
+    digests = [view.digest() for view in views] + [EMPTY_DIGEST]
+    for digest in digests:
+        assert digest.wire_bytes() == len(pack_digest(digest))
+    for view in views:
+        for digest in digests:
+            delta = view.delta_since(digest)
+            assert delta.wire_bytes() == len(pack_delta(delta))
+            assert unpack_delta(pack_delta(delta))[0] == delta
+
+
+def apply_op(views, op):
+    kind, who, other, name, size = op
+    view = views[who % len(views)]
+    peer = views[other % len(views)]
+    if kind == "learn":
+        view.learn(name, peer.node, size)
+    elif kind == "forget":
+        view.forget(name, peer.node)
+    elif kind == "exchange" and view is not peer:
+        exchange(Participant(view), Participant(peer))
+    elif kind == "merge":
+        view.merge_delta(peer.delta_since(EMPTY_DIGEST))
+    elif kind == "epoch":
+        view.advance_epoch(view.epoch + 1)
+
+
+OP_KINDS = ("learn", "learn", "learn", "forget", "exchange", "merge", "epoch")
+OPS = st.tuples(
+    st.sampled_from(OP_KINDS),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.one_of(st.text(max_size=12), st.binary(max_size=12)),
+    st.one_of(st.none(), st.integers(0, 2**64 - 1)),
+)
+
+
+class TestByteAccountingIsTheCodecs:
+    def test_the_shared_empty_delta(self):
+        assert EMPTY_DELTA.is_empty and len(EMPTY_DELTA) == 0
+        assert EMPTY_DELTA.wire_bytes() == len(pack_delta(EMPTY_DELTA)) == 8
+        assert unpack_delta(pack_delta(EMPTY_DELTA))[0] == EMPTY_DELTA
+        view = ObjectView("a")
+        view.learn("x", "a", 1)
+        assert view.delta_since(view.digest()) is EMPTY_DELTA
+        # ...also when the peer is merely *ahead*, not equal:
+        ahead = Digest({"a": 5, "b": 2})
+        assert view.delta_since(ahead) is EMPTY_DELTA
+        assert view.merge_delta(EMPTY_DELTA) == 0
+        assert EMPTY_DELTA.versions == {} and EMPTY_DELTA.entries == ()
+
+    @given(
+        st.lists(st.text(min_size=1, max_size=6), min_size=2, max_size=4, unique=True),
+        st.lists(st.integers(1, 3), min_size=4, max_size=4),
+        st.lists(OPS, max_size=25),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_history_prices_like_the_codec(self, nodes, epochs, ops):
+        views = [
+            ObjectView(node, epoch=epoch) for node, epoch in zip(nodes, epochs)
+        ]
+        for op in ops:
+            apply_op(views, op)
+        assert_bytes_are_the_codecs(views)
+
+    def test_seeded_histories_with_odd_names(self):
+        seen = set()
+        for seed in range(25):
+            rng = random.Random(seed)
+            views = [
+                ObjectView(node, epoch=rng.randint(1, 3))
+                for node in rng.sample(ODD_NODES, 4)
+            ]
+            for _ in range(40):
+                apply_op(
+                    views,
+                    (
+                        rng.choice(OP_KINDS),
+                        rng.randrange(4),
+                        rng.randrange(4),
+                        rng.choice(ODD_NAMES),
+                        rng.choice((None, 0, 7, 2**40)),
+                    ),
+                )
+                if rng.random() < 0.25:
+                    assert_bytes_are_the_codecs(views)
+            assert_bytes_are_the_codecs(views)
+            for view in views:
+                everything = view.delta_since(EMPTY_DIGEST)
+                for origin, _version, name, _location, size in everything.entries:
+                    if origin.endswith(("#2", "#3", "#4")):
+                        seen.add("epoch origin")
+                    if not origin.isascii():
+                        seen.add("multi-byte origin")
+                    seen.add(type(name).__name__)
+                    seen.add("sizeless" if size is None else "sized")
+        assert seen >= {
+            "epoch origin", "multi-byte origin", "str", "bytes", "sizeless", "sized",
+        }
+
+    def test_the_kept_digest_is_dropped_by_everything_that_moves_it(self):
+        a, b = ObjectView("nœud"), ObjectView("b")
+
+        def retaken(view):
+            """A fresh digest that equals the vector and prices right."""
+            digest = view.digest()
+            assert digest.versions == view._vector
+            assert digest.versions is not view._vector
+            assert digest.wire_bytes() == len(pack_digest(digest))
+            assert view.digest() is digest  # nothing moved in between
+            return digest
+
+        empty = retaken(a)
+        a.learn("x", "nœud", 1)  # _record
+        first = retaken(a)
+        assert first is not empty and empty.versions == {}
+        assert first.wire_bytes() > empty.wire_bytes()
+        a.learn("x", "nœud", 1)  # a duplicate stamps nothing
+        assert a.digest() is first
+
+        b.learn("y", "b")
+        before = retaken(a)
+        a.merge_delta(b.delta_since(a.digest()))  # entries: _record
+        merged = retaken(a)
+        assert merged is not before and merged.versions == {"nœud": 1, "b": 1}
+        assert merged.wire_bytes() == before.wire_bytes() + 2 + 1 + 8
+        a.merge_delta(b.delta_since(EMPTY_DIGEST))  # a replay moves nothing
+        assert a.digest() is merged
+
+        b.learn("z", "b")
+        b.forget("z", "b")  # b's cap is 2, its log holds no entry for it
+        gap = b.delta_since(a.digest())
+        assert len(gap) == 0 and gap.versions == {"b": 2}
+        a.merge_delta(gap)  # caps only: the cap advance
+        assert retaken(a).versions == {"nœud": 1, "b": 2}
+
+        before = retaken(a)
+        assert a.advance_epoch(2) == 1  # restamps under "nœud#2"
+        assert retaken(a).versions == {"nœud": 1, "b": 2, "nœud#2": 1}
+        assert before.versions == {"nœud": 1, "b": 2}  # old value untouched
+        a.evict("b"), a.readmit("b"), a.compact(), a.forget("x", "nœud")
+        assert retaken(a).versions == {"nœud": 1, "b": 2, "nœud#2": 1}
+
+
+# ----------------------------------------------------------------------
+# A round is its handshakes: the four Participant steps, priced by the
+# codec, drawn from the same seeded population
+
+
+def reference_round(coordinator):
+    """``GossipCoordinator.round`` written out the long way: the peers
+    filter it used to build, the four :class:`Participant` steps in
+    order, and every value priced by ``len(pack_*)`` - no
+    ``wire_bytes()``, no shared handshake core."""
+    active = [
+        Participant(view, coordinator._membership.get(view.node))
+        for view in coordinator._views
+        if view.node not in coordinator._dead
+    ]
+    for party in active:
+        if party.membership is not None:
+            party.membership.beat()
+    stats = dict(
+        pairs=[], digest_bytes=0, delta_bytes=0, entries_shipped=0,
+        membership_bytes=0,
+    )
+    for party in active:
+        peers = [p for p in active if p is not party]
+        if not peers:
+            continue
+        for peer in coordinator.rng.sample(
+            peers, min(coordinator.fanout, len(peers))
+        ):
+            digest, members = party.syn()
+            ack_digest, delta, ack_members = peer.on_syn(digest, members)
+            push = party.on_ack(ack_digest, delta, ack_members)
+            peer.on_push(push)
+            stats["pairs"].append((party.view.node, peer.view.node))
+            stats["digest_bytes"] += len(pack_digest(digest))
+            stats["digest_bytes"] += len(pack_digest(ack_digest))
+            stats["delta_bytes"] += len(pack_delta(delta)) + len(pack_delta(push))
+            stats["entries_shipped"] += len(delta.entries) + len(push.entries)
+            for map_ in (members, ack_members):
+                if map_ is not None:
+                    stats["membership_bytes"] += len(pack_members(map_))
+    for party in active:
+        if party.membership is not None:
+            party.membership.tick()
+    stats["pairs"] = tuple(stats["pairs"])
+    return stats
+
+
+class TestRoundEquivalence:
+    @pytest.mark.parametrize("membership", [False, True])
+    @pytest.mark.parametrize("fanout", [1, 3])
+    def test_round_equals_the_reference_round(self, membership, fanout):
+        """Two identically seeded 12-view groups, one driven by
+        ``round()`` and one by the reference, with learns between
+        rounds and (membership on) a kill and a restart."""
+        real, mirror = (
+            GossipCoordinator(
+                seeded_views(12),
+                fanout=fanout,
+                seed=11,
+                membership=membership,
+                suspect_after=2,
+                confirm_after=2,
+            )
+            for _ in range(2)
+        )
+        writes = random.Random(5)
+        for index in range(24):
+            node = f"node{writes.randrange(12):03d}"
+            if membership and index == 4:
+                real.kill("node003"), mirror.kill("node003")
+            if membership and index == 16:
+                for coordinator in (real, mirror):
+                    fresh = coordinator.restart("node003")
+                    fresh.learn("reborn", "node003", 3 * MB)
+            for coordinator in (real, mirror):
+                for view in coordinator.views:
+                    if view.node == node and node not in coordinator._dead:
+                        view.learn(f"late-{index}", node, index * MB)
+                        view.learn(f"sizeless-{index}", node)
+            stats = real.round()
+            want = reference_round(mirror)
+            got = {field: getattr(stats, field) for field in want}
+            assert got == want, f"round {index}"
+            assert stats.index == index
+            assert stats.bytes_shipped == (
+                want["digest_bytes"] + want["delta_bytes"] + want["membership_bytes"]
+            )
+            for mine, theirs in zip(real.views, mirror.views):
+                assert mine.snapshot() == theirs.snapshot(), f"round {index}"
+                assert mine.digest() == theirs.digest()
+        assert bool(stats.membership_bytes) == membership
+        if membership:
+            assert real.readmitted("node003") == mirror.readmitted("node003")
+            assert len(real.readmitted("node003")) == 11
+
+    def test_a_lone_participant_draws_nothing(self):
+        coordinator = GossipCoordinator(seeded_views(3), seed=1)
+        state = coordinator.rng.getstate()
+        stats = coordinator.round(participants={"node001"})
+        assert stats.pairs == () and stats.bytes_shipped == 0
+        assert coordinator.rng.getstate() == state
+
+    def test_exchange_is_the_rounds_handshake(self):
+        a, b = seeded_views(2)
+        stats = exchange(Participant(a), Participant(b))
+        assert (stats.entries_shipped, stats.membership_bytes) == (6, 0)
+        coordinator = GossipCoordinator(seeded_views(2), seed=0)
+        first = coordinator.round()
+        assert first.pairs[0] == ("node000", "node001")
+        # the second pair of the round is already converged
+        assert first.entries_shipped == stats.entries_shipped
+        assert first.delta_bytes == stats.delta_bytes + 2 * EMPTY_DELTA.wire_bytes()
+
+
+class _CountingDict(dict):
+    """A view's ``_log`` or ``_vector`` that counts every Python-level
+    read (``==`` against another dict stays inside C and is not one)."""
+
+    reads = 0
+
+    def _read(name):
+        def method(self, *args):
+            self.reads += 1
+            return getattr(dict, name)(self, *args)
+
+        return method
+
+    get = _read("get")
+    __getitem__ = _read("__getitem__")
+    __iter__ = _read("__iter__")
+    items = _read("items")
+    values = _read("values")
+    setdefault = _read("setdefault")
+
+
+class TestAHandshakeCostsItsNews:
+    def test_converged_handshake_weighs_no_origin_and_reads_no_log(self):
+        views = seeded_views(6, objects_per_node=20)
+        GossipCoordinator(views, seed=2).run()
+        a, b = Participant(views[0]), Participant(views[1])
+        settled = exchange(a, b)  # every kept value is in place now
+        for view in views[:2]:
+            view._log = _CountingDict(view._log)
+            view._vector = _CountingDict(view._vector)
+        digests = (views[0].digest(), views[1].digest())
+        weighed = _node_wire_weight.cache_info()
+        for _ in range(3):
+            assert exchange(a, b) == settled
+        assert settled.entries_shipped == 0
+        assert settled.delta_bytes == 2 * len(pack_delta(EMPTY_DELTA))
+        assert _node_wire_weight.cache_info() == weighed  # not even a hit
+        assert [view._log.reads for view in views[:2]] == [0, 0]
+        assert [view._vector.reads for view in views[:2]] == [0, 0]  # no walk
+        assert (views[0].digest(), views[1].digest()) == digests
+        assert views[0].digest() is digests[0] and views[1].digest() is digests[1]
+
+    def test_one_entry_of_news_reads_one_log(self):
+        views = seeded_views(6, objects_per_node=20)
+        GossipCoordinator(views, seed=2).run()
+        a, b = Participant(views[0]), Participant(views[1])
+        views[0].learn("news", "node000", 5)
+        for view in views[:2]:
+            view._log = _CountingDict(view._log)
+        stats = exchange(a, b)
+        assert stats.entries_shipped == 1
+        # a reads its own origin's log once for the PUSH; b's only
+        # "read" is the setdefault that files the entry.
+        assert [view._log.reads for view in views[:2]] == [1, 1]
+        assert views[1].knows("news", "node000")
 
 
 # ----------------------------------------------------------------------
