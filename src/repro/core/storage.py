@@ -13,12 +13,18 @@ recomputed on demand (see :meth:`Repository.forget_data`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Container, Dict, Iterator, List, Optional, Tuple
 
 from ..analysis.sync import TrackedRLock
 from .data import Blob, Datum, Tree
 from .errors import HandleError, MissingObjectError
 from .handle import Handle
+
+
+def _wire_size(datum: Datum) -> int:
+    """A stored datum's wire size: what ``datum.handle().byte_size()``
+    returns, read off its length instead of its hash."""
+    return len(datum.data) if isinstance(datum, Blob) else datum.byte_size()
 
 
 class Repository:
@@ -121,10 +127,18 @@ class Repository:
     def data_bytes(self) -> int:
         """Total stored payload bytes (blobs) plus tree handle bytes."""
         with self._lock:
-            return sum(
-                len(d.data) if isinstance(d, Blob) else d.byte_size()
-                for d in self._data.values()
-            )
+            return sum(map(_wire_size, self._data.values()))
+
+    def sizes_beyond(self, known: Container[bytes]) -> List[Tuple[bytes, int]]:
+        """``(content key, wire size)`` of every stored datum whose key is
+        not in ``known``, in first-stored order.  Nothing is hashed: the
+        store's key *is* the content key."""
+        with self._lock:
+            return [
+                (key, _wire_size(datum))
+                for key, datum in self._data.items()
+                if key not in known
+            ]
 
     def handles(self) -> Iterator[Handle]:
         """Canonical handles of every stored datum (snapshot)."""

@@ -983,11 +983,15 @@ class FixpointNode:
     # ------------------------------------------------------------------
     # Gossip: digest/delta anti-entropy over live channels
 
-    def _refresh_self(self) -> None:
-        """Stamp this node's own holdings into its view (a node always
-        knows its disk); dedup in ``learn`` keeps repeats free."""
-        for key, size in self.runtime.holdings().items():
+    def _refresh_self(self) -> int:
+        """Stamp into the view what this node stores and the view does
+        not yet believe it holds (a node always knows its disk); returns
+        how many.  The store is asked only for keys beyond that belief,
+        so a converged handshake hashes nothing and learns nothing."""
+        news = self.repo.sizes_beyond(self.view.holdings(self.name))
+        for key, size in news:
             self.view.learn(key, self.name, size)
+        return len(news)
 
     def gossip_with(self, peer_name: str) -> GossipTraffic:
         """One push-pull anti-entropy round with a connected peer.
@@ -1004,7 +1008,7 @@ class FixpointNode:
         if channel is None:
             raise NetworkError(f"{self.name}: no peer named {peer_name!r}")
         peer = channel.far_end(self)
-        self._refresh_self()
+        stamped = self._refresh_self()
         # Liveness piggyback: the heartbeat advances with every round
         # this node initiates, and rides the SYN with the membership map.
         self.membership.beat()
@@ -1036,6 +1040,7 @@ class FixpointNode:
             bytes=bytes_shipped,
             entries_in=len(delta_in),
             entries_out=len(delta_out),
+            stamped=stamped,
         ).finish()
         return GossipTraffic(
             peer=peer_name,
@@ -1051,7 +1056,7 @@ class FixpointNode:
         sends (and sequences) the ACK on the way out.
         """
         sender, ctx, *syn = unpack_syn(wire)
-        self._refresh_self()
+        stamped = self._refresh_self()
         # Serving a round is as alive as initiating one: beat before the
         # handshake step joins the caller's liveness map into ours.
         self.membership.beat()
@@ -1059,7 +1064,7 @@ class FixpointNode:
             "gossip.serve", parent=ctx, peer=sender
         ) as span:
             digest, delta, members = self._gossip.on_syn(*syn)
-            span.set(entries_out=len(delta))
+            span.set(entries_out=len(delta), stamped=stamped)
         with self._lock:
             self.gossip_rounds += 1
         self._m_gossip_rounds.inc(peer=sender, role="server")

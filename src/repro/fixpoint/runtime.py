@@ -178,7 +178,9 @@ class Fixpoint:
         This is the node's authoritative inventory: what it can ship, and
         the ground truth a delegating node prices its *local* option with
         (remote options are priced from beliefs; see
-        :mod:`repro.fixpoint.net`).
+        :mod:`repro.fixpoint.net`).  Every call re-serialises and
+        re-hashes the whole store; its callers are the delegation scans
+        (``_place``, ``scatter``, ``eval_many``) - ROADMAP 1(b).
         """
         return {h.content_key(): h.byte_size() for h in self.repo.handles()}
 

@@ -14,6 +14,8 @@ concurrency with live delegations).
 
 from __future__ import annotations
 
+import collections
+import functools
 import importlib.util
 import math
 import random
@@ -25,6 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codelets.stdlib import blob_int, int_blob
+from repro.core import data as core_data
+from repro.core import handle as core_handle
+from repro.core.errors import FixError
+from repro.core.storage import Repository
 from repro.core.thunks import make_application
 from repro.dist.engine import FixpointSim
 from repro.dist.gossip import (
@@ -39,7 +45,7 @@ from repro.dist.gossip import (
     unpack_digest,
 )
 from repro.dist.graph import JobGraph, TaskSpec
-from repro.dist.membership import pack_members
+from repro.dist.membership import DEAD, Member, pack_members
 from repro.dist.objectview import (
     EMPTY_DELTA,
     EMPTY_DIGEST,
@@ -803,6 +809,407 @@ class TestNetGossip:
 
         with pytest.raises(NetworkError):
             lonely.gossip_with("nobody")
+
+
+# ----------------------------------------------------------------------
+# A handshake stamps what the node newly stores, not the store
+
+
+def reference_refresh(node):
+    """``FixpointNode._refresh_self`` the long way: re-hash the whole
+    store into ``holdings()``, ``learn`` every datum, and let the dedup
+    in ``learn`` throw the repeats away."""
+    for key, size in node.runtime.holdings().items():
+        node.view.learn(key, node.name, size)
+    return 0  # the count only feeds a span attribute (tests/test_obs.py)
+
+
+#: A codelet whose result is a stored (non-literal) Blob, so a reply
+#: ships data and the server notes what the caller now holds.
+TWICE_SOURCE = (
+    "def _fix_apply(fix, input):\n"
+    "    entries = fix.read_tree(input)\n"
+    "    return fix.create_blob(fix.read_blob(entries[2]) * 2)\n"
+)
+
+
+class _Twin:
+    """Three meshed nodes stamping themselves with ``refresh`` (None:
+    the shipped ``_refresh_self``), driven one scripted op at a time."""
+
+    NAMES = ("n0", "n1", "n2")
+    KNOBS = dict(suspect_after=2, confirm_after=2)
+
+    def __init__(self, refresh=None):
+        self.refresh = refresh
+        self.directory = NodeDirectory()
+        self.nodes = {}
+        self.retired = []
+        self.put = {}  # name -> data the soup stored there
+        self.dropped = {}  # name -> data it dropped and not yet re-put
+        for name in self.NAMES:
+            self.spawn(name, 1)
+        for index, name in enumerate(self.NAMES):
+            for other in self.NAMES[index + 1 :]:
+                self.nodes[name].connect(self.nodes[other])
+
+    def spawn(self, name, incarnation):
+        node = FixpointNode(
+            name, directory=self.directory, incarnation=incarnation, **self.KNOBS
+        )
+        if self.refresh is not None:
+            node._refresh_self = functools.partial(self.refresh, node)
+        self.nodes[name], self.put[name], self.dropped[name] = node, [], []
+        return node
+
+    def close(self):
+        for node in [*self.nodes.values(), *self.retired]:
+            node.close()
+
+    def store(self, name, datum):
+        self.put[name].append(datum)
+        return self.nodes[name].repo.put(datum)
+
+    def meet(self, a, b):
+        """One handshake ``a`` -> ``b``, dialing when the link is gone."""
+        channel = self.nodes[a].peers.get(b)
+        if channel is None or channel.closed:
+            self.nodes[a].connect(self.nodes[b])  # the dial is a round
+            return "dialed"
+        return self.nodes[a].gossip_with(b)
+
+    def apply(self, op):
+        """Run one op; what it returns is compared across the twins."""
+        try:
+            return getattr(self, "op_" + op[0])(*op[1:])
+        except FixError as exc:
+            return type(exc).__name__
+
+    def op_blob(self, name, payload):
+        return self.store(name, core_data.Blob(payload))
+
+    def op_tree(self, name, values):
+        repo = self.nodes[name].repo
+        return self.store(
+            name, core_data.Tree([repo.put_blob(int_blob(v)) for v in values])
+        )
+
+    def op_dup(self, name, pick):
+        if self.put[name]:
+            return self.store(name, self.put[name][pick % len(self.put[name])])
+
+    def op_drop(self, name, pick, retract):
+        """The provider deletes a datum it can recompute; with
+        ``retract`` it also stops advertising it (what a GC pass does)."""
+        if not self.put[name]:
+            return None
+        node = self.nodes[name]
+        datum = self.put[name][pick % len(self.put[name])]
+        self.dropped[name].append(datum)
+        if retract:
+            node.view.forget(datum.handle().content_key(), name)
+        return node.repo.forget_data(datum.handle())
+
+    def op_reput(self, name):
+        back = [self.nodes[name].repo.put(d) for d in self.dropped[name]]
+        self.dropped[name].clear()
+        return back
+
+    def op_absorb(self, name, payloads):
+        side = Repository("side")
+        side.put_tree([side.put_blob(payload) for payload in payloads])
+        self.nodes[name].repo.absorb(side)
+
+    def op_delegate(self, a, b, payload):
+        """``b`` learns what ``a`` holds from the request it served, and
+        gossip brings that belief *about a* back to ``a``."""
+        node = self.nodes[a]
+        fn = node.runtime.compile(TWICE_SOURCE, "twice")
+        encode = make_application(
+            node.repo, fn, [node.repo.put_blob(payload)]
+        ).wrap_strict()
+        result = node.delegate(b, encode)
+        assert node.repo.get_blob(result).data == payload * 2
+        return result
+
+    def op_gossip(self, a, b):
+        return self.meet(a, b)
+
+    def op_sweep(self, name):
+        return self.nodes[name].gossip_sweep()
+
+    def op_crash(self, name, payload):
+        """Die for real, get buried, come back one incarnation up with
+        an empty view and something on disk."""
+        survivors = [self.nodes[n] for n in self.NAMES if n != name]
+        self.retired.append(self.nodes[name])
+        self.nodes[name].crash()
+        for _ in range(12):
+            if all(s.membership.is_dead(name) for s in survivors):
+                break
+            for survivor in survivors:
+                survivor.gossip_sweep()
+        reborn = self.spawn(name, survivors[0].membership.incarnation(name) + 1)
+        self.store(name, core_data.Blob(payload))
+        traffic = [reborn.rejoin(survivors[0])]
+        traffic.extend(survivor.gossip_sweep() for survivor in survivors)
+        return traffic
+
+    def op_accuse(self, victim, accuser):
+        """A false tombstone: the accuser evicts a live node, which
+        hears of it on the rejoin handshake and ``_on_self_refute``s."""
+        accused, by = self.nodes[victim], self.nodes[accuser]
+        by.membership.merge(
+            [
+                Member(
+                    victim,
+                    accused.membership.heartbeat(),
+                    DEAD,
+                    by.membership.incarnation(victim),
+                )
+            ]
+        )
+        return accused.rejoin(by), accused.incarnation
+
+    def op_evict_self(self, name):
+        return self.nodes[name].view.evict(name)
+
+    def op_readmit_self(self, name):
+        return self.nodes[name].view.readmit(name)
+
+    def fingerprint(self):
+        state = {}
+        for name, node in self.nodes.items():
+            everything = node.view.delta_since(Digest({}))
+            state[name] = (
+                node.view.snapshot(),
+                node.view.digest(),
+                everything.entries,  # every stamp, in log order
+                everything.versions,
+                node.view.stats()["log_entries"],
+                {
+                    peer: (channel.bytes_ab, channel.bytes_ba)
+                    for peer, channel in sorted(node.peers.items())
+                },
+            )
+        return state
+
+
+def soup(seed, length=60):
+    """A seeded script over every op kind (each at least twice).  What
+    wipes a belief is healed a few ops later - a dropped datum is
+    re-put, a self-evicted view readmitted - and then gossiped, so the
+    stamp-it-again path runs in every soup."""
+    rng = random.Random(seed)
+    names = _Twin.NAMES
+
+    def payload():
+        return rng.randbytes(rng.randint(31, 200))
+
+    def pair():
+        return tuple(rng.sample(names, 2))
+
+    makers = {
+        "blob": lambda: (rng.choice(names), payload()),
+        "tree": lambda: (
+            rng.choice(names),
+            [rng.randrange(1 << 30) for _ in range(rng.randint(0, 6))],
+        ),
+        "dup": lambda: (rng.choice(names), rng.randrange(100)),
+        "drop": lambda: (rng.choice(names), rng.randrange(100), rng.random() < 0.6),
+        "absorb": lambda: (rng.choice(names), [payload(), payload()]),
+        "delegate": lambda: (*pair(), payload()),
+        "gossip": pair,
+        "sweep": lambda: (rng.choice(names),),
+        "crash": lambda: (rng.choice(names), payload()),
+        "accuse": pair,
+        "evict_self": lambda: (rng.choice(names),),
+    }
+    weights = dict.fromkeys(makers, 2)
+    weights.update(blob=8, tree=5, gossip=10, drop=5, crash=0)  # 2 crashes, no more
+    kinds = 2 * list(makers)
+    kinds += rng.choices(
+        list(weights), list(weights.values()), k=length - len(kinds)
+    )
+    rng.shuffle(kinds)
+    script, healing = [], []
+    for kind in kinds:
+        op = (kind, *makers[kind]())
+        script.append(op)
+        if kind in ("drop", "evict_self"):
+            healing.append([rng.randint(0, 4), op[1]])
+        for wait in healing[:]:
+            wait[0] -= 1
+            if wait[0] < 0:
+                healing.remove(wait)
+                name = wait[1]
+                other = rng.choice([n for n in names if n != name])
+                script += [("reput", name), ("readmit_self", name)]
+                script.append(("gossip", name, other))
+    return script
+
+
+def run_twins(script, candidate=None):
+    """Drive a reference-stamped cluster and a ``candidate``-stamped one
+    (None: the shipped code) through ``script``; after every op the two
+    must be indistinguishable - beliefs, digests, every stamp in log
+    order, log sizes, and every byte on every channel."""
+    twins = []
+    try:
+        twins.append(_Twin(reference_refresh))
+        twins.append(_Twin(candidate))
+        reference, shipped = twins
+        assert shipped.fingerprint() == reference.fingerprint(), "mesh"
+        for step, op in enumerate(script):
+            assert shipped.apply(op) == reference.apply(op), (step, op)
+            assert shipped.fingerprint() == reference.fingerprint(), (step, op)
+    finally:
+        for twin in twins:
+            twin.close()
+
+
+def _stamp_news(node, wanted):
+    news = node.repo.sizes_beyond(node.view.holdings(node.name))
+    for key, size in wanted(news):
+        node.view.learn(key, node.name, size)
+    return len(news)
+
+
+def skips_trees(node):
+    return _stamp_news(
+        node, lambda news: [pair for pair in news if not pair[0].startswith(b"T")]
+    )
+
+
+def stamps_in_key_order(node):
+    """What iterating a set of keys (instead of the store) would do."""
+    return _stamp_news(node, sorted)
+
+
+def stamps_each_key_once(node):
+    """A cursor/journal design with no invalidation: a key stamped once
+    is never stamped again, so one dropped, retracted and re-put (or a
+    view that was wiped) stays unadvertised."""
+    done = node.__dict__.setdefault("_stamped_once", set())
+    stamped = _stamp_news(
+        node, lambda news: [pair for pair in news if pair[0] not in done]
+    )
+    done.update(node.repo._data)
+    return stamped
+
+
+class TestRefreshStampsWhatTheScanStamped:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_stamps_as_the_full_scan(self, seed):
+        run_twins(soup(seed))
+
+    @pytest.mark.parametrize(
+        "mutant", [skips_trees, stamps_in_key_order, stamps_each_key_once]
+    )
+    def test_the_oracle_catches_a_wrong_refresh(self, mutant):
+        with pytest.raises(AssertionError):
+            run_twins(soup(0), mutant)
+
+    def test_retracted_and_re_put_is_stamped_again(self):
+        """The self-healing case by hand: dropped + retracted + re-put
+        is news again (the journal mutant's blind spot)."""
+        script = [
+            ("blob", "n0", b"recomputable" * 4),
+            ("gossip", "n0", "n1"),
+            ("drop", "n0", 0, True),
+            ("gossip", "n0", "n1"),
+            ("reput", "n0"),
+            ("gossip", "n0", "n1"),
+        ]
+        run_twins(script)
+        with pytest.raises(AssertionError):
+            run_twins(script, stamps_each_key_once)
+
+
+def _count_calls(monkeypatch, owner, name, calls, tag=lambda args: None):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name, tag(args)] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def blob_or_tree():
+    """A non-literal Blob (31 B - 64 KiB) or a Tree of 0-16 literals."""
+    blobs = st.builds(
+        lambda unit, repeat: core_data.Blob((unit * repeat)[: 1 << 16]),
+        st.binary(min_size=31, max_size=64),
+        st.integers(1, 2115),
+    )
+    trees = st.lists(st.integers(0, 1 << 30), max_size=16).map(
+        lambda values: core_data.Tree(
+            [core_handle.Handle.of_blob(int_blob(v)) for v in values]
+        )
+    )
+    return st.one_of(blobs, trees)
+
+
+class TestARefreshCostsItsNews:
+    def test_converged_handshake_hashes_and_learns_nothing(self, monkeypatch):
+        a, b = FixpointNode("alpha"), FixpointNode("beta")
+        for node in (a, b):
+            for i in range(450):
+                node.repo.put_blob(b"%s/%d " % (node.name.encode(), i) * 6)
+            for i in range(50):
+                node.repo.put_tree([node.repo.put_blob(int_blob(i))] * (i % 17))
+            assert len(node.repo) >= 500
+        a.connect(b)
+        a.gossip_with("beta")  # converged from here on
+        calls = collections.Counter()
+        _count_calls(monkeypatch, core_handle, "blob_digest", calls)
+        _count_calls(monkeypatch, core_data, "tree_digest", calls)
+        _count_calls(monkeypatch, Repository, "handles", calls)
+        _count_calls(
+            monkeypatch, ObjectView, "learn", calls, tag=lambda args: args[0].node
+        )
+        for _ in range(3):
+            traffic = a.gossip_with("beta")
+            assert (traffic.entries_sent, traffic.entries_received) == (0, 0)
+        b.gossip_with("alpha")
+        assert not calls
+
+        fresh = [b"fresh-%d " % i * 8 for i in range(7)]
+        for payload in fresh:
+            a.repo.put_blob(payload)
+        assert calls.pop(("blob_digest", None)) == len(fresh)  # the puts
+        traffic = a.gossip_with("beta")
+        assert traffic.entries_sent == len(fresh)
+        assert calls == {("learn", "alpha"): len(fresh)}
+        calls.clear()
+        b.gossip_with("alpha")
+        assert not calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(blob_or_tree(), min_size=1, max_size=10), st.integers(0, 1023))
+    def test_the_listing_is_the_handles_without_the_hashing(self, data_in, mask):
+        repo = Repository()
+
+        def check():
+            want = [(h.content_key(), h.byte_size()) for h in repo.handles()]
+            assert repo.sizes_beyond(()) == want
+            known = {key for i, (key, _) in enumerate(want) if mask >> i & 1}
+            assert repo.sizes_beyond(known) == [
+                pair for pair in want if pair[0] not in known
+            ]
+            assert repo.data_bytes() == sum(size for _, size in want)
+            return want
+
+        for datum in data_in:
+            repo.put(datum)
+        before = check()
+        middle, _size = before[len(before) // 2]
+        datum = repo._data[middle]
+        assert repo.forget_data(datum.handle())
+        assert check() == [pair for pair in before if pair[0] != middle]
+        repo.put(datum)
+        assert [key for key, _ in check()][-1] == middle  # re-put goes last
 
 
 @pytest.mark.stress

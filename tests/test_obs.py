@@ -276,6 +276,34 @@ class TestCrossNodeTracing:
             for names in ({(s.name, s.node) for s in spans} for spans in gossip)
         )
 
+    def test_gossip_spans_say_how_much_the_refresh_stamped(self, pair):
+        """``stamped`` separates a round slow because of news from one
+        slow because of the store: 0 on a converged round, k after k puts
+        (on whichever side put them)."""
+        a, b = pair
+
+        def last_round():
+            caller = [s for s in a.obs.tracer.spans if s.name == "gossip.round"]
+            server = [s for s in b.obs.tracer.spans if s.name == "gossip.serve"]
+            return caller[-1].attrs, server[-1].attrs
+
+        a.gossip_with("beta")
+        caller, server = last_round()
+        assert (caller["stamped"], server["stamped"]) == (0, 0)
+        assert (caller["entries_in"], caller["entries_out"]) == (0, 0)
+
+        for i in range(3):
+            a.repo.put_blob(b"alpha's news %d" % i * 8)
+        b.repo.put_tree([b.repo.put_blob(b"x")])
+        a.gossip_with("beta")
+        caller, server = last_round()
+        assert (caller["stamped"], server["stamped"]) == (3, 1)
+        assert (caller["entries_out"], server["entries_out"]) == (3, 1)
+
+        a.gossip_with("beta")
+        caller, server = last_round()
+        assert (caller["stamped"], server["stamped"]) == (0, 0)
+
     def test_delegation_metrics_flow(self, pair):
         a, b = pair
         a.delegate("beta", add_encode(a, 1, 2))
