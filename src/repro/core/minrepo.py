@@ -103,10 +103,11 @@ def transitive_footprint(repo: Repository, handle: Handle) -> Footprint:
     correct for placement costing, where the platform may evaluate it
     anywhere.  A *delegatee* asked to evaluate the whole object, however,
     needs everything required to evaluate every nested Encode as well.
+    ``data_bytes`` here is what of ``data`` is *resident* in ``repo`` (an
+    absent key adds 0), looked up by key: it costs the footprint's size.
     """
     data: Set[bytes] = set()
     pending: Set[Handle] = set()
-    total = 0
     queue = [handle]
     while queue:
         fp = footprint(repo, queue.pop())
@@ -117,9 +118,7 @@ def transitive_footprint(repo: Repository, handle: Handle) -> Footprint:
             if encode not in pending:
                 pending.add(encode)
                 queue.append(encode)
-    for resident in repo.handles():
-        if resident.content_key() in data:
-            total += resident.byte_size()
+    total = sum(repo.held_sizes(data).values())
     return Footprint(frozenset(data), frozenset(pending), total)
 
 

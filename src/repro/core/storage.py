@@ -13,7 +13,7 @@ recomputed on demand (see :meth:`Repository.forget_data`).
 
 from __future__ import annotations
 
-from typing import Container, Dict, Iterator, List, Optional, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..analysis.sync import TrackedRLock
 from .data import Blob, Datum, Tree
@@ -139,6 +139,13 @@ class Repository:
                 for key, datum in self._data.items()
                 if key not in known
             ]
+
+    def held_sizes(self, keys: Iterable[bytes]) -> Dict[bytes, int]:
+        """Content key -> wire size for each of ``keys`` that is stored:
+        one pass over ``keys``, not the store, and nothing is hashed."""
+        with self._lock:
+            data = self._data
+            return {k: _wire_size(data[k]) for k in keys if k in data}
 
     def handles(self) -> Iterator[Handle]:
         """Canonical handles of every stored datum (snapshot)."""

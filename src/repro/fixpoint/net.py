@@ -1162,7 +1162,7 @@ class FixpointNode:
         """Build, send, and hand off one request frame.
 
         ``fp`` lets callers that already computed the footprint for a
-        placement quote (:meth:`scatter`, :meth:`eval_many`) skip the
+        placement quote (every caller of :meth:`_place`) skip the
         second walk.  The optimistic ``view.learn`` for shipped data is
         safe against concurrent delegations because the channel is
         wire-serialized: a later request's bundle is never parsed by
@@ -1211,7 +1211,11 @@ class FixpointNode:
                 return True
 
             future._settler = settle
-            span.set(bytes=len(wire), handles_shipped=len(shipped))
+            span.set(
+                bytes=len(wire),
+                footprint=len(fp.data),
+                handles_shipped=len(shipped),
+            )
             # Spawn *inside* the dispatch lock: the serve task's queue
             # position must match its wire sequence number, or a
             # bounded peer pool can pick up frame k+1 first and wedge a
@@ -1427,23 +1431,22 @@ class FixpointNode:
     def _place(
         self,
         encode: Handle,
-        local: Optional[Dict[bytes, int]] = None,
         candidates: Optional[List[str]] = None,
         prefer_local: bool = False,
     ) -> Tuple[Footprint, Optional[Quote]]:
         """The one placement step every entry point below shares:
-        footprint, local holdings, candidates, then a price for every
-        candidate through the shared cost model.
+        footprint, what of it is held here, candidates, then a price for
+        every candidate through the shared cost model.
 
-        ``local`` and ``candidates`` let a batch snapshot them once
-        (replies absorbed mid-batch can only *add* holdings, so a stale
-        snapshot at worst re-prices or delegates work that just became
-        local - redundancy, never a wrong result).  ``prefer_local``
-        returns no quote when the footprint is complete here: that
-        prices at zero bytes moved and no remote quote can beat zero.
-        (A node cannot *pull* data, so an incomplete local footprint is
-        never a candidate.)  The footprint is returned so the dispatch
-        does not walk it a second time.
+        The local sizes are read per quote, by the footprint's own keys
+        (``Repository.held_sizes``): a quote costs its footprint, not
+        the store, so all a batch lists once is ``candidates`` (a reply
+        absorbed mid-batch can only un-strand a key or keep newly local
+        work local).  ``prefer_local`` returns no quote when the
+        footprint is complete here: that prices at zero bytes moved and
+        no remote quote can beat zero.  (A node cannot *pull* data, so
+        an incomplete local footprint is never a candidate.)  The
+        footprint is returned so the dispatch does not walk it again.
 
         Sizes are authoritative for locally-held data and believed (from
         the inventory gossip) otherwise; a key whose size nobody ever
@@ -1469,8 +1472,7 @@ class FixpointNode:
         not a staleness guess - delegating there cannot succeed.
         """
         fp = transitive_footprint(self.repo, encode)
-        if local is None:
-            local = self.runtime.holdings()
+        local = self.repo.held_sizes(fp.data)
         if prefer_local and fp.data <= local.keys():
             return fp, None
         if candidates is None:
@@ -1517,7 +1519,8 @@ class FixpointNode:
 
     def delegate_best(self, encode: Handle) -> Handle:
         """Delegate to the peer the shared cost model prices cheapest."""
-        return self.delegate(self.quote_best(encode).candidate, encode)
+        fp, quote = self._place(encode)
+        return self._dispatch(quote.candidate, encode, fp).result()
 
     def eval_anywhere(self, encode: Handle) -> Handle:
         """Evaluate here when everything is resident (nothing remote
@@ -1537,14 +1540,13 @@ class FixpointNode:
         Each dispatch raises ``outstanding`` before the next quote runs,
         so equal-priced candidates spread round-robin across peers
         instead of piling onto the first name - the load tiebreak doing
-        real work.  Returns the futures in input order.  Candidates and
-        the local inventory are snapshotted once for the whole batch.
+        real work.  Returns the futures in input order.  Candidates are
+        listed once for the whole batch; each quote reads its own sizes.
         """
         candidates = self._candidates()
-        local = self.runtime.holdings()
         futures: List[Delegation] = []
         for encode in encodes:
-            fp, quote = self._place(encode, local, candidates)
+            fp, quote = self._place(encode, candidates)
             futures.append(self._dispatch(quote.candidate, encode, fp))
         return futures
 
@@ -1557,18 +1559,15 @@ class FixpointNode:
         happen *first*, so their wire time and peer-side evaluation
         overlap the local evaluations that follow; results return in
         input order.  The first failed delegation raises.  As in
-        :meth:`scatter`, candidates and the local inventory are
-        snapshotted once.
+        :meth:`scatter`, candidates are listed once; a reply absorbed
+        mid-batch can only keep newly local work local.
         """
         remote: List[Tuple[int, Delegation]] = []
         local_work: List[Tuple[int, Handle]] = []
         results: Dict[int, Handle] = {}
-        local = self.runtime.holdings()
         candidates = self._candidates()
         for index, encode in enumerate(encodes):
-            fp, quote = self._place(
-                encode, local, candidates, prefer_local=True
-            )
+            fp, quote = self._place(encode, candidates, prefer_local=True)
             if quote is None:
                 local_work.append((index, encode))
             else:

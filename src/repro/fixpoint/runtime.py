@@ -178,11 +178,11 @@ class Fixpoint:
         This is the node's authoritative inventory: what it can ship, and
         the ground truth a delegating node prices its *local* option with
         (remote options are priced from beliefs; see
-        :mod:`repro.fixpoint.net`).  Every call re-serialises and
-        re-hashes the whole store; its callers are the delegation scans
-        (``_place``, ``scatter``, ``eval_many``) - ROADMAP 1(b).
+        :mod:`repro.fixpoint.net`).  Read off the store's keys and the
+        data's lengths, nothing hashed; placement does not call it - a
+        quote asks ``Repository.held_sizes`` about its footprint only.
         """
-        return {h.content_key(): h.byte_size() for h in self.repo.handles()}
+        return dict(self.repo.sizes_beyond(()))
 
     def eval_blob(self, handle: Handle) -> bytes:
         """Evaluate and return the resulting Blob's payload."""

@@ -15,12 +15,16 @@ concurrency with live delegations).
 from __future__ import annotations
 
 import collections
+import contextlib
+import dataclasses
 import functools
 import importlib.util
 import math
 import random
+import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +33,11 @@ from hypothesis import strategies as st
 from repro.codelets.stdlib import blob_int, int_blob
 from repro.core import data as core_data
 from repro.core import handle as core_handle
-from repro.core.errors import FixError
+from repro.core.errors import FixError, MissingObjectError
+from repro.core.minrepo import Footprint, footprint, transitive_footprint
 from repro.core.storage import Repository
 from repro.core.thunks import make_application
+from repro.dist.costmodel import choose
 from repro.dist.engine import FixpointSim
 from repro.dist.gossip import (
     GossipConfig,
@@ -53,7 +59,8 @@ from repro.dist.objectview import (
     ObjectView,
     _node_wire_weight,
 )
-from repro.fixpoint.net import FixpointNode, NodeDirectory
+from repro.fixpoint import net
+from repro.fixpoint.net import FixpointNode, NetworkError, NodeDirectory
 
 MB = 1 << 20
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -817,10 +824,10 @@ class TestNetGossip:
 
 def reference_refresh(node):
     """``FixpointNode._refresh_self`` the long way: re-hash the whole
-    store into ``holdings()``, ``learn`` every datum, and let the dedup
-    in ``learn`` throw the repeats away."""
-    for key, size in node.runtime.holdings().items():
-        node.view.learn(key, node.name, size)
+    store (what ``holdings()`` did then), ``learn`` every datum, and let
+    the dedup in ``learn`` throw the repeats away."""
+    for handle in node.repo.handles():
+        node.view.learn(handle.content_key(), node.name, handle.byte_size())
     return 0  # the count only feeds a span attribute (tests/test_obs.py)
 
 
@@ -1210,6 +1217,454 @@ class TestARefreshCostsItsNews:
         assert check() == [pair for pair in before if pair[0] != middle]
         repo.put(datum)
         assert [key for key, _ in check()][-1] == middle  # re-put goes last
+
+
+# ----------------------------------------------------------------------
+# A quote prices its footprint, not the store
+
+
+def reference_footprint(repo, handle):
+    """``transitive_footprint`` as it was: the same closure, then
+    ``data_bytes`` by re-hashing every stored datum to find the few the
+    closure names."""
+    data, pending, queue = set(), set(), [handle]
+    while queue:
+        fp = footprint(repo, queue.pop())
+        data |= fp.data
+        queue += fp.pending - pending
+        pending |= fp.pending
+    total = 0
+    for resident in repo.handles():
+        if resident.content_key() in data:
+            total += resident.byte_size()
+    return Footprint(frozenset(data), frozenset(pending), total)
+
+
+def price_like_the_parent(node, encode, fp, local, candidates, prefer_local):
+    """``FixpointNode._place`` as it was, from ``local`` on."""
+    if prefer_local and fp.data <= local.keys():
+        return fp, None
+    if candidates is None:
+        candidates = node._candidates()
+    if not candidates:
+        if prefer_local:
+            raise MissingObjectError(encode, node.name)
+        raise NetworkError(f"{node.name}: no peers to delegate to")
+    dead = node.membership.dead_nodes()
+    needs = [
+        (key, local.get(key, node.view.believed_size(key))) for key in fp.data
+    ]
+    prices = node.view.price_moves(needs, candidates)
+    unshippable = [(key, 1) for key, _ in needs if key not in local]
+    stranded = node.view.price_moves(unshippable, candidates)
+    viable = [
+        peer for peer in candidates if stranded[peer] == 0
+    ] or list(candidates)
+    return fp, choose(
+        viable,
+        prices.__getitem__,
+        lambda peer: node.outstanding.get(peer, 0),
+        exclude=dead,
+    )
+
+
+def reference_place(node, encode, candidates=None, prefer_local=False):
+    """The whole store re-hashed into a holdings dict for every quote."""
+    fp = reference_footprint(node.repo, encode)
+    local = {h.content_key(): h.byte_size() for h in node.repo.handles()}
+    return price_like_the_parent(
+        node, encode, fp, local, candidates, prefer_local
+    )
+
+
+REFERENCE_QUOTE = (
+    (net, "transitive_footprint", reference_footprint),
+    (FixpointNode, "_place", reference_place),
+)
+
+
+class _QuoteTwin(_Twin):
+    """``_Twin`` plus the placement entry points.  ``patches`` - (owner,
+    name, stand-in) triples - are in force while one of its ops runs;
+    the twins take turns, so a patched class never serves the other."""
+
+    def __init__(self, patches=()):
+        self.patches = patches
+        super().__init__()
+
+    def spawn(self, name, incarnation):
+        node = super().spawn(name, incarnation)
+        self.twice = node.runtime.compile(TWICE_SOURCE, "twice")
+        return node
+
+    def apply(self, op):
+        with contextlib.ExitStack() as stack:
+            for owner, name, stand_in in self.patches:
+                stack.enter_context(mock.patch.object(owner, name, stand_in))
+            return super().apply(op)
+
+    def pool(self):
+        """Everything any node was given, in a fixed order."""
+        return [datum for name in self.NAMES for datum in self.put[name]]
+
+    def encode(self, a, payload, picks=(), dropped=False):
+        """On ``a``: twice(``payload``, ...) - the codelet reads only
+        its first argument, the rest are footprint: data any node was
+        given (``a`` may hold it, believe it elsewhere, or never have
+        heard of it) and, with ``dropped``, what ``a`` dropped and has
+        not re-put."""
+        node, pool = self.nodes[a], self.pool()
+        extra = [pool[pick % len(pool)] for pick in picks if pool]
+        if dropped:
+            extra += self.dropped[a]
+        args = [node.repo.put_blob(payload), *(d.handle() for d in extra)]
+        return make_application(node.repo, self.twice, args).wrap_strict()
+
+    def checked(self, a, payload, result):
+        assert self.nodes[a].repo.get_blob(result).data == payload * 2
+        return result
+
+    def op_copy(self, name, pick):
+        """A replica: ``name`` stores something another node was given."""
+        pool = self.pool()
+        if pool:
+            return self.store(name, pool[pick % len(pool)])
+
+    def op_bounce(self, a, b, payload):
+        """The result is a stored Blob that lands back on ``a``, where
+        later picks can name it."""
+        result = self.op_delegate(a, b, payload)
+        self.put[a].append(core_data.Blob(payload * 2))
+        return result
+
+    def op_quote(self, a, *spec):
+        node, encode = self.nodes[a], self.encode(a, *spec)
+        return net.transitive_footprint(node.repo, encode), node.quote_best(encode)
+
+    def op_delegate_best(self, a, payload, *spec):
+        encode = self.encode(a, payload, *spec)
+        return self.checked(a, payload, self.nodes[a].delegate_best(encode))
+
+    def op_eval_anywhere(self, a, payload, *spec):
+        encode = self.encode(a, payload, *spec)
+        return self.checked(a, payload, self.nodes[a].eval_anywhere(encode))
+
+    def op_scatter(self, a, batch):
+        """Every peer's ``eval`` waits until ``scatter`` has returned:
+        quote k sees exactly the k - 1 dispatches before it, never a
+        reply that happened to be absorbed in between."""
+        hub = self.nodes[a]
+        dispatched = threading.Event()
+
+        def gated(real):
+            def eval_(encode):
+                assert dispatched.wait(10)
+                return real(encode)
+
+            return eval_
+
+        with contextlib.ExitStack() as stack:
+            stack.callback(dispatched.set)
+            for name, peer in self.nodes.items():
+                if name != a:
+                    stack.enter_context(
+                        mock.patch.object(
+                            peer.runtime, "eval", gated(peer.runtime.eval)
+                        )
+                    )
+            futures = hub.scatter([self.encode(a, *spec) for spec in batch])
+            dispatched.set()
+            outcomes = []
+            for future, (payload, *_rest) in zip(futures, batch):
+                try:
+                    outcomes.append(
+                        (future.peer, self.checked(a, payload, future.result(10)))
+                    )
+                except FixError as exc:
+                    outcomes.append((future.peer, type(exc).__name__))
+        return outcomes
+
+    def op_eval_many(self, a, here, there, also_here):
+        """Two locally complete encodes around one that is not: a single
+        dispatch, so no quote depends on when a reply lands."""
+        batch = [(here,), there, (also_here,)]
+        results = self.nodes[a].eval_many([self.encode(a, *s) for s in batch])
+        return [
+            self.checked(a, payload, result)
+            for (payload, *_rest), result in zip(batch, results)
+        ]
+
+    def fingerprint(self):
+        """Beliefs and bytes.  Not ``_Twin``'s log order: after a
+        scatter the hub absorbs its peers' replies in whichever order
+        their threads finish."""
+        return {
+            name: (
+                node.view.snapshot(),
+                {
+                    peer: (channel.bytes_ab, channel.bytes_ba)
+                    for peer, channel in sorted(node.peers.items())
+                },
+            )
+            for name, node in self.nodes.items()
+        }
+
+
+def quote_soup(seed, length=50):
+    """A seeded script over every placement entry point (each at least
+    twice) between puts, replicas, gossip, and drops of footprint keys
+    that are quoted while gone and re-put a few ops later."""
+    rng = random.Random(seed)
+    names = _Twin.NAMES
+
+    def payload():
+        return rng.randbytes(rng.randint(31, 200))
+
+    def spec():
+        """(payload, picks, dropped): up to three extra arguments."""
+        picks = [rng.randrange(1000) for _ in range(rng.randint(0, 3))]
+        return payload(), picks, rng.random() < 0.3
+
+    makers = {
+        "blob": lambda: (rng.choice(names), payload()),
+        "tree": lambda: (
+            rng.choice(names),
+            [rng.randrange(1 << 30) for _ in range(rng.choice((0, 0, 3, 6)))],
+        ),
+        "copy": lambda: (rng.choice(names), rng.randrange(1000)),
+        "drop": lambda: (rng.choice(names), rng.randrange(100), rng.random() < 0.5),
+        "gossip": lambda: tuple(rng.sample(names, 2)),
+        "bounce": lambda: (*rng.sample(names, 2), payload()),
+        "quote": lambda: (rng.choice(names), *spec()),
+        "delegate_best": lambda: (rng.choice(names), *spec()),
+        "eval_anywhere": lambda: (rng.choice(names), *spec()),
+        "scatter": lambda: (rng.choice(names), [spec() for _ in range(4)]),
+        "eval_many": lambda: (rng.choice(names), payload(), spec(), payload()),
+    }
+    weights = dict.fromkeys(makers, 2)
+    weights.update(blob=6, copy=4, gossip=6, drop=4, quote=8, scatter=1, eval_many=1)
+    kinds = 2 * list(makers)
+    kinds += rng.choices(
+        list(weights), list(weights.values()), k=length - len(kinds)
+    )
+    rng.shuffle(kinds)
+    script, healing = [], []
+    for kind in kinds:
+        op = (kind, *makers[kind]())
+        script.append(op)
+        if kind == "drop":
+            script.append(("quote", op[1], payload(), [], True))
+            healing.append([rng.randint(0, 4), op[1]])
+        for wait in healing[:]:
+            wait[0] -= 1
+            if wait[0] < 0:
+                healing.remove(wait)
+                script += [("reput", wait[1]), ("quote", wait[1], *spec())]
+    return script
+
+
+def run_quote_twins(script, patches=()):
+    """Drive a mesh quoting the old way and one running ``patches``
+    (none: the shipped code) through ``script``; after every op they
+    must have returned the same thing - a ``Footprint`` field for field,
+    a ``Quote`` by ``==`` - and agree on every belief and channel byte."""
+    twins = []
+    try:
+        twins.append(_QuoteTwin(REFERENCE_QUOTE))
+        twins.append(_QuoteTwin(patches))
+        reference, shipped = twins
+        assert shipped.fingerprint() == reference.fingerprint(), "mesh"
+        for step, op in enumerate(script):
+            assert shipped.apply(op) == reference.apply(op), (step, op)
+            assert shipped.fingerprint() == reference.fingerprint(), (step, op)
+    finally:
+        for twin in twins:
+            twin.close()
+
+
+def counts_absent_keys(repo, handle):
+    """Mutant: ``data_bytes`` read off the handles the walk met, so a
+    key that is not stored here counts at its handle's size."""
+    fp = reference_footprint(repo, handle)
+    return dataclasses.replace(fp, data_bytes=footprint(repo, handle).data_bytes)
+
+
+def believed_is_local(node, encode, candidates=None, prefer_local=False):
+    """Mutant: a size the view believes stands in for one the store
+    holds, so ``unshippable`` shrinks and a footprint can look complete."""
+    fp = net.transitive_footprint(node.repo, encode)
+    local = {
+        key: size
+        for key in fp.data
+        if (size := node.view.believed_size(key))
+    }
+    local.update(node.repo.held_sizes(fp.data))
+    return price_like_the_parent(
+        node, encode, fp, local, candidates, prefer_local
+    )
+
+
+def answers_for_the_whole_store(repo, keys):
+    """Mutant: ``held_sizes`` returns keys it was not asked about."""
+    return dict(repo.sizes_beyond(()))
+
+
+QUOTE_MUTANTS = {
+    "counts_absent_keys": ((net, "transitive_footprint", counts_absent_keys),),
+    "believed_is_local": ((FixpointNode, "_place", believed_is_local),),
+    "answers_for_the_whole_store": (
+        (Repository, "held_sizes", answers_for_the_whole_store),
+    ),
+}
+
+
+class TestAQuoteIsTheQuoteTheScanGave:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_quotes_as_the_full_scan(self, seed):
+        run_quote_twins(quote_soup(seed))
+
+    @pytest.mark.parametrize("mutant", sorted(QUOTE_MUTANTS))
+    def test_the_oracle_catches_a_wrong_quote(self, mutant):
+        with pytest.raises(AssertionError):
+            run_quote_twins(quote_soup(0), QUOTE_MUTANTS[mutant])
+
+    def test_a_believed_key_still_strands_the_peers_without_it(self):
+        """``unshippable`` by hand: n0 holds ``big`` (so does n2) and
+        has only heard of ``small`` (n1's).  n2 is cheaper by bytes but
+        would be stranded without ``small``; only a quote that knows n0
+        cannot ship it sends the work to n1."""
+        script = [
+            ("blob", "n1", b"small" * 8),
+            ("blob", "n2", b"big" * 400),
+            ("copy", "n0", 1),
+            ("gossip", "n0", "n1"),
+            ("gossip", "n0", "n2"),
+            ("quote", "n0", b"p" * 40, [0, 1], False),
+        ]
+        run_quote_twins(script)
+        with pytest.raises(AssertionError):
+            run_quote_twins(script, QUOTE_MUTANTS["believed_is_local"])
+        twin = _QuoteTwin()
+        try:
+            _fp, quote = [twin.apply(op) for op in script][-1]
+            assert quote.candidate == "n1" and quote.move_bytes > 1200
+        finally:
+            twin.close()
+
+
+class TestAQuoteCostsItsFootprint:
+    def test_quotes_hash_nothing_and_a_dispatch_scans_once(self, monkeypatch):
+        hub, left, right = (FixpointNode(n) for n in ("hub", "left", "right"))
+        twice = [
+            node.runtime.compile(TWICE_SOURCE, "twice")
+            for node in (hub, left, right)
+        ][0]
+        for i in range(450):
+            hub.repo.put_blob(b"resident/%d " % i * 6)
+        for i in range(50):
+            hub.repo.put_tree([hub.repo.put_blob(int_blob(i))] * (i % 17))
+        assert len(hub.repo) >= 500
+        hub.connect(left)
+        hub.connect(right)
+        encodes = [
+            make_application(
+                hub.repo, twice, [hub.repo.put_blob(b"argument %d " % i * 4)]
+            ).wrap_strict()
+            for i in range(4)
+        ]
+        calls = collections.Counter()
+        _count_calls(monkeypatch, core_handle, "blob_digest", calls)
+        _count_calls(monkeypatch, core_data, "tree_digest", calls)
+        _count_calls(
+            monkeypatch,
+            Repository,
+            "handles",
+            calls,
+            # whose store, and who asked (the frame above the counter)
+            tag=lambda args: (
+                args[0] is hub.repo,
+                sys._getframe(2).f_code.co_name,
+            ),
+        )
+        _count_calls(
+            monkeypatch,
+            net,
+            "transitive_footprint",
+            calls,
+            tag=lambda args: args[0] is hub.repo,
+        )
+        for _ in range(5):
+            for encode in encodes:
+                assert hub.quote_best(encode).candidate == "left"
+        assert calls == {("transitive_footprint", True): 20}
+        calls.clear()
+
+        for future in hub.scatter(encodes):
+            future.result(10)
+        # What is left for after ROADMAP 1(a): one store scan per
+        # dispatch and one per reply, all in the shipping filter (the
+        # digest calls are theirs too, and the results').
+        del calls["blob_digest", None], calls["tree_digest", None]
+        assert calls == {
+            ("handles", (True, "_unheld_by")): 4,
+            ("handles", (False, "_unheld_by")): 4,
+            ("transitive_footprint", True): 4,
+            ("transitive_footprint", False): 4,
+        }
+        calls.clear()
+
+        # delegate_best hands its quote's footprint to the dispatch.
+        hub.delegate_best(encodes[0])
+        assert calls["transitive_footprint", True] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(blob_or_tree(), min_size=1, max_size=10),
+        st.integers(0, 1023),
+        st.lists(st.binary(min_size=25, max_size=25), max_size=3),
+    )
+    def test_held_sizes_is_the_listing_asked_by_key(self, data_in, mask, absent):
+        repo = Repository()
+
+        def check():
+            listing = repo.sizes_beyond(())
+            present = [key for i, (key, _) in enumerate(listing) if mask >> i & 1]
+            for keys in (present, absent, present + absent, [], dict(listing)):
+                assert repo.held_sizes(keys) == {
+                    k: s for k, s in listing if k in keys
+                }
+            return dict(listing)
+
+        for datum in data_in:
+            repo.put(datum)
+        before = check()
+        middle = list(before)[len(before) // 2]
+        datum = repo._data[middle]
+        assert repo.forget_data(datum.handle())
+        assert repo.held_sizes(before) == check() == {
+            k: s for k, s in before.items() if k != middle
+        }
+        repo.put(datum)
+        assert check() == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(blob_or_tree(), min_size=1, max_size=10), st.integers(0, 1023))
+    def test_data_bytes_is_what_the_scan_summed(self, data_in, mask):
+        """A Tree naming every datum is the footprint; ``mask`` picks
+        the ones forgotten again: named, not stored, and worth 0."""
+        repo = Repository()
+        handles = [repo.put(datum) for datum in data_in]
+        root = repo.put_tree(handles)
+        gone = {h for i, h in enumerate(handles) if mask >> i & 1}
+        for handle in gone:
+            repo.forget_data(handle)
+        fp = transitive_footprint(repo, root)
+        assert fp == reference_footprint(repo, root)
+        held = {root, *handles} - gone
+        assert fp.data_bytes == sum(
+            h.byte_size() for h in held if not h.is_literal
+        )
+        assert fp.data >= {h.content_key() for h in gone if not h.is_literal}
 
 
 @pytest.mark.stress

@@ -304,6 +304,23 @@ class TestCrossNodeTracing:
         caller, server = last_round()
         assert (caller["stamped"], server["stamped"]) == (0, 0)
 
+    def test_dispatch_span_says_what_it_named_and_what_it_shipped(self, pair):
+        """``footprint`` beside ``handles_shipped`` separates a dispatch
+        slow because of what it named from one slow because of the store:
+        a three-key encode (tree, codelet, argument) whose codelet the
+        peer advertised at ``connect`` ships the other two."""
+        a, b = pair
+        payload = b"x" * 64
+        encode = a.runtime.invoke(
+            a.runtime.stdlib["identity"], [a.repo.put_blob(payload)]
+        ).wrap_strict()
+        assert a.repo.get_blob(a.delegate_best(encode)).data == payload
+        (dispatch,) = [
+            s for s in a.obs.tracer.spans if s.name == "delegate.dispatch"
+        ]
+        attrs = dispatch.attrs
+        assert (attrs["footprint"], attrs["handles_shipped"]) == (3, 2)
+
     def test_delegation_metrics_flow(self, pair):
         a, b = pair
         a.delegate("beta", add_encode(a, 1, 2))
