@@ -63,8 +63,9 @@ def _placements_per_second(machines: int, reps: int = 50) -> float:
 def test_fig10_link_placement_scalability(benchmark):
     """The scheduler hot spot: placing the 1,987-input link task.
 
-    The holdings index prices every machine in one pass over the
-    inputs, so the cost must *not* scale with the machine count (the
+    One pass over the inputs finds the machines believed to hold any of
+    them (``ObjectView.price_held``) and only those contenders are
+    compared, so the cost must *not* scale with the machine count (the
     old per-machine pricing loop was O(machines x inputs): 10x the
     machines cost ~10x the time).
     """

@@ -15,7 +15,8 @@ name.  Both runtimes in this repo resolve placements here:
 Keeping the policy in one module means a delegation-policy change is
 made exactly once and both the perf conclusions (simulated) and the
 executing code follow it: the ``(priced bytes, load, name)`` order is
-written in :func:`choose` and nowhere else, the output-size hint in
+written in :func:`choose` (and, for ranking whole quotes, in
+:meth:`Quote.sort_key` beside it), the output-size hint in
 :func:`hint_bytes`, the pricing pass in :func:`price_held`.
 
 What a decision costs: :func:`choose` compares its candidates in one
@@ -23,12 +24,13 @@ pass and builds the winner's :class:`Quote` only.  :func:`price_held`
 walks the inputs once and reports only the candidates believed to hold
 some of them (O(needs + believed replicas)); :func:`price_moves` is the
 same pass laid out densely, one entry per candidate, for callers that
-want the whole table - today both runtimes.  :func:`contenders` turns
-the sparse form into the candidates that can still be the minimum, so
-that every candidate is looked at only when all of them tie on bytes
-(nothing believed held), where the spread by ``(load, name)`` has to
-see them all; the scheduler does not pre-filter with it yet (ROADMAP
-1(c) says why), so a placement still scans every machine once.
+want the whole table - the executing runtime's peer quotes.
+:func:`contenders` turns the sparse form into the candidates that can
+still be the minimum, so that every candidate is looked at only when
+all of them tie on bytes (nothing believed held), where the spread by
+``(load, name)`` has to see them all; the simulated scheduler places
+through it, so one of its placements costs O(needs + believed replicas
++ contenders).
 
 Everything here is pure: no cluster, no repository, no I/O.  Beliefs
 arrive as callables/pairs so any view representation can plug in.
@@ -70,6 +72,11 @@ class Quote:
     def priced_bytes(self) -> int:
         """The quantity the policy minimises: input + hinted output bytes."""
         return self.move_bytes + self.hint_bytes
+
+    def sort_key(self) -> Tuple[int, int, str]:
+        """The order :func:`choose` minimises, for ranking built quotes
+        (``sorted(quotes, key=Quote.sort_key)[0]`` is its answer)."""
+        return (self.priced_bytes, self.load, self.candidate)
 
 
 def price_held(

@@ -71,10 +71,12 @@ property the paper's design leans on.
 
 Every observation also maintains an inverted *holdings index*
 (machine -> believed names, plus believed sizes), so "what does machine
-M hold" is one lookup and :meth:`bytes_missing_many` prices every
-machine in a single pass over the inputs via
-:func:`repro.dist.costmodel.price_moves` - the fig. 10 link task
-(1,987 inputs) no longer pays O(machines x inputs) per placement.
+M hold" is one lookup, and pricing is a single pass over the inputs -
+:meth:`price_held` (the believed holders only, what
+:meth:`DataflowScheduler.place <repro.dist.scheduler.DataflowScheduler.place>`
+reads) or :meth:`bytes_missing_many` / :meth:`price_moves` (the same
+pass laid out over every machine) - so the fig. 10 link task (1,987
+inputs) does not pay O(machines x inputs) per placement.
 
 The view is internally locked: the executing runtime's asynchronous
 delegation (:mod:`repro.fixpoint.net`) absorbs replies on serving

@@ -1,21 +1,24 @@
 """Dataflow-aware placement: run the code where the data already lives.
 
-The scheduler prices every machine by the bytes its :class:`ObjectView`
-believes would have to move (paper 4.2.2), so a task lands on the holder
-of its largest dependency and ``predicted_move_bytes`` is zero when the
-data is local.  Pricing and the decision itself live in
+The scheduler prices a machine by the bytes its :class:`ObjectView`
+believes would have to move there (paper 4.2.2), so a task lands on the
+holder of its largest dependency and ``predicted_move_bytes`` is zero
+when the data is local.  Pricing and the decision itself live in
 :mod:`repro.dist.costmodel` - the same policy the executing runtime's
-:meth:`repro.fixpoint.net.FixpointNode.delegate_best` resolves through -
-and all machines are priced in one pass over the inputs (the holdings
-index in the view), so a wide task like fig. 10's 1,987-input link does
-not pay O(machines x inputs).  The decision scans the machines once,
-comparing ``(priced bytes, load, name)`` keys, and builds a
-:class:`~repro.dist.costmodel.Quote` for the winner only, so a
-placement is O(inputs + believed replicas + machines) with a small
-per-machine constant.  (The per-machine scan itself goes once placement
-is restricted to :func:`~repro.dist.costmodel.contenders` - ROADMAP
-1(c).)  Equal-cost candidates (independent tasks, external-only inputs)
-spread by outstanding load, fed back through
+:meth:`repro.fixpoint.net.FixpointNode.delegate_best` resolves through.
+One pass over the inputs (:meth:`ObjectView.price_held`) finds the
+machines believed to hold any of them, so a wide task like fig. 10's
+1,987-input link does not pay O(machines x inputs);
+:func:`~repro.dist.costmodel.contenders` then keeps the machines that
+can still win - the live holders and the hinted consumer - and
+:func:`~repro.dist.costmodel.choose` compares their ``(priced bytes,
+load, name)`` keys and builds a :class:`~repro.dist.costmodel.Quote`
+for the winner only.  A placement is therefore O(inputs + believed
+replicas + contenders): it follows the data the task names, not the
+size of the cluster.  Only when no live machine is believed to hold a
+byte (external-only inputs, independent tasks, every holder dead) does
+everyone tie on bytes and every machine get compared, spreading by
+outstanding load, fed back through
 :meth:`DataflowScheduler.task_started` / :meth:`task_finished`.
 
 Two ablation/extension levers:
@@ -31,11 +34,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import SchedulingError
 from ..obs import NULL_OBS, Obs
-from .costmodel import choose
+from .costmodel import Quote, choose, contenders, quote
 from .graph import TaskSpec
 from .membership import MembershipView
 from .objectview import ObjectView
@@ -100,6 +103,9 @@ class DataflowScheduler:
         self._machines: List[str] = cluster.machine_names()
         if not self._machines:
             raise SchedulingError("cannot schedule on an empty cluster")
+        #: The machines as the set pricing asks ``in`` of and the
+        #: collection an all-tie placement compares, in cluster order.
+        self._candidates: Dict[str, None] = dict.fromkeys(self._machines)
         #: Outstanding tasks per machine - the load-feedback signal that
         #: spreads equal-cost siblings instead of convoying them.  Pass a
         #: shared dict to let several schedulers (one per concurrent job,
@@ -108,6 +114,13 @@ class DataflowScheduler:
         self._outstanding: Dict[str, int] = (
             {m: 0 for m in self._machines} if outstanding is None else outstanding
         )
+        # A placement reads the load of its contenders only, so a shared
+        # map with a hole would fail for some tasks and not for others.
+        unknown = [m for m in self._machines if m not in self._outstanding]
+        if unknown:
+            raise SchedulingError(
+                f"outstanding-load map has no entry for {', '.join(unknown)}"
+            )
 
     # ------------------------------------------------------------------
     # Load feedback
@@ -134,6 +147,21 @@ class DataflowScheduler:
     # ------------------------------------------------------------------
     # Placement
 
+    def _price(self, task: TaskSpec) -> Tuple[int, Dict[str, int]]:
+        """``(total, held)``: the task's input bytes (registry sizes) and
+        the part each machine is believed to hold, holders only."""
+        lookup = self.cluster.object
+        return self.view.price_held(
+            ((name, lookup(name).size) for name in task.inputs),
+            self._candidates,
+        )
+
+    def _dead(self) -> Optional[Set[str]]:
+        """Confirmed-dead machines, when membership is wired."""
+        return (
+            self.membership.dead_nodes() if self.membership is not None else None
+        )
+
     def place(
         self, task: TaskSpec, consumer_location: Optional[str] = None
     ) -> Placement:
@@ -143,17 +171,20 @@ class DataflowScheduler:
         missing inputs, plus - when hints are enabled and the consumer's
         location is known - the output's journey to that consumer.  Ties
         break by outstanding load, then name (determinism).  The whole
-        decision is one :func:`repro.dist.costmodel.choose` call.
+        decision is one :func:`repro.dist.costmodel.choose` call over
+        the task's :func:`~repro.dist.costmodel.contenders`.
+
+        Cost: O(inputs + believed replicas + contenders) - one pass over
+        the inputs, then one key comparison per live machine believed to
+        hold an input byte (plus the hinted consumer), whatever the size
+        of the cluster.  It falls back to comparing every machine only
+        when there is no such holder - nothing believed held, zero-size
+        inputs only, every holder confirmed dead - because then all
+        machines tie on bytes and the spread by load has to see them all.
         """
         with self._m_place.time():
-            missing = self.view.bytes_missing_many(
-                self.cluster, task.inputs, self._machines
-            )
-            dead = (
-                self.membership.dead_nodes()
-                if self.membership is not None
-                else None
-            )
+            total, held = self._price(task)
+            dead = self._dead()
             if not self.locality:
                 live = (
                     self._machines
@@ -166,17 +197,21 @@ class DataflowScheduler:
                 placement = Placement(
                     task=task.name,
                     machine=machine,
-                    predicted_move_bytes=missing[machine],
+                    predicted_move_bytes=total - held.get(machine, 0),
                 )
             else:
+                hinted = consumer_location if self.use_hints else None
                 best = choose(
-                    self._machines,
-                    missing.__getitem__,
+                    contenders(
+                        self._candidates,
+                        held,
+                        consumer_location=hinted,
+                        exclude=dead,
+                    ),
+                    lambda m: total - held.get(m, 0),
                     self._outstanding.__getitem__,
                     output_size=task.output_size,
-                    consumer_location=(
-                        consumer_location if self.use_hints else None
-                    ),
+                    consumer_location=hinted,
                     exclude=dead,
                 )
                 placement = Placement(
@@ -188,3 +223,42 @@ class DataflowScheduler:
         if placement.predicted_move_bytes:
             self._m_move_bytes.inc(placement.predicted_move_bytes)
         return placement
+
+    def explain(
+        self, task: TaskSpec, consumer_location: Optional[str] = None
+    ) -> List[Quote]:
+        """Why ``task`` lands where it does: the quotes of its live
+        contenders, cheapest first, so ``explain(task)[0]`` is the
+        machine :meth:`place` would pick from the same beliefs and loads.
+
+        Read-only (no metric, no load, no belief moves) and off the hot
+        path: it prices through the same ``price_held`` / ``contenders``
+        calls as :meth:`place` but builds a :class:`Quote` per contender
+        and sorts them.  A machine believed to hold nothing is listed
+        only when nobody holds anything (the all-tie case); the list is
+        empty when every machine is confirmed dead.  The
+        ``locality=False`` ablation draws at random and consults none of
+        this - the quotes say what locality would have weighed.
+        """
+        total, held = self._price(task)
+        dead = self._dead()
+        hinted = consumer_location if self.use_hints else None
+        return sorted(
+            (
+                quote(
+                    machine,
+                    total - held.get(machine, 0),
+                    self._outstanding[machine],
+                    output_size=task.output_size,
+                    consumer_location=hinted,
+                )
+                for machine in contenders(
+                    self._candidates,
+                    held,
+                    consumer_location=hinted,
+                    exclude=dead,
+                )
+                if not dead or machine not in dead
+            ),
+            key=Quote.sort_key,
+        )

@@ -53,6 +53,17 @@ def make_cluster(nodes=3, cores=4):
     return sim, cluster
 
 
+def make_task(*inputs, output_size=8):
+    return TaskSpec(
+        name="t",
+        fn="f",
+        inputs=inputs,
+        output="t.out",
+        output_size=output_size,
+        compute_seconds=0.0,
+    )
+
+
 class TestPriceMoves:
     def locations(self, table):
         return lambda name: table.get(name, ())
@@ -523,9 +534,8 @@ class TestViewConcurrency:
 
 
 # ----------------------------------------------------------------------
-# Same-decision oracle: winner-only Quote (what the scheduler runs) and
-# sparse pricing + contenders (what it will) against the dense,
-# Quote-per-candidate policy
+# Same-decision oracle: sparse pricing + contenders + winner-only Quote
+# (what the scheduler runs) against the dense, Quote-per-candidate policy
 
 
 def reference_quote(
@@ -690,7 +700,7 @@ def decide_reference(case: Case, view: ObjectView) -> Quote:
 
 def decide_sparse(case: Case, view: ObjectView) -> Quote:
     """The sparse path on its own: ``price_held`` -> ``contenders`` ->
-    ``choose``, the calls a placement makes once it pre-filters."""
+    ``choose``, the calls a placement makes."""
     total, held = view.price_held(case.sized_needs, frozenset(case.machines))
     return choose(
         contenders(
@@ -707,8 +717,11 @@ def decide_sparse(case: Case, view: ObjectView) -> Quote:
     )
 
 
-def decide_placed(case: Case, view: ObjectView) -> Quote:
-    """The scheduler itself, with the Quote it got from ``choose``."""
+def build_scheduler(
+    case: Case, view: ObjectView, **options
+) -> Tuple[DataflowScheduler, TaskSpec]:
+    """The case as a real scheduler (hints, loads and tombstones wired)
+    and the task that asks its question."""
     cluster = Cluster(
         Simulator(), [MachineSpec(m, cores=1) for m in case.machines]
     )
@@ -725,15 +738,14 @@ def decide_placed(case: Case, view: ObjectView) -> Quote:
         use_hints=case.use_hints,
         outstanding=dict(case.loads),
         membership=membership,
+        **options,
     )
-    task = TaskSpec(
-        name="t",
-        fn="f",
-        inputs=tuple(case.needs),
-        output="t.out",
-        output_size=case.output_size,
-        compute_seconds=0.0,
-    )
+    return scheduler, make_task(*case.needs, output_size=case.output_size)
+
+
+def decide_placed(case: Case, view: ObjectView) -> Quote:
+    """The scheduler itself, with the Quote it got from ``choose``."""
+    scheduler, task = build_scheduler(case, view)
     quotes = []
 
     def spy(*args, **kwargs):
@@ -800,12 +812,77 @@ class TestSameDecisionOracle:
             )
         assert all(count >= 20 for count in seen.values()), seen
 
+    def test_no_locality_ablation_draws_what_the_dense_path_drew(self):
+        """The ``locality=False`` twin: the ablation takes the machine
+        ``rng.choice`` over the live machines gives - the seeded stream
+        the fig-8b rows replay - and reports that machine's
+        ``bytes_missing``, tombstones or not."""
+        rng = random.Random(23)
+        seen = dict.fromkeys(("some_dead", "refused", "drew_a_holder"), 0)
+        for seed in range(500):
+            case = random_case(rng)
+            view = case.view()
+            scheduler, task = build_scheduler(
+                case, view, locality=False, seed=seed
+            )
+            live = [m for m in case.machines if m not in case.dead]
+            if not live:
+                with pytest.raises(SchedulingError, match="confirmed dead"):
+                    scheduler.place(task, case.consumer)
+                seen["refused"] += 1
+                continue
+            draws = random.Random(seed)
+            for _ in range(2):  # the stream, not just its first draw
+                want = draws.choice(live)
+                placement = scheduler.place(task, case.consumer)
+                assert placement.machine == want, case
+                assert placement.predicted_move_bytes == view.bytes_missing(
+                    scheduler.cluster, case.needs, want
+                ), case
+                seen["drew_a_holder"] += want in case.holders()
+            seen["some_dead"] += bool(case.dead)
+        assert all(count >= 20 for count in seen.values()), seen
+
+    def test_explain_leads_with_the_placement(self):
+        """``explain`` is ``place`` with its working shown: same winner,
+        same price, every contender quoted in ``choose`` order, and a
+        machine that holds nothing listed only when all of them tie."""
+        rng = random.Random(29)
+        seen = dict.fromkeys(("all_tie", "holders_only", "refused"), 0)
+        for _ in range(500):
+            case = random_case(rng)
+            scheduler, task = build_scheduler(case, case.view())
+            quotes = scheduler.explain(task, case.consumer)
+            assert quotes == sorted(quotes, key=reference_sort_key), case
+            assert not case.dead & {q.candidate for q in quotes}, case
+            if case.dead >= set(case.machines):
+                assert quotes == []
+                seen["refused"] += 1
+                continue
+            placement = scheduler.place(task, case.consumer)
+            assert (quotes[0].candidate, quotes[0].move_bytes) == (
+                placement.machine, placement.predicted_move_bytes,
+            ), case
+            total = sum(size for _name, size in case.sized_needs)
+            empty_handed = [
+                q.candidate
+                for q in quotes
+                if q.move_bytes == total and q.candidate != case.hinted_consumer
+            ]
+            if total and any(q.move_bytes < total for q in quotes):
+                assert not empty_handed, case
+                seen["holders_only"] += 1
+            else:
+                live = set(case.machines) - case.dead
+                assert {q.candidate for q in quotes} == live, case
+                seen["all_tie"] += 1
+        assert all(count >= 20 for count in seen.values()), seen
+
 
 class TestPlacementCostIsItsContenders:
     """Cost as a count, not a stopwatch, at 100 and at 1 000 candidates:
-    every decision builds one Quote; the sparse path reads the load of
-    its contenders only, and the scheduler - which does not pre-filter
-    yet (ROADMAP 1(c)) - the load of every machine once."""
+    every decision builds one Quote and reads the load of its contenders
+    only - every machine's just when all of them tie on bytes."""
 
     class CountingLoads(dict):
         reads = 0
@@ -814,7 +891,7 @@ class TestPlacementCostIsItsContenders:
             self.reads += 1
             return super().__getitem__(key)
 
-    def build(self, machines):
+    def build(self, machines, **options):
         names = [f"node{i:04d}" for i in range(machines)]
         cluster = Cluster(Simulator(), [MachineSpec(n, cores=1) for n in names])
         cluster.add_object("a", 10, names[7])
@@ -825,17 +902,10 @@ class TestPlacementCostIsItsContenders:
         view = ObjectView("sched")
         view.sync_from_cluster(cluster)
         loads = self.CountingLoads(dict.fromkeys(names, 1))
-        return names, DataflowScheduler(cluster, view, outstanding=loads), loads
-
-    def task(self, *inputs):
-        return TaskSpec(
-            name="t",
-            fn="f",
-            inputs=inputs,
-            output="t.out",
-            output_size=8,
-            compute_seconds=0.0,
+        scheduler = DataflowScheduler(
+            cluster, view, outstanding=loads, **options
         )
+        return names, scheduler, loads
 
     @pytest.fixture
     def quotes_built(self, monkeypatch):
@@ -867,13 +937,25 @@ class TestPlacementCostIsItsContenders:
     @pytest.mark.parametrize("machines", [100, 1000])
     def test_narrow_task_builds_one_quote(self, machines, quotes_built):
         names, scheduler, loads = self.build(machines)
-        placement = scheduler.place(self.task("a", "b", "c"))
+        placement = scheduler.place(make_task("a", "b", "c"))
         assert (placement.machine, placement.predicted_move_bytes) == (
             names[42], 10,
         )
         assert len(quotes_built) == 1
-        # One scan of the cluster; 2 once place() takes contenders().
-        assert loads.reads == machines
+        assert loads.reads == 2  # the two holders, not the cluster
+
+    def test_hinted_consumer_that_holds_nothing_is_the_third_read(
+        self, quotes_built
+    ):
+        names, scheduler, loads = self.build(1000, use_hints=True)
+        placement = scheduler.place(make_task("a", "b", "c"), names[500])
+        # Output hint 8 < the 10 bytes node0042 saves: the holder wins,
+        # but the consumer had to be priced to know.
+        assert (placement.machine, placement.predicted_move_bytes) == (
+            names[42], 10,
+        )
+        assert loads.reads == 3
+        assert len(quotes_built) == 1
 
     @pytest.mark.parametrize("machines", [100, 1000])
     def test_no_holder_task_scans_everyone_and_spreads_by_load(
@@ -882,13 +964,48 @@ class TestPlacementCostIsItsContenders:
         names, scheduler, loads = self.build(machines)
         dict.__setitem__(loads, names[-1], 0)
         dict.__setitem__(loads, names[-2], 0)
-        placement = scheduler.place(self.task("elsewhere"))
+        placement = scheduler.place(make_task("elsewhere"))
         # All tie on bytes: least load wins, then the smaller name.
         assert (placement.machine, placement.predicted_move_bytes) == (
             names[-2], 9,
         )
         assert loads.reads == machines
         assert len(quotes_built) == 1
+
+
+class TestSharedLoadMapIsValidatedOnce:
+    """A shared ``outstanding=`` map that lacks a machine is refused at
+    construction: a placement reads its contenders' loads only, so the
+    hole would otherwise surface for some tasks and not for others."""
+
+    def build(self, outstanding):
+        _sim, cluster = make_cluster(nodes=4)
+        cluster.add_object("held", 10, "node0")
+        cluster.add_object("elsewhere", 9, "client")
+        view = ObjectView("sched")
+        view.sync_from_cluster(cluster)
+        return DataflowScheduler(cluster, view, outstanding=outstanding)
+
+    def test_missing_machines_are_named(self):
+        with pytest.raises(SchedulingError, match="node2, node3") as info:
+            self.build({"node0": 0, "node1": 0})
+        assert "node0" not in str(info.value)
+
+    @pytest.mark.parametrize("inputs", [("held",), ("elsewhere",)])
+    def test_holder_and_all_tie_tasks_meet_the_same_refusal(self, inputs):
+        """``held`` has one contender (node0, which *is* in the map) and
+        ``elsewhere`` ties all four machines: neither gets as far as a
+        placement, so neither can succeed where the other fails."""
+        with pytest.raises(SchedulingError, match="node2"):
+            self.build({"node0": 0, "node1": 0, "node3": 0}).place(
+                make_task(*inputs)
+            )
+
+    def test_complete_shared_map_is_used_not_copied(self):
+        shared = {f"node{i}": 0 for i in range(4)}
+        scheduler = self.build(shared)
+        scheduler.task_started(scheduler.place(make_task("held")).machine)
+        assert shared["node0"] == 1
 
 
 class TestLoadFeedbackErrors:
