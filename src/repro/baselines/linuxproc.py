@@ -1,28 +1,17 @@
 """The Linux-process isolation point for fig. 7a.
 
 The paper's "Linux" row runs the trivial add as a full process:
-``vfork`` + ``exec`` + ``wait``, measured at 449.1 us per execution.  This
-module provides both the modeled cost and an *optional real measurement*
-(spawning ``/bin/true`` via ``os.posix_spawn``) so the reproduction can
-show the constant is the right order of magnitude on the host running the
-benchmarks.
+``vfork`` + ``exec`` + ``wait``, measured at 449.1 us per execution.  The
+modeled cost is ``calibration.VFORK_EXEC``; this module provides the
+*optional real measurement* (spawning ``/bin/true`` via
+``os.posix_spawn``) so the reproduction can show the constant is the
+right order of magnitude on the host running the benchmarks.
 """
 
 from __future__ import annotations
 
 import os
 import time
-
-from .calibration import STATIC_CALL, VFORK_EXEC, VIRTUAL_CALL
-
-
-def modeled_costs() -> dict[str, float]:
-    """The fig. 7a isolation-mechanism ladder (modeled rows)."""
-    return {
-        "static": STATIC_CALL,
-        "virtual": VIRTUAL_CALL,
-        "Linux process": VFORK_EXEC,
-    }
 
 
 def measure_process_spawn(iterations: int = 50) -> float:

@@ -23,7 +23,6 @@ Fixpoint jumps directly to a codelet's entry point.
 from __future__ import annotations
 
 import ast
-from typing import Iterable
 
 from ..core.errors import SandboxError
 
@@ -176,7 +175,3 @@ def seal_globals(extra: dict | None = None) -> dict:
     if extra:
         env.update(extra)
     return env
-
-
-def forbidden_names() -> Iterable[str]:
-    return sorted(_FORBIDDEN_NAMES)

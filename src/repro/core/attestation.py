@@ -76,11 +76,6 @@ class Provider:
         self.attestations_issued += 1
         return sign(self.name, self._key, encode, result)
 
-    def public_check(self, attestation: Attestation) -> bool:
-        """Key-holder verification (stands in for signature verification
-        against the provider's published key)."""
-        return verify(attestation, self._key)
-
 
 @dataclass
 class AuditFinding:

@@ -110,11 +110,6 @@ class Tree:
 Datum = Union[Blob, Tree]
 
 
-def handle_for(datum: Datum) -> Handle:
-    """Canonical content handle for a Blob or Tree."""
-    return datum.handle()
-
-
 def verify(datum: Datum, handle: Handle) -> bool:
     """Check that ``datum`` is the referent of ``handle`` (same content key)."""
     return datum.handle().content_key() == handle.content_key()

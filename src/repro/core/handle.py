@@ -133,8 +133,11 @@ class Handle:
                 )
         thunk = (meta & _META_THUNK_MASK) >> _META_THUNK_SHIFT
         encode = (meta & _META_ENCODE_MASK) >> _META_ENCODE_SHIFT
-        if encode and not thunk:
-            raise HandleError("an Encode must wrap a Thunk")
+        if encode:
+            if encode > EncodeStyle.SHALLOW:
+                raise HandleError(f"encode bits {encode:#04b} name no EncodeStyle")
+            if not thunk:
+                raise HandleError("an Encode must wrap a Thunk")
         if thunk in (ThunkStyle.APPLICATION, ThunkStyle.SELECTION):
             if not meta & _META_TREE:
                 raise HandleError("application/selection thunks refer to Trees")

@@ -26,15 +26,17 @@ epidemic gossip (:mod:`repro.dist.gossip`, the GOSSIP frames in
 re-serve what it merged from one peer to another, and the whole group
 converges in O(log n) rounds without O(n^2) handshakes.
 
-Retraction (:meth:`forget`) is deliberately local-only: it removes the
-belief *and its logged stamps* so a rolled-back optimistic advance is
-never gossiped onward, but it ships no tombstones - a peer that already
-merged the entry keeps believing it, which at worst prices a redundant
-transfer.  Node *death* is different: a dead machine's holdings are not
-stale, they are gone, and keeping them poisons every future placement.
+Retraction (:meth:`forget`) is deliberately local-only: it strips this
+view's own entries for the pair from the log, so a rolled-back
+optimistic advance is never gossiped onward, and drops the belief
+unless another origin's log still asserts it; it ships no tombstones -
+a peer that already merged the entry keeps believing it, which at worst
+prices a redundant transfer.  Node *death* is different: a dead
+machine's holdings are not stale, they are gone, and keeping them
+poisons every future placement.
 :meth:`evict` is the membership-driven retraction
 (:mod:`repro.dist.membership` tombstones feed it): it purges every
-belief about the dead location - maps, logs, and stamps - and gates
+belief about the dead location - maps and logs - and gates
 :meth:`learn`/:meth:`merge_delta` so late-arriving gossip cannot
 resurrect them, while *keeping* the version caps so peers never re-send
 what this view deliberately dropped.  The tombstone thus shadows the
@@ -266,23 +268,25 @@ class ObjectView:
         #: Anti-entropy state.  ``_vector`` is this view's digest: the
         #: highest version covered per origin.  ``_log`` keeps the
         #: entries themselves, ascending per origin, so a delta for any
-        #: peer digest is a binary search plus a tail slice.  ``_stamps``
-        #: maps a believed (name, location) pair back to its log stamps,
-        #: which is what lets :meth:`forget` retract the entry from
-        #: future deltas, not just from the maps.
+        #: peer digest is a binary search plus a tail slice - and the
+        #: only record of who asserted which (name, location), so a
+        #: retraction reads it rather than a second index that could
+        #: disagree with what deltas ship.
         self._vector: Dict[str, int] = {}
         #: ``_vector`` as :meth:`digest` last handed it out; ``None``
         #: once ``_vector`` has moved since.
         self._digest: Optional[Digest] = None
         self._log: Dict[str, List[Tuple[int, Hashable, str, Optional[int]]]] = {}
-        self._stamps: Dict[Tuple[Hashable, str], List[Tuple[str, int]]] = {}
         #: Tombstoned locations (membership-confirmed dead): beliefs
         #: about them are purged and can never be re-learned.
         self._evicted: Set[str] = set()
-        #: Log bookkeeping for bounded growth: entry count maintained
-        #: across record/forget/evict/compact, and how many compactions
-        #: have run (a stats gauge the churn bench asserts on).
+        #: Bounded-growth bookkeeping, each what ``stats()`` reports:
+        #: log entries (kept across record/forget/evict/compact),
+        #: believed (name, location) pairs - each is in some log, so
+        #: this is the live set the compaction trigger weighs the log
+        #: against - and compactions run (the churn bench asserts it).
         self._log_total = 0
+        self._replicas = 0
         self._compactions = 0
 
     # ------------------------------------------------------------------
@@ -307,7 +311,9 @@ class ObjectView:
             locations = self._locations.setdefault(name, set())
             already_known = location in locations
             size_is_news = size is not None and self._sizes.get(name) != size
-            locations.add(location)
+            if not already_known:
+                locations.add(location)
+                self._replicas += 1
             self._holdings.setdefault(location, set()).add(name)
             if size is not None:
                 self._sizes[name] = size
@@ -335,12 +341,11 @@ class ObjectView:
         self._vector[origin] = max(self._vector.get(origin, 0), version)
         self._digest = None
         self._log.setdefault(origin, []).append((version, name, location, size))
-        self._stamps.setdefault((name, location), []).append((origin, version))
         self._log_total += 1
         # Bounded growth: once the log clearly outweighs the live belief
         # set (superseded re-learns, churned replicas), fold it down.
         if self._log_total >= 64 and self._log_total > 4 * max(
-            1, len(self._stamps)
+            1, self._replicas
         ):
             self._compact_locked()
 
@@ -354,52 +359,43 @@ class ObjectView:
         per-replica, and stays true even when the location belief was
         wrong.  Forgetting a belief that was never held is a no-op.
 
-        The retraction is scoped to what *this view* asserted: stamps
-        this view originated are stripped from the anti-entropy log, so
-        a rolled-back optimistic advance is never gossiped onward (no
-        tombstone crosses the wire - a peer that already merged it
-        keeps it, at worst pricing a redundant move).  A belief that
-        also carries *foreign* stamps is corroborated independently of
-        the retracted advance - by the holder itself, or a third party
-        - and is kept, stamps and all.  Stripping a foreign stamp would
-        be worse than keeping the belief: this view's digest already
-        covers that version, so no peer would ever re-send it, and a
-        possibly-true fact would become permanently unlearnable through
-        gossip.
+        The retraction is scoped to what *this view* asserted: the
+        entries for the pair are stripped from the logs of this view's
+        own origins (every epoch it has stamped under), so a rolled-back
+        optimistic advance is never gossiped onward (no tombstone
+        crosses the wire - a peer that already merged it keeps it, at
+        worst pricing a redundant move).  A pair that a *foreign*
+        origin's log still carries is corroborated independently of the
+        retracted advance - by the holder itself, or a third party -
+        and is kept, foreign entries and all.  Stripping a foreign
+        entry would be worse than keeping the belief: this view's
+        digest already covers that version, so no peer would ever
+        re-send it, and a possibly-true fact would become permanently
+        unlearnable through gossip.  Both answers are read from the
+        logs - O(total log) for a believed pair - because what a delta
+        would ship is the only thing a retraction may go by.
         """
         with self._lock:
-            stamps = self._stamps.get((name, location), [])
-            own: Dict[str, Set[int]] = {}
-            for origin, version in stamps:
+            locations = self._locations.get(name, _NOTHING)
+            if location not in locations:
+                return  # every logged pair is believed: nothing to strip
+            corroborated = False
+            for origin, log in self._log.items():
                 if origin in self._own_origins:
-                    own.setdefault(origin, set()).add(version)
-            for origin, versions in own.items():
-                log = self._log.get(origin)
-                if log:
-                    kept = [
-                        entry for entry in log if entry[0] not in versions
-                    ]
+                    kept = [e for e in log if e[1] != name or e[2] != location]
                     self._log_total -= len(log) - len(kept)
                     self._log[origin] = kept
-            foreign = [
-                stamp
-                for stamp in stamps
-                if stamp[0] not in self._own_origins
-            ]
-            if foreign:
-                # Independently corroborated: the belief outlives the
-                # rollback of this view's own assertion.
-                self._stamps[(name, location)] = foreign
-                return
-            self._stamps.pop((name, location), None)
-            locations = self._locations.get(name)
-            if locations is not None:
-                locations.discard(location)
-                if not locations:
-                    del self._locations[name]
-            held = self._holdings.get(location)
-            if held is not None:
-                held.discard(name)
+                elif not corroborated:
+                    corroborated = any(
+                        e[1] == name and e[2] == location for e in log
+                    )
+            if corroborated:
+                return  # the belief outlives the rollback of our own say
+            locations.discard(location)
+            self._replicas -= 1
+            if not locations:
+                del self._locations[name]
+            self._holdings[location].discard(name)
 
     def evict(self, location: str) -> int:
         """Tombstone ``location``: purge every belief about it, until
@@ -417,8 +413,9 @@ class ObjectView:
         *covers* the purged versions, so no peer ever re-sends them.
 
         Sizes are kept (per-object knowledge, true regardless of which
-        replica died).  Returns how many name-beliefs were purged;
-        idempotent - a second eviction returns 0.
+        replica died).  Returns how many name-beliefs were purged - the
+        holdings set popped, which is also what the believed-pair count
+        drops by; idempotent - a second eviction returns 0.
         """
         with self._lock:
             if location in self._evicted:
@@ -436,8 +433,7 @@ class ObjectView:
                 if len(kept) != len(log):
                     self._log_total -= len(log) - len(kept)
                     self._log[origin] = kept
-            for key in [k for k in self._stamps if k[1] == location]:
-                del self._stamps[key]
+            self._replicas -= len(names)
             return len(names)
 
     def readmit(self, location: str) -> bool:
@@ -572,10 +568,8 @@ class ObjectView:
         with self._lock:
             return {
                 "entries": len(self._locations),
-                "replicas": sum(
-                    len(locs) for locs in self._locations.values()
-                ),
-                "log_entries": sum(len(log) for log in self._log.values()),
+                "replicas": self._replicas,
+                "log_entries": self._log_total,
                 "origins": len(self._vector),
                 "evicted": len(self._evicted),
                 "compactions": self._compactions,
@@ -614,7 +608,9 @@ class ObjectView:
         them changes no receiver's final state (property-tested:
         compaction is transparent to the merge algebra).  Keeping a
         subsequence preserves ascending order, so :meth:`delta_since`'s
-        binary search stays valid.  Returns entries dropped.
+        binary search stays valid.  Every believed pair keeps an entry
+        in each log that asserted it, so :meth:`forget` finds the same
+        origins before and after.  Returns entries dropped.
         """
         with self._lock:
             return self._compact_locked()
@@ -637,14 +633,6 @@ class ObjectView:
         if dropped:
             self._log_total -= dropped
             self._compactions += 1
-            # Stamps mirror the log; rebuild them from what survived.
-            stamps: Dict[Tuple[Hashable, str], List[Tuple[str, int]]] = {}
-            for origin, log in self._log.items():
-                for version, name, location, _size in log:
-                    stamps.setdefault((name, location), []).append(
-                        (origin, version)
-                    )
-            self._stamps = stamps
         return dropped
 
     def digest(self) -> Digest:
@@ -716,7 +704,9 @@ class ObjectView:
                     # the sender never re-offers it either.
                     continue
                 locations = self._locations.setdefault(name, set())
-                locations.add(location)
+                if location not in locations:
+                    locations.add(location)
+                    self._replicas += 1
                 self._holdings.setdefault(location, set()).add(name)
                 if size is not None:
                     self._sizes[name] = size

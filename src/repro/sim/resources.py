@@ -108,23 +108,3 @@ class Pipe:
 
         self._gate.acquire(1).add_callback(start)
         return done
-
-
-class TokenBucket:
-    """Bounded concurrency (e.g. a storage service's connection limit)."""
-
-    def __init__(self, sim: Simulator, tokens: int, name: str = "bucket"):
-        self._resource = Resource(sim, tokens, name=name)
-
-    def __enter__(self):  # pragma: no cover - convenience only
-        raise SimulationError("use acquire()/release() inside processes")
-
-    def acquire(self) -> Event:
-        return self._resource.acquire(1)
-
-    def release(self) -> None:
-        self._resource.release(1)
-
-    @property
-    def available(self) -> int:
-        return self._resource.available

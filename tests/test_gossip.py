@@ -1133,6 +1133,308 @@ class TestRefreshStampsWhatTheScanStamped:
             run_twins(script, stamps_each_key_once)
 
 
+# ----------------------------------------------------------------------
+# The log is the only record of who asserted what
+
+
+class _MirroredView(ObjectView):
+    """The bookkeeping ``ObjectView`` had before it read retractions off
+    the log, kept as the reference: ``_stamps`` mirrors the log as
+    ``(name, location) -> [(origin, version)]``, ``forget`` decides by
+    it, the compaction trigger weighs the log against ``len(_stamps)``,
+    and ``stats`` re-sums the sets and the logs.  ``learn``,
+    ``merge_delta``, ``advance_epoch`` and every read are the shipped
+    ones (the ``_replicas`` they keep is never read here)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._stamps = {}
+
+    def _record(self, origin, version, name, location, size):
+        self._vector[origin] = max(self._vector.get(origin, 0), version)
+        self._digest = None
+        self._log.setdefault(origin, []).append((version, name, location, size))
+        self._stamps.setdefault((name, location), []).append((origin, version))
+        self._log_total += 1
+        if self._log_total >= 64 and self._log_total > 4 * max(
+            1, len(self._stamps)
+        ):
+            self._compact_locked()
+
+    def forget(self, name, location):
+        with self._lock:
+            stamps = self._stamps.get((name, location), [])
+            own = {}
+            for origin, version in stamps:
+                if origin in self._own_origins:
+                    own.setdefault(origin, set()).add(version)
+            for origin, versions in own.items():
+                log = self._log.get(origin)
+                if log:
+                    kept = [entry for entry in log if entry[0] not in versions]
+                    self._log_total -= len(log) - len(kept)
+                    self._log[origin] = kept
+            foreign = [s for s in stamps if s[0] not in self._own_origins]
+            if foreign:
+                self._stamps[(name, location)] = foreign
+                return
+            self._stamps.pop((name, location), None)
+            locations = self._locations.get(name)
+            if locations is not None:
+                locations.discard(location)
+                if not locations:
+                    del self._locations[name]
+            held = self._holdings.get(location)
+            if held is not None:
+                held.discard(name)
+
+    def evict(self, location):
+        with self._lock:
+            if location in self._evicted:
+                return 0
+            self._evicted.add(location)
+            names = self._holdings.pop(location, set())
+            for name in names:
+                locations = self._locations.get(name)
+                if locations is not None:
+                    locations.discard(location)
+                    if not locations:
+                        del self._locations[name]
+            for origin, log in self._log.items():
+                kept = [entry for entry in log if entry[2] != location]
+                if len(kept) != len(log):
+                    self._log_total -= len(log) - len(kept)
+                    self._log[origin] = kept
+            for key in [k for k in self._stamps if k[1] == location]:
+                del self._stamps[key]
+            return len(names)
+
+    def _compact_locked(self):
+        dropped = 0
+        for origin, log in self._log.items():
+            if len(log) <= 1:
+                continue
+            latest = {}
+            for index, (_version, name, location, _size) in enumerate(log):
+                latest[(name, location)] = index
+            if len(latest) == len(log):
+                continue
+            keep = set(latest.values())
+            self._log[origin] = [
+                entry for index, entry in enumerate(log) if index in keep
+            ]
+            dropped += len(log) - len(keep)
+        if dropped:
+            self._log_total -= dropped
+            self._compactions += 1
+            stamps = {}
+            for origin, log in self._log.items():
+                for version, name, location, _size in log:
+                    stamps.setdefault((name, location), []).append((origin, version))
+            self._stamps = stamps
+        return dropped
+
+    def stats(self):
+        with self._lock:
+            return {
+                "entries": len(self._locations),
+                "replicas": sum(len(locs) for locs in self._locations.values()),
+                "log_entries": sum(len(log) for log in self._log.values()),
+                "origins": len(self._vector),
+                "evicted": len(self._evicted),
+                "compactions": self._compactions,
+                "epoch": self.epoch,
+            }
+
+
+VIEW_NODES = ("a", "b", "c")
+VIEW_LOCATIONS = VIEW_NODES + ("d",)  # "d" asserts nothing itself
+VIEW_NAMES = ("x", "y", "z", b"k", 7)
+
+
+def apply_view_op(views, op):
+    """One op on one world of three views; what it returns is compared."""
+    kind, who, *args = op
+    view = views[who]
+    if kind == "learn":
+        return view.learn(*args)
+    if kind == "burst":  # size-is-news, over and over: superseded entries
+        name, location, sizes = args
+        for size in sizes:
+            view.learn(name, location, size)
+    elif kind == "merge":  # overlapping (since nothing) and replayed
+        source, everything, times = args
+        since = EMPTY_DIGEST if everything else view.digest()
+        delta = views[source].delta_since(since)
+        return [view.merge_delta(delta) for _ in range(times)]
+    elif kind == "epoch":
+        return view.advance_epoch(view.epoch + 1)
+    else:  # forget, evict, readmit, compact
+        return getattr(view, kind)(*args)
+
+
+def view_fingerprint(view):
+    everything = view.delta_since(EMPTY_DIGEST)
+    return (
+        view.snapshot(),
+        view.digest(),
+        everything.entries,  # every stamp of every origin, in log order
+        everything.versions,
+        view.stats(),  # all seven keys
+        {location: view.holdings(location) for location in VIEW_LOCATIONS},
+        {name: view.where(name) for name in VIEW_NAMES},
+    )
+
+
+def view_soup(seed, length=400):
+    """A seeded script over every op kind: new, repeated and
+    size-is-news ``learn``s over a small pool (so most ``forget``s hit a
+    belief some view asserted), and enough superseded entries to trip
+    the compaction trigger many times."""
+    rng = random.Random(seed)
+
+    def who():
+        return rng.randrange(len(VIEW_NODES))
+
+    def pair():
+        return rng.choice(VIEW_NAMES), rng.choice(VIEW_LOCATIONS)
+
+    makers = {
+        "learn": lambda: (who(), *pair(), rng.choice((None, 1, 2, 3))),
+        "burst": lambda: (
+            who(),
+            *pair(),
+            [rng.randrange(1 << 20) for _ in range(rng.randint(8, 40))],
+        ),
+        "forget": lambda: (who(), *pair()),
+        "merge": lambda: (who(), who(), rng.random() < 0.4, rng.randint(1, 2)),
+        "evict": lambda: (who(), rng.choice(VIEW_LOCATIONS)),
+        "readmit": lambda: (who(), rng.choice(VIEW_LOCATIONS)),
+        "epoch": lambda: (who(),),
+        "compact": lambda: (who(),),
+    }
+    weights = dict(
+        learn=10, burst=3, forget=8, merge=8, evict=1, readmit=3, epoch=1, compact=1
+    )
+    script = []
+    for kind in rng.choices(list(weights), list(weights.values()), k=length):
+        op = (kind, *makers[kind]())
+        if kind == "epoch":  # retract what both of the view's origins say
+            mine = (op[1], rng.choice(VIEW_NAMES), VIEW_NODES[op[1]])
+            script += [("learn", *mine, 1), op, ("forget", *mine)]
+        else:
+            script.append(op)
+    return script
+
+
+def _forget_case(view, name, location):
+    """Which of ``forget``'s cases the reference is about to run."""
+    origins = {origin for origin, _version in view._stamps.get((name, location), ())}
+    if not origins:
+        return ["never held"]
+    foreign = origins - view._own_origins
+    cases = ["foreign-corroborated" if foreign else "own only"]
+    if len(origins - foreign) > 1:
+        cases.append("own, two epochs")
+    return cases
+
+
+def run_views(script, candidate=ObjectView):
+    """Drive a world of reference views and one of ``candidate`` views
+    through ``script``; after every op each view must be
+    indistinguishable from its reference.  Returns what the script
+    exercised: ``forget``'s cases, and how many compactions the trigger
+    (not an explicit ``compact``) ran."""
+    reference = [_MirroredView(node) for node in VIEW_NODES]
+    shipped = [candidate(node) for node in VIEW_NODES]
+    seen = collections.Counter()
+    for step, op in enumerate(script):
+        view = reference[op[1]]
+        if op[0] == "forget":
+            seen.update(_forget_case(view, *op[2:]))
+        before = view.stats()["compactions"]
+        assert apply_view_op(shipped, op) == apply_view_op(reference, op), (step, op)
+        if op[0] != "compact":
+            seen["triggered compactions"] += view.stats()["compactions"] - before
+        for ours, theirs in zip(shipped, reference):
+            assert view_fingerprint(ours) == view_fingerprint(theirs), (step, op)
+    return seen
+
+
+def _forget_as(origins):
+    """An ``ObjectView`` whose ``forget`` takes ``origins(view)`` for the
+    origins this view asserted under."""
+
+    class Mutant(ObjectView):
+        def forget(self, name, location):
+            with self._lock:
+                own, self._own_origins = self._own_origins, origins(self)
+                try:
+                    super().forget(name, location)
+                finally:
+                    self._own_origins = own
+
+    return Mutant
+
+
+class _EvictKeepsTheCount(ObjectView):
+    def evict(self, location):
+        purged = super().evict(location)
+        self._replicas += purged
+        return purged
+
+
+#: Strips every origin's entries: a foreign stamp is lost for good.
+_ForgetStripsForeign = _forget_as(lambda view: set(view._log))
+#: The epoch before ``advance_epoch`` counts as someone else's say.
+_ForgetKnowsOneEpoch = _forget_as(lambda view: {view._origin})
+
+_WHO = st.integers(0, len(VIEW_NODES) - 1)
+_NAME, _WHERE = st.sampled_from(VIEW_NAMES), st.sampled_from(VIEW_LOCATIONS)
+VIEW_OPS = st.one_of(
+    st.tuples(st.just("learn"), _WHO, _NAME, _WHERE, st.sampled_from((None, 1, 2))),
+    st.tuples(st.just("forget"), _WHO, _NAME, _WHERE),
+    st.tuples(  # long enough to trip the compaction trigger on its own
+        st.just("burst"), _WHO, _NAME, _WHERE,
+        st.lists(st.integers(0, 1 << 20), min_size=60, max_size=80),
+    ),
+    st.tuples(st.just("merge"), _WHO, _WHO, st.booleans(), st.integers(1, 2)),
+    st.tuples(st.sampled_from(("evict", "readmit")), _WHO, _WHERE),
+    st.tuples(st.sampled_from(("epoch", "compact")), _WHO),
+)
+
+
+class TestTheLogIsTheOnlyRecord:
+    """``ObjectView`` reads a retraction off its per-origin logs and
+    keeps the believed-pair count as one int; the reference keeps the
+    ``_stamps`` mirror it used to.  Same beliefs, stamps, log order,
+    compaction moments and gauges, op for op."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_beliefs_as_the_mirror(self, seed):
+        seen = run_views(view_soup(seed))
+        for case in ("never held", "own only", "own, two epochs", "foreign-corroborated"):
+            assert seen[case] >= 1, (case, seen)
+        assert seen["triggered compactions"] >= 2, seen
+
+    @pytest.mark.parametrize(
+        "mutant", [_EvictKeepsTheCount, _ForgetStripsForeign, _ForgetKnowsOneEpoch]
+    )
+    def test_the_oracle_catches_a_wrong_retraction(self, mutant):
+        with pytest.raises(AssertionError):
+            run_views(view_soup(0), mutant)
+
+    @given(st.lists(VIEW_OPS, max_size=30))
+    @settings(max_examples=80, deadline=None)
+    def test_the_counts_are_the_sums(self, ops):
+        views = [ObjectView(node) for node in VIEW_NODES]
+        for op in ops:
+            apply_view_op(views, op)
+            for view in views:
+                assert view._replicas == sum(map(len, view._locations.values()))
+                assert view._log_total == sum(map(len, view._log.values()))
+
+
 def _count_calls(monkeypatch, owner, name, calls, tag=lambda args: None):
     real = getattr(owner, name)
 

@@ -17,6 +17,10 @@ from repro.core.handle import (
     blob_digest,
     tree_digest,
 )
+from repro.core.serialize import MAGIC, decode_bundle
+from repro.core.storage import Repository
+from repro.fixpoint.net import pack_reply, unpack_reply
+from repro.obs import SpanContext
 
 
 def make_blob_handle(data: bytes = b"x" * 100) -> Handle:
@@ -106,6 +110,25 @@ class TestPacking:
         raw[31] |= 0x80  # set a reserved metadata bit
         with pytest.raises(HandleError):
             Handle.unpack(bytes(raw))
+
+    def test_unpack_reserved_encode_style(self):
+        """The two encode bits have three legal values.  ``0b11`` used
+        to build a handle whose first property read (``repr``,
+        ``is_encode``) raised a bare ``ValueError: 3 is not a valid
+        EncodeStyle`` - so a malformed frame left ``decode_bundle`` and
+        ``unpack_reply`` as something other than a ``FixError``."""
+        raw = bytearray(make_tree_handle().make_application().wrap_strict().pack())
+        raw[30] |= 0x30  # TREE | APPLICATION | encode=3
+        raw = bytes(raw)
+        with pytest.raises(HandleError, match="0b11"):
+            Handle.unpack(raw)
+        bundle = MAGIC + (1).to_bytes(4, "little") + raw + bytes(4)
+        with pytest.raises(HandleError, match="0b11"):
+            decode_bundle(Repository(), bundle)
+        reply = bytearray(pack_reply(SpanContext(7, 9), make_tree_handle(), b""))
+        reply[-HANDLE_BYTES:] = raw
+        with pytest.raises(HandleError, match="0b11"):
+            unpack_reply(bytes(reply))
 
     @given(st.binary(min_size=0, max_size=LITERAL_MAX))
     def test_literal_roundtrip_property(self, data):

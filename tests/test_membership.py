@@ -18,6 +18,9 @@ readmission over real channels.
 
 from __future__ import annotations
 
+import ast
+import importlib
+import pathlib
 import sys
 import threading
 import time
@@ -25,8 +28,8 @@ import time
 import pytest
 
 from repro.codelets.stdlib import blob_int, int_blob
-from repro.core.errors import SchedulingError, SerializationError
-from repro.core.serialize import decode_bundle, encode_bundle
+from repro.core.errors import FixError, SchedulingError, SerializationError
+from repro.core.serialize import decode_bundle, decode_frame, encode_bundle
 from repro.core.storage import Repository
 from repro.core.thunks import make_application, make_identification, strict
 from repro.dist.gossip import (
@@ -49,8 +52,6 @@ from repro.dist.membership import (
     pack_members,
     unpack_members,
 )
-from repro.dist import gossip as gossip_module
-from repro.dist import membership as membership_module
 from repro.dist.objectview import EMPTY_DIGEST, Digest, ObjectView
 from repro.dist.scheduler import DataflowScheduler
 from repro.fixpoint import net
@@ -153,7 +154,12 @@ def _three_entry_delta():
 def _bundled(unpack):
     """A frame decoder whose last field is a bundle: decode that too,
     as ``FixpointNode`` does, so a cut inside the bundle is refused."""
-    return lambda raw: decode_bundle(Repository(), unpack(raw)[-1])
+
+    def decode(raw):
+        *fields, bundle = unpack(raw)
+        return fields, decode_bundle(Repository(), bundle)
+
+    return decode
 
 
 class TestCodecTruncation:
@@ -202,6 +208,19 @@ class TestCodecTruncation:
             # caps count, first cap's length, entry count, first
             # entry's origin length, its name length.
             [(0, 4), (4, 2), (25, 4), (29, 2), (51, 2)],
+        ),
+        "bundle": (
+            BUNDLE,
+            lambda raw: decode_bundle(Repository(), raw),
+            SerializationError,
+            # frame count; the first frame's payload length.
+            [(4, 4), (8 + 32, 4)],
+        ),
+        "frame": (
+            BUNDLE[8:],
+            lambda raw: decode_frame(Repository(), raw),
+            SerializationError,
+            [(32, 4)],
         ),
         "error": (
             net._pack_error(ValueError("boom: " + "x" * 20)),
@@ -390,22 +409,73 @@ class TestCodecTruncation:
         ):
             unpack(bytes(corrupt))
 
+    @pytest.mark.parametrize("codec", sorted(CODECS))
+    def test_a_substituted_byte_decodes_or_is_refused_typed(self, codec):
+        """Every byte of every frame set to 0x00, to 0xFF, to its
+        complement and to each of its eight one-bit neighbours: the
+        decoder may accept what it reads (a flipped heartbeat is still
+        a heartbeat) or refuse it, but only with a :class:`FixError` -
+        a ``ValueError`` out of an enum, an ``IndexError`` or a
+        ``struct.error`` is a malformed frame leaving the decoder
+        untyped.  The one-bit flips are what reach a handle's reserved
+        encoding: bit 7 of its metadata byte is reserved, so the three
+        whole-byte values are all refused there, while ``0x18 ^ 0x20``
+        (encode bits ``0b11``) used to build a handle whose first
+        property read raised ``ValueError``."""
+        frame, unpack, _error, _fields = self.CODECS[codec]
+        for offset, byte in enumerate(frame):
+            flips = {byte ^ (1 << bit) for bit in range(8)}
+            for value in sorted((flips | {0x00, 0xFF, byte ^ 0xFF}) - {byte}):
+                corrupt = bytearray(frame)
+                corrupt[offset] = value
+                try:
+                    repr(unpack(bytes(corrupt)))  # read what it decoded
+                except FixError:
+                    pass
+                except Exception as exc:  # the bug, with its coordinates
+                    raise AssertionError(
+                        f"{codec}: byte {offset} = {value:#04x} left the "
+                        f"decoder as {type(exc).__name__}: {exc}"
+                    ) from exc
+
+    #: Module-level ``unpack_*`` / ``decode_*`` names under ``src/repro``
+    #: that read no wire frame, each with why the fuzz above skips it.
+    NOT_A_FRAME_DECODER = {
+        # Reads a selection index out of an already-decoded literal
+        # Handle (or a stored Blob's payload): its input is a typed
+        # value, checked by length, not bytes off a channel.
+        "repro.core.thunks.unpack_index",
+    }
+
     def test_every_unpack_definition_is_reached_by_a_codec(self):
-        """A module-level ``unpack_*`` / ``_unpack_*`` added to one of
-        the three wire modules must join ``CODECS`` (directly, or as a
-        helper a listed decoder calls) - else the prefix and
-        inflated-field fuzz above silently skip it.  Measured, not
-        listed: decode every full frame under a profiler and require
-        each definition's code object among the calls."""
-        defined = {
-            fn.__code__
-            for module in (net, gossip_module, membership_module)
-            for name, fn in vars(module).items()
-            if name.lstrip("_").startswith("unpack_")
-            and getattr(fn, "__module__", None) == module.__name__
-        }
-        # The walk finds public decoders and private helpers alike.
-        assert {unpack_members.__code__, net._unpack_tag.__code__} <= defined
+        """A module-level ``unpack_*`` / ``_unpack_*`` / ``decode_*``
+        added anywhere under ``src/repro`` must join ``CODECS``
+        (directly, or as a helper a listed decoder calls) or
+        ``NOT_A_FRAME_DECODER`` - else the prefix, inflated-field and
+        substituted-byte fuzz above silently skip it.  Found by an AST
+        sweep of the tree, then measured, not listed: decode every full
+        frame under a profiler and require each definition's code
+        object among the calls."""
+        root = pathlib.Path(net.__file__).resolve().parents[1]
+        defined = set()
+        for path in sorted(root.rglob("*.py")):
+            module = ".".join(["repro", *path.relative_to(root).with_suffix("").parts])
+            for node in ast.parse(path.read_text()).body:
+                name = getattr(node, "name", "")
+                if (
+                    isinstance(node, ast.FunctionDef)
+                    and name.lstrip("_").startswith(("unpack_", "decode_"))
+                    and f"{module}.{name}" not in self.NOT_A_FRAME_DECODER
+                ):
+                    decoder = getattr(importlib.import_module(module), name)
+                    defined.add(decoder.__code__)
+        # The sweep finds public decoders and private helpers alike,
+        # outside the three wire modules too.
+        assert {
+            unpack_members.__code__,
+            net._unpack_tag.__code__,
+            decode_frame.__code__,
+        } <= defined
         called = set()
 
         def on_event(frame, event, _arg):
