@@ -16,9 +16,8 @@ build.
 * :mod:`repro.analysis.lint` - an AST linter over ``src/`` enforcing
   repo invariants statically: no wall clock or unseeded randomness in
   sim-clocked modules (aliased imports included), no raw ``threading``
-  locks outside this package, no bare ``except:``, every ``pack_*``
-  has its ``unpack_*`` *and* agrees with it on fixed-width struct
-  layout.  Run it with ``python -m repro.analysis.lint src`` (CI fails on it).
+  locks outside this package, no bare ``except:``.  Run it with
+  ``python -m repro.analysis.lint src`` (CI fails on it).
 
 * :mod:`repro.analysis.flow` - the interprocedural layer the linter
   cannot be: a best-effort call graph (:mod:`repro.analysis.callgraph`)

@@ -6,7 +6,8 @@ now the build re-derives it instead:
 ``wall-clock``
     Sim-clocked modules (``repro/sim/``, ``repro/dist/``) must not read
     the wall clock (``time.time``/``perf_counter``/``monotonic``/
-    ``process_time``/``sleep``, ``datetime.now``/``utcnow``/``today``):
+    ``process_time``/``thread_time``/``clock_gettime`` and their
+    ``_ns`` forms, ``time.sleep``, ``datetime.now``/``utcnow``/``today``):
     the seeded-replay bit-identity contract (PR 6) requires every
     simulated timestamp to come from the simulator's clock.  Import
     bindings are tracked per module, so ``from time import monotonic``,
@@ -30,24 +31,12 @@ now the build re-derives it instead:
     shutdown; name the exception (``except BaseException:`` where a
     frame boundary genuinely must catch everything).
 
-``codec-pairing``
-    Every ``pack_X`` (or ``_pack_X``) in a module has a matching
-    ``unpack_X`` in the same module: a wire format you can encode but
-    not decode is half a protocol.
-
-``codec-layout``
-    A ``pack_X``/``unpack_X`` pair must agree on its fixed-width
-    ``struct`` layout.  The checker collects every module-level
-    ``struct.Struct`` constant (and literal ``struct.pack``/``unpack``
-    format) each side references - transitively, through helpers
-    defined in the same module, because ``pack_digest`` may inline a
-    width that ``unpack_digest`` reaches via ``_unpack_name`` - and
-    flags the pair when the referenced byte widths disagree.  That is
-    the encode-side-grew-a-field, decode-side-did-not drift that
-    otherwise only surfaces as a corrupt frame at the far end.
-
 (Blocking while holding a lock is not checked here: it is
-:mod:`repro.analysis.flow`'s interprocedural ``hold-blocking`` rule.)
+:mod:`repro.analysis.flow`'s interprocedural ``hold-blocking`` rule.
+Nor is the wire format: ``TestCodecTruncation`` in
+``tests/test_membership.py`` decodes every codec's frame against the
+value it was packed from and pairs every ``pack_*``/``encode_*`` with
+its reader, because only a decode sees values, not just field widths.)
 
 A line may opt out of one rule with ``# lint: skip[<rule>]`` when the
 violation is deliberate (e.g. the wall-clock *default* in a module that
@@ -58,11 +47,10 @@ from __future__ import annotations
 
 import ast
 import re
-import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence
 
 __all__ = [
     "Violation",
@@ -84,26 +72,18 @@ SIM_CLOCKED = ("repro/sim/", "repro/dist/")
 #: Path fragments exempt from ``raw-lock`` (the tracker itself).
 RAW_LOCK_EXEMPT = ("repro/analysis/",)
 
-_WALL_CLOCK_TIME = {"time", "monotonic", "perf_counter", "process_time", "sleep"}
+_WALL_CLOCK_TIME = {
+    "time", "monotonic", "perf_counter", "process_time", "thread_time",
+    "clock_gettime", "time_ns", "monotonic_ns", "perf_counter_ns",
+    "process_time_ns", "thread_time_ns", "clock_gettime_ns", "sleep",
+}
 _WALL_CLOCK_DATE = {"now", "utcnow", "today"}
 _RAW_LOCK_NAMES = {"Lock", "RLock", "Condition"}
 
 #: Modules whose import bindings we canonicalize: aliasing one of these
 #: (``import time as t``, ``from random import random as rnd``) must
 #: not launder a call past the path-scoped rules above.
-_ALIAS_MODULES = {"time", "random", "datetime", "struct"}
-
-#: ``struct``-module call forms whose first argument is a format string
-#: (a literal fixed-width layout reference, pseudo-constant for
-#: ``codec-layout``).
-_STRUCT_FMT_CALLS = {
-    "struct.Struct",
-    "struct.pack",
-    "struct.pack_into",
-    "struct.unpack",
-    "struct.unpack_from",
-    "struct.calcsize",
-}
+_ALIAS_MODULES = {"time", "random", "datetime"}
 
 
 @dataclass(frozen=True)
@@ -152,46 +132,21 @@ def canonical(spelled: str, aliases: Dict[str, str]) -> str:
     return f"{target}.{rest}" if rest else target
 
 
-def _fmt_size(fmt: str) -> Optional[int]:
-    """Byte width of a struct format string, or None if it is invalid
-    (leave invalid formats to the runtime - this rule is about drift
-    between two valid sides)."""
-    try:
-        return struct.calcsize(fmt)
-    except struct.error:
-        return None
-
-
 class _Checker(ast.NodeVisitor):
     def __init__(self, relpath: str, sim_clocked: bool, lock_exempt: bool):
         self.relpath = relpath
         self.sim_clocked = sim_clocked
         self.lock_exempt = lock_exempt
         self.violations: List[Violation] = []
-        self.pack_defs: Dict[str, Tuple[int, str]] = {}
-        self.unpack_defs: Dict[str, str] = {}
         #: Local name -> canonical dotted path (``t`` -> ``time``,
         #: ``rnd`` -> ``random.random``) for the modules in
         #: _ALIAS_MODULES.
         self._aliases: Dict[str, str] = {}
-        #: codec-layout state: module-level Struct constants (name ->
-        #: byte width), and per-def struct references / local calls for
-        #: the transitive closure in finish().
-        self.struct_consts: Dict[str, int] = {}
-        self._fn_stack: List[str] = []
-        self._fn_names: Dict[str, Set[str]] = {}
-        self._fn_literals: Dict[str, Dict[str, int]] = {}
-        self._fn_calls: Dict[str, Set[str]] = {}
 
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
         self.violations.append(
             Violation(self.relpath, node.lineno, rule, message)
         )
-
-    def _current_fn(self) -> Optional[str]:
-        # Nested helpers fold into their outermost def: a struct
-        # referenced by a closure counts toward the enclosing codec.
-        return self._fn_stack[0] if self._fn_stack else None
 
     # -- calls ----------------------------------------------------------
 
@@ -240,21 +195,7 @@ class _Checker(ast.NodeVisitor):
                 f"raw {shown}() is invisible to the --race tracker; use "
                 f"repro.analysis.sync.Tracked{attr}",
             )
-        self._note_struct_call(node, canon)
         self.generic_visit(node)
-
-    def _note_struct_call(self, node: ast.Call, canon: str) -> None:
-        fn = self._current_fn()
-        if fn is None:
-            return
-        if isinstance(node.func, ast.Name):
-            self._fn_calls.setdefault(fn, set()).add(node.func.id)
-        if canon in _STRUCT_FMT_CALLS and node.args and isinstance(
-            node.args[0], ast.Constant
-        ) and isinstance(node.args[0].value, str):
-            size = _fmt_size(node.args[0].value)
-            if size is not None:
-                self._fn_literals.setdefault(fn, {})[node.args[0].value] = size
 
     # -- imports --------------------------------------------------------
 
@@ -292,38 +233,7 @@ class _Checker(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
-    # -- codec-layout bookkeeping ---------------------------------------
-
-    def visit_Name(self, node: ast.Name) -> None:
-        fn = self._current_fn()
-        if fn is not None:
-            self._fn_names.setdefault(fn, set()).add(node.id)
-        self.generic_visit(node)
-
-    def _note_struct_const(self, target: ast.expr, value: ast.expr) -> None:
-        if self._fn_stack or not isinstance(target, ast.Name):
-            return
-        if not (isinstance(value, ast.Call) and value.args):
-            return
-        if canonical(dotted(value.func), self._aliases) != "struct.Struct":
-            return
-        arg = value.args[0]
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            size = _fmt_size(arg.value)
-            if size is not None:
-                self.struct_consts[target.id] = size
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._note_struct_const(target, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._note_struct_const(node.target, node.value)
-        self.generic_visit(node)
-
-    # -- except / defs --------------------------------------------------
+    # -- except --------------------------------------------------------
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if node.type is None:
@@ -333,90 +243,6 @@ class _Checker(ast.NodeVisitor):
                 "shutdown; name the exception type",
             )
         self.generic_visit(node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._note_codec_def(node.name, node.lineno)
-        self._fn_stack.append(node.name)
-        try:
-            self.generic_visit(node)
-        finally:
-            self._fn_stack.pop()
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._note_codec_def(node.name, node.lineno)
-        self._fn_stack.append(node.name)
-        try:
-            self.generic_visit(node)
-        finally:
-            self._fn_stack.pop()
-
-    def _note_codec_def(self, name: str, lineno: int) -> None:
-        bare = name.lstrip("_")
-        if bare.startswith("pack_"):
-            self.pack_defs.setdefault(bare[len("pack_"):], (lineno, name))
-        elif bare.startswith("unpack_"):
-            self.unpack_defs.setdefault(bare[len("unpack_"):], name)
-
-    def _layout_refs(self, fn: str) -> Dict[str, int]:
-        """Struct items ``fn`` references, transitively through calls to
-        helpers defined in this module: display name -> byte width."""
-        refs: Dict[str, int] = {}
-        seen: Set[str] = set()
-        queue = [fn]
-        while queue:
-            current = queue.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for name in self._fn_names.get(current, ()):
-                if name in self.struct_consts:
-                    refs[name] = self.struct_consts[name]
-            for fmt, size in self._fn_literals.get(current, {}).items():
-                refs[f'"{fmt}"'] = size
-            for callee in self._fn_calls.get(current, ()):
-                # Only intra-module helpers extend the closure; calls to
-                # names we never saw defined are ignored.
-                if callee in self._fn_names or callee in self._fn_calls:
-                    queue.append(callee)
-        return refs
-
-    def finish(self) -> None:
-        for suffix, (lineno, pack_name) in sorted(self.pack_defs.items()):
-            unpack_name = self.unpack_defs.get(suffix)
-            if unpack_name is None:
-                self.violations.append(
-                    Violation(
-                        self.relpath, lineno, "codec-pairing",
-                        f"pack_{suffix} has no matching unpack_{suffix} in "
-                        "this module: a wire format you can encode but not "
-                        "decode is half a protocol",
-                    )
-                )
-                continue
-            pack_refs = self._layout_refs(pack_name)
-            unpack_refs = self._layout_refs(unpack_name)
-            # Compare byte widths of the distinct struct items each side
-            # reaches; spelling may differ (a constant on one side, an
-            # equivalent literal format on the other) without drift.
-            if not pack_refs or not unpack_refs:
-                continue
-            if sorted(pack_refs.values()) == sorted(unpack_refs.values()):
-                continue
-            self.violations.append(
-                Violation(
-                    self.relpath, lineno, "codec-layout",
-                    f"{pack_name}/{unpack_name} disagree on fixed-width "
-                    f"struct layout: {pack_name} references "
-                    f"{_layout_text(pack_refs)}; {unpack_name} references "
-                    f"{_layout_text(unpack_refs)}",
-                )
-            )
-
-
-def _layout_text(refs: Dict[str, int]) -> str:
-    return ", ".join(
-        f"{name}({size}B)" for name, size in sorted(refs.items())
-    )
 
 
 def skip_marks(source: str, tool: str) -> Dict[int, str]:
@@ -449,7 +275,6 @@ def lint_source(source: str, relpath: str) -> List[Violation]:
         lock_exempt=any(frag in normalized for frag in RAW_LOCK_EXEMPT),
     )
     checker.visit(tree)
-    checker.finish()
     marks = skip_marks(source, "lint")
     return [v for v in checker.violations if marks.get(v.line) != v.rule]
 

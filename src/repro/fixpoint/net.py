@@ -1411,10 +1411,12 @@ class FixpointNode:
         peers never qualify: eviction pops their channel and purges
         their view beliefs, and the filter here catches the window
         between a tombstone landing and the eviction callback running.
+        ``is_dead`` takes a lock, so the scan reads a snapshot of the
+        peers: a concurrent dial or eviction may change the dict mid-loop.
         """
         names = {
             peer
-            for peer in self.peers
+            for peer in list(self.peers)
             if not self.membership.is_dead(peer)
         }
         if self.directory is not None:

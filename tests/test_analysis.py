@@ -407,6 +407,31 @@ class TestLinter:
         )
         assert "time.monotonic" in out[0].message
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "time_ns", "monotonic_ns", "perf_counter_ns", "process_time_ns",
+            "thread_time", "thread_time_ns", "clock_gettime",
+            "clock_gettime_ns",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "form",
+        [
+            "import time\nx = time.{}()\n",
+            "from time import {} as clock\nx = clock()\n",
+        ],
+        ids=["plain", "aliased"],
+    )
+    def test_nanosecond_and_thread_clocks_are_wall_clocks(self, name, form):
+        # the rule used to list only the five float-second readers, so
+        # these siblings passed in a sim-clocked module unnoticed
+        src = form.format(name)
+        out = _violations(src, "src/repro/dist/x.py")
+        assert [v.rule for v in out] == ["wall-clock"]
+        assert f"time.{name}" in out[0].message
+        assert _violations(src, "src/repro/fixpoint/x.py") == []
+
     def test_unseeded_random_alias_forms_are_seen_through(self):
         out = _violations(
             "import random as r\nx = r.random()\n", "src/repro/dist/gossip.py"
@@ -450,90 +475,6 @@ class TestLinter:
         assert [v.rule for v in out] == ["bare-except"]
         ok = "try:\n    pass\nexcept BaseException:\n    pass\n"
         assert _violations(ok) == []
-
-    def test_codec_pairing(self):
-        bad = "def pack_digest(d):\n    return b''\n"
-        out = _violations(bad)
-        assert [v.rule for v in out] == ["codec-pairing"]
-        ok = bad + "def unpack_digest(raw):\n    return None\n"
-        assert _violations(ok) == []
-        # underscore-private pairs count too
-        ok2 = "def _pack_err(e):\n    pass\ndef _unpack_err(b):\n    pass\n"
-        assert _violations(ok2) == []
-
-    def test_codec_layout_drift(self):
-        bad = (
-            "import struct\n"
-            '_COUNT = struct.Struct("<I")\n'
-            '_U64 = struct.Struct("<Q")\n'
-            "def pack_digest(d):\n"
-            "    return _COUNT.pack(len(d.rows)) + _U64.pack(d.seq)\n"
-            "def unpack_digest(buf):\n"
-            "    (seq,) = _U64.unpack_from(buf, 0)\n"
-            "    return seq\n"
-        )
-        out = _violations(bad)
-        assert [v.rule for v in out] == ["codec-layout"]
-        assert "_COUNT(4B)" in out[0].message
-        assert "_U64(8B)" in out[0].message
-
-    def test_codec_layout_agrees_through_helpers(self):
-        # pack_digest reaches _LEN via _pack_name while unpack_digest
-        # inlines it; the closure over intra-module helpers sees both
-        ok = (
-            "import struct\n"
-            '_LEN = struct.Struct("<H")\n'
-            '_U64 = struct.Struct("<Q")\n'
-            "def _pack_name(name):\n"
-            "    return _LEN.pack(len(name)) + name\n"
-            "def _unpack_name(buf, off):\n"
-            "    (n,) = _LEN.unpack_from(buf, off)\n"
-            "    return buf[off + _LEN.size : off + _LEN.size + n]\n"
-            "def pack_digest(d):\n"
-            "    return _U64.pack(d.seq) + _pack_name(d.name)\n"
-            "def unpack_digest(buf):\n"
-            "    (seq,) = _U64.unpack_from(buf, 0)\n"
-            "    return seq, _unpack_name(buf, _U64.size)\n"
-        )
-        assert _violations(ok) == []
-        # drop the helper call from the unpack side: drift, flagged
-        bad = ok.replace(", _unpack_name(buf, _U64.size)", "")
-        assert [v.rule for v in _violations(bad)] == ["codec-layout"]
-
-    def test_codec_layout_literal_format_matches_constant(self):
-        # same byte width spelled as a literal on one side and a Struct
-        # constant on the other: no drift
-        ok = (
-            "import struct\n"
-            '_U64 = struct.Struct("<Q")\n'
-            "def pack_seq(s):\n"
-            '    return struct.pack("<Q", s)\n'
-            "def unpack_seq(buf):\n"
-            "    (s,) = _U64.unpack_from(buf, 0)\n"
-            "    return s\n"
-        )
-        assert _violations(ok) == []
-
-    def test_codec_layout_ignores_struct_free_codecs(self):
-        ok = (
-            "def pack_index(ix):\n"
-            "    return bytes(ix)\n"
-            "def unpack_index(buf):\n"
-            "    return list(buf)\n"
-        )
-        assert _violations(ok) == []
-
-    def test_codec_layout_suppression(self):
-        bad = (
-            "import struct\n"
-            '_U64 = struct.Struct("<Q")\n'
-            '_U32 = struct.Struct("<I")\n'
-            "def pack_seq(s):  # lint: skip[codec-layout]\n"
-            "    return _U64.pack(s)\n"
-            "def unpack_seq(buf):\n"
-            "    return _U32.unpack_from(buf, 0)[0]\n"
-        )
-        assert _violations(bad) == []
 
     def test_skip_comment_suppresses_one_rule(self):
         src = "import threading\nlock = threading.Lock()  # lint: skip[raw-lock]\n"

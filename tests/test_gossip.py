@@ -2127,3 +2127,30 @@ class TestGossipLearnedPlacement:
         # Knowledge without an endpoint: placement must stick to peers
         # it can actually reach.
         assert "gamma" not in alpha._candidates()
+
+    def test_a_dial_mid_scan_leaves_the_candidates_whole(self):
+        """``_candidates`` asks the membership about each peer, and that
+        takes a lock, so another thread can dial a gossip-learned peer
+        (``connect`` inserts into ``peers``) or evict a dead one between
+        two peers of the scan.  It used to iterate the live dict and
+        die with ``RuntimeError: dictionary changed size during
+        iteration``; the dial here happens on the first lookup."""
+        alpha, beta, gamma, delta = (
+            FixpointNode(name) for name in ("alpha", "beta", "gamma", "delta")
+        )
+        alpha.connect(beta)
+        alpha.connect(gamma)
+        undisturbed = alpha._candidates()
+        is_dead = alpha.membership.is_dead
+        dials = [delta]
+
+        def dial_then_look_up(peer):
+            if dials:
+                alpha.connect(dials.pop())
+            return is_dead(peer)
+
+        with mock.patch.object(alpha.membership, "is_dead", dial_then_look_up):
+            candidates = alpha._candidates()
+        assert "delta" in alpha.peers  # the dial landed mid-scan
+        assert undisturbed == ["beta", "gamma"]
+        assert [name for name in candidates if name != "delta"] == undisturbed

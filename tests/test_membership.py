@@ -170,7 +170,11 @@ class TestCodecTruncation:
     return a truncated message.  Every read is now bounds-checked
     through the one :class:`repro.core.errors.FrameReader` and refuses
     with the decoder's own error type, naming the field and the
-    offset; so is every string field that does not decode."""
+    offset; so is every string field that does not decode.
+
+    This class is the one checker of the wire format (no lint rule
+    reads codecs): it also decodes every full frame back to the value
+    it was packed from and pairs every writer with its reader."""
 
     MEMBERS = [
         Member("alpha", 12, ALIVE),
@@ -186,6 +190,8 @@ class TestCodecTruncation:
     REPO = Repository()
     BLOB = REPO.put_blob(b"x" * 40)
     BUNDLE = encode_bundle(REPO, [BLOB])
+    ENCODE = strict(make_identification(BLOB))
+    ERROR = ValueError("boom: " + "x" * 20)
     #: [u16 length]["sender-node"][16-byte ctx]: where a request's
     #: handle, and (one tag byte later) a SYN's or PUSH's body, starts.
     HEADER = 2 + 11 + 16
@@ -223,7 +229,7 @@ class TestCodecTruncation:
             [(32, 4)],
         ),
         "error": (
-            net._pack_error(ValueError("boom: " + "x" * 20)),
+            net._pack_error(ERROR),
             net._unpack_error,
             NetworkError,
             [(0, 2), (12, 4)],
@@ -235,9 +241,7 @@ class TestCodecTruncation:
             [(0, 2)],
         ),
         "request": (
-            net.pack_request(
-                "sender-node", CTX, strict(make_identification(BLOB)), BUNDLE
-            ),
+            net.pack_request("sender-node", CTX, ENCODE, BUNDLE),
             _bundled(net.unpack_request),
             (NetworkError, SerializationError),
             # sender length; the bundle's frame count, its payload length.
@@ -250,7 +254,7 @@ class TestCodecTruncation:
             [(16 + 1 + 32 + 4, 4), (16 + 1 + 32 + 8 + 32, 4)],
         ),
         "reply-error": (
-            net.pack_reply(CTX, ValueError("boom: " + "x" * 20)),
+            net.pack_reply(CTX, ERROR),
             net.unpack_reply,
             NetworkError,
             [(17, 2), (17 + 12, 4)],
@@ -276,6 +280,31 @@ class TestCodecTruncation:
             (NetworkError, GossipError),
             [(1, 2), (1 + HEADER, 4), (-len(DELTA) + 25, 4)],
         ),
+    }
+
+    #: Stands in ``VALUES`` for the offset a decoder returns beside what
+    #: it read: a full frame must be read to its last byte.
+    END = object()
+    SORTED_MEMBERS = tuple(sorted(MEMBERS, key=lambda m: m.node))  # as packed
+    RAISED = ("ValueError", str(ERROR))  # what crosses for an exception
+
+    #: name -> the value the row's frame was packed from, in the shape
+    #: its decoder returns it (a ``_bundled`` decoder: its fields as a
+    #: list, then the bundle's handles).
+    VALUES = {
+        "members": (SORTED_MEMBERS, END),
+        "digest": (DIGEST, END),
+        "delta": (ENTRIES, END),
+        "bundle": [BLOB],
+        "frame": (BLOB, END),
+        "error": RAISED,
+        "header": ("sender-node", CTX, END),
+        "request": (["sender-node", CTX, ENCODE], [BLOB]),
+        "reply": ([CTX, BLOB], [BLOB]),
+        "reply-error": (CTX, RAISED, b""),
+        "syn": ("sender-node", CTX, DIGEST, SORTED_MEMBERS),
+        "ack": (CTX, DIGEST, ENTRIES, SORTED_MEMBERS),
+        "push": ("sender-node", CTX, ENTRIES),
     }
 
     #: The same frames as the parent of PR 14 built them inline at its
@@ -341,6 +370,20 @@ class TestCodecTruncation:
     @pytest.mark.parametrize("frame", sorted(GOLDEN))
     def test_frame_bytes_are_frozen(self, frame):
         assert self.CODECS[frame][0].hex() == self.GOLDEN[frame]
+
+    @pytest.mark.parametrize("codec", sorted(CODECS))
+    def test_every_frame_decodes_to_what_was_packed(self, codec):
+        """The fuzz below asks that a bad frame is refused; this asks
+        that a good one reads back the value it was packed from.  A
+        width or field-order drift between the two sides can still
+        refuse every strict prefix (the error message's length read as
+        a u16 is caught there only by accident), but not this."""
+        assert self.VALUES.keys() == self.CODECS.keys()
+        frame, unpack, _error, _fields = self.CODECS[codec]
+        expected = self.VALUES[codec]
+        if isinstance(expected, tuple) and expected[-1] is self.END:
+            expected = (*expected[:-1], len(frame))
+        assert unpack(frame) == expected
 
     @pytest.mark.parametrize("codec", sorted(CODECS))
     def test_every_strict_prefix_is_refused_with_the_offset(self, codec):
@@ -447,6 +490,18 @@ class TestCodecTruncation:
         "repro.core.thunks.unpack_index",
     }
 
+    @staticmethod
+    def _module_functions():
+        """(module, its module-level function names) for every module
+        under ``src/repro``, by an AST sweep of the tree."""
+        root = pathlib.Path(net.__file__).resolve().parents[1]
+        for path in sorted(root.rglob("*.py")):
+            module = ".".join(["repro", *path.relative_to(root).with_suffix("").parts])
+            tree = ast.parse(path.read_text())
+            yield module, [
+                node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            ]
+
     def test_every_unpack_definition_is_reached_by_a_codec(self):
         """A module-level ``unpack_*`` / ``_unpack_*`` / ``decode_*``
         added anywhere under ``src/repro`` must join ``CODECS``
@@ -456,15 +511,11 @@ class TestCodecTruncation:
         sweep of the tree, then measured, not listed: decode every full
         frame under a profiler and require each definition's code
         object among the calls."""
-        root = pathlib.Path(net.__file__).resolve().parents[1]
         defined = set()
-        for path in sorted(root.rglob("*.py")):
-            module = ".".join(["repro", *path.relative_to(root).with_suffix("").parts])
-            for node in ast.parse(path.read_text()).body:
-                name = getattr(node, "name", "")
+        for module, names in self._module_functions():
+            for name in names:
                 if (
-                    isinstance(node, ast.FunctionDef)
-                    and name.lstrip("_").startswith(("unpack_", "decode_"))
+                    name.lstrip("_").startswith(("unpack_", "decode_"))
                     and f"{module}.{name}" not in self.NOT_A_FRAME_DECODER
                 ):
                     decoder = getattr(importlib.import_module(module), name)
@@ -490,6 +541,29 @@ class TestCodecTruncation:
         finally:
             sys.setprofile(previous)
         assert sorted(code.co_name for code in defined - called) == []
+
+    def test_every_pack_definition_has_its_unpack(self):
+        """A module-level ``pack_X`` / ``_pack_X`` needs an ``unpack_X``
+        / ``_unpack_X`` in the same module, and an ``encode_X`` a
+        ``decode_X``: a format one side can write and no side can read
+        is half a protocol, and the sweep above can only hold decoders
+        that exist to a row."""
+        writers, unpaired = set(), []
+        for module, names in self._module_functions():
+            bare = {name.lstrip("_") for name in names}
+            for name in names:
+                stem = name.lstrip("_")
+                for write, read in (("pack_", "unpack_"), ("encode_", "decode_")):
+                    if stem.startswith(write):
+                        writers.add(f"{module}.{name}")
+                        if read + stem[len(write):] not in bare:
+                            unpaired.append(f"{module}.{name}")
+        assert {
+            "repro.core.thunks.pack_index",
+            "repro.core.serialize.encode_frame",
+            "repro.fixpoint.net._pack_error",
+        } <= writers
+        assert unpaired == []
 
     def test_full_frame_still_parses(self):
         decoded, offset = unpack_members(self.FRAME)
