@@ -147,8 +147,28 @@ class Repository:
             data = self._data
             return {k: _wire_size(data[k]) for k in keys if k in data}
 
+    def handles_of(self, keys: Container[bytes]) -> List[Handle]:
+        """Canonical handles of the stored data whose content key is in
+        ``keys``, in first-stored order.  Each is built from its key and
+        its datum's length, nothing hashed: every writer of the store
+        keys a datum by its computed content key."""
+        with self._lock:
+            return [
+                Handle.blob(key[1:], len(datum.data))
+                if isinstance(datum, Blob)
+                else Handle.tree(key[1:], len(datum.children))
+                for key, datum in self._data.items()
+                if key in keys
+            ]
+
     def handles(self) -> Iterator[Handle]:
-        """Canonical handles of every stored datum (snapshot)."""
+        """Canonical handles of every stored datum (snapshot), each
+        re-derived by serialising and hashing its datum.
+
+        Only :func:`repro.core.gc.collect` still walks the whole store
+        this way; the tests keep it as the independent reference that
+        :meth:`handles_of`, :meth:`sizes_beyond` and :meth:`held_sizes`
+        are checked against."""
         with self._lock:
             data = list(self._data.values())
         for datum in data:

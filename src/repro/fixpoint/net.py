@@ -1163,7 +1163,10 @@ class FixpointNode:
 
         ``fp`` lets callers that already computed the footprint for a
         placement quote (every caller of :meth:`_place`) skip the
-        second walk.  The optimistic ``view.learn`` for shipped data is
+        second walk.  What ships is :meth:`_unheld_by`'s filter over
+        that footprint's keys: picking it hashes nothing, though it
+        still walks the store's keys once to keep their order.  The
+        optimistic ``view.learn`` for shipped data is
         safe against concurrent delegations because the channel is
         wire-serialized: a later request's bundle is never parsed by
         the peer before this one's has landed in its repository.
@@ -1372,19 +1375,27 @@ class FixpointNode:
 
     def _note_held(self, peer: str, handles: Sequence[Handle]) -> None:
         """``peer`` evidently holds ``handles``: it shipped them, or was
-        just shipped them (the view advances on send *and* receive)."""
+        just shipped them (the view advances on send *and* receive).  A
+        literal is never stored or shipped - its handle *is* the data -
+        so it is no belief and stays out of the view."""
         for handle in handles:
-            self.view.learn(handle.content_key(), peer, handle.byte_size())
+            if not handle.is_literal:
+                self.view.learn(handle.content_key(), peer, handle.byte_size())
 
     def _unheld_by(self, peer: str, fp: Footprint) -> List[Handle]:
         """The data of ``fp`` held here that ``peer`` is not believed to
         hold: "ship only what the peer is not known to hold", the one
-        filter behind both the request and the reply bundle."""
+        filter behind both the request and the reply bundle.
+
+        The store is asked by key (:meth:`Repository.handles_of`), so
+        nothing is hashed; its first-stored order is the bundle's byte
+        order, which puts children before their trees.  Nothing is
+        cached, so a forget, an absorb or a GC pass has nothing here
+        to invalidate."""
         return [
             handle
-            for handle in self.repo.handles()
-            if (key := handle.content_key()) in fp.data
-            and not self.view.knows(key, peer)
+            for handle in self.repo.handles_of(fp.data)
+            if not self.view.knows(handle.content_key(), peer)
         ]
 
     def _transit(self, channel: Channel, peer_name: str) -> None:

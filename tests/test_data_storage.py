@@ -132,7 +132,8 @@ class TestRepository:
         repo.put_blob(b"x" * 100)
         tree = repo.put_tree([Handle.of_blob(b"a"), Handle.of_blob(b"b")])
         assert repo.data_bytes() == 100 + 2 * HANDLE_BYTES
-        assert tree in set(repo.handles()) or True  # handles() yields canonical
+        assert tree in set(repo.handles())  # handles() yields canonical
+        assert repo.handles_of({tree.content_key()}) == [tree]
 
     def test_absorb(self, repo):
         other = Repository("other")

@@ -14,6 +14,7 @@ concurrency with live delegations).
 
 from __future__ import annotations
 
+import ast
 import collections
 import contextlib
 import dataclasses
@@ -21,7 +22,6 @@ import functools
 import importlib.util
 import math
 import random
-import sys
 import threading
 from pathlib import Path
 from unittest import mock
@@ -34,6 +34,7 @@ from repro.codelets.stdlib import blob_int, int_blob
 from repro.core import data as core_data
 from repro.core import handle as core_handle
 from repro.core.errors import FixError, MissingObjectError
+from repro.core.gc import RecomputeIndex, collect
 from repro.core.minrepo import Footprint, footprint, transitive_footprint
 from repro.core.storage import Repository
 from repro.core.thunks import make_application
@@ -809,6 +810,37 @@ class TestNetGossip:
         assert "gamma" not in alpha.peers
         assert alpha.view.knows(fn.content_key(), "gamma")
         assert alpha.view.believed_size(fn.content_key()) > 600
+
+    def test_literal_results_stay_out_of_every_view(self):
+        """A literal result is never stored or shipped, so no view may
+        believe anyone holds it: after delegations and gossip, every
+        view is exactly the union of what the stores hold."""
+        hub = FixpointNode("hub")
+        peers = [FixpointNode("peer-a"), FixpointNode("peer-b")]
+        for peer in peers:
+            fn = peer.runtime.compile(FAT_INC_SOURCE, "fat-inc")
+            hub.connect(peer)
+        nodes = [hub, *peers]
+        try:
+            for n in range(5):
+                encode = make_application(
+                    hub.repo, fn, [hub.repo.put_blob(int_blob(n))]
+                ).wrap_strict()
+                result = hub.delegate_best(encode)
+                assert result.is_literal
+                assert blob_int(hub.repo.get_blob(result).data) == n + 1
+            for _ in range(6):
+                for node in nodes:
+                    node.gossip_sweep()
+            truth = collections.defaultdict(set)
+            for node in nodes:
+                for key, _size in node.repo.sizes_beyond(()):
+                    truth[key].add(node.name)
+            for node in nodes:
+                assert node.view.snapshot() == truth, node.name
+        finally:
+            for node in nodes:
+                node.close()
 
     def test_gossip_unknown_peer_raises(self):
         lonely = FixpointNode("lonely")
@@ -1854,70 +1886,77 @@ class TestAQuoteIsTheQuoteTheScanGave:
             twin.close()
 
 
+def hub_with_resident(resident):
+    """A hub storing ``resident`` objects (50 of them Trees) connected
+    to two peers that, like it, hold the twice codelet; and four encodes
+    on the hub, each with a fresh stored argument."""
+    hub, left, right = (FixpointNode(n) for n in ("hub", "left", "right"))
+    twice = [
+        node.runtime.compile(TWICE_SOURCE, "twice") for node in (hub, left, right)
+    ][0]
+    for i in range(resident - 50):
+        hub.repo.put_blob(b"resident/%d " % i * 6)
+    for i in range(50):
+        hub.repo.put_tree([hub.repo.put_blob(int_blob(i))] * (i % 17))
+    assert len(hub.repo) >= resident
+    hub.connect(left)
+    hub.connect(right)
+    encodes = [
+        make_application(
+            hub.repo, twice, [hub.repo.put_blob(b"argument %d " % i * 4)]
+        ).wrap_strict()
+        for i in range(4)
+    ]
+    return [hub, left, right], encodes
+
+
 class TestAQuoteCostsItsFootprint:
     def test_quotes_hash_nothing_and_a_dispatch_scans_once(self, monkeypatch):
-        hub, left, right = (FixpointNode(n) for n in ("hub", "left", "right"))
-        twice = [
-            node.runtime.compile(TWICE_SOURCE, "twice")
-            for node in (hub, left, right)
-        ][0]
-        for i in range(450):
-            hub.repo.put_blob(b"resident/%d " % i * 6)
-        for i in range(50):
-            hub.repo.put_tree([hub.repo.put_blob(int_blob(i))] * (i % 17))
-        assert len(hub.repo) >= 500
-        hub.connect(left)
-        hub.connect(right)
-        encodes = [
-            make_application(
-                hub.repo, twice, [hub.repo.put_blob(b"argument %d " % i * 4)]
-            ).wrap_strict()
-            for i in range(4)
-        ]
+        """Neither a quote nor a dispatch re-hashes the store.  A scatter
+        of 4 never calls ``Repository.handles``, and it hashes the same
+        data - the peers' results and what each receiver verifies -
+        whether the hub holds 500 objects or 1 000."""
+        nodes = []
         calls = collections.Counter()
         _count_calls(monkeypatch, core_handle, "blob_digest", calls)
         _count_calls(monkeypatch, core_data, "tree_digest", calls)
-        _count_calls(
-            monkeypatch,
-            Repository,
-            "handles",
-            calls,
-            # whose store, and who asked (the frame above the counter)
-            tag=lambda args: (
-                args[0] is hub.repo,
-                sys._getframe(2).f_code.co_name,
-            ),
-        )
+        _count_calls(monkeypatch, Repository, "handles", calls)
         _count_calls(
             monkeypatch,
             net,
             "transitive_footprint",
             calls,
-            tag=lambda args: args[0] is hub.repo,
+            tag=lambda args: args[0] is nodes[0].repo,
         )
-        for _ in range(5):
-            for encode in encodes:
-                assert hub.quote_best(encode).candidate == "left"
-        assert calls == {("transitive_footprint", True): 20}
-        calls.clear()
+        digests = []
+        for resident in (500, 1000):
+            nodes, encodes = hub_with_resident(resident)
+            hub = nodes[0]
+            calls.clear()
+            for _ in range(5):
+                for encode in encodes:
+                    assert hub.quote_best(encode).candidate == "left"
+            assert calls == {("transitive_footprint", True): 20}
+            calls.clear()
 
-        for future in hub.scatter(encodes):
-            future.result(10)
-        # What is left for after ROADMAP 1(a): one store scan per
-        # dispatch and one per reply, all in the shipping filter (the
-        # digest calls are theirs too, and the results').
-        del calls["blob_digest", None], calls["tree_digest", None]
-        assert calls == {
-            ("handles", (True, "_unheld_by")): 4,
-            ("handles", (False, "_unheld_by")): 4,
-            ("transitive_footprint", True): 4,
-            ("transitive_footprint", False): 4,
-        }
-        calls.clear()
+            for future in hub.scatter(encodes):
+                future.result(10)
+            digests.append(
+                [calls.pop((name, None), 0) for name in ("blob_digest", "tree_digest")]
+            )
+            assert calls == {
+                ("transitive_footprint", True): 4,
+                ("transitive_footprint", False): 4,
+            }
+            calls.clear()
 
-        # delegate_best hands its quote's footprint to the dispatch.
-        hub.delegate_best(encodes[0])
-        assert calls["transitive_footprint", True] == 1
+            # delegate_best hands its quote's footprint to the dispatch.
+            hub.delegate_best(encodes[0])
+            assert calls["transitive_footprint", True] == 1
+            assert not calls["handles", None]
+            for node in nodes:
+                node.close()
+        assert digests[0] == digests[1]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1967,6 +2006,131 @@ class TestAQuoteCostsItsFootprint:
             h.byte_size() for h in held if not h.is_literal
         )
         assert fp.data >= {h.content_key() for h in gone if not h.is_literal}
+
+
+# ----------------------------------------------------------------------
+# The shipping filter asks the store by key
+
+
+def store_ops():
+    """A script of store writes and removals: puts of Blobs and Trees
+    (a Tree names earlier handles), drops, absorbs of another store, and
+    GC passes over a recipe index that covers a picked subset."""
+    pick = st.integers(0, 1 << 10)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("put"), blob_or_tree()),
+            st.tuples(st.just("tree"), st.lists(pick, max_size=6)),
+            st.tuples(st.just("forget"), pick),
+            st.tuples(st.just("absorb"), st.lists(blob_or_tree(), max_size=4)),
+            st.tuples(st.just("gc"), st.integers(0, 1023), st.integers(0, 1 << 17)),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    store_ops(),
+    st.integers(0, (1 << 32) - 1),
+    st.lists(
+        st.tuples(st.sampled_from(b"BT"), st.binary(min_size=24, max_size=24)).map(
+            lambda pair: bytes([pair[0]]) + pair[1]
+        ),
+        max_size=3,
+    ),
+)
+def check_handles_of_is_the_scan_asked_by_key(ops, mask, absent):
+    """``handles_of(keys)`` is the hashing scan filtered to ``keys``,
+    in the same order, for every store the ops build and for key sets
+    that mix held, forgotten and never-stored keys."""
+    repo = Repository()
+    named = []  # every handle a put returned, stored now or not
+    encode = Repository().put_tree([]).make_application().wrap_strict()
+
+    def check():
+        scan = list(repo.handles())
+        held = {h.content_key() for i, h in enumerate(scan) if mask >> i & 1}
+        gone = {h.content_key() for h in named} - {h.content_key() for h in scan}
+        for keys in (held, set(absent), held | gone | set(absent), set(), gone):
+            assert repo.handles_of(frozenset(keys)) == [
+                h for h in scan if h.content_key() in keys
+            ]
+
+    for op in ops:
+        if op[0] == "put":
+            named.append(repo.put(op[1]))
+        elif op[0] == "tree":
+            children = [named[p % len(named)] for p in op[1] if named]
+            named.append(repo.put_tree(children))
+        elif op[0] == "forget" and named:
+            repo.forget_data(named[op[1] % len(named)])
+        elif op[0] == "absorb":
+            other = Repository("other")
+            named += [other.put(datum) for datum in op[1]]
+            repo.absorb(other)
+        elif op[0] == "gc":
+            picked = [h for i, h in enumerate(repo.handles()) if op[1] >> i & 1]
+            index = RecomputeIndex({h.content_key(): encode for h in picked})
+            collect(repo, index, op[2])
+        check()
+
+
+HANDLES_OF = Repository.handles_of
+
+
+def sorted_by_key(repo, keys):
+    """Mutant: the right handles, in key order rather than store order
+    (a bundle could then name a Tree before its children)."""
+    return sorted(HANDLES_OF(repo, keys), key=core_handle.Handle.content_key)
+
+
+def trees_sized_in_bytes(repo, keys):
+    """Mutant: a Tree's handle sized by its wire bytes, not its entries."""
+    return [
+        core_handle.Handle.tree(h.content_key()[1:], h.byte_size())
+        if h.is_tree
+        else h
+        for h in HANDLES_OF(repo, keys)
+    ]
+
+
+HANDLES_OF_MUTANTS = {
+    "sorted_by_key": sorted_by_key,
+    "trees_sized_in_bytes": trees_sized_in_bytes,
+}
+
+
+class TestTheShippingFilterAsksByKey:
+    def test_handles_of_is_the_scan_asked_by_key(self):
+        check_handles_of_is_the_scan_asked_by_key()
+
+    @pytest.mark.parametrize("mutant", sorted(HANDLES_OF_MUTANTS))
+    def test_the_property_catches_a_wrong_listing(self, mutant):
+        with mock.patch.object(
+            Repository, "handles_of", HANDLES_OF_MUTANTS[mutant]
+        ), pytest.raises(AssertionError):
+            check_handles_of_is_the_scan_asked_by_key()
+
+    def test_only_gc_walks_the_store_by_hashing(self):
+        """``Repository.handles`` re-hashes every stored datum; outside
+        ``core/gc.py`` the runtime asks the store by key instead.  Found
+        by an AST sweep of ``src/repro`` for zero-argument
+        ``.handles()`` calls."""
+        root = Path(net.__file__).resolve().parents[1]
+        callers = set()
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "handles"
+                    and not node.args
+                    and not node.keywords
+                ):
+                    callers.add(path.relative_to(root).as_posix())
+        assert callers == {"core/gc.py"}
 
 
 @pytest.mark.stress
