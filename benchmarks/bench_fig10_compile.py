@@ -64,8 +64,8 @@ def test_fig10_link_placement_scalability(benchmark):
     """The scheduler hot spot: placing the 1,987-input link task.
 
     One pass over the inputs finds the machines believed to hold any of
-    them (``ObjectView.price_held``) and only those contenders are
-    compared, so the cost must *not* scale with the machine count (the
+    them (``ObjectView.bid``) and only those contenders are compared,
+    so the cost must *not* scale with the machine count (the
     old per-machine pricing loop was O(machines x inputs): 10x the
     machines cost ~10x the time).
     """

@@ -14,23 +14,16 @@ name.  Both runtimes in this repo resolve placements here:
 
 Keeping the policy in one module means a delegation-policy change is
 made exactly once and both the perf conclusions (simulated) and the
-executing code follow it: the ``(priced bytes, load, name)`` order is
-written in :func:`choose` (and, for ranking whole quotes, in
-:meth:`Quote.sort_key` beside it), the output-size hint in
-:func:`hint_bytes`, the pricing pass in :func:`price_held`.
-
-What a decision costs: :func:`choose` compares its candidates in one
-pass and builds the winner's :class:`Quote` only.  :func:`price_held`
-walks the inputs once and reports only the candidates believed to hold
-some of them (O(needs + believed replicas)); :func:`price_moves` is the
-same pass laid out densely, one entry per candidate, for callers that
-want the whole table - the executing runtime's peer quotes.
-:func:`contenders` turns the sparse form into the candidates that can
-still be the minimum, so that every candidate is looked at only when
-all of them tie on bytes (nothing believed held), where the spread by
-``(load, name)`` has to see them all; the simulated scheduler places
-through it, so one of its placements costs O(needs + believed replicas
-+ contenders).
+executing code follow it.  Both drivers take one path: :func:`bid`
+prices (under the view's lock, :meth:`ObjectView.bid
+<repro.dist.objectview.ObjectView.bid>`) and :func:`choose` decides
+``(priced bytes, load, name)``, building the winner's :class:`Quote`
+only (:meth:`Quote.sort_key` ranks whole quotes by the same order).
+:func:`price_held` is the one accumulation loop: it walks the inputs
+once and reports only the believed holders, so a placement costs
+O(needs + believed replicas + contenders), not the cluster.
+:func:`price_moves` is that pass laid out densely, one entry per
+candidate.
 
 Everything here is pure: no cluster, no repository, no I/O.  Beliefs
 arrive as callables/pairs so any view representation can plug in.
@@ -105,7 +98,7 @@ def price_held(
     stable for the duration of the pass.  Belief stores that mutate on
     other threads (the executing runtime's async delegation absorbs
     replies concurrently) satisfy this by holding their own lock around
-    the whole call - see :meth:`repro.dist.objectview.ObjectView.price_held`.
+    the whole call - see :meth:`repro.dist.objectview.ObjectView.bid`.
     """
     held: Dict[str, int] = {}
     total = 0
@@ -133,41 +126,53 @@ def price_moves(
     return prices
 
 
-def contenders(
+def bid(
+    needs: Iterable[Tuple[Hashable, int]],
+    locations: Callable[[Hashable], Iterable[str]],
     candidates: Collection[str],
-    held: Dict[str, int],
     *,
+    unshippable: Collection[Hashable] = (),
     consumer_location: Optional[str] = None,
     exclude: Optional[Container[str]] = None,
-) -> Collection[str]:
-    """The candidates that can still win :func:`choose`, given the
-    sparse prices of :func:`price_held`.
+) -> Tuple[Collection[str], Callable[[str], int]]:
+    """The pricing half of a placement: ``(contenders, move_bytes)``,
+    the first two arguments of :func:`choose`.
 
-    A candidate that holds nothing and is not the consumer moves every
-    byte and pays the full hint, so any live candidate holding even one
-    byte prices strictly below it: when such a holder exists, only the
-    live holders and the consumer (the one candidate the hint can
-    favour) need a price.  With no live byte-holder - nothing believed
-    anywhere, zero-size inputs only, every holder tombstoned - everyone
-    ties on input bytes and it is all ``candidates``.  Either way the
-    result goes through :func:`choose`, which applies ``exclude`` and
-    the order itself; this only spares it the candidates that cannot be
-    its answer, so a placement costs its contenders, not the cluster.
+    *Viability*: ``unshippable`` names data the placing node cannot
+    send, so a candidate not believed to hold all of it would strand
+    the evaluation and is dropped - counted in keys, never bytes (a key
+    nobody reported a size for prices at zero and would let a dead end
+    through).  When no candidate is viable all stay: the belief may be
+    stale, and delegating is the only way to find out.
+
+    *Contenders*: a candidate that holds nothing and is not the consumer
+    moves every byte and pays the full hint, so any live holder of one
+    byte prices strictly below it.  The live holders plus the consumer
+    contend; with no live holder every candidate ties on bytes and all
+    contend.  :func:`choose` applies ``exclude`` itself.
+
+    Two :func:`price_held` passes, so O(needs + unshippable + believed
+    replicas + contenders): ``candidates`` is only asked ``in`` unless
+    everyone ties.  Same concurrency contract as :func:`price_held`.
     """
+    if unshippable:
+        count, keys = price_held(
+            ((key, 1) for key in unshippable), locations, candidates
+        )
+        candidates = (
+            dict.fromkeys(c for c, held in keys.items() if held == count)
+            or candidates
+        )
+    total, held = price_held(needs, locations, candidates)
     live = [
         candidate
         for candidate, size in held.items()
         if size > 0 and (exclude is None or candidate not in exclude)
     ]
-    if not live:
-        return candidates
-    if (
-        consumer_location is not None
-        and consumer_location not in live
-        and consumer_location in candidates
-    ):
-        live.append(consumer_location)
-    return live
+    hint = consumer_location
+    if live and hint in candidates and hint not in live:
+        live.append(hint)
+    return live or candidates, lambda candidate: total - held.get(candidate, 0)
 
 
 def hint_bytes(
@@ -214,9 +219,8 @@ def choose(
     and builds a :class:`Quote` for the winner alone.  A candidate
     believed to hold *nothing* is still priced (the full footprint),
     never skipped: staleness costs a redundant transfer, not a
-    scheduling failure.  (Callers may pre-filter with
-    :func:`contenders`, which drops only candidates that provably
-    cannot be the minimum.)
+    scheduling failure.  (Callers may pre-filter with :func:`bid`,
+    which drops only candidates that provably cannot be the minimum.)
 
     ``exclude`` is the one exception, and it is about *liveness*, not
     staleness: membership tombstones (:mod:`repro.dist.membership`)

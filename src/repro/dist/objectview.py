@@ -74,16 +74,16 @@ property the paper's design leans on.
 Every observation also maintains an inverted *holdings index*
 (machine -> believed names, plus believed sizes), so "what does machine
 M hold" is one lookup, and pricing is a single pass over the inputs -
-:meth:`price_held` (the believed holders only, what
-:meth:`DataflowScheduler.place <repro.dist.scheduler.DataflowScheduler.place>`
-reads) or :meth:`bytes_missing_many` / :meth:`price_moves` (the same
-pass laid out over every machine) - so the fig. 10 link task (1,987
-inputs) does not pay O(machines x inputs) per placement.
+:meth:`bid` (the believed holders only: both drivers' one placement
+path, see :mod:`repro.dist.costmodel`) or :meth:`bytes_missing_many`
+/ :meth:`price_moves` (the same pass laid out over every machine) - so
+the fig. 10 link task (1,987 inputs) does not pay O(machines x inputs)
+per placement.
 
 The view is internally locked: the executing runtime's asynchronous
 delegation (:mod:`repro.fixpoint.net`) absorbs replies on serving
-threads, so :meth:`learn`/:meth:`forget` race with :meth:`price_moves`
-on the dispatching thread.  Every public method holds the view's RLock,
+threads, so :meth:`learn`/:meth:`forget` race with :meth:`bid` on the
+dispatching thread.  Every public method holds the view's RLock,
 which in particular keeps the whole one-pass pricing atomic with
 respect to concurrent observations.
 """
@@ -96,6 +96,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
+    Callable,
+    Collection,
     Container,
     Dict,
     Hashable,
@@ -255,7 +257,7 @@ class ObjectView:
         #: view" gauge the obs registry samples at export.
         self._clock = clock
         self.last_advance: Optional[float] = None
-        #: Reentrant so :meth:`price_moves` can hold the lock across the
+        #: Reentrant so :meth:`bid` can hold the lock across the
         #: whole pricing pass while its locations callable re-enters.
         self._lock = TrackedRLock("ObjectView._lock")
         self._locations: Dict[Hashable, Set[str]] = {}
@@ -757,8 +759,8 @@ class ObjectView:
         needs: Iterable[Tuple[Hashable, int]],
         candidates: Iterable[str],
     ) -> Dict[str, int]:
-        """Cluster-free pricing over ``(name, size)`` pairs - the path
-        the executing runtime uses, where sizes come from handles.
+        """Cluster-free pricing over ``(name, size)`` pairs, one entry
+        per candidate: :meth:`bid`'s bytes pass laid out densely.
 
         The lock is held across the whole pass, so concurrent
         :meth:`learn`/:meth:`forget` calls (reply absorption on serving
@@ -767,21 +769,27 @@ class ObjectView:
         with self._lock:
             return costmodel.price_moves(needs, self._believed, candidates)
 
-    def price_held(
+    def bid(
         self,
         needs: Iterable[Tuple[Hashable, int]],
-        candidates: Container[str],
-    ) -> Tuple[int, Dict[str, int]]:
-        """:meth:`price_moves` in its sparse form, ``(total, held)``
-        with an entry only per believed holder among ``candidates``
-        (:func:`repro.dist.costmodel.price_held`) - the input of
-        :func:`repro.dist.costmodel.contenders`, for a caller that must
-        not touch the machines that hold nothing.  Same contract: the
-        lock is held across the whole pass, including the consumption
-        of ``needs``.
-        """
+        candidates: Collection[str],
+        *,
+        unshippable: Collection[Hashable] = (),
+        consumer_location: Optional[str] = None,
+        exclude: Optional[Container[str]] = None,
+    ) -> Tuple[Collection[str], Callable[[str], int]]:
+        """:func:`repro.dist.costmodel.bid` over these beliefs, with the
+        lock held across both of its passes and the consumption of
+        ``needs``: no belief changes mid-quote."""
         with self._lock:
-            return costmodel.price_held(needs, self._believed, candidates)
+            return costmodel.bid(
+                needs,
+                self._believed,
+                candidates,
+                unshippable=unshippable,
+                consumer_location=consumer_location,
+                exclude=exclude,
+            )
 
     def _believed(self, name: Hashable) -> Iterable[str]:
         """Believed holders of ``name``, uncopied (lock held by caller)."""

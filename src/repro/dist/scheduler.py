@@ -4,19 +4,20 @@ The scheduler prices a machine by the bytes its :class:`ObjectView`
 believes would have to move there (paper 4.2.2), so a task lands on the
 holder of its largest dependency and ``predicted_move_bytes`` is zero
 when the data is local.  Pricing and the decision itself live in
-:mod:`repro.dist.costmodel` - the same policy the executing runtime's
-:meth:`repro.fixpoint.net.FixpointNode.delegate_best` resolves through.
-One pass over the inputs (:meth:`ObjectView.price_held`) finds the
-machines believed to hold any of them, so a wide task like fig. 10's
-1,987-input link does not pay O(machines x inputs);
-:func:`~repro.dist.costmodel.contenders` then keeps the machines that
-can still win - the live holders and the hinted consumer - and
+:mod:`repro.dist.costmodel`, on the one path the executing runtime's
+:meth:`repro.fixpoint.net.FixpointNode._place` takes too:
+:meth:`ObjectView.bid` makes one pass over the inputs (so fig. 10's
+1,987-input link does not pay O(machines x inputs)) and keeps the
+machines that can still win, the live holders and the hinted consumer;
 :func:`~repro.dist.costmodel.choose` compares their ``(priced bytes,
 load, name)`` keys and builds a :class:`~repro.dist.costmodel.Quote`
-for the winner only.  A placement is therefore O(inputs + believed
-replicas + contenders): it follows the data the task names, not the
-size of the cluster.  Only when no live machine is believed to hold a
-byte (external-only inputs, independent tasks, every holder dead) does
+for the winner only.  The
+scheduler passes registry sizes, the hinted consumer and the tombstoned
+machines, and no unshippable keys: the simulated network moves
+anything.  A placement is therefore O(inputs + believed replicas +
+contenders): it follows the data the task names, not the size of the
+cluster.  Only when no live machine is believed to hold a byte
+(external-only inputs, independent tasks, every holder dead) does
 everyone tie on bytes and every machine get compared, spreading by
 outstanding load, fed back through
 :meth:`DataflowScheduler.task_started` / :meth:`task_finished`.
@@ -34,11 +35,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.errors import SchedulingError
 from ..obs import NULL_OBS, Obs
-from .costmodel import Quote, choose, contenders, quote
+from .costmodel import Quote, choose, quote
 from .graph import TaskSpec
 from .membership import MembershipView
 from .objectview import ObjectView
@@ -147,21 +148,6 @@ class DataflowScheduler:
     # ------------------------------------------------------------------
     # Placement
 
-    def _price(self, task: TaskSpec) -> Tuple[int, Dict[str, int]]:
-        """``(total, held)``: the task's input bytes (registry sizes) and
-        the part each machine is believed to hold, holders only."""
-        lookup = self.cluster.object
-        return self.view.price_held(
-            ((name, lookup(name).size) for name in task.inputs),
-            self._candidates,
-        )
-
-    def _dead(self) -> Optional[Set[str]]:
-        """Confirmed-dead machines, when membership is wired."""
-        return (
-            self.membership.dead_nodes() if self.membership is not None else None
-        )
-
     def place(
         self, task: TaskSpec, consumer_location: Optional[str] = None
     ) -> Placement:
@@ -172,7 +158,7 @@ class DataflowScheduler:
         location is known - the output's journey to that consumer.  Ties
         break by outstanding load, then name (determinism).  The whole
         decision is one :func:`repro.dist.costmodel.choose` call over
-        the task's :func:`~repro.dist.costmodel.contenders`.
+        the contenders :meth:`ObjectView.bid` returns.
 
         Cost: O(inputs + believed replicas + contenders) - one pass over
         the inputs, then one key comparison per live machine believed to
@@ -183,8 +169,19 @@ class DataflowScheduler:
         machines tie on bytes and the spread by load has to see them all.
         """
         with self._m_place.time():
-            total, held = self._price(task)
-            dead = self._dead()
+            dead = (
+                self.membership.dead_nodes()
+                if self.membership is not None
+                else None
+            )
+            hinted = consumer_location if self.use_hints else None
+            lookup = self.cluster.object
+            contenders, move_bytes = self.view.bid(
+                ((name, lookup(name).size) for name in task.inputs),
+                self._candidates,
+                consumer_location=hinted,
+                exclude=dead,
+            )
             if not self.locality:
                 live = (
                     self._machines
@@ -197,18 +194,12 @@ class DataflowScheduler:
                 placement = Placement(
                     task=task.name,
                     machine=machine,
-                    predicted_move_bytes=total - held.get(machine, 0),
+                    predicted_move_bytes=move_bytes(machine),
                 )
             else:
-                hinted = consumer_location if self.use_hints else None
                 best = choose(
-                    contenders(
-                        self._candidates,
-                        held,
-                        consumer_location=hinted,
-                        exclude=dead,
-                    ),
-                    lambda m: total - held.get(m, 0),
+                    contenders,
+                    move_bytes,
                     self._outstanding.__getitem__,
                     output_size=task.output_size,
                     consumer_location=hinted,
@@ -232,32 +223,35 @@ class DataflowScheduler:
         machine :meth:`place` would pick from the same beliefs and loads.
 
         Read-only (no metric, no load, no belief moves) and off the hot
-        path: it prices through the same ``price_held`` / ``contenders``
-        calls as :meth:`place` but builds a :class:`Quote` per contender
+        path: it prices through the same :meth:`ObjectView.bid` call as
+        :meth:`place` but builds a :class:`Quote` per contender
         and sorts them.  A machine believed to hold nothing is listed
         only when nobody holds anything (the all-tie case); the list is
         empty when every machine is confirmed dead.  The
         ``locality=False`` ablation draws at random and consults none of
         this - the quotes say what locality would have weighed.
         """
-        total, held = self._price(task)
-        dead = self._dead()
+        dead = (
+            self.membership.dead_nodes() if self.membership is not None else None
+        )
         hinted = consumer_location if self.use_hints else None
+        lookup = self.cluster.object
+        contenders, move_bytes = self.view.bid(
+            ((name, lookup(name).size) for name in task.inputs),
+            self._candidates,
+            consumer_location=hinted,
+            exclude=dead,
+        )
         return sorted(
             (
                 quote(
                     machine,
-                    total - held.get(machine, 0),
+                    move_bytes(machine),
                     self._outstanding[machine],
                     output_size=task.output_size,
                     consumer_location=hinted,
                 )
-                for machine in contenders(
-                    self._candidates,
-                    held,
-                    consumer_location=hinted,
-                    exclude=dead,
-                )
+                for machine in contenders
                 if not dead or machine not in dead
             ),
             key=Quote.sort_key,

@@ -1467,20 +1467,14 @@ class FixpointNode:
         and so never skews the choice.
 
         Candidates default to :meth:`_candidates` - connected peers plus
-        dialable gossip-learned holders.  They are first filtered for
-        *serviceability*: a footprint key this node cannot ship (not
-        held locally) and the peer is not believed to hold would strand
-        the evaluation there.  Strandedness is counted in missing *keys*
-        (each unshippable key weighs 1), never in bytes - a
-        size-unreported key prices every peer at zero bytes and would
-        let a dead-end peer slip through the filter.  Peers with
-        stranded keys only stay candidates when every peer has them
-        (the view may be stale - the peer might hold the datum anyway,
-        and delegating is the only way to find out; staleness must
-        never fail a delegation that could have worked).
+        dialable gossip-learned holders.  Pricing is the simulated
+        scheduler's path, :meth:`ObjectView.bid
+        <repro.dist.objectview.ObjectView.bid>`, with the footprint keys
+        not held here as its ``unshippable`` keys: see
+        :func:`repro.dist.costmodel.bid` for the strandedness rule.
 
-        Confirmed-dead peers are different: they are excluded inside
-        :func:`repro.dist.costmodel.choose` itself (the repo's one
+        Confirmed-dead peers are not a matter of belief: they are
+        excluded inside :func:`repro.dist.costmodel.choose` (the repo's one
         placement policy), because a tombstone is a *liveness* fact,
         not a staleness guess - delegating there cannot succeed.
         """
@@ -1496,21 +1490,18 @@ class FixpointNode:
             raise NetworkError(f"{self.name}: no peers to delegate to")
         dead = self.membership.dead_nodes()
         with self._m_quote.time():
-            needs = [
-                (key, local.get(key, self.view.believed_size(key)))
-                for key in fp.data
-            ]
-            prices = self.view.price_moves(needs, candidates)
-            unshippable = [
-                (key, 1) for key, _ in needs if key not in local
-            ]
-            stranded = self.view.price_moves(unshippable, candidates)
-            viable = [
-                peer for peer in candidates if stranded[peer] == 0
-            ] or list(candidates)
+            contenders, move_bytes = self.view.bid(
+                [
+                    (key, local.get(key, self.view.believed_size(key)))
+                    for key in fp.data
+                ],
+                dict.fromkeys(candidates),
+                unshippable=[key for key in fp.data if key not in local],
+                exclude=dead,
+            )
             return fp, choose(
-                viable,
-                prices.__getitem__,
+                contenders,
+                move_bytes,
                 lambda peer: self.outstanding.get(peer, 0),
                 exclude=dead,
             )

@@ -508,9 +508,11 @@ class TestLinter:
 class TestObjectViewLockDiscipline:
     """Four threads hammer one shared :class:`ObjectView` (plus a peer
     for ``exchange``) with a hypothesis-generated op mix, under a private
-    lock tracker: the RLock-across-``price_moves`` discipline must
-    produce no lock-order inversion, no hold-while-blocking event, and a
-    holdings index that never disagrees with the forward location map.
+    lock tracker: the RLock held across both passes of ``bid`` - the
+    placement path, with an unshippable key as the executing runtime
+    passes it - must produce no lock-order inversion, no
+    hold-while-blocking event, and a holdings index that never disagrees
+    with the forward location map.
     """
 
     THREADS = 4
@@ -527,7 +529,7 @@ class TestObjectViewLockDiscipline:
         )
         forget = st.tuples(st.just("forget"), names, locations)
         exchange = st.tuples(st.just("exchange"))
-        price = st.tuples(st.just("price"), names)
+        price = st.tuples(st.just("price"), names, names)
         return st.lists(
             st.one_of(learn, forget, exchange, price),
             min_size=16,
@@ -546,7 +548,11 @@ class TestObjectViewLockDiscipline:
         elif kind == "exchange":
             exchange(Participant(view), Participant(peer))
         elif kind == "price":
-            view.price_moves([(op[1], 1024)], ["n0", "n1", "n2"])
+            view.bid(
+                [(op[1], 1024), (op[2], 0)],
+                dict.fromkeys(["n0", "n1", "n2"]),
+                unshippable=[op[2]],
+            )
 
     @staticmethod
     def _assert_index_consistent(view):

@@ -27,8 +27,8 @@ from repro.dist import costmodel
 from repro.dist import scheduler as scheduler_module
 from repro.dist.costmodel import (
     Quote,
+    bid,
     choose,
-    contenders,
     price_held,
     price_moves,
     quote,
@@ -168,15 +168,24 @@ class TestSparsePricing:
             for location in locations:
                 view.learn(name, location)
         candidates = ["m1", "m2", "m3", "m4"]
-        total, held = view.price_held(self.NEEDS, frozenset(candidates))
-        assert (total, held) == (42, {"m1": 15, "m2": 25, "m3": 0})
+        contenders, move_bytes = view.bid(self.NEEDS, frozenset(candidates))
+        assert sorted(contenders) == ["m1", "m2"]  # m3 holds 0 bytes
+        assert [move_bytes(m) for m in candidates] == [27, 17, 42, 42]
         assert view.price_moves(self.NEEDS, candidates) == {
             "m1": 27, "m2": 17, "m3": 42, "m4": 42,
         }
 
 
+def contenders(candidates, held, **options):
+    """``bid``'s contenders when each machine in ``held`` is believed to
+    hold one object of that size, nothing else."""
+    needs = [(machine, size) for machine, size in held.items()]
+    return bid(needs, lambda name: (name,), candidates, **options)[0]
+
+
 class TestContenders:
-    """The dominance pre-filter: who can still be the argmin."""
+    """The dominance pre-filter in :func:`bid`: who can still be the
+    argmin."""
 
     MACHINES = ["m1", "m2", "m3", "m4"]
 
@@ -378,25 +387,23 @@ class TestOnePolicyBothRuntimes:
         ).wrap_strict()
         return alpha, beta, gamma, encode
 
-    def mirror_into_scheduler(self, alpha, encode):
+    def mirror_into_scheduler(self, alpha, encode, peers=("beta", "gamma")):
         """Rebuild alpha's exact beliefs as a cluster + ObjectView."""
         fp = transitive_footprint(alpha.repo, encode)
         local = alpha.runtime.holdings()
         sim = Simulator()
-        cluster = Cluster(
-            sim, [MachineSpec("beta", cores=4), MachineSpec("gamma", cores=4)]
-        )
+        cluster = Cluster(sim, [MachineSpec(peer, cores=4) for peer in peers])
         view = ObjectView("sched")
         names = []
         for key in sorted(fp.data):
             name = key.hex()
             size = local.get(key, alpha.view.believed_size(key))
-            peers = alpha.view.where(key) & {"beta", "gamma"}
+            holders = alpha.view.where(key) & set(peers)
             # The registry needs some location; data only alpha holds
             # starts at the (non-machine) client endpoint.
-            for location in peers or {"client"}:
+            for location in holders or {"client"}:
                 cluster.add_object(name, size, location)
-            for location in peers:
+            for location in holders:
                 view.learn(name, location, size)
             names.append(name)
         sched = DataflowScheduler(cluster, view)
@@ -444,6 +451,86 @@ class TestOnePolicyBothRuntimes:
         sched, task = self.mirror_into_scheduler(alpha, encode)
         sched.task_started("beta")
         assert sched.place(task).machine == "gamma"
+
+
+class TestOnePolicyManySeeds:
+    """The agreement test over seeded belief soups: alpha holds every
+    datum (nothing is unshippable, as in the simulator), believes a
+    random subset of its peers holds each one and carries random
+    in-flight loads; the scheduler mirrored from those beliefs and
+    loads must pick the same machine at the same price."""
+
+    SEEDS = range(12)
+    SIZES = (40, 40, 64, 64, 1024)  # above the literal limit, tie-prone
+
+    def soup(self, seed):
+        rng = random.Random(seed)
+        alpha = FixpointNode("alpha")
+        peers = [FixpointNode(f"p{i}") for i in range(rng.randint(2, 5))]
+        for peer in peers:
+            alpha.connect(peer)
+        function = alpha.runtime.compile(SOURCE_CONCAT, "concat")
+        data = [
+            alpha.repo.put_blob(bytes([i]) * rng.choice(self.SIZES))
+            for i in range(rng.randint(1, 6))
+        ]
+        encode = make_application(alpha.repo, function, data).wrap_strict()
+        names = [peer.name for peer in peers]
+        local = alpha.repo.held_sizes(transitive_footprint(alpha.repo, encode).data)
+        density = rng.choice((0.0, 0.2, 0.5))  # 0.0: nobody holds a byte
+        for key, size in sorted(local.items()):
+            for name in names:
+                if rng.random() < density:
+                    alpha.view.learn(key, name, size)
+        loads = {name: rng.choice((0, 0, 1, 2)) for name in names}
+        alpha.outstanding.update(loads)
+        return alpha, peers, encode, loads
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_winner_same_bytes(self, seed):
+        alpha, peers, encode, loads = self.soup(seed)
+        try:
+            net_quote = alpha.quote_best(encode)
+            sched, task = TestOnePolicyBothRuntimes().mirror_into_scheduler(
+                alpha, encode, peers=[peer.name for peer in peers]
+            )
+            for name, load in loads.items():
+                for _ in range(load):
+                    sched.task_started(name)
+            placement = sched.place(task)
+            assert (placement.machine, placement.predicted_move_bytes) == (
+                net_quote.candidate,
+                net_quote.move_bytes,
+            )
+        finally:
+            for node in (alpha, *peers):
+                node.close()
+
+    def test_the_soups_reach_ties_and_holders(self):
+        """The seeds are not all one shape: some winners hold nothing
+        (all tie), some hold part of the footprint, and some win on
+        load against a peer of the same price."""
+        seen = dict.fromkeys(("all_tie", "holder_wins", "load_decides"), 0)
+        for seed in self.SEEDS:
+            alpha, peers, encode, loads = self.soup(seed)
+            try:
+                fp = transitive_footprint(alpha.repo, encode)
+                local = alpha.repo.held_sizes(fp.data)
+                total = sum(local.values())
+                prices = alpha.view.price_moves(
+                    local.items(), [peer.name for peer in peers]
+                )
+                best = alpha.quote_best(encode)
+                seen["all_tie"] += best.move_bytes == total
+                seen["holder_wins"] += best.move_bytes < total
+                seen["load_decides"] += any(
+                    price == best.move_bytes and loads[name] > best.load
+                    for name, price in prices.items()
+                )
+            finally:
+                for node in (alpha, *peers):
+                    node.close()
+        assert all(count >= 2 for count in seen.values()), seen
 
 
 class TestForget:
@@ -534,7 +621,7 @@ class TestViewConcurrency:
 
 
 # ----------------------------------------------------------------------
-# Same-decision oracle: sparse pricing + contenders + winner-only Quote
+# Same-decision oracle: sparse pricing (``bid``) + winner-only Quote
 # (what the scheduler runs) against the dense, Quote-per-candidate policy
 
 
@@ -699,17 +786,15 @@ def decide_reference(case: Case, view: ObjectView) -> Quote:
 
 
 def decide_sparse(case: Case, view: ObjectView) -> Quote:
-    """The sparse path on its own: ``price_held`` -> ``contenders`` ->
-    ``choose``, the calls a placement makes."""
-    total, held = view.price_held(case.sized_needs, frozenset(case.machines))
+    """The sparse path on its own: ``bid`` -> ``choose``, the calls a
+    placement makes."""
     return choose(
-        contenders(
-            case.machines,
-            held,
+        *view.bid(
+            case.sized_needs,
+            frozenset(case.machines),
             consumer_location=case.hinted_consumer,
             exclude=case.dead,
         ),
-        lambda m: total - held.get(m, 0),
         case.loads.__getitem__,
         output_size=case.output_size,
         consumer_location=case.hinted_consumer,
@@ -879,6 +964,114 @@ class TestSameDecisionOracle:
         assert all(count >= 20 for count in seen.values()), seen
 
 
+# ----------------------------------------------------------------------
+# ``bid`` with unshippable keys against the runtime's dense formula
+
+
+def pick_unshippable(case: Case, rng: random.Random) -> List[str]:
+    """Some of the task's distinct inputs, as the keys the placing node
+    does not hold (zero-size ones included: they weigh 1 as keys)."""
+    keys = sorted(set(case.needs))
+    return rng.sample(keys, rng.randint(0, len(keys)))
+
+
+def decide_dense(case: Case, view: ObjectView, unshippable) -> Quote:
+    """``FixpointNode._place`` before ``bid``: a dense ``price_moves``
+    for bytes, another over ``(key, 1)`` for strandedness, then
+    ``choose`` over the viable candidates (all of them if none is)."""
+    prices = view.price_moves(case.sized_needs, case.machines)
+    stranded = view.price_moves([(key, 1) for key in unshippable], case.machines)
+    viable = [m for m in case.machines if stranded[m] == 0] or case.machines
+    return choose(
+        viable,
+        prices.__getitem__,
+        case.loads.__getitem__,
+        output_size=case.output_size,
+        consumer_location=case.hinted_consumer,
+        exclude=case.dead,
+    )
+
+
+def decide_bid(case: Case, view: ObjectView, unshippable) -> Quote:
+    return choose(
+        *view.bid(
+            case.sized_needs,
+            dict.fromkeys(case.machines),
+            unshippable=unshippable,
+            consumer_location=case.hinted_consumer,
+            exclude=case.dead,
+        ),
+        case.loads.__getitem__,
+        output_size=case.output_size,
+        consumer_location=case.hinted_consumer,
+        exclude=case.dead,
+    )
+
+
+def check_bid(case: Case, unshippable) -> object:
+    """``choose(*bid(...))`` is the dense formula's Quote, and the
+    scheduler (no unshippable keys) explains what it places."""
+    view = case.view()
+    want = outcome(decide_dense, case, view, unshippable)
+    assert outcome(decide_bid, case, view, unshippable) == want, (
+        case,
+        unshippable,
+    )
+    scheduler, task = build_scheduler(case, view)
+    quotes = scheduler.explain(task, case.consumer)
+    placed = outcome(scheduler.place, task, case.consumer)
+    if placed == "SchedulingError":
+        assert quotes == [], case
+    else:
+        assert (quotes[0].candidate, quotes[0].move_bytes) == (
+            placed.machine,
+            placed.predicted_move_bytes,
+        ), case
+    return want
+
+
+class TestBidIsTheDenseFormula:
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.randoms(use_true_random=False))
+    def test_bid_equals_the_dense_reference(self, rng, pick):
+        case = random_case(rng)
+        check_bid(case, pick_unshippable(case, pick))
+
+    def test_two_thousand_seeded_cases(self):
+        """The property without a shrinker, and proof the generator
+        reaches the corners the two named mutants live in: a zero-size
+        unshippable key that strands a machine (bytes would miss it)
+        and a hinted consumer that wins holding nothing."""
+        rng = random.Random(27)
+        seen = dict.fromkeys(
+            ("some_stranded", "none_viable", "zero_size_strands", "consumer_wins"),
+            0,
+        )
+        for _ in range(2000):
+            case = random_case(rng)
+            unshippable = pick_unshippable(case, rng)
+            want = check_bid(case, unshippable)
+            view = case.view()
+            keys = view.price_moves([(k, 1) for k in unshippable], case.machines)
+            viable = [m for m in case.machines if keys[m] == 0]
+            sized = [(k, case.sizes[k]) for k in unshippable]
+            by_bytes = view.price_moves(sized, case.machines)
+            seen["some_stranded"] += 0 < len(viable) < len(case.machines)
+            seen["none_viable"] += bool(unshippable) and not viable
+            if want == "SchedulingError":
+                continue
+            seen["zero_size_strands"] += bool(viable) and any(
+                keys[m] and not by_bytes[m] for m in case.machines
+            )
+            total = sum(size for _name, size in case.sized_needs)
+            seen["consumer_wins"] += (
+                want.candidate == case.hinted_consumer
+                and want.move_bytes == total
+                and total > 0
+            )
+        assert all(count >= 20 for count in seen.values()), seen
+
+
 class TestPlacementCostIsItsContenders:
     """Cost as a count, not a stopwatch, at 100 and at 1 000 candidates:
     every decision builds one Quote and reads the load of its contenders
@@ -922,12 +1115,10 @@ class TestPlacementCostIsItsContenders:
     @pytest.mark.parametrize("machines", [100, 1000])
     def test_sparse_path_reads_its_two_holders(self, machines, quotes_built):
         names, scheduler, loads = self.build(machines)
-        total, held = scheduler.view.price_held(
-            [("a", 10), ("b", 20), ("c", 5)], frozenset(names)
-        )
         best = choose(
-            contenders(names, held),
-            lambda m: total - held.get(m, 0),
+            *scheduler.view.bid(
+                [("a", 10), ("b", 20), ("c", 5)], frozenset(names)
+            ),
             loads.__getitem__,
         )
         assert (best.candidate, best.move_bytes) == (names[42], 10)
