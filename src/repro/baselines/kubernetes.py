@@ -41,7 +41,6 @@ class KubeScheduler:
             )
             for name, machine in cluster.machines.items()
         }
-        self.pods_scheduled = 0
         self.cold_starts = 0
 
     def place(self) -> str:
@@ -49,7 +48,6 @@ class KubeScheduler:
             raise SchedulingError("no nodes available")
         node = min(self._outstanding, key=lambda n: (self._outstanding[n], n))
         self._outstanding[node] += 1
-        self.pods_scheduled += 1
         return node
 
     def pod_finished(self, node: str) -> None:

@@ -64,7 +64,6 @@ class Toolchain:
 
     def __init__(self, repo: Repository):
         self.repo = repo
-        self.compiled = 0
 
     def compile(self, source: str, name: str = "codelet") -> Handle:
         """Validate ``source`` and store it as a codelet blob.
@@ -74,9 +73,7 @@ class Toolchain:
         """
         validate_source(source, source_name=name)
         image = CodeletImage(name=name, source=source)
-        handle = self.repo.put_blob(image.pack())
-        self.compiled += 1
-        return handle
+        return self.repo.put_blob(image.pack())
 
     def compile_many(self, sources: dict[str, str]) -> dict[str, Handle]:
         """Compile a mapping of name -> source; returns name -> handle."""

@@ -69,11 +69,9 @@ class Provider:
         self.name = name
         self._key = key
         self._evaluate = evaluate
-        self.attestations_issued = 0
 
     def run(self, encode: Handle) -> Attestation:
         result = self._evaluate(encode)
-        self.attestations_issued += 1
         return sign(self.name, self._key, encode, result)
 
 

@@ -64,11 +64,9 @@ class _DeepRecursion:
 
 @dataclass
 class EvalStats:
-    """Counters describing one evaluator's activity.
-
-    Used by the tests, the ablation benches, and the fig. 9 cost model
-    (which converts operation counts into simulated time).
-    """
+    """Counters describing one evaluator's activity.  Only the
+    evaluator tests read them; nothing aggregates them across
+    evaluators."""
 
     applications: int = 0
     identifications: int = 0
@@ -79,8 +77,6 @@ class EvalStats:
     tail_calls: int = 0
     bytes_selected: int = 0
 
-    def snapshot(self) -> "EvalStats":
-        return EvalStats(**vars(self))
 
 class Evaluator:
     """Evaluates Fix objects against a repository and an apply hook."""

@@ -31,11 +31,12 @@ correctness - while all job schedulers share one outstanding-load map so
 co-resident jobs spread around each other's work.
 
 **Gossiped beliefs** - pass a :class:`~repro.dist.gossip.GossipConfig`
-and the platform stops granting its global scheduler a free
+and the platform stops granting its global view a free
 coordinator-eye registry snapshot.  Instead every machine keeps its own
-:class:`ObjectView` (a node always knows its disk), the scheduler's
-view joins them in a :class:`~repro.dist.gossip.GossipCoordinator`, and
-beliefs reach the scheduler only as gossip rounds carry them:
+:class:`ObjectView` (a node always knows its disk), the global view
+joins them in a :class:`~repro.dist.gossip.GossipCoordinator`, and
+beliefs reach it - and the jobs admitted from it - only as gossip
+rounds carry them:
 ``startup_rounds`` when a graph's placements register,
 ``rounds_per_output`` each time an output materializes.  A job's own
 scheduler still observes the outputs it placed (the result handle came
@@ -60,6 +61,7 @@ from ..sim.cluster import Cluster
 from ..sim.engine import Simulator
 from .gossip import GossipConfig, GossipCoordinator
 from .graph import CLIENT, JobGraph, TaskSpec
+from .membership import MembershipView
 from .objectview import ObjectView
 from .scheduler import DataflowScheduler
 
@@ -105,33 +107,32 @@ class FixpointSim(Platform):
             for machine in cluster.machines.values():
                 machine.resize_cores(oversubscribe_cores)
         self._seed = seed
-        #: The platform-global scheduler: its view is the coordinator-eye
-        #: belief (synced at every load, learns every output).  Jobs place
-        #: through their own per-job schedulers (see :meth:`start`), which
-        #: share this scheduler's outstanding-load map.
-        self.scheduler = DataflowScheduler(
-            cluster,
-            ObjectView("fixpoint-scheduler", clock=self.obs.clock),
-            locality=locality,
-            use_hints=use_hints,
-            seed=seed,
-            obs=self.obs,
-        )
+        #: The platform-global view (what it learns, and who reads it,
+        #: per mode: :meth:`_invoke_proc`).  Jobs place through their own
+        #: per-job schedulers (:meth:`start`), which share one load map.
+        self.view = ObjectView("fixpoint-scheduler", clock=self.obs.clock)
+        self._outstanding: Dict[str, int] = dict.fromkeys(cluster.machine_names(), 0)
         #: job_id -> that job's scheduler (own view, shared load).
         self._job_schedulers: Dict[str, DataflowScheduler] = {}
-        #: Gossiped-belief mode: per-machine views plus the scheduler's
-        #: view anti-entropy through one seeded coordinator; the global
-        #: view then learns only what gossip has carried to it.
+        #: Gossiped-belief mode: per-machine views plus the global view
+        #: anti-entropy through one seeded coordinator; the global view
+        #: then learns only what gossip has carried to it.
         self.gossip_config = gossip
         self.machine_views: Dict[str, ObjectView] = {}
         self.gossip: Optional[GossipCoordinator] = None
+        #: Placement happens platform-side, so with gossip membership on
+        #: every job scheduler consults the *global view's* failure
+        #: detector: a machine is excluded once the tombstone has
+        #: gossiped its way to that view, not the instant it dies - the
+        #: detection lag the churn bench measures.
+        self.membership: Optional[MembershipView] = None
         if gossip is not None:
             self.machine_views = {
                 name: ObjectView(name, clock=self.obs.clock)
                 for name in cluster.machines
             }
             self.gossip = GossipCoordinator(
-                list(self.machine_views.values()) + [self.scheduler.view],
+                list(self.machine_views.values()) + [self.view],
                 fanout=gossip.fanout,
                 seed=gossip.seed,
                 obs=self.obs,
@@ -140,15 +141,7 @@ class FixpointSim(Platform):
                 confirm_after=gossip.confirm_after,
             )
             if gossip.membership:
-                # Placement happens platform-side, so every scheduler
-                # (global and per-job) consults the *scheduler view's*
-                # failure detector: a machine is excluded once the
-                # tombstone has gossiped its way to the scheduler, not
-                # the instant it dies - the detection lag the churn
-                # bench measures.
-                self.scheduler.membership = self.gossip.membership_view(
-                    self.scheduler.view.node
-                )
+                self.membership = self.gossip.membership_view(self.view.node)
         self.name = self._ablation_name()
 
     def _ablation_name(self) -> str:
@@ -166,12 +159,12 @@ class FixpointSim(Platform):
     def load(self, graph: JobGraph) -> None:
         super().load(graph)
         if self.gossip is None:
-            # The scheduler's view snapshots the initial placements;
-            # outputs are learned as they materialize (note_output below).
-            self.scheduler.view.sync_from_cluster(self.cluster)
+            # The global view snapshots the initial placements; outputs
+            # are learned as they materialize (see _invoke_proc).
+            self.view.sync_from_cluster(self.cluster)
         else:
             # No free registry snapshot: each machine learns its own
-            # disk, and the scheduler's view hears whatever the startup
+            # disk, and the global view hears whatever the startup
             # gossip budget carries to it.
             for view in self.machine_views.values():
                 view.refresh_local(self.cluster)
@@ -201,18 +194,18 @@ class FixpointSim(Platform):
         if self.gossip is None:
             view.sync_from_cluster(self.cluster)
         else:
-            # The job believes what the (gossip-aged) scheduler believes
-            # at admission - one delta, not a registry snapshot.
-            view.merge_delta(self.scheduler.view.delta_since(view.digest()))
+            # The job believes what the (gossip-aged) global view
+            # believes at admission - one delta, not a registry snapshot.
+            view.merge_delta(self.view.delta_since(view.digest()))
         self._job_schedulers[job.job_id] = DataflowScheduler(
             self.cluster,
             view,
             locality=self.locality,
             use_hints=self.use_hints,
             seed=self._seed + job.index,
-            outstanding=self.scheduler._outstanding,
+            outstanding=self._outstanding,
             obs=self.obs,
-            membership=self.scheduler.membership,
+            membership=self.membership,
         )
         # The per-job view dies with the job (no invocation of a
         # finished job can run again); without this, admission-heavy
@@ -335,13 +328,15 @@ class FixpointSim(Platform):
         self.cluster.add_object(task.output, task.output_size, node)
         scheduler.note_output(task.output, node, task.output_size)
         if self.gossip is None:
-            # The platform-global view learns it too: it is the
-            # coordinator-eye belief other jobs snapshot at admission.
-            self.scheduler.note_output(task.output, node, task.output_size)
+            # The platform-global view learns it too.  Jobs snapshot the
+            # cluster at admission in this mode, so the view is only the
+            # platform's own record of where outputs went.
+            self.view.learn(task.output, node, task.output_size)
         else:
             # Gossiped beliefs: the executing machine knows its own new
             # replica; everyone else - the global view included - only
-            # hears about it as the round budget spreads it.
+            # hears about it as the round budget spreads it, and the
+            # global view is what later jobs believe at admission.
             self.machine_views[node].learn(
                 task.output, node, task.output_size
             )

@@ -11,8 +11,8 @@ handshake - the Dynamo/Ray-style gossip the ROADMAP called for.
 :class:`GossipCoordinator` is the round driver both consumers use:
 
 * the simulated platform (:class:`~repro.dist.engine.FixpointSim` with a
-  :class:`GossipConfig`) gossips machine views plus the scheduler's view
-  between outputs, so scheduler beliefs age realistically instead of
+  :class:`GossipConfig`) gossips machine views plus the platform's view
+  between outputs, so placement beliefs age realistically instead of
   snapshotting ground truth;
 * the benchmarks/tests drive it directly to measure convergence rounds,
   bytes per round, and the staleness-induced redundant transfers a
@@ -323,7 +323,6 @@ class GossipCoordinator:
         suspect_after: int = 4,
         confirm_after: int = 4,
     ):
-        self._views: List[ObjectView] = list(views)
         if fanout < 1:
             raise GossipError("gossip fanout must be at least 1")
         self.fanout = fanout
@@ -337,15 +336,15 @@ class GossipCoordinator:
         #: on every exchange.  Each detector's tombstones evict the dead
         #: node's holdings from its *own* paired ObjectView - beliefs
         #: die per-observer, epidemically, like they spread.
+        self.membership_enabled = membership
         self._suspect_after = suspect_after
         self._confirm_after = confirm_after
-        self._membership: Dict[str, MembershipView] = {}
-        #: node -> current incarnation, so :meth:`restart` knows what
-        #: the survivors' tombstone says and can outrank it by one.
-        self._incarnations: Dict[str, int] = {}
-        if membership:
-            for view in self._views:
-                self._enroll(view)
+        #: node -> its side of every handshake, in registration order.
+        #: A node's incarnation is its view's epoch (the detector's
+        #: ``on_refute`` advances it), so nothing else records it.
+        self._parties: Dict[str, Participant] = {}
+        for view in views:
+            self.add_view(view)
         #: NULL_OBS by default; the simulated platform passes its
         #: sim-clocked obs so round/byte counters land in the same
         #: export as the scheduler's (and stay replay-deterministic).
@@ -373,36 +372,37 @@ class GossipCoordinator:
 
     @property
     def views(self) -> Tuple[ObjectView, ...]:
-        return tuple(self._views)
+        return tuple(party.view for party in self._parties.values())
 
     def add_view(self, view: ObjectView) -> None:
         """Late joiners participate from the next round on."""
-        self._views.append(view)
-        if self._membership:
-            self._enroll(view)
+        if view.node in self._parties:
+            raise GossipError(f"a view for {view.node!r} is already registered")
+        self._parties[view.node] = self._party(view)
 
     # ------------------------------------------------------------------
     # Liveness
 
-    def _enroll(self, view: ObjectView, incarnation: int = 1) -> None:
-        self._membership[view.node] = MembershipView(
+    def _party(self, view: ObjectView) -> Participant:
+        """``view`` plus, liveness on, a detector at the view's epoch."""
+        if not self.membership_enabled:
+            return Participant(view)
+        return Participant(view, MembershipView(
             view.node,
             suspect_after=self._suspect_after,
             confirm_after=self._confirm_after,
             on_dead=view.evict,
             on_rejoin=view.readmit,
             on_refute=view.advance_epoch,
-            incarnation=incarnation,
-        )
-        self._incarnations[view.node] = incarnation
-
-    @property
-    def membership_enabled(self) -> bool:
-        return bool(self._membership)
+            incarnation=view.epoch,
+        ))
 
     def membership_view(self, node: str) -> MembershipView:
         """The failure detector paired with ``node``'s ObjectView."""
-        return self._membership[node]
+        membership = self._parties[node].membership
+        if membership is None:
+            raise KeyError(node)
+        return membership
 
     def kill(self, node: str) -> None:
         """Ground truth: ``node`` crashes *now*.
@@ -419,52 +419,57 @@ class GossipCoordinator:
         """The killed ``node`` comes back, one incarnation up.
 
         Models a machine reboot: the old view and detector are gone
-        (state did not survive the crash), and a *fresh* ObjectView is
-        minted at ``epoch = incarnation + 1`` alongside a fresh
-        MembershipView asserting ``ALIVE`` at that incarnation - which
-        outranks every survivor's tombstone in the lattice, so ordinary
-        gossip readmits the node (``on_rejoin`` lifts each survivor's
-        eviction gate) and its fresh-origin beliefs merge while replays
-        of its pre-death gossip still apply 0 entries.  Returns the
-        fresh view so the experiment can seed its holdings.
+        (state did not survive the crash).  The old view's epoch is the
+        node's last incarnation (a refuted tombstone advanced it), so a
+        *fresh* ObjectView is minted at that epoch + 1, with a fresh
+        MembershipView asserting ``ALIVE`` at the same incarnation -
+        which outranks every survivor's tombstone in the lattice, so
+        ordinary gossip readmits the node (``on_rejoin`` lifts each
+        survivor's eviction gate) and its fresh-origin beliefs merge
+        while replays of its pre-death gossip still apply 0 entries.
+        The fresh pair keeps the old one's place in registration order.
+        Returns the fresh view so the experiment can seed its holdings.
         """
         if node not in self._dead:
             raise GossipError(
                 f"cannot restart {node!r}: it was never killed"
             )
-        index = next(
-            (i for i, v in enumerate(self._views) if v.node == node), None
-        )
-        if index is None:
+        old = self._parties.get(node)
+        if old is None:
             raise GossipError(f"cannot restart unknown node {node!r}")
-        incarnation = self._incarnations.get(node, 1) + 1
-        fresh = ObjectView(node, clock=clock, epoch=incarnation)
-        self._views[index] = fresh
+        fresh = ObjectView(node, clock=clock, epoch=old.view.epoch + 1)
+        self._parties[node] = self._party(fresh)
         self._dead.discard(node)
-        if self._membership:
-            self._enroll(fresh, incarnation=incarnation)
         return fresh
+
+    def _live(self, among: Optional[Set[str]] = None) -> List[Participant]:
+        """Surviving parties in registration order, only ``among`` if given."""
+        return [
+            party
+            for node, party in self._parties.items()
+            if node not in self._dead and (among is None or node in among)
+        ]
 
     def declared_dead(self, node: str) -> Set[str]:
         """Which participants have tombstoned ``node`` so far."""
         return {
-            observer
-            for observer, membership in self._membership.items()
-            if observer not in self._dead and membership.is_dead(node)
+            party.view.node
+            for party in self._live()
+            if self.membership_enabled and party.membership.is_dead(node)
         }
 
     def readmitted(self, node: str) -> Set[str]:
         """Which survivors believe ``node`` alive *at its current
         incarnation* - i.e. have merged the rejoin, not merely never
         heard of the death."""
-        current = self._incarnations.get(node, 1)
+        current = self._parties[node].view.epoch if node in self._parties else 1
         return {
-            observer
-            for observer, membership in self._membership.items()
-            if observer not in self._dead
-            and observer != node
-            and not membership.is_dead(node)
-            and membership.incarnation(node) >= current
+            party.view.node
+            for party in self._live()
+            if self.membership_enabled
+            and party.view.node != node
+            and not party.membership.is_dead(node)
+            and party.membership.incarnation(node) >= current
         }
 
     # ------------------------------------------------------------------
@@ -476,17 +481,12 @@ class GossipCoordinator:
         staleness experiments exclude a view from k rounds and measure
         how much worse its placements price.
         """
-        active = [
-            Participant(v, self._membership.get(v.node))
-            for v in self._views
-            if (participants is None or v.node in participants)
-            and v.node not in self._dead
-        ]
+        active = self._live(participants)
         # Round policy (the step order inside a handshake is
         # Participant's): heartbeats advance once per round a node
         # participates in, before any handshake; detectors age one tick
         # after the last.  A killed node's counter simply stops.
-        if self._membership:
+        if self.membership_enabled:
             for party in active:
                 party.membership.beat()
         pairs: List[Tuple[str, str]] = []
@@ -502,7 +502,7 @@ class GossipCoordinator:
                 delta_bytes += deltas
                 entries += news
                 membership_bytes += liveness
-        if self._membership:
+        if self.membership_enabled:
             # Confirmations fire on_dead, which evicts the dead node
             # from the paired ObjectView.
             for party in active:
@@ -550,7 +550,7 @@ class GossipCoordinator:
             return max_rounds
         raise GossipError(
             f"gossip failed to converge within {max_rounds} rounds "
-            f"({len(self._views)} views)"
+            f"({len(self._parties)} views)"
         )
 
     # ------------------------------------------------------------------
@@ -561,7 +561,7 @@ class GossipCoordinator:
         Killed views are excluded: they stopped participating, so their
         beliefs are frozen at death - survivors converge around them.
         """
-        live = [v for v in self._views if v.node not in self._dead]
+        live = [party.view for party in self._live()]
         if len(live) < 2:
             return True
         first = live[0].snapshot()

@@ -84,14 +84,12 @@ class JobQueue:
         self._inflight: Dict[Handle, Job] = {}
         self._closed = False
         self.submitted = 0
-        self.deduplicated = 0
 
     def submit(self, encode: Handle) -> Job:
         """Enqueue evaluation of ``encode`` (or join the in-flight job)."""
         with self._cond:
             existing = self._inflight.get(encode)
             if existing is not None:
-                self.deduplicated += 1
                 return existing
             job = Job(encode)
             self._inflight[encode] = job

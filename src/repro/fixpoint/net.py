@@ -673,13 +673,6 @@ class FixpointNode:
         incarnation: int = 1,
     ):
         self.name = name
-        #: SWIM incarnation: a node restarted after the cluster
-        #: tombstoned it passes its old incarnation + 1, which outranks
-        #: the tombstone in every survivor's lattice; the view stamps
-        #: beliefs under the matching epoch so survivors' retained
-        #: version caps (which cover everything the *previous*
-        #: incarnation ever said) do not swallow the fresh ones.
-        self.incarnation = incarnation
         #: Observability: metrics registry + tracer.  Each node gets its
         #: own wall-clocked :class:`~repro.obs.Obs` by default (cheap:
         #: metric updates are a lock and a dict write), so two-node
@@ -728,7 +721,6 @@ class FixpointNode:
         self.outstanding: Dict[str, int] = {}
         self.delegations_served = 0
         self.delegations_sent = 0
-        self.gossip_rounds = 0
         #: Serializes dispatch (footprint, send, optimistic view
         #: advance, outstanding bump) against reply bookkeeping.
         self._lock = TrackedRLock("FixpointNode._lock")
@@ -802,6 +794,17 @@ class FixpointNode:
             "view_staleness_seconds",
             "Age of the view's last belief advance",
         ).set_function(self.view.staleness, node=self.name)
+
+    @property
+    def incarnation(self) -> int:
+        """SWIM incarnation, as this node's own detector records it: a
+        node restarted after the cluster tombstoned it is built with its
+        old incarnation + 1, which outranks the tombstone in every
+        survivor's lattice, and a refuted tombstone bumps it in place.
+        The view stamps beliefs under the matching epoch, so survivors'
+        retained version caps (which cover everything the *previous*
+        incarnation ever said) do not swallow the fresh ones."""
+        return self.membership.incarnation(self.name)
 
     @property
     def repo(self) -> Repository:
@@ -891,7 +894,6 @@ class FixpointNode:
         (which readmits this node at each survivor) and the re-stamped
         beliefs.  Re-registering undoes the survivors' directory purge.
         """
-        self.incarnation = incarnation
         restamped = self.view.advance_epoch(incarnation)
         if self.directory is not None:
             self.directory.register(self)
@@ -1029,8 +1031,6 @@ class FixpointNode:
         self._transit(channel, peer_name)
         with channel.arrival(self, push_seq):
             peer._absorb_gossip_push(push_wire)
-        with self._lock:
-            self.gossip_rounds += 1
         bytes_shipped = len(wire) + len(ack_wire) + len(push_wire)
         self._m_gossip_rounds.inc(peer=peer_name, role="caller")
         self._m_gossip_bytes.inc(bytes_shipped, peer=peer_name)
@@ -1065,8 +1065,6 @@ class FixpointNode:
         ) as span:
             digest, delta, members = self._gossip.on_syn(*syn)
             span.set(entries_out=len(delta), stamped=stamped)
-        with self._lock:
-            self.gossip_rounds += 1
         self._m_gossip_rounds.inc(peer=sender, role="server")
         return self._send_back(
             sender, pack_ack(span.context, digest, delta, members)
@@ -1126,10 +1124,10 @@ class FixpointNode:
         partition; epidemic gossip carries the readmission to every
         other survivor from there.  Returns the final round's traffic.
         """
-        before = self.membership.incarnation(self.name)
+        before = self.incarnation
         self.connect(survivor)  # dials (and runs round one) if needed
         traffic = self.gossip_with(survivor.name)
-        if self.membership.incarnation(self.name) != before:
+        if self.incarnation != before:
             # The refutation fired mid-handshake; one more round
             # carries it - and the restamped holdings - to the
             # survivor (idempotent if the previous round already did).

@@ -27,13 +27,13 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Optional, Sequence
 
-from ..analysis.sync import TrackedLock, note_blocking
+from ..analysis.sync import note_blocking
 from ..codelets.linker import Linker
 from ..codelets.stdlib import compile_stdlib
 from ..codelets.toolchain import Toolchain
 from ..core.api import FixAPI
 from ..core.errors import FixError, NotAFunctionError
-from ..core.eval import EvalStats, Evaluator
+from ..core.eval import Evaluator
 from ..core.handle import Handle
 from ..core.limits import DEFAULT_LIMITS, ResourceLimits
 from ..core.storage import Repository
@@ -97,8 +97,6 @@ class Fixpoint:
             compile_stdlib(self.repo) if with_stdlib else {}
         )
         self._thunk_cache: Dict[Handle, Handle] = {}
-        self._stats_lock = TrackedLock("Fixpoint._stats_lock")
-        self._stats = EvalStats()
         self.pool: Optional[JobQueue] = None
         self._threads: list[threading.Thread] = []
         if workers > 0:
@@ -142,11 +140,7 @@ class Fixpoint:
 
     def eval(self, handle: Handle) -> Handle:
         """Evaluate ``handle`` (strict semantics); returns an Object handle."""
-        evaluator = _WorkerEvaluator(self)
-        try:
-            return evaluator.eval(handle)
-        finally:
-            self._merge_stats(evaluator.stats)
+        return _WorkerEvaluator(self).eval(handle)
 
     def spawn(self, fn: Callable[[], object]) -> None:
         """Run ``fn`` off the caller's thread - on the worker pool when
@@ -207,16 +201,6 @@ class Fixpoint:
         """Build and strictly evaluate an invocation; returns the result."""
         return self.eval(self.invoke(function, args, limits).wrap_strict())
 
-    @property
-    def stats(self) -> EvalStats:
-        with self._stats_lock:
-            return self._stats.snapshot()
-
-    def _merge_stats(self, stats: EvalStats) -> None:
-        with self._stats_lock:
-            for key, value in vars(stats).items():
-                setattr(self._stats, key, getattr(self._stats, key) + value)
-
     # ------------------------------------------------------------------
     # Codelet application (the apply hook handed to evaluators)
 
@@ -260,11 +244,7 @@ class Fixpoint:
                 break
 
     def _execute_encode(self, encode: Handle) -> Handle:
-        evaluator = _WorkerEvaluator(self)
-        try:
-            return evaluator.eval_encode(encode)
-        finally:
-            self._merge_stats(evaluator.stats)
+        return _WorkerEvaluator(self).eval_encode(encode)
 
     def _fork_join(self, encodes: Sequence[Handle]) -> None:
         """Submit sibling Encodes to the pool; help until all complete."""

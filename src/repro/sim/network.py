@@ -40,7 +40,6 @@ class Network:
         self.sim = sim
         self.latency = latency
         self._nics: Dict[str, NIC] = {}
-        self.transfers = 0
         self.bytes_transferred = 0
         self.messages = 0
 
@@ -67,7 +66,6 @@ class Network:
         """Move ``nbytes`` from ``src`` to ``dst``; returns a completion event."""
         if nbytes < 0:
             raise SimulationError("cannot transfer negative bytes")
-        self.transfers += 1
         self.bytes_transferred += nbytes
         if src == dst:
             # In-memory copy: no NIC involvement.

@@ -341,9 +341,9 @@ class TestStaleness:
         )
         result = platform.run(graph)
         assert set(result.task_finish) == {"a", "b"}
-        # ...so ground truth has a replica at node1 that the scheduler's
-        # view never learned (fetch replicas are not note_output'd).
-        view = platform.scheduler.view
+        # ...so ground truth has a replica at node1 that the platform's
+        # view never learned (fetch replicas are not outputs).
+        view = platform.view
         locations = platform.cluster.locate("a.out")
         assert "node1" in locations
         assert view.where("a.out") == {"node0"}

@@ -407,9 +407,9 @@ def reference_round(coordinator):
     order, and every value priced by ``len(pack_*)`` - no
     ``wire_bytes()``, no shared handshake core."""
     active = [
-        Participant(view, coordinator._membership.get(view.node))
-        for view in coordinator._views
-        if view.node not in coordinator._dead
+        party
+        for node, party in coordinator._parties.items()
+        if node not in coordinator._dead
     ]
     for party in active:
         if party.membership is not None:
@@ -729,7 +729,7 @@ class TestFixpointSimGossip:
         assert set(result.task_finish) == {"a", "b"}
         # The global view never snapshotted the registry, yet gossip
         # carried the outputs to it.
-        assert platform.scheduler.view.where("a.out")
+        assert platform.view.where("a.out")
         assert platform.gossip.rounds  # rounds actually ran
 
     def test_zero_round_budget_means_the_scheduler_stays_stale(self):
@@ -743,7 +743,7 @@ class TestFixpointSimGossip:
         )
         result = platform.run(two_step_graph())
         assert set(result.task_finish) == {"a", "b"}
-        assert not platform.scheduler.view.where("a.out")
+        assert not platform.view.where("a.out")
         # Ground truth has the replica; only the belief lags.
         assert platform.cluster.locate("a.out")
 
@@ -752,7 +752,7 @@ class TestFixpointSimGossip:
         assert platform.gossip is None
         result = platform.run(two_step_graph())
         assert set(result.task_finish) == {"a", "b"}
-        assert platform.scheduler.view.where("a.out")
+        assert platform.view.where("a.out")
 
 
 # ----------------------------------------------------------------------

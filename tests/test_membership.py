@@ -1073,6 +1073,113 @@ class TestCoordinatorMembership:
             assert rounds < 48, "second tombstone never converged"
 
 
+def _rounds_until(done, step, budget, what):
+    """Run ``step`` until ``done()``; fails naming ``what`` past ``budget``."""
+    rounds = 0
+    while not done():
+        step()
+        rounds += 1
+        assert rounds <= budget, f"{what} never converged"
+    return rounds
+
+
+def _refute_then_die(coordinator, node, kill):
+    """Drive ``node`` to a tombstone at incarnation 2 that it *refuted*
+    its way to: partition it out until every survivor tombstones it,
+    heal until it refutes (1 -> 2) and is readmitted everywhere, then
+    ``kill`` it until every survivor tombstones it again, at 2."""
+    survivors = {view.node for view in coordinator.views} - {node}
+
+    def tombstoned():
+        return coordinator.declared_dead(node) == survivors
+
+    coordinator.run_rounds(5)  # everyone hears everyone's heartbeat first
+    _rounds_until(
+        tombstoned,
+        lambda: coordinator.round(participants=survivors),
+        16,
+        "the false tombstone",
+    )
+    _rounds_until(
+        lambda: coordinator.readmitted(node) == survivors,
+        coordinator.round,
+        16,
+        "the refutation",
+    )
+    assert coordinator.membership_view(node).incarnation(node) == 2
+    kill(node)
+    _rounds_until(tombstoned, coordinator.round, 24, "the second tombstone")
+    for survivor in survivors:
+        assert coordinator.membership_view(survivor).incarnation(node) == 2
+    return survivors
+
+
+class TestOneRecordPerNode:
+    """A coordinator keeps one record per node - its view and the
+    detector paired with it - so nothing can disagree with them: the
+    incarnation is the view's epoch, and liveness is the constructor's
+    flag, not a side table's emptiness."""
+
+    @staticmethod
+    def _assert_reborn_above_the_tombstone(coordinator, fresh, node, survivors):
+        observer = min(survivors)
+        mine = coordinator.membership_view(node).incarnation(node)
+        assert mine == 3 > coordinator.membership_view(observer).incarnation(node)
+        assert fresh.epoch == 3
+        fresh.learn("reborn", node, 64)
+        views = [v for v in coordinator.views if v.node in survivors]
+        _rounds_until(
+            lambda: coordinator.readmitted(node) == survivors
+            and all(view.where("reborn") == {node} for view in views),
+            coordinator.round,
+            8,
+            "readmission of the reborn node",
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_restart_after_a_refuted_tombstone_outranks_it(self, seed):
+        views = [ObjectView(name) for name in "abcde"]
+        coordinator = GossipCoordinator(
+            views, seed=seed, membership=True, suspect_after=2, confirm_after=2
+        )
+        survivors = _refute_then_die(coordinator, "c", coordinator.kill)
+        fresh = coordinator.restart("c")
+        self._assert_reborn_above_the_tombstone(coordinator, fresh, "c", survivors)
+        assert coordinator.views[2] is fresh  # same place, same draws
+
+    def test_restart_machine_after_a_refuted_tombstone_outranks_it(self):
+        from repro.dist.engine import FixpointSim
+
+        platform = FixpointSim.build(
+            nodes=4,
+            cores=4,
+            gossip=GossipConfig(
+                seed=3, membership=True, suspect_after=2, confirm_after=2
+            ),
+        )
+        coordinator = platform.gossip
+        survivors = _refute_then_die(coordinator, "node2", platform.fail_machine)
+        platform.restart_machine("node2")
+        fresh = platform.machine_views["node2"]
+        self._assert_reborn_above_the_tombstone(
+            coordinator, fresh, "node2", survivors
+        )
+        assert not platform.membership.is_dead("node2")
+
+    def test_liveness_on_from_an_empty_start(self):
+        coordinator = GossipCoordinator([], membership=True)
+        coordinator.add_view(ObjectView("a"))
+        coordinator.add_view(ObjectView("b"))
+        assert coordinator.membership_enabled
+        assert coordinator.round().membership_bytes > 0
+        assert coordinator.membership_view("a").live_nodes() == {"a", "b"}
+
+    def test_a_node_registers_once(self):
+        coordinator = GossipCoordinator([ObjectView("a")])
+        with pytest.raises(GossipError, match="already registered"):
+            coordinator.add_view(ObjectView("a"))
+
+
 # ----------------------------------------------------------------------
 # Placement exclusion (the one cost model, both runtimes)
 
@@ -1186,7 +1293,7 @@ class TestEngineFailMachine:
         platform.fail_machine("node0")  # the machine holding "big"
         for _ in range(12):  # detection: suspect + confirm + spread
             platform.gossip.round()
-        assert platform.scheduler.membership.is_dead("node0")
+        assert platform.membership.is_dead("node0")
         result = platform.run(self._graph())
         assert set(result.task_finish) == {"t"}
         # Ground truth: the output landed on a survivor.
@@ -1233,7 +1340,7 @@ class TestEngineFailMachine:
         platform.fail_machine("node0")  # the machine holding "big"
         for _ in range(12):
             platform.gossip.round()
-        assert platform.scheduler.membership.is_dead("node0")
+        assert platform.membership.is_dead("node0")
 
         platform.restart_machine("node0")
         rounds = 0
@@ -1243,7 +1350,7 @@ class TestEngineFailMachine:
             assert rounds < 24, "readmission never converged"
         for _ in range(6):  # let the relearned disk spread
             platform.gossip.round()
-        assert not platform.scheduler.membership.is_dead("node0")
+        assert not platform.membership.is_dead("node0")
 
         result = platform.run(self._graph())
         assert set(result.task_finish) == {"t"}

@@ -135,14 +135,6 @@ class TestRuntimeBehaviour:
         thunk = fixpoint.invoke(fixpoint.stdlib["add_u8"], [a, b])
         assert fixpoint.eval_blob(thunk.wrap_strict()) == int_blob(3, 1)
 
-    def test_stats_aggregate(self, fixpoint):
-        x = fixpoint.repo.put_blob(int_blob(5))
-        thunk = fixpoint.invoke(fixpoint.stdlib["fib"], [fixpoint.stdlib["add"], x])
-        fixpoint.eval(thunk.wrap_strict())
-        stats = fixpoint.stats
-        assert stats.applications > 0
-        assert stats.strict_encodes > 0
-
     def test_identification_of_ref_performs_io(self, fixpoint):
         """The runtime, not the function, resolves a Ref dependency."""
         repo = fixpoint.repo
