@@ -86,6 +86,14 @@ class EncodeStyle(enum.IntEnum):
     SHALLOW = 2
 
 
+# The members indexed by their bits: a style is one tuple read.  Encode
+# bits 0b11 index past the end, which is why ``Handle.__init__`` refuses
+# them.
+_THUNK_STYLES = tuple(ThunkStyle)
+_ENCODE_STYLES = tuple(EncodeStyle)
+_TREE_THUNKS = (int(ThunkStyle.APPLICATION), int(ThunkStyle.SELECTION))
+
+
 def blob_digest(data: bytes) -> bytes:
     """Domain-separated 192-bit digest of Blob contents."""
     return hashlib.blake2b(data, digest_size=DIGEST_BYTES, person=_BLOB_PERSON).digest()
@@ -134,11 +142,11 @@ class Handle:
         thunk = (meta & _META_THUNK_MASK) >> _META_THUNK_SHIFT
         encode = (meta & _META_ENCODE_MASK) >> _META_ENCODE_SHIFT
         if encode:
-            if encode > EncodeStyle.SHALLOW:
+            if encode >= len(_ENCODE_STYLES):
                 raise HandleError(f"encode bits {encode:#04b} name no EncodeStyle")
             if not thunk:
                 raise HandleError("an Encode must wrap a Thunk")
-        if thunk in (ThunkStyle.APPLICATION, ThunkStyle.SELECTION):
+        if thunk in _TREE_THUNKS:
             if not meta & _META_TREE:
                 raise HandleError("application/selection thunks refer to Trees")
         self._payload = bytes(payload)
@@ -202,35 +210,36 @@ class Handle:
 
     @property
     def thunk_style(self) -> ThunkStyle:
-        return ThunkStyle((self._meta & _META_THUNK_MASK) >> _META_THUNK_SHIFT)
+        return _THUNK_STYLES[(self._meta & _META_THUNK_MASK) >> _META_THUNK_SHIFT]
 
     @property
     def encode_style(self) -> EncodeStyle:
-        return EncodeStyle((self._meta & _META_ENCODE_MASK) >> _META_ENCODE_SHIFT)
+        return _ENCODE_STYLES[(self._meta & _META_ENCODE_MASK) >> _META_ENCODE_SHIFT]
 
     @property
     def is_thunk(self) -> bool:
         """True for bare Thunks (not wrapped in an Encode)."""
-        return self.thunk_style is not ThunkStyle.NONE and not self.is_encode
+        meta = self._meta
+        return bool(meta & _META_THUNK_MASK) and not meta & _META_ENCODE_MASK
 
     @property
     def is_encode(self) -> bool:
-        return self.encode_style is not EncodeStyle.NONE
+        return bool(self._meta & _META_ENCODE_MASK)
 
     @property
     def is_data(self) -> bool:
         """True for plain data handles (Objects and Refs)."""
-        return self.thunk_style is ThunkStyle.NONE
+        return not self._meta & _META_THUNK_MASK
 
     @property
     def is_object(self) -> bool:
         """True for accessible data (mappable by a codelet)."""
-        return self.is_data and not (self._meta & _META_REF)
+        return not self._meta & (_META_THUNK_MASK | _META_REF)
 
     @property
     def is_ref(self) -> bool:
         """True for inaccessible data (type/size visible, payload not)."""
-        return self.is_data and bool(self._meta & _META_REF)
+        return (self._meta & (_META_THUNK_MASK | _META_REF)) == _META_REF
 
     @property
     def digest(self) -> bytes:
@@ -330,7 +339,7 @@ class Handle:
         Tree; for an Identification thunk, the datum itself.  The result is
         an accessible Object view.
         """
-        if self.thunk_style is ThunkStyle.NONE:
+        if self.is_data:
             raise HandleError("only thunks/encodes have definitions")
         meta = self._meta & ~(_META_THUNK_MASK | _META_ENCODE_MASK | _META_REF)
         return self._with_meta(meta)

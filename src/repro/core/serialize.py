@@ -11,8 +11,9 @@ Frame layout::
     [32-byte handle][u32 payload length][payload]
 
 The payload is the Blob's bytes or the Tree's serialized children.  The
-receiver verifies content addresses: a frame whose payload does not hash
-to its handle is rejected.
+receiver verifies content addresses: each payload is hashed once, a frame
+whose payload does not hash to its handle is rejected before anything is
+stored, and a verified datum is stored under the key that hash gave.
 """
 
 from __future__ import annotations
@@ -41,7 +42,11 @@ def encode_frame(repo: Repository, handle: Handle) -> bytes:
 
 
 def decode_frame(repo: Repository, raw: bytes, offset: int = 0) -> tuple[Handle, int]:
-    """Parse one frame, verify it, store the datum; return (handle, next offset)."""
+    """Parse one frame, verify it, store the datum; return (handle, next offset).
+
+    The payload is hashed once (:meth:`Repository.put_verified`): a
+    mismatch raises before anything is stored, and a match is stored
+    under the key that hash gave, with no second hash."""
     if len(raw) - offset < HANDLE_BYTES + _LEN.size:
         raise SerializationError(f"truncated frame header at offset {offset}")
     handle = Handle.unpack(raw[offset : offset + HANDLE_BYTES])
@@ -57,9 +62,8 @@ def decode_frame(repo: Repository, raw: bytes, offset: int = 0) -> tuple[Handle,
             raise SerializationError("literal frames carry no payload")
         return handle, offset
     datum = Tree.deserialize(payload) if handle.is_tree else Blob(payload)
-    if datum.handle().content_key() != handle.content_key():
+    if not repo.put_verified(datum, handle):
         raise SerializationError(f"payload does not match handle {handle!r}")
-    repo.put(datum)
     return handle, offset
 
 

@@ -13,7 +13,17 @@ recomputed on demand (see :meth:`Repository.forget_data`).
 
 from __future__ import annotations
 
-from typing import Container, Dict, Iterable, Iterator, List, Optional, Tuple
+import itertools
+from typing import (
+    AbstractSet,
+    Container,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..analysis.sync import TrackedRLock
 from .data import Blob, Datum, Tree
@@ -27,6 +37,14 @@ def _wire_size(datum: Datum) -> int:
     return len(datum.data) if isinstance(datum, Blob) else datum.byte_size()
 
 
+def _stored_handle(key: bytes, datum: Datum) -> Handle:
+    """A stored datum's canonical handle, built from its content key and
+    its length instead of its hash."""
+    if isinstance(datum, Blob):
+        return Handle.blob(key[1:], len(datum.data))
+    return Handle.tree(key[1:], len(datum.children))
+
+
 class Repository:
     """Thread-safe content-addressed store for Blobs, Trees, and results."""
 
@@ -34,7 +52,27 @@ class Repository:
         self.name = name
         self._lock = TrackedRLock("Repository._lock")
         self._data: Dict[bytes, Datum] = {}
+        # Each stored key's first-stored rank, from a counter never
+        # reused; dropped with its datum, so a re-put ranks last - the
+        # order ``_data`` iterates in.
+        self._rank: Dict[bytes, int] = {}
+        self._ranks = itertools.count()
         self._results: Dict[Handle, Handle] = {}
+
+    def _store(self, key: bytes, datum: Datum) -> None:
+        """The one insert, under the lock: ``key`` is ``datum``'s
+        computed content key.  A held key keeps its datum and rank."""
+        if key not in self._data:
+            self._data[key] = datum
+            self._rank[key] = next(self._ranks)
+
+    def _keep(self, datum: Datum, handle: Handle) -> Handle:
+        """Store ``datum`` under ``handle``, the handle computed from it;
+        a literal is not stored - its handle carries the payload."""
+        if not handle.is_literal:
+            with self._lock:
+                self._store(handle.content_key(), datum)
+        return handle
 
     # ------------------------------------------------------------------
     # Data
@@ -46,26 +84,29 @@ class Repository:
         handle carries the payload.
         """
         blob = Blob(data)
-        handle = blob.handle()
-        if not handle.is_literal:
-            with self._lock:
-                self._data.setdefault(handle.content_key(), blob)
-        return handle
+        return self._keep(blob, blob.handle())
 
     def put_tree(self, children) -> Handle:
         """Store a Tree of handles; returns the canonical (Object) handle."""
         tree = Tree(children)
-        handle = tree.handle()
-        with self._lock:
-            self._data.setdefault(handle.content_key(), tree)
-        return handle
+        return self._keep(tree, tree.handle())
 
     def put(self, datum: Datum) -> Handle:
-        if isinstance(datum, Blob):
-            return self.put_blob(datum.data)
-        if isinstance(datum, Tree):
-            return self.put_tree(datum.children)
+        if isinstance(datum, (Blob, Tree)):
+            return self._keep(datum, datum.handle())
         raise HandleError(f"cannot store {type(datum)}")
+
+    def put_verified(self, datum: Datum, claimed: Handle) -> bool:
+        """Store ``datum`` only if it is the referent of ``claimed``.
+
+        The datum is hashed once: on a match it is stored under the key
+        just computed, on a mismatch nothing is stored.  Returns whether
+        it matched."""
+        handle = datum.handle()
+        if handle.content_key() != claimed.content_key():
+            return False
+        self._keep(datum, handle)
+        return True
 
     def contains(self, handle: Handle) -> bool:
         if handle.is_literal:
@@ -147,19 +188,17 @@ class Repository:
             data = self._data
             return {k: _wire_size(data[k]) for k in keys if k in data}
 
-    def handles_of(self, keys: Container[bytes]) -> List[Handle]:
+    def handles_of(self, keys: AbstractSet[bytes]) -> List[Handle]:
         """Canonical handles of the stored data whose content key is in
-        ``keys``, in first-stored order.  Each is built from its key and
-        its datum's length, nothing hashed: every writer of the store
-        keys a datum by its computed content key."""
+        ``keys``, in first-stored order.  Only ``keys`` are looked up,
+        then sorted by rank - the store is not walked - and each handle
+        is built from its key and its datum's length, nothing hashed:
+        every writer of the store keys a datum by its computed content
+        key."""
         with self._lock:
-            return [
-                Handle.blob(key[1:], len(datum.data))
-                if isinstance(datum, Blob)
-                else Handle.tree(key[1:], len(datum.children))
-                for key, datum in self._data.items()
-                if key in keys
-            ]
+            data, rank = self._data, self._rank
+            held = sorted(filter(rank.__contains__, keys), key=rank.__getitem__)
+            return [_stored_handle(key, data[key]) for key in held]
 
     def handles(self) -> Iterator[Handle]:
         """Canonical handles of every stored datum (snapshot), each
@@ -183,8 +222,10 @@ class Repository:
         """
         if handle.is_literal:
             return False
+        key = handle.content_key()
         with self._lock:
-            return self._data.pop(handle.content_key(), None) is not None
+            self._rank.pop(key, None)
+            return self._data.pop(key, None) is not None
 
     def absorb(self, other: "Repository") -> None:
         """Copy every datum and result from ``other`` into this repository."""
@@ -193,5 +234,5 @@ class Repository:
             results = dict(other._results)
         with self._lock:
             for key, datum in data.items():
-                self._data.setdefault(key, datum)
+                self._store(key, datum)
             self._results.update(results)

@@ -1162,8 +1162,8 @@ class FixpointNode:
         ``fp`` lets callers that already computed the footprint for a
         placement quote (every caller of :meth:`_place`) skip the
         second walk.  What ships is :meth:`_unheld_by`'s filter over
-        that footprint's keys: picking it hashes nothing, though it
-        still walks the store's keys once to keep their order.  The
+        that footprint's keys: picking it hashes nothing and looks up
+        only those keys, ordered by their first-stored rank.  The
         optimistic ``view.learn`` for shipped data is
         safe against concurrent delegations because the channel is
         wire-serialized: a later request's bundle is never parsed by
@@ -1385,11 +1385,13 @@ class FixpointNode:
         hold: "ship only what the peer is not known to hold", the one
         filter behind both the request and the reply bundle.
 
-        The store is asked by key (:meth:`Repository.handles_of`), so
-        nothing is hashed; its first-stored order is the bundle's byte
-        order, which puts children before their trees.  Nothing is
-        cached, so a forget, an absorb or a GC pass has nothing here
-        to invalidate."""
+        The store is asked by key (:meth:`Repository.handles_of`): only
+        the footprint's keys are looked up, nothing is hashed, and they
+        come back in first-stored rank - the bundle's byte order, which
+        puts children before their trees.  The rank is the store's own
+        record, minted by its writers and dropped by ``forget_data``,
+        so a forget, an absorb or a GC pass leaves nothing here to
+        invalidate."""
         return [
             handle
             for handle in self.repo.handles_of(fp.data)

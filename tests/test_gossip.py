@@ -1911,11 +1911,13 @@ def hub_with_resident(resident):
 
 
 class TestAQuoteCostsItsFootprint:
-    def test_quotes_hash_nothing_and_a_dispatch_scans_once(self, monkeypatch):
+    def test_quotes_hash_nothing_and_a_scatter_hashes_each_frame_once(
+        self, monkeypatch
+    ):
         """Neither a quote nor a dispatch re-hashes the store.  A scatter
-        of 4 never calls ``Repository.handles``, and it hashes the same
-        data - the peers' results and what each receiver verifies -
-        whether the hub holds 500 objects or 1 000."""
+        of 4 never calls ``Repository.handles``, and it hashes 12 Blobs
+        and 4 Trees - the peers' results, and each received frame once,
+        as it is verified - whether the hub holds 500 objects or 1 000."""
         nodes = []
         calls = collections.Counter()
         _count_calls(monkeypatch, core_handle, "blob_digest", calls)
@@ -1956,7 +1958,7 @@ class TestAQuoteCostsItsFootprint:
             assert not calls["handles", None]
             for node in nodes:
                 node.close()
-        assert digests[0] == digests[1]
+        assert digests == [[12, 4], [12, 4]]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -2014,14 +2016,16 @@ class TestAQuoteCostsItsFootprint:
 
 def store_ops():
     """A script of store writes and removals: puts of Blobs and Trees
-    (a Tree names earlier handles), drops, absorbs of another store, and
-    GC passes over a recipe index that covers a picked subset."""
+    (a Tree names earlier handles), drops, re-puts (a stored datum
+    dropped and put again), absorbs of another store, and GC passes
+    over a recipe index that covers a picked subset."""
     pick = st.integers(0, 1 << 10)
     return st.lists(
         st.one_of(
             st.tuples(st.just("put"), blob_or_tree()),
             st.tuples(st.just("tree"), st.lists(pick, max_size=6)),
             st.tuples(st.just("forget"), pick),
+            st.tuples(st.just("reput"), pick),
             st.tuples(st.just("absorb"), st.lists(blob_or_tree(), max_size=4)),
             st.tuples(st.just("gc"), st.integers(0, 1023), st.integers(0, 1 << 17)),
         ),
@@ -2030,7 +2034,7 @@ def store_ops():
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
 @given(
     store_ops(),
     st.integers(0, (1 << 32) - 1),
@@ -2044,7 +2048,8 @@ def store_ops():
 def check_handles_of_is_the_scan_asked_by_key(ops, mask, absent):
     """``handles_of(keys)`` is the hashing scan filtered to ``keys``,
     in the same order, for every store the ops build and for key sets
-    that mix held, forgotten and never-stored keys."""
+    that mix held, forgotten and never-stored keys.  A re-put datum
+    lists last: its first-stored rank went with the forget."""
     repo = Repository()
     named = []  # every handle a put returned, stored now or not
     encode = Repository().put_tree([]).make_application().wrap_strict()
@@ -2066,6 +2071,14 @@ def check_handles_of_is_the_scan_asked_by_key(ops, mask, absent):
             named.append(repo.put_tree(children))
         elif op[0] == "forget" and named:
             repo.forget_data(named[op[1] % len(named)])
+        elif op[0] == "reput" and len(repo):
+            stored = list(repo.handles())
+            handle = stored[op[1] % len(stored)]
+            datum = repo.get(handle)
+            repo.forget_data(handle)
+            repo.put(datum)
+            every = frozenset(h.content_key() for h in stored)
+            assert repo.handles_of(every)[-1] == handle
         elif op[0] == "absorb":
             other = Repository("other")
             named += [other.put(datum) for datum in op[1]]
@@ -2096,7 +2109,18 @@ def trees_sized_in_bytes(repo, keys):
     ]
 
 
+def rank_survives_forget(repo, keys):
+    """Mutant: a datum keeps the rank it was first stored at, so a
+    re-put lists where it stood before the forget, not last.  The
+    first rank each key showed is remembered on the store itself."""
+    first = vars(repo).setdefault("_first_rank_seen", {})
+    for key, rank in repo._rank.items():
+        first.setdefault(key, rank)
+    return sorted(HANDLES_OF(repo, keys), key=lambda h: first[h.content_key()])
+
+
 HANDLES_OF_MUTANTS = {
+    "rank_survives_forget": rank_survives_forget,
     "sorted_by_key": sorted_by_key,
     "trees_sized_in_bytes": trees_sized_in_bytes,
 }

@@ -14,6 +14,7 @@ from repro.core.handle import (
     EncodeStyle,
     Handle,
     ThunkStyle,
+    _META_KNOWN,
     blob_digest,
     tree_digest,
 )
@@ -249,3 +250,75 @@ class TestEquality:
         assert "literal" in repr(Handle.of_blob(b"x"))
         assert "blob" in repr(make_blob_handle())
         assert "application" in repr(make_tree_handle().make_application())
+
+
+def every_known_meta():
+    """Every metadata value over the known bits: 2**12 of them."""
+    bits = [1 << i for i in range(16) if _META_KNOWN >> i & 1]
+    for mask in range(1 << len(bits)):
+        yield sum(bit for i, bit in enumerate(bits) if mask >> i & 1)
+
+
+def refused_by_the_rules(payload: bytes, size: int, meta: int) -> bool:
+    """The layout's rules for a handle, written out with the enums."""
+    tree, ref, literal = meta & 1, meta >> 1 & 1, meta >> 6 & 1
+    thunk, encode, litlen = meta >> 2 & 3, meta >> 4 & 3, meta >> 8 & 31
+    if literal:
+        if tree or ref or len(payload) != litlen or size != litlen:
+            return True
+        if litlen > LITERAL_MAX:
+            return True
+    elif litlen or len(payload) != DIGEST_BYTES:
+        return True
+    if encode not in {style.value for style in EncodeStyle}:
+        return True
+    if EncodeStyle(encode) is not EncodeStyle.NONE and ThunkStyle(thunk) is ThunkStyle.NONE:
+        return True
+    return ThunkStyle(thunk) in (ThunkStyle.APPLICATION, ThunkStyle.SELECTION) and not tree
+
+
+class TestPredicatesReadBits:
+    def test_every_known_meta_against_the_enum_definitions(self):
+        """Each metadata value, with a digest payload and with a literal
+        payload of its length: what ``__init__`` refuses is what the
+        rules refuse (encode bits 0b11 among them), and on what it
+        accepts, the styles are the Enum's own members and the five
+        predicates equal their definitions through the enums."""
+        accepted = 0
+        for meta in every_known_meta():
+            litlen = meta >> 8 & 31
+            for payload, size in ((b"\x07" * DIGEST_BYTES, 40), (b"a" * litlen, litlen)):
+                if refused_by_the_rules(payload, size, meta):
+                    with pytest.raises(HandleError):
+                        Handle(payload, size, meta)
+                    continue
+                handle = Handle(payload, size, meta)
+                accepted += 1
+                thunk = ThunkStyle(meta >> 2 & 3)
+                encode = EncodeStyle(meta >> 4 & 3)
+                ref = bool(meta & 2)
+                assert handle.thunk_style is thunk
+                assert handle.encode_style is encode
+                is_encode = encode is not EncodeStyle.NONE
+                is_data = thunk is ThunkStyle.NONE
+                assert (
+                    handle.is_encode,
+                    handle.is_thunk,
+                    handle.is_data,
+                    handle.is_object,
+                    handle.is_ref,
+                ) == (
+                    is_encode,
+                    thunk is not ThunkStyle.NONE and not is_encode,
+                    is_data,
+                    is_data and not ref,
+                    is_data and ref,
+                )
+                assert {
+                    type(handle.is_encode),
+                    type(handle.is_thunk),
+                    type(handle.is_data),
+                    type(handle.is_object),
+                    type(handle.is_ref),
+                } == {bool}
+        assert accepted == 152

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import data as core_data
+from repro.core import handle as core_handle
 from repro.core.errors import SerializationError
+from repro.core.handle import HANDLE_BYTES
 from repro.core.serialize import decode_bundle, decode_frame, encode_bundle, encode_frame
 from repro.core.storage import Repository
 from repro.core.thunks import make_application
@@ -94,3 +100,62 @@ class TestBundles:
         assert decoded == seen
         for h in seen:
             assert dest.get_blob(h).data in payloads
+
+
+@contextlib.contextmanager
+def digests_counted():
+    """Count the content hashes - Blob and Tree - the body computes."""
+    with mock.patch.object(
+        core_handle, "blob_digest", wraps=core_handle.blob_digest
+    ) as blob, mock.patch.object(
+        core_data, "tree_digest", wraps=core_data.tree_digest
+    ) as tree:
+        yield lambda: blob.call_count + tree.call_count
+
+
+class TestAFrameIsHashedOnce:
+    @given(
+        st.lists(st.binary(max_size=100), max_size=8),
+        st.lists(st.lists(st.integers(0, 1 << 10), max_size=4), max_size=3),
+    )
+    def test_a_bundle_of_n_data_hashes_n_times(self, payloads, trees):
+        """Every received frame is hashed - as it is verified - and
+        only then: n distinct non-literal data cost n hashes, on a
+        first decode and on a decode of data already held."""
+        source = Repository()
+        handles = [source.put_blob(p) for p in payloads]
+        for picks in trees:
+            handles.append(
+                source.put_tree([handles[i % len(handles)] for i in picks if handles])
+            )
+        n = len({h.content_key() for h in handles if not h.is_literal})
+        bundle = encode_bundle(source, handles)
+        dest = Repository("dest")
+        for _ in range(2):
+            with digests_counted() as hashed:
+                decode_bundle(dest, bundle)
+            assert hashed() == n
+            assert len(dest) == n
+
+    @pytest.mark.parametrize("kind", ["blob", "tree"])
+    def test_a_refused_frame_stores_nothing(self, repo, kind):
+        """A flipped payload byte is refused before anything is stored:
+        the store's size, its listing and its rank table are as they
+        were, and the intact frame then lists after what was held."""
+        child = repo.put_blob(b"child " * 10)
+        if kind == "blob":
+            handle = repo.put_blob(b"p" * 100)
+        else:
+            handle = repo.put_tree([child, child.as_ref()])
+        dest = Repository("dest")
+        decode_bundle(dest, encode_bundle(repo, [child]))
+        keys = frozenset({child.content_key(), handle.content_key()})
+        before = (len(dest), dest.handles_of(keys), dict(dest._rank))
+        raw = encode_frame(repo, handle)
+        corrupt = bytearray(raw)
+        corrupt[HANDLE_BYTES + 4] ^= 0xFF  # the payload's first byte
+        with pytest.raises(SerializationError):
+            decode_frame(dest, bytes(corrupt))
+        assert (len(dest), dest.handles_of(keys), dict(dest._rank)) == before
+        decode_frame(dest, raw)
+        assert dest.handles_of(keys) == [child, handle]
