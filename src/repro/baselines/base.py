@@ -17,7 +17,10 @@ per-tenant bills come from executed work, not synthetic meters.
 
 Platform models share helpers for fetching objects (from peer machines,
 the client, or the external storage service) and for charging CPU states
-while simulated work happens.
+while simulated work happens, and one placement rule:
+:meth:`Platform._choose` decides through
+:func:`repro.dist.costmodel.choose`, so the baselines differ from
+Fixpoint and from each other only in what they price.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from ..core.errors import SchedulingError
+from ..dist.costmodel import bid, choose
 from ..dist.graph import CLIENT, EXTERNAL, JobGraph, TaskSpec
 from ..fixpoint.billing import InvocationMeter
 from ..sim.cluster import Cluster
@@ -133,6 +137,13 @@ class Platform:
             cluster.network.attach(CLIENT, DEFAULT_CALIBRATION.tcp_stream_bw)
         self._task_done: Dict[str, Event] = {}
         self._job_seq = 0
+        #: In-flight invocations per machine, the one load map every
+        #: placement spreads by (:meth:`_choose`; ``FixpointSim`` shares
+        #: it with its job schedulers).  A caller counts its pick up and
+        #: back down in ``finally``.
+        self._outstanding: Dict[str, int] = dict.fromkeys(
+            cluster.machine_names(), 0
+        )
         # In-flight replica transfers, deduplicated per (object, node): a
         # platform's network worker never fetches the same object to the
         # same place twice concurrently.
@@ -317,8 +328,25 @@ class Platform:
     def _fetch_all(self, names: Iterable[str], dst: str) -> Event:
         return all_of(self.sim, [self._fetch(n, dst) for n in names])
 
-    def missing_bytes(self, task: TaskSpec, machine: str) -> int:
-        return self.cluster.bytes_missing(task.inputs, machine)
+    # ------------------------------------------------------------------
+    # Placement
 
-    def machine_names(self) -> List[str]:
-        return self.cluster.machine_names()
+    def _choose(self, inputs: Iterable[str] = ()) -> str:
+        """The machine to run something needing ``inputs`` on.
+
+        The one policy, :func:`repro.dist.costmodel.choose`: fewest
+        bytes missing, then least loaded, then name.  It is priced from
+        the registry's true replica locations, not from a belief, by
+        :func:`~repro.dist.costmodel.bid`, so it costs O(inputs +
+        replicas + contenders).  With no inputs every machine ties on
+        bytes: least-loaded placement, ties broken by name.
+        """
+        lookup = self.cluster.object
+        contenders, move_bytes = bid(
+            ((name, lookup(name).size) for name in inputs),
+            lambda name: lookup(name).locations,
+            self._outstanding,
+        )
+        return choose(
+            contenders, move_bytes, self._outstanding.__getitem__
+        ).candidate

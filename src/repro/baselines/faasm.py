@@ -9,11 +9,7 @@ measured in fig. 7a.  Only the microbenchmarks use this model.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..dist.graph import TaskSpec
-from ..sim.cluster import Cluster
-from ..sim.engine import Simulator
 from .base import JobRun, Platform
 from .calibration import FAASM_CORE, FAASM_INVOKE
 
@@ -23,14 +19,8 @@ class Faasm(Platform):
 
     name = "Faasm"
 
-    def __init__(self, sim: Simulator, cluster: Cluster, **kwargs):
-        super().__init__(sim, cluster, **kwargs)
-        self._outstanding: Dict[str, int] = {
-            name: 0 for name in cluster.machine_names()
-        }
-
     def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
-        node = min(self._outstanding, key=lambda m: (self._outstanding[m], m))
+        node = self._choose()
         self._outstanding[node] += 1
         try:
             yield self.cluster.network.message(submitter, node)

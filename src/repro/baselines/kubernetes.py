@@ -1,17 +1,18 @@
-"""A Kubernetes-style pod scheduler: least-loaded and data-oblivious.
+"""Kubernetes pod lifecycle for the OpenWhisk baseline.
 
 OpenWhisk is configured with Kubernetes as the container factory (paper
-section 5.1), so pod placement ignores where data lives - the property
-that costs it dearly in fig. 8b.  Pod lifecycle costs: a scheduling
-decision per pod, plus a cold-start when no warm container for the
-function exists on the chosen node.
+section 5.1).  Placement is not decided here: the platform places pods
+least-loaded and data-oblivious
+(:meth:`~repro.baselines.base.Platform._choose` with nothing priced) -
+the property that costs OpenWhisk dearly in fig. 8b.  This module models
+what a pod costs once placed: a scheduling decision per pod, plus a
+cold start when no warm container for the function exists on the node.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Set, Tuple
 
-from ..core.errors import SchedulingError
 from ..sim.cluster import Cluster
 from ..sim.engine import Event, Simulator
 from ..sim.resources import Resource
@@ -19,7 +20,8 @@ from .calibration import K8S_SCHEDULE, OW_COLD_START
 
 
 class KubeScheduler:
-    """Tracks outstanding pods per node; places on the least loaded."""
+    """The pod lifecycle: the warm set, cold starts, and containerd's
+    per-node concurrency.  The platform places; this class starts pods."""
 
     def __init__(
         self, sim: Simulator, cluster: Cluster, per_invocation_pods: bool = False
@@ -29,9 +31,6 @@ class KubeScheduler:
         #: Docker-image actions above OpenWhisk's inline size limit get a
         #: fresh pod per activation (fig. 10's configuration).
         self.per_invocation_pods = per_invocation_pods
-        self._outstanding: Dict[str, int] = {
-            name: 0 for name in cluster.machine_names()
-        }
         self._warm: Set[Tuple[str, str]] = set()  # (function, node)
         # The container runtime creates pods concurrently up to roughly
         # the core count (kubelet/dockerd parallelism).
@@ -42,18 +41,6 @@ class KubeScheduler:
             for name, machine in cluster.machines.items()
         }
         self.cold_starts = 0
-
-    def place(self) -> str:
-        if not self._outstanding:
-            raise SchedulingError("no nodes available")
-        node = min(self._outstanding, key=lambda n: (self._outstanding[n], n))
-        self._outstanding[node] += 1
-        return node
-
-    def pod_finished(self, node: str) -> None:
-        if self._outstanding[node] <= 0:
-            raise SchedulingError(f"pod accounting underflow on {node}")
-        self._outstanding[node] -= 1
 
     def is_warm(self, function: str, node: str) -> bool:
         return (function, node) in self._warm

@@ -8,7 +8,9 @@ with per-invocation overhead decomposed from the paper's measured 30.7 ms
 warm path (fig. 7a).  Crucially, the data path is *internal*: the function
 claims its pod's CPU and memory at admission, then GETs inputs from MinIO
 while occupying them (iowait), computes, and PUTs its output back to
-MinIO.  Placement is Kubernetes': least-loaded, data-oblivious.
+MinIO.  Placement is Kubernetes': least-loaded, data-oblivious - the
+platform's :meth:`~repro.baselines.base.Platform._choose` with nothing
+priced; :class:`~repro.baselines.kubernetes.KubeScheduler` runs the pods.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ class OpenWhisk(Platform):
         pre = OW_GATEWAY + OW_CONTROLLER + OW_KAFKA
         yield self.cluster.network.message(submitter, self._controller)
         yield from self._busy(self._controller, "system", 1, pre)
-        node = self.k8s.place()
+        node = self._choose()
+        self._outstanding[node] += 1
         try:
             if not self.warm:
                 yield self._pull_image(task.fn, node)
@@ -88,7 +91,7 @@ class OpenWhisk(Platform):
             yield from self._reserved(task, node, self._run_pod(task, node))
             yield from self._busy(self._controller, "system", 1, OW_RESULT_PATH)
         finally:
-            self.k8s.pod_finished(node)
+            self._outstanding[node] -= 1
         holder = self.minio.node_for(task.output)
         self.cluster.add_object(task.output, task.output_size, holder)
         return node

@@ -6,9 +6,11 @@
   function, the scheduler has no locality information at placement time.
 * **cps** (continuation-passing) - every dependency boundary becomes a new
   task whose arguments Ray pulls *before* assigning a worker; placement is
-  locality-aware (the paper gives Ray the same location information as
-  Fixpoint).  The cost is one full task overhead per continuation plus an
-  ownership round trip to resolve each nested ObjectRef.
+  locality-aware.  The paper gives Ray the same location information as
+  Fixpoint, so it places by Fixpoint's rule, :meth:`Platform._choose`
+  priced over the task's inputs.  The cost is one full task overhead per
+  continuation plus an ownership round trip to resolve each nested
+  ObjectRef.
 * **popen** - user functions are Linux executables launched via Popen,
   reading from and writing to MinIO; binaries start on a single node and
   are loaded on first use per node (fig. 10's "Ray + MinIO").
@@ -20,7 +22,7 @@ fig. 7a.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 from ..core.errors import SchedulingError
 from ..dist.graph import JobGraph, TaskSpec
@@ -75,9 +77,6 @@ class RayPlatform(Platform):
         # Popen style: executables start on one machine, loaded on demand.
         self._binary_home = cluster.machine_names()[0]
         self._binaries_loaded: Set[str] = {self._binary_home}
-        self._outstanding: Dict[str, int] = {
-            name: 0 for name in cluster.machine_names()
-        }
 
     # ------------------------------------------------------------------
 
@@ -94,20 +93,10 @@ class RayPlatform(Platform):
     def _place(self, task: TaskSpec) -> str:
         if self.style == "cps":
             # Locality-aware: Ray sees the same placement info as Fixpoint.
-            names = self.cluster.machine_names()
-            return min(
-                names,
-                key=lambda m: (
-                    self.missing_bytes(task, m),
-                    self._outstanding[m],
-                    m,
-                ),
-            )
+            return self._choose(task.inputs)
         if self.style == "popen":
             # Popen executables read from MinIO; schedule least-loaded.
-            return min(
-                self._outstanding, key=lambda m: (self._outstanding[m], m)
-            )
+            return self._choose()
         # Blocking: arguments are opaque refs; no locality information.
         return self.rng.choice(self.cluster.machine_names())
 

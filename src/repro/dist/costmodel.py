@@ -4,18 +4,22 @@ The paper's central scheduling mechanism (section 4.2.2) is a single
 cost model: price every candidate location by the bytes the local
 *belief* says would have to move, spread genuine ties by outstanding
 load, and stay deterministic by breaking what remains on the candidate
-name.  Both runtimes in this repo resolve placements here:
+name.  Every platform in this repo resolves placements here:
 
 * the simulator's :class:`~repro.dist.scheduler.DataflowScheduler`
   prices cluster machines for :class:`~repro.dist.engine.FixpointSim`;
 * the executing runtime's
   :meth:`~repro.fixpoint.net.FixpointNode.delegate_best` prices peers by
-  the believed missing bytes of a Fix footprint.
+  the believed missing bytes of a Fix footprint;
+* the simulated baselines'
+  :meth:`~repro.baselines.base.Platform._choose` prices machines from
+  the cluster registry's true locations (Ray CPS), or prices nothing
+  and places least-loaded (Faasm, Ray Popen, OpenWhisk).
 
 Keeping the policy in one module means a delegation-policy change is
 made exactly once and both the perf conclusions (simulated) and the
-executing code follow it.  Both drivers take one path: :func:`bid`
-prices (under the view's lock, :meth:`ObjectView.bid
+executing code follow it.  Every driver takes one path: :func:`bid`
+prices (a belief under the view's lock, :meth:`ObjectView.bid
 <repro.dist.objectview.ObjectView.bid>`) and :func:`choose` decides
 ``(priced bytes, load, name)``, building the winner's :class:`Quote`
 only (:meth:`Quote.sort_key` ranks whole quotes by the same order).

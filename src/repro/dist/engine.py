@@ -109,9 +109,9 @@ class FixpointSim(Platform):
         self._seed = seed
         #: The platform-global view (what it learns, and who reads it,
         #: per mode: :meth:`_invoke_proc`).  Jobs place through their own
-        #: per-job schedulers (:meth:`start`), which share one load map.
+        #: per-job schedulers (:meth:`start`), which share the platform's
+        #: load map, ``_outstanding``.
         self.view = ObjectView("fixpoint-scheduler", clock=self.obs.clock)
-        self._outstanding: Dict[str, int] = dict.fromkeys(cluster.machine_names(), 0)
         #: job_id -> that job's scheduler (own view, shared load).
         self._job_schedulers: Dict[str, DataflowScheduler] = {}
         #: Gossiped-belief mode: per-machine views plus the global view

@@ -495,11 +495,6 @@ class ObjectView:
         with self._lock:
             return location in self._evicted
 
-    def evicted(self) -> Set[str]:
-        """Tombstoned locations (a copy) - the placement exclusion set."""
-        with self._lock:
-            return set(self._evicted)
-
     def where(self, name: Hashable) -> Set[str]:
         """Believed replica locations (empty set when unknown)."""
         with self._lock:

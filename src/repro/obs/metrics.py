@@ -109,10 +109,6 @@ class Counter:
                 if set(wanted) <= set(key)
             )
 
-    def series(self) -> Dict[LabelKey, float]:
-        with self._lock:
-            return dict(self._series)
-
     def reset(self) -> None:
         with self._lock:
             self._series.clear()
@@ -279,13 +275,6 @@ class Histogram:
         with self._lock:
             series = self._series.get(_label_key(labels))
             return series.sum if series is not None else 0.0
-
-    def mean(self, **labels: object) -> float:
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            if series is None or series.count == 0:
-                return 0.0
-            return series.sum / series.count
 
     def quantile(self, q: float, **labels: object) -> float:
         """Bucket-resolution quantile: the upper bound of the bucket the

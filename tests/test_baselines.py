@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.base import JobRun
 from repro.baselines.calibration import (
     FIXPOINT_INVOKE,
     OPENWHISK_INVOKE,
@@ -17,7 +18,7 @@ from repro.baselines.pheromone import Pheromone
 from repro.baselines.ray import RayPlatform, RayPopenMinIO
 from repro.core.errors import SchedulingError
 from repro.dist.engine import FixpointSim
-from repro.dist.graph import JobGraph, TaskSpec
+from repro.dist.graph import CLIENT, JobGraph, TaskSpec
 from repro.sim.cluster import Cluster, MachineSpec
 from repro.sim.engine import Simulator
 
@@ -87,16 +88,6 @@ class TestMinIO:
 
 
 class TestKubeScheduler:
-    def test_least_loaded_placement(self):
-        sim = Simulator()
-        cluster = Cluster(sim, [MachineSpec("a"), MachineSpec("b")])
-        k8s = KubeScheduler(sim, cluster)
-        first = k8s.place()
-        second = k8s.place()
-        assert {first, second} == {"a", "b"}
-        k8s.pod_finished(first)
-        assert k8s.place() == first
-
     def test_cold_and_warm_starts(self):
         sim = Simulator()
         cluster = Cluster(sim, [MachineSpec("a")])
@@ -118,6 +109,36 @@ class TestKubeScheduler:
 
 
 class TestOpenWhisk:
+    def test_pods_place_least_loaded(self):
+        """Two concurrent invocations land on distinct nodes; a third,
+        issued once the first finishes, reuses the node it freed."""
+        platform = OpenWhisk.build(nodes=2, cores=4)
+        graph = JobGraph()
+        graph.add_data("in", 1 * MB, "node0")
+        for i, compute in enumerate((0.01, 1.0, 0.01)):
+            graph.add_task(
+                TaskSpec(
+                    name=f"t{i}",
+                    fn="f",
+                    inputs=("in",),
+                    output=f"out{i}",
+                    output_size=8,
+                    compute_seconds=compute,
+                    memory_bytes=64 * MB,
+                )
+            )
+        platform.load(graph)
+        job = JobRun(0, "job0", graph, CLIENT, started_at=0.0)
+        quick, slow, late = (graph.tasks[f"t{i}"] for i in range(3))
+        first = platform.invoke(quick, CLIENT, job)
+        second = platform.invoke(slow, CLIENT, job)
+        freed = platform.sim.run_until(first)
+        assert not second.triggered
+        busy = {node for node, load in platform._outstanding.items() if load}
+        assert busy == {"node0", "node1"} - {freed}
+        assert platform.sim.run_until(platform.invoke(late, CLIENT, job)) == freed
+        assert platform.sim.run_until(second) != freed
+
     def test_single_invocation_near_measured_overhead(self):
         platform = OpenWhisk.build(nodes=1, cores=4)
         result = platform.run(one_task_graph(compute=0.0))

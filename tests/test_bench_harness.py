@@ -63,7 +63,7 @@ class TestHarness:
 class TestGoldenTables:
     """The equivalence oracle for refactors of the simulated platforms.
 
-    The file is the stdout of ``python -m repro.bench {fig8a,fig8b,fig10}
+    ``GOLDEN`` is the stdout of ``python -m repro.bench {fig8a,fig8b,fig10}
     --scale 0.0625`` (in that order).  The simulation is deterministic, so
     any change to event order, CPU-state accounting (the ``iowait_pct`` /
     ``waiting_pct`` columns) or bytes moved shows up as a byte diff.
@@ -71,11 +71,20 @@ class TestGoldenTables:
     """
 
     GOLDEN = Path(__file__).parent / "golden" / "fig8a_fig8b_fig10_scale_0.0625.txt"
+    #: ``fig7a.run(scale=0.01, measure_real=False).show()`` then
+    #: ``fig7b.run(scale=0.05).show()``: the simulated rows only, so
+    #: Faasm (fig. 7a alone) and the chain models are pinned too.
+    GOLDEN_FIG7 = Path(__file__).parent / "golden" / "fig7a_fig7b_sim.txt"
 
     def test_rendered_tables_match_golden(self, capsys):
         for name in ("fig8a", "fig8b", "fig10"):
             assert bench_main([name, "--scale", "0.0625"]) == 0
         assert capsys.readouterr().out == self.GOLDEN.read_text()
+
+    def test_fig7_simulated_tables_match_golden(self, capsys):
+        fig7a.run(scale=0.01, measure_real=False).show()
+        fig7b.run(scale=0.05).show()
+        assert capsys.readouterr().out == self.GOLDEN_FIG7.read_text()
 
 
 class TestExperimentSmoke:

@@ -1,4 +1,4 @@
-"""The shared placement policy: one cost model for both runtimes.
+"""The shared placement policy: one cost model for every platform.
 
 Covers :mod:`repro.dist.costmodel` (pricing, tie-breaks, hints), the
 incremental holdings/size index in :class:`repro.dist.objectview.ObjectView`
@@ -6,7 +6,9 @@ incremental holdings/size index in :class:`repro.dist.objectview.ObjectView`
 staleness pricing), and the acceptance property of the unification: the
 simulated :class:`DataflowScheduler` and the executing
 :class:`repro.fixpoint.net.FixpointNode` pick the *same* machine when
-they hold the same beliefs.
+they hold the same beliefs.  The baselines' :meth:`Platform._choose
+<repro.baselines.base.Platform._choose>` is checked against the ``min``
+it replaced, priced from the cluster registry.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.base import Platform
 from repro.core.errors import SchedulingError
 from repro.core.minrepo import transitive_footprint
 from repro.core.thunks import make_application
@@ -34,7 +37,7 @@ from repro.dist.costmodel import (
     quote,
 )
 from repro.dist.gossip import Participant, exchange
-from repro.dist.graph import TaskSpec
+from repro.dist.graph import CLIENT, EXTERNAL, TaskSpec
 from repro.dist.membership import ALIVE, Member, MembershipView
 from repro.dist.objectview import ObjectView
 from repro.dist.scheduler import DataflowScheduler
@@ -1070,6 +1073,102 @@ class TestBidIsTheDenseFormula:
                 and total > 0
             )
         assert all(count >= 20 for count in seen.values()), seen
+
+
+# ----------------------------------------------------------------------
+# The baselines' ``Platform._choose`` against the ``min`` it replaced
+
+
+def choose_soup(rng: random.Random):
+    """A platform on 2-12 machines whose names do not sort in cluster
+    order, random loads, and objects of size 0 and up held by 0-3
+    machines (some also by the client, some only by the external
+    store); plus an input tuple that may name an object twice."""
+    count = rng.randint(2, 12)
+    names = [f"m{n:03d}" for n in rng.sample(range(1000), count)]
+    if names == sorted(names):
+        names.reverse()
+    sim = Simulator()
+    platform = Platform(sim, Cluster(sim, [MachineSpec(n) for n in names]))
+    for name in names:
+        platform._outstanding[name] = rng.randint(0, 3)
+    objects = []
+    for i in range(rng.randint(1, 8)):
+        size = rng.choice((0, rng.randint(1, 64)))
+        holders = rng.sample(names, rng.randint(0, min(3, count)))
+        if rng.random() < 0.3:
+            holders.append(CLIENT)
+        for holder in holders or [rng.choice((CLIENT, EXTERNAL))]:
+            platform.cluster.add_object(f"o{i}", size, holder)
+        objects.append(f"o{i}")
+    inputs = tuple(rng.choices(objects, k=rng.randint(0, 6)))
+    return platform, names, inputs
+
+
+def check_platform_choose(soups: int = 200) -> None:
+    """``_choose(inputs)`` is Ray CPS's old ``min`` by (bytes missing,
+    load, name), and ``_choose()`` the least-loaded ``min`` Faasm, Ray
+    Popen and Kubernetes each kept, on seeded soups."""
+    rng = random.Random(30)
+    for _ in range(soups):
+        platform, names, inputs = choose_soup(rng)
+        cluster, load = platform.cluster, platform._outstanding
+        want = min(
+            names, key=lambda m: (cluster.bytes_missing(inputs, m), load[m], m)
+        )
+        assert platform._choose(inputs) == want, (names, load, inputs)
+        assert platform._choose() == min(names, key=lambda m: (load[m], m))
+
+
+def no_load_tie_break(self, inputs=()):
+    """Mutant: bytes, then name; the load never spreads a tie."""
+    lookup = self.cluster.object
+    contenders, move_bytes = bid(
+        ((name, lookup(name).size) for name in inputs),
+        lambda name: lookup(name).locations,
+        self._outstanding,
+    )
+    return choose(contenders, move_bytes, lambda _machine: 0).candidate
+
+
+def priced_by_replica_count(self, inputs=()):
+    """Mutant: an input missing from a machine costs 1, not its size."""
+    lookup = self.cluster.object
+    contenders, move_bytes = bid(
+        ((name, 1) for name in inputs),
+        lambda name: lookup(name).locations,
+        self._outstanding,
+    )
+    return choose(contenders, move_bytes, self._outstanding.__getitem__).candidate
+
+
+def ties_to_last_name(self, inputs=()):
+    """Mutant: a tie on (bytes, load) goes to the last name, not the
+    first."""
+    missing = self.cluster.bytes_missing
+    load = self._outstanding
+    rank = {m: (missing(inputs, m), load[m]) for m in load}
+    best = min(rank.values())
+    return max(m for m, key in rank.items() if key == best)
+
+
+CHOOSE_MUTANTS = {
+    "no_load_tie_break": no_load_tie_break,
+    "priced_by_replica_count": priced_by_replica_count,
+    "ties_to_last_name": ties_to_last_name,
+}
+
+
+class TestPlatformChooseIsTheMin:
+    def test_two_hundred_seeded_soups(self):
+        check_platform_choose()
+
+    @pytest.mark.parametrize("mutant", sorted(CHOOSE_MUTANTS))
+    def test_the_oracle_catches_a_wrong_rule(self, mutant):
+        with mock.patch.object(
+            Platform, "_choose", CHOOSE_MUTANTS[mutant]
+        ), pytest.raises(AssertionError):
+            check_platform_choose()
 
 
 class TestPlacementCostIsItsContenders:
