@@ -30,8 +30,8 @@ def pytest_addoption(parser):
         help=(
             "enable the repro.analysis lock-order tracker for the whole "
             "run: every TrackedLock site feeds the acquisition graph, and "
-            "the session fails on any lock-order inversion or "
-            "hold-while-blocking event (see repro/analysis/sync.py)"
+            "a test fails if a lock-order inversion or hold-while-blocking "
+            "event is recorded while it runs (see repro/analysis/sync.py)"
         ),
     )
 
@@ -46,65 +46,51 @@ def pytest_configure(config):
         config._race_tracker = enable_tracking()
 
 
-def _static_dynamic_diff(config, tracker):
-    """Diff the static lock graph (repro.analysis.flow over ``src/``)
-    against the acquisition orders the tracker observed this session.
-
-    Computed once and cached on ``config``: both the session fixture
-    (which *asserts* on it) and the terminal summary (which *prints*
-    it) want the same answer.
-    """
-    cached = getattr(config, "_race_crosscheck", None)
-    if cached is None:
-        from repro.analysis.crosscheck import crosscheck
-        from repro.analysis.flow import analyze_tree
-
-        static = analyze_tree([config.rootpath / "src"])
-        cached = config._race_crosscheck = crosscheck(
-            static.edge_pairs(), static.labels, tracker.report().edge_pairs
-        )
-    return cached
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _race_clean_report(request):
-    """Under ``--race``: assert an empty inversion report at session end,
-    and that the *static* lock graph covers every dynamically observed
-    acquisition order (a dynamic-only edge means the call-graph model in
-    repro.analysis.flow is incomplete and silently under-reports static
-    deadlock risk).
+@pytest.fixture(autouse=True)
+def _race_clean(request):
+    """Under ``--race``: fail the test during which the suite-wide
+    tracker recorded a new inversion or hold-while-blocking event, with
+    those reports.  Failing here, rather than at session end, stops
+    ``-x`` at the test that made the hazard - before a later test can
+    wedge on it and take the report down with the process.
 
     Tests that *intentionally* reconstruct deadlocks (test_analysis.py)
     run them against private ``LockTracker`` instances via
     ``tracking(...)``, so the suite-wide tracker only sees the real
-    system's behavior; locks minted by test fixtures show up as
-    ``foreign`` in the diff and are asserted on by nobody.
+    system's behavior.
     """
-    yield
     tracker = getattr(request.config, "_race_tracker", None)
     if tracker is None:
+        yield
         return
-    report = tracker.report()
-    assert not report.cycles and not report.blocking, (
-        "--race found concurrency hazards:\n" + report.format()
-    )
-    diff = _static_dynamic_diff(request.config, tracker)
-    assert diff.clean, (
-        "--race observed lock orders the static analysis cannot derive "
-        "(the flow model is incomplete):\n" + diff.format()
-    )
+    before = tracker.report()
+    yield
+    after = tracker.report()
+    new = [
+        *after.cycles[len(before.cycles):],
+        *after.blocking[len(before.blocking):],
+    ]
+    if new:
+        pytest.fail(
+            "--race found concurrency hazards:\n"
+            + "\n".join(hazard.format() for hazard in new),
+            pytrace=False,
+        )
+
+
+def pytest_sessionfinish(session, exitstatus):
+    # A hazard recorded outside any test (a module fixture's teardown)
+    # still fails the run.
+    tracker = getattr(session.config, "_race_tracker", None)
+    if tracker is not None and not tracker.report().clean and exitstatus == 0:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     tracker = getattr(config, "_race_tracker", None)
     if tracker is not None:
-        report = tracker.report()
         terminalreporter.write_sep("-", "race detector (--race)")
-        terminalreporter.write_line(report.format())
-        diff = _static_dynamic_diff(config, tracker)
-        terminalreporter.write_line(diff.format())
-        out = diff.dump(config.rootpath / "RACE_lockgraph_diff.json")
-        terminalreporter.write_line(f"lock-graph diff written to {out}")
+        terminalreporter.write_line(tracker.report().format())
 
 
 def pytest_collection_modifyitems(config, items):

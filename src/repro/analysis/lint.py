@@ -7,7 +7,7 @@ now the build re-derives it instead:
     Sim-clocked modules (``repro/sim/``, ``repro/dist/``) must not read
     the wall clock (``time.time``/``perf_counter``/``monotonic``/
     ``process_time``/``thread_time``/``clock_gettime`` and their
-    ``_ns`` forms, ``time.sleep``, ``datetime.now``/``utcnow``/``today``):
+    ``_ns`` forms, ``datetime.now``/``utcnow``/``today``):
     the seeded-replay bit-identity contract (PR 6) requires every
     simulated timestamp to come from the simulator's clock.  Import
     bindings are tracked per module, so ``from time import monotonic``,
@@ -26,14 +26,22 @@ now the build re-derives it instead:
     ``repro/analysis/``: all lock sites go through the tracked factories
     in :mod:`repro.analysis.sync` so the ``--race`` detector sees them.
 
+``sleep``
+    No ``time.sleep`` outside ``repro/analysis/`` (aliases seen through,
+    as for ``wall-clock``): every other blocking wait announces itself
+    to the ``--race`` tracker, which flags it when a lock is held, but
+    a sleep is invisible to it.  Wait on a tracked condition with a
+    timeout instead (``Channel.transit`` is the pattern).
+
 ``bare-except``
     No ``except:`` - it swallows ``KeyboardInterrupt`` and worker-pool
     shutdown; name the exception (``except BaseException:`` where a
     frame boundary genuinely must catch everything).
 
-(Blocking while holding a lock is not checked here: it is
-:mod:`repro.analysis.flow`'s interprocedural ``hold-blocking`` rule.
-Nor is the wire format: ``TestCodecTruncation`` in
+(Blocking while holding a lock is not checked here: tier-1 under
+``pytest --race`` records every hold-while-blocking event and fails the
+test that made it, and ``sleep`` above covers the one wait the tracker
+cannot see.  Nor is the wire format: ``TestCodecTruncation`` in
 ``tests/test_membership.py`` decodes every codec's frame against the
 value it was packed from and pairs every ``pack_*``/``encode_*`` with
 its reader, because only a decode sees values, not just field widths.)
@@ -52,30 +60,20 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-__all__ = [
-    "Violation",
-    "canonical",
-    "dotted",
-    "last_identifier",
-    "lint_path",
-    "lint_source",
-    "lint_tree",
-    "main",
-    "python_files",
-    "skip_marks",
-]
+__all__ = ["Violation", "lint_path", "lint_source", "lint_tree", "main"]
 
 #: Path fragments marking a module as sim-clocked (seeded-replay
 #: bit-identity applies; see PR 6's snapshot byte-equality test).
 SIM_CLOCKED = ("repro/sim/", "repro/dist/")
 
-#: Path fragments exempt from ``raw-lock`` (the tracker itself).
-RAW_LOCK_EXEMPT = ("repro/analysis/",)
+#: Path fragments exempt from ``raw-lock`` and ``sleep`` (the tracker
+#: itself).
+TRACKER_EXEMPT = ("repro/analysis/",)
 
 _WALL_CLOCK_TIME = {
     "time", "monotonic", "perf_counter", "process_time", "thread_time",
     "clock_gettime", "time_ns", "monotonic_ns", "perf_counter_ns",
-    "process_time_ns", "thread_time_ns", "clock_gettime_ns", "sleep",
+    "process_time_ns", "thread_time_ns", "clock_gettime_ns",
 }
 _WALL_CLOCK_DATE = {"now", "utcnow", "today"}
 _RAW_LOCK_NAMES = {"Lock", "RLock", "Condition"}
@@ -133,10 +131,10 @@ def canonical(spelled: str, aliases: Dict[str, str]) -> str:
 
 
 class _Checker(ast.NodeVisitor):
-    def __init__(self, relpath: str, sim_clocked: bool, lock_exempt: bool):
+    def __init__(self, relpath: str, sim_clocked: bool, tracker_exempt: bool):
         self.relpath = relpath
         self.sim_clocked = sim_clocked
-        self.lock_exempt = lock_exempt
+        self.tracker_exempt = tracker_exempt
         self.violations: List[Violation] = []
         #: Local name -> canonical dotted path (``t`` -> ``time``,
         #: ``rnd`` -> ``random.random``) for the modules in
@@ -185,16 +183,19 @@ class _Checker(ast.NodeVisitor):
                     "unseeded random.Random() is nondeterministic across "
                     "runs; pass an explicit seed",
                 )
-        if (
-            not self.lock_exempt
-            and canon.startswith("threading.")
-            and attr in _RAW_LOCK_NAMES
-        ):
-            self._flag(
-                node, "raw-lock",
-                f"raw {shown}() is invisible to the --race tracker; use "
-                f"repro.analysis.sync.Tracked{attr}",
-            )
+        if not self.tracker_exempt:
+            if canon.startswith("threading.") and attr in _RAW_LOCK_NAMES:
+                self._flag(
+                    node, "raw-lock",
+                    f"raw {shown}() is invisible to the --race tracker; use "
+                    f"repro.analysis.sync.Tracked{attr}",
+                )
+            if canon == "time.sleep":
+                self._flag(
+                    node, "sleep",
+                    f"{shown}() blocks where the --race tracker cannot see "
+                    "it; wait on a tracked condition with a timeout",
+                )
         self.generic_visit(node)
 
     # -- imports --------------------------------------------------------
@@ -215,7 +216,7 @@ class _Checker(ast.NodeVisitor):
                 self._aliases[alias.asname or alias.name] = (
                     f"{node.module}.{alias.name}"
                 )
-        if node.module == "threading" and not self.lock_exempt:
+        if node.module == "threading" and not self.tracker_exempt:
             for alias in node.names:
                 if alias.name in _RAW_LOCK_NAMES:
                     self._flag(
@@ -245,13 +246,14 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def skip_marks(source: str, tool: str) -> Dict[int, str]:
-    """Line number -> rule for every ``# <tool>: skip[<rule>]`` comment
-    (``tool`` is ``lint`` here, ``flow`` in :mod:`repro.analysis.flow`)."""
-    marker = re.compile(rf"#\s*{tool}:\s*skip\[([a-z-]+)\]")
+_SKIP_MARK = re.compile(r"#\s*lint:\s*skip\[([a-z-]+)\]")
+
+
+def skip_marks(source: str) -> Dict[int, str]:
+    """Line number -> rule for every ``# lint: skip[<rule>]`` comment."""
     marks: Dict[int, str] = {}
     for lineno, text in enumerate(source.splitlines(), start=1):
-        match = marker.search(text)
+        match = _SKIP_MARK.search(text)
         if match is not None:
             marks[lineno] = match.group(1)
     return marks
@@ -272,10 +274,10 @@ def lint_source(source: str, relpath: str) -> List[Violation]:
     checker = _Checker(
         relpath,
         sim_clocked=any(frag in normalized for frag in SIM_CLOCKED),
-        lock_exempt=any(frag in normalized for frag in RAW_LOCK_EXEMPT),
+        tracker_exempt=any(frag in normalized for frag in TRACKER_EXEMPT),
     )
     checker.visit(tree)
-    marks = skip_marks(source, "lint")
+    marks = skip_marks(source)
     return [v for v in checker.violations if marks.get(v.line) != v.rule]
 
 

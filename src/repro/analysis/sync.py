@@ -35,7 +35,8 @@ lock discipline machine-checked, lockdep-style:
   the calling thread holds any tracked lock at that moment (a condition
   waiter's own lock is exempt: ``wait`` releases it).  Holding a lock
   across a blocking call is how PR 4's one-worker dispatch wedge and
-  most delivery-window hangs are born.
+  most delivery-window hangs are born.  ``time.sleep`` announces
+  nothing, so the linter (:mod:`repro.analysis.lint`) forbids it.
 
 Cycle detection is *instance*-level (two distinct node locks acquired in
 both orders), so consistent-but-concurrent suites never false-positive;
@@ -44,9 +45,8 @@ the reports name locks by the site label passed at construction
 of the same class stay distinguishable.
 
 This module deliberately imports nothing from the rest of ``repro`` -
-every lock site in the tree imports *it*, and the linter
-(:mod:`repro.analysis.lint`) forbids raw ``threading.Lock()`` anywhere
-else.
+every lock site in the tree imports *it*, and the linter forbids raw
+``threading.Lock()`` anywhere else.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import sys
 import threading
 import traceback
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "TrackedCondition",
     "TrackedLock",
     "TrackedRLock",
-    "base_label",
     "current_tracker",
     "disable_tracking",
     "enable_tracking",
@@ -130,21 +129,6 @@ class BlockingReport:
         return "\n".join(lines)
 
 
-def base_label(label: str) -> str:
-    """Strip the per-instance ``#uid`` serial off a tracker label.
-
-    Every runtime lock label is ``{creation-site name}#{uid}`` so two
-    instances of the same class stay distinguishable; the *base* label
-    (the creation-site half) is the vocabulary the static analysis in
-    :mod:`repro.analysis.flow` speaks, and what the static<->dynamic
-    cross-check compares on.
-    """
-    head, sep, tail = label.rpartition("#")
-    if sep and tail.isdigit():
-        return head
-    return label
-
-
 @dataclass(frozen=True)
 class RaceReport:
     """Everything one tracker saw: inversions and hold-while-blocking."""
@@ -153,10 +137,6 @@ class RaceReport:
     blocking: Tuple[BlockingReport, ...]
     locks: int
     edges: int
-    #: Observed acquisition-order edges at creation-site (base-label)
-    #: granularity, deduplicated: ``dst`` was acquired while ``src``
-    #: was held.  The static<->dynamic cross-check consumes this.
-    edge_pairs: Tuple[Tuple[str, str], ...] = ()
 
     @property
     def clean(self) -> bool:
@@ -398,17 +378,11 @@ class LockTracker:
 
     def report(self) -> RaceReport:
         with self._mutex:
-            pairs = {
-                (base_label(edge.src_name), base_label(edge.dst_name))
-                for row in self._graph.values()
-                for edge in row.values()
-            }
             return RaceReport(
                 cycles=tuple(self._cycles),
                 blocking=tuple(self._blocking),
                 locks=self._next_uid,
                 edges=sum(len(row) for row in self._graph.values()),
-                edge_pairs=tuple(sorted(pairs)),
             )
 
     def reset(self) -> None:

@@ -3,8 +3,8 @@ repo-invariant linter.
 
 Every intentional deadlock here is reconstructed against a *private*
 :class:`LockTracker` (via ``tracking(...)``), so a suite-wide ``--race``
-tracker only ever sees the real system's behavior and its session-end
-clean assertion stays meaningful.
+tracker only ever sees the real system's behavior and its per-test
+clean check stays meaningful.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import sync
 from repro.analysis.lint import Violation, lint_source, lint_tree, main
 from repro.analysis.sync import (
     DeadlockError,
@@ -34,18 +35,19 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestPassthrough:
-    def test_disabled_factories_return_raw_primitives(self):
+    """``--race`` installs a tracker for the whole run; these tests
+    uninstall it for their own bodies, so they run under it too."""
+
+    def test_disabled_factories_return_raw_primitives(self, monkeypatch):
         """Without a tracker the factories ARE ``threading`` - the
         zero-overhead-when-off contract (the NULL_OBS of locks)."""
-        if current_tracker() is not None:
-            pytest.skip("--race installs a tracker for the whole run")
+        monkeypatch.setattr(sync, "_current", None)
         assert type(TrackedLock()) is type(threading.Lock())
         assert type(TrackedRLock()) is type(threading.RLock())
         assert isinstance(TrackedCondition(), threading.Condition)
 
-    def test_tracked_condition_over_raw_lock_stays_raw(self):
-        if current_tracker() is not None:
-            pytest.skip("--race installs a tracker for the whole run")
+    def test_tracked_condition_over_raw_lock_stays_raw(self, monkeypatch):
+        monkeypatch.setattr(sync, "_current", None)
         lock = threading.Lock()
         cond = TrackedCondition(lock)
         assert isinstance(cond, threading.Condition)
@@ -336,13 +338,15 @@ class TestHistoricalDeadlocks:
             def dial(x, y):
                 channels.append(x.connect(y))
 
-            t1 = threading.Thread(target=dial, args=(a, b))
-            t2 = threading.Thread(target=dial, args=(b, a))
-            t1.start(); t2.start(); t1.join(); t2.join()
-            assert channels[0] is channels[1]
+            # Bounded joins: a regression to nested node locks deadlocks
+            # for real, and must fail with the inversion, not hang.
+            t1 = threading.Thread(target=dial, args=(a, b), daemon=True)
+            t2 = threading.Thread(target=dial, args=(b, a), daemon=True)
+            t1.start(); t2.start(); t1.join(10); t2.join(10)
         report = t.report()
         assert not report.cycles, report.format()
         assert not report.blocking, report.format()
+        assert channels[0] is channels[1]
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +396,6 @@ class TestLinter:
         forms = [
             "from time import monotonic\nx = monotonic()\n",
             "from time import perf_counter as pc\nx = pc()\n",
-            "from time import sleep\nsleep(1)\n",
             "import time as t\nx = t.monotonic()\n",
             "from datetime import datetime as dt\nx = dt.now()\n",
         ]
@@ -460,6 +463,23 @@ class TestLinter:
         assert [
             v.rule for v in _violations(bad, "src/repro/core/new.py")
         ] == ["raw-lock"]
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "import time\ntime.sleep(1)\n",
+            "from time import sleep as pause\npause(1)\n",
+            "import time as t\nt.sleep(0)\n",
+        ],
+    )
+    def test_sleep_anywhere_outside_analysis(self, src):
+        # --race cannot see a sleep under a lock, so lint forbids it in
+        # every module the tracker watches, sim-clocked or not
+        for relpath in ("src/repro/fixpoint/x.py", "src/repro/sim/engine.py"):
+            out = _violations(src, relpath)
+            assert [v.rule for v in out] == ["sleep"], (relpath, src)
+            assert "time.sleep" in out[0].message
+        assert _violations(src, "src/repro/analysis/sync.py") == []
 
     def test_threading_event_and_thread_are_fine(self):
         ok = (

@@ -425,3 +425,20 @@ class TestChannelClose:
         assert not waiter.is_alive()
         assert len(errors) == 1
         assert f"closed while frame {seqs[0]} awaited delivery" in str(errors[0])
+
+    def test_serve_parked_on_its_turn_holds_no_node_lock(self, pair):
+        """A request served ahead of its predecessor waits for its turn
+        holding none of the server's locks: the predecessor's serve
+        needs the node lock to land, so holding it would deadlock."""
+        import time
+
+        a, b = pair
+        _, skipped = a.peers["beta"].send(a, b"frame-k")  # never served
+        future = a.delegate_async("beta", add_encode(a, 1, 2))
+        time.sleep(0.2)  # the serve thread parks on frame k's turn
+        try:
+            assert b._lock.acquire(timeout=1.0), "parked serve holds the lock"
+            b._lock.release()
+        finally:
+            a.peers["beta"].arrival(a, skipped).release()
+        assert blob_int(a.repo.get_blob(future.result(5)).data) == 3

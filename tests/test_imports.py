@@ -35,9 +35,6 @@ def _fresh_python(code: str) -> str:
 #: diff here - pkgutil walking below catches *additions* we forgot.
 EXPECTED_MODULES = [
     "repro.analysis",
-    "repro.analysis.callgraph",
-    "repro.analysis.crosscheck",
-    "repro.analysis.flow",
     "repro.analysis.lint",
     "repro.analysis.sync",
     "repro.baselines",
