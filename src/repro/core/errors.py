@@ -106,12 +106,17 @@ class SimulationError(FixError):
 
 
 class FrameReader:
-    """The one bounds check every ``unpack_*`` reads through: a read
-    past the frame - or a string field that is not UTF-8 - raises
-    ``error`` (the decoder's own :class:`FixError` subclass) naming the
-    field and the offset, instead of letting ``struct`` or ``decode``
-    raise a bare error - or a slice silently come back short and the
-    tail misparse as garbage fields.
+    """The refusals every ``unpack_*`` raises: a read past the frame, a
+    string field that is not UTF-8, or bytes left after a whole frame
+    raise ``error`` (the decoder's own :class:`FixError` subclass)
+    naming the field and the offset, instead of letting ``struct`` or
+    ``decode`` raise a bare error - or a slice silently come back short
+    and the tail misparse as garbage fields.
+
+    The gossip and membership decoders read a well-formed entry in one
+    pass with their bounds checked inline, and come here only for an
+    entry that pass refused: re-read field by field, it raises the
+    error that names what was wrong.
     """
 
     def __init__(self, error: type):
@@ -133,6 +138,14 @@ class FrameReader:
         if end > len(raw):
             self.take(raw, offset, fmt.size, field)  # raises
         return fmt.unpack_from(raw, offset)[0], end
+
+    def done(self, raw: bytes, offset: int, frame: str) -> None:
+        """Refuse bytes past ``offset``, where a whole ``frame`` ends."""
+        if offset != len(raw):
+            raise self.error(
+                f"trailing bytes: {frame} ends at offset {offset} but "
+                f"{len(raw)} byte(s) arrived"
+            )
 
     def text(self, raw: bytes, offset: int, size: int, field: str):
         """``size`` bytes of UTF-8 at ``offset``: ``(str, end offset)``."""

@@ -95,5 +95,8 @@ def decode_bundle(repo: Repository, raw: bytes) -> List[Handle]:
         handle, offset = decode_frame(repo, raw, offset)
         handles.append(handle)
     if offset != len(raw):
-        raise SerializationError("trailing bytes after bundle")
+        raise SerializationError(
+            f"trailing bytes: bundle ends at offset {offset} but "
+            f"{len(raw)} byte(s) arrived"
+        )
     return handles

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from typing import (
     AbstractSet,
-    Container,
     Dict,
     Iterable,
     Iterator,
@@ -46,7 +45,13 @@ def _stored_handle(key: bytes, datum: Datum) -> Handle:
 
 
 class Repository:
-    """Thread-safe content-addressed store for Blobs, Trees, and results."""
+    """Thread-safe content-addressed store for Blobs, Trees, and results.
+
+    Every stored datum is keyed by its content key and ranked at first
+    store by a counter that only grows, so the store can answer by key
+    (:meth:`handles_of`, :meth:`held_sizes`) or by rank
+    (:meth:`sizes_after`: what was stored since a watermark) without
+    walking or hashing what it holds."""
 
     def __init__(self, name: str = "repo"):
         self.name = name
@@ -54,7 +59,8 @@ class Repository:
         self._data: Dict[bytes, Datum] = {}
         # Each stored key's first-stored rank, from a counter never
         # reused; dropped with its datum, so a re-put ranks last - the
-        # order ``_data`` iterates in.
+        # order ``_data`` iterates in.  ``handles_of`` sorts by it, and
+        # ``sizes_after`` lists what was stored above a watermark.
         self._rank: Dict[bytes, int] = {}
         self._ranks = itertools.count()
         self._results: Dict[Handle, Handle] = {}
@@ -170,16 +176,27 @@ class Repository:
         with self._lock:
             return sum(map(_wire_size, self._data.values()))
 
-    def sizes_beyond(self, known: Container[bytes]) -> List[Tuple[bytes, int]]:
-        """``(content key, wire size)`` of every stored datum whose key is
-        not in ``known``, in first-stored order.  Nothing is hashed: the
-        store's key *is* the content key."""
+    def sizes_after(self, rank: int) -> Tuple[List[Tuple[bytes, int]], int]:
+        """``(content key, wire size)`` of every stored datum ranked
+        above ``rank``, in first-stored order, and the highest rank
+        stored (``rank`` when nothing is above it).
+
+        Ranks only grow and ``_data`` iterates in rank order, so this is
+        a scan back from the newest datum that stops at the first one
+        ranked at or below ``rank``: O(news), not O(store).  ``-1``
+        lists the whole store.  Nothing is hashed: the store's key *is*
+        the content key."""
         with self._lock:
-            return [
-                (key, _wire_size(datum))
-                for key, datum in self._data.items()
-                if key not in known
-            ]
+            ranks = self._rank
+            news = []
+            for key, datum in reversed(self._data.items()):
+                if ranks[key] <= rank:
+                    break
+                news.append((key, _wire_size(datum)))
+            if news:
+                rank = ranks[news[0][0]]
+                news.reverse()
+            return news, rank
 
     def held_sizes(self, keys: Iterable[bytes]) -> Dict[bytes, int]:
         """Content key -> wire size for each of ``keys`` that is stored:
@@ -206,7 +223,7 @@ class Repository:
 
         Only :func:`repro.core.gc.collect` still walks the whole store
         this way; the tests keep it as the independent reference that
-        :meth:`handles_of`, :meth:`sizes_beyond` and :meth:`held_sizes`
+        :meth:`handles_of`, :meth:`sizes_after` and :meth:`held_sizes`
         are checked against."""
         with self._lock:
             data = list(self._data.values())

@@ -53,11 +53,15 @@ from .objectview import Delta, Digest, Entry, ObjectView
 _COUNT = struct.Struct("<I")
 _LEN = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
+#: A delta entry's fields between its origin and its name, always
+#: present together: ``[u64 version][u8 name tag][u16 name length]``.
+_STAMP = struct.Struct("<QBH")
+#: A sized entry's tail: ``[u8 size flag 1][u64 size]``.
+_SIZED = struct.Struct("<BQ")
 
-_NAME_STR = b"\x00"
-_NAME_BYTES = b"\x01"
-_NO_SIZE = b"\x00"
-_HAS_SIZE = b"\x01"
+_NAME_STR, _NAME_BYTES = 0, 1  # the name tag byte
+_NO_SIZE, _HAS_SIZE = 0, 1  # the size flag byte
+_SIZELESS = bytes([_NO_SIZE])
 
 
 class GossipError(FixError):
@@ -69,9 +73,18 @@ _frame = FrameReader(GossipError)
 
 # ----------------------------------------------------------------------
 # Wire codec (shared with repro.fixpoint.net's GOSSIP frames)
+#
+# Each decoder reads an entry in one pass: fixed-width field groups
+# through one struct, bounds checked inline, origin and location strings
+# decoded once per frame.  An entry that pass cannot read - short,
+# not UTF-8, a bad tag or flag byte - sends the decoder to its
+# field-by-field loop from that entry on, which reads through the
+# FrameReader and refuses naming the field and the offset.
 
 
 def pack_digest(digest: Digest) -> bytes:
+    """``[u32 count]`` then per origin, sorted:
+    ``[u16 len][origin][u64 cap]``."""
     parts = [_COUNT.pack(len(digest.versions))]
     for origin in sorted(digest.versions):
         raw = origin.encode("utf-8")
@@ -79,73 +92,143 @@ def pack_digest(digest: Digest) -> bytes:
     return b"".join(parts)
 
 
+def _cap_by_fields(raw: bytes, offset: int) -> Tuple[str, int, int]:
+    length, offset = _frame.unpack(_LEN, raw, offset, "origin length")
+    origin, offset = _frame.text(raw, offset, length, "origin")
+    version, offset = _frame.unpack(_U64, raw, offset, "version cap")
+    return origin, version, offset
+
+
 def unpack_digest(raw: bytes, offset: int = 0) -> Tuple[Digest, int]:
     count, offset = _frame.unpack(_COUNT, raw, offset, "origin count")
+    end = len(raw)
     versions: Dict[str, int] = {}
-    for _ in range(count):
-        length, offset = _frame.unpack(_LEN, raw, offset, "origin length")
-        origin, offset = _frame.text(raw, offset, length, "origin")
-        version, offset = _frame.unpack(_U64, raw, offset, "version cap")
-        versions[origin] = version
+    for read in range(count):
+        at = offset + 2
+        if at > end:
+            break
+        stop = at + _LEN.unpack_from(raw, offset)[0]
+        if stop + 8 > end:
+            break
+        try:
+            origin = raw[at:stop].decode("utf-8")
+        except UnicodeDecodeError:
+            break
+        versions[origin] = _U64.unpack_from(raw, stop)[0]
+        offset = stop + 8
+    else:
+        return Digest(versions), offset
+    for _ in range(read, count):
+        origin, versions[origin], offset = _cap_by_fields(raw, offset)
     return Digest(versions), offset
 
 
-def _pack_name(name) -> bytes:
-    if isinstance(name, bytes):
-        return _NAME_BYTES + _LEN.pack(len(name)) + name
-    if isinstance(name, str):
-        raw = name.encode("utf-8")
-        return _NAME_STR + _LEN.pack(len(raw)) + raw
-    raise GossipError(
-        f"cannot serialize object name of type {type(name).__name__!r} "
-        "(wire gossip carries str or bytes names)"
-    )
-
-
-def _unpack_name(raw: bytes, offset: int):
-    tag, offset = _frame.take(raw, offset, 1, "name tag")
-    length, offset = _frame.unpack(_LEN, raw, offset, "name length")
-    if tag == _NAME_STR:
-        return _frame.text(raw, offset, length, "name")
-    body, offset = _frame.take(raw, offset, length, "name")
-    if tag == _NAME_BYTES:
-        return bytes(body), offset
-    raise GossipError(f"bad name tag byte {tag!r} in gossip delta")
-
-
 def pack_delta(delta: Delta) -> bytes:
+    """``[digest of the caps][u32 count]`` then per entry ``[u16 len]
+    [origin][u64 version][u8 name tag: 0 str, 1 bytes][u16 len][name]
+    [u16 len][location][u8 0]`` or ``...[u8 1][u64 size]``."""
     parts = [pack_digest(Digest(delta.versions)), _COUNT.pack(len(delta.entries))]
     for origin, version, name, location, size in delta.entries:
+        if isinstance(name, bytes):
+            tag, name_raw = _NAME_BYTES, name
+        elif isinstance(name, str):
+            tag, name_raw = _NAME_STR, name.encode("utf-8")
+        else:
+            raise GossipError(
+                f"cannot serialize object name of type {type(name).__name__!r} "
+                "(wire gossip carries str or bytes names)"
+            )
         origin_raw = origin.encode("utf-8")
         location_raw = location.encode("utf-8")
-        parts.append(_LEN.pack(len(origin_raw)) + origin_raw + _U64.pack(version))
-        parts.append(_pack_name(name))
-        parts.append(_LEN.pack(len(location_raw)) + location_raw)
-        if size is None:
-            parts.append(_NO_SIZE)
-        else:
-            parts.append(_HAS_SIZE + _U64.pack(size))
+        parts.append(
+            _LEN.pack(len(origin_raw))
+            + origin_raw
+            + _STAMP.pack(version, tag, len(name_raw))
+            + name_raw
+            + _LEN.pack(len(location_raw))
+            + location_raw
+            + (_SIZELESS if size is None else _SIZED.pack(_HAS_SIZE, size))
+        )
     return b"".join(parts)
+
+
+def _entry_by_fields(raw: bytes, offset: int) -> Tuple[Entry, int]:
+    length, offset = _frame.unpack(_LEN, raw, offset, "origin length")
+    origin, offset = _frame.text(raw, offset, length, "origin")
+    version, offset = _frame.unpack(_U64, raw, offset, "version")
+    tag, offset = _frame.take(raw, offset, 1, "name tag")
+    length, offset = _frame.unpack(_LEN, raw, offset, "name length")
+    if tag[0] == _NAME_STR:
+        name, offset = _frame.text(raw, offset, length, "name")
+    else:
+        name, offset = _frame.take(raw, offset, length, "name")
+        if tag[0] != _NAME_BYTES:
+            raise GossipError(f"bad name tag byte {tag!r} in gossip delta")
+    length, offset = _frame.unpack(_LEN, raw, offset, "location length")
+    location, offset = _frame.text(raw, offset, length, "location")
+    flag, offset = _frame.take(raw, offset, 1, "size flag")
+    size: Optional[int] = None
+    if flag[0] == _HAS_SIZE:
+        size, offset = _frame.unpack(_U64, raw, offset, "size")
+    elif flag[0] != _NO_SIZE:
+        raise GossipError(f"bad size flag byte {flag!r} in gossip delta")
+    return (origin, version, name, location, size), offset
 
 
 def unpack_delta(raw: bytes, offset: int = 0) -> Tuple[Delta, int]:
     caps, offset = unpack_digest(raw, offset)
     count, offset = _frame.unpack(_COUNT, raw, offset, "entry count")
+    end = len(raw)
+    texts: Dict[bytes, str] = {}  # origin and location bytes -> str
     entries: List[Entry] = []
+    append = entries.append
     for _ in range(count):
-        length, offset = _frame.unpack(_LEN, raw, offset, "origin length")
-        origin, offset = _frame.text(raw, offset, length, "origin")
-        version, offset = _frame.unpack(_U64, raw, offset, "version")
-        name, offset = _unpack_name(raw, offset)
-        length, offset = _frame.unpack(_LEN, raw, offset, "location length")
-        location, offset = _frame.text(raw, offset, length, "location")
-        flag, offset = _frame.take(raw, offset, 1, "size flag")
-        size: Optional[int] = None
-        if flag == _HAS_SIZE:
-            size, offset = _frame.unpack(_U64, raw, offset, "size")
-        elif flag != _NO_SIZE:
-            raise GossipError(f"bad size flag byte {flag!r} in gossip delta")
-        entries.append((origin, version, name, location, size))
+        at = offset + 2
+        if at > end:
+            break
+        stamp = at + _LEN.unpack_from(raw, offset)[0]
+        name_at = stamp + 11
+        if name_at > end:
+            break
+        version, tag, length = _STAMP.unpack_from(raw, stamp)
+        name_end = name_at + length
+        if name_end + 2 > end:
+            break
+        location_at = name_end + 2
+        flag_at = location_at + _LEN.unpack_from(raw, name_end)[0]
+        if flag_at >= end:
+            break
+        flag = raw[flag_at]
+        if flag == _NO_SIZE:
+            size, next_at = None, flag_at + 1
+        elif flag == _HAS_SIZE and flag_at + 9 <= end:
+            size, next_at = _U64.unpack_from(raw, flag_at + 1)[0], flag_at + 9
+        else:
+            break
+        try:
+            if tag == _NAME_BYTES:
+                name = raw[name_at:name_end]
+            elif tag == _NAME_STR:
+                name = raw[name_at:name_end].decode("utf-8")
+            else:
+                break
+            key = raw[at:stamp]
+            origin = texts.get(key)
+            if origin is None:
+                origin = texts[key] = key.decode("utf-8")
+            key = raw[location_at:flag_at]
+            location = texts.get(key)
+            if location is None:
+                location = texts[key] = key.decode("utf-8")
+        except UnicodeDecodeError:
+            break
+        append((origin, version, name, location, size))
+        offset = next_at
+    else:
+        return Delta(tuple(entries), dict(caps.versions)), offset
+    for _ in range(len(entries), count):
+        entry, offset = _entry_by_fields(raw, offset)
+        append(entry)
     return Delta(tuple(entries), dict(caps.versions)), offset
 
 

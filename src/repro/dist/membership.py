@@ -86,6 +86,9 @@ _COUNT = struct.Struct("<I")
 _LEN = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
 _STATUS = struct.Struct("<B")
+#: A member's fields after its name, always present together:
+#: ``[u64 incarnation][u64 heartbeat][u8 status]``.
+_LIFE = struct.Struct("<QQB")
 
 
 class MembershipError(FixError):
@@ -174,9 +177,9 @@ def pack_members(members: Iterable[Member]) -> bytes:
         parts.append(
             _LEN.pack(len(raw))
             + raw
-            + _U64.pack(member.incarnation)
-            + _U64.pack(member.heartbeat)
-            + _STATUS.pack(_RANK[member.status])
+            + _LIFE.pack(
+                member.incarnation, member.heartbeat, _RANK[member.status]
+            )
         )
     return b"".join(parts)
 
@@ -190,19 +193,48 @@ def members_wire_bytes(members: Optional[Iterable[Member]]) -> int:
     return _COUNT.size + sum(m.wire_bytes() for m in members)
 
 
+def _member_by_fields(raw: bytes, offset: int) -> Tuple[Member, int]:
+    length, offset = _frame.unpack(_LEN, raw, offset, "node length")
+    node, offset = _frame.text(raw, offset, length, "node name")
+    incarnation, offset = _frame.unpack(_U64, raw, offset, "incarnation")
+    heartbeat, offset = _frame.unpack(_U64, raw, offset, "heartbeat")
+    rank, offset = _frame.unpack(_STATUS, raw, offset, "status")
+    status = _BY_RANK.get(rank)
+    if status is None:
+        raise MembershipError(f"bad membership status byte {rank}")
+    return Member(node, heartbeat, status, incarnation), offset
+
+
 def unpack_members(raw: bytes, offset: int = 0) -> Tuple[Tuple[Member, ...], int]:
+    """Each member in one pass: ``incarnation, heartbeat, status``
+    through one struct, bounds checked inline.  A member that pass
+    cannot read sends the rest of the frame through the field-by-field
+    reads, which refuse naming the field and the offset."""
     count, offset = _frame.unpack(_COUNT, raw, offset, "count")
+    end = len(raw)
     members: List[Member] = []
     for _ in range(count):
-        length, offset = _frame.unpack(_LEN, raw, offset, "node length")
-        node, offset = _frame.text(raw, offset, length, "node name")
-        incarnation, offset = _frame.unpack(_U64, raw, offset, "incarnation")
-        heartbeat, offset = _frame.unpack(_U64, raw, offset, "heartbeat")
-        rank, offset = _frame.unpack(_STATUS, raw, offset, "status")
+        at = offset + 2
+        if at > end:
+            break
+        stop = at + _LEN.unpack_from(raw, offset)[0]
+        if stop + 17 > end:
+            break
+        incarnation, heartbeat, rank = _LIFE.unpack_from(raw, stop)
         status = _BY_RANK.get(rank)
         if status is None:
-            raise MembershipError(f"bad membership status byte {rank}")
+            break
+        try:
+            node = raw[at:stop].decode("utf-8")
+        except UnicodeDecodeError:
+            break
         members.append(Member(node, heartbeat, status, incarnation))
+        offset = stop + 17
+    else:
+        return tuple(members), offset
+    for _ in range(len(members), count):
+        member, offset = _member_by_fields(raw, offset)
+        members.append(member)
     return tuple(members), offset
 
 
@@ -413,19 +445,28 @@ class MembershipView:
         records changed.  Idempotent by the lattice: replaying a map
         changes nothing.  A suspicion *about this node* is refuted on
         the spot by beating past it, and a tombstone about this node by
-        bumping the incarnation - the SWIM self-defense, generalized."""
+        bumping the incarnation - the SWIM self-defense, generalized.
+
+        A member whose :meth:`~Member.order_key` is not above the held
+        record's costs one comparison: the join would keep the held
+        record, so nothing is stored."""
         newly_dead: List[str] = []
         rejoined: List[str] = []
         refuted: Optional[int] = None
         with self._lock:
             applied = 0
+            held = self._members
             for member in members:
-                before = self._members.get(member.node)
+                current = held.get(member.node)
+                if (
+                    current is not None
+                    and member.order_key() <= current.order_key()
+                ):
+                    continue
                 dead, back = self._store(member)
                 newly_dead.extend(dead)
                 rejoined.extend(back)
-                if self._members[member.node] != before:
-                    applied += 1
+                applied += 1
             me = self._members[self.node]
             if me.status == SUSPECT or me.is_dead:
                 _, refuted = self._beat_locked()

@@ -290,6 +290,12 @@ class ObjectView:
         self._log_total = 0
         self._replicas = 0
         self._compactions = 0
+        #: Times a belief about this view's own node was retracted
+        #: (:meth:`forget`, :meth:`evict`) or its gate lifted
+        #: (:meth:`readmit`, after which learns it dropped may be
+        #: retried).  A node stamping its store into the view from a
+        #: watermark rescans the whole store when this moves.
+        self.own_retractions = 0
 
     # ------------------------------------------------------------------
     # Observation
@@ -398,6 +404,8 @@ class ObjectView:
             if not locations:
                 del self._locations[name]
             self._holdings[location].discard(name)
+            if location == self.node:
+                self.own_retractions += 1
 
     def evict(self, location: str) -> int:
         """Tombstone ``location``: purge every belief about it, until
@@ -423,6 +431,8 @@ class ObjectView:
             if location in self._evicted:
                 return 0
             self._evicted.add(location)
+            if location == self.node:
+                self.own_retractions += 1
             names = self._holdings.pop(location, set())
             for name in names:
                 locations = self._locations.get(name)
@@ -455,6 +465,8 @@ class ObjectView:
             if location not in self._evicted:
                 return False
             self._evicted.discard(location)
+            if location == self.node:
+                self.own_retractions += 1
             return True
 
     def advance_epoch(self, epoch: int) -> int:

@@ -56,7 +56,9 @@ delegations overlap their wire time (pipelined, still ordered).
 its *reply* (ok or error), and the gossip *SYN*, *ACK* and *PUSH*.  Each
 has one ``pack_*``/``unpack_*`` pair below, and its layout is stated on
 the ``pack_*`` docstring and nowhere else; :class:`FixpointNode` only
-ever handles decoded values.  Every frame carries a 16-byte
+ever handles decoded values.  A decoder refuses a byte past its frame's
+last field (a request's or ok reply's remainder is its bundle, which
+refuses its own).  Every frame carries a 16-byte
 :class:`~repro.obs.SpanContext`, which is how tracing crosses the wire:
 the request carries the caller's *dispatch* span, the reply (ok or
 error) the peer's *serve* span, and the caller's *absorb* span parents
@@ -244,7 +246,8 @@ def _unpack_error(wire: bytes, offset: int = 0) -> RemoteError:
     length, offset = _frame.unpack(
         _ERR_MSG_LEN, wire, offset, "error message length"
     )
-    message, _ = _frame.text(wire, offset, length, "error message")
+    message, offset = _frame.text(wire, offset, length, "error message")
+    _frame.done(wire, offset, "error reply")
     return error_type, message
 
 
@@ -299,7 +302,9 @@ def unpack_syn(wire: bytes) -> Tuple[str, SpanContext, Digest, Members]:
     offset = _unpack_tag(wire, _GOSSIP_SYN, "gossip syn tag")
     sender, ctx, offset = _unpack_header(wire, offset)
     digest, offset = unpack_digest(wire, offset)
-    return sender, ctx, digest, unpack_members(wire, offset)[0]
+    members, offset = unpack_members(wire, offset)
+    _frame.done(wire, offset, "gossip syn")
+    return sender, ctx, digest, members
 
 
 def pack_ack(
@@ -315,7 +320,9 @@ def unpack_ack(wire: bytes) -> Tuple[SpanContext, Digest, Delta, Members]:
     ctx, offset = _unpack_ctx(wire, offset)
     digest, offset = unpack_digest(wire, offset)
     delta, offset = unpack_delta(wire, offset)
-    return ctx, digest, delta, unpack_members(wire, offset)[0]
+    members, offset = unpack_members(wire, offset)
+    _frame.done(wire, offset, "gossip ack")
+    return ctx, digest, delta, members
 
 
 def pack_push(sender: str, ctx: SpanContext, delta: Delta) -> bytes:
@@ -326,7 +333,9 @@ def pack_push(sender: str, ctx: SpanContext, delta: Delta) -> bytes:
 def unpack_push(wire: bytes) -> Tuple[str, SpanContext, Delta]:
     offset = _unpack_tag(wire, _GOSSIP_PUSH, "gossip push tag")
     sender, ctx, offset = _unpack_header(wire, offset)
-    return sender, ctx, unpack_delta(wire, offset)[0]
+    delta, offset = unpack_delta(wire, offset)
+    _frame.done(wire, offset, "gossip push")
+    return sender, ctx, delta
 
 
 @dataclass(frozen=True)
@@ -714,6 +723,11 @@ class FixpointNode:
         #: This node's side of the gossip handshake: the step order
         #: lives there; the GOSSIP methods below are its wire driver.
         self._gossip = Participant(self.view, self.membership)
+        #: ``(store rank, view.own_retractions)`` as the last
+        #: :meth:`_refresh_self` left them: everything ranked at or
+        #: below the rank was offered to the view.  One tuple, written
+        #: whole, so a concurrent refresh reads a consistent pair.
+        self._refreshed: Tuple[int, int] = (-1, 0)
         #: In-flight delegations per peer - the load signal the cost
         #: model spreads equal-price candidates with.  Raised at
         #: dispatch, lowered when the reply has been absorbed, so it is
@@ -986,13 +1000,23 @@ class FixpointNode:
     # Gossip: digest/delta anti-entropy over live channels
 
     def _refresh_self(self) -> int:
-        """Stamp into the view what this node stores and the view does
-        not yet believe it holds (a node always knows its disk); returns
-        how many.  The store is asked only for keys beyond that belief,
-        so a converged handshake hashes nothing and learns nothing."""
-        news = self.repo.sizes_beyond(self.view.holdings(self.name))
+        """Stamp into the view what this node stored since the last
+        refresh (a node always knows its disk); returns how many stored
+        data it visited.
+
+        The store is asked for what it ranked above a watermark, so a
+        converged handshake visits nothing and learns nothing, and k
+        puts cost k visits.  ``learn`` drops what the view already
+        believes.  When the view retracted a belief about this node or
+        lifted its eviction gate (``own_retractions`` moved), a stored
+        datum below the watermark may no longer be believed, so the
+        scan restarts from rank -1: the whole store, once."""
+        rank, retractions = self._refreshed
+        seen = self.view.own_retractions
+        news, top = self.repo.sizes_after(rank if seen == retractions else -1)
         for key, size in news:
             self.view.learn(key, self.name, size)
+        self._refreshed = (top, seen)
         return len(news)
 
     def gossip_with(self, peer_name: str) -> GossipTraffic:

@@ -176,7 +176,7 @@ class Fixpoint:
         data's lengths, nothing hashed; placement does not call it - a
         quote asks ``Repository.held_sizes`` about its footprint only.
         """
-        return dict(self.repo.sizes_beyond(()))
+        return dict(self.repo.sizes_after(-1)[0])
 
     def eval_blob(self, handle: Handle) -> bytes:
         """Evaluate and return the resulting Blob's payload."""

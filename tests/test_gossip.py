@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from repro.codelets.stdlib import blob_int, int_blob
 from repro.core import data as core_data
 from repro.core import handle as core_handle
+from repro.core import storage as core_storage
 from repro.core.errors import FixError, MissingObjectError
 from repro.core.gc import RecomputeIndex, collect
 from repro.core.minrepo import Footprint, footprint, transitive_footprint
@@ -834,7 +835,7 @@ class TestNetGossip:
                     node.gossip_sweep()
             truth = collections.defaultdict(set)
             for node in nodes:
-                for key, _size in node.repo.sizes_beyond(()):
+                for key, _size in node.repo.sizes_after(-1)[0]:
                     truth[key].add(node.name)
             for node in nodes:
                 assert node.view.snapshot() == truth, node.name
@@ -953,6 +954,13 @@ class _Twin:
         back = [self.nodes[name].repo.put(d) for d in self.dropped[name]]
         self.dropped[name].clear()
         return back
+
+    def op_retract(self, name, pick):
+        """The view stops believing the node holds a datum it still
+        stores (what a rolled-back optimistic advance does)."""
+        if self.put[name]:
+            datum = self.put[name][pick % len(self.put[name])]
+            self.nodes[name].view.forget(datum.handle().content_key(), name)
 
     def op_absorb(self, name, payloads):
         side = Repository("side")
@@ -1108,7 +1116,8 @@ def run_twins(script, candidate=None):
 
 
 def _stamp_news(node, wanted):
-    news = node.repo.sizes_beyond(node.view.holdings(node.name))
+    held = node.view.holdings(node.name)
+    news = [pair for pair in node.repo.sizes_after(-1)[0] if pair[0] not in held]
     for key, size in wanted(news):
         node.view.learn(key, node.name, size)
     return len(news)
@@ -1137,6 +1146,32 @@ def stamps_each_key_once(node):
     return stamped
 
 
+def _without_restart(method):
+    """``ObjectView.<method>`` that leaves ``own_retractions`` as it
+    found it: the watermark refresh then never rescans after it."""
+    real = getattr(ObjectView, method)
+
+    def kept(view, *args):
+        with view._lock:
+            count = view.own_retractions
+            try:
+                return real(view, *args)
+            finally:
+                view.own_retractions = count
+
+    return kept
+
+
+#: A belief about a datum the node still stores is retracted, then the
+#: node gossips: the full scan stamps it again.
+RETRACT_ONLY = [
+    ("blob", "n0", b"still stored" * 4),
+    ("gossip", "n0", "n1"),
+    ("retract", "n0", 0),
+    ("gossip", "n0", "n1"),
+]
+
+
 class TestRefreshStampsWhatTheScanStamped:
     @pytest.mark.parametrize("seed", range(6))
     def test_same_stamps_as_the_full_scan(self, seed):
@@ -1148,6 +1183,22 @@ class TestRefreshStampsWhatTheScanStamped:
     def test_the_oracle_catches_a_wrong_refresh(self, mutant):
         with pytest.raises(AssertionError):
             run_twins(soup(0), mutant)
+
+    @pytest.mark.parametrize(
+        "method, script",
+        [("readmit", soup(0)), ("forget", RETRACT_ONLY)],
+        ids=["no_restart_on_readmit", "no_restart_on_forget"],
+    )
+    def test_the_oracle_catches_a_watermark_that_does_not_restart(
+        self, monkeypatch, method, script
+    ):
+        """A retraction or a lifted gate leaves stored data below the
+        watermark unbelieved; without a rescan they are never stamped
+        again."""
+        run_twins(script)
+        monkeypatch.setattr(ObjectView, method, _without_restart(method))
+        with pytest.raises(AssertionError):
+            run_twins(script)
 
     def test_retracted_and_re_put_is_stamped_again(self):
         """The self-healing case by hand: dropped + retracted + re-put
@@ -1527,18 +1578,48 @@ class TestARefreshCostsItsNews:
         b.gossip_with("alpha")
         assert not calls
 
+    def test_a_handshake_visits_only_what_was_stored_since(self, monkeypatch):
+        """The refresh reads the store above its watermark: between
+        converged nodes it asks the view nothing and visits no stored
+        datum, and k puts later it visits exactly those k."""
+        a, b = FixpointNode("alpha"), FixpointNode("beta")
+        for node in (a, b):
+            for i in range(1000):
+                node.repo.put_blob(b"%s/%d " % (node.name.encode(), i) * 6)
+        a.connect(b)
+        a.gossip_with("beta")  # converged from here on
+        calls = collections.Counter()
+        _count_calls(monkeypatch, ObjectView, "holdings", calls)
+        _count_calls(monkeypatch, core_storage, "_wire_size", calls)  # a visit
+        a.gossip_with("beta")
+        b.gossip_with("alpha")
+        assert not calls
+
+        for i in range(7):
+            a.repo.put_blob(b"seven-%d " % i * 8)
+        a.gossip_with("beta")
+        assert calls == {("_wire_size", None): 7}
+        calls.clear()
+        b.gossip_with("alpha")
+        a.gossip_with("beta")
+        assert not calls
+
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(blob_or_tree(), min_size=1, max_size=10), st.integers(0, 1023))
-    def test_the_listing_is_the_handles_without_the_hashing(self, data_in, mask):
+    @given(st.lists(blob_or_tree(), min_size=1, max_size=10))
+    def test_the_listing_is_the_handles_without_the_hashing(self, data_in):
         repo = Repository()
 
         def check():
+            """``sizes_after`` at every watermark from -1 to past the
+            top, the ranks of forgotten data included, against the
+            hashing scan."""
             want = [(h.content_key(), h.byte_size()) for h in repo.handles()]
-            assert repo.sizes_beyond(()) == want
-            known = {key for i, (key, _) in enumerate(want) if mask >> i & 1}
-            assert repo.sizes_beyond(known) == [
-                pair for pair in want if pair[0] not in known
-            ]
+            ranks = [repo._rank[key] for key, _ in want]
+            assert ranks == sorted(ranks)
+            top = ranks[-1] if ranks else -1
+            for mark in range(-1, top + 2):
+                above = [pair for pair, rank in zip(want, ranks) if rank > mark]
+                assert repo.sizes_after(mark) == (above, top if above else mark)
             assert repo.data_bytes() == sum(size for _, size in want)
             return want
 
@@ -1840,7 +1921,7 @@ def believed_is_local(node, encode, candidates=None, prefer_local=False):
 
 def answers_for_the_whole_store(repo, keys):
     """Mutant: ``held_sizes`` returns keys it was not asked about."""
-    return dict(repo.sizes_beyond(()))
+    return dict(repo.sizes_after(-1)[0])
 
 
 QUOTE_MUTANTS = {
@@ -1970,7 +2051,7 @@ class TestAQuoteCostsItsFootprint:
         repo = Repository()
 
         def check():
-            listing = repo.sizes_beyond(())
+            listing = repo.sizes_after(-1)[0]
             present = [key for i, (key, _) in enumerate(listing) if mask >> i & 1]
             for keys in (present, absent, present + absent, [], dict(listing)):
                 assert repo.held_sizes(keys) == {

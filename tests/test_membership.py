@@ -20,18 +20,23 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pathlib
 import sys
+import textwrap
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codelets.stdlib import blob_int, int_blob
 from repro.core.errors import FixError, SchedulingError, SerializationError
 from repro.core.serialize import decode_bundle, decode_frame, encode_bundle
 from repro.core.storage import Repository
 from repro.core.thunks import make_application, make_identification, strict
+from repro.dist import membership as membership_module
 from repro.dist.gossip import (
     GossipConfig,
     GossipCoordinator,
@@ -419,6 +424,35 @@ class TestCodecTruncation:
             with pytest.raises(error, match="offset"):
                 unpack(bytes(corrupt))
 
+    #: Rows whose decoder does not own the frame's end: ``request`` and
+    #: ``reply`` return their remainder as the bundle (whose own row
+    #: refuses trailing bytes), and the offset-returning codecs hand
+    #: the end to the frame that nests them.
+    TRAILING_EXEMPT = {
+        "request": "the remainder is the bundle",
+        "reply": "the remainder is the bundle",
+        "members": "returns its end offset",
+        "digest": "returns its end offset",
+        "delta": "returns its end offset",
+        "frame": "returns its end offset",
+        "header": "returns its end offset",
+    }
+
+    @pytest.mark.parametrize(
+        "codec", sorted(CODECS.keys() - TRAILING_EXEMPT.keys())
+    )
+    def test_trailing_bytes_are_refused_with_the_offset(self, codec):
+        """A whole frame with bytes after its last field used to decode
+        as if they were not there: ``unpack_push(frame + b"GARBAGE")``
+        equalled ``unpack_push(frame)``."""
+        assert self.TRAILING_EXEMPT.keys() <= self.CODECS.keys()
+        frame, unpack, error, _fields = self.CODECS[codec]
+        for tail in (b"\x00", b"GARBAGE"):
+            with pytest.raises(
+                error, match=f"trailing bytes: .* at offset {len(frame)} "
+            ):
+                unpack(frame + tail)
+
     #: (codec, string field as its refusal names it, text the frame
     #: carries there) - one row per ``FrameReader.text`` read site.
     TEXT_FIELDS = [
@@ -755,6 +789,149 @@ class TestMembershipView:
         )
         view.merge([Member("peer", 1, DEAD)])
         assert seen == [{"peer"}]
+
+
+# ----------------------------------------------------------------------
+# The merge skips what the join would keep
+
+
+class _JoinEveryMember(MembershipView):
+    """``merge`` as it was: every member goes through ``_store`` (a join
+    and an equality test), and is counted by comparing the record
+    before and after."""
+
+    def merge(self, members):
+        newly_dead, rejoined, refuted = [], [], None
+        with self._lock:
+            applied = 0
+            for member in members:
+                before = self._members.get(member.node)
+                dead, back = self._store(member)
+                newly_dead.extend(dead)
+                rejoined.extend(back)
+                if self._members[member.node] != before:
+                    applied += 1
+            me = self._members[self.node]
+            if me.status == SUSPECT or me.is_dead:
+                _, refuted = self._beat_locked()
+        self._fire(newly_dead, rejoined, refuted)
+        return applied
+
+
+def _merge_mutant(old, new):
+    """A ``MembershipView`` whose ``merge`` is the shipped source with
+    ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(MembershipView.merge))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(membership_module))
+    code = "from __future__ import annotations\n" + source.replace(old, new)
+    exec(compile(code, membership_module.__file__, "exec"), namespace)
+    return type("Mutant", (MembershipView,), {"merge": namespace["merge"]})
+
+
+
+
+MERGE_NODES = ("me", "a", "b")
+
+
+def merge_world(cls):
+    """One view of ``cls`` over ``me`` whose hooks log, in order, every
+    death, rejoin and refutation they are handed."""
+    calls = []
+    view = cls(
+        "me",
+        suspect_after=2,
+        confirm_after=2,
+        on_dead=lambda node: calls.append(("dead", node)),
+        on_rejoin=lambda node: calls.append(("rejoin", node)),
+        on_refute=lambda incarnation: calls.append(("refute", incarnation)),
+    )
+    return view, calls
+
+
+def merge_state(view, calls):
+    return (
+        dict(view._members),
+        dict(view._since),
+        dict(view._announced),
+        view._ticks,
+        list(calls),
+    )
+
+
+def apply_membership_op(view, op):
+    kind, *args = op
+    if kind == "merge":
+        return view.merge(args[0])
+    return getattr(view, kind)(*args)
+
+
+_MEMBER = st.builds(
+    Member,
+    st.sampled_from(MERGE_NODES),
+    st.integers(0, 5),
+    st.sampled_from([ALIVE, SUSPECT, DEAD]),
+    st.integers(1, 3),
+)
+MEMBERSHIP_OPS = st.one_of(
+    st.tuples(st.just("beat")),
+    st.tuples(st.just("tick")),
+    st.tuples(
+        st.sampled_from(["suspect", "declare_dead"]), st.sampled_from(MERGE_NODES)
+    ),
+    st.tuples(st.just("merge"), st.lists(_MEMBER, max_size=6)),
+)
+
+
+def run_merge_twins(ops, candidate=MembershipView):
+    """The parent's merge and ``candidate``'s, op for op: same returns,
+    same records, ages and announcements, same hook calls in order."""
+    reference, ref_calls = merge_world(_JoinEveryMember)
+    shipped, calls = merge_world(candidate)
+    for step, op in enumerate(ops):
+        want = apply_membership_op(reference, op)
+        assert apply_membership_op(shipped, op) == want, (step, op)
+        state = merge_state(shipped, calls)
+        assert state == merge_state(reference, ref_calls), (step, op)
+
+
+#: Every case the skip decides, including doubts about ``me``: a lower,
+#: an equal and a higher record, a tombstone, a rejoin one incarnation
+#: up, and a suspicion and a tombstone about the view's own node.
+MERGE_SCRIPT = [
+    ("merge", [Member("a", 3, ALIVE), Member("b", 1, ALIVE)]),
+    ("merge", [Member("a", 2, ALIVE), Member("a", 3, ALIVE)]),
+    ("merge", [Member("a", 3, SUSPECT), Member("me", 1, SUSPECT)]),
+    ("tick",),
+    ("merge", [Member("b", 1, DEAD), Member("b", 1, DEAD)]),
+    ("merge", [Member("b", 1, ALIVE, 2), Member("me", 2, DEAD)]),
+    ("beat",),
+    ("tick",),
+    ("tick",),
+]
+
+
+class TestMergeSkipsWhatTheJoinKeeps:
+    """``MembershipView.merge`` skips a member whose ``order_key`` is not
+    above the held record's; the reference stores every member."""
+
+    def test_the_script_reads_the_same(self):
+        run_merge_twins(MERGE_SCRIPT)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(MEMBERSHIP_OPS, max_size=25))
+    def test_same_records_and_hooks_as_joining_every_member(self, ops):
+        run_merge_twins(ops)
+
+    def test_the_oracle_catches_an_equal_record_counted(self):
+        """The mutant skips only a lower record: an equal one reaches
+        ``_store``, which keeps the held record, and is counted anyway."""
+        skips_only_the_lower = _merge_mutant(
+            "member.order_key() <= current.order_key()",
+            "member.order_key() < current.order_key()",
+        )
+        with pytest.raises(AssertionError):
+            run_merge_twins(MERGE_SCRIPT, skips_only_the_lower)
 
 
 # ----------------------------------------------------------------------
