@@ -14,10 +14,9 @@ shapes:
   the dead node fail fast (closed channels wake parked waiters), roll
   back their optimistic view advance, and ``retry_elsewhere`` re-quotes
   them onto survivors through the same cost model as any dispatch;
-* **bounded long-run state** - under churny re-learning the per-view
-  gossip log stays bounded (compaction keeps the latest entry per
-  belief; version caps cover the gaps), so long-lived views stop
-  growing without bound;
+* **bounded long-run state** - re-learning what a view already believes
+  logs nothing: a content key's size never changes, so the traffic Fix
+  produces leaves one log entry per belief however often it repeats;
 * **rejoin readmission ladder** - rounds from a restart (one SWIM
   incarnation past the tombstone) until every survivor readmits the
   node stay on the same O(log n) epidemic schedule as detection, the
@@ -280,22 +279,25 @@ def lost_work_experiment():
 
 
 # ----------------------------------------------------------------------
-# Long-run state: churny re-learning stays bounded via compaction
+# Long-run state: re-learning the same beliefs logs nothing
 
 
-def bounded_state_experiment(flaps: int = 20_000):
+def bounded_state_experiment(relearns: int = 20_000):
+    """16 names on each of 4 peers, re-learned over and over, each name
+    at its one size (a content key's size is fixed by its content)."""
     view = ObjectView("long-lived")
-    for i in range(flaps):
-        view.learn(f"hot-{i % 16}", f"peer{i % 4}", 1 + (i % 31))
+    for i in range(relearns):
+        name = (i // 4) % 16
+        view.learn(f"hot-{name}", f"peer{i % 4}", 1 + name)
     stats = view.stats()
-    # A follower that merges the compacted state sees the same beliefs.
+    # A follower that merges the whole log sees the same beliefs.
     follower = ObjectView("follower")
     follower.merge_delta(view.delta_since(follower.digest()))
     assert follower.snapshot() == view.snapshot()
     return {
-        "flaps": flaps,
+        "relearns": relearns,
+        "replicas": stats["replicas"],
         "log_entries": stats["log_entries"],
-        "compactions": stats["compactions"],
     }
 
 
@@ -331,9 +333,8 @@ def test_churn_detection_recovery_and_bounded_state(benchmark, run_once):
         f"{lost['evictions']:.0f} evictions"
     )
     print(
-        f"long-run state: {state['flaps']:,d} re-learns -> "
-        f"{state['log_entries']} log entries "
-        f"({state['compactions']} compactions)"
+        f"long-run state: {state['relearns']:,d} re-learns of "
+        f"{state['replicas']} beliefs -> {state['log_entries']} log entries"
     )
 
     # The bug was real: before detection, the corpse's data held every
@@ -378,7 +379,6 @@ def test_churn_detection_recovery_and_bounded_state(benchmark, run_once):
     assert lost["retries_counted"] == lost["retried"]
     assert lost["evictions"] >= 3  # each survivor evicted the victim
 
-    # Long-lived views stay bounded: 20k re-learns, log under the
-    # compaction trigger, compaction actually ran.
-    assert state["log_entries"] < 64
-    assert state["compactions"] >= 1
+    # Long-lived views stay bounded: 20k re-learns of 16 x 4 beliefs
+    # leave one log entry each.
+    assert state["replicas"] == state["log_entries"] == 64

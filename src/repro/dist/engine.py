@@ -31,8 +31,9 @@ correctness - while all job schedulers share one outstanding-load map so
 co-resident jobs spread around each other's work.
 
 **Gossiped beliefs** - pass a :class:`~repro.dist.gossip.GossipConfig`
-and the platform stops granting its global view a free
-coordinator-eye registry snapshot.  Instead every machine keeps its own
+and jobs stop snapshotting the registry at admission: they are admitted
+from a platform-global view that gets no coordinator-eye snapshot.
+Instead every machine keeps its own
 :class:`ObjectView` (a node always knows its disk), the global view
 joins them in a :class:`~repro.dist.gossip.GossipCoordinator`, and
 beliefs reach it - and the jobs admitted from it - only as gossip
@@ -107,17 +108,17 @@ class FixpointSim(Platform):
             for machine in cluster.machines.values():
                 machine.resize_cores(oversubscribe_cores)
         self._seed = seed
-        #: The platform-global view (what it learns, and who reads it,
-        #: per mode: :meth:`_invoke_proc`).  Jobs place through their own
-        #: per-job schedulers (:meth:`start`), which share the platform's
-        #: load map, ``_outstanding``.
-        self.view = ObjectView("fixpoint-scheduler", clock=self.obs.clock)
-        #: job_id -> that job's scheduler (own view, shared load).
+        #: job_id -> that job's scheduler (own view, shared load).  Jobs
+        #: place through these (:meth:`start`), which share the
+        #: platform's load map, ``_outstanding``.
         self._job_schedulers: Dict[str, DataflowScheduler] = {}
-        #: Gossiped-belief mode: per-machine views plus the global view
-        #: anti-entropy through one seeded coordinator; the global view
-        #: then learns only what gossip has carried to it.
+        #: Gossiped-belief mode: per-machine views plus a platform-global
+        #: view anti-entropy through one seeded coordinator; the global
+        #: view learns only what gossip has carried to it, and jobs are
+        #: admitted from it.  Without gossip each job snapshots the
+        #: registry itself, so there is no global view.
         self.gossip_config = gossip
+        self.view: Optional[ObjectView] = None
         self.machine_views: Dict[str, ObjectView] = {}
         self.gossip: Optional[GossipCoordinator] = None
         #: Placement happens platform-side, so with gossip membership on
@@ -127,6 +128,7 @@ class FixpointSim(Platform):
         #: detection lag the churn bench measures.
         self.membership: Optional[MembershipView] = None
         if gossip is not None:
+            self.view = ObjectView("fixpoint-scheduler", clock=self.obs.clock)
             self.machine_views = {
                 name: ObjectView(name, clock=self.obs.clock)
                 for name in cluster.machines
@@ -158,11 +160,7 @@ class FixpointSim(Platform):
 
     def load(self, graph: JobGraph) -> None:
         super().load(graph)
-        if self.gossip is None:
-            # The global view snapshots the initial placements; outputs
-            # are learned as they materialize (see _invoke_proc).
-            self.view.sync_from_cluster(self.cluster)
-        else:
+        if self.gossip is not None:
             # No free registry snapshot: each machine learns its own
             # disk, and the global view hears whatever the startup
             # gossip budget carries to it.
@@ -327,12 +325,7 @@ class FixpointSim(Platform):
         # scheduler's view learns it (consumers will chase the data).
         self.cluster.add_object(task.output, task.output_size, node)
         scheduler.note_output(task.output, node, task.output_size)
-        if self.gossip is None:
-            # The platform-global view learns it too.  Jobs snapshot the
-            # cluster at admission in this mode, so the view is only the
-            # platform's own record of where outputs went.
-            self.view.learn(task.output, node, task.output_size)
-        else:
+        if self.gossip is not None:
             # Gossiped beliefs: the executing machine knows its own new
             # replica; everyone else - the global view included - only
             # hears about it as the round budget spreads it, and the

@@ -57,28 +57,16 @@ beat its own tombstone re-stamps its holdings under the new epoch's
 origin so survivors - whose caps cover everything it ever said before
 its "death" - relearn them through ordinary anti-entropy.
 
-Long-lived views also :meth:`compact`: within one origin's log, only
-the *latest* entry per ``(name, location)`` carries current belief, so
-superseded entries can be dropped without changing what any delta
-conveys (the caps cover the dropped versions, and ascending order is
-preserved - a subsequence of an ascending list is ascending).
-Compaction triggers automatically once the log outgrows the live belief
-set, which is what keeps view memory bounded under churn.
-
 Crucially the view is *never invalidated*: a replica created after the
 last observation is simply unknown, and :meth:`bytes_missing` prices a
 placement using beliefs, not ground truth.  Staleness costs only
 performance (a redundant transfer), never correctness - the same
 property the paper's design leans on.
 
-Every observation also maintains an inverted *holdings index*
-(machine -> believed names, plus believed sizes), so "what does machine
-M hold" is one lookup, and pricing is a single pass over the inputs -
-:meth:`bid` (the believed holders only: both drivers' one placement
-path, see :mod:`repro.dist.costmodel`) or :meth:`bytes_missing_many`
-/ :meth:`price_moves` (the same pass laid out over every machine) - so
-the fig. 10 link task (1,987 inputs) does not pay O(machines x inputs)
-per placement.
+The logs need no compaction: an origin stamps a ``(name, location)``
+pair again only when its size changes or after it retracted the pair,
+and a name is a content key whose content fixes its size, so a log
+grows with beliefs and retractions, never with repeated traffic.
 
 The view is internally locked: the executing runtime's asynchronous
 delegation (:mod:`repro.fixpoint.net`) absorbs replies on serving
@@ -261,9 +249,11 @@ class ObjectView:
         #: whole pricing pass while its locations callable re-enters.
         self._lock = TrackedRLock("ObjectView._lock")
         self._locations: Dict[Hashable, Set[str]] = {}
-        #: Inverted index, maintained by every observation: machine ->
-        #: names believed held there.
-        self._holdings: Dict[str, Set[Hashable]] = {}
+        #: How many names each location is believed to hold, changed
+        #: only where a ``(name, location)`` pair is added or removed.
+        #: Never zero: a location whose last belief goes is dropped, so
+        #: the keys are :meth:`known_locations`.
+        self._counts: Dict[str, int] = {}
         #: Believed sizes, recorded whenever an observation carried one
         #: (cluster snapshots always do; wire traffic carries handle sizes).
         self._sizes: Dict[Hashable, int] = {}
@@ -282,14 +272,6 @@ class ObjectView:
         #: Tombstoned locations (membership-confirmed dead): beliefs
         #: about them are purged and can never be re-learned.
         self._evicted: Set[str] = set()
-        #: Bounded-growth bookkeeping, each what ``stats()`` reports:
-        #: log entries (kept across record/forget/evict/compact),
-        #: believed (name, location) pairs - each is in some log, so
-        #: this is the live set the compaction trigger weighs the log
-        #: against - and compactions run (the churn bench asserts it).
-        self._log_total = 0
-        self._replicas = 0
-        self._compactions = 0
         #: Times a belief about this view's own node was retracted
         #: (:meth:`forget`, :meth:`evict`) or its gate lifted
         #: (:meth:`readmit`, after which learns it dropped may be
@@ -305,32 +287,36 @@ class ObjectView:
     ) -> None:
         """Record that ``location`` holds a replica of ``name``.
 
-        The single write path: the forward map, the holdings index, and
-        the size index advance together, so they can never disagree.
-        Genuinely *new* information (a new replica belief, or a size the
-        view had wrong) is also stamped with this view's next version so
-        anti-entropy can forward exactly it; re-learning what is already
-        believed stamps nothing - repeat observations stay free on the
-        gossip wire.
+        The forward map, the per-location count and the sizes advance
+        together.  Genuinely *new* information (a new replica belief,
+        or a size the view had wrong) is also stamped with this view's
+        next version so anti-entropy can forward exactly it; re-learning
+        what is already believed stamps nothing and logs nothing -
+        repeat observations stay free on the gossip wire and in memory.
         """
         with self._lock:
             if location in self._evicted:
                 return  # tombstoned: the location is gone, not stale
-            locations = self._locations.setdefault(name, set())
-            already_known = location in locations
             size_is_news = size is not None and self._sizes.get(name) != size
-            if not already_known:
-                locations.add(location)
-                self._replicas += 1
-            self._holdings.setdefault(location, set()).add(name)
+            is_new = self._add(name, location)
             if size is not None:
                 self._sizes[name] = size
-            if already_known and not size_is_news:
+            if not (is_new or size_is_news):
                 return
             if self._clock is not None:
                 self.last_advance = self._clock()
             self._record(self._origin, self._vector.get(self._origin, 0) + 1,
                          name, location, size)
+
+    def _add(self, name: Hashable, location: str) -> bool:
+        """Believe ``location`` holds ``name``; whether that is a new
+        pair (lock held by caller)."""
+        locations = self._locations.setdefault(name, set())
+        if location in locations:
+            return False
+        locations.add(location)
+        self._counts[location] = self._counts.get(location, 0) + 1
+        return True
 
     def _record(
         self,
@@ -349,13 +335,6 @@ class ObjectView:
         self._vector[origin] = max(self._vector.get(origin, 0), version)
         self._digest = None
         self._log.setdefault(origin, []).append((version, name, location, size))
-        self._log_total += 1
-        # Bounded growth: once the log clearly outweighs the live belief
-        # set (superseded re-learns, churned replicas), fold it down.
-        if self._log_total >= 64 and self._log_total > 4 * max(
-            1, self._replicas
-        ):
-            self._compact_locked()
 
     def forget(self, name: Hashable, location: str) -> None:
         """Retract the belief that ``location`` holds ``name``.
@@ -381,7 +360,8 @@ class ObjectView:
         re-send it, and a possibly-true fact would become permanently
         unlearnable through gossip.  Both answers are read from the
         logs - O(total log) for a believed pair - because what a delta
-        would ship is the only thing a retraction may go by.
+        would ship is the only thing a retraction may go by.  A dropped
+        belief leaves the forward map and its location's count.
         """
         with self._lock:
             locations = self._locations.get(name, _NOTHING)
@@ -390,9 +370,9 @@ class ObjectView:
             corroborated = False
             for origin, log in self._log.items():
                 if origin in self._own_origins:
-                    kept = [e for e in log if e[1] != name or e[2] != location]
-                    self._log_total -= len(log) - len(kept)
-                    self._log[origin] = kept
+                    self._log[origin] = [
+                        e for e in log if e[1] != name or e[2] != location
+                    ]
                 elif not corroborated:
                     corroborated = any(
                         e[1] == name and e[2] == location for e in log
@@ -400,10 +380,13 @@ class ObjectView:
             if corroborated:
                 return  # the belief outlives the rollback of our own say
             locations.discard(location)
-            self._replicas -= 1
             if not locations:
                 del self._locations[name]
-            self._holdings[location].discard(name)
+            left = self._counts[location] - 1
+            if left:
+                self._counts[location] = left
+            else:
+                del self._counts[location]
             if location == self.node:
                 self.own_retractions += 1
 
@@ -414,18 +397,18 @@ class ObjectView:
         The membership-driven retraction (a confirmed-dead node from
         :mod:`repro.dist.membership`): unlike :meth:`forget`, which
         rolls back one optimistic assertion, eviction removes the
-        location from the forward map, the holdings index, the
-        anti-entropy *logs of every origin* (so it is never gossiped
-        onward from here), and gates :meth:`learn`/:meth:`merge_delta`
-        so late-arriving entries about it are dropped on the floor -
-        the tombstone shadows the holdings regardless of delivery
-        order.  Version caps are deliberately kept: this view still
-        *covers* the purged versions, so no peer ever re-sends them.
+        location from the forward map (one scan of it) and from the
+        per-location count, strips it from the anti-entropy *logs of
+        every origin* (so it is never gossiped onward from here), and
+        gates :meth:`learn`/:meth:`merge_delta` so late-arriving
+        entries about it are dropped on the floor - the tombstone
+        shadows the holdings regardless of delivery order.  Version
+        caps are deliberately kept: this view still *covers* the purged
+        versions, so no peer ever re-sends them.
 
         Sizes are kept (per-object knowledge, true regardless of which
         replica died).  Returns how many name-beliefs were purged - the
-        holdings set popped, which is also what the believed-pair count
-        drops by; idempotent - a second eviction returns 0.
+        location's count; idempotent - a second eviction returns 0.
         """
         with self._lock:
             if location in self._evicted:
@@ -433,20 +416,27 @@ class ObjectView:
             self._evicted.add(location)
             if location == self.node:
                 self.own_retractions += 1
-            names = self._holdings.pop(location, set())
-            for name in names:
-                locations = self._locations.get(name)
-                if locations is not None:
-                    locations.discard(location)
-                    if not locations:
-                        del self._locations[name]
+            purged = self._counts.pop(location, 0)
+            for name in self._names_at(location):
+                locations = self._locations[name]
+                locations.discard(location)
+                if not locations:
+                    del self._locations[name]
             for origin, log in self._log.items():
                 kept = [entry for entry in log if entry[2] != location]
                 if len(kept) != len(log):
-                    self._log_total -= len(log) - len(kept)
                     self._log[origin] = kept
-            self._replicas -= len(names)
-            return len(names)
+            return purged
+
+    def _names_at(self, location: str) -> List[Hashable]:
+        """Names believed held at ``location``: one scan of the forward
+        map (lock held by caller).  Only a tombstone or a refutation
+        asks, so no inverted index is kept for it."""
+        return [
+            name
+            for name, locations in self._locations.items()
+            if location in locations
+        ]
 
     def readmit(self, location: str) -> bool:
         """Lift the eviction gate for ``location``: its node came back.
@@ -491,8 +481,7 @@ class ObjectView:
             self._origin = f"{self.node}#{epoch}"
             self._own_origins.add(self._origin)
             restamped = 0
-            held = sorted(self._holdings.get(self.node, ()), key=repr)
-            for name in held:
+            for name in sorted(self._names_at(self.node), key=repr):
                 self._record(
                     self._origin,
                     self._vector.get(self._origin, 0) + 1,
@@ -514,19 +503,14 @@ class ObjectView:
 
     def knows(self, name: Hashable, location: str) -> bool:
         with self._lock:
-            return name in self._holdings.get(location, _NOTHING)
-
-    def holdings(self, location: str) -> Set[Hashable]:
-        """Everything ``location`` is believed to hold (a copy)."""
-        with self._lock:
-            return set(self._holdings.get(location, ()))
+            return location in self._locations.get(name, _NOTHING)
 
     def known_locations(self) -> List[str]:
         """Locations believed to hold *anything* - gossip-learned
         membership: names can arrive from peers this view's node never
         talked to directly."""
         with self._lock:
-            return [loc for loc, names in self._holdings.items() if names]
+            return list(self._counts)
 
     def snapshot(self) -> Dict[Hashable, frozenset]:
         """The belief state as a comparable value (name -> locations).
@@ -547,14 +531,6 @@ class ObjectView:
         with self._lock:
             return self._sizes.get(name, 0)
 
-    def bytes_held(self, location: str) -> int:
-        """Believed bytes resident at ``location`` (the size index)."""
-        with self._lock:
-            return sum(
-                self._sizes.get(name, 0)
-                for name in self._holdings.get(location, _NOTHING)
-            )
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._locations)
@@ -573,15 +549,17 @@ class ObjectView:
             return max(0.0, self._clock() - self.last_advance)
 
     def stats(self) -> Dict[str, int]:
-        """Size-of-belief gauges the obs registry samples at export."""
+        """Size-of-belief gauges the obs registry samples at export,
+        summed when asked.  Nothing compacts the logs; ``compactions``
+        stays, at 0, for the readers of that gauge."""
         with self._lock:
             return {
                 "entries": len(self._locations),
-                "replicas": self._replicas,
-                "log_entries": self._log_total,
+                "replicas": sum(self._counts.values()),
+                "log_entries": sum(map(len, self._log.values())),
                 "origins": len(self._vector),
                 "evicted": len(self._evicted),
-                "compactions": self._compactions,
+                "compactions": 0,
                 "epoch": self.epoch,
             }
 
@@ -606,43 +584,6 @@ class ObjectView:
 
     # ------------------------------------------------------------------
     # Anti-entropy: digest, delta, merge
-
-    def compact(self) -> int:
-        """Fold each origin's log down to its current-belief entries.
-
-        Within one origin's ascending log, only the *latest* entry per
-        ``(name, location)`` carries that origin's current assertion -
-        earlier entries are superseded, and every delta that would have
-        shipped them also ships the cap that covers them, so dropping
-        them changes no receiver's final state (property-tested:
-        compaction is transparent to the merge algebra).  Keeping a
-        subsequence preserves ascending order, so :meth:`delta_since`'s
-        binary search stays valid.  Every believed pair keeps an entry
-        in each log that asserted it, so :meth:`forget` finds the same
-        origins before and after.  Returns entries dropped.
-        """
-        with self._lock:
-            return self._compact_locked()
-
-    def _compact_locked(self) -> int:
-        dropped = 0
-        for origin, log in self._log.items():
-            if len(log) <= 1:
-                continue
-            latest: Dict[Tuple[Hashable, str], int] = {}
-            for index, (_version, name, location, _size) in enumerate(log):
-                latest[(name, location)] = index
-            if len(latest) == len(log):
-                continue
-            keep = set(latest.values())
-            self._log[origin] = [
-                entry for index, entry in enumerate(log) if index in keep
-            ]
-            dropped += len(log) - len(keep)
-        if dropped:
-            self._log_total -= dropped
-            self._compactions += 1
-        return dropped
 
     def digest(self) -> Digest:
         """This view's coverage summary: origin -> highest version seen.
@@ -712,11 +653,7 @@ class ObjectView:
                     # let the caps below advance coverage past it, so
                     # the sender never re-offers it either.
                     continue
-                locations = self._locations.setdefault(name, set())
-                if location not in locations:
-                    locations.add(location)
-                    self._replicas += 1
-                self._holdings.setdefault(location, set()).add(name)
+                self._add(name, location)
                 if size is not None:
                     self._sizes[name] = size
                 self._record(origin, version, name, location, size)
@@ -742,11 +679,10 @@ class ObjectView:
         a fresh replica as if the data still had to travel.
         """
         with self._lock:
-            held = self._holdings.get(machine, _NOTHING)
             return sum(
                 cluster.object(name).size
                 for name in names
-                if name not in held
+                if machine not in self._locations.get(name, _NOTHING)
             )
 
     def bytes_missing_many(

@@ -9,6 +9,7 @@ clean check stays meaningful.
 
 from __future__ import annotations
 
+import collections
 import threading
 from pathlib import Path
 
@@ -531,8 +532,8 @@ class TestObjectViewLockDiscipline:
     lock tracker: the RLock held across both passes of ``bid`` - the
     placement path, with an unshippable key as the executing runtime
     passes it - must produce no lock-order inversion, no
-    hold-while-blocking event, and a holdings index that never disagrees
-    with the forward location map.
+    hold-while-blocking event, and per-location counts that never
+    disagree with the forward location map.
     """
 
     THREADS = 4
@@ -576,17 +577,15 @@ class TestObjectViewLockDiscipline:
 
     @staticmethod
     def _assert_index_consistent(view):
+        """Each location's count is the number of names the forward map
+        places there, and no count is zero (a ``Counter`` holds none)."""
         with view._lock:
-            for name, locs in view._locations.items():
-                for loc in locs:
-                    assert name in view._holdings.get(loc, set()), (
-                        f"{name!r}@{loc!r} in forward map, not in holdings"
-                    )
-            for loc, names in view._holdings.items():
-                for name in names:
-                    assert loc in view._locations.get(name, set()), (
-                        f"{name!r}@{loc!r} in holdings, not in forward map"
-                    )
+            placed = dict(
+                collections.Counter(
+                    loc for locs in view._locations.values() for loc in locs
+                )
+            )
+            assert view._counts == placed
 
     def test_concurrent_ops_keep_discipline(self):
         from hypothesis import HealthCheck, given, settings

@@ -221,23 +221,29 @@ class TestContenders:
 
 
 class TestHoldingsIndex:
+    """Who holds what is read off the forward map: ``knows``, ``where``
+    and ``known_locations`` (the per-location count's keys) agree with
+    each other and with what was observed, and ``believed_size`` with
+    the sizes that came with it."""
+
     def assert_consistent(self, view, names, locations):
-        """Forward map, inverted holdings index, and knows() agree."""
         for name in names:
             for loc in locations:
                 assert view.knows(name, loc) == (loc in view.where(name))
-                assert (name in view.holdings(loc)) == view.knows(name, loc)
+        believed = set().union(*map(view.where, names))
+        assert sorted(view.known_locations()) == sorted(believed)
 
     def test_learn_maintains_index(self):
         view = ObjectView("n0")
         view.learn("x", "m1", 10)
         view.learn("x", "m2", 10)
         view.learn("y", "m1", 4)
-        assert view.holdings("m1") == {"x", "y"}
-        assert view.holdings("m2") == {"x"}
-        assert view.holdings("m3") == set()
-        assert view.bytes_held("m1") == 14
+        assert view.where("x") == {"m1", "m2"}
+        assert view.where("y") == {"m1"}
+        assert not view.knows("y", "m2") and not view.knows("x", "m3")
+        assert sorted(view.known_locations()) == ["m1", "m2"]
         assert view.believed_size("x") == 10
+        assert view.believed_size("y") == 4
         assert view.believed_size("ghost") == 0
         self.assert_consistent(view, ["x", "y"], ["m1", "m2", "m3"])
 
@@ -248,8 +254,10 @@ class TestHoldingsIndex:
         cluster.add_object("b", 20, "node2")
         view = ObjectView("node0")
         view.sync_from_cluster(cluster)
-        assert view.holdings("node1") == {"b"}
-        assert view.bytes_held("node2") == 20
+        assert view.where("b") == {"node1", "node2"}
+        assert view.knows("a", "node0") and not view.knows("a", "node1")
+        assert sorted(view.known_locations()) == ["node0", "node1", "node2"]
+        assert view.believed_size("b") == 20
         self.assert_consistent(view, ["a", "b"], ["node0", "node1", "node2"])
 
     def test_exchange_maintains_index_and_sizes(self):
@@ -259,10 +267,12 @@ class TestHoldingsIndex:
         v0, v1 = ObjectView("node0"), ObjectView("node1")
         v0.refresh_local(cluster)
         v1.refresh_local(cluster)
+        assert v0.known_locations() == ["node0"]
         exchange(Participant(v0), Participant(v1))
         for view in (v0, v1):
-            assert view.holdings("node0") == {"a"}
-            assert view.holdings("node1") == {"b"}
+            assert view.where("a") == {"node0"}
+            assert view.where("b") == {"node1"}
+            assert sorted(view.known_locations()) == ["node0", "node1"]
             assert view.believed_size("a") == 10
             assert view.believed_size("b") == 20
             self.assert_consistent(view, ["a", "b"], ["node0", "node1"])
@@ -342,11 +352,13 @@ class TestStaleness:
                 compute_seconds=0.1,
             )
         )
-        result = platform.run(graph)
-        assert set(result.task_finish) == {"a", "b"}
-        # ...so ground truth has a replica at node1 that the platform's
-        # view never learned (fetch replicas are not outputs).
-        view = platform.view
+        job = platform.start(graph)
+        # The job places through its own view (dropped once it is done).
+        view = platform._job_schedulers[job.job_id].view
+        platform.sim.run_until(job.done)
+        assert set(job.task_finish) == {"a", "b"}
+        # ...so ground truth has a replica at node1 that the job's view
+        # never learned (fetch replicas are not outputs).
         locations = platform.cluster.locate("a.out")
         assert "node1" in locations
         assert view.where("a.out") == {"node0"}
@@ -546,7 +558,7 @@ class TestForget:
         view.forget("obj", "beta")
         assert not view.knows("obj", "beta")
         assert view.where("obj") == {"gamma"}
-        assert "obj" not in view.holdings("beta")
+        assert view.known_locations() == ["gamma"]  # beta held only obj
 
     def test_forget_keeps_size_knowledge(self):
         """Size is per-object, not per-replica: a wrong location belief

@@ -393,7 +393,7 @@ class TestByteAccountingIsTheCodecs:
         assert a.advance_epoch(2) == 1  # restamps under "nœud#2"
         assert retaken(a).versions == {"nœud": 1, "b": 2, "nœud#2": 1}
         assert before.versions == {"nœud": 1, "b": 2}  # old value untouched
-        a.evict("b"), a.readmit("b"), a.compact(), a.forget("x", "nœud")
+        a.evict("b"), a.readmit("b"), a.forget("x", "nœud")
         assert retaken(a).versions == {"nœud": 1, "b": 2, "nœud#2": 1}
 
 
@@ -749,11 +749,15 @@ class TestFixpointSimGossip:
         assert platform.cluster.locate("a.out")
 
     def test_without_gossip_behaviour_is_unchanged(self):
+        """No gossip, no platform-wide view: each job snapshots the
+        registry at admission and learns the outputs it places."""
         platform = FixpointSim.build(nodes=3, cores=4)
-        assert platform.gossip is None
-        result = platform.run(two_step_graph())
-        assert set(result.task_finish) == {"a", "b"}
-        assert platform.view.where("a.out")
+        assert platform.gossip is None and platform.view is None
+        job = platform.start(two_step_graph())
+        view = platform._job_schedulers[job.job_id].view
+        platform.sim.run_until(job.done)
+        assert set(job.task_finish) == {"a", "b"}
+        assert view.where("a.out")
 
 
 # ----------------------------------------------------------------------
@@ -1116,8 +1120,11 @@ def run_twins(script, candidate=None):
 
 
 def _stamp_news(node, wanted):
-    held = node.view.holdings(node.name)
-    news = [pair for pair in node.repo.sizes_after(-1)[0] if pair[0] not in held]
+    news = [
+        pair
+        for pair in node.repo.sizes_after(-1)[0]
+        if not node.view.knows(pair[0], node.name)
+    ]
     for key, size in wanted(news):
         node.view.learn(key, node.name, size)
     return len(news)
@@ -1223,26 +1230,20 @@ class TestRefreshStampsWhatTheScanStamped:
 class _MirroredView(ObjectView):
     """The bookkeeping ``ObjectView`` had before it read retractions off
     the log, kept as the reference: ``_stamps`` mirrors the log as
-    ``(name, location) -> [(origin, version)]``, ``forget`` decides by
-    it, the compaction trigger weighs the log against ``len(_stamps)``,
-    and ``stats`` re-sums the sets and the logs.  ``learn``,
-    ``merge_delta``, ``advance_epoch`` and every read are the shipped
-    ones (the ``_replicas`` they keep is never read here)."""
+    ``(name, location) -> [(origin, version)]`` and ``forget`` decides
+    by it; ``evict`` walks the forward map; ``known_locations`` and
+    ``stats`` are summed from the forward map and the logs.  ``learn``,
+    ``merge_delta``, ``advance_epoch`` and every other read are the
+    shipped ones (the per-location count they keep is never read
+    here)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._stamps = {}
 
     def _record(self, origin, version, name, location, size):
-        self._vector[origin] = max(self._vector.get(origin, 0), version)
-        self._digest = None
-        self._log.setdefault(origin, []).append((version, name, location, size))
+        super()._record(origin, version, name, location, size)
         self._stamps.setdefault((name, location), []).append((origin, version))
-        self._log_total += 1
-        if self._log_total >= 64 and self._log_total > 4 * max(
-            1, len(self._stamps)
-        ):
-            self._compact_locked()
 
     def forget(self, name, location):
         with self._lock:
@@ -1254,9 +1255,7 @@ class _MirroredView(ObjectView):
             for origin, versions in own.items():
                 log = self._log.get(origin)
                 if log:
-                    kept = [entry for entry in log if entry[0] not in versions]
-                    self._log_total -= len(log) - len(kept)
-                    self._log[origin] = kept
+                    self._log[origin] = [e for e in log if e[0] not in versions]
             foreign = [s for s in stamps if s[0] not in self._own_origins]
             if foreign:
                 self._stamps[(name, location)] = foreign
@@ -1267,55 +1266,28 @@ class _MirroredView(ObjectView):
                 locations.discard(location)
                 if not locations:
                     del self._locations[name]
-            held = self._holdings.get(location)
-            if held is not None:
-                held.discard(name)
 
     def evict(self, location):
         with self._lock:
             if location in self._evicted:
                 return 0
             self._evicted.add(location)
-            names = self._holdings.pop(location, set())
-            for name in names:
-                locations = self._locations.get(name)
-                if locations is not None:
+            purged = 0
+            for name, locations in list(self._locations.items()):
+                if location in locations:
+                    purged += 1
                     locations.discard(location)
                     if not locations:
                         del self._locations[name]
             for origin, log in self._log.items():
-                kept = [entry for entry in log if entry[2] != location]
-                if len(kept) != len(log):
-                    self._log_total -= len(log) - len(kept)
-                    self._log[origin] = kept
+                self._log[origin] = [e for e in log if e[2] != location]
             for key in [k for k in self._stamps if k[1] == location]:
                 del self._stamps[key]
-            return len(names)
+            return purged
 
-    def _compact_locked(self):
-        dropped = 0
-        for origin, log in self._log.items():
-            if len(log) <= 1:
-                continue
-            latest = {}
-            for index, (_version, name, location, _size) in enumerate(log):
-                latest[(name, location)] = index
-            if len(latest) == len(log):
-                continue
-            keep = set(latest.values())
-            self._log[origin] = [
-                entry for index, entry in enumerate(log) if index in keep
-            ]
-            dropped += len(log) - len(keep)
-        if dropped:
-            self._log_total -= dropped
-            self._compactions += 1
-            stamps = {}
-            for origin, log in self._log.items():
-                for version, name, location, _size in log:
-                    stamps.setdefault((name, location), []).append((origin, version))
-            self._stamps = stamps
-        return dropped
+    def known_locations(self):
+        with self._lock:
+            return list({loc for locs in self._locations.values() for loc in locs})
 
     def stats(self):
         with self._lock:
@@ -1325,7 +1297,7 @@ class _MirroredView(ObjectView):
                 "log_entries": sum(len(log) for log in self._log.values()),
                 "origins": len(self._vector),
                 "evicted": len(self._evicted),
-                "compactions": self._compactions,
+                "compactions": 0,
                 "epoch": self.epoch,
             }
 
@@ -1341,7 +1313,7 @@ def apply_view_op(views, op):
     view = views[who]
     if kind == "learn":
         return view.learn(*args)
-    if kind == "burst":  # size-is-news, over and over: superseded entries
+    if kind == "burst":  # size-is-news, over and over: the log grows
         name, location, sizes = args
         for size in sizes:
             view.learn(name, location, size)
@@ -1352,19 +1324,24 @@ def apply_view_op(views, op):
         return [view.merge_delta(delta) for _ in range(times)]
     elif kind == "epoch":
         return view.advance_epoch(view.epoch + 1)
-    else:  # forget, evict, readmit, compact
+    else:  # forget, evict, readmit
         return getattr(view, kind)(*args)
 
 
 def view_fingerprint(view):
     everything = view.delta_since(EMPTY_DIGEST)
+    snapshot = view.snapshot()
     return (
-        view.snapshot(),
+        snapshot,
         view.digest(),
         everything.entries,  # every stamp of every origin, in log order
         everything.versions,
         view.stats(),  # all seven keys
-        {location: view.holdings(location) for location in VIEW_LOCATIONS},
+        sorted(view.known_locations()),
+        {
+            location: {name for name, at in snapshot.items() if location in at}
+            for location in VIEW_LOCATIONS
+        },
         {name: view.where(name) for name in VIEW_NAMES},
     )
 
@@ -1372,8 +1349,7 @@ def view_fingerprint(view):
 def view_soup(seed, length=400):
     """A seeded script over every op kind: new, repeated and
     size-is-news ``learn``s over a small pool (so most ``forget``s hit a
-    belief some view asserted), and enough superseded entries to trip
-    the compaction trigger many times."""
+    belief some view asserted), and bursts of size flapping."""
     rng = random.Random(seed)
 
     def who():
@@ -1394,11 +1370,8 @@ def view_soup(seed, length=400):
         "evict": lambda: (who(), rng.choice(VIEW_LOCATIONS)),
         "readmit": lambda: (who(), rng.choice(VIEW_LOCATIONS)),
         "epoch": lambda: (who(),),
-        "compact": lambda: (who(),),
     }
-    weights = dict(
-        learn=10, burst=3, forget=8, merge=8, evict=1, readmit=3, epoch=1, compact=1
-    )
+    weights = dict(learn=10, burst=3, forget=8, merge=8, evict=1, readmit=3, epoch=1)
     script = []
     for kind in rng.choices(list(weights), list(weights.values()), k=length):
         op = (kind, *makers[kind]())
@@ -1425,20 +1398,15 @@ def _forget_case(view, name, location):
 def run_views(script, candidate=ObjectView):
     """Drive a world of reference views and one of ``candidate`` views
     through ``script``; after every op each view must be
-    indistinguishable from its reference.  Returns what the script
-    exercised: ``forget``'s cases, and how many compactions the trigger
-    (not an explicit ``compact``) ran."""
+    indistinguishable from its reference.  Returns which of
+    ``forget``'s cases the script exercised."""
     reference = [_MirroredView(node) for node in VIEW_NODES]
     shipped = [candidate(node) for node in VIEW_NODES]
     seen = collections.Counter()
     for step, op in enumerate(script):
-        view = reference[op[1]]
         if op[0] == "forget":
-            seen.update(_forget_case(view, *op[2:]))
-        before = view.stats()["compactions"]
+            seen.update(_forget_case(reference[op[1]], *op[2:]))
         assert apply_view_op(shipped, op) == apply_view_op(reference, op), (step, op)
-        if op[0] != "compact":
-            seen["triggered compactions"] += view.stats()["compactions"] - before
         for ours, theirs in zip(shipped, reference):
             assert view_fingerprint(ours) == view_fingerprint(theirs), (step, op)
     return seen
@@ -1460,11 +1428,27 @@ def _forget_as(origins):
     return Mutant
 
 
+class _ForgetKeepsTheCount(ObjectView):
+    """``forget`` that leaves the location's count as it found it."""
+
+    def forget(self, name, location):
+        with self._lock:
+            count = self._counts.get(location)
+            super().forget(name, location)
+            if count is not None:
+                self._counts[location] = count
+
+
 class _EvictKeepsTheCount(ObjectView):
+    """``evict`` that leaves the location's count behind."""
+
     def evict(self, location):
-        purged = super().evict(location)
-        self._replicas += purged
-        return purged
+        with self._lock:
+            count = self._counts.get(location)
+            purged = super().evict(location)
+            if count is not None:
+                self._counts[location] = count
+            return purged
 
 
 #: Strips every origin's entries: a foreign stamp is lost for good.
@@ -1474,34 +1458,43 @@ _ForgetKnowsOneEpoch = _forget_as(lambda view: {view._origin})
 
 _WHO = st.integers(0, len(VIEW_NODES) - 1)
 _NAME, _WHERE = st.sampled_from(VIEW_NAMES), st.sampled_from(VIEW_LOCATIONS)
-VIEW_OPS = st.one_of(
-    st.tuples(st.just("learn"), _WHO, _NAME, _WHERE, st.sampled_from((None, 1, 2))),
+#: Every op but ``learn``/``burst``, whose sizes are what differs.
+_SIZELESS_OPS = (
     st.tuples(st.just("forget"), _WHO, _NAME, _WHERE),
-    st.tuples(  # long enough to trip the compaction trigger on its own
-        st.just("burst"), _WHO, _NAME, _WHERE,
-        st.lists(st.integers(0, 1 << 20), min_size=60, max_size=80),
-    ),
     st.tuples(st.just("merge"), _WHO, _WHO, st.booleans(), st.integers(1, 2)),
     st.tuples(st.sampled_from(("evict", "readmit")), _WHO, _WHERE),
-    st.tuples(st.sampled_from(("epoch", "compact")), _WHO),
+    st.tuples(st.just("epoch"), _WHO),
+)
+VIEW_OPS = st.one_of(
+    st.tuples(st.just("learn"), _WHO, _NAME, _WHERE, st.sampled_from((None, 1, 2))),
+    st.tuples(
+        st.just("burst"), _WHO, _NAME, _WHERE,
+        st.lists(st.integers(0, 1 << 20), min_size=2, max_size=8),
+    ),
+    *_SIZELESS_OPS,
 )
 
 
 class TestTheLogIsTheOnlyRecord:
     """``ObjectView`` reads a retraction off its per-origin logs and
-    keeps the believed-pair count as one int; the reference keeps the
-    ``_stamps`` mirror it used to.  Same beliefs, stamps, log order,
-    compaction moments and gauges, op for op."""
+    keeps one count per location; the reference keeps the ``_stamps``
+    mirror it used to and sums.  Same beliefs, stamps, log order and
+    gauges, op for op."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_same_beliefs_as_the_mirror(self, seed):
         seen = run_views(view_soup(seed))
         for case in ("never held", "own only", "own, two epochs", "foreign-corroborated"):
             assert seen[case] >= 1, (case, seen)
-        assert seen["triggered compactions"] >= 2, seen
 
     @pytest.mark.parametrize(
-        "mutant", [_EvictKeepsTheCount, _ForgetStripsForeign, _ForgetKnowsOneEpoch]
+        "mutant",
+        [
+            _EvictKeepsTheCount,
+            _ForgetKeepsTheCount,
+            _ForgetStripsForeign,
+            _ForgetKnowsOneEpoch,
+        ],
     )
     def test_the_oracle_catches_a_wrong_retraction(self, mutant):
         with pytest.raises(AssertionError):
@@ -1510,12 +1503,114 @@ class TestTheLogIsTheOnlyRecord:
     @given(st.lists(VIEW_OPS, max_size=30))
     @settings(max_examples=80, deadline=None)
     def test_the_counts_are_the_sums(self, ops):
+        """The one count kept: each location's, against the forward map
+        (a ``Counter`` holds no zero, and neither may the view)."""
         views = [ObjectView(node) for node in VIEW_NODES]
         for op in ops:
             apply_view_op(views, op)
             for view in views:
-                assert view._replicas == sum(map(len, view._locations.values()))
-                assert view._log_total == sum(map(len, view._log.values()))
+                assert view._counts == dict(
+                    collections.Counter(
+                        loc for locs in view._locations.values() for loc in locs
+                    )
+                )
+
+
+#: One size per name, as a content key has.
+_SIZE_OF = {name: index + 1 for index, name in enumerate(VIEW_NAMES)}
+FIXED_SIZE_OPS = st.one_of(
+    st.tuples(st.just("learn"), _WHO, _NAME, _WHERE).map(
+        lambda op: (*op, _SIZE_OF[op[2]])
+    ),
+    *_SIZELESS_OPS,
+)
+
+
+def check_log_bound(ops):
+    """Run ``ops`` on three views; after every op, each origin's log
+    holds one entry per pair, plus one per time the origin's node
+    stopped believing the pair (a retraction: only after one does it
+    stamp the pair again).  The node's own logs hold one.  Returns
+    the views."""
+    views = [ObjectView(node) for node in VIEW_NODES]
+    believed = set()
+    lapses = collections.Counter()
+    for step, op in enumerate(ops):
+        apply_view_op(views, op)
+        now = {
+            (view.node, name, location)
+            for view in views
+            for name, locations in view.snapshot().items()
+            for location in locations
+        }
+        lapses.update(believed - now)
+        believed = now
+        for view in views:
+            entries = view.delta_since(EMPTY_DIGEST).entries
+            logged = collections.Counter((e[0], e[2], e[3]) for e in entries)
+            for (origin, name, location), count in logged.items():
+                node = origin.split("#")[0]  # the node behind every epoch
+                bound = 1 if node == view.node else 1 + lapses[node, name, location]
+                assert count <= bound, (step, op, view.node, origin, name, location)
+    return views
+
+
+class TestTheLogIsBoundedByBeliefs:
+    """Nothing compacts the logs, because in Fix nothing supersedes an
+    entry: a name is a content key, so its size never changes."""
+
+    @given(st.lists(FIXED_SIZE_OPS, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_one_entry_per_pair_and_retraction(self, ops):
+        check_log_bound(ops)
+
+    def test_a_retraction_lets_a_pair_in_twice(self):
+        """``forget`` ships no tombstone, so a peer keeps the first
+        stamp and merges the second: the bound's term per lapse."""
+        peer = check_log_bound(
+            [
+                ("learn", 0, "x", "d", _SIZE_OF["x"]),
+                ("merge", 1, 0, False, 1),
+                ("forget", 0, "x", "d"),
+                ("learn", 0, "x", "d", _SIZE_OF["x"]),
+                ("merge", 1, 0, False, 1),
+            ]
+        )[1]
+        assert peer.stats()["log_entries"] == 2
+        assert peer.stats()["replicas"] == 1
+
+    def test_size_flapping_breaks_the_bound(self):
+        with pytest.raises(AssertionError):
+            check_log_bound([("burst", 0, "x", "d", [1, 2])])
+
+    def test_re_puts_between_handshakes_log_nothing(self):
+        """Two nodes, 200 blobs each, 30 handshakes with every blob put
+        again between them: one entry per believed pair at the end."""
+        a, b = FixpointNode("alpha"), FixpointNode("beta")
+        try:
+            payloads = {
+                node: [b"%s blob %d " % (node.name.encode(), i) * 4 for i in range(200)]
+                for node in (a, b)
+            }
+            for node, blobs in payloads.items():
+                for blob in blobs:
+                    node.repo.put_blob(blob)
+            a.connect(b)
+            for handshake in range(30):
+                for node, blobs in payloads.items():
+                    for blob in blobs[handshake::30]:
+                        node.repo.put_blob(blob)
+                if handshake % 2:
+                    b.gossip_with("alpha")
+                else:
+                    a.gossip_with("beta")
+            assert a.view.snapshot() == b.view.snapshot()
+            for node in (a, b):
+                stats = node.view.stats()
+                assert stats["log_entries"] == stats["replicas"] >= 400
+        finally:
+            a.close()
+            b.close()
 
 
 def _count_calls(monkeypatch, owner, name, calls, tag=lambda args: None):
@@ -1580,8 +1675,8 @@ class TestARefreshCostsItsNews:
 
     def test_a_handshake_visits_only_what_was_stored_since(self, monkeypatch):
         """The refresh reads the store above its watermark: between
-        converged nodes it asks the view nothing and visits no stored
-        datum, and k puts later it visits exactly those k."""
+        converged nodes it visits no stored datum, and k puts later it
+        visits exactly those k."""
         a, b = FixpointNode("alpha"), FixpointNode("beta")
         for node in (a, b):
             for i in range(1000):
@@ -1589,7 +1684,6 @@ class TestARefreshCostsItsNews:
         a.connect(b)
         a.gossip_with("beta")  # converged from here on
         calls = collections.Counter()
-        _count_calls(monkeypatch, ObjectView, "holdings", calls)
         _count_calls(monkeypatch, core_storage, "_wire_size", calls)  # a visit
         a.gossip_with("beta")
         b.gossip_with("alpha")

@@ -1,5 +1,5 @@
 """Tests for gossiped membership: failure detection, tombstone eviction,
-log compaction, and the lost-work re-delegation loop.
+and the lost-work re-delegation loop.
 
 The bug under test (PR 8): before membership existed, one dead node's
 gossiped holdings kept winning placement quotes forever - staleness was
@@ -935,7 +935,7 @@ class TestMergeSkipsWhatTheJoinKeeps:
 
 
 # ----------------------------------------------------------------------
-# Tombstone eviction and log compaction in the ObjectView
+# Tombstone eviction in the ObjectView
 
 
 class TestObjectViewEviction:
@@ -979,26 +979,6 @@ class TestObjectViewEviction:
         assert target.where("x") == {"alive"}
         # Caps advanced: replaying the same delta applies nothing.
         assert target.merge_delta(stale_delta) == 0
-
-    def test_compaction_bounds_log_under_relearning(self):
-        view = ObjectView("me")
-        for i in range(5_000):
-            view.learn("flappy", "peer", 1 + (i % 7))
-        stats = view.stats()
-        assert stats["log_entries"] < 64  # the auto-compaction trigger
-        assert stats["compactions"] >= 1
-
-    def test_compaction_is_transparent_to_merge(self):
-        noisy = ObjectView("noisy")
-        for i in range(200):
-            noisy.learn("a", "p1", 1 + i)
-            noisy.learn("b", "p2", 1 + i)
-        noisy.compact()
-        fresh = ObjectView("fresh")
-        fresh.merge_delta(noisy.delta_since(fresh.digest()))
-        assert fresh.where("a") == {"p1"}
-        assert fresh.where("b") == {"p2"}
-        assert fresh.believed_size("a") == noisy.believed_size("a")
 
 
 class TestObjectViewEpochs:

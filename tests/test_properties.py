@@ -482,18 +482,6 @@ class TestEvictionMergeAlgebra:
         assert target.merge_delta(delta) == 0
         assert target.snapshot() == once
 
-    @settings(max_examples=40, deadline=None)
-    @given(view_ops)
-    def test_compaction_is_invisible_to_a_fresh_merger(self, ops):
-        views = _views_from_ops(ops)
-        source = views[0]
-        plain = ObjectView("plain")
-        plain.merge_delta(source.delta_since(plain.digest()))
-        source.compact()
-        compacted = ObjectView("compacted")
-        compacted.merge_delta(source.delta_since(compacted.digest()))
-        assert compacted.snapshot() == plain.snapshot()
-
 
 # ----------------------------------------------------------------------
 # Multitenancy packing invariants (paper section 6)
