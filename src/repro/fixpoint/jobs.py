@@ -20,7 +20,6 @@ model's ``outstanding`` signal describes.  Tasks are not deduplicated
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional
 
@@ -124,20 +123,12 @@ class JobQueue:
     def pop(self, timeout: float = 0.1) -> Optional[Job]:
         """Blocking pop with timeout, used by worker loops.
 
-        The wait is a *deadline* loop: ``Condition.wait(timeout)`` can
-        return early on a notify that another consumer races to the
-        item, and treating one wakeup as the whole timeout made a
-        worker's idle poll return ``None`` after an arbitrarily small
-        fraction of its budget (under-waiting the worker loop into a
-        busy spin).  Each spurious wakeup re-waits only the remainder.
+        ``timeout`` is a *deadline* (``wait_for``): a notify that another
+        consumer races to the item re-waits only the remainder, so an
+        idle worker's poll never returns early into a busy spin.
         """
         with self._cond:
-            deadline = time.monotonic() + timeout
-            while not self._queue and not self._closed:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
+            self._cond.wait_for(lambda: self._queue or self._closed, timeout)
             if self._queue:
                 return self._queue.popleft()
             return None

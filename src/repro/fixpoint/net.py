@@ -52,6 +52,12 @@ concurrency.  A channel may carry a per-direction ``latency``; it is
 paid on the *serving* thread, never the dispatching one, so in-flight
 delegations overlap their wire time (pipelined, still ordered).
 
+Every frame takes one delivery step (:meth:`FixpointNode._deliver`): its
+wire time, its delivery window, then its handler inside the window.  A
+delegation is dispatch -> deliver (request decoded) -> serve -> deliver
+(reply absorbed) -> settle, and every way it ends, cancel and timeout
+included, goes through the one :meth:`Delegation._settle`.
+
 **Frames.**  Five frames cross a channel - a delegation *request* and
 its *reply* (ok or error), and the gossip *SYN*, *ACK* and *PUSH*.  Each
 has one ``pack_*``/``unpack_*`` pair below, and its layout is stated on
@@ -107,7 +113,6 @@ re-dispatches the work on the survivors.
 from __future__ import annotations
 
 import struct
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -497,17 +502,19 @@ class Channel:
         return _Arrival(self, self._direction(sender), seq)
 
     def _await_turn(self, direction: str, seq: int) -> None:
+        delivered = self._delivered
         with self._cond:
-            while self._delivered[direction] < seq:
-                if self._closed:
-                    # Close wakes every waiter: a frame parked in the
-                    # delivery window must fail, not sleep forever on a
-                    # predecessor that will never be delivered.
-                    raise NetworkError(
-                        f"channel {self.a.name}<->{self.b.name} closed "
-                        f"while frame {seq} awaited delivery"
-                    )
-                self._cond.wait()
+            self._cond.wait_for(
+                lambda: delivered[direction] >= seq or self._closed
+            )
+            if delivered[direction] < seq:
+                # Close wakes every waiter: a frame parked in the
+                # delivery window must fail, not sleep forever on a
+                # predecessor that will never be delivered.
+                raise NetworkError(
+                    f"channel {self.a.name}<->{self.b.name} closed "
+                    f"while frame {seq} awaited delivery"
+                )
 
     def _release(self, direction: str, seq: int) -> None:
         with self._cond:
@@ -529,10 +536,9 @@ class Channel:
         The wait is interruptible: :meth:`close` (membership eviction, a
         crashed endpoint) wakes it mid-flight with a :class:`NetworkError`
         naming the endpoints, instead of sleeping out the full latency
-        on a link that no longer exists.  Implemented as a deadline loop
-        on the channel condition - ``wait(timeout)`` may return early on
-        any notify, so each wakeup re-checks closed and re-waits only
-        the remainder.
+        on a link that no longer exists.  ``wait_for`` with a timeout is
+        the deadline: a notify that is not the close re-waits only the
+        remainder.
         """
         if self.latency <= 0:
             return
@@ -540,18 +546,12 @@ class Channel:
         # hold-while-blocking shape the --race tracker flags; announce
         # the block so it can check the calling thread's held set.
         note_blocking("Channel.transit")
-        deadline = time.monotonic() + self.latency
         with self._cond:
-            while True:
-                if self._closed:
-                    raise NetworkError(
-                        f"channel {self.a.name}<->{self.b.name} closed "
-                        "while a frame was in transit"
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return
-                self._cond.wait(remaining)
+            if self._cond.wait_for(lambda: self._closed, self.latency):
+                raise NetworkError(
+                    f"channel {self.a.name}<->{self.b.name} closed "
+                    "while a frame was in transit"
+                )
 
     def close(self) -> None:
         """Tear the link down: subsequent sends raise, parked delivery
@@ -585,29 +585,33 @@ class Delegation:
     Completion signalling is a :class:`~repro.fixpoint.jobs.Job` - the
     same primitive the worker pool uses - so there is exactly one
     result/error/event implementation in the package; this class adds
-    only the delegation identity and the timeout-to-:class:`NetworkError`
-    translation.
+    the delegation identity, what its settlement undoes (the
+    dispatching ``node``, the ``peer`` and the ``shipped`` keys), and
+    the timeout-to-:class:`NetworkError` translation.
 
-    Every delegation settles its caller-side bookkeeping (the per-peer
-    ``outstanding`` count, and - on failure - the rollback of the
-    optimistic view advance for the shipped keys) **exactly once**,
-    through a one-shot closure armed at dispatch.  The serving thread
-    settles it on completion; :meth:`cancel` (or a :meth:`result`
-    timeout) settles it from the caller's side when the caller stops
-    waiting.  Whichever side loses the race becomes a no-op, so a hung
-    peer cannot leak phantom in-flight load and falsely-believed shipped
-    keys forever.
+    Every way a delegation ends - the reply absorbed, a transport or
+    remote failure, a spawn that never ran, :meth:`cancel` or a
+    :meth:`result` timeout - goes through one method, :meth:`_settle`.
+    Only its first caller does anything, so a hung peer cannot leak
+    phantom in-flight load and falsely-believed shipped keys forever,
+    and no race can undo them twice.
     """
 
-    __slots__ = ("peer", "encode", "_job", "_settler")
+    __slots__ = ("node", "peer", "encode", "shipped", "_job", "_settled")
 
-    def __init__(self, peer: str, encode: Handle):
+    def __init__(
+        self,
+        node: "FixpointNode",
+        peer: str,
+        encode: Handle,
+        shipped: Sequence[bytes],
+    ):
+        self.node = node
         self.peer = peer
         self.encode = encode
+        self.shipped = shipped
         self._job = Job(encode)
-        #: One-shot settle closure (armed by ``FixpointNode._dispatch``):
-        #: ``settler(rollback) -> bool``, True only for the first caller.
-        self._settler = None
+        self._settled = False
 
     @property
     def done(self) -> bool:
@@ -628,16 +632,11 @@ class Delegation:
         the abandoned request; a late reply is absorbed as ordinary
         (true) belief but no longer touches the settled bookkeeping.
         """
-        if self._settler is None or self._job.done:
-            return False
-        if not self._settler(True):
-            return False
-        self._job.fail(
+        return self._settle(
             NetworkError(
                 f"delegation to {self.peer!r} was cancelled by the caller"
             )
         )
-        return True
 
     def result(self, timeout: Optional[float] = None) -> Handle:
         """Block until resolved; return (or raise) the outcome.
@@ -647,25 +646,39 @@ class Delegation:
         before the :class:`NetworkError` raises - a hung peer must not
         keep phantom load and false shipped-key beliefs alive forever.
         If the reply lands in the instant between the timeout and the
-        cancellation, the race is benign: the settled side wins, and
-        the freshly-arrived result is returned instead of the error.
+        cancellation, the race is benign: the serving thread settled
+        first, and since a settle resolves the future before it lets go
+        of the node lock, the freshly-arrived outcome is returned.
         """
-        if not self._job.wait(timeout):
-            if self.cancel():
-                raise NetworkError(
-                    f"delegation to {self.peer!r} timed out after "
-                    f"{timeout}s (rolled back)"
-                )
-            # Lost the race: the serving thread settled first, so its
-            # resolution (result or failure) is imminent - wait it in.
-            self._job.wait()
+        if not self._job.wait(timeout) and self.cancel():
+            raise NetworkError(
+                f"delegation to {self.peer!r} timed out after "
+                f"{timeout}s (rolled back)"
+            )
         return self._job.value()
 
-    def _complete(self, result: Handle) -> None:
-        self._job.complete(result)
-
-    def _fail(self, error: BaseException) -> None:
-        self._job.fail(error)
+    def _settle(self, outcome: Union[Handle, BaseException]) -> bool:
+        """End this delegation with ``outcome``: True for the first
+        caller only; every later call changes nothing.  Under the
+        dispatching node's lock, drop the peer's ``outstanding`` count,
+        forget the shipped beliefs if ``outcome`` is a failure, then
+        resolve the future - so a waiter that quotes the moment
+        :meth:`result` returns never sees its own phantom load."""
+        node = self.node
+        with node._lock:
+            if self._settled:
+                return False
+            self._settled = True
+            node.outstanding[self.peer] -= 1
+            if isinstance(outcome, Handle):
+                self._job.complete(outcome)
+                return True
+            for key in self.shipped:
+                node.view.forget(key, self.peer)
+            if self.shipped:
+                node._m_rollbacks.inc(peer=self.peer)
+            self._job.fail(outcome)
+            return True
 
 
 class FixpointNode:
@@ -1038,34 +1051,35 @@ class FixpointNode:
         # Liveness piggyback: the heartbeat advances with every round
         # this node initiates, and rides the SYN with the membership map.
         self.membership.beat()
-        span = self.obs.tracer.start("gossip.round", peer=peer_name)
-        wire, seq = channel.send(
-            self, pack_syn(self.name, span.context, *self._gossip.syn())
-        )
-        self._transit(channel, peer_name)
-        with channel.arrival(self, seq):
-            ack_wire, ack_seq = peer._serve_gossip_syn(wire)
-        self._transit(channel, peer_name)
-        with channel.arrival(peer, ack_seq):
-            _ctx, digest, delta_in, members = unpack_ack(ack_wire)
-            delta_out = self._gossip.on_ack(digest, delta_in, members)
-        push_wire, push_seq = channel.send(
-            self, pack_push(self.name, span.context, delta_out)
-        )
-        self._transit(channel, peer_name)
-        with channel.arrival(self, push_seq):
-            peer._absorb_gossip_push(push_wire)
-        bytes_shipped = len(wire) + len(ack_wire) + len(push_wire)
+        # The span ends ``error`` on every raising path: a closed
+        # channel at send or in transit, a refused decode on either side.
+        with self.obs.tracer.start("gossip.round", peer=peer_name) as span:
+            wire, seq = channel.send(
+                self, pack_syn(self.name, span.context, *self._gossip.syn())
+            )
+            ack_wire, ack_seq = self._deliver(
+                channel, self, seq, peer._serve_gossip_syn, wire
+            )
+            delta_in, delta_out = self._deliver(
+                channel, peer, ack_seq, self._absorb_gossip_ack, ack_wire
+            )
+            push_wire, push_seq = channel.send(
+                self, pack_push(self.name, span.context, delta_out)
+            )
+            self._deliver(
+                channel, self, push_seq, peer._absorb_gossip_push, push_wire
+            )
+            bytes_shipped = len(wire) + len(ack_wire) + len(push_wire)
+            span.set(
+                bytes=bytes_shipped,
+                entries_in=len(delta_in),
+                entries_out=len(delta_out),
+                stamped=stamped,
+            )
         self._m_gossip_rounds.inc(peer=peer_name, role="caller")
         self._m_gossip_bytes.inc(bytes_shipped, peer=peer_name)
         self._m_gossip_entries.inc(len(delta_in), direction="in")
         self._m_gossip_entries.inc(len(delta_out), direction="out")
-        span.set(
-            bytes=bytes_shipped,
-            entries_in=len(delta_in),
-            entries_out=len(delta_out),
-            stamped=stamped,
-        ).finish()
         return GossipTraffic(
             peer=peer_name,
             bytes_shipped=bytes_shipped,
@@ -1093,6 +1107,12 @@ class FixpointNode:
         return self._send_back(
             sender, pack_ack(span.context, digest, delta, members)
         )
+
+    def _absorb_gossip_ack(self, wire: bytes) -> Tuple[Delta, Delta]:
+        """Caller side of the ACK: merge the peer's delta; returns it
+        with the delta the closing PUSH owes the peer."""
+        _ctx, digest, delta_in, members = unpack_ack(wire)
+        return delta_in, self._gossip.on_ack(digest, delta_in, members)
 
     def _absorb_gossip_push(self, wire: bytes) -> int:
         """Peer side of the closing PUSH: merge the caller's delta."""
@@ -1195,9 +1215,10 @@ class FixpointNode:
         """
         channel = self._ensure_channel(peer_name)
         peer = channel.far_end(self)
-        future = Delegation(peer_name, encode)
+        # The span ends ``error`` on every raising path: a closed
+        # channel at send, a footprint or bundle failure, a failed spawn.
         span = self.obs.tracer.start("delegate.dispatch", peer=peer_name)
-        with self._lock:
+        with span, self._lock:
             if fp is None:
                 fp = transitive_footprint(self.repo, encode)
             to_ship = self._unheld_by(peer_name, fp)
@@ -1209,33 +1230,10 @@ class FixpointNode:
             self._m_sent.inc(peer=peer_name)
             self._note_held(peer_name, to_ship)
             shipped = [handle.content_key() for handle in to_ship]
+            future = Delegation(self, peer_name, encode, shipped)
             self.outstanding[peer_name] = (
                 self.outstanding.get(peer_name, 0) + 1
             )
-
-            # One-shot settle closure: *every* way this delegation can
-            # end - reply absorbed, transport death, spawn failure, a
-            # caller-side timeout/cancel - funnels through it, and only
-            # the first caller wins.  It owns the dispatch's two side
-            # effects (the optimistic view advance and the load count),
-            # so no outcome can leak them and no race can undo them
-            # twice.
-            state = {"settled": False}
-
-            def settle(rollback: bool) -> bool:
-                with self._lock:
-                    if state["settled"]:
-                        return False
-                    state["settled"] = True
-                    self.outstanding[peer_name] -= 1
-                    if rollback:
-                        for key in shipped:
-                            self.view.forget(key, peer_name)
-                        if shipped:
-                            self._m_rollbacks.inc(peer=peer_name)
-                return True
-
-            future._settler = settle
             span.set(
                 bytes=len(wire),
                 footprint=len(fp.data),
@@ -1249,19 +1247,16 @@ class FixpointNode:
             try:
                 peer.runtime.spawn(
                     lambda: self._finish_delegation(
-                        future, channel, peer, wire, request_seq
+                        future, channel, wire, request_seq
                     )
                 )
             except BaseException as exc:
-                # No serving thread will ever run: undo every side
-                # effect of the dispatch (belief, load, and the frame's
-                # slot in the delivery order - an unreleased sequence
-                # number would wedge the direction forever).
-                settle(True)
+                # No serving thread will ever run: settle (belief, load)
+                # and free the frame's slot in the delivery order - an
+                # unreleased sequence number would wedge the direction.
+                future._settle(exc)
                 channel.arrival(self, request_seq).release()
-                span.finish(status="error", error=str(exc))
                 raise
-            span.finish()
         return future
 
     def delegate(self, peer_name: str, encode: Handle) -> Handle:
@@ -1273,52 +1268,36 @@ class FixpointNode:
         return self.delegate_async(peer_name, encode).result()
 
     def _finish_delegation(
-        self,
-        future: Delegation,
-        channel: Channel,
-        peer: "FixpointNode",
-        wire: bytes,
-        request_seq: int,
+        self, future: Delegation, channel: Channel, wire: bytes, seq: int
     ) -> None:
-        """Serving-thread half of one delegation: deliver, serve, absorb.
+        """Serving-thread half of one delegation: deliver the request
+        (its window decodes the bundle into the peer's repository),
+        serve (the peer evaluates, in no window), deliver the reply (its
+        window absorbs it here), settle.
 
         Runs on the *peer's* pool (or fallback serve thread) so the
-        dispatcher never blocks.  Both outcomes resolve through the
-        delegation's one-shot settle closure: a failure - transport or
-        remote evaluation - settles with rollback (forgetting the
-        optimistic view advance for the shipped keys) and fails the
-        future; success settles without.  If the caller's
-        timeout/cancel settled first, the closure refuses and this
-        thread drops its outcome on the floor - the caller already owns
-        the bookkeeping.  ``outstanding`` drops inside the settle,
-        *before* the future resolves, so a waiter that quotes the
-        moment ``result()`` returns never sees phantom load from its
-        own finished delegation.
+        dispatcher never blocks.  Every outcome ends in
+        :meth:`Delegation._settle`: a failure, transport or remote,
+        rolls back the shipped beliefs, and after a caller's cancel or
+        timeout this thread's outcome changes nothing.
         """
-        settle = future._settler
-        assert settle is not None  # armed by _dispatch before spawn
-        request_arrival = channel.arrival(self, request_seq)
+        peer = channel.far_end(self)
         try:
-            self._transit(channel, peer.name)
-            wire_back, reply_seq = peer._serve(wire, arrival=request_arrival)
-            self._transit(channel, peer.name)
-            with channel.arrival(peer, reply_seq):
-                result = self._absorb_reply(future, wire_back)
+            request = self._deliver(
+                channel, self, seq, peer._absorb_request, wire
+            )
+            wire_back, reply_seq = peer._serve(*request)
+            outcome = self._deliver(
+                channel, peer, reply_seq, self._absorb_reply, future, wire_back
+            )
         except BaseException as exc:  # noqa: BLE001 - resolves the future
+            outcome = exc
             if not isinstance(exc, FixError):
-                exc = NetworkError(
+                outcome = NetworkError(
                     f"{self.name}: delegation to {peer.name!r} died in "
                     f"transit: {exc}"
                 )
-            if settle(True):
-                future._fail(exc)
-        else:
-            if settle(False):
-                future._complete(result)
-        finally:
-            # A serve that died before entering its delivery window must
-            # not wedge the direction; release is idempotent.
-            request_arrival.release()
+        future._settle(outcome)
 
     def _absorb_reply(self, future: Delegation, wire_back: bytes) -> Handle:
         """Parse a reply into the local repository and views; an error
@@ -1339,33 +1318,29 @@ class FixpointNode:
         span.finish()
         return outcome
 
-    def _serve(self, wire: bytes, arrival: _Arrival) -> Tuple[bytes, int]:
-        """Peer side: parse, evaluate, reply with the *filtered* bundle.
+    def _serve(
+        self, sender: str, encode: Handle, ctx: SpanContext
+    ) -> Tuple[bytes, int]:
+        """Peer side: evaluate a request :meth:`_absorb_request` decoded,
+        reply with the *filtered* bundle.
 
-        The request names its sender, so the reply ships only result
-        data the sender is not believed to hold - in particular, never
-        data the sender itself just shipped in this request.  Runs on
-        this node's worker pool; a failure after the sender is known
-        (missing data, codelet error) becomes an error-response frame,
-        never an exception through the serving thread.
+        The reply ships only result data the sender is not believed to
+        hold - never data the sender itself just shipped.  Runs on this
+        node's worker pool, in no delivery window; a failure (missing
+        data, codelet error) becomes an error-response frame, never an
+        exception through the serving thread.
 
-        ``arrival`` is the request frame's delivery window: the bundle
-        is decoded inside it, in wire order.  The reply is built *and
-        sequenced* under this node's lock, so the reply filter and the
-        reply's position on the wire agree - a reply that omits data
-        "the sender already received" is always ordered after the reply
-        that shipped it.  Returns the sent reply (wire copy, sequence).
+        The reply is built *and sequenced* under this node's lock, so
+        the reply filter and the reply's position on the wire agree - a
+        reply that omits data "the sender already received" is always
+        ordered after the reply that shipped it.  Returns the sent reply
+        (wire copy, sequence).
         """
         with self._lock:
             self.delegations_served += 1
-        span = None
+        span = self.obs.tracer.start("delegate.serve", parent=ctx, peer=sender)
+        self._m_served.inc(peer=sender)
         try:
-            with arrival:
-                sender, encode, ctx = self._absorb_request(wire)
-            span = self.obs.tracer.start(
-                "delegate.serve", parent=ctx, peer=sender
-            )
-            self._m_served.inc(peer=sender)
             result = self.runtime.eval(encode)
             with self._lock:
                 to_ship = self._unheld_by(
@@ -1378,18 +1353,16 @@ class FixpointNode:
                     sender, pack_reply(span.context, result, bundle)
                 )
         except BaseException as exc:  # noqa: BLE001 - crosses the wire
-            if span is None:
-                raise  # the request never parsed: no sender to reply to
-            # The serve span is minted as soon as the sender is known, so
-            # the error reply carries it too: a failed delegation still
-            # traces end to end.
+            # The error reply carries the serve span too: a failed
+            # delegation still traces end to end.
             span.finish(status="error", error=f"{type(exc).__name__}: {exc}")
             return self._send_back(sender, pack_reply(span.context, exc))
 
     def _absorb_request(
         self, wire: bytes
     ) -> Tuple[str, Handle, SpanContext]:
-        """Decode one request frame into the repository (wire order)."""
+        """Decode one request frame into the repository: the request's
+        handler, run inside its delivery window (wire order)."""
         sender, ctx, encode, bundle = unpack_request(wire)
         received = decode_bundle(self.repo, bundle)
         self._note_held(sender, received)
@@ -1422,10 +1395,18 @@ class FixpointNode:
             if not self.view.knows(handle.content_key(), peer)
         ]
 
-    def _transit(self, channel: Channel, peer_name: str) -> None:
-        """One hop's wire time, recorded per peer."""
-        with self._m_transit.time(peer=peer_name):
+    def _deliver(
+        self, channel: Channel, sender: FixpointNode, seq: int, handler, *args
+    ):
+        """The one delivery step every frame takes: its wire time
+        (recorded per peer), its delivery window, then ``handler(*args)``
+        inside the window.  The window is released however the handler
+        ends; a transit fails only on a closed channel, which delivers
+        no frame after it, so there is no window to release then."""
+        with self._m_transit.time(peer=channel.far_end(self).name):
             channel.transit()
+        with channel.arrival(sender, seq):
+            return handler(*args)
 
     def _send_back(self, sender: str, payload: bytes) -> Tuple[bytes, int]:
         channel = self.peers.get(sender)

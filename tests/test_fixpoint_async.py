@@ -405,17 +405,17 @@ class TestViewRollback:
         payload = bytes(range(256)) * 4
         blob = alpha.repo.put_blob(payload)
         encode = strict(make_identification(blob))
-        real_serve = beta._serve
+        real_absorb = beta._absorb_request
 
-        def dead_serve(wire, arrival=None):
+        def dead_absorb(wire):
             raise ConnectionResetError("wire cut before the peer parsed")
 
-        beta._serve = dead_serve
+        beta._absorb_request = dead_absorb
         try:
             with pytest.raises(NetworkError):
                 alpha.delegate("beta", encode)
         finally:
-            beta._serve = real_serve
+            beta._absorb_request = real_absorb
         # The rollback: alpha no longer believes beta holds the payload
         # it never actually received...
         assert not alpha.view.knows(blob.content_key(), "beta")

@@ -19,9 +19,11 @@ readmission over real channels.
 from __future__ import annotations
 
 import ast
+import collections
 import importlib
 import inspect
 import pathlib
+import random
 import sys
 import textwrap
 import threading
@@ -33,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.codelets.stdlib import blob_int, int_blob
 from repro.core.errors import FixError, SchedulingError, SerializationError
+from repro.core.minrepo import transitive_footprint
 from repro.core.serialize import decode_bundle, decode_frame, encode_bundle
 from repro.core.storage import Repository
 from repro.core.thunks import make_application, make_identification, strict
@@ -60,7 +63,7 @@ from repro.dist.membership import (
 from repro.dist.objectview import EMPTY_DIGEST, Digest, ObjectView
 from repro.dist.scheduler import DataflowScheduler
 from repro.fixpoint import net
-from repro.fixpoint.jobs import JobQueue
+from repro.fixpoint.jobs import Job, JobQueue
 from repro.fixpoint.net import FixpointNode, NetworkError, NodeDirectory
 from repro.obs import SpanContext
 from repro.sim.cluster import Cluster, MachineSpec
@@ -2031,6 +2034,110 @@ class TestDelegationRollback:
         finally:
             x.close()
             y.close()
+
+
+#: A codelet whose result (an 8-byte literal) names nothing it was
+#: shipped, so a reply absorbed after a rollback re-learns no belief.
+LEN_SOURCE = (
+    "def _fix_apply(fix, input):\n"
+    "    entries = fix.read_tree(input)\n"
+    "    size = len(fix.read_blob(entries[2]))\n"
+    "    return fix.create_blob(size.to_bytes(8, 'little'))\n"
+)
+
+
+class TestOneSettle:
+    """Every way a delegation ends goes through ``Delegation._settle``:
+    for its first caller only, it drops ``outstanding``, rolls the
+    shipped beliefs back on failure, and resolves the future."""
+
+    @pytest.fixture
+    def linked(self):
+        x, y = FixpointNode("x"), FixpointNode("y")
+        fn = x.runtime.compile(LEN_SOURCE, "len")
+        assert y.runtime.compile(LEN_SOURCE, "len") == fn  # never shipped
+        channel = x.connect(y)
+        yield x, y, channel, fn
+        channel.close()
+        x.close()
+        y.close()
+
+    @staticmethod
+    def _len_of(node, fn, payload):
+        blob = node.repo.put_blob(payload)
+        return node.runtime.invoke(fn, [blob]).wrap_strict()
+
+    def test_cancel_racing_the_reply_settles_once(self, linked, monkeypatch):
+        x, y, channel, fn = linked
+        channel.latency = 0.005
+        resolved = []  # every resolved Job, kept alive so ids stay unique
+        for name in ("complete", "fail"):
+
+            def counted(job, outcome, real=getattr(Job, name)):
+                resolved.append(job)
+                real(job, outcome)
+
+            monkeypatch.setattr(Job, name, counted)
+        start = time.monotonic()
+        x.delegate_async("y", self._len_of(x, fn, b"c" * 64)).result(10.0)
+        trip = time.monotonic() - start
+        rng = random.Random(34)
+        # Timeouts around the round trip race the cancel against the
+        # reply; 0 and 10 s make sure each side wins at least once.
+        timeouts = [0.0, 10.0]
+        timeouts += [rng.uniform(0.5, 1.5) * trip for _ in range(40)]
+        rng.shuffle(timeouts)
+        futures, winners = [], set()
+        for i, timeout in enumerate(timeouts):
+            encode = self._len_of(x, fn, b"%03d" % i * 16)
+            future = x.delegate_async("y", encode)
+            futures.append(future)
+            assert future.shipped
+            try:
+                future.result(timeout)
+                caller_won = False
+            except NetworkError as exc:
+                assert "timed out" in str(exc)
+                caller_won = True
+            winners.add(caller_won)
+            assert x.outstanding["y"] == 0
+            believed = [x.view.knows(key, "y") for key in future.shipped]
+            assert believed == [not caller_won] * len(believed)
+        assert winners == {True, False}
+        for thread in threading.enumerate():
+            if thread.name == "fixpoint-serve":
+                thread.join(10.0)
+        # The losers' late settles changed nothing.
+        counts = collections.Counter(map(id, resolved))
+        assert [counts[id(f._job)] for f in futures] == [1] * len(futures)
+        assert x.outstanding["y"] == 0
+
+    def test_spawn_failure_settles_and_frees_the_sequence(
+        self, linked, monkeypatch
+    ):
+        x, y, channel, fn = linked
+        encode = self._len_of(x, fn, b"s" * 64)
+        fp = transitive_footprint(x.repo, encode)
+        before = {key for key in fp.data if x.view.knows(key, "y")}
+        assert fp.data - before  # the dispatch ships something
+
+        def refuse(task):
+            raise RuntimeError("the pool refused the serve")
+
+        monkeypatch.setattr(y.runtime, "spawn", refuse)
+        with pytest.raises(RuntimeError, match="refused"):
+            x.delegate_async("y", encode)
+        monkeypatch.undo()
+        assert x.outstanding["y"] == 0
+        assert {key for key in fp.data if x.view.knows(key, "y")} == before
+        (span,) = [
+            s for s in x.obs.tracer.spans if s.name == "delegate.dispatch"
+        ]
+        assert span.status == "error" and "refused" in span.error
+        # The refused request's sequence number was released: the next
+        # request on the channel is delivered instead of waiting on it.
+        result = x.delegate_async("y", encode).result(10.0)
+        assert blob_int(x.repo.get_blob(result).data) == 64
 
 
 class TestChannelCloseWakesWaiters:

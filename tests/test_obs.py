@@ -17,10 +17,10 @@ import pytest
 from repro.baselines.calibration import RAY_PULL_BW
 from repro.baselines.ray import RayPlatform
 from repro.codelets.stdlib import blob_int, int_blob
-from repro.core.errors import SchedulingError
+from repro.core.errors import FixError, SchedulingError
 from repro.dist.engine import FixpointSim
 from repro.dist.graph import EXTERNAL, JobGraph, TaskSpec
-from repro.fixpoint.net import FixpointNode, RemoteEvalError
+from repro.fixpoint.net import FixpointNode, NetworkError, RemoteEvalError
 from repro.obs import (
     NULL_CONTEXT,
     NULL_OBS,
@@ -331,6 +331,52 @@ class TestCrossNodeTracing:
         # transit latency was timed on the caller side (request + reply)
         transit = a_reg.export()["histograms"]["net_transit_seconds"]
         assert sum(series["count"] for series in transit) >= 2
+
+
+class TestFailedWireSpansEndInError:
+    """A gossip round or a dispatch that raises ends its span ``error``,
+    with the error text: never left open and marked ``ok``."""
+
+    def _last(self, node, name):
+        return [s for s in node.obs.tracer.spans if s.name == name][-1]
+
+    def _assert_failed(self, span, text):
+        assert span.done
+        assert span.status == "error"
+        assert text in span.error
+
+    def test_round_with_a_crashed_peer(self, pair):
+        a, b = pair
+        b.crash()
+        with pytest.raises(NetworkError, match="closed"):
+            a.gossip_with("beta")
+        self._assert_failed(self._last(a, "gossip.round"), "closed")
+
+    def test_dispatch_to_a_crashed_peer(self, pair):
+        a, b = pair
+        b.crash()
+        with pytest.raises(NetworkError, match="closed"):
+            a.delegate_async("beta", add_encode(a, 1, 2))
+        self._assert_failed(self._last(a, "delegate.dispatch"), "closed")
+
+    def test_round_that_refuses_a_short_ack(self, pair):
+        a, b = pair
+        real_serve = b._serve_gossip_syn
+
+        def short_ack(wire):
+            ack_wire, ack_seq = real_serve(wire)
+            return ack_wire[:-1], ack_seq
+
+        b._serve_gossip_syn = short_ack
+        try:
+            with pytest.raises(FixError) as refused:
+                a.gossip_with("beta")
+        finally:
+            b._serve_gossip_syn = real_serve
+        self._assert_failed(self._last(a, "gossip.round"), str(refused.value))
+        # The refused ACK left its delivery window: the next round is ok.
+        a.gossip_with("beta")
+        assert self._last(a, "gossip.round").status == "ok"
 
 
 # ----------------------------------------------------------------------
