@@ -63,6 +63,15 @@ placement using beliefs, not ground truth.  Staleness costs only
 performance (a redundant transfer), never correctness - the same
 property the paper's design leans on.
 
+A name's believed holders are an immutable set, and the view keeps one
+copy of each distinct set in use: every name held in the same places
+points at the same ``frozenset``, so a belief held in one place costs
+its forward-map slot and no set of its own.  A belief change swaps the
+name to the copy of its new set; a copy no name points at is dropped,
+so the copies are exactly the distinct values of the forward map.  The
+sets handed to pricing, :meth:`where` and :meth:`snapshot` are those
+copies, uncopied: nothing can change them.
+
 The logs need no compaction: an origin stamps a ``(name, location)``
 pair again only when its size changes or after it retracted the pair,
 and a name is a content key whose content fixes its size, so a log
@@ -88,6 +97,7 @@ from typing import (
     Collection,
     Container,
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     List,
@@ -248,7 +258,12 @@ class ObjectView:
         #: Reentrant so :meth:`bid` can hold the lock across the
         #: whole pricing pass while its locations callable re-enters.
         self._lock = TrackedRLock("ObjectView._lock")
-        self._locations: Dict[Hashable, Set[str]] = {}
+        #: name -> believed holders, never empty: one of the copies in
+        #: ``_sets``, shared with every name held in the same places.
+        self._locations: Dict[Hashable, FrozenSet[str]] = {}
+        #: Each distinct holder set in use -> ``[its one copy, how many
+        #: names point at it]``; a copy leaves when its count reaches 0.
+        self._sets: Dict[FrozenSet[str], list] = {}
         #: How many names each location is believed to hold, changed
         #: only where a ``(name, location)`` pair is added or removed.
         #: Never zero: a location whose last belief goes is dropped, so
@@ -311,12 +326,32 @@ class ObjectView:
     def _add(self, name: Hashable, location: str) -> bool:
         """Believe ``location`` holds ``name``; whether that is a new
         pair (lock held by caller)."""
-        locations = self._locations.setdefault(name, set())
+        locations = self._locations.get(name, _NOTHING)
         if location in locations:
             return False
-        locations.add(location)
+        self._hold(name, locations, locations | {location})
         self._counts[location] = self._counts.get(location, 0) + 1
         return True
+
+    def _hold(
+        self, name: Hashable, old: FrozenSet[str], new: FrozenSet[str]
+    ) -> None:
+        """Point ``name`` at the view's copy of ``new`` (or drop it from
+        the forward map when ``new`` is empty) and release ``old``, its
+        current value (lock held by caller)."""
+        if new:
+            held = self._sets.get(new)
+            if held is None:
+                held = self._sets[new] = [new, 0]
+            held[1] += 1
+            self._locations[name] = held[0]
+        else:
+            del self._locations[name]
+        if old:
+            held = self._sets[old]
+            held[1] -= 1
+            if not held[1]:
+                del self._sets[old]
 
     def _record(
         self,
@@ -379,9 +414,7 @@ class ObjectView:
                     )
             if corroborated:
                 return  # the belief outlives the rollback of our own say
-            locations.discard(location)
-            if not locations:
-                del self._locations[name]
+            self._hold(name, locations, locations - {location})
             left = self._counts[location] - 1
             if left:
                 self._counts[location] = left
@@ -419,9 +452,7 @@ class ObjectView:
             purged = self._counts.pop(location, 0)
             for name in self._names_at(location):
                 locations = self._locations[name]
-                locations.discard(location)
-                if not locations:
-                    del self._locations[name]
+                self._hold(name, locations, locations - {location})
             for origin, log in self._log.items():
                 kept = [entry for entry in log if entry[2] != location]
                 if len(kept) != len(log):
@@ -496,10 +527,11 @@ class ObjectView:
         with self._lock:
             return location in self._evicted
 
-    def where(self, name: Hashable) -> Set[str]:
-        """Believed replica locations (empty set when unknown)."""
+    def where(self, name: Hashable) -> FrozenSet[str]:
+        """Believed replica locations (empty when unknown): the view's
+        immutable set, uncopied."""
         with self._lock:
-            return set(self._locations.get(name, ()))
+            return self._locations.get(name, _NOTHING)
 
     def knows(self, name: Hashable, location: str) -> bool:
         with self._lock:
@@ -517,14 +549,11 @@ class ObjectView:
 
         Two views are *converged* exactly when their snapshots are
         equal - the convergence check the gossip coordinator and the
-        property tests use.
+        property tests use.  The values are the view's own immutable
+        sets, uncopied.
         """
         with self._lock:
-            return {
-                name: frozenset(locs)
-                for name, locs in self._locations.items()
-                if locs
-            }
+            return dict(self._locations)
 
     def believed_size(self, name: Hashable) -> int:
         """The last observed size of ``name`` (0 when unseen)."""
@@ -735,5 +764,6 @@ class ObjectView:
             )
 
     def _believed(self, name: Hashable) -> Iterable[str]:
-        """Believed holders of ``name``, uncopied (lock held by caller)."""
+        """Believed holders of ``name``: the view's immutable set,
+        uncopied (lock held by caller)."""
         return self._locations.get(name, _NOTHING)

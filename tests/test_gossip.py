@@ -22,7 +22,9 @@ import functools
 import importlib.util
 import math
 import random
+import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -1227,12 +1229,25 @@ class TestRefreshStampsWhatTheScanStamped:
 # The log is the only record of who asserted what
 
 
-class _MirroredView(ObjectView):
+class _SetPerName(ObjectView):
+    """``learn`` as it was before the view shared immutable copies: one
+    mutable set per name in the forward map."""
+
+    def _add(self, name, location):
+        locations = self._locations.setdefault(name, set())
+        if location in locations:
+            return False
+        locations.add(location)
+        return True
+
+
+class _MirroredView(_SetPerName):
     """The bookkeeping ``ObjectView`` had before it read retractions off
     the log, kept as the reference: ``_stamps`` mirrors the log as
     ``(name, location) -> [(origin, version)]`` and ``forget`` decides
     by it; ``evict`` walks the forward map; ``known_locations`` and
-    ``stats`` are summed from the forward map and the logs.  ``learn``,
+    ``stats`` are summed from the forward map and the logs, whose
+    values are mutable sets, one per name.  ``learn``,
     ``merge_delta``, ``advance_epoch`` and every other read are the
     shipped ones (the per-location count they keep is never read
     here)."""
@@ -1514,6 +1529,104 @@ class TestTheLogIsTheOnlyRecord:
                         loc for locs in view._locations.values() for loc in locs
                     )
                 )
+
+
+def check_one_copy(ops, candidate=ObjectView):
+    """Run ``ops`` on three ``candidate`` views; after every op each
+    view keeps one copy of each distinct holder set its forward map
+    holds and no other, every name points at that copy, and each copy
+    counts the names pointing at it.  Returns the views."""
+    views = [candidate(node) for node in VIEW_NODES]
+    for step, op in enumerate(ops):
+        apply_view_op(views, op)
+        for view in views:
+            held = list(view._locations.values())
+            assert all(type(s) is frozenset and s for s in held), (step, op)
+            assert {s: copy[1] for s, copy in view._sets.items()} == dict(
+                collections.Counter(held)
+            ), (step, op)
+            assert all(s is view._sets[s][0] for s in held), (step, op)
+    return views
+
+
+class _CopyPerName(ObjectView):
+    """Every name gets a set of its own: equal, never shared."""
+
+    def _hold(self, name, old, new):
+        super()._hold(name, old, new)
+        if new:
+            self._locations[name] = frozenset(new)
+
+
+class _NeverReleases(ObjectView):
+    """A set a name moves off keeps its copy and its count."""
+
+    def _hold(self, name, old, new):
+        super()._hold(name, frozenset(), new)
+
+
+def _traced_bytes(build):
+    tracemalloc.start()
+    try:
+        kept = build()
+        size, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return size
+
+
+class TestOneCopyPerHolderSet:
+    """The forward map's values are immutable sets, one copy per
+    distinct set in use: a belief held where others are costs its
+    dict slot, and the copies are exactly the map's distinct values."""
+
+    @given(st.lists(VIEW_OPS, max_size=30))
+    @settings(max_examples=80, deadline=None)
+    def test_the_copies_are_the_map_values(self, ops):
+        check_one_copy(ops)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_over_every_op_kind(self, seed):
+        check_one_copy(view_soup(seed))
+
+    @pytest.mark.parametrize("mutant", [_CopyPerName, _NeverReleases])
+    def test_the_check_catches_a_bad_table(self, mutant):
+        with pytest.raises(AssertionError):
+            check_one_copy(view_soup(0), mutant)
+
+    def test_names_in_the_same_places_share_one_set(self):
+        view = ObjectView("me")
+        for index in range(1000):
+            view.learn(f"k{index}", "a" if index % 2 else "b", 1)
+        view.learn("k0", "a", 1)
+        assert len(view._sets) == 3  # {a}, {b} and k0's {a, b}
+        assert len({id(s) for s in view._locations.values()}) == 3
+        snapshot = view.snapshot()
+        assert all(snapshot[name] is view._locations[name] for name in snapshot)
+        view.forget("k0", "b")
+        assert view._locations["k0"] is view._locations["k1"]
+        assert len(view._sets) == 2
+        assert view.where("k1") is view._locations["k1"] == {"a"}
+
+    def test_a_belief_held_in_one_place_costs_no_set(self):
+        """Measured against the one-set-per-name map: the saving is at
+        least three quarters of a one-element set per name."""
+        names = [f"key-{index:06d}" for index in range(20_000)]
+
+        def learn_all(cls):
+            def build():
+                view = cls("me")
+                for index, name in enumerate(names):
+                    view.learn(name, f"m{index % 4}", 64)
+                return view
+
+            return build
+
+        shared = _traced_bytes(learn_all(ObjectView))
+        per_name = _traced_bytes(learn_all(_SetPerName))
+        saved = (per_name - shared) / len(names)
+        assert saved >= 0.75 * sys.getsizeof(frozenset({"m0"})), saved
 
 
 #: One size per name, as a content key has.
