@@ -101,9 +101,6 @@ class FixpointSim(Platform):
         #: Explicit consumer-location hints per producer task name; used by
         #: the output-size-hint ablation to pin where a consumer will run.
         self.consumer_pins: Dict[str, str] = dict(consumer_pins or {})
-        self._physical_cores = {
-            name: machine.spec.cores for name, machine in cluster.machines.items()
-        }
         if oversubscribe_cores is not None:
             for machine in cluster.machines.values():
                 machine.resize_cores(oversubscribe_cores)
@@ -223,13 +220,7 @@ class FixpointSim(Platform):
         and its believed holdings are evicted - the bounded detection
         lag ``bench_churn.py`` asserts on.
         """
-        if self.gossip is None or not self.gossip.membership_enabled:
-            raise SchedulingError(
-                "fail_machine requires gossip with membership enabled "
-                "(GossipConfig(membership=True))"
-            )
-        if name not in self.machine_views:
-            raise SchedulingError(f"unknown machine {name!r}")
+        self._churnable("fail_machine", name)
         self.gossip.kill(name)
 
     def restart_machine(self, name: str) -> None:
@@ -244,22 +235,27 @@ class FixpointSim(Platform):
         Nothing informs the schedulers directly, mirroring
         :meth:`fail_machine`.
         """
-        if self.gossip is None or not self.gossip.membership_enabled:
-            raise SchedulingError(
-                "restart_machine requires gossip with membership enabled "
-                "(GossipConfig(membership=True))"
-            )
-        if name not in self.machine_views:
-            raise SchedulingError(f"unknown machine {name!r}")
+        self._churnable("restart_machine", name)
         fresh = self.gossip.restart(name, clock=self.obs.clock)
         self.machine_views[name] = fresh
         fresh.refresh_local(self.cluster)
 
+    def _churnable(self, action: str, name: str) -> None:
+        """The guard :meth:`fail_machine` and :meth:`restart_machine`
+        share: churn needs gossip with membership, and a known machine."""
+        if self.gossip is None or not self.gossip.membership_enabled:
+            raise SchedulingError(
+                f"{action} requires gossip with membership enabled "
+                "(GossipConfig(membership=True))"
+            )
+        if name not in self.machine_views:
+            raise SchedulingError(f"unknown machine {name!r}")
+
     def _compute_penalty(self, machine: str) -> float:
         """Context-switch/cache pressure once schedulable > physical cores
         (the paper measures 7.5% on fig. 8b's internal-I/O row)."""
-        capacity = self.cluster.machine(machine).cores.capacity
-        if capacity > self._physical_cores[machine]:
+        host = self.cluster.machine(machine)
+        if host.cores.capacity > host.spec.cores:
             return 1.0 + OVERSUBSCRIPTION_PENALTY
         return 1.0
 

@@ -231,15 +231,19 @@ class JobGraph:
     def total_compute_seconds(self) -> float:
         return sum(task.compute_seconds for task in self.tasks.values())
 
-    def critical_path_seconds(self) -> float:
-        """Longest chain of compute time through the graph (the makespan
-        floor on an infinitely wide cluster with free data movement)."""
+    def schedule(self) -> Iterator[Tuple[TaskSpec, float, float]]:
+        """``(task, start, finish)`` in dependency order, on an infinitely
+        wide cluster with free data movement: a task starts when its last
+        dependency finishes and runs for its compute time."""
         finish: Dict[str, float] = {}
-        longest = 0.0
         for task in self.topological_order():
             start = max(
                 (finish[dep] for dep in self.dependencies(task)), default=0.0
             )
             finish[task.name] = start + task.compute_seconds
-            longest = max(longest, finish[task.name])
-        return longest
+            yield task, start, finish[task.name]
+
+    def critical_path_seconds(self) -> float:
+        """Longest chain of compute time through the graph: the last
+        finish in :meth:`schedule` (the makespan floor)."""
+        return max((finish for _, _, finish in self.schedule()), default=0.0)

@@ -277,11 +277,6 @@ class MembershipView:
         #: Tick at which each node's record last *changed* - the
         #: staleness the detector ages against.
         self._since: Dict[str, int] = {node: 0}
-        #: node -> highest incarnation whose tombstone was announced.
-        #: A later death (necessarily at a higher incarnation, after a
-        #: rejoin) announces again; re-delivery of the same tombstone
-        #: never does.
-        self._announced: Dict[str, int] = {}
         # The three hooks, fixed at construction and fired outside the
         # lock: a tombstone transition, a dead->alive flip at a higher
         # incarnation, and this node refuting its own tombstone (the
@@ -385,12 +380,7 @@ class MembershipView:
             if member is None or member.is_dead or node == self.node:
                 return
             self._store(
-                join_members(
-                    member,
-                    Member(
-                        node, member.heartbeat, SUSPECT, member.incarnation
-                    ),
-                )
+                Member(node, member.heartbeat, SUSPECT, member.incarnation)
             )
 
     def declare_dead(self, node: str) -> None:
@@ -409,32 +399,33 @@ class MembershipView:
         """Write one record (lock held); returns ``(newly tombstoned,
         newly rejoined)`` nodes.
 
+        A tombstone is new unless the record it replaces was already a
+        tombstone at that incarnation (a re-delivery at a higher
+        heartbeat).  Records only move up :meth:`Member.order_key`, so
+        the replaced record is the whole history that decision needs.
+
         Never announces a tombstone about *this* node: acting on one's
         own death notice (evicting holdings, unregistering from the
         directory) is the self-destruct bug - the record is stored so
         the next :meth:`beat` or :meth:`merge` sees it and refutes it.
         """
-        current = self._members.get(member.node)
+        node = member.node
+        current = self._members.get(node)
         merged = member if current is None else join_members(current, member)
-        if current is not None and merged == current:
+        if merged == current:
             return [], []
-        self._members[member.node] = merged
-        self._since[member.node] = self._ticks
+        self._members[node] = merged
+        self._since[node] = self._ticks
+        if node == self.node:
+            return [], []
+        was_dead = current is not None and current.is_dead
         if merged.is_dead:
-            if (
-                merged.node != self.node
-                and self._announced.get(merged.node, 0) < merged.incarnation
-            ):
-                self._announced[merged.node] = merged.incarnation
-                return [merged.node], []
-        elif (
-            current is not None
-            and current.is_dead
-            and merged.node != self.node
-        ):
+            if not (was_dead and current.incarnation == merged.incarnation):
+                return [node], []
+        elif was_dead:
             # Only a strictly higher incarnation outranks a tombstone,
             # so this is a genuine rejoin, not heartbeat noise.
-            return [], [merged.node]
+            return [], [node]
         return [], []
 
     # ------------------------------------------------------------------

@@ -15,13 +15,14 @@ This module quantifies what that knowledge is worth:
 * :func:`spiky_workload` / :func:`density_ratio` - the section-6
   experiment: staggered spiky fleets pack several times denser;
 * :func:`profile_from_graph` - derive a job's declared profile from its
-  :class:`~repro.dist.graph.JobGraph` critical-path schedule, the bridge
-  the admission layer (:mod:`repro.dist.admission`) crosses from the
-  executable job IR into this packing model;
+  critical-path schedule (:meth:`~repro.dist.graph.JobGraph.schedule`),
+  the bridge the admission layer (:mod:`repro.dist.admission`) crosses
+  from the executable job IR into this packing model;
 * :func:`fits_online` / :func:`validate_timeline` - the *online*
-  single-bin variant of the same pointwise check: jobs arrive at
-  arbitrary instants on one shared cluster, and an admission is legal
-  exactly when the projected footprint sum stays within capacity.
+  single-bin variant of the same pointwise check (members start at
+  their admission instants, not at 0): jobs arrive at arbitrary
+  instants on one shared cluster, and an admission is legal exactly
+  when the projected footprint sum stays within capacity.
 """
 
 from __future__ import annotations
@@ -127,21 +128,28 @@ class Packing:
         return self.app_count() / self.bin_count
 
 
-def _peak_demand(members: Sequence[AppProfile]) -> int:
-    """The worst instantaneous sum of a co-located set (apps co-start;
-    profiles are piecewise constant, so checking every member's phase
-    breakpoints is exact)."""
-    points = sorted({t for app in members for t in app.breakpoints()})
-    worst = 0
-    for t in points:
-        worst = max(worst, sum(app.memory_at(t) for app in members))
-    return worst
+def _peak_demand(
+    members: Sequence[Tuple[AppProfile, float]], since: float = 0.0
+) -> int:
+    """The worst instantaneous sum, from ``since`` on, of a co-located
+    set of ``(profile, started_at)`` members.  Profiles are piecewise
+    constant, so checking every member's shifted phase breakpoints is
+    exact."""
+    points = {at + t for app, at in members for t in app.breakpoints()}
+    return max(
+        (
+            sum(app.memory_at(t - at) for app, at in members)
+            for t in points
+            if t >= since
+        ),
+        default=0,
+    )
 
 
 def validate_packing(packing: Packing) -> None:
     """Prove the packing never exceeds capacity at any instant."""
     for index, members in enumerate(packing.bins):
-        demand = _peak_demand(members)
+        demand = _peak_demand([(app, 0.0) for app in members])
         if demand > packing.capacity_bytes:
             raise SchedulingError(
                 f"bin {index}: peak demand {demand} exceeds capacity "
@@ -201,7 +209,8 @@ def footprint_aware_packing(
     bins: List[List[AppProfile]] = []
     for app in ordered:
         for members in bins:
-            if _peak_demand([*members, app]) <= capacity_bytes:
+            trial = [(member, 0.0) for member in (*members, app)]
+            if _peak_demand(trial) <= capacity_bytes:
                 members.append(app)
                 break
         else:
@@ -268,34 +277,26 @@ def profile_from_graph(graph: "JobGraph", name: str = "job") -> AppProfile:
 
     The paper's admission argument (section 6) rests on the platform
     *knowing* each job's footprint over time before running it; with a
-    declared dataflow that knowledge is derivable, not guessed.  This
-    schedules every task at its critical-path instant (it starts when its
-    last dependency finishes - the infinitely wide, free-data-movement
-    schedule behind :meth:`JobGraph.critical_path_seconds`) and holds
-    ``task.memory_bytes`` for the task's compute time, then flattens the
-    interval sum into a piecewise-constant :class:`AppProfile`.
+    declared dataflow that knowledge is derivable, not guessed.  Each
+    task holds ``task.memory_bytes`` from its start in
+    :meth:`JobGraph.schedule` (the critical-path schedule) for its
+    compute time, and the interval sum is flattened into a
+    piecewise-constant :class:`AppProfile`.
 
     This is the *declared* footprint: a real run under contention
     stretches in time but never grows in instantaneous memory, because
     the engine's late binding acquires each task's memory only for the
     compute interval the declaration prices.
     """
-    intervals: List[Tuple[float, float, int]] = []
-    finish: dict = {}
-    for task in graph.topological_order():
-        start = max(
-            (finish[dep] for dep in graph.dependencies(task)), default=0.0
-        )
-        finish[task.name] = start + task.compute_seconds
-        end = start + max(task.compute_seconds, MIN_PHASE_SECONDS)
-        if task.memory_bytes > 0:
-            intervals.append((start, end, task.memory_bytes))
-    if not intervals:
-        return AppProfile(name, (Phase(MIN_PHASE_SECONDS, 0),))
     deltas: dict = {}
-    for start, end, mem in intervals:
-        deltas[start] = deltas.get(start, 0) + mem
-        deltas[end] = deltas.get(end, 0) - mem
+    for task, start, _ in graph.schedule():
+        mem = task.memory_bytes
+        if mem > 0:
+            end = start + max(task.compute_seconds, MIN_PHASE_SECONDS)
+            deltas[start] = deltas.get(start, 0) + mem
+            deltas[end] = deltas.get(end, 0) - mem
+    if not deltas:
+        return AppProfile(name, (Phase(MIN_PHASE_SECONDS, 0),))
     phases: List[Phase] = []
     level = 0
     points = sorted(deltas)
@@ -330,26 +331,14 @@ def fits_online(
     """Would admitting ``candidate`` at ``start`` ever exceed capacity?
 
     ``active`` holds the already-admitted jobs as ``(profile,
-    started_at)`` pairs.  The check is the same pointwise one
-    :func:`footprint_aware_packing` runs per bin, shifted online: every
-    instant where any projected footprint can change, from ``start``
-    onward, must keep the sum within ``capacity_bytes``.  Instants before
-    ``start`` were proven safe when the active jobs were admitted, and
-    admitting the candidate cannot change them.
+    started_at)`` pairs.  The check is the one
+    :func:`footprint_aware_packing` runs per bin (there every member
+    starts at 0), over the candidate at ``start`` and the active jobs,
+    from ``start`` onward.  Instants before ``start`` were proven safe
+    when the active jobs were admitted, and admitting the candidate
+    cannot change them.
     """
-    points = {start + t for t in candidate.breakpoints()}
-    for profile, started_at in active:
-        points.update(started_at + t for t in profile.breakpoints())
-    for t in points:
-        if t < start:
-            continue
-        total = candidate.memory_at(t - start) + sum(
-            profile.memory_at(t - started_at)
-            for profile, started_at in active
-        )
-        if total > capacity_bytes:
-            return False
-    return True
+    return _peak_demand([*active, (candidate, start)], start) <= capacity_bytes
 
 
 def validate_timeline(
@@ -360,7 +349,9 @@ def validate_timeline(
     Each ``(profile, started_at)`` becomes a :meth:`AppProfile.delayed`
     co-start profile, and the whole history is one shared bin - so this
     is literally :func:`validate_packing` over the online timeline, and
-    raises :class:`SchedulingError` on any violation.
+    raises :class:`SchedulingError` on any violation.  The co-start form
+    is the proof on purpose: it does not share :func:`fits_online`'s
+    offset arithmetic.
     """
     if not jobs:
         return

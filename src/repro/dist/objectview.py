@@ -268,6 +268,7 @@ class ObjectView:
         #: only where a ``(name, location)`` pair is added or removed.
         #: Never zero: a location whose last belief goes is dropped, so
         #: the keys are :meth:`known_locations`.
+        # Kept, not derived from _sets: a per-quote union is O(holder sets).
         self._counts: Dict[str, int] = {}
         #: Believed sizes, recorded whenever an observation carried one
         #: (cluster snapshots always do; wire traffic carries handle sizes).

@@ -148,6 +148,24 @@ class DataflowScheduler:
     # ------------------------------------------------------------------
     # Placement
 
+    def _bid(self, task: TaskSpec, consumer_location: Optional[str]):
+        """What :meth:`place` and :meth:`explain` both price from: the
+        tombstoned machines (``None`` without membership), the consumer
+        hint (``None`` unless hints are on) and :meth:`ObjectView.bid`'s
+        ``(contenders, move_bytes)`` over the task's registry sizes."""
+        dead = (
+            self.membership.dead_nodes() if self.membership is not None else None
+        )
+        hinted = consumer_location if self.use_hints else None
+        lookup = self.cluster.object
+        contenders, move_bytes = self.view.bid(
+            ((name, lookup(name).size) for name in task.inputs),
+            self._candidates,
+            consumer_location=hinted,
+            exclude=dead,
+        )
+        return dead, hinted, contenders, move_bytes
+
     def place(
         self, task: TaskSpec, consumer_location: Optional[str] = None
     ) -> Placement:
@@ -169,18 +187,8 @@ class DataflowScheduler:
         machines tie on bytes and the spread by load has to see them all.
         """
         with self._m_place.time():
-            dead = (
-                self.membership.dead_nodes()
-                if self.membership is not None
-                else None
-            )
-            hinted = consumer_location if self.use_hints else None
-            lookup = self.cluster.object
-            contenders, move_bytes = self.view.bid(
-                ((name, lookup(name).size) for name in task.inputs),
-                self._candidates,
-                consumer_location=hinted,
-                exclude=dead,
+            dead, hinted, contenders, move_bytes = self._bid(
+                task, consumer_location
             )
             if not self.locality:
                 live = (
@@ -231,17 +239,7 @@ class DataflowScheduler:
         ``locality=False`` ablation draws at random and consults none of
         this - the quotes say what locality would have weighed.
         """
-        dead = (
-            self.membership.dead_nodes() if self.membership is not None else None
-        )
-        hinted = consumer_location if self.use_hints else None
-        lookup = self.cluster.object
-        contenders, move_bytes = self.view.bid(
-            ((name, lookup(name).size) for name in task.inputs),
-            self._candidates,
-            consumer_location=hinted,
-            exclude=dead,
-        )
+        dead, hinted, contenders, move_bytes = self._bid(task, consumer_location)
         return sorted(
             (
                 quote(

@@ -25,6 +25,7 @@ deadlock-free.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Callable, Dict, Optional, Sequence
 
 from ..analysis.sync import note_blocking
@@ -39,7 +40,7 @@ from ..core.limits import DEFAULT_LIMITS, ResourceLimits
 from ..core.storage import Repository
 from ..core.thunks import Invocation, make_application
 from .jobs import JobQueue
-from .tracing import Stopwatch, Trace
+from .tracing import Trace
 
 
 class _WorkerEvaluator(Evaluator):
@@ -215,11 +216,11 @@ class Fixpoint:
             )
         linked = self.linker.link(function)
         fix = FixAPI(self.repo, resolved, invocation.limits)
-        with Stopwatch() as watch:
-            result = linked.run(fix, resolved)
+        started = time.perf_counter()
+        result = linked.run(fix, resolved)
         self.trace.record(
             linked.name,
-            watch.elapsed,
+            time.perf_counter() - started,
             fix.bytes_used,
             threading.current_thread().name,
         )

@@ -30,7 +30,6 @@ trace emits, never a shared registry wholesale.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional
 
 from ..analysis.sync import TrackedLock
@@ -105,20 +104,3 @@ class Trace:
         self._invocations.reset()
         self._bytes.reset()
         self._wall.reset()
-
-
-class Stopwatch:
-    """Context manager measuring wall time for one invocation."""
-
-    __slots__ = ("elapsed", "_start")
-
-    def __init__(self):
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._start

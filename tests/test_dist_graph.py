@@ -104,6 +104,19 @@ class TestTopology:
         graph = self._diamond()
         # a(1) -> c(3) -> d(1) = 5 seconds.
         assert graph.critical_path_seconds() == pytest.approx(5.0)
+        assert JobGraph().critical_path_seconds() == 0.0
+
+    def test_schedule_starts_each_task_when_its_last_dependency_ends(self):
+        spans = {
+            task.name: (start, finish)
+            for task, start, finish in self._diamond().schedule()
+        }
+        assert spans == {
+            "a": (0.0, 1.0),
+            "b": (1.0, 3.0),
+            "c": (1.0, 4.0),
+            "d": (4.0, 5.0),
+        }
 
     def test_producer_of(self):
         graph = self._diamond()

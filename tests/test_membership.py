@@ -821,15 +821,15 @@ class _JoinEveryMember(MembershipView):
         return applied
 
 
-def _merge_mutant(old, new):
-    """A ``MembershipView`` whose ``merge`` is the shipped source with
+def _view_mutant(method, old, new):
+    """A ``MembershipView`` whose ``method`` is the shipped source with
     ``old`` replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(MembershipView.merge))
+    source = textwrap.dedent(inspect.getsource(getattr(MembershipView, method)))
     assert source.count(old) == 1, old
     namespace = dict(vars(membership_module))
     code = "from __future__ import annotations\n" + source.replace(old, new)
     exec(compile(code, membership_module.__file__, "exec"), namespace)
-    return type("Mutant", (MembershipView,), {"merge": namespace["merge"]})
+    return type("Mutant", (MembershipView,), {method: namespace[method]})
 
 
 
@@ -856,7 +856,6 @@ def merge_state(view, calls):
     return (
         dict(view._members),
         dict(view._since),
-        dict(view._announced),
         view._ticks,
         list(calls),
     )
@@ -888,7 +887,7 @@ MEMBERSHIP_OPS = st.one_of(
 
 def run_merge_twins(ops, candidate=MembershipView):
     """The parent's merge and ``candidate``'s, op for op: same returns,
-    same records, ages and announcements, same hook calls in order."""
+    same records and ages, same hook calls in order."""
     reference, ref_calls = merge_world(_JoinEveryMember)
     shipped, calls = merge_world(candidate)
     for step, op in enumerate(ops):
@@ -929,12 +928,134 @@ class TestMergeSkipsWhatTheJoinKeeps:
     def test_the_oracle_catches_an_equal_record_counted(self):
         """The mutant skips only a lower record: an equal one reaches
         ``_store``, which keeps the held record, and is counted anyway."""
-        skips_only_the_lower = _merge_mutant(
+        skips_only_the_lower = _view_mutant(
+            "merge",
             "member.order_key() <= current.order_key()",
             "member.order_key() < current.order_key()",
         )
         with pytest.raises(AssertionError):
             run_merge_twins(MERGE_SCRIPT, skips_only_the_lower)
+
+
+# ----------------------------------------------------------------------
+# A tombstone is announced from the record it replaces
+
+
+class _AnnouncedTable(MembershipView):
+    """``_store`` and ``suspect`` as they were: a side table holds, per
+    node, the highest incarnation whose tombstone was announced, and
+    ``suspect`` joins its record before ``_store`` joins it again."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._announced = {}
+
+    def suspect(self, node):
+        with self._lock:
+            member = self._members.get(node)
+            if member is None or member.is_dead or node == self.node:
+                return
+            self._store(
+                join_members(
+                    member,
+                    Member(node, member.heartbeat, SUSPECT, member.incarnation),
+                )
+            )
+
+    def _store(self, member):
+        current = self._members.get(member.node)
+        merged = member if current is None else join_members(current, member)
+        if current is not None and merged == current:
+            return [], []
+        self._members[member.node] = merged
+        self._since[member.node] = self._ticks
+        if merged.is_dead:
+            if (
+                merged.node != self.node
+                and self._announced.get(merged.node, 0) < merged.incarnation
+            ):
+                self._announced[merged.node] = merged.incarnation
+                return [merged.node], []
+        elif current is not None and current.is_dead and merged.node != self.node:
+            return [], [merged.node]
+        return [], []
+
+
+def run_tombstone_twins(ops, candidate=MembershipView):
+    """The side-table reference and ``candidate``, op for op: same
+    returns, records and ages, and the same ``on_dead``/``on_rejoin``/
+    ``on_refute`` calls in order."""
+    reference, ref_calls = merge_world(_AnnouncedTable)
+    shipped, calls = merge_world(candidate)
+    for step, op in enumerate(ops):
+        want = apply_membership_op(reference, op)
+        assert apply_membership_op(shipped, op) == want, (step, op)
+        state = merge_state(shipped, calls)
+        assert state == merge_state(reference, ref_calls), (step, op)
+
+
+#: A death, the same tombstone re-delivered at a higher heartbeat, a
+#: rejoin, a suspicion that ages into a re-death one incarnation up (and
+#: is re-delivered too), a death straight over a tombstone at a higher
+#: incarnation, a death of a node never heard from, and a tombstone
+#: about ``me`` that ``me`` refutes.
+TOMBSTONE_SCRIPT = [
+    ("merge", [Member("a", 2, ALIVE), Member("b", 1, ALIVE)]),
+    ("declare_dead", "a"),
+    ("merge", [Member("a", 5, DEAD)]),
+    ("declare_dead", "a"),
+    ("merge", [Member("a", 1, ALIVE, 2)]),
+    ("suspect", "a"),
+    ("suspect", "a"),
+    ("tick",),
+    ("tick",),
+    ("merge", [Member("a", 9, DEAD, 2)]),
+    ("merge", [Member("a", 0, DEAD, 3), Member("b", 3, SUSPECT)]),
+    ("merge", [Member("a", 4, DEAD, 3)]),
+    ("declare_dead", "ghost"),
+    ("merge", [Member("me", 3, DEAD)]),
+    ("beat",),
+    ("tick",),
+    ("tick",),
+]
+
+
+class TestTombstonesAnnouncedFromTheRecord:
+    """``on_dead`` fires once per ``(node, incarnation)``: ``_store``
+    announces a tombstone unless the record it replaces was already one
+    at that incarnation.  The reference keeps the side table."""
+
+    def test_the_script_reads_the_same(self):
+        run_tombstone_twins(TOMBSTONE_SCRIPT)
+
+    def test_the_script_announces_once_per_incarnation(self):
+        view, calls = merge_world(MembershipView)
+        for op in TOMBSTONE_SCRIPT:
+            apply_membership_op(view, op)
+        # ``a`` dies at incarnations 1, 2 and 3, once each.
+        assert calls == [
+            ("dead", "a"),
+            ("rejoin", "a"),
+            ("dead", "a"),
+            ("dead", "a"),
+            ("dead", "ghost"),
+            ("refute", 2),
+            ("dead", "b"),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(MEMBERSHIP_OPS, max_size=30))
+    def test_same_records_and_hooks_as_the_side_table(self, ops):
+        run_tombstone_twins(ops)
+
+    def test_the_oracle_catches_announce_on_every_tombstone(self):
+        announces_every_store = _view_mutant(
+            "_store",
+            "if not (was_dead and current.incarnation == merged.incarnation):",
+            "if True:",
+        )
+        with pytest.raises(AssertionError):
+            run_tombstone_twins(TOMBSTONE_SCRIPT, announces_every_store)
 
 
 # ----------------------------------------------------------------------
