@@ -23,9 +23,11 @@ prices (a belief under the view's lock, :meth:`ObjectView.bid
 <repro.dist.objectview.ObjectView.bid>`) and :func:`choose` decides
 ``(priced bytes, load, name)``, building the winner's :class:`Quote`
 only (:meth:`Quote.sort_key` ranks whole quotes by the same order).
-:func:`price_held` is the one accumulation loop: it walks the inputs
-once and reports only the believed holders, so a placement costs
-O(needs + believed replicas + contenders), not the cluster.
+:func:`price_held` is the one accumulation loop: it walks the needs
+once and reports only the believed holders.  The view hands it one need
+per distinct set of holders, its bytes summed over the inputs held
+there, so a placement costs O(inputs + unshippable + distinct holder
+sets x their holders + contenders), not the cluster.
 :func:`price_moves` is that pass laid out densely, one entry per
 candidate.
 
@@ -84,12 +86,17 @@ def price_held(
     """The pricing pass in its sparse form: ``(total, held)``.
 
     ``needs`` is ``(object, size)`` pairs; ``locations(object)`` yields
-    the believed replica holders.  ``total`` is every needed byte and
-    ``held[candidate]`` the part of it ``candidate`` is believed to
-    hold already, so ``total - held.get(candidate, 0)`` must move there.
+    the believed replica holders.  An "object" may be a whole holder
+    set whose size is the bytes of every input held there, with the
+    identity as ``locations`` - how :meth:`ObjectView.bid
+    <repro.dist.objectview.ObjectView.bid>` calls it, so each distinct
+    set's holders are walked once however many inputs share it.
+    ``total`` is every needed byte and ``held[candidate]`` the part of
+    it ``candidate`` is believed to hold already, so
+    ``total - held.get(candidate, 0)`` must move there.
     Only candidates believed to hold *some* need have an entry (it is 0
     for a holder of zero-size objects only): the pass costs
-    O(needs + believed replicas) whatever the number of candidates,
+    O(needs + their holders) whatever the number of candidates,
     which is why ``candidates`` is only asked ``in`` - pass a set.
 
     Each object is visited once and charged by subtraction, never per
@@ -155,9 +162,14 @@ def bid(
     contend; with no live holder every candidate ties on bytes and all
     contend.  :func:`choose` applies ``exclude`` itself.
 
-    Two :func:`price_held` passes, so O(needs + unshippable + believed
-    replicas + contenders): ``candidates`` is only asked ``in`` unless
-    everyone ties.  Same concurrency contract as :func:`price_held`.
+    Two :func:`price_held` passes, so O(needs + unshippable + their
+    holders + contenders): ``candidates`` is only asked ``in`` unless
+    everyone ties.  The view passes one need per distinct holder set
+    and, as ``unshippable``, the distinct holder sets of the keys (a
+    candidate in every key's set is in every distinct one), so a
+    placement walks each set's holders once: O(inputs + unshippable +
+    distinct holder sets x their holders + contenders).  Same
+    concurrency contract as :func:`price_held`.
     """
     if unshippable:
         count, keys = price_held(

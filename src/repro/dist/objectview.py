@@ -255,8 +255,9 @@ class ObjectView:
         #: view" gauge the obs registry samples at export.
         self._clock = clock
         self.last_advance: Optional[float] = None
-        #: Reentrant so :meth:`bid` can hold the lock across the
-        #: whole pricing pass while its locations callable re-enters.
+        #: Reentrant, so a ``needs`` generator that reads this view
+        #: while :meth:`bid` or :meth:`price_moves` consumes it under
+        #: the lock does not deadlock.
         self._lock = TrackedRLock("ObjectView._lock")
         #: name -> believed holders, never empty: one of the copies in
         #: ``_sets``, shared with every name held in the same places.
@@ -738,9 +739,15 @@ class ObjectView:
         The lock is held across the whole pass, so concurrent
         :meth:`learn`/:meth:`forget` calls (reply absorption on serving
         threads) see an atomic pricing: no belief changes mid-quote.
+        It walks each input's holders, not :meth:`bid`'s holder sets:
+        the dense references the placement tests compare against read
+        this pass, so it must not share the grouping it checks.
         """
         with self._lock:
-            return costmodel.price_moves(needs, self._believed, candidates)
+            locations = self._locations
+            return costmodel.price_moves(
+                needs, lambda name: locations.get(name, _NOTHING), candidates
+            )
 
     def bid(
         self,
@@ -751,20 +758,43 @@ class ObjectView:
         consumer_location: Optional[str] = None,
         exclude: Optional[Container[str]] = None,
     ) -> Tuple[Collection[str], Callable[[str], int]]:
-        """:func:`repro.dist.costmodel.bid` over these beliefs, with the
-        lock held across both of its passes and the consumption of
-        ``needs``: no belief changes mid-quote."""
+        """:func:`repro.dist.costmodel.bid` over these beliefs, priced
+        per distinct holder set rather than per input.
+
+        One pass over ``needs`` sums their bytes under each name's
+        believed holders - the view's one copy of that set, whose hash
+        is cached, or the empty set for a name it never heard of - and
+        :func:`~repro.dist.costmodel.bid` prices those ``(holder set,
+        bytes)`` pairs with the set as its own locations.  The
+        unshippable keys go in as their distinct holder sets: a
+        candidate is in every key's set exactly when it is in every one
+        of the distinct sets, so viability is unchanged.  The sums are
+        exact, so every price is the per-input pass's; the cost is
+        O(inputs + unshippable + distinct holder sets x their holders +
+        contenders), and a wide task whose inputs sit on a few sets pays
+        a dict update per input, not a walk of its holders.
+
+        The lock is held across the grouping, which consumes ``needs``,
+        and both pricing passes: no belief changes mid-quote."""
         with self._lock:
+            get = self._locations.get
+            grouped: Dict[FrozenSet[str], int] = {}
+            for name, size in needs:
+                held = get(name, _NOTHING)
+                grouped[held] = grouped.get(held, 0) + size
+            if unshippable:
+                unshippable = {get(key, _NOTHING) for key in unshippable}
             return costmodel.bid(
-                needs,
-                self._believed,
+                grouped.items(),
+                _itself,
                 candidates,
                 unshippable=unshippable,
                 consumer_location=consumer_location,
                 exclude=exclude,
             )
 
-    def _believed(self, name: Hashable) -> Iterable[str]:
-        """Believed holders of ``name``: the view's immutable set,
-        uncopied (lock held by caller)."""
-        return self._locations.get(name, _NOTHING)
+
+def _itself(held: FrozenSet[str]) -> FrozenSet[str]:
+    """The locations of a holder set: the set (what :meth:`ObjectView.bid`
+    prices by)."""
+    return held

@@ -6,17 +6,19 @@ holder of its largest dependency and ``predicted_move_bytes`` is zero
 when the data is local.  Pricing and the decision itself live in
 :mod:`repro.dist.costmodel`, on the one path the executing runtime's
 :meth:`repro.fixpoint.net.FixpointNode._place` takes too:
-:meth:`ObjectView.bid` makes one pass over the inputs (so fig. 10's
-1,987-input link does not pay O(machines x inputs)) and keeps the
-machines that can still win, the live holders and the hinted consumer;
+:meth:`ObjectView.bid` makes one pass over the inputs, summing their
+bytes per distinct set of believed holders (so fig. 10's 1,987-input
+link walks each set's holders once, not O(machines x inputs)), and
+keeps the machines that can still win, the live holders and the hinted
+consumer;
 :func:`~repro.dist.costmodel.choose` compares their ``(priced bytes,
 load, name)`` keys and builds a :class:`~repro.dist.costmodel.Quote`
 for the winner only.  The
 scheduler passes registry sizes, the hinted consumer and the tombstoned
 machines, and no unshippable keys: the simulated network moves
-anything.  A placement is therefore O(inputs + believed replicas +
-contenders): it follows the data the task names, not the size of the
-cluster.  Only when no live machine is believed to hold a byte
+anything.  A placement is therefore O(inputs + distinct holder sets x
+their holders + contenders): it follows the data the task names, not
+the size of the cluster.  Only when no live machine is believed to hold a byte
 (external-only inputs, independent tasks, every holder dead) does
 everyone tie on bytes and every machine get compared, spreading by
 outstanding load, fed back through
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.errors import SchedulingError
@@ -46,6 +49,9 @@ from .objectview import ObjectView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.cluster import Cluster
+
+#: An input's registry size, read without a Python frame per input.
+_size = attrgetter("size")
 
 
 @dataclass(frozen=True)
@@ -152,18 +158,26 @@ class DataflowScheduler:
         """What :meth:`place` and :meth:`explain` both price from: the
         tombstoned machines (``None`` without membership), the consumer
         hint (``None`` unless hints are on) and :meth:`ObjectView.bid`'s
-        ``(contenders, move_bytes)`` over the task's registry sizes."""
+        ``(contenders, move_bytes)`` over the task's registry sizes.  An
+        input the registry does not know raises the typed
+        :class:`SchedulingError` naming it."""
         dead = (
             self.membership.dead_nodes() if self.membership is not None else None
         )
         hinted = consumer_location if self.use_hints else None
-        lookup = self.cluster.object
-        contenders, move_bytes = self.view.bid(
-            ((name, lookup(name).size) for name in task.inputs),
-            self._candidates,
-            consumer_location=hinted,
-            exclude=dead,
-        )
+        inputs = task.inputs
+        sizes = map(_size, map(self.cluster.objects.__getitem__, inputs))
+        try:
+            contenders, move_bytes = self.view.bid(
+                zip(inputs, sizes),
+                self._candidates,
+                consumer_location=hinted,
+                exclude=dead,
+            )
+        except KeyError:
+            for name in inputs:
+                self.cluster.object(name)  # the typed error, naming the input
+            raise
         return dead, hinted, contenders, move_bytes
 
     def place(
@@ -178,13 +192,15 @@ class DataflowScheduler:
         decision is one :func:`repro.dist.costmodel.choose` call over
         the contenders :meth:`ObjectView.bid` returns.
 
-        Cost: O(inputs + believed replicas + contenders) - one pass over
-        the inputs, then one key comparison per live machine believed to
-        hold an input byte (plus the hinted consumer), whatever the size
-        of the cluster.  It falls back to comparing every machine only
-        when there is no such holder - nothing believed held, zero-size
-        inputs only, every holder confirmed dead - because then all
-        machines tie on bytes and the spread by load has to see them all.
+        Cost: O(inputs + distinct holder sets x their holders +
+        contenders) - one pass over the inputs, one over the distinct
+        sets of believed holders they fall into, then one key comparison
+        per live machine believed to hold an input byte (plus the hinted
+        consumer), whatever the size of the cluster.  It falls back to
+        comparing every machine only when there is no such holder -
+        nothing believed held, zero-size inputs only, every holder
+        confirmed dead - because then all machines tie on bytes and the
+        spread by load has to see them all.
         """
         with self._m_place.time():
             dead, hinted, contenders, move_bytes = self._bid(

@@ -53,9 +53,12 @@ class Machine:
         self.cores.capacity = capacity
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectInfo:
-    """A named, sized datum and the set of places holding a replica."""
+    """A named, sized datum and the set of places holding a replica.
+
+    Slotted: a placement reads ``size`` once per input, and a slot read
+    touches the object alone, not the object and its ``__dict__``."""
 
     name: str
     size: int

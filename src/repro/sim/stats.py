@@ -55,9 +55,11 @@ class CpuAccountant:
         try:
             yield
         finally:
-            per_machine = self._core_seconds.setdefault(
-                machine, {state: 0.0 for state in BUSY_STATES}
-            )
+            per_machine = self._core_seconds.get(machine)
+            if per_machine is None:
+                per_machine = self._core_seconds[machine] = dict.fromkeys(
+                    BUSY_STATES, 0.0
+                )
             per_machine[state] += (self.sim.now - started) * cores
 
     def core_seconds(self, machine: str | None = None) -> Dict[str, float]:

@@ -1088,6 +1088,162 @@ class TestBidIsTheDenseFormula:
 
 
 # ----------------------------------------------------------------------
+# ``ObjectView.bid`` prices per distinct holder set, against per input
+
+
+@dataclass
+class HolderSetSoup:
+    """Many names on a few holder sets, as a view sees them: the task's
+    needs (repeats and names the view never heard of among them), its
+    unshippable keys and the candidates and options a placement passes."""
+
+    view: ObjectView
+    needs: List[Tuple[str, int]]
+    candidates: Dict[str, None]
+    unshippable: List[str]
+    consumer_location: Optional[str]
+    exclude: Optional[FrozenSet[str]]
+
+
+def holder_set_soup(rng: random.Random) -> HolderSetSoup:
+    machines = [f"m{i}" for i in range(rng.randint(2, 10))]
+    places = machines + OUTSIDE
+    holder_sets = [
+        rng.sample(places, rng.randint(1, min(4, len(places))))
+        for _ in range(rng.randint(1, 4))
+    ]
+    view = ObjectView("sched")
+    known = [f"o{i}" for i in range(rng.randint(20, 120))]
+    for name in known:
+        for location in rng.choice(holder_sets):
+            view.learn(name, location)
+    unknown = [f"u{i}" for i in range(rng.randint(0, 3))]
+    sizes = {
+        name: rng.choice((0, 0, 1, 3, 8, rng.randint(9, 1 << 20)))
+        for name in known + unknown
+    }
+    needs = [
+        (name, sizes[name])
+        for name in rng.choices(known + unknown, k=rng.randint(1, 200))
+    ]
+    keys = sorted({name for name, _size in needs})
+    unshippable = rng.sample(keys, rng.randint(0, min(6, len(keys))))
+    if rng.random() < 0.2:
+        unshippable.append("never-heard-of")
+    return HolderSetSoup(
+        view=view,
+        needs=needs,
+        candidates=dict.fromkeys(machines),
+        unshippable=unshippable,
+        consumer_location=rng.choice(
+            [None, None, rng.choice(machines), OUTSIDE[0]]
+        ),
+        exclude=rng.choice(
+            [None, frozenset(rng.sample(machines, rng.randint(0, len(machines))))]
+        ),
+    )
+
+
+def assert_prices_as_its_inputs(soup: HolderSetSoup) -> None:
+    """``view.bid`` keeps the contenders and every candidate's price of
+    ``costmodel.bid`` walking each input's holders (``view.where``)."""
+    options = dict(
+        unshippable=soup.unshippable,
+        consumer_location=soup.consumer_location,
+        exclude=soup.exclude,
+    )
+    contenders, move_bytes = soup.view.bid(soup.needs, soup.candidates, **options)
+    want_contenders, want_bytes = bid(
+        soup.needs, soup.view.where, soup.candidates, **options
+    )
+    assert set(contenders) == set(want_contenders), soup
+    assert {c: move_bytes(c) for c in soup.candidates} == {
+        c: want_bytes(c) for c in soup.candidates
+    }, soup
+
+
+def check_holder_set_bid(soups: int = 400) -> None:
+    """:func:`assert_prices_as_its_inputs` on seeded soups, which reach
+    every corner the grouping has."""
+    rng = random.Random(37)
+    seen = dict.fromkeys(
+        (
+            "few_sets_many_names",
+            "repeated_names",
+            "unknown_needs",
+            "zero_size_held",
+            "unknown_unshippable",
+            "some_stranded",
+        ),
+        0,
+    )
+    for _ in range(soups):
+        soup = holder_set_soup(rng)
+        assert_prices_as_its_inputs(soup)
+        names = [name for name, _size in soup.needs]
+        holders = {soup.view.where(name) for name in names} - {frozenset()}
+        stranded = bid(
+            (), soup.view.where, soup.candidates, unshippable=soup.unshippable
+        )[0]
+        seen["few_sets_many_names"] += len(holders) <= 4 and len(set(names)) >= 20
+        seen["repeated_names"] += len(set(names)) < len(names)
+        seen["unknown_needs"] += any(name.startswith("u") for name in names)
+        seen["zero_size_held"] += any(
+            size == 0 and soup.view.where(name) for name, size in soup.needs
+        )
+        seen["unknown_unshippable"] += "never-heard-of" in soup.unshippable
+        seen["some_stranded"] += 0 < len(stranded) < len(soup.candidates)
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def bid_grouped_by(key):
+    """``ObjectView.bid`` with the grouping keyed by ``key(holders)``
+    (``None`` drops the name) - the shape of the two mutants below."""
+
+    def mutant(self, needs, candidates, *, unshippable=(), **options):
+        grouped: Dict[FrozenSet[str], int] = {}
+        for name, size in needs:
+            held = key(self.where(name))
+            if held is not None:
+                grouped[held] = grouped.get(held, 0) + size
+        keys = {key(self.where(name)) for name in unshippable} - {None}
+        return bid(
+            grouped.items(),
+            lambda held: held,
+            candidates,
+            unshippable=keys,
+            **options,
+        )
+
+    return mutant
+
+
+HOLDER_SET_MUTANTS = {
+    "drops_the_empty_set": bid_grouped_by(lambda held: held or None),
+    "keyed_by_one_holder": bid_grouped_by(
+        lambda held: frozenset(sorted(held)[:1])
+    ),
+}
+
+
+class TestBidPricesByHolderSet:
+    def test_four_hundred_seeded_soups(self):
+        check_holder_set_bid()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_a_soup_prices_as_its_inputs(self, rng):
+        assert_prices_as_its_inputs(holder_set_soup(rng))
+
+    @pytest.mark.parametrize("mutant", sorted(HOLDER_SET_MUTANTS))
+    def test_the_guard_catches_a_wrong_grouping(self, mutant):
+        with mock.patch.object(
+            ObjectView, "bid", HOLDER_SET_MUTANTS[mutant]
+        ), pytest.raises(AssertionError):
+            check_holder_set_bid()
+
+
+# ----------------------------------------------------------------------
 # The baselines' ``Platform._choose`` against the ``min`` it replaced
 
 
@@ -1318,3 +1474,24 @@ class TestLoadFeedbackErrors:
             scheduler.task_started("nowhere")
         with pytest.raises(SchedulingError, match="nowhere"):
             scheduler.task_finished("nowhere")
+
+
+class TestUnknownInputIsATypedError:
+    """An input the registry does not know stops ``place`` and
+    ``explain`` with a ``SchedulingError`` naming it, whatever the
+    placement path."""
+
+    @pytest.mark.parametrize("locality", [True, False])
+    def test_place_and_explain_name_the_missing_input(self, locality):
+        _sim, cluster = make_cluster()
+        cluster.add_object("held", 64, "node1")
+        view = ObjectView("sched")
+        view.sync_from_cluster(cluster)
+        scheduler = DataflowScheduler(cluster, view, locality=locality)
+        task = make_task("held", "missing", "held")
+        with pytest.raises(SchedulingError, match="'missing'"):
+            scheduler.place(task)
+        with pytest.raises(SchedulingError, match="'missing'"):
+            scheduler.explain(task)
+        placement = scheduler.place(make_task("held"))  # still places
+        assert placement.machine == "node1" or not locality
