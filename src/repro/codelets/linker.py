@@ -2,10 +2,16 @@
 
 Fixpoint contains a small in-memory ELF linker that links codelets against
 the Fixpoint API ahead of time, off the critical path (paper section
-4.1.1).  Our analog validates + ``compile()``s the codelet source once and
-caches the resulting entrypoint keyed by the blob's content - invoking a
-linked codelet is then a direct function call, exactly like Fixpoint
-jumping to ``_fix_apply``.
+4.1.1).  Our analog reads the codelet blob from its repository, takes the
+module code from :func:`~repro.codelets.toolchain.admit` - the same
+verdict the toolchain reached, validated and compiled once per content
+in the process - and caches the linked codelet keyed by the blob's
+content.  Invoking a linked codelet is then a direct function call,
+exactly like Fixpoint jumping to ``_fix_apply``.
+
+Each linker keeps its own cache and ``links`` count, and links only
+blobs its own repository holds: another node having linked the same
+codelet does not excuse a missing blob here.
 
 Isolation note: each *invocation* executes the module body in a fresh
 sealed-globals namespace, so no mutable state survives between
@@ -24,8 +30,8 @@ from ..core.api import FixAPI
 from ..core.errors import CodeletError, FixError, NotAFunctionError
 from ..core.handle import Handle
 from ..core.storage import Repository
-from .sandbox import ENTRYPOINT, seal_globals, validate_source
-from .toolchain import CodeletImage
+from .sandbox import ENTRYPOINT, seal_globals
+from .toolchain import CodeletImage, admit
 
 Entrypoint = Callable[[FixAPI, Handle], Handle]
 
@@ -87,16 +93,17 @@ class Linker:
             cached = self._cache.get(key)
         if cached is not None:
             return cached
-        raw = self.repo.get_blob(handle).data
-        image = CodeletImage.unpack(raw)
-        # Defense in depth: the linker refuses anything the toolchain would.
-        validate_source(image.source, source_name=image.name)
-        module_code = compile(image.source, f"<codelet:{image.name}>", "exec")
+        image = CodeletImage.unpack(self.repo.get_blob(handle).data)
+        # Defense in depth: the linker refuses anything the toolchain
+        # would, because both ask ``admit`` for one verdict per content.
+        module_code = admit(image.name, image.source)
         linked = LinkedCodelet(name=image.name, handle=handle, module_code=module_code)
         with self._lock:
-            self._cache.setdefault(key, linked)
-            self.links += 1
-        return linked
+            # Racing first links: the first insert wins and is counted.
+            winner = self._cache.setdefault(key, linked)
+            if winner is linked:
+                self.links += 1
+        return winner
 
     def prelink(self, handles) -> None:
         """Ahead-of-time link a batch of codelets (off the critical path)."""

@@ -15,9 +15,14 @@ three properties the paper needs:
 3. **Isolation.**  Dunder attribute access (``x.__class__`` escapes) is
    rejected, so a codelet cannot climb out of its namespace.
 
-Validation happens at compile time and again at link time (defense in
-depth); nothing is checked on the invocation hot path, mirroring how
-Fixpoint jumps directly to a codelet's entry point.
+Validation happens ahead of time, once per codelet content: the
+toolchain and the linker both take their verdict from
+:func:`~repro.codelets.toolchain.admit`, which runs
+:func:`validate_source` on a ``(name, source)`` it has not admitted
+before and never remembers a refusal.  ``Toolchain.recompile_check``
+re-runs the validator explicitly.  Nothing is checked on the invocation
+hot path, mirroring how Fixpoint jumps directly to a codelet's entry
+point.
 """
 
 from __future__ import annotations

@@ -105,7 +105,11 @@ SOURCES = {
 
 
 def compile_stdlib(repo: Repository) -> dict[str, Handle]:
-    """Compile every built-in codelet into ``repo``; returns name -> handle."""
+    """Compile every built-in codelet into ``repo``; returns name -> handle.
+
+    Every node boot calls this.  The sources are validated and compiled
+    once per process (:func:`~repro.codelets.toolchain.admit`), so from
+    the second boot on it only stores the six blobs."""
     toolchain = Toolchain(repo)
     return toolchain.compile_many(SOURCES)
 

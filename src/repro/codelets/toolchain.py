@@ -14,20 +14,48 @@ Codelet blob format::
 The blob's content handle *is* the function's identity: two copies of the
 same source anywhere in the system share one handle, so code moves around
 the cluster exactly like data.
+
+The same identity keys the toolchain's verdict.  :func:`admit` validates
+and compiles one ``(name, source)`` - exactly the content a codelet
+blob's handle hashes - once per process: every later node that boots
+the stdlib, and every peer that links a shipped codelet, reuses the
+immutable code object instead of re-running the validator.  A refusal
+is never remembered, so a refused source is refused on every attempt.
+What stays per node is the repository (:meth:`Toolchain.compile` stores
+the blob; a linker still needs it present) and the linker's own cache.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from types import CodeType
 
-from ..core.errors import NotAFunctionError, SandboxError
+from ..core.errors import FrameReader, NotAFunctionError, SandboxError
 from ..core.handle import Handle
 from ..core.storage import Repository
 from .sandbox import validate_source
 
 MAGIC = b"FIXCODELET\x00"
 _NAME_LEN = struct.Struct("<H")
+_READ = FrameReader(NotAFunctionError)
+
+
+@lru_cache(maxsize=256)
+def admit(name: str, source: str) -> CodeType:
+    """Validate ``source`` and compile its validated AST: the module code
+    of the codelet whose blob holds ``name`` and ``source``.
+
+    Memoised on that content (call it positionally), so each codelet is
+    parsed once per process.  ``lru_cache`` stores no exception, so a
+    :class:`~repro.core.errors.SandboxError` is raised afresh on every
+    call and nothing refused is ever returned.  Code objects are
+    immutable: sharing one across nodes shares no state, because every
+    invocation executes it in fresh sealed globals.
+    """
+    tree = validate_source(source, source_name=name)
+    return compile(tree, f"<codelet:{name}>", "exec")
 
 
 @dataclass(frozen=True)
@@ -45,13 +73,14 @@ class CodeletImage:
 
     @classmethod
     def unpack(cls, raw: bytes) -> "CodeletImage":
+        """Read a codelet blob; a malformed one (short header, a name
+        running past the end, text that is not UTF-8) raises
+        :class:`NotAFunctionError` naming the field and the offset."""
         if not raw.startswith(MAGIC):
             raise NotAFunctionError("blob is not a codelet (bad magic)")
-        offset = len(MAGIC)
-        (name_len,) = _NAME_LEN.unpack_from(raw, offset)
-        offset += _NAME_LEN.size
-        name = raw[offset : offset + name_len].decode("utf-8")
-        source = raw[offset + name_len :].decode("utf-8")
+        name_len, offset = _READ.unpack(_NAME_LEN, raw, len(MAGIC), "name length")
+        name, offset = _READ.text(raw, offset, name_len, "name")
+        source, _ = _READ.text(raw, offset, len(raw) - offset, "source")
         return cls(name=name, source=source)
 
 
@@ -66,12 +95,12 @@ class Toolchain:
         self.repo = repo
 
     def compile(self, source: str, name: str = "codelet") -> Handle:
-        """Validate ``source`` and store it as a codelet blob.
+        """Admit ``source`` (:func:`admit`) and store it as a codelet blob.
 
         Raises :class:`~repro.core.errors.SandboxError` when the source
         violates the sandbox rules; nothing invalid is ever stored.
         """
-        validate_source(source, source_name=name)
+        admit(name, source)
         image = CodeletImage(name=name, source=source)
         return self.repo.put_blob(image.pack())
 
@@ -80,7 +109,10 @@ class Toolchain:
         return {name: self.compile(src, name) for name, src in sources.items()}
 
     def recompile_check(self, handle: Handle) -> CodeletImage:
-        """Re-validate an existing codelet blob (defense in depth)."""
+        """Re-validate an existing codelet blob (defense in depth).
+
+        An explicit re-validation: it runs the validator itself rather
+        than reading :func:`admit`'s remembered verdict."""
         raw = self.repo.get_blob(handle).data
         image = CodeletImage.unpack(raw)
         try:

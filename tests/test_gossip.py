@@ -654,6 +654,33 @@ class TestCoordinator:
         assert views[0].knows("late-obj", "late")
 
 
+class TestNoBeliefUnderADeadEpoch:
+    """The epoch half of the stepped cluster's invariant: a restarted
+    node stamps under a fresh ``(origin, incarnation)``, never under
+    one that died with it.  With membership off nothing refutes a
+    tombstone, so the epoch counts restarts: a second restart of one
+    node mints epoch 3 (not 2 again)."""
+
+    def test_a_second_restart_mints_epoch_3_without_membership(self):
+        views = seeded_views(2)
+        survivor = views[1]
+        coordinator = GossipCoordinator(views, seed=0)
+        assert not coordinator.membership_enabled
+        coordinator.run()
+        for epoch in (2, 3):
+            coordinator.kill("node000")
+            fresh = coordinator.restart("node000")
+            assert fresh.epoch == epoch
+            fresh.learn(f"born-at-{epoch}", "node000", 1 * MB)
+            assert set(fresh.digest().versions) == {f"node000#{epoch}"}
+            coordinator.round()
+            assert survivor.knows(f"born-at-{epoch}", "node000")
+            assert (
+                survivor.digest().versions[f"node000#{epoch}"]
+                == fresh.digest().versions[f"node000#{epoch}"]
+            )
+
+
 class TestStaleness:
     """A view excluded from k rounds prices placements worse - more
     believed-missing bytes - than a converged one, monotonically in k:
