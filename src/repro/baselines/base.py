@@ -37,7 +37,7 @@ from ..sim.cluster import Cluster
 from ..sim.engine import Event, Simulator, all_of
 from ..sim.stats import CpuReport, report
 from ..sim.storage_service import StorageService
-from .calibration import DEFAULT_CALIBRATION
+from .calibration import TCP_STREAM_BW
 
 
 @dataclass
@@ -88,7 +88,7 @@ class Platform:
     name = "base"
     #: Effective object-path throughput per NIC for this platform; used by
     #: :meth:`build` when constructing a cluster (see calibration.py).
-    data_bandwidth = DEFAULT_CALIBRATION.tcp_stream_bw
+    data_bandwidth = TCP_STREAM_BW
 
     @classmethod
     def build(
@@ -134,7 +134,7 @@ class Platform:
         self.invocations = 0
         # The client is a network endpoint (uploads, driver round trips).
         if CLIENT not in cluster.network._nics:
-            cluster.network.attach(CLIENT, DEFAULT_CALIBRATION.tcp_stream_bw)
+            cluster.network.attach(CLIENT, TCP_STREAM_BW)
         self._task_done: Dict[str, Event] = {}
         self._job_seq = 0
         #: In-flight invocations per machine, the one load map every

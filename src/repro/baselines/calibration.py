@@ -19,8 +19,6 @@ All times in seconds, sizes in bytes, rates in bytes/second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # ----------------------------------------------------------------------
 # Fig. 7a: per-invocation overheads (paper-measured)
 
@@ -79,8 +77,6 @@ FIX_CLIENT_OBJECT = 8e-6
 
 #: Remote storage response latency for small objects (paper section 5.3.1).
 S3_LATENCY = 0.150
-#: m5.8xlarge NIC line rate: 10 Gb/s.
-NIC_LINE_RATE = 1.25e9
 #: Effective single-stream TCP throughput on EC2 for bulk object pulls
 #: (window/latency limited; ~2.4 Gb/s).  Calibrated: makes Fixpoint
 #: (no locality) spend ~31 s moving 885 non-local 100 MiB shards, matching
@@ -167,23 +163,3 @@ RAY_CPS_STEP_EXTRA = 3.3e-3
 #: Ray blocking-get of one node component (plasma IPC + deserialization
 #: floor; calibrated to fig. 9's ~22x at arity 2^6).
 RAY_BLOCKING_GET = 1.9e-3
-
-
-@dataclass(frozen=True)
-class Calibration:
-    """A bundle of the tunable constants, overridable per experiment."""
-
-    fixpoint_invoke: float = FIXPOINT_INVOKE
-    ray_task_overhead: float = RAY_TASK_OVERHEAD
-    openwhisk_invoke: float = OPENWHISK_INVOKE
-    pheromone_invoke: float = PHEROMONE_INVOKE
-    faasm_invoke: float = FAASM_INVOKE
-    vfork_exec: float = VFORK_EXEC
-    tcp_stream_bw: float = TCP_STREAM_BW
-    minio_stream_bw: float = MINIO_STREAM_BW
-    ray_pull_bw: float = RAY_PULL_BW
-    memory_scan_bw: float = MEMORY_SCAN_BW
-    s3_latency: float = S3_LATENCY
-
-
-DEFAULT_CALIBRATION = Calibration()

@@ -58,7 +58,7 @@ class OpenWhisk(Platform):
         # registry is an external endpoint at NIC line rate (the pull's
         # real cost is the receiving node's data path).
         self._registry = "ow-registry"
-        cluster.network.attach(self._registry, 1.25e9)
+        cluster.network.attach(self._registry)
         self._images: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------

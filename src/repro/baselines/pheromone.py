@@ -36,6 +36,10 @@ class Pheromone(Platform):
     def __init__(self, sim: Simulator, cluster: Cluster, **kwargs):
         super().__init__(sim, cluster, **kwargs)
         self._rr = 0  # round-robin cursor for external-input functions
+        #: Outputs of every loaded job's functions: the trigger buckets.
+        #: Jobs sharing the platform through ``start`` accumulate here,
+        #: so an earlier job's chained steps stay chained.
+        self._produced: set = set()
 
     def _place(self, task: TaskSpec) -> str:
         intermediates = [
@@ -66,7 +70,7 @@ class Pheromone(Platform):
 
     def load(self, graph: JobGraph) -> None:
         super().load(graph)
-        self._produced = set(graph.producers())
+        self._produced.update(graph.producers())
 
     def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
         node = self._place(task)

@@ -34,6 +34,7 @@ from ..baselines.calibration import (
     RAY_DRIVER_SUBMIT,
     RAY_TASK_OVERHEAD,
 )
+from ..core.handle import HANDLE_BYTES
 from .harness import ExperimentResult
 from .paperdata import (
     FIG9_ARITIES,
@@ -42,8 +43,6 @@ from .paperdata import (
     FIG9_MEAN_KEY_BYTES,
     FIG9_QUERIES_PER_SET,
 )
-
-ENTRY_BYTES = 32  # one packed handle / serialized ObjectRef
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,9 @@ class TreeShape:
         return self.fanout(level) * key_bytes
 
     def refs_bytes(self, level: int) -> int:
-        return self.fanout(level) * ENTRY_BYTES
+        """A child reference is a packed handle (a Ray ObjectRef is
+        charged the same 32 bytes)."""
+        return self.fanout(level) * HANDLE_BYTES
 
 
 def tree_shape(key_count: int, arity: int) -> TreeShape:

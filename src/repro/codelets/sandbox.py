@@ -174,9 +174,6 @@ def validate_source(source: str, source_name: str = "<codelet>") -> ast.Module:
     return tree
 
 
-def seal_globals(extra: dict | None = None) -> dict:
-    """A fresh globals dict with only the sealed builtins (plus ``extra``)."""
-    env = {"__builtins__": dict(SAFE_BUILTINS)}
-    if extra:
-        env.update(extra)
-    return env
+def seal_globals() -> dict:
+    """A fresh globals dict holding only the sealed builtins."""
+    return {"__builtins__": dict(SAFE_BUILTINS)}

@@ -111,16 +111,13 @@ class RecoveringRepository(Repository):
     ``recompute`` is called with the recipe Encode and must re-evaluate
     it (typically ``evaluator.eval_encode`` with memoization *disabled*
     for that call, since the memo is what got us here).  Recoveries are
-    counted for the provider's SLA accounting.
+    counted for the provider's SLA accounting.  The recipe index starts
+    empty and learns from every :meth:`put_result`.
     """
 
-    def __init__(
-        self,
-        name: str = "recovering",
-        index: Optional[RecomputeIndex] = None,
-    ):
-        super().__init__(name)
-        self.index = index if index is not None else RecomputeIndex()
+    def __init__(self):
+        super().__init__("recovering")
+        self.index = RecomputeIndex()
         self._recompute: Optional[Callable[[Handle], Handle]] = None
         self.recoveries = 0
 

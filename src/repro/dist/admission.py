@@ -45,10 +45,16 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from ..core.errors import SchedulingError
 from ..fixpoint.billing import job_bill
-from ..obs import NULL_OBS, Obs
+from ..obs import NULL_OBS
 from ..sim.engine import Event, Signal
 from .graph import JobGraph, TaskSpec
-from .multitenancy import AppProfile, fits_online, profile_from_graph
+from .multitenancy import (
+    SPIKE_SECONDS,
+    SUSTAIN_SECONDS,
+    AppProfile,
+    fits_online,
+    profile_from_graph,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..baselines.base import JobRun, Platform
@@ -148,7 +154,6 @@ class AdmissionController:
         self,
         platform: "Platform",
         capacity_bytes: Optional[int] = None,
-        obs: Optional[Obs] = None,
     ):
         self.platform = platform
         self.sim = platform.sim
@@ -178,13 +183,11 @@ class AdmissionController:
         self._alarm_at: Optional[float] = None
         #: "The world changed" - a submission arrived or a job finished.
         self._stirred = Signal(self.sim, "admission")
-        #: Inherits the platform's obs when it has one (FixpointSim's is
+        #: The platform's obs when it has one (FixpointSim's is
         #: sim-clocked, so queue delays are simulated seconds and stay
         #: replay-deterministic); NULL_OBS otherwise.
-        if obs is None:
-            obs = getattr(platform, "obs", None) or NULL_OBS
-        self.obs = obs
-        registry = obs.registry
+        self.obs = getattr(platform, "obs", None) or NULL_OBS
+        registry = self.obs.registry
         self._m_submitted = registry.counter(
             "admission_submitted_total", "Submissions accepted into a queue"
         )
@@ -476,9 +479,6 @@ class AdmissionController:
 def spike_job(
     peak_bytes: int = 4 << 30,
     sustained_bytes: int = 256 << 20,
-    spike_seconds: float = 1.0,
-    sustain_seconds: float = 15.0,
-    data_bytes: int = 1 << 20,
     location: str = "node0",
 ) -> JobGraph:
     """The executable analogue of
@@ -488,6 +488,7 @@ def spike_job(
     exactly the section-6 spike shape, so admission experiments run the
     same fleets the packing model packs.
     """
+    data_bytes = 1 << 20
     graph = JobGraph()
     graph.add_data("in", data_bytes, location)
     graph.add_task(
@@ -497,7 +498,7 @@ def spike_job(
             inputs=("in",),
             output="mid",
             output_size=data_bytes,
-            compute_seconds=spike_seconds,
+            compute_seconds=SPIKE_SECONDS,
             memory_bytes=peak_bytes,
         )
     )
@@ -508,7 +509,7 @@ def spike_job(
             inputs=("mid",),
             output="out",
             output_size=8,
-            compute_seconds=sustain_seconds,
+            compute_seconds=SUSTAIN_SECONDS,
             memory_bytes=sustained_bytes,
         )
     )

@@ -116,7 +116,7 @@ class FixpointSim(Platform):
         #: registry itself, so there is no global view.
         self.gossip_config = gossip
         self.view: Optional[ObjectView] = None
-        self.machine_views: Dict[str, ObjectView] = {}
+        #: Owns every machine's view (``gossip.view(name)``).
         self.gossip: Optional[GossipCoordinator] = None
         #: Placement happens platform-side, so with gossip membership on
         #: every job scheduler consults the *global view's* failure
@@ -126,12 +126,12 @@ class FixpointSim(Platform):
         self.membership: Optional[MembershipView] = None
         if gossip is not None:
             self.view = ObjectView("fixpoint-scheduler", clock=self.obs.clock)
-            self.machine_views = {
-                name: ObjectView(name, clock=self.obs.clock)
+            machine_views = [
+                ObjectView(name, clock=self.obs.clock)
                 for name in cluster.machines
-            }
+            ]
             self.gossip = GossipCoordinator(
-                list(self.machine_views.values()) + [self.view],
+                machine_views + [self.view],
                 fanout=gossip.fanout,
                 seed=gossip.seed,
                 obs=self.obs,
@@ -161,8 +161,8 @@ class FixpointSim(Platform):
             # No free registry snapshot: each machine learns its own
             # disk, and the global view hears whatever the startup
             # gossip budget carries to it.
-            for view in self.machine_views.values():
-                view.refresh_local(self.cluster)
+            for name in self.cluster.machines:
+                self.gossip.view(name).refresh_local(self.cluster)
             self.gossip.run_rounds(self.gossip_config.startup_rounds)
 
     def start(
@@ -237,7 +237,6 @@ class FixpointSim(Platform):
         """
         self._churnable("restart_machine", name)
         fresh = self.gossip.restart(name, clock=self.obs.clock)
-        self.machine_views[name] = fresh
         fresh.refresh_local(self.cluster)
 
     def _churnable(self, action: str, name: str) -> None:
@@ -248,7 +247,7 @@ class FixpointSim(Platform):
                 f"{action} requires gossip with membership enabled "
                 "(GossipConfig(membership=True))"
             )
-        if name not in self.machine_views:
+        if name not in self.cluster.machines:
             raise SchedulingError(f"unknown machine {name!r}")
 
     def _compute_penalty(self, machine: str) -> float:
@@ -326,9 +325,7 @@ class FixpointSim(Platform):
             # replica; everyone else - the global view included - only
             # hears about it as the round budget spreads it, and the
             # global view is what later jobs believe at admission.
-            self.machine_views[node].learn(
-                task.output, node, task.output_size
-            )
+            self.gossip.view(node).learn(task.output, node, task.output_size)
             self.gossip.run_rounds(self.gossip_config.rounds_per_output)
         return node
 

@@ -480,6 +480,11 @@ class GossipCoordinator:
             incarnation=view.epoch,
         ))
 
+    def view(self, node: str) -> ObjectView:
+        """``node``'s ObjectView: the one registered, or minted by the
+        last :meth:`restart`."""
+        return self._parties[node].view
+
     def membership_view(self, node: str) -> MembershipView:
         """The failure detector paired with ``node``'s ObjectView."""
         membership = self._parties[node].membership

@@ -222,12 +222,19 @@ def footprint_aware_packing(
     return packing
 
 
+#: The section-6 spike shape: a short high-memory spike, then a long
+#: low-memory tail (``spiky_workload``'s defaults, and the durations of
+#: :func:`repro.dist.admission.spike_job`'s two tasks).
+SPIKE_SECONDS = 1.0
+SUSTAIN_SECONDS = 15.0
+
+
 def spiky_workload(
     count: int,
     peak_bytes: int,
     sustained_bytes: int,
-    spike_seconds: float = 1.0,
-    sustain_seconds: float = 15.0,
+    spike_seconds: float = SPIKE_SECONDS,
+    sustain_seconds: float = SUSTAIN_SECONDS,
     stagger_slots: int = 1,
 ) -> List[AppProfile]:
     """A fleet of spiky apps: a short high-memory spike, then a long

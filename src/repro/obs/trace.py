@@ -315,8 +315,9 @@ def stitch(*sources: Union[Tracer, Iterable[Span]]) -> Dict[int, List[Span]]:
     return grouped
 
 
-def render_trace(spans: List[Span], unit: str = "s") -> str:
-    """One stitched trace as an indented text tree (for examples/debug)."""
+def render_trace(spans: List[Span]) -> str:
+    """One stitched trace as an indented text tree (for examples/debug);
+    durations in seconds."""
     children: Dict[int, List[Span]] = {}
     by_id = {span.span_id: span for span in spans}
     roots: List[Span] = []
@@ -333,7 +334,7 @@ def render_trace(spans: List[Span], unit: str = "s") -> str:
         attrs = f" {attrs}" if attrs else ""
         lines.append(
             f"{'  ' * depth}{span.name} @{span.node} "
-            f"{span.duration:.6f}{unit}{attrs}{flag}"
+            f"{span.duration:.6f}s{attrs}{flag}"
         )
         for child in sorted(
             children.get(span.span_id, ()), key=lambda s: (s.start, s.span_id)

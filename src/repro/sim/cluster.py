@@ -10,7 +10,7 @@ baselines consult - with different fidelity, which is the point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 from ..core.errors import SchedulingError, SimulationError
 from .engine import Event, Simulator
@@ -68,14 +68,9 @@ class ObjectInfo:
 class Cluster:
     """A set of machines, a network, an accountant, and object locations."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        specs: Iterable[MachineSpec],
-        network: Optional[Network] = None,
-    ):
+    def __init__(self, sim: Simulator, specs: Iterable[MachineSpec]):
         self.sim = sim
-        self.network = network if network is not None else Network(sim)
+        self.network = Network(sim)
         self.machines: Dict[str, Machine] = {}
         for spec in specs:
             if spec.name in self.machines:

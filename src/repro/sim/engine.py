@@ -258,10 +258,10 @@ class Signal:
             self._event = self.sim.event(("signal:{}", self.name))
         return self._event
 
-    def fire(self, value: Any = None) -> None:
+    def fire(self) -> None:
         """Wake everyone currently waiting (no-op when nobody is)."""
         if self._event is not None and not self._event.triggered:
-            self._event.succeed(value)
+            self._event.succeed()
 
 
 def all_of(sim: Simulator, events: Iterable[Event]) -> Event:

@@ -16,27 +16,31 @@ from ..core.errors import SimulationError
 from .engine import Event, Simulator
 from .resources import Resource
 
-S3_SMALL_OBJECT_LATENCY = 0.150  # seconds; paper section 5.3.1
-
 
 class StorageService:
-    """A latency + bandwidth + concurrency model of remote storage."""
+    """A latency + bandwidth + concurrency model of remote storage.
+
+    ``response_latency`` is paid per request, in seconds (fig. 8a's is
+    ``calibration.S3_LATENCY``, 150 ms).
+    """
+
+    name = "s3"
 
     def __init__(
         self,
         sim: Simulator,
-        name: str = "s3",
-        response_latency: float = S3_SMALL_OBJECT_LATENCY,
+        response_latency: float,
         bandwidth: float = 4e9,
         max_connections: int = 4096,
     ):
         if response_latency < 0 or bandwidth <= 0 or max_connections <= 0:
             raise SimulationError("invalid storage service parameters")
         self.sim = sim
-        self.name = name
         self.response_latency = response_latency
         self.bandwidth = bandwidth
-        self._connections = Resource(sim, max_connections, name=f"{name}.conns")
+        self._connections = Resource(
+            sim, max_connections, name=f"{self.name}.conns"
+        )
         self.gets = 0
         self.puts = 0
         self.bytes_read = 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..codelets.stdlib import int_blob
-from ..core.handle import Handle
+from ..core.handle import HANDLE_BYTES, Handle
 from ..core.limits import ResourceLimits
 from ..fixpoint.runtime import Fixpoint
 
@@ -198,9 +198,7 @@ class AccessCosts:
     memory_footprint: int  # peak bytes resident
 
 
-def fixpoint_costs(
-    levels: int, arity: int, key_size: int = 22, entry_size: int = 32
-) -> AccessCosts:
+def fixpoint_costs(levels: int, arity: int, key_size: int = 22) -> AccessCosts:
     """Fixpoint row: d invocations, a*d*O(key) accessed, a*O(key) peak."""
     per_node_keys = arity * key_size
     return AccessCosts(
@@ -210,11 +208,9 @@ def fixpoint_costs(
     )
 
 
-def ray_cps_costs(
-    levels: int, arity: int, key_size: int = 22, entry_size: int = 32
-) -> AccessCosts:
+def ray_cps_costs(levels: int, arity: int, key_size: int = 22) -> AccessCosts:
     """Ray CPS row: 2d invocations; keys *and* child-ref arrays accessed."""
-    per_node = arity * (key_size + entry_size)
+    per_node = arity * (key_size + HANDLE_BYTES)
     return AccessCosts(
         invocations=2 * levels,
         data_accessed=levels * per_node,
@@ -222,11 +218,9 @@ def ray_cps_costs(
     )
 
 
-def ray_blocking_costs(
-    levels: int, arity: int, key_size: int = 22, entry_size: int = 32
-) -> AccessCosts:
+def ray_blocking_costs(levels: int, arity: int, key_size: int = 22) -> AccessCosts:
     """Ray blocking row: 1 invocation holding everything it ever fetched."""
-    per_node = arity * (key_size + entry_size)
+    per_node = arity * (key_size + HANDLE_BYTES)
     return AccessCosts(
         invocations=1,
         data_accessed=levels * per_node,
@@ -265,7 +259,7 @@ def walk_real_tree(
             stats.bytes_fetched += len(keys_blob)
             resident = len(keys_blob)  # previous node's keys are released
         else:
-            child_refs_bytes = 32 * (len(node_tree) - 1)
+            child_refs_bytes = HANDLE_BYTES * (len(node_tree) - 1)
             stats.gets += 2  # keys array + child handle array
             stats.bytes_fetched += len(keys_blob) + child_refs_bytes
             if style == "ray-blocking":

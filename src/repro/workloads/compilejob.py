@@ -121,12 +121,7 @@ def compile_project(
 # Paper-scale graph
 
 
-def build_compile_graph(
-    tu_count: int = PAPER_TU_COUNT,
-    seed: int = 11,
-    mean_compile_seconds: float = MEAN_COMPILE_SECONDS,
-    header_bytes: int = HEADER_BUNDLE_BYTES,
-) -> JobGraph:
+def build_compile_graph(tu_count: int = PAPER_TU_COUNT, seed: int = 11) -> JobGraph:
     """~2,000 parallel compiles + one link, inputs starting at the client.
 
     Compile times are deterministic draws from a long-tailed (lognormal)
@@ -135,13 +130,13 @@ def build_compile_graph(
     """
     rng = random.Random(seed)
     graph = JobGraph()
-    graph.add_data("headers", header_bytes, CLIENT)
+    graph.add_data("headers", HEADER_BUNDLE_BYTES, CLIENT)
     objects: List[str] = []
     for i in range(tu_count):
         src_name = f"src-{i:04d}.c"
         size = max(2 << 10, int(rng.lognormvariate(0, 0.6) * MEAN_SOURCE_BYTES))
         graph.add_data(src_name, size, CLIENT)
-        compute = max(0.3, rng.lognormvariate(0, 0.45) * mean_compile_seconds)
+        compute = max(0.3, rng.lognormvariate(0, 0.45) * MEAN_COMPILE_SECONDS)
         task = TaskSpec(
             name=f"cc-{i:04d}",
             fn="libclang",

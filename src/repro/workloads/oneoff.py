@@ -19,27 +19,22 @@ PAPER_COMPUTE_SECONDS = 3e-6  # fig. 8a: ~3 ms user time over 1,024 tasks
 GB = 10**9
 
 
-def build_oneoff_graph(
-    tasks: int = PAPER_TASKS,
-    input_bytes: int = PAPER_INPUT_BYTES,
-    compute_seconds: float = PAPER_COMPUTE_SECONDS,
-    memory_bytes: int = GB,
-) -> JobGraph:
+def build_oneoff_graph(tasks: int = PAPER_TASKS) -> JobGraph:
     """``tasks`` independent invocations, each on one external input."""
     graph = JobGraph()
     for i in range(tasks):
         name = f"input-{i:04d}"
-        graph.add_data(name, input_bytes, EXTERNAL)
+        graph.add_data(name, PAPER_INPUT_BYTES, EXTERNAL)
         graph.add_task(
             TaskSpec(
                 name=f"oneoff-{i:04d}",
                 fn="add-to-self",
                 inputs=(name,),
                 output=f"out-{i:04d}",
-                output_size=input_bytes,
-                compute_seconds=compute_seconds,
+                output_size=PAPER_INPUT_BYTES,
+                compute_seconds=PAPER_COMPUTE_SECONDS,
                 cores=1,
-                memory_bytes=memory_bytes,
+                memory_bytes=GB,
             )
         )
     return graph

@@ -94,7 +94,7 @@ def wasi_main(wasi):
     wasi["write_stdout"](_compress(b"".join(parts)))
 '''
 
-DEFAULT_TEMPLATE = """<html><body>
+PAGE_TEMPLATE = """<html><body>
 <h1>Hello {{ username }}!</h1>
 <ul>
 {% for item in items %}  <li>{{ item }}</li>
@@ -114,12 +114,12 @@ def run_dynamic_html(
     fp: Fixpoint,
     username: str,
     items: Sequence[str],
-    template: str = DEFAULT_TEMPLATE,
 ) -> bytes:
-    """Render the SeBS dynamic-html page for ``username``."""
+    """Render the SeBS dynamic-html page (``PAGE_TEMPLATE``) for
+    ``username``."""
     program = compile_dynamic_html(fp)
     files = {
-        "templates": {"template.html": template.encode("ascii")},
+        "templates": {"template.html": PAGE_TEMPLATE.encode("ascii")},
         "data": {"items.txt": "\n".join(items).encode("ascii")},
     }
     return run_program(fp, program, [username], files)

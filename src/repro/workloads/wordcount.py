@@ -82,38 +82,50 @@ def count_corpus(fp: Fixpoint, shards: Sequence[bytes], needle: bytes) -> int:
 # Paper-scale graph for the simulated platforms
 
 
-def build_wordcount_graph(
-    shards: Sequence[ShardSpec],
-    scan_bandwidth: float = MEMORY_SCAN_BW,
-    merge_compute: float = 2e-6,
-    task_memory: int = 1 << 30,
-    scan_jitter: float = 0.30,
-    seed: int = 97,
-) -> JobGraph:
-    """The fig. 8b dataflow: one count per shard, binary merge tree.
+#: Count tasks' scan times are jittered deterministically by +/- this
+#: fraction (match-rate and page-cache effects make real shard scans
+#: uneven; stragglers shape the tail and the idle percentage), drawn from
+#: one ``random.Random(SCAN_SEED)`` stream in shard order.
+SCAN_JITTER = 0.30
+SCAN_SEED = 97
+COUNT_TASK_MEMORY = 1 << 30
+MERGE_COMPUTE_SECONDS = 2e-6
 
-    ``compute_seconds`` of a count task is the in-memory scan time of its
-    shard, jittered deterministically by +/- ``scan_jitter`` (match-rate
-    and page-cache effects make real shard scans uneven; stragglers shape
-    the tail and the idle percentage).
+
+def _map_phase(
+    graph: JobGraph, shards: Sequence[ShardSpec], task_memory: int
+) -> List[str]:
+    """Add each shard and its count task to ``graph``; returns the count
+    outputs in shard order.
+
+    A count task's ``compute_seconds`` is its shard's in-memory scan
+    time (``MEMORY_SCAN_BW``), jittered by ``SCAN_JITTER``.
     """
-    rng = random.Random(seed)
-    graph = JobGraph()
-    level: List[str] = []
+    rng = random.Random(SCAN_SEED)
+    outputs: List[str] = []
     for spec in shards:
         graph.add_data(spec.name, spec.size, spec.location)
-        base = spec.size / scan_bandwidth
+        base = spec.size / MEMORY_SCAN_BW
         task = TaskSpec(
             name=f"count:{spec.name}",
             fn="count-string",
             inputs=(spec.name,),
             output=f"cnt:{spec.name}",
             output_size=8,
-            compute_seconds=base * (1.0 + scan_jitter * (2 * rng.random() - 1)),
+            compute_seconds=base * (1.0 + SCAN_JITTER * (2 * rng.random() - 1)),
             memory_bytes=task_memory,
         )
         graph.add_task(task)
-        level.append(task.output)
+        outputs.append(task.output)
+    return outputs
+
+
+def build_wordcount_graph(
+    shards: Sequence[ShardSpec], task_memory: int = COUNT_TASK_MEMORY
+) -> JobGraph:
+    """The fig. 8b dataflow: one count per shard, binary merge tree."""
+    graph = JobGraph()
+    level = _map_phase(graph, shards, task_memory)
     merge_index = 0
     while len(level) > 1:
         next_level: List[str] = []
@@ -124,7 +136,7 @@ def build_wordcount_graph(
                 inputs=(level[i], level[i + 1]),
                 output=f"mrg:{merge_index}",
                 output_size=8,
-                compute_seconds=merge_compute,
+                compute_seconds=MERGE_COMPUTE_SECONDS,
                 memory_bytes=64 << 20,
             )
             graph.add_task(task)
@@ -136,28 +148,8 @@ def build_wordcount_graph(
     return graph
 
 
-def map_only_graph(
-    shards: Sequence[ShardSpec],
-    scan_bandwidth: float = MEMORY_SCAN_BW,
-    task_memory: int = 1 << 30,
-    scan_jitter: float = 0.30,
-    seed: int = 97,
-) -> JobGraph:
+def map_only_graph(shards: Sequence[ShardSpec]) -> JobGraph:
     """The map phase alone - all Pheromone can express (section 5.3.2)."""
-    rng = random.Random(seed)
     graph = JobGraph()
-    for spec in shards:
-        graph.add_data(spec.name, spec.size, spec.location)
-        base = spec.size / scan_bandwidth
-        graph.add_task(
-            TaskSpec(
-                name=f"count:{spec.name}",
-                fn="count-string",
-                inputs=(spec.name,),
-                output=f"cnt:{spec.name}",
-                output_size=8,
-                compute_seconds=base * (1.0 + scan_jitter * (2 * rng.random() - 1)),
-                memory_bytes=task_memory,
-            )
-        )
+    _map_phase(graph, shards, COUNT_TASK_MEMORY)
     return graph

@@ -20,7 +20,7 @@ from repro.core.errors import SchedulingError
 from repro.dist.engine import FixpointSim
 from repro.dist.graph import CLIENT, JobGraph, TaskSpec
 from repro.sim.cluster import Cluster, MachineSpec
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, all_of
 
 MB = 1 << 20
 
@@ -255,6 +255,41 @@ class TestPheromone:
         result = platform.run(graph)
         # Round-robin spreads the functions while the data sits on node2.
         assert result.bytes_transferred > 100 * MB
+
+    @staticmethod
+    def _chain(prefix, location):
+        """A two-step chain: step 1 reads initial data, step 2 its output."""
+        graph = JobGraph()
+        graph.add_data(f"{prefix}-in", 20 * MB, location)
+        for step, source in ((1, f"{prefix}-in"), (2, f"{prefix}-mid1")):
+            graph.add_task(
+                TaskSpec(
+                    name=f"{prefix}{step}",
+                    fn="f",
+                    inputs=(source,),
+                    output=f"{prefix}-mid{step}",
+                    output_size=10 * MB,
+                    compute_seconds=0.01,
+                    memory_bytes=64 * MB,
+                )
+            )
+        return graph
+
+    def test_jobs_sharing_a_platform_keep_their_chains(self):
+        """A job loaded later must not un-chain an earlier job's steps:
+        each chain pays one control message (its first step), and the
+        first job runs exactly as it does alone."""
+        solo = Pheromone.build(nodes=3, cores=4)
+        alone = solo.start(self._chain("a", "node0"))
+        solo.sim.run_until(alone.done)
+        assert solo.cluster.network.messages == 1
+
+        platform = Pheromone.build(nodes=3, cores=4)
+        first = platform.start(self._chain("a", "node0"))
+        second = platform.start(self._chain("b", "node1"))
+        platform.sim.run_until(all_of(platform.sim, [first.done, second.done]))
+        assert platform.cluster.network.messages == 2
+        assert first.task_finish == alone.task_finish
 
 
 class TestFaasm:

@@ -1441,7 +1441,7 @@ class TestOneRecordPerNode:
         coordinator = platform.gossip
         survivors = _refute_then_die(coordinator, "node2", platform.fail_machine)
         platform.restart_machine("node2")
-        fresh = platform.machine_views["node2"]
+        fresh = coordinator.view("node2")
         self._assert_reborn_above_the_tombstone(
             coordinator, fresh, "node2", survivors
         )
