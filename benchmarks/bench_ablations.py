@@ -1,8 +1,10 @@
 """Ablations of the design choices DESIGN.md calls out.
 
-1. **Output-size hints** (paper 4.2.2): with a hint and a known consumer
-   location, the scheduler weighs moving the output; the hinted placement
-   avoids shipping a huge intermediate across the network.
+1. **Output-size hints** (paper 4.2.2): with ``use_hints`` on,
+   ``FixpointSim`` infers where a producer's consumer will run from the
+   job graph (the consumer's largest co-input, data gravity) and the
+   scheduler weighs moving the output there; the hinted placement avoids
+   shipping a huge intermediate across the network.
 2. **Literal handles** (paper 3.2): inlining <=30-byte blobs eliminates
    storage round-trips for the small integers that dominate control-heavy
    workloads like fib.
@@ -52,9 +54,7 @@ def _hint_graph() -> JobGraph:
 
 def test_ablation_output_size_hints(benchmark, run_once):
     def run_pair():
-        hinted = FixpointSim.build(
-            nodes=2, use_hints=True, consumer_pins={"expand": "node1"}
-        )
+        hinted = FixpointSim.build(nodes=2, use_hints=True)
         with_hint = hinted.run(_hint_graph()).makespan
         blind = FixpointSim.build(nodes=2, use_hints=False)
         without_hint = blind.run(_hint_graph()).makespan

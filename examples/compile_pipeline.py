@@ -47,10 +47,7 @@ def simulated_cluster() -> None:
     rows = [
         ("Fixpoint", lambda: FixpointSim.build(nodes=10)),
         ("Ray + MinIO", lambda: RayPopenMinIO.build(nodes=10)),
-        (
-            "OpenWhisk + MinIO + K8s",
-            lambda: OpenWhisk.build(nodes=10, warm=False, per_invocation_pods=True),
-        ),
+        ("OpenWhisk + MinIO + K8s", lambda: OpenWhisk.build(nodes=10, cold=True)),
     ]
     print(f"{'platform':26s} {'time':>8s} {'moved':>10s}   (paper: 39.5 / 76.9 / 100.0 s)")
     for label, factory in rows:

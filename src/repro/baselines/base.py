@@ -55,7 +55,6 @@ class JobRun:
     graph: JobGraph
     submitter: str
     started_at: float
-    deadline_slack_hours: float = 0.0
     task_finish: Dict[str, float] = field(default_factory=dict)
     meters: List[InvocationMeter] = field(default_factory=list)
     done: Optional[Event] = None
@@ -173,9 +172,7 @@ class Platform:
     def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
         raise NotImplementedError
 
-    def _meter(
-        self, task: TaskSpec, began: float, job: JobRun
-    ) -> InvocationMeter:
+    def _meter(self, task: TaskSpec, began: float) -> InvocationMeter:
         """What the platform measured for one completed invocation.
 
         ``wall_seconds`` spans dependency-ready to function-return: the
@@ -195,15 +192,9 @@ class Platform:
             user_cpu_seconds=task.compute_seconds * task.cores,
             bytes_mapped=input_bytes + task.output_size,
             wall_seconds=self.sim.now - began,
-            deadline_slack_hours=job.deadline_slack_hours,
         )
 
-    def start(
-        self,
-        graph: JobGraph,
-        submitter: str = CLIENT,
-        deadline_slack_hours: float = 0.0,
-    ) -> JobRun:
+    def start(self, graph: JobGraph, submitter: str = CLIENT) -> JobRun:
         """Load ``graph`` and launch its task drivers *without* running
         the clock - the multi-job entry point.
 
@@ -220,7 +211,6 @@ class Platform:
             graph=graph,
             submitter=submitter,
             started_at=self.sim.now,
-            deadline_slack_hours=deadline_slack_hours,
         )
         self._job_seq += 1
         done_events: Dict[str, Event] = {}
@@ -232,7 +222,7 @@ class Platform:
             began = self.sim.now
             yield self.invoke(task, submitter, job)
             job.task_finish[task.name] = self.sim.now
-            job.meters.append(self._meter(task, began, job))
+            job.meters.append(self._meter(task, began))
 
         for task in graph.topological_order():
             done_events[task.name] = self.sim.process(

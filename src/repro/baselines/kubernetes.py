@@ -6,12 +6,14 @@ least-loaded and data-oblivious
 (:meth:`~repro.baselines.base.Platform._choose` with nothing priced) -
 the property that costs OpenWhisk dearly in fig. 8b.  This module models
 what a pod costs once placed: a scheduling decision per pod, plus a
-cold start when no warm container for the function exists on the node.
+cold start when pods are cold.  There is no warm set: either every
+function's container is prewarmed on every node before the run, or
+every activation gets a fresh pod, so one ``cold`` setting decides.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict
 
 from ..sim.cluster import Cluster
 from ..sim.engine import Event, Simulator
@@ -20,18 +22,15 @@ from .calibration import K8S_SCHEDULE, OW_COLD_START
 
 
 class KubeScheduler:
-    """The pod lifecycle: the warm set, cold starts, and containerd's
-    per-node concurrency.  The platform places; this class starts pods."""
+    """The pod lifecycle: cold starts and containerd's per-node
+    concurrency.  The platform places; this class starts pods."""
 
-    def __init__(
-        self, sim: Simulator, cluster: Cluster, per_invocation_pods: bool = False
-    ):
+    def __init__(self, sim: Simulator, cluster: Cluster, cold: bool):
         self.sim = sim
-        self.cluster = cluster
-        #: Docker-image actions above OpenWhisk's inline size limit get a
-        #: fresh pod per activation (fig. 10's configuration).
-        self.per_invocation_pods = per_invocation_pods
-        self._warm: Set[Tuple[str, str]] = set()  # (function, node)
+        #: A fresh pod per activation (fig. 10's Docker-image actions,
+        #: above OpenWhisk's inline size limit), or none ever: every pod
+        #: is warm.
+        self.cold = cold
         # The container runtime creates pods concurrently up to roughly
         # the core count (kubelet/dockerd parallelism).
         self._runtimes: Dict[str, Resource] = {
@@ -42,29 +41,17 @@ class KubeScheduler:
         }
         self.cold_starts = 0
 
-    def is_warm(self, function: str, node: str) -> bool:
-        return (function, node) in self._warm
-
-    def prewarm(self, function: str, node: str) -> None:
-        self._warm.add((function, node))
-
-    def prewarm_everywhere(self, function: str) -> None:
-        for node in self.cluster.machine_names():
-            self.prewarm(function, node)
-
-    def pod_start(self, function: str, node: str) -> Event:
-        """Scheduling decision plus cold start if needed."""
-        cold = self.per_invocation_pods or not self.is_warm(function, node)
-        if cold:
+    def pod_start(self, node: str) -> Event:
+        """Scheduling decision, plus a cold start when pods are cold."""
+        if self.cold:
             self.cold_starts += 1
-            self._warm.add((function, node))
         return self.sim.process(
-            self._pod_start_proc(node, cold), name=("pod_start {}", node)
+            self._pod_start_proc(node), name=("pod_start {}", node)
         )
 
-    def _pod_start_proc(self, node: str, cold: bool):
+    def _pod_start_proc(self, node: str):
         yield self.sim.timeout(K8S_SCHEDULE)
-        if cold:
+        if self.cold:
             runtime = self._runtimes[node]
             yield runtime.acquire(1)
             try:

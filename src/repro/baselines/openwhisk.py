@@ -11,6 +11,12 @@ while occupying them (iowait), computes, and PUTs its output back to
 MinIO.  Placement is Kubernetes': least-loaded, data-oblivious - the
 platform's :meth:`~repro.baselines.base.Platform._choose` with nothing
 priced; :class:`~repro.baselines.kubernetes.KubeScheduler` runs the pods.
+
+Pods have one temperature, ``cold``.  Warm (the default, fig. 7a's and
+fig. 8b's rows) means every function's container is already up on every
+node, so a pod costs only its scheduling decision.  Cold (fig. 10, where
+the paper counts function creation) means every activation pulls the
+action's image to its node on first use and boots a fresh pod.
 """
 
 from __future__ import annotations
@@ -43,16 +49,12 @@ class OpenWhisk(Platform):
         self,
         sim: Simulator,
         cluster: Cluster,
-        warm: bool = True,
-        per_invocation_pods: bool = False,
+        cold: bool = False,
         **kwargs,
     ):
         super().__init__(sim, cluster, **kwargs)
         self.minio = MinIO(sim, cluster)
-        self.k8s = KubeScheduler(
-            sim, cluster, per_invocation_pods=per_invocation_pods
-        )
-        self.warm = warm
+        self.k8s = KubeScheduler(sim, cluster, cold)
         self._controller = cluster.machine_names()[0]
         # Docker-image actions pull their image per node on first use; the
         # registry is an external endpoint at NIC line rate (the pull's
@@ -70,9 +72,6 @@ class OpenWhisk(Platform):
         for spec in graph.data.values():
             node = self.minio.preload(spec.name, spec.size)
             self.cluster.add_object(spec.name, spec.size, node)
-        if self.warm:
-            for task in graph.tasks.values():
-                self.k8s.prewarm_everywhere(task.fn)
 
     def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
         # Control path: gateway -> controller -> Kafka; charged as system
@@ -83,7 +82,7 @@ class OpenWhisk(Platform):
         node = self._choose()
         self._outstanding[node] += 1
         try:
-            if not self.warm:
+            if self.k8s.cold:
                 yield self._pull_image(task.fn, node)
             # The pod's resources are reserved at scheduling time; the
             # container then boots while holding them (internal I/O from
@@ -98,7 +97,7 @@ class OpenWhisk(Platform):
 
     def _run_pod(self, task: TaskSpec, node: str):
         with self.cluster.accountant.track(node, "iowait", task.cores):
-            yield self.k8s.pod_start(task.fn, node)
+            yield self.k8s.pod_start(node)
         yield from self._busy(node, "system", task.cores, OW_INVOKER)
         # GET every input from MinIO while occupying the pod.
         with self.cluster.accountant.track(node, "iowait", task.cores):

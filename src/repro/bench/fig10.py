@@ -27,12 +27,7 @@ def run(scale: float = 1.0, seed: int = 11) -> ExperimentResult:
     rows = [
         ("Fixpoint", lambda: FixpointSim.build(nodes=10)),
         ("Ray + MinIO", lambda: RayPopenMinIO.build(nodes=10)),
-        (
-            "OpenWhisk + MinIO + K8s",
-            lambda: OpenWhisk.build(
-                nodes=10, warm=False, per_invocation_pods=True
-            ),
-        ),
+        ("OpenWhisk + MinIO + K8s", lambda: OpenWhisk.build(nodes=10, cold=True)),
     ]
     for label, factory in rows:
         platform = factory()

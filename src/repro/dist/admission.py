@@ -77,7 +77,6 @@ class JobTicket:
     name: str
     graph: JobGraph
     profile: AppProfile
-    deadline_slack_hours: float
     #: Byte-seconds of declared footprint - the DRR service cost.
     cost: float
     admitted: Event
@@ -217,7 +216,6 @@ class AdmissionController:
         graph: JobGraph,
         at: Optional[float] = None,
         name: Optional[str] = None,
-        deadline_slack_hours: float = 0.0,
     ) -> JobTicket:
         """Queue one job for ``tenant``; returns its ticket.
 
@@ -272,7 +270,6 @@ class AdmissionController:
             name=name,
             graph=namespaced,
             profile=profile,
-            deadline_slack_hours=deadline_slack_hours,
             cost=profile.mem_time_integral(),
             admitted=self.sim.event(f"admitted:{name}"),
         )
@@ -316,9 +313,7 @@ class AdmissionController:
         self.queues[ticket.tenant].pending.remove(ticket)
         self._fifo.remove(ticket)
         ticket.admitted_at = self.sim.now
-        ticket.job = self.platform.start(
-            ticket.graph, deadline_slack_hours=ticket.deadline_slack_hours
-        )
+        ticket.job = self.platform.start(ticket.graph)
         self._active.append(ticket)
         # Served: this tenant goes to the back of the service order.
         self._rr.remove(ticket.tenant)

@@ -80,7 +80,6 @@ class FixpointSim(Platform):
         internal_io: bool = False,
         oversubscribe_cores: Optional[int] = None,
         use_hints: bool = False,
-        consumer_pins: Optional[Dict[str, str]] = None,
         seed: int = 0,
         gossip: Optional[GossipConfig] = None,
         obs: Optional[Obs] = None,
@@ -97,10 +96,9 @@ class FixpointSim(Platform):
         )
         self.locality = locality
         self.internal_io = internal_io
+        #: Output-size hints: the one decider of whether a placement
+        #: prices its output's journey (:meth:`_consumer_hint`).
         self.use_hints = use_hints
-        #: Explicit consumer-location hints per producer task name; used by
-        #: the output-size-hint ablation to pin where a consumer will run.
-        self.consumer_pins: Dict[str, str] = dict(consumer_pins or {})
         if oversubscribe_cores is not None:
             for machine in cluster.machines.values():
                 machine.resize_cores(oversubscribe_cores)
@@ -132,7 +130,6 @@ class FixpointSim(Platform):
             ]
             self.gossip = GossipCoordinator(
                 machine_views + [self.view],
-                fanout=gossip.fanout,
                 seed=gossip.seed,
                 obs=self.obs,
                 membership=gossip.membership,
@@ -165,12 +162,7 @@ class FixpointSim(Platform):
                 self.gossip.view(name).refresh_local(self.cluster)
             self.gossip.run_rounds(self.gossip_config.startup_rounds)
 
-    def start(
-        self,
-        graph: JobGraph,
-        submitter: str = CLIENT,
-        deadline_slack_hours: float = 0.0,
-    ) -> JobRun:
+    def start(self, graph: JobGraph, submitter: str = CLIENT) -> JobRun:
         """Launch one of possibly many concurrent jobs on this platform.
 
         The job gets its own scheduler: a fresh :class:`ObjectView`
@@ -182,9 +174,7 @@ class FixpointSim(Platform):
         map, which is how one job's burst is visible to another's
         placement.
         """
-        job = super().start(
-            graph, submitter, deadline_slack_hours=deadline_slack_hours
-        )
+        job = super().start(graph, submitter)
         view = ObjectView(f"fixpoint-{job.job_id}", clock=self.obs.clock)
         if self.gossip is None:
             view.sync_from_cluster(self.cluster)
@@ -196,7 +186,6 @@ class FixpointSim(Platform):
             self.cluster,
             view,
             locality=self.locality,
-            use_hints=self.use_hints,
             seed=self._seed + job.index,
             outstanding=self._outstanding,
             obs=self.obs,
@@ -263,16 +252,14 @@ class FixpointSim(Platform):
     ) -> Optional[str]:
         """Where this task's consumer is expected to run, if known.
 
-        Explicit pins win; otherwise, with hints enabled, the unique
+        The one place a hint is decided: without ``use_hints`` there is
+        none, so the scheduler prices no consumer.  With it, the unique
         consumer's largest co-input with a believed machine location
         anchors it (data gravity), and the scheduler's cost model weighs
         moving the output there against moving the inputs here.
         """
         if not self.use_hints:
             return None
-        pin = self.consumer_pins.get(task.name)
-        if pin is not None:
-            return pin
         consumers = [
             t for t in graph.tasks.values() if task.output in t.inputs
         ]

@@ -351,10 +351,12 @@ def exchange(initiator: Participant, responder: Participant) -> ExchangeStats:
 class GossipConfig:
     """Knobs for wiring gossip into a platform (see FixpointSim).
 
-    ``startup_rounds`` run when a graph's initial placements register;
-    ``rounds_per_output`` run each time an output materializes - the
-    aging knob: 0 means the scheduler only ever knows what it saw at
-    startup, higher values keep beliefs fresher at more gossip traffic.
+    Each view contacts one peer per round (the coordinator's default
+    ``fanout``).  ``startup_rounds`` run when a graph's initial
+    placements register; ``rounds_per_output`` run each time an output
+    materializes - the aging knob: 0 means the scheduler only ever
+    knows what it saw at startup, higher values keep beliefs fresher at
+    more gossip traffic.
 
     ``membership=True`` turns on the liveness side: every participant
     keeps a :class:`~repro.dist.membership.MembershipView` that beats,
@@ -365,7 +367,6 @@ class GossipConfig:
     stop placing on them.
     """
 
-    fanout: int = 1
     startup_rounds: int = 2
     rounds_per_output: int = 1
     seed: int = 0

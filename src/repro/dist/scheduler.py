@@ -14,8 +14,8 @@ consumer;
 :func:`~repro.dist.costmodel.choose` compares their ``(priced bytes,
 load, name)`` keys and builds a :class:`~repro.dist.costmodel.Quote`
 for the winner only.  The
-scheduler passes registry sizes, the hinted consumer and the tombstoned
-machines, and no unshippable keys: the simulated network moves
+scheduler passes registry sizes, the consumer it is handed and the
+tombstoned machines, and no unshippable keys: the simulated network moves
 anything.  A placement is therefore O(inputs + distinct holder sets x
 their holders + contenders): it follows the data the task names, not
 the size of the cluster.  Only when no live machine is believed to hold a byte
@@ -24,13 +24,13 @@ everyone tie on bytes and every machine get compared, spreading by
 outstanding load, fed back through
 :meth:`DataflowScheduler.task_started` / :meth:`task_finished`.
 
-Two ablation/extension levers:
-
-* ``locality=False`` - seeded-random placement, the fig. 8b
-  "Fixpoint (no locality)" row;
-* ``use_hints=True`` - output-size hints: when the caller knows where the
-  task's consumer will run, moving the *output* is priced too, which can
-  pull a small-input/large-output producer toward its consumer.
+``locality=False`` is the one ablation lever: seeded-random placement,
+the fig. 8b "Fixpoint (no locality)" row.  Output-size hints are not a
+scheduler setting: :meth:`~DataflowScheduler.place` and
+:meth:`~DataflowScheduler.explain` price whatever ``consumer_location``
+they are handed (moving the *output* there is priced too, which can pull
+a small-input/large-output producer toward its consumer), and
+:class:`~repro.dist.engine.FixpointSim` decides whether to infer one.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class DataflowScheduler:
         cluster: "Cluster",
         view: ObjectView,
         locality: bool = True,
-        use_hints: bool = False,
         seed: int = 0,
         outstanding: Optional[Dict[str, int]] = None,
         obs: Obs = NULL_OBS,
@@ -88,7 +87,6 @@ class DataflowScheduler:
         #: path by filtering before the draw.
         self.membership = membership
         self.locality = locality
-        self.use_hints = use_hints
         self.rng = random.Random(seed)
         #: Observability is off (``NULL_OBS``) unless the platform wires
         #: one in - :class:`~repro.dist.engine.FixpointSim` passes its
@@ -156,29 +154,28 @@ class DataflowScheduler:
 
     def _bid(self, task: TaskSpec, consumer_location: Optional[str]):
         """What :meth:`place` and :meth:`explain` both price from: the
-        tombstoned machines (``None`` without membership), the consumer
-        hint (``None`` unless hints are on) and :meth:`ObjectView.bid`'s
-        ``(contenders, move_bytes)`` over the task's registry sizes.  An
-        input the registry does not know raises the typed
-        :class:`SchedulingError` naming it."""
+        tombstoned machines (``None`` without membership) and
+        :meth:`ObjectView.bid`'s ``(contenders, move_bytes)`` over the
+        task's registry sizes and ``consumer_location``.  An input the
+        registry does not know raises the typed :class:`SchedulingError`
+        naming it."""
         dead = (
             self.membership.dead_nodes() if self.membership is not None else None
         )
-        hinted = consumer_location if self.use_hints else None
         inputs = task.inputs
         sizes = map(_size, map(self.cluster.objects.__getitem__, inputs))
         try:
             contenders, move_bytes = self.view.bid(
                 zip(inputs, sizes),
                 self._candidates,
-                consumer_location=hinted,
+                consumer_location=consumer_location,
                 exclude=dead,
             )
         except KeyError:
             for name in inputs:
                 self.cluster.object(name)  # the typed error, naming the input
             raise
-        return dead, hinted, contenders, move_bytes
+        return dead, contenders, move_bytes
 
     def place(
         self, task: TaskSpec, consumer_location: Optional[str] = None
@@ -186,8 +183,8 @@ class DataflowScheduler:
         """Choose a machine for ``task``.
 
         With locality on, the winner minimises believed bytes moved: its
-        missing inputs, plus - when hints are enabled and the consumer's
-        location is known - the output's journey to that consumer.  Ties
+        missing inputs, plus - when a ``consumer_location`` is given -
+        the output's journey to that consumer.  Ties
         break by outstanding load, then name (determinism).  The whole
         decision is one :func:`repro.dist.costmodel.choose` call over
         the contenders :meth:`ObjectView.bid` returns.
@@ -203,9 +200,7 @@ class DataflowScheduler:
         spread by load has to see them all.
         """
         with self._m_place.time():
-            dead, hinted, contenders, move_bytes = self._bid(
-                task, consumer_location
-            )
+            dead, contenders, move_bytes = self._bid(task, consumer_location)
             if not self.locality:
                 live = (
                     self._machines
@@ -226,7 +221,7 @@ class DataflowScheduler:
                     move_bytes,
                     self._outstanding.__getitem__,
                     output_size=task.output_size,
-                    consumer_location=hinted,
+                    consumer_location=consumer_location,
                     exclude=dead,
                 )
                 placement = Placement(
@@ -255,7 +250,7 @@ class DataflowScheduler:
         ``locality=False`` ablation draws at random and consults none of
         this - the quotes say what locality would have weighed.
         """
-        dead, hinted, contenders, move_bytes = self._bid(task, consumer_location)
+        dead, contenders, move_bytes = self._bid(task, consumer_location)
         return sorted(
             (
                 quote(
@@ -263,7 +258,7 @@ class DataflowScheduler:
                     move_bytes(machine),
                     self._outstanding[machine],
                     output_size=task.output_size,
-                    consumer_location=hinted,
+                    consumer_location=consumer_location,
                 )
                 for machine in contenders
                 if not dead or machine not in dead

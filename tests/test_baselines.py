@@ -7,7 +7,10 @@ import pytest
 from repro.baselines.base import JobRun
 from repro.baselines.calibration import (
     FIXPOINT_INVOKE,
+    K8S_SCHEDULE,
+    MINIO_STREAM_BW,
     OPENWHISK_INVOKE,
+    OW_COLD_START,
     RAY_TASK_OVERHEAD,
 )
 from repro.baselines.faasm import Faasm
@@ -88,24 +91,28 @@ class TestMinIO:
 
 
 class TestKubeScheduler:
-    def test_cold_and_warm_starts(self):
+    @staticmethod
+    def start_twice(cold):
+        """Two pods in a row on one node: (seconds each, cold starts)."""
         sim = Simulator()
-        cluster = Cluster(sim, [MachineSpec("a")])
-        k8s = KubeScheduler(sim, cluster)
-        sim.run_until(k8s.pod_start("fn", "a"))
-        cold_time = sim.now
-        assert k8s.cold_starts == 1
-        sim.run_until(k8s.pod_start("fn", "a"))
-        assert sim.now - cold_time < cold_time  # warm is much cheaper
-        assert k8s.cold_starts == 1
+        k8s = KubeScheduler(sim, Cluster(sim, [MachineSpec("a")]), cold)
+        sim.run_until(k8s.pod_start("a"))
+        first = sim.now
+        sim.run_until(k8s.pod_start("a"))
+        return (first, sim.now - first), k8s.cold_starts
+
+    def test_cold_and_warm_starts(self):
+        """A warm pod costs its scheduling decision only; a cold one also
+        boots, every time."""
+        warm, _starts = self.start_twice(cold=False)
+        cold, _starts = self.start_twice(cold=True)
+        assert warm == (K8S_SCHEDULE, K8S_SCHEDULE)
+        assert cold == (K8S_SCHEDULE + OW_COLD_START,) * 2
 
     def test_per_invocation_pods(self):
-        sim = Simulator()
-        cluster = Cluster(sim, [MachineSpec("a")])
-        k8s = KubeScheduler(sim, cluster, per_invocation_pods=True)
-        sim.run_until(k8s.pod_start("fn", "a"))
-        sim.run_until(k8s.pod_start("fn", "a"))
-        assert k8s.cold_starts == 2
+        """Cold means a fresh pod per activation; warm, none ever."""
+        assert self.start_twice(cold=True)[1] == 2
+        assert self.start_twice(cold=False)[1] == 0
 
 
 class TestOpenWhisk:
@@ -157,18 +164,41 @@ class TestOpenWhisk:
         result = platform.run(fan_out_graph(size=100 * MB))
         assert result.cpu.iowait > result.cpu.user
 
+    def test_cold_pods_pull_images_and_boot_per_activation(self):
+        """Cold: every activation boots a pod, and each node pulls each
+        function's image once; warm: neither happens."""
+        warm = OpenWhisk.build(nodes=3, cores=4)
+        warm.run(fan_out_graph())
+        cold = OpenWhisk.build(nodes=3, cores=4, cold=True)
+        cold.run(fan_out_graph())
+        assert (warm.k8s.cold_starts, warm._images) == (0, {})
+        assert cold.k8s.cold_starts == cold.invocations == 12
+        assert set(cold._images) == {("f", f"node{i}") for i in range(3)}
+
 
 class TestRay:
     def test_styles_have_distinct_names(self):
         names = {
             RayPlatform.build(nodes=1, style=style).name
-            for style in ("blocking", "cps", "popen")
+            for style in ("blocking", "cps")
         }
+        names.add(RayPopenMinIO.build(nodes=1).name)
         assert len(names) == 3
 
     def test_unknown_style_rejected(self):
         with pytest.raises(SchedulingError):
             RayPlatform.build(nodes=1, style="mystery")
+
+    def test_popen_style_is_refused(self):
+        """Fig. 10's Popen row is built one way, with NICs at MinIO's
+        stream bandwidth: ``RayPopenMinIO``, not a ``RayPlatform`` style."""
+        with pytest.raises(SchedulingError, match="popen"):
+            RayPlatform.build(nodes=1, style="popen")
+        popen = RayPopenMinIO.build(nodes=2)
+        assert {
+            machine.spec.nic_bandwidth
+            for machine in popen.cluster.machines.values()
+        } == {MINIO_STREAM_BW}
 
     def test_cps_places_with_locality(self):
         platform = RayPlatform.build(nodes=3, cores=4, style="cps")

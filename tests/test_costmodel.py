@@ -714,6 +714,8 @@ class Case:
 
     @property
     def hinted_consumer(self) -> Optional[str]:
+        """The consumer a placement is handed: ``FixpointSim`` infers
+        one only with hints on."""
         return self.consumer if self.use_hints else None
 
     def holders(self) -> List[str]:
@@ -820,8 +822,9 @@ def decide_sparse(case: Case, view: ObjectView) -> Quote:
 def build_scheduler(
     case: Case, view: ObjectView, **options
 ) -> Tuple[DataflowScheduler, TaskSpec]:
-    """The case as a real scheduler (hints, loads and tombstones wired)
-    and the task that asks its question."""
+    """The case as a real scheduler (loads and tombstones wired) and
+    the task that asks its question.  Callers hand it
+    ``case.hinted_consumer``, the consumer ``FixpointSim`` would."""
     cluster = Cluster(
         Simulator(), [MachineSpec(m, cores=1) for m in case.machines]
     )
@@ -835,7 +838,6 @@ def build_scheduler(
     scheduler = DataflowScheduler(
         cluster,
         view,
-        use_hints=case.use_hints,
         outstanding=dict(case.loads),
         membership=membership,
         **options,
@@ -853,7 +855,7 @@ def decide_placed(case: Case, view: ObjectView) -> Quote:
         return quotes[-1]
 
     with mock.patch.object(scheduler_module, "choose", spy):
-        placement = scheduler.place(task, case.consumer)
+        placement = scheduler.place(task, case.hinted_consumer)
     (best,) = quotes
     assert placement.machine == best.candidate
     assert placement.predicted_move_bytes == best.move_bytes
@@ -928,13 +930,13 @@ class TestSameDecisionOracle:
             live = [m for m in case.machines if m not in case.dead]
             if not live:
                 with pytest.raises(SchedulingError, match="confirmed dead"):
-                    scheduler.place(task, case.consumer)
+                    scheduler.place(task, case.hinted_consumer)
                 seen["refused"] += 1
                 continue
             draws = random.Random(seed)
             for _ in range(2):  # the stream, not just its first draw
                 want = draws.choice(live)
-                placement = scheduler.place(task, case.consumer)
+                placement = scheduler.place(task, case.hinted_consumer)
                 assert placement.machine == want, case
                 assert placement.predicted_move_bytes == view.bytes_missing(
                     scheduler.cluster, case.needs, want
@@ -952,14 +954,14 @@ class TestSameDecisionOracle:
         for _ in range(500):
             case = random_case(rng)
             scheduler, task = build_scheduler(case, case.view())
-            quotes = scheduler.explain(task, case.consumer)
+            quotes = scheduler.explain(task, case.hinted_consumer)
             assert quotes == sorted(quotes, key=reference_sort_key), case
             assert not case.dead & {q.candidate for q in quotes}, case
             if case.dead >= set(case.machines):
                 assert quotes == []
                 seen["refused"] += 1
                 continue
-            placement = scheduler.place(task, case.consumer)
+            placement = scheduler.place(task, case.hinted_consumer)
             assert (quotes[0].candidate, quotes[0].move_bytes) == (
                 placement.machine, placement.predicted_move_bytes,
             ), case
@@ -1033,8 +1035,8 @@ def check_bid(case: Case, unshippable) -> object:
         unshippable,
     )
     scheduler, task = build_scheduler(case, view)
-    quotes = scheduler.explain(task, case.consumer)
-    placed = outcome(scheduler.place, task, case.consumer)
+    quotes = scheduler.explain(task, case.hinted_consumer)
+    placed = outcome(scheduler.place, task, case.hinted_consumer)
     if placed == "SchedulingError":
         assert quotes == [], case
     else:
@@ -1405,7 +1407,7 @@ class TestPlacementCostIsItsContenders:
     def test_hinted_consumer_that_holds_nothing_is_the_third_read(
         self, quotes_built
     ):
-        names, scheduler, loads = self.build(1000, use_hints=True)
+        names, scheduler, loads = self.build(1000)
         placement = scheduler.place(make_task("a", "b", "c"), names[500])
         # Output hint 8 < the 10 bytes node0042 saves: the holder wins,
         # but the consumer had to be priced to know.

@@ -116,19 +116,12 @@ class TestScheduler:
     def test_output_hint_pulls_toward_consumer(self):
         sim, cluster = make_cluster(nodes=2)
         cluster.add_object("in", 1 * MB, "node0")
-        sched = self._scheduler(cluster, use_hints=True)
+        sched = self._scheduler(cluster)
         big_out = simple_task("t", ["in"], output_size=500 * MB)
         # Without a consumer location the input wins.
         assert sched.place(big_out).machine == "node0"
-        # With the consumer pinned elsewhere, moving the output dominates.
+        # With the consumer elsewhere, moving the output dominates.
         assert sched.place(big_out, consumer_location="node1").machine == "node1"
-
-    def test_hints_disabled(self):
-        sim, cluster = make_cluster(nodes=2)
-        cluster.add_object("in", 1 * MB, "node0")
-        sched = self._scheduler(cluster, use_hints=False)
-        big_out = simple_task("t", ["in"], output_size=500 * MB)
-        assert sched.place(big_out, consumer_location="node1").machine == "node0"
 
 
 class TestEngine:
@@ -223,3 +216,70 @@ class TestEngine:
         assert FixpointSim.build(nodes=1).name == "Fixpoint"
         assert "no locality" in FixpointSim.build(nodes=1, locality=False).name
         assert "internal I/O" in FixpointSim.build(nodes=1, internal_io=True).name
+
+
+def hint_graph() -> JobGraph:
+    """The output-size-hint ablation's graph: a producer with a 4 KiB
+    input and a 2 GiB output, whose one consumer also reads 4 GiB that
+    live on node1."""
+    graph = JobGraph()
+    graph.add_data("tiny-config", 4 << 10, "node0")
+    graph.add_data("huge-dataset", 4 << 30, "node1")
+    graph.add_task(
+        TaskSpec(
+            name="expand",
+            fn="expand",
+            inputs=("tiny-config",),
+            output="expanded",
+            output_size=2 << 30,
+            compute_seconds=0.5,
+        )
+    )
+    graph.add_task(
+        TaskSpec(
+            name="join",
+            fn="join",
+            inputs=("expanded", "huge-dataset"),
+            output="joined",
+            output_size=1 << 20,
+            compute_seconds=1.0,
+        )
+    )
+    return graph
+
+
+class TestOutputHints:
+    """``FixpointSim._consumer_hint`` is the one decider of a hint: the
+    scheduler prices whatever consumer the platform hands it."""
+
+    @staticmethod
+    def run(monkeypatch, use_hints):
+        """Run the graph; returns the platform, its result and the
+        consumer location each placement was handed."""
+        priced = {}
+        place = DataflowScheduler.place
+
+        def spy(scheduler, task, consumer_location=None):
+            priced[task.name] = consumer_location
+            return place(scheduler, task, consumer_location)
+
+        monkeypatch.setattr(DataflowScheduler, "place", spy)
+        platform = FixpointSim.build(nodes=2, use_hints=use_hints)
+        return platform, platform.run(hint_graph()), priced
+
+    def test_inferred_hint_runs_the_producer_at_its_consumer(self, monkeypatch):
+        """``join``'s largest co-input anchors it on node1 (data
+        gravity), so ``expand`` runs there and only its 4 KiB input
+        moves."""
+        platform, result, priced = self.run(monkeypatch, use_hints=True)
+        assert priced == {"expand": "node1", "join": None}
+        assert platform.cluster.locate("expanded") == {"node1"}
+        assert result.bytes_transferred == 4 << 10
+
+    def test_hints_disabled(self, monkeypatch):
+        """With hints off no consumer is priced: ``expand`` stays at its
+        input and the 2 GiB intermediate crosses the network."""
+        platform, result, priced = self.run(monkeypatch, use_hints=False)
+        assert priced == {"expand": None, "join": None}
+        assert platform.cluster.locate("expanded") >= {"node0"}
+        assert result.bytes_transferred == 2 << 30

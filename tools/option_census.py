@@ -10,12 +10,25 @@ base class for its subclasses, ``super().__init__(...)`` for the bases,
 and ``replace(obj, field=...)`` for a dataclass field.  A call that
 forwards ``*args`` or ``**kwargs`` counts as passing every parameter.
 
+A value every caller only forwards is as unset as one no caller passes.
+``--forwarded`` lists the defaulted parameters that some call passes,
+but only ever as a *same-named* value: ``p=p``, ``p=obj.p`` or a
+positional ``p``/``obj.p``.  Such a parameter is a hop in a chain, and
+the chain is followed by hand: look up who sets the forwarded name, and
+if it is another listed or unset parameter, every hop always holds the
+default.  (``AdmissionController.submit(deadline_slack_hours)`` was set
+by no caller, and ``Platform.start`` and ``FixpointSim.start`` only
+received it forwarded from ``admission.py``, so four hops carried 0.0.)
+A ``*args``/``**kwargs`` call is not a same-named pass: the values
+behind it are out of sight, so a parameter it reaches is never listed.
+
 Run from the repo root::
 
-    python tools/option_census.py          # the values no caller sets
-    python tools/option_census.py --all    # every value, with its count
+    python tools/option_census.py              # the values no caller sets
+    python tools/option_census.py --all        # every value, with its count
+    python tools/option_census.py --forwarded  # values only ever forwarded
 
-The last line gives both totals.
+The last line gives the totals.
 """
 
 from __future__ import annotations
@@ -115,7 +128,10 @@ def definitions(sources):
 
 
 def call_sites(paths, bases):
-    """callee name -> ``[(positional count, keywords, forwards all)]``."""
+    """callee name -> ``[(positional names, keywords, forwards all)]``:
+    the name each positional argument's value has (``""`` for anything
+    but ``x`` or ``obj.x``), and keyword -> whether its value is
+    same-named."""
     calls = defaultdict(list)
     for path in paths:
         tree = _parse(path)
@@ -128,8 +144,8 @@ def call_sites(paths, bases):
             if not isinstance(node, ast.Call):
                 continue
             site = (
-                sum(not isinstance(a, ast.Starred) for a in node.args),
-                {k.arg for k in node.keywords if k.arg},
+                [_name(a) for a in node.args if not isinstance(a, ast.Starred)],
+                {k.arg: _name(k.value) == k.arg for k in node.keywords if k.arg},
                 any(isinstance(a, ast.Starred) for a in node.args)
                 or any(k.arg is None for k in node.keywords),
             )
@@ -147,7 +163,7 @@ def call_sites(paths, bases):
             elif name:
                 calls[name].append(site)
                 if name == "replace":  # dataclasses.replace(obj, field=...)
-                    calls["replace()"].append((0, site[1], site[2]))
+                    calls["replace()"].append(([], site[1], site[2]))
     return calls
 
 
@@ -169,7 +185,8 @@ def main(argv) -> int:
 
     paths = [p for top in CALLERS for p in sorted((ROOT / top).rglob("*.py"))]
     calls = call_sites(paths, bases)
-    total = unset = 0
+    forwarded_only = "--forwarded" in argv
+    total = unset = forwarded = 0
     for qual, callee, kind, params in definitions(sources):
         sites = list(calls[callee])
         if kind == "init":
@@ -178,17 +195,26 @@ def main(argv) -> int:
         elif kind == "field":
             sites += calls["replace()"]
         for param, position in params:
-            passed = sum(
-                param in keywords
-                or forwards
-                or (position is not None and position < count)
-                for count, keywords, forwards in sites
-            )
+            passed = through = 0
+            for names, keywords, forwards in sites:
+                if param in keywords:
+                    through += keywords[param]
+                elif position is not None and position < len(names):
+                    through += names[position] == param
+                elif not forwards:
+                    continue
+                passed += 1
             total += 1
             unset += passed == 0
-            if passed == 0 or "--all" in argv:
+            only_forwarded = 0 < passed == through
+            forwarded += only_forwarded
+            shown = only_forwarded if forwarded_only else passed == 0
+            if shown or "--all" in argv:
                 print(f"{passed:4d}  {qual}({param})")
-    print(f"# defaulted values: {total}; set by no caller: {unset}")
+    line = f"# defaulted values: {total}; set by no caller: {unset}"
+    if forwarded_only:
+        line += f"; set only by forwarding: {forwarded}"
+    print(line)
     return 0
 
 
