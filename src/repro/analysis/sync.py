@@ -527,15 +527,15 @@ def current_tracker() -> Optional[LockTracker]:
     return _current
 
 
-def enable_tracking(tracker: Optional[LockTracker] = None) -> LockTracker:
-    """Install ``tracker`` (or a fresh one) as the process default.
+def enable_tracking() -> LockTracker:
+    """Install a fresh tracker as the process default.
 
     Locks created *before* this call stay raw - enable tracking before
     the system under test builds its locks (pytest's ``--race`` flag
     does this in ``pytest_configure``, ahead of collection imports).
     """
     global _current
-    _current = tracker if tracker is not None else LockTracker()
+    _current = LockTracker()
     return _current
 
 

@@ -2,9 +2,10 @@
 
 A :class:`Platform` executes a :class:`~repro.dist.graph.JobGraph` on a
 :class:`~repro.sim.cluster.Cluster`: it registers the graph's initial data
-placements, runs every task as its dependencies complete (each platform
-defines its own ``invoke`` process), and reports a :class:`RunResult` with
-the makespan and the ``/proc/stat``-style CPU breakdown.
+placements, runs every task as its dependencies complete (through
+:meth:`Platform._invoke_proc`, whose hooks each baseline fills in), and
+reports a :class:`RunResult` with the makespan and the
+``/proc/stat``-style CPU breakdown.
 
 The lifecycle is split so many jobs can share one platform instance:
 :meth:`Platform.start` loads a graph and launches its task drivers
@@ -138,8 +139,8 @@ class Platform:
         self._job_seq = 0
         #: In-flight invocations per machine, the one load map every
         #: placement spreads by (:meth:`_choose`; ``FixpointSim`` shares
-        #: it with its job schedulers).  A caller counts its pick up and
-        #: back down in ``finally``.
+        #: it with its job schedulers).  :meth:`_invoke_proc` and
+        #: ``OpenWhisk`` count a pick up and back down in ``finally``.
         self._outstanding: Dict[str, int] = dict.fromkeys(
             cluster.machine_names(), 0
         )
@@ -162,7 +163,7 @@ class Platform:
 
     def invoke(self, task: TaskSpec, submitter: str, job: JobRun) -> Event:
         """Run one task of ``job``; the event's value is the machine that
-        ran it.  Subclasses implement :meth:`_invoke_proc`."""
+        ran it."""
         self.invocations += 1
         return self.sim.process(
             self._invoke_proc(task, submitter, job),
@@ -170,7 +171,39 @@ class Platform:
         )
 
     def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
-        raise NotImplementedError
+        """The one baseline invocation: the :meth:`_place` pick counts in
+        :attr:`_outstanding` through the control message (if
+        :meth:`_dispatched`), :meth:`_stage` and :meth:`_run` inside
+        :meth:`_reserved`; the output registers at :meth:`_home`."""
+        node = self._place(task)
+        self._outstanding[node] += 1
+        try:
+            if self._dispatched(task):
+                yield self.cluster.network.message(submitter, node)
+            yield from self._stage(task, node)
+            yield from self._reserved(task, node, self._run(task, node))
+        finally:
+            self._outstanding[node] -= 1
+        self.cluster.add_object(
+            task.output, task.output_size, self._home(task, node)
+        )
+        return node
+
+    def _place(self, task: TaskSpec) -> str:
+        """The machine ``task`` runs on: the least loaded by default."""
+        return self._choose()
+
+    def _dispatched(self, task: TaskSpec) -> bool:
+        """Whether a control message starts ``task``: yes by default."""
+        return True
+
+    def _stage(self, task: TaskSpec, node: str):
+        """Work before the reservation, holding no core: none by default."""
+        yield from ()
+
+    def _home(self, task: TaskSpec, node: str) -> str:
+        """Where the output lives: the executing node by default."""
+        return node
 
     def _meter(self, task: TaskSpec, began: float) -> InvocationMeter:
         """What the platform measured for one completed invocation.

@@ -10,7 +10,7 @@ measured in fig. 7a.  Only the microbenchmarks use this model.
 from __future__ import annotations
 
 from ..dist.graph import TaskSpec
-from .base import JobRun, Platform
+from .base import Platform
 from .calibration import FAASM_CORE, FAASM_INVOKE
 
 
@@ -18,17 +18,6 @@ class Faasm(Platform):
     """Wasm FaaS with host-interface state sharing."""
 
     name = "Faasm"
-
-    def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
-        node = self._choose()
-        self._outstanding[node] += 1
-        try:
-            yield self.cluster.network.message(submitter, node)
-            yield from self._reserved(task, node, self._run(task, node))
-        finally:
-            self._outstanding[node] -= 1
-        self.cluster.add_object(task.output, task.output_size, node)
-        return node
 
     def _run(self, task: TaskSpec, node: str):
         # Dispatcher + module activation + host interface setup.

@@ -7,6 +7,9 @@ dependency abstraction cannot express a dependency on data that is *not*
 an intermediate result (paper section 5.3.2): external inputs are fetched
 from durable storage without locality, and the fig. 8b reduce phase
 cannot be expressed at all (the paper could only run its map phase).
+A chained step is placed by :meth:`Platform._choose` over its largest
+trigger bucket and fires without a control message; any other function
+is placed least loaded.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from ..dist.graph import JobGraph, TaskSpec
 from ..sim.cluster import Cluster
 from ..sim.engine import Simulator
-from .base import JobRun, Platform
+from .base import Platform
 from .calibration import (
     PHEROMONE_CHAIN_STEP,
     PHEROMONE_CORE,
@@ -35,62 +38,37 @@ class Pheromone(Platform):
 
     def __init__(self, sim: Simulator, cluster: Cluster, **kwargs):
         super().__init__(sim, cluster, **kwargs)
-        self._rr = 0  # round-robin cursor for external-input functions
         #: Outputs of every loaded job's functions: the trigger buckets.
         #: Jobs sharing the platform through ``start`` accumulate here,
         #: so an earlier job's chained steps stay chained.
         self._produced: set = set()
 
-    def _place(self, task: TaskSpec) -> str:
-        intermediates = [
-            n for n in task.inputs if self.cluster.object(n).locations
-        ]
-        produced = [
-            n
-            for n in intermediates
-            if not n.startswith("ext:") and self._is_intermediate(n)
-        ]
-        if produced:
-            # Collocate with the largest trigger bucket.
-            biggest = max(produced, key=lambda n: self.cluster.object(n).size)
-            locations = self.cluster.object(biggest).locations
-            machine_locs = [
-                loc for loc in locations if loc in self.cluster.machines
-            ]
-            if machine_locs:
-                return min(machine_locs)
-        # External-data functions: scheduler has no locality information.
-        names = self.cluster.machine_names()
-        node = names[self._rr % len(names)]
-        self._rr += 1
-        return node
-
-    def _is_intermediate(self, name: str) -> bool:
-        return name in self._produced
-
     def load(self, graph: JobGraph) -> None:
         super().load(graph)
         self._produced.update(graph.producers())
 
-    def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
-        node = self._place(task)
-        chained = all(self._is_intermediate(n) for n in task.inputs) and bool(
-            task.inputs
+    def _place(self, task: TaskSpec) -> str:
+        buckets = [n for n in task.inputs if n in self._produced]
+        if not buckets:
+            # External-data functions: no locality information.
+            return self._choose()
+        # Collocate with the largest trigger bucket.
+        return self._choose(
+            [max(buckets, key=lambda n: self.cluster.object(n).size)]
         )
-        if chained:
-            # A pre-declared workflow step fires locally off its
-            # trigger bucket: no scheduler dispatch.
-            overhead = PHEROMONE_CHAIN_STEP
-        else:
-            yield self.cluster.network.message(submitter, node)
-            overhead = PHEROMONE_INVOKE
-        # Claim the executor, then fetch any non-local data while
-        # holding it (Pheromone executors own their resources).
-        yield from self._reserved(task, node, self._run(task, node, overhead))
-        self.cluster.add_object(task.output, task.output_size, node)
-        return node
 
-    def _run(self, task: TaskSpec, node: str, overhead: float):
+    def _dispatched(self, task: TaskSpec) -> bool:
+        # A pre-declared workflow step fires locally off its trigger
+        # bucket: no scheduler dispatch.
+        return not task.inputs or not self._produced.issuperset(task.inputs)
+
+    def _run(self, task: TaskSpec, node: str):
+        # The executor is claimed first, then any non-local data is
+        # fetched while holding it (Pheromone executors own their
+        # resources).
+        overhead = (
+            PHEROMONE_INVOKE if self._dispatched(task) else PHEROMONE_CHAIN_STEP
+        )
         yield from self._busy(
             node, "system", task.cores, overhead - PHEROMONE_CORE
         )

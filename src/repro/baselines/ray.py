@@ -22,7 +22,7 @@ binaries start on a single node and are loaded on first use per node.
 
 Every row pays the driver's serial submission cost (a single Python
 process pushing task specs) and the per-task overhead measured in
-fig. 7a.
+fig. 7a, then takes the shared :meth:`Platform._invoke_proc`.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ POPEN_BINARY_BYTES = 100 << 20
 
 class _RayDriver(Platform):
     """What every Ray row shares: one driver process submits the tasks
-    serially, then each runs on the machine :meth:`_place` picks, after
-    :meth:`_stage` and inside the reservation :meth:`_run`."""
+    serially; each then takes :meth:`Platform._invoke_proc`, the path
+    every baseline shares."""
 
     def __init__(self, sim: Simulator, cluster: Cluster, **kwargs):
         super().__init__(sim, cluster, **kwargs)
@@ -69,22 +69,7 @@ class _RayDriver(Platform):
         yield self._driver.acquire(1)
         yield self.sim.timeout(RAY_DRIVER_SUBMIT)
         self._driver.release(1)
-        node = self._place(task)
-        self._outstanding[node] += 1
-        try:
-            yield self.cluster.network.message(submitter, node)
-            yield from self._stage(task, node)
-            yield from self._reserved(task, node, self._run(task, node))
-        finally:
-            self._outstanding[node] -= 1
-        self.cluster.add_object(
-            task.output, task.output_size, self._home(task, node)
-        )
-        return node
-
-    def _home(self, task: TaskSpec, node: str) -> str:
-        """Where the output lives: in the executing node's store."""
-        return node
+        return (yield from super()._invoke_proc(task, submitter, job))
 
 
 class RayPlatform(_RayDriver):
@@ -147,7 +132,8 @@ class RayPopenMinIO(_RayDriver):
 
     The data path is MinIO's HTTP GET/PUT - slower per stream than Ray's
     plasma pulls - so the cluster NICs are provisioned at MinIO's
-    effective throughput.
+    effective throughput.  Tasks place least loaded (the default
+    :meth:`Platform._place`): executables read from MinIO.
     """
 
     name = "Ray + MinIO"
@@ -166,10 +152,6 @@ class RayPopenMinIO(_RayDriver):
         for spec in graph.data.values():
             node = self.minio.preload(spec.name, spec.size)
             self.cluster.add_object(spec.name, spec.size, node)
-
-    def _place(self, task: TaskSpec) -> str:
-        # Popen executables read from MinIO; schedule least-loaded.
-        return self._choose()
 
     def _stage(self, task: TaskSpec, node: str):
         if node not in self._binaries_loaded:

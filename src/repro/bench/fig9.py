@@ -7,11 +7,11 @@ shares a warm cache, across sets everything is cold again).
 
 Method here: the *structure* (node counts, keys-blob bytes, path node
 identities, cache behaviour) is computed exactly; per-visit costs come
-from the calibrated constants; and the whole model is cross-validated
-against the real runtime - the instrumented walker in
-``repro.workloads.bptree`` runs the same traversals on a real tree and
-must report exactly the invocation/get/byte counts the model charges
-(see tests/test_fig9_model.py).
+from the calibrated constants (:data:`CHARGES`); tests/test_fig9_model.py
+checks the model against real trees: nodes per level, and per query the
+instrumented walker's invocations, gets and child-ref bytes (32 B per
+child).  A visit is charged its level's mean fanout, rounded up, so its
+ref bytes match wherever the real node holds that many children.
 """
 
 from __future__ import annotations
@@ -106,40 +106,63 @@ def _cold_read(nbytes: int) -> float:
     return DISK_LATENCY + nbytes / DISK_BW + nbytes / HASH_BW
 
 
+@dataclass(frozen=True)
+class Charges:
+    """What the model charges one system per query and per node visited.
+    Both Ray styles pay a driver session per query; as in Table 2, it is
+    the blocking lookup's one invocation, and CPS counts its steps."""
+
+    query_invocations: int
+    query_seconds: float
+    invocations: int  # per visit, each costing invocation_seconds
+    invocation_seconds: float
+    gets: int  # per visit, each costing get_seconds
+    get_seconds: float
+    reads_refs: bool  # the child-ref array as well as the keys blob
+    read_bw: float  # bytes/s at which touched bytes are ingested
+
+    def touched(self, shape: TreeShape, level: int, key_bytes: int) -> int:
+        keys = shape.keys_bytes(level, key_bytes)
+        return keys + shape.refs_bytes(level) if self.reads_refs else keys
+
+
+_SESSION = RAY_DRIVER_SUBMIT + RAY_TASK_OVERHEAD
+CHARGES: Dict[str, Charges] = {
+    # One object graph per lookup; selection thunks fetch only the keys.
+    "Fixpoint": Charges(
+        0, 0.0, 1, FIXPOINT_INVOKE + FIX_NODE_PARSE, 1, 0.0, False, LOCAL_READ_BW
+    ),
+    # One task; two gets per node (keys, child refs) inside it.
+    "Ray (blocking)": Charges(
+        1, _SESSION, 0, 0.0, 2, RAY_BLOCKING_GET, True, PY_DESER_BW
+    ),
+    # A continuation per get boundary, which costs the get.
+    "Ray (continuation-passing)": Charges(
+        0, _SESSION, 2, RAY_TASK_OVERHEAD + RAY_CPS_STEP_EXTRA, 2, 0.0, True,
+        PY_DESER_BW,
+    ),
+}
+
+
 def set_seconds(shape: TreeShape, system: str, seed: int, key_bytes: int) -> float:
     """Seconds for one set of 10 queries (shared cache within the set)."""
+    charges = CHARGES[system]
     total = 0.0
     cache: Set[Tuple[int, int]] = set()
     for path in _query_paths(shape, FIG9_QUERIES_PER_SET, seed):
-        if system == "Fixpoint":
-            pass  # no per-query session cost: the lookup is one object graph
-        else:
-            total += RAY_DRIVER_SUBMIT + RAY_TASK_OVERHEAD
+        total += charges.query_seconds
         for level, index in path:
-            keys_b = shape.keys_bytes(level, key_bytes)
-            refs_b = shape.refs_bytes(level)
-            if system == "Fixpoint":
-                touched = keys_b  # selection thunks fetch only the keys
-                per_visit = FIXPOINT_INVOKE + FIX_NODE_PARSE + keys_b / LOCAL_READ_BW
-            elif system == "Ray (blocking)":
-                touched = keys_b + refs_b  # two gets: keys + child refs
-                per_visit = 2 * RAY_BLOCKING_GET + touched / PY_DESER_BW
-            elif system == "Ray (continuation-passing)":
-                touched = keys_b + refs_b
-                per_visit = (
-                    2 * (RAY_TASK_OVERHEAD + RAY_CPS_STEP_EXTRA)
-                    + touched / PY_DESER_BW
-                )
-            else:
-                raise ValueError(f"unknown system {system!r}")
+            touched = charges.touched(shape, level, key_bytes)
+            per_visit = (
+                charges.invocations * charges.invocation_seconds
+                + charges.gets * charges.get_seconds
+                + touched / charges.read_bw
+            )
             if (level, index) not in cache:
                 cache.add((level, index))
                 per_visit += _cold_read(touched)
             total += per_visit
     return total
-
-
-SYSTEMS = ("Fixpoint", "Ray (blocking)", "Ray (continuation-passing)")
 
 
 def run(scale: float = 1.0, sets: int = 5) -> ExperimentResult:
@@ -158,7 +181,7 @@ def run(scale: float = 1.0, sets: int = 5) -> ExperimentResult:
             "levels_d": shape.levels,
         }
         fix_time = None
-        for system in SYSTEMS:
+        for system in CHARGES:
             mean = sum(
                 set_seconds(shape, system, seed, FIG9_MEAN_KEY_BYTES)
                 for seed in range(sets)

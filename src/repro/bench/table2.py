@@ -58,11 +58,12 @@ def run(scale: float = 1.0, verify_keys: int = 4096, verify_arity: int = 16) -> 
     titles = make_titles(verify_keys)
     tree = build_bptree(fp, titles, [b"v:" + t for t in titles], verify_arity)
     d = tree.levels
-    for style, expect_inv in (
-        ("fixpoint", d),
-        ("ray-cps", 2 * d),
-        ("ray-blocking", 1),
+    for style, costs in (
+        ("fixpoint", fixpoint_costs),
+        ("ray-cps", ray_cps_costs),
+        ("ray-blocking", ray_blocking_costs),
     ):
+        expect_inv = costs(d, verify_arity).invocations
         for key in sample_queries(titles, 5, seed=3):
             stats = walk_real_tree(fp, tree, key, style)
             if stats.invocations != expect_inv:

@@ -163,10 +163,9 @@ class Handle:
         return cls(digest, size, meta)
 
     @classmethod
-    def tree(cls, digest: bytes, length: int, accessible: bool = True) -> "Handle":
-        """Handle for a Tree with ``length`` entries."""
-        meta = _META_TREE | (0 if accessible else _META_REF)
-        return cls(digest, length, meta)
+    def tree(cls, digest: bytes, length: int) -> "Handle":
+        """Handle for an accessible Tree with ``length`` entries."""
+        return cls(digest, length, _META_TREE)
 
     @classmethod
     def literal(cls, data: bytes) -> "Handle":

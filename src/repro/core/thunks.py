@@ -43,11 +43,10 @@ def pack_index(value: int) -> Handle:
     return Handle.of_blob(value.to_bytes(_INT_LEN, "little"))
 
 
-def unpack_index(handle: Handle, payload: bytes | None = None) -> int:
-    raw = handle.literal_data if handle.is_literal else payload
-    if raw is None or len(raw) != _INT_LEN:
+def unpack_index(handle: Handle) -> int:
+    if not handle.is_literal or len(handle.literal_data) != _INT_LEN:
         raise SelectionError("selection index must be an 8-byte literal blob")
-    return int.from_bytes(raw, "little")
+    return int.from_bytes(handle.literal_data, "little")
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,10 @@ name.  Every platform in this repo resolves placements here:
   the believed missing bytes of a Fix footprint;
 * the simulated baselines'
   :meth:`~repro.baselines.base.Platform._choose` prices machines from
-  the cluster registry's true locations (Ray CPS), or prices nothing
-  and places least-loaded (Faasm, Ray Popen, OpenWhisk).
+  the cluster registry's true locations: a task's inputs (Ray CPS) or a
+  chained step's largest trigger bucket (Pheromone).  Faasm, Ray Popen,
+  OpenWhisk and Pheromone's external-data functions price nothing and
+  place least-loaded; only Ray blocking draws at random.
 
 Keeping the policy in one module means a delegation-policy change is
 made exactly once and both the perf conclusions (simulated) and the

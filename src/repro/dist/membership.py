@@ -288,9 +288,9 @@ class MembershipView:
     # ------------------------------------------------------------------
     # Introspection
 
-    def heartbeat(self, node: Optional[str] = None) -> int:
+    def heartbeat(self) -> int:
         with self._lock:
-            member = self._members.get(node or self.node)
+            member = self._members.get(self.node)
             return member.heartbeat if member is not None else 0
 
     def incarnation(self, node: Optional[str] = None) -> int:

@@ -79,16 +79,6 @@ class Cluster:
         self.accountant = CpuAccountant(sim)
         self.objects: Dict[str, ObjectInfo] = {}
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-
-    @classmethod
-    def paper_cluster(cls, sim: Simulator, nodes: int = 10, cores: int = 32) -> "Cluster":
-        """The 10-node / 320-vCPU cluster of figs. 8b and 10."""
-        specs = [MachineSpec(name=f"node{i}") for i in range(nodes)]
-        specs = [MachineSpec(name=s.name, cores=cores) for s in specs]
-        return cls(sim, specs)
-
     @property
     def total_cores(self) -> int:
         """Schedulable cores cluster-wide.

@@ -283,8 +283,53 @@ class TestPheromone:
             )
         platform = Pheromone.build(nodes=3, cores=4, seed=2)
         result = platform.run(graph)
-        # Round-robin spreads the functions while the data sits on node2.
+        # Least-loaded placement spreads the functions 4/4/4 while the
+        # data sits on node2.
+        ran_on = [
+            node
+            for i in range(12)
+            for node in platform.cluster.locate(f"out{i}")
+        ]
+        assert sorted(ran_on.count(node) for node in set(ran_on)) == [4, 4, 4]
         assert result.bytes_transferred > 100 * MB
+
+    def test_chained_step_runs_on_the_less_loaded_bucket_holder(self):
+        """A trigger bucket held on two machines: the chained step goes
+        to the holder with fewer invocations in flight (by name alone it
+        would be node0)."""
+        graph = JobGraph()
+        graph.add_data("in", 1 * MB, "node2")
+        for name, inputs, output, compute in (
+            ("producer", ("in",), "bucket", 0.01),
+            ("busy", (), "busy-out", 1.0),
+            ("consumer", ("bucket",), "final", 0.01),
+        ):
+            graph.add_task(
+                TaskSpec(
+                    name=name,
+                    fn="f",
+                    inputs=inputs,
+                    output=output,
+                    output_size=8 * MB,
+                    compute_seconds=compute,
+                    memory_bytes=64 * MB,
+                )
+            )
+        platform = Pheromone.build(nodes=3, cores=4)
+        platform.load(graph)
+        job = JobRun(0, "job0", graph, CLIENT, started_at=0.0)
+        producer, busy, consumer = (
+            graph.tasks[n] for n in ("producer", "busy", "consumer")
+        )
+        made = platform.invoke(producer, CLIENT, job)
+        assert platform.sim.run_until(made) == "node0"
+        platform.cluster.add_object("bucket", 8 * MB, "node1")
+        blocker = platform.invoke(busy, CLIENT, job)  # least loaded: node0
+        platform.sim.run(until=platform.sim.now)
+        assert platform._outstanding == {"node0": 1, "node1": 0, "node2": 0}
+        chained = platform.invoke(consumer, CLIENT, job)
+        assert platform.sim.run_until(chained) == "node1"
+        assert not blocker.triggered
 
     @staticmethod
     def _chain(prefix, location):
@@ -320,6 +365,56 @@ class TestPheromone:
         platform.sim.run_until(all_of(platform.sim, [first.done, second.done]))
         assert platform.cluster.network.messages == 2
         assert first.task_finish == alone.task_finish
+
+
+class TestEveryPickIsCounted:
+    """``Platform._invoke_proc`` counts the machine it places on in
+    ``_outstanding`` while the task runs, for every baseline on it, and
+    every count is back to 0 when the job is done."""
+
+    @staticmethod
+    def _chained_fan_out():
+        """``fan_out_graph`` plus a step chained on ``out0``."""
+        graph = fan_out_graph(n=6)
+        graph.add_task(
+            TaskSpec(
+                name="next",
+                fn="g",
+                inputs=("out0",),
+                output="final",
+                output_size=8,
+                compute_seconds=0.05,
+                memory_bytes=64 * MB,
+            )
+        )
+        return graph
+
+    @pytest.mark.parametrize(
+        "cls, kw",
+        [
+            (Faasm, {}),
+            (RayPlatform, {"style": "blocking", "seed": 7}),
+            (RayPlatform, {"style": "cps"}),
+            (RayPopenMinIO, {}),
+            (Pheromone, {}),
+        ],
+        ids=["faasm", "ray-blocking", "ray-cps", "ray-popen", "pheromone"],
+    )
+    def test_load_is_raised_where_each_task_runs(self, cls, kw):
+        platform = cls.build(nodes=3, cores=4, **kw)
+        graph = self._chained_fan_out()
+        seen = {}
+        run = platform._run
+
+        def counted_run(task, node):
+            seen[task.name] = (node, platform._outstanding[node])
+            yield from run(task, node)
+
+        platform._run = counted_run
+        platform.run(graph)
+        assert set(seen) == set(graph.tasks)
+        assert all(load >= 1 for _node, load in seen.values()), seen
+        assert set(platform._outstanding.values()) == {0}
 
 
 class TestFaasm:

@@ -522,8 +522,8 @@ class TestCodecTruncation:
     #: that read no wire frame, each with why the fuzz above skips it.
     NOT_A_FRAME_DECODER = {
         # Reads a selection index out of an already-decoded literal
-        # Handle (or a stored Blob's payload): its input is a typed
-        # value, checked by length, not bytes off a channel.
+        # Handle: its input is a typed value, checked by length, not
+        # bytes off a channel.
         "repro.core.thunks.unpack_index",
     }
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.baselines.base import Platform
 from repro.core.errors import SimulationError
 from repro.sim.cluster import Cluster, MachineSpec
 from repro.sim.engine import Simulator, all_of
@@ -244,8 +245,7 @@ class TestCpuAccounting:
 
 class TestCluster:
     def test_paper_cluster_shape(self):
-        sim = Simulator()
-        cluster = Cluster.paper_cluster(sim)
+        cluster = Platform.build().cluster
         assert len(cluster.machines) == 10
         assert cluster.total_cores == 320
 
