@@ -20,6 +20,12 @@ microbenchmarks).  With ``workers=N`` the runtime evaluates independent
 Encode arguments in parallel: a thread that would block on a dependency
 instead *helps* by executing queued jobs, so any worker count is
 deadlock-free.
+
+A sequential runtime still serves each incoming delegation off the
+caller's thread (:meth:`Fixpoint.spawn`), one ``fixpoint-serve`` thread
+per request in flight.  Those threads are kept warm: one that finishes
+parks for the next request instead of exiting, so a steady stream of
+delegations reuses threads rather than starting one per request.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import threading
 import time
 from typing import Callable, Dict, Optional, Sequence
 
-from ..analysis.sync import note_blocking
+from ..analysis.sync import TrackedCondition, TrackedLock, note_blocking
 from ..codelets.linker import Linker
 from ..codelets.stdlib import compile_stdlib
 from ..codelets.toolchain import Toolchain
@@ -41,6 +47,9 @@ from ..core.storage import Repository
 from ..core.thunks import Invocation, make_application
 from .jobs import JobQueue
 from .tracing import Trace
+
+#: Seconds a parked serve thread waits for its next task before exiting.
+_SERVE_IDLE_S = 2.0
 
 
 class _WorkerEvaluator(Evaluator):
@@ -67,6 +76,72 @@ class _WorkerEvaluator(Evaluator):
             if len(pending) > 1:
                 runtime._fork_join(pending)
         return super().resolve_invocation(definition, depth)
+
+
+class _Parked:
+    """One serve thread's hand-off slot: the task it runs next, and the
+    condition it parks on until :meth:`_ServeThreads.run` fills it."""
+
+    __slots__ = ("fn", "wake")
+
+    def __init__(self, fn: Callable[[], object], wake):
+        self.fn: Optional[Callable[[], object]] = fn
+        self.wake = wake
+
+
+class _ServeThreads:
+    """The ``fixpoint-serve`` threads of one runtime.
+
+    :meth:`run` hands a task to the most recently parked thread if one
+    is idle, else starts a new thread for it, so every task gets a
+    thread at once and never queues behind another.  A thread that
+    finishes its task drops it and parks; it exits after
+    ``_SERVE_IDLE_S`` without work, or when :meth:`close` releases it.
+    A task that raises ends its thread (``threading.excepthook``), and
+    after :meth:`close` a thread runs its one task and exits.
+    """
+
+    def __init__(self):
+        self._lock = TrackedLock("Fixpoint._serve_lock")
+        self._idle: list[_Parked] = []
+        self._closed = False
+
+    def run(self, fn: Callable[[], object]) -> None:
+        with self._lock:
+            if self._idle:
+                slot = self._idle.pop()
+                slot.fn = fn
+                slot.wake.notify()
+                return
+            slot = _Parked(fn, TrackedCondition(self._lock))
+        threading.Thread(
+            target=self._serve, args=(slot,), name="fixpoint-serve",
+            daemon=True,
+        ).start()
+
+    def _serve(self, slot: _Parked) -> None:
+        while True:
+            fn, slot.fn = slot.fn, None
+            fn()  # type: ignore[misc]
+            fn = None  # park without a reference to the finished task
+            with self._lock:
+                if self._closed:
+                    return
+                self._idle.append(slot)
+                slot.wake.wait(_SERVE_IDLE_S)
+                if slot.fn is None:
+                    # Timed out (still listed as idle), or released by
+                    # close(), which already emptied the list.
+                    if not self._closed:
+                        self._idle.remove(slot)
+                    return
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            for slot in self._idle:
+                slot.wake.notify()
+            self._idle.clear()
 
 
 class Fixpoint:
@@ -100,6 +175,7 @@ class Fixpoint:
         self._thunk_cache: Dict[Handle, Handle] = {}
         self.pool: Optional[JobQueue] = None
         self._threads: list[threading.Thread] = []
+        self._serve = _ServeThreads()
         if workers > 0:
             self.pool = JobQueue()
             for i in range(workers):
@@ -113,6 +189,10 @@ class Fixpoint:
     # Lifecycle
 
     def close(self) -> None:
+        """Stop the worker pool (draining queued tasks) and release the
+        parked serve threads; a later :meth:`spawn` still runs its task,
+        on a thread that exits when the task returns."""
+        self._serve.close()
         if self.pool is not None:
             self.pool.close()
             note_blocking("Thread.join")
@@ -145,16 +225,19 @@ class Fixpoint:
 
     def spawn(self, fn: Callable[[], object]) -> None:
         """Run ``fn`` off the caller's thread - on the worker pool when
-        this runtime has one, else on a fresh daemon thread.
+        this runtime has one, else on a ``fixpoint-serve`` daemon thread.
 
         This is how a :class:`~repro.fixpoint.net.FixpointNode` serves
         incoming delegations without blocking the dispatching node: with
         ``workers=N`` the serve lands on the same pool that evaluates
         local Encodes (remote and local work genuinely contend, which is
         what the cost model's load signal measures); a sequential
-        runtime still must not serve inline, so it pays one thread per
-        request instead - as does a pool that closed between the check
-        and the submit (the callable must run somewhere either way).
+        runtime still must not serve inline, so each request in flight
+        gets a thread of its own - as does one reaching a pool that
+        closed between the check and the submit (the callable must run
+        somewhere either way).  The thread is a parked one from an
+        earlier request when one is idle, a new one otherwise; no
+        request waits for another to finish.
         """
         pool = self.pool
         if pool is not None and not pool.closed:
@@ -163,9 +246,7 @@ class Fixpoint:
                 return
             except FixError:
                 pass  # closed concurrently: fall through to a thread
-        threading.Thread(
-            target=fn, name="fixpoint-serve", daemon=True
-        ).start()
+        self._serve.run(fn)
 
     def holdings(self) -> Dict[bytes, int]:
         """Content key -> wire size for everything in runtime storage.

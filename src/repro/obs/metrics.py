@@ -20,11 +20,14 @@ Two properties are load-bearing:
 
 * **Off the critical path.**  Updating a metric is one lock acquire and
   a dict write; nothing is formatted, flushed, or exported until someone
-  asks (:meth:`MetricsRegistry.export`).  The Lithops invoker/monitor
-  split (PAPERS.md) is the pattern: measurement must never serialize the
-  hot path it measures.  :class:`NullRegistry` is the control: the same
-  API compiled down to no-ops, which the overhead benchmark prices
-  against the real thing (<5% on ``scatter`` fan-out is asserted).
+  asks (:meth:`MetricsRegistry.export`).  Each family remembers the
+  series key of every all-``str`` label set it has seen, so a repeated
+  update finds its key with one lookup instead of sorting its labels.
+  The Lithops invoker/monitor split (PAPERS.md) is the pattern:
+  measurement must never serialize the hot path it measures.
+  :class:`NullRegistry` is the control: the same API compiled down to
+  no-ops, which the overhead benchmark prices against the real thing
+  (<5% on ``scatter`` fan-out is asserted).
 
 Label handling is open-schema: any keyword arguments form a series key,
 and one family may hold series with different label sets (the gossip
@@ -57,6 +60,39 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+class _Family:
+    """What every metric family shares: a name, help text, and the
+    memo from the label sets it was called with to their series keys."""
+
+    def __init__(self, name: str, help: str = ""):
+        self.name = name
+        self.help = help
+        self._keys: Dict[Tuple[Tuple[str, object], ...], LabelKey] = {}
+
+    def _key(self, labels: Dict[str, object]) -> LabelKey:
+        """``_label_key(labels)``, remembered by keyword order.
+
+        Only label sets whose values are all ``str`` are remembered:
+        ``1``, ``True`` and ``1.0`` are equal as dict keys but not as
+        labels, and an unhashable value cannot be a dict key at all.
+        (A ``str`` subclass whose ``__str__`` is not its value would
+        find the key of the ``str`` it equals; no caller passes one.)
+        """
+        items = tuple(labels.items())
+        try:
+            return self._keys[items]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable label value
+            return _label_key(labels)
+        key = _label_key(labels)
+        for value in labels.values():
+            if type(value) is not str:
+                return key
+        self._keys[items] = key
+        return key
+
+
 def _labels_dict(key: LabelKey) -> Dict[str, str]:
     return {k: v for k, v in key}
 
@@ -77,27 +113,26 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class Counter:
+class Counter(_Family):
     """A monotonically increasing labeled family of floats."""
 
     kind = "counter"
 
     def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
+        super().__init__(name, help)
         self._lock = TrackedLock("Counter._lock")
         self._series: Dict[LabelKey, float] = {}
 
     def inc(self, value: float = 1.0, **labels: object) -> None:
         if value < 0:
             raise MetricsError(f"counter {self.name!r} cannot decrease")
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + value
 
     def value(self, **labels: object) -> float:
         with self._lock:
-            return self._series.get(_label_key(labels), 0.0)
+            return self._series.get(self._key(labels), 0.0)
 
     def total(self, **label_filter: object) -> float:
         """Sum over every series matching the given label subset."""
@@ -128,7 +163,7 @@ class Counter:
             ]
 
 
-class Gauge:
+class Gauge(_Family):
     """A labeled family of set/add values, plus sampled callbacks.
 
     :meth:`set_function` registers a callable evaluated at export time -
@@ -140,27 +175,26 @@ class Gauge:
     kind = "gauge"
 
     def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
+        super().__init__(name, help)
         self._lock = TrackedLock("Gauge._lock")
         self._series: Dict[LabelKey, float] = {}
         self._fns: Dict[LabelKey, Callable[[], float]] = {}
 
     def set(self, value: float, **labels: object) -> None:
         with self._lock:
-            self._series[_label_key(labels)] = float(value)
+            self._series[self._key(labels)] = float(value)
 
     def add(self, value: float = 1.0, **labels: object) -> None:
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + value
 
     def set_function(self, fn: Callable[[], float], **labels: object) -> None:
         with self._lock:
-            self._fns[_label_key(labels)] = fn
+            self._fns[self._key(labels)] = fn
 
     def value(self, **labels: object) -> float:
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             fn = self._fns.get(key)
             if fn is None:
@@ -207,11 +241,11 @@ class _HistogramSeries:
 class _Timer:
     """``with histogram.time():`` - observes the clocked duration."""
 
-    __slots__ = ("_histogram", "_labels", "_start")
+    __slots__ = ("_histogram", "_key", "_start")
 
-    def __init__(self, histogram: "Histogram", labels: Dict[str, object]):
+    def __init__(self, histogram: "Histogram", key: LabelKey):
         self._histogram = histogram
-        self._labels = labels
+        self._key = key
         self._start = 0.0
 
     def __enter__(self) -> "_Timer":
@@ -219,12 +253,12 @@ class _Timer:
         return self
 
     def __exit__(self, *exc) -> None:
-        self._histogram.observe(
-            self._histogram._clock() - self._start, **self._labels
+        self._histogram._record(
+            self._histogram._clock() - self._start, self._key
         )
 
 
-class Histogram:
+class Histogram(_Family):
     """Fixed-bucket labeled histogram (cumulative export, like fig. 9's
     per-operation cost rows: counts per band, sum, count)."""
 
@@ -242,15 +276,16 @@ class Histogram:
                 f"histogram {self.__class__.__name__} {name!r} needs "
                 "ascending, non-empty buckets"
             )
-        self.name = name
-        self.help = help
+        super().__init__(name, help)
         self.buckets: Tuple[float, ...] = tuple(buckets)
         self._clock = clock
         self._lock = TrackedLock("Histogram._lock")
         self._series: Dict[LabelKey, _HistogramSeries] = {}
 
     def observe(self, value: float, **labels: object) -> None:
-        key = _label_key(labels)
+        self._record(value, self._key(labels))
+
+    def _record(self, value: float, key: LabelKey) -> None:
         index = bisect_left(self.buckets, value)
         with self._lock:
             series = self._series.get(key)
@@ -264,23 +299,23 @@ class Histogram:
 
     def time(self, **labels: object) -> _Timer:
         """A context manager observing its duration on the registry clock."""
-        return _Timer(self, labels)
+        return _Timer(self, self._key(labels))
 
     def count(self, **labels: object) -> int:
         with self._lock:
-            series = self._series.get(_label_key(labels))
+            series = self._series.get(self._key(labels))
             return series.count if series is not None else 0
 
     def sum(self, **labels: object) -> float:
         with self._lock:
-            series = self._series.get(_label_key(labels))
+            series = self._series.get(self._key(labels))
             return series.sum if series is not None else 0.0
 
     def quantile(self, q: float, **labels: object) -> float:
         """Bucket-resolution quantile: the upper bound of the bucket the
         q-th observation falls in (+Inf collapses to the last bound)."""
         with self._lock:
-            series = self._series.get(_label_key(labels))
+            series = self._series.get(self._key(labels))
             if series is None or series.count == 0:
                 return 0.0
             target = q * series.count

@@ -2199,6 +2199,25 @@ class TestOneSettle:
                 real(job, outcome)
 
             monkeypatch.setattr(Job, name, counted)
+        # y's serves, each marked done when it returns: the late settles
+        # all happen before the checks below.  (A parked serve thread
+        # outlives its task, so joining threads would wait out its idle
+        # timeout - and those of other nodes' parked threads.)
+        served = []
+
+        def spawn(task, real=y.runtime.spawn):
+            done = threading.Event()
+            served.append(done)
+
+            def serve():
+                try:
+                    task()
+                finally:
+                    done.set()
+
+            real(serve)
+
+        monkeypatch.setattr(y.runtime, "spawn", spawn)
         start = time.monotonic()
         x.delegate_async("y", self._len_of(x, fn, b"c" * 64)).result(10.0)
         trip = time.monotonic() - start
@@ -2225,9 +2244,8 @@ class TestOneSettle:
             believed = [x.view.knows(key, "y") for key in future.shipped]
             assert believed == [not caller_won] * len(believed)
         assert winners == {True, False}
-        for thread in threading.enumerate():
-            if thread.name == "fixpoint-serve":
-                thread.join(10.0)
+        for done in served:
+            done.wait(10.0)
         # The losers' late settles changed nothing.
         counts = collections.Counter(map(id, resolved))
         assert [counts[id(f._job)] for f in futures] == [1] * len(futures)

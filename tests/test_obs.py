@@ -11,6 +11,7 @@ serve span still rides home inside the error reply.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -151,6 +152,91 @@ class TestRegistry:
         assert snap["counters"] == {}
         assert snap["gauges"] == {}
         assert snap["histograms"] == {}
+
+
+def _sorted_key(labels):
+    """The series key every family built before keys were remembered."""
+    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+class TestSeriesKeyIsBuiltOnce:
+    """A family remembers the series key of each all-``str`` label set;
+    every label set still lands on the series the sorted key names."""
+
+    NAMES = ("peer", "kind", "role")
+    VALUES = ("1", 1, True, 1.0, "True", "1.0", 0, False, "0", "a", "b",
+              2.5, None, "None")
+    OPS = ("inc", "set", "add", "observe", "time", "read")
+
+    def _soup(self, seed, n=600):
+        """Seeded calls: 0-3 labels in a random keyword order, values of
+        mixed types that collide as dict keys, now and then a list."""
+        rng = random.Random(seed)
+        calls = []
+        for _ in range(n):
+            names = rng.sample(self.NAMES, rng.randint(0, 3))
+            labels = {name: rng.choice(self.VALUES) for name in names}
+            if names and rng.random() < 0.05:
+                labels[rng.choice(names)] = [rng.randint(0, 2)]
+            calls.append((rng.choice(self.OPS), rng.randint(0, 9), labels))
+        return calls
+
+    def _drive(self, calls, reference):
+        ticks = iter(range(10**6))
+        registry = MetricsRegistry(clock=lambda: float(next(ticks)))
+        counter = registry.counter("c")
+        gauge = registry.gauge("g")
+        histogram = registry.histogram("h")
+        if reference:
+            for family in (counter, gauge, histogram):
+                family._key = _sorted_key
+        reads = []
+        for op, value, labels in calls:
+            if op == "inc":
+                counter.inc(value, **labels)
+            elif op == "set":
+                gauge.set(value, **labels)
+            elif op == "add":
+                gauge.add(value, **labels)
+            elif op == "observe":
+                histogram.observe(value / 10, **labels)
+            elif op == "time":
+                with histogram.time(**labels):
+                    pass
+            else:
+                reads.append(
+                    (
+                        counter.value(**labels),
+                        gauge.value(**labels),
+                        histogram.count(**labels),
+                        histogram.sum(**labels),
+                    )
+                )
+        return registry.export(), reads
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_label_soup_exports_as_the_sorted_key(self, seed):
+        calls = self._soup(seed)
+        assert self._drive(calls, False) == self._drive(calls, True)
+
+    def test_equal_keys_of_other_types_stay_apart(self):
+        counter = MetricsRegistry().counter("c")
+        for value in ("1", 1, True, 1.0, "1", 1, True, 1.0):
+            counter.inc(peer=value)
+        assert [s["labels"]["peer"] for s in counter.export()] == [
+            "1", "1.0", "True"
+        ]
+        assert counter.value(peer="1") == 4.0
+        assert counter.value(peer=True) == 2.0
+        assert counter.value(peer=1.0) == 2.0
+
+    def test_keyword_order_names_one_series(self):
+        counter = MetricsRegistry().counter("c")
+        counter.inc(peer="x", role="caller")
+        counter.inc(role="caller", peer="x")
+        assert counter.export() == [
+            {"labels": {"peer": "x", "role": "caller"}, "value": 2.0}
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+import threading
+import time
+import weakref
+
 import pytest
 
 from repro.codelets.stdlib import blob_int, int_blob
 from repro.core.errors import NotAFunctionError, ResourceLimitError
 from repro.core.limits import ResourceLimits
 from repro.core.thunks import make_application, make_identification, strict
+from repro.fixpoint import runtime as runtime_module
 from repro.fixpoint.runtime import Fixpoint
 
 
@@ -208,3 +214,140 @@ class TestSpawnAndTasks:
         fx.close()
         with pytest.raises(FixError):
             pool.submit_task(lambda: None)
+
+
+def _await(predicate, within=5.0):
+    """Poll ``predicate`` until it holds or ``within`` seconds pass."""
+    deadline = time.monotonic() + within
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        gc.collect()
+        time.sleep(0.005)
+    return True
+
+
+class TestServeThreadsAreReused:
+    """A sequential runtime serves on parked ``fixpoint-serve`` threads
+    when one is idle, and on a new thread at once when none is."""
+
+    def test_awaited_spawns_run_on_one_thread(self):
+        fx = Fixpoint(workers=0, with_stdlib=False)
+        seen = []
+        for _ in range(50):
+            done = threading.Event()
+
+            def task(done=done):
+                seen.append(threading.current_thread())
+                done.set()
+
+            fx.spawn(task)
+            assert done.wait(5)
+            # Awaited means parked again, not just finished.
+            assert _await(lambda: len(fx._serve._idle) == 1)
+        assert len(set(map(id, seen))) == 1
+        assert seen[0].name == "fixpoint-serve"
+        fx.close()
+
+    def test_concurrent_tasks_never_queue(self):
+        fx = Fixpoint(workers=0, with_stdlib=False)
+        warm = threading.Event()
+        fx.spawn(warm.set)  # one parked thread to hand a task to
+        assert warm.wait(5)
+        barrier = threading.Barrier(8, timeout=5)
+        threads, finished = [], []
+
+        def task():
+            threads.append(threading.current_thread())
+            barrier.wait()
+            finished.append(True)
+
+        for _ in range(8):
+            fx.spawn(task)
+        assert _await(lambda: len(finished) == 8, within=10.0)
+        assert len(set(map(id, threads))) == 8
+        assert {t.name for t in threads} == {"fixpoint-serve"}
+        fx.close()
+
+    def test_a_raising_task_ends_its_thread(self, monkeypatch):
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        fx = Fixpoint(workers=0, with_stdlib=False)
+        threads = []
+
+        def boom():
+            threads.append(threading.current_thread())
+            raise RuntimeError("boom")
+
+        fx.spawn(boom)
+        assert _await(lambda: len(raised) == 1)
+        threads[0].join(5.0)
+        assert not threads[0].is_alive()
+        assert isinstance(raised[0].exc_value, RuntimeError)
+        assert raised[0].thread is threads[0]
+        done = threading.Event()
+        fx.spawn(lambda: (threads.append(threading.current_thread()),
+                          done.set()))
+        assert done.wait(5)
+        assert threads[1] is not threads[0]
+        fx.close()
+
+    def test_an_idle_thread_exits_and_is_not_handed_work(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "_SERVE_IDLE_S", 0.05)
+        fx = Fixpoint(workers=0, with_stdlib=False)
+        threads = []
+        for _ in range(2):
+            done = threading.Event()
+            fx.spawn(lambda done=done: (
+                threads.append(threading.current_thread()), done.set()))
+            assert done.wait(5)
+            threads[-1].join(5.0)
+            assert not threads[-1].is_alive()
+            assert fx._serve._idle == []
+        assert threads[0] is not threads[1]
+        fx.close()
+
+    def test_close_releases_parked_threads(self, monkeypatch):
+        # Far longer than the join bound: only close() can end them.
+        monkeypatch.setattr(runtime_module, "_SERVE_IDLE_S", 60.0)
+        fx = Fixpoint(workers=0, with_stdlib=False)
+        barrier = threading.Barrier(4, timeout=5)
+        threads = []
+
+        def task():
+            threads.append(threading.current_thread())
+            barrier.wait()
+
+        for _ in range(4):
+            fx.spawn(task)
+        assert _await(lambda: len(fx._serve._idle) == 4)
+        fx.close()
+        for thread in threads:
+            thread.join(5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        # After close a task still runs, on a thread that does not park.
+        done = threading.Event()
+        late = []
+        fx.spawn(lambda: (late.append(threading.current_thread()),
+                          done.set()))
+        assert done.wait(5)
+        late[0].join(5.0)
+        assert not late[0].is_alive()
+        assert late[0].name == "fixpoint-serve"
+
+    def test_a_parked_thread_drops_its_finished_task(self, monkeypatch):
+        # Far longer than the poll bound: the thread stays parked.
+        monkeypatch.setattr(runtime_module, "_SERVE_IDLE_S", 60.0)
+        fx = Fixpoint(workers=0, with_stdlib=False)
+        done = threading.Event()
+
+        def task():
+            done.set()
+
+        ref = weakref.ref(task)
+        fx.spawn(task)
+        del task
+        assert done.wait(5)
+        assert _await(lambda: len(fx._serve._idle) == 1)
+        assert _await(lambda: ref() is None)
+        fx.close()
