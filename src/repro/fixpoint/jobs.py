@@ -7,21 +7,17 @@ execution.  Waiting threads *help*: instead of blocking idle while a
 dependency evaluates elsewhere, they pull jobs off the shared queue - this
 makes fork/join evaluation deadlock-free with any worker count.
 
-The queue also carries *tasks* - arbitrary callables submitted with
-:meth:`JobQueue.submit_task`.  Tasks are how a node serves incoming
-delegations on the same worker pool that evaluates local work
-(:mod:`repro.fixpoint.net`): remote requests and local Encodes compete
-for the same threads, which is exactly the load the delegation cost
-model's ``outstanding`` signal describes.  Tasks are not deduplicated
-(two delegations of the same Encode are distinct requests; the
-*repository* memo, not the queue, is what collapses repeated work).
+The queue carries Encodes only.  Incoming delegations are not jobs: a
+node serves each one on a thread of its own
+(:meth:`repro.fixpoint.runtime.Fixpoint.spawn`), so a serve that waits
+on the wire never holds one of these workers.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional
 
 from ..analysis.sync import TrackedCondition, TrackedLock, note_blocking
 from ..core.errors import FixError
@@ -29,17 +25,12 @@ from ..core.handle import Handle
 
 
 class Job:
-    """One pending Encode evaluation (or task) with completion signalling."""
+    """One pending Encode evaluation with completion signalling."""
 
-    __slots__ = ("encode", "fn", "_event", "result", "error")
+    __slots__ = ("encode", "_event", "result", "error")
 
-    def __init__(
-        self,
-        encode: Optional[Handle] = None,
-        fn: Optional[Callable[[], Any]] = None,
-    ):
+    def __init__(self, encode: Optional[Handle] = None):
         self.encode = encode
-        self.fn = fn
         self._event = threading.Event()
         self.result: Optional[Handle] = None
         self.error: Optional[BaseException] = None
@@ -97,22 +88,6 @@ class JobQueue:
             self._cond.notify()
             return job
 
-    def submit_task(self, fn: Callable[[], Any]) -> Job:
-        """Enqueue an arbitrary callable on the worker pool (no dedup).
-
-        Raises :class:`FixError` on a closed queue - the caller should
-        fall back to its own thread rather than enqueue work nobody
-        will ever pop.
-        """
-        with self._cond:
-            if self._closed:
-                raise FixError("cannot submit a task to a closed job queue")
-            job = Job(fn=fn)
-            self._queue.append(job)
-            self.submitted += 1
-            self._cond.notify()
-            return job
-
     def try_pop(self) -> Optional[Job]:
         """Non-blocking pop, used by helping threads."""
         with self._cond:
@@ -135,8 +110,6 @@ class JobQueue:
 
     def finish(self, job: Job) -> None:
         """Remove a completed job from the in-flight map."""
-        if job.encode is None:
-            return  # tasks are never deduplicated, so never tracked
         with self._cond:
             self._inflight.pop(job.encode, None)
 
@@ -150,15 +123,9 @@ class JobQueue:
         return self._closed
 
     def run_job(self, job: Job, executor: Callable[[Handle], Handle]) -> None:
-        """Execute ``job`` via ``executor`` and publish its outcome.
-
-        Task jobs carry their own callable and ignore ``executor``.
-        """
+        """Execute ``job`` via ``executor`` and publish its outcome."""
         try:
-            if job.fn is not None:
-                job.complete(job.fn())
-            else:
-                job.complete(executor(job.encode))
+            job.complete(executor(job.encode))
         except BaseException as exc:  # noqa: BLE001 - propagated to waiters
             job.fail(exc)
         finally:

@@ -14,11 +14,12 @@ sending Fix values in the packed wire format (paper section 4.2.1):
   extra metadata), tagged with the sender's identity so the remote node
   can filter its reply through its view of the caller, and returns a
   :class:`Delegation` future immediately;
-* the peer serves the request on its own worker pool
-  (:meth:`~repro.fixpoint.runtime.Fixpoint.spawn`), and the reply - or
-  an explicit error frame, when peer-side evaluation fails - crosses the
-  wire back and is absorbed into the caller's repository on the serving
-  thread; both views advance - on send *and* on receive.
+* the peer serves the request on a ``fixpoint-serve`` thread of its own
+  (:meth:`~repro.fixpoint.runtime.Fixpoint.spawn`; a worker pool, if the
+  peer has one, only evaluates), and the reply - or an explicit error
+  frame, when peer-side evaluation fails - crosses the wire back and is
+  absorbed into the caller's repository on the serving thread; both
+  views advance - on send *and* on receive.
 
 Delegation is therefore **non-blocking end to end**: the per-peer
 ``outstanding`` count is raised at dispatch and lowered only once the
@@ -1239,11 +1240,9 @@ class FixpointNode:
                 footprint=len(fp.data),
                 handles_shipped=len(shipped),
             )
-            # Spawn *inside* the dispatch lock: the serve task's queue
-            # position must match its wire sequence number, or a
-            # bounded peer pool can pick up frame k+1 first and wedge a
-            # worker in the delivery window waiting for frame k that is
-            # queued behind it.
+            # Every request gets a running serve thread at once, so the
+            # lowest undelivered frame of each direction always has a
+            # thread delivering it, whatever order the spawns land in.
             try:
                 peer.runtime.spawn(
                     lambda: self._finish_delegation(
@@ -1275,11 +1274,11 @@ class FixpointNode:
         serve (the peer evaluates, in no window), deliver the reply (its
         window absorbs it here), settle.
 
-        Runs on the *peer's* pool (or fallback serve thread) so the
-        dispatcher never blocks.  Every outcome ends in
-        :meth:`Delegation._settle`: a failure, transport or remote,
-        rolls back the shipped beliefs, and after a caller's cancel or
-        timeout this thread's outcome changes nothing.
+        Runs on one of the *peer's* serve threads, so the dispatcher
+        never blocks and no worker waits on the wire.  Every outcome
+        ends in :meth:`Delegation._settle`: a failure, transport or
+        remote, rolls back the shipped beliefs, and after a caller's
+        cancel or timeout this thread's outcome changes nothing.
         """
         peer = channel.far_end(self)
         try:
@@ -1325,8 +1324,8 @@ class FixpointNode:
         reply with the *filtered* bundle.
 
         The reply ships only result data the sender is not believed to
-        hold - never data the sender itself just shipped.  Runs on this
-        node's worker pool, in no delivery window; a failure (missing
+        hold - never data the sender itself just shipped.  Runs on the
+        serve thread, in no delivery window; a failure (missing
         data, codelet error) becomes an error-response frame, never an
         exception through the serving thread.
 

@@ -21,11 +21,15 @@ Encode arguments in parallel: a thread that would block on a dependency
 instead *helps* by executing queued jobs, so any worker count is
 deadlock-free.
 
-A sequential runtime still serves each incoming delegation off the
-caller's thread (:meth:`Fixpoint.spawn`), one ``fixpoint-serve`` thread
-per request in flight.  Those threads are kept warm: one that finishes
-parks for the next request instead of exiting, so a steady stream of
-delegations reuses threads rather than starting one per request.
+Every runtime, pooled or sequential, serves each incoming delegation
+off the caller's thread (:meth:`Fixpoint.spawn`), one ``fixpoint-serve``
+thread per request in flight, so a node that receives a burst of K
+requests holds K serve threads whatever its worker count.  The worker
+pool only evaluates Encodes: a serve waits on the wire, and one queued
+on a bounded pool could wait for a frame whose deliverer is queued
+behind it.  Serve threads are kept warm: one that finishes parks for
+the next request instead of exiting, so a steady stream of delegations
+reuses threads rather than starting one per request.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from ..codelets.linker import Linker
 from ..codelets.stdlib import compile_stdlib
 from ..codelets.toolchain import Toolchain
 from ..core.api import FixAPI
-from ..core.errors import FixError, NotAFunctionError
+from ..core.errors import NotAFunctionError
 from ..core.eval import Evaluator
 from ..core.handle import Handle
 from ..core.limits import DEFAULT_LIMITS, ResourceLimits
@@ -189,9 +193,9 @@ class Fixpoint:
     # Lifecycle
 
     def close(self) -> None:
-        """Stop the worker pool (draining queued tasks) and release the
-        parked serve threads; a later :meth:`spawn` still runs its task,
-        on a thread that exits when the task returns."""
+        """Stop the worker pool (draining queued Encode jobs) and release
+        the parked serve threads; a later :meth:`spawn` still runs its
+        task, on a thread that exits when the task returns."""
         self._serve.close()
         if self.pool is not None:
             self.pool.close()
@@ -224,28 +228,16 @@ class Fixpoint:
         return _WorkerEvaluator(self).eval(handle)
 
     def spawn(self, fn: Callable[[], object]) -> None:
-        """Run ``fn`` off the caller's thread - on the worker pool when
-        this runtime has one, else on a ``fixpoint-serve`` daemon thread.
+        """Run ``fn`` off the caller's thread, on a ``fixpoint-serve``
+        daemon thread - with or without a worker pool.
 
         This is how a :class:`~repro.fixpoint.net.FixpointNode` serves
-        incoming delegations without blocking the dispatching node: with
-        ``workers=N`` the serve lands on the same pool that evaluates
-        local Encodes (remote and local work genuinely contend, which is
-        what the cost model's load signal measures); a sequential
-        runtime still must not serve inline, so each request in flight
-        gets a thread of its own - as does one reaching a pool that
-        closed between the check and the submit (the callable must run
-        somewhere either way).  The thread is a parked one from an
-        earlier request when one is idle, a new one otherwise; no
-        request waits for another to finish.
+        incoming delegations without blocking the dispatching node.
+        Each request in flight gets a thread of its own at once: a
+        parked one from an earlier request when one is idle, a new one
+        otherwise, so no request waits for another to finish and a
+        serve never occupies a worker the pool needs for evaluation.
         """
-        pool = self.pool
-        if pool is not None and not pool.closed:
-            try:
-                pool.submit_task(fn)
-                return
-            except FixError:
-                pass  # closed concurrently: fall through to a thread
         self._serve.run(fn)
 
     def holdings(self) -> Dict[bytes, int]:
@@ -319,10 +311,8 @@ class Fixpoint:
             if job is not None:
                 pool.run_job(job, self._execute_encode)
             elif pool.closed:
-                # Drain before exiting: a task enqueued just before
-                # close() (a delegation being served, say) still runs -
-                # abandoning it would leave its Delegation future
-                # unresolved forever.
+                # Drain before exiting: an Encode job queued just before
+                # close() still has a fork/join parent waiting on it.
                 break
 
     def _execute_encode(self, encode: Handle) -> Handle:

@@ -131,10 +131,21 @@ class TestDelegateAsync:
         assert blob_int(alpha.repo.get_blob(result).data) == 11
         assert alpha.outstanding["beta"] == 0
 
-    def test_peer_serves_on_its_worker_pool(self):
+    def test_pooled_peer_serves_on_serve_threads(self):
+        """A peer with a worker pool serves each request on a
+        ``fixpoint-serve`` thread; its pool only evaluates, and these
+        encodes have nothing to fork, so it is never handed a job."""
         alpha = FixpointNode("alpha")
         with FixpointNode("beta", workers=2) as beta:
             alpha.connect(beta)
+            serving = []
+            real_serve = beta._serve
+
+            def serve(*request):
+                serving.append(threading.current_thread().name)
+                return real_serve(*request)
+
+            beta._serve = serve
             before = beta.runtime.pool.submitted
             futures = [
                 alpha.delegate_async("beta", add_encode(alpha, i, 1))
@@ -145,8 +156,8 @@ class TestDelegateAsync:
                 for f in futures
             ]
             assert values == [1, 2, 3]
-            # Each request landed on the shared pool as a task.
-            assert beta.runtime.pool.submitted - before >= 3
+            assert beta.runtime.pool.submitted == before
+            assert serving == ["fixpoint-serve"] * 3
 
     def test_serve_survives_a_closed_pool(self):
         """A peer whose pool was shut down falls back to per-request
@@ -258,12 +269,12 @@ class TestLoadSignalLive:
 
 class TestConcurrentDispatch:
     def test_two_dispatchers_one_worker_pool_no_deadlock(self):
-        """Regression: spawning the serve task *outside* the dispatch
-        lock let a preempted dispatcher enqueue its task after a later
-        sequence number's, wedging a 1-worker pool in the delivery
-        window (waiting for a frame queued behind it).  Hammer the
-        interleaving with a tiny switch interval; timeouts turn a
-        recurrence into a failure instead of a hang."""
+        """Two dispatchers racing onto a peer with a 1-worker pool.
+        When serves queued on the pool, one queued behind a later
+        sequence number's wedged the worker in the delivery window;
+        every serve now gets a thread of its own, so that hazard can no
+        longer occur.  Hammer the interleaving with a tiny switch
+        interval; timeouts turn a hang into a failure."""
         import sys
 
         alpha = FixpointNode("alpha")
@@ -300,6 +311,39 @@ class TestConcurrentDispatch:
                 sys.setswitchinterval(old_interval)
             assert not alive, "dispatcher threads deadlocked"
             assert not errors, f"concurrent dispatch failed: {errors[0]!r}"
+
+
+class TestCrossedDelegationsSettle:
+    """Two pooled nodes delegating to each other at once.  Each
+    direction carries one side's requests ahead of the other side's
+    replies, so every reply waits for a request frame to be delivered
+    first.  Were serves queued on the bounded pools, each node's
+    workers would sit in a reply's delivery window while the request
+    they wait for sat queued in the other node's pool."""
+
+    @pytest.mark.parametrize("workers, per_side", [(1, 2), (2, 3)])
+    def test_every_crossed_delegation_settles(self, workers, per_side):
+        alpha = FixpointNode("alpha", workers=workers)
+        beta = FixpointNode("beta", workers=workers)
+        with alpha, beta:
+            alpha.connect(beta)
+            for channel in alpha.peers.values():
+                channel.latency = 0.05
+            # All dispatched from this thread before any reply is
+            # sequenced: the sends take far less than one frame's wire
+            # time.
+            sides = ((alpha, "beta", 10), (beta, "alpha", 20))
+            flights = []
+            for n in range(per_side):
+                for node, peer, tag in sides:
+                    encode = add_encode(node, n, tag)
+                    future = node.delegate_async(peer, encode)
+                    flights.append((node, n + tag, future))
+            for node, expected, future in flights:
+                result = future.result(5)
+                assert blob_int(node.repo.get_blob(result).data) == expected
+            assert alpha.outstanding["beta"] == 0
+            assert beta.outstanding["alpha"] == 0
 
 
 class TestEvalMany:

@@ -2359,10 +2359,11 @@ class TestJobQueuePopDeadline:
 
     def test_submit_still_wakes_pop_with_the_item(self):
         queue = JobQueue()
+        encode = Repository().put_blob(b"job")
 
         def submit_soon():
             time.sleep(0.05)
-            queue.submit_task(lambda: None)
+            queue.submit(encode)
 
         thread = threading.Thread(target=submit_soon, daemon=True)
         thread.start()

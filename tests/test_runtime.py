@@ -164,11 +164,9 @@ class TestRuntimeBehaviour:
 
 
 class TestSpawnAndTasks:
-    """Generic tasks on the shared pool (how delegations are served)."""
+    """Spawned tasks (how delegations are served) and the pool's jobs."""
 
-    def test_spawn_runs_on_the_pool(self):
-        import threading
-
+    def test_spawn_with_a_pool_runs_on_a_serve_thread(self):
         with Fixpoint(workers=2) as fx:
             done = threading.Event()
             names = []
@@ -180,40 +178,42 @@ class TestSpawnAndTasks:
             before = fx.pool.submitted
             fx.spawn(task)
             assert done.wait(5)
-            assert fx.pool.submitted == before + 1
-            assert names[0].startswith("fixpoint-")
+            assert fx.pool.submitted == before
+            assert names == ["fixpoint-serve"]
 
     def test_spawn_without_pool_uses_a_thread(self):
-        import threading
-
         fx = Fixpoint(workers=0)
         done = threading.Event()
         fx.spawn(done.set)
         assert done.wait(5)
 
     def test_close_drains_queued_tasks(self):
-        """Tasks enqueued before close() still run: abandoning them
-        would leave their waiters (delegation futures) hung forever."""
-        import threading
-
+        """Encode jobs still queued when close() begins run before the
+        worker exits: a fork/join parent may be waiting on them."""
         fx = Fixpoint(workers=1)
-        gate = threading.Event()
-        ran = []
-        fx.pool.submit_task(lambda: gate.wait(5))
-        for i in range(3):
-            fx.pool.submit_task(lambda i=i: ran.append(i))
-        gate.set()
-        fx.close()
-        assert ran == [0, 1, 2]
+        started, gate = threading.Event(), threading.Event()
+        real = fx._execute_encode
 
-    def test_submit_task_after_close_raises(self):
-        from repro.core.errors import FixError
+        def gated(encode):
+            if not started.is_set():
+                started.set()
+                gate.wait(5)
+            return real(encode)
 
-        fx = Fixpoint(workers=1)
-        pool = fx.pool
+        fx._execute_encode = gated
+        add, one = fx.stdlib["add_u8"], fx.repo.put_blob(int_blob(1, 1))
+        encodes = [
+            fx.invoke(add, [fx.repo.put_blob(int_blob(i, 1)), one])
+            for i in range(4)
+        ]
+        jobs = [fx.pool.submit(encode.wrap_strict()) for encode in encodes]
+        assert started.wait(5)  # the worker holds job 0; 1-3 are queued
+        threading.Timer(0.05, gate.set).start()
         fx.close()
-        with pytest.raises(FixError):
-            pool.submit_task(lambda: None)
+        assert all(job.done for job in jobs)
+        assert [fx.repo.get_blob(job.value()).data for job in jobs] == [
+            int_blob(i + 1, 1) for i in range(4)
+        ]
 
 
 def _await(predicate, within=5.0):
