@@ -26,9 +26,9 @@ knows how to recompute).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
+from ..analysis.sync import TrackedLock
 from .errors import EvaluationError, SelectionError
 from .handle import EncodeStyle, Handle, ThunkStyle
 from .storage import Repository
@@ -45,37 +45,36 @@ _MAX_DEPTH = 20_000
 _PY_FRAMES_PER_LEVEL = 16
 
 
+# The recursion limit is process-wide, so the guard is too: a count of
+# evaluations in flight in any thread.  The first one in raises the
+# limit and the last one out puts it back, so a shallow evaluation that
+# finishes never lowers the limit under a deep one on another thread.
+_DEPTH_LOCK = TrackedLock("eval._DEPTH_LOCK")
+_in_flight = 0
+_saved_limit = 0
+
+
 class _DeepRecursion:
-    """Temporarily widen CPython's recursion limit for deep encode chains."""
+    """Widen CPython's recursion limit while any evaluation runs."""
 
-    __slots__ = ("_old",)
+    __slots__ = ()
 
-    def __enter__(self) -> "_DeepRecursion":
-        self._old = sys.getrecursionlimit()
-        needed = _MAX_DEPTH * _PY_FRAMES_PER_LEVEL
-        if self._old < needed:
-            sys.setrecursionlimit(needed)
-        return self
+    def __enter__(self) -> None:
+        global _in_flight, _saved_limit
+        with _DEPTH_LOCK:
+            if _in_flight == 0:
+                _saved_limit = sys.getrecursionlimit()
+                sys.setrecursionlimit(
+                    max(_saved_limit, _MAX_DEPTH * _PY_FRAMES_PER_LEVEL)
+                )
+            _in_flight += 1
 
     def __exit__(self, *exc) -> None:
-        if sys.getrecursionlimit() > self._old:
-            sys.setrecursionlimit(self._old)
-
-
-@dataclass
-class EvalStats:
-    """Counters describing one evaluator's activity.  Only the
-    evaluator tests read them; nothing aggregates them across
-    evaluators."""
-
-    applications: int = 0
-    identifications: int = 0
-    selections: int = 0
-    strict_encodes: int = 0
-    shallow_encodes: int = 0
-    memo_hits: int = 0
-    tail_calls: int = 0
-    bytes_selected: int = 0
+        global _in_flight
+        with _DEPTH_LOCK:
+            _in_flight -= 1
+            if _in_flight == 0:
+                sys.setrecursionlimit(_saved_limit)
 
 
 class Evaluator:
@@ -91,9 +90,9 @@ class Evaluator:
         self.repo = repo
         self.apply_fn = apply_fn
         self.memoize = memoize
-        self.stats = EvalStats()
-        # May be shared across evaluators (e.g. Fixpoint worker threads);
-        # writes are idempotent because evaluation is deterministic.
+        # May be shared across evaluators and threads (a Fixpoint's one
+        # evaluator serves them all); writes are idempotent because
+        # evaluation is deterministic.
         self._thunk_cache: Dict[Handle, Handle] = (
             thunk_cache if thunk_cache is not None else {}
         )
@@ -124,15 +123,12 @@ class Evaluator:
         if self.memoize:
             cached = self.repo.get_result(encode)
             if cached is not None:
-                self.stats.memo_hits += 1
                 return cached
         thunk = encode.unwrap_encode()
         forced = self._force(thunk, depth)
         if encode.encode_style is EncodeStyle.STRICT:
-            self.stats.strict_encodes += 1
             result = self._eval_strict(forced, depth)
         else:
-            self.stats.shallow_encodes += 1
             result = self._to_ref(forced)
         if self.memoize:
             self.repo.put_result(encode, result)
@@ -192,26 +188,21 @@ class Evaluator:
                 return current
             cached = self._thunk_cache.get(current) if self.memoize else None
             if cached is not None:
-                self.stats.memo_hits += 1
                 current = cached
                 continue
             result = self._step(current, depth)
             if self.memoize:
                 self._thunk_cache[current] = result
-            self.stats.tail_calls += result.is_thunk
             current = result
         raise EvaluationError("tail-call budget exhausted; diverging computation?")
 
     def _step(self, thunk: Handle, depth: int) -> Handle:
         style = thunk.thunk_style
         if style is ThunkStyle.IDENTIFICATION:
-            self.stats.identifications += 1
             return thunk.definition()
         if style is ThunkStyle.SELECTION:
-            self.stats.selections += 1
             return self._select(thunk, depth)
         if style is ThunkStyle.APPLICATION:
-            self.stats.applications += 1
             return self._apply(thunk, depth)
         raise EvaluationError(f"cannot step {thunk!r}")
 
@@ -237,11 +228,9 @@ class Evaluator:
                 raise SelectionError(
                     f"index {start} out of range for tree of {len(tree)}"
                 )
-            self.stats.bytes_selected += 32
             return tree[start]
         if end > len(tree) or start > end:
             raise SelectionError(f"range [{start}, {end}) out of tree of {len(tree)}")
-        self.stats.bytes_selected += 32 * (end - start)
         return self.repo.put_tree(tree.children[start:end])
 
     def _select_blob(self, target: Handle, start: int, end: Optional[int]) -> Handle:
@@ -250,7 +239,6 @@ class Evaluator:
             end = start + 1
         if end > len(blob) or start > end:
             raise SelectionError(f"range [{start}, {end}) out of blob of {len(blob)}")
-        self.stats.bytes_selected += end - start
         return self.repo.put_blob(blob.data[start:end])
 
     # ------------------------------------------------------------------

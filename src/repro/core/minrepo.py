@@ -107,7 +107,9 @@ def transitive_footprint(repo: Repository, handle: Handle) -> Footprint:
     absent key adds 0), looked up by key: it costs the footprint's size.
     """
     data: Set[bytes] = set()
-    pending: Set[Handle] = set()
+    # The root's own footprint lists the root as pending; seeding it
+    # here keeps the loop from queueing it for a second walk.
+    pending: Set[Handle] = {handle} if handle.is_encode else set()
     queue = [handle]
     while queue:
         fp = footprint(repo, queue.pop())

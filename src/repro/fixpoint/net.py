@@ -1494,13 +1494,14 @@ class FixpointNode:
             raise NetworkError(f"{self.name}: no peers to delegate to")
         dead = self.membership.dead_nodes()
         with self._m_quote.time():
+            # A held key is priced at its stored size; only the others
+            # ask the view (one lock acquisition each).
+            unheld = [key for key in fp.data if key not in local]
+            believed = map(self.view.believed_size, unheld)
             contenders, move_bytes = self.view.bid(
-                [
-                    (key, local.get(key, self.view.believed_size(key)))
-                    for key in fp.data
-                ],
+                [*local.items(), *zip(unheld, believed)],
                 dict.fromkeys(candidates),
-                unshippable=[key for key in fp.data if key not in local],
+                unshippable=unheld,
                 exclude=dead,
             )
             return fp, choose(

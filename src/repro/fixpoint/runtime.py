@@ -57,7 +57,10 @@ _SERVE_IDLE_S = 2.0
 
 
 class _WorkerEvaluator(Evaluator):
-    """Evaluator wired to a runtime: applies codelets, may fork to the pool."""
+    """Evaluator wired to a runtime: applies codelets, may fork to the pool.
+
+    A runtime builds one and every thread evaluates through it: it keeps
+    no per-call state, and its repo and thunk cache are the runtime's."""
 
     def __init__(self, runtime: "Fixpoint"):
         super().__init__(
@@ -177,6 +180,7 @@ class Fixpoint:
             compile_stdlib(self.repo) if with_stdlib else {}
         )
         self._thunk_cache: Dict[Handle, Handle] = {}
+        self._evaluator = _WorkerEvaluator(self)
         self.pool: Optional[JobQueue] = None
         self._threads: list[threading.Thread] = []
         self._serve = _ServeThreads()
@@ -225,7 +229,7 @@ class Fixpoint:
 
     def eval(self, handle: Handle) -> Handle:
         """Evaluate ``handle`` (strict semantics); returns an Object handle."""
-        return _WorkerEvaluator(self).eval(handle)
+        return self._evaluator.eval(handle)
 
     def spawn(self, fn: Callable[[], object]) -> None:
         """Run ``fn`` off the caller's thread, on a ``fixpoint-serve``
@@ -316,7 +320,7 @@ class Fixpoint:
                 break
 
     def _execute_encode(self, encode: Handle) -> Handle:
-        return _WorkerEvaluator(self).eval_encode(encode)
+        return self._evaluator.eval_encode(encode)
 
     def _fork_join(self, encodes: Sequence[Handle]) -> None:
         """Submit sibling Encodes to the pool; help until all complete."""

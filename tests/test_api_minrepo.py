@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
 from repro.core.api import FixAPI
 from repro.core.errors import AccessError, ResourceLimitError
 from repro.core.handle import Handle
 from repro.core.limits import ResourceLimits
-from repro.core.minrepo import check_derivation, footprint
+from repro.core import minrepo
+from repro.core.minrepo import check_derivation, footprint, transitive_footprint
 from repro.core.thunks import make_application, make_identification, strict
 
 
@@ -189,3 +192,47 @@ class TestFootprint:
         # ...unless the parent created it.
         created = frozenset({b.content_key()})
         assert check_derivation(repo, parent_fp, child_bad, created=created)
+
+
+def _closure(repo, handle):
+    """``transitive_footprint``'s data and pending, by set unions."""
+    data, pending, queue = set(), set(), [handle]
+    while queue:
+        fp = footprint(repo, queue.pop())
+        data |= fp.data
+        queue += fp.pending - pending
+        pending |= fp.pending
+    return data, pending
+
+
+class TestEachEncodeIsWalkedOnce:
+    """``transitive_footprint`` walks the root and every distinct nested
+    Encode once.  An Encode root's own footprint lists the root as
+    pending, which must not queue it for a second walk."""
+
+    @pytest.mark.parametrize("root_is_encode", [True, False])
+    def test_footprint_runs_once_per_distinct_encode(
+        self, repo, monkeypatch, root_is_encode
+    ):
+        fn = repo.put_blob(b"f" * 64)
+        leaf = strict(make_identification(repo.put_blob(b"l" * 64)))
+        shared = strict(make_application(repo, fn, [leaf]))
+        left = strict(make_application(repo, fn, [shared, repo.put_blob(b"x" * 64)]))
+        right = strict(make_application(repo, fn, [shared]))
+        top = strict(make_application(repo, fn, [left, right]))
+        encodes = {top, left, right, shared, leaf}
+        root = top if root_is_encode else repo.put_tree([top, fn])
+        expected = _closure(repo, root)
+
+        walked = collections.Counter()
+        real = minrepo.footprint
+
+        def counted(repo, handle):
+            walked[handle] += 1
+            return real(repo, handle)
+
+        monkeypatch.setattr(minrepo, "footprint", counted)
+        fp = transitive_footprint(repo, root)
+        assert walked == dict.fromkeys(encodes | {root}, 1)
+        assert (fp.data, fp.pending) == expected
+        assert fp.pending == encodes

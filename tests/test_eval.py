@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import collections
+import os
+import subprocess
+import sys
+import threading
+import traceback
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.codelets.stdlib import blob_int, int_blob
 from repro.core.errors import EvaluationError, SelectionError
 from repro.core.eval import Evaluator
-from repro.core.handle import Handle
+from repro.core.handle import Handle, ThunkStyle
 from repro.core.storage import Repository
 from repro.core.thunks import (
+    make_application,
     make_identification,
     make_selection,
     make_selection_range,
@@ -18,6 +28,8 @@ from repro.core.thunks import (
     shallow,
     strict,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -133,33 +145,44 @@ class TestStrictDeepResolution:
         assert inner_resolved[0].content_key() == value.content_key()
 
 
+class _CountingEvaluator(Evaluator):
+    """Counts the thunks it steps, by style: a memo hit steps none."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.steps = collections.Counter()
+
+    def _step(self, thunk, depth):
+        self.steps[thunk.thunk_style] += 1
+        return super()._step(thunk, depth)
+
+
 class TestMemoization:
     def test_encode_result_is_memoized(self, repo):
-        ev = Evaluator(repo)
+        ev = _CountingEvaluator(repo)
         value = repo.put_blob(b"m" * 64)
         encode = strict(make_identification(value))
         first = ev.eval_encode(encode)
-        baseline_hits = ev.stats.memo_hits
+        assert ev.steps == {ThunkStyle.IDENTIFICATION: 1}
         second = ev.eval_encode(encode)
         assert first == second
-        assert ev.stats.memo_hits == baseline_hits + 1
+        assert ev.steps == {ThunkStyle.IDENTIFICATION: 1}
 
     def test_memoization_shared_across_evaluators(self, repo):
         value = repo.put_blob(b"s" * 64)
         encode = strict(make_identification(value))
-        Evaluator(repo).eval_encode(encode)
-        ev2 = Evaluator(repo)
-        ev2.eval_encode(encode)
-        assert ev2.stats.memo_hits == 1
+        first = Evaluator(repo).eval_encode(encode)
+        ev2 = _CountingEvaluator(repo)
+        assert ev2.eval_encode(encode) == first
+        assert not ev2.steps
 
     def test_memoize_false_recomputes(self, repo):
-        ev = Evaluator(repo, memoize=False)
+        ev = _CountingEvaluator(repo, memoize=False)
         value = repo.put_blob(b"n" * 64)
         encode = strict(make_identification(value))
         ev.eval_encode(encode)
         ev.eval_encode(encode)
-        assert ev.stats.memo_hits == 0
-        assert ev.stats.identifications == 2
+        assert ev.steps == {ThunkStyle.IDENTIFICATION: 2}
 
     def test_determinism(self, repo):
         value = repo.put_blob(b"d" * 64)
@@ -181,12 +204,137 @@ class TestErrors:
         with pytest.raises(EvaluationError):
             ev.eval_encode(repo.put_blob(b"x" * 64))
 
-    def test_stats_counting(self, repo, ev):
+    def test_steps_counted_by_style(self, repo):
+        ev = _CountingEvaluator(repo)
         value = repo.put_blob(b"c" * 64)
         target = repo.put_tree([value])
-        ev.eval_encode(strict(make_selection(repo, target, 0)))
-        ev.eval_encode(shallow(make_identification(value)))
-        assert ev.stats.selections == 1
-        assert ev.stats.identifications == 1
-        assert ev.stats.strict_encodes == 1
-        assert ev.stats.shallow_encodes == 1
+        selected = ev.eval_encode(strict(make_selection(repo, target, 0)))
+        identified = ev.eval_encode(shallow(make_identification(value)))
+        assert ev.steps == {
+            ThunkStyle.SELECTION: 1,
+            ThunkStyle.IDENTIFICATION: 1,
+        }
+        assert selected.is_object
+        assert selected.content_key() == value.content_key()
+        assert identified.is_ref
+        assert identified.content_key() == value.content_key()
+
+
+class _SaveRestoreEachCall:
+    """Mutant: the guard as a per-call save and restore of the limit, so
+    whichever evaluation leaves first puts back what it found."""
+
+    def __enter__(self):
+        self._old = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(self._old, 320_000))
+
+    def __exit__(self, *exc):
+        if sys.getrecursionlimit() > self._old:
+            sys.setrecursionlimit(self._old)
+
+
+def _chain(repo, length):
+    """``length`` nested strict applications of one function over 0."""
+    current = repo.put_blob(int_blob(0))
+    function = repo.put_blob(b"increment" * 4)
+    for _ in range(length):
+        current = strict(make_application(repo, function, [current]))
+    return current
+
+
+def _shallow_leaves_under_a_deep_one():
+    """Thread A evaluates one application and blocks in it; thread B
+    evaluates a chain and blocks in its innermost application, deeper
+    than the limit the process started with.  A is released and
+    returns, then B.  Returns B's result (or what it raised), B's depth
+    in frames while blocked, and the limit before and after."""
+    start = sys.getrecursionlimit()
+    repo = Repository()
+    a_in, b_in = threading.Event(), threading.Event()
+    # Plain locks as gates: their acquire is one C call, so a thread
+    # released above the limit resumes in its own code, not threading's.
+    a_gate, b_gate = threading.Lock(), threading.Lock()
+    a_gate.acquire()
+    b_gate.acquire()
+    depth = []
+
+    def shallow_apply(evaluator, resolved, invocation):
+        a_in.set()
+        assert a_gate.acquire(timeout=10)
+        return invocation.args[0]
+
+    def deep_apply(evaluator, resolved, invocation):
+        if not b_in.is_set():  # the innermost application runs first
+            depth.append(sum(1 for _ in traceback.walk_stack(None)))
+            b_in.set()
+            assert b_gate.acquire(timeout=10)
+        value = blob_int(evaluator.repo.get_blob(invocation.args[0]).data)
+        return evaluator.repo.put_blob(int_blob(value + 1))
+
+    outcome = {}
+
+    def run(name, apply_fn, encode):
+        try:
+            outcome[name] = Evaluator(repo, apply_fn).eval_encode(encode)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            outcome[name] = exc
+
+    shallow_encode = strict(
+        make_application(repo, repo.put_blob(b"f" * 64), [repo.put_blob(b"a" * 64)])
+    )
+    a = threading.Thread(target=run, args=("a", shallow_apply, shallow_encode))
+    b = threading.Thread(target=run, args=("b", deep_apply, _chain(repo, 400)))
+    a.start()
+    assert a_in.wait(10)
+    b.start()
+    assert b_in.wait(10)
+    a_gate.release()
+    a.join(10)
+    b_gate.release()
+    b.join(10)
+    result = outcome["b"]
+    if isinstance(result, Handle):
+        result = blob_int(repo.get_blob(result).data)
+    return result, depth[0], start, sys.getrecursionlimit()
+
+
+def _in_a_fresh_interpreter(guard=None):
+    """Run :func:`_shallow_leaves_under_a_deep_one` in a cold
+    interpreter, with ``guard`` (a name in this module) standing in for
+    ``_DeepRecursion``; return its exit status and one-line report.  A
+    thread running deeper than the limit can abort the interpreter, not
+    just raise: a collection while its ``RecursionError`` is built runs
+    finalizers past the headroom CPython allows."""
+    patch = f"repro.core.eval._DeepRecursion = test_eval.{guard}" if guard else ""
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "import repro.core.eval",
+        "import test_eval",
+        patch,
+        "result, depth, start, after = test_eval._shallow_leaves_under_a_deep_one()",
+        "print(result if isinstance(result, int) else type(result).__name__,",
+        "      depth > start, after == start)",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout.strip()
+
+
+class TestRecursionLimitIsShared:
+    """The recursion limit is process-wide, and so is the guard that
+    raises it: an evaluation that leaves while another thread is still
+    evaluating leaves the raised limit in place.  B runs above the limit
+    the process started with, returns the chain's value, and the limit
+    is back where it started once both threads are done."""
+
+    def test_a_deep_chain_survives_a_shallow_evaluation_leaving(self):
+        assert _in_a_fresh_interpreter() == (0, "400 True True")
+
+    def test_the_check_catches_a_per_call_save_and_restore(self):
+        status, report = _in_a_fresh_interpreter("_SaveRestoreEachCall")
+        assert (status, report) != (0, "400 True True")

@@ -293,6 +293,29 @@ class TestEvalAnywhere:
         assert a.delegations_sent == 0
 
 
+class TestAQuoteReadsBeliefsForUnheldKeysOnly:
+    def test_believed_size_is_read_once_per_unheld_key(self, monkeypatch):
+        """A held key is priced at its stored size, so the view's lock
+        is taken only for the footprint keys this node does not hold."""
+        alpha = FixpointNode("alpha")
+        beta = FixpointNode("beta")
+        held = [alpha.repo.put_blob(bytes([i]) * 40) for i in range(3)]
+        unheld = [beta.repo.put_blob(bytes([i]) * 50) for i in range(2)]
+        alpha.connect(beta)
+        fn = alpha.runtime.stdlib["add_u8"]
+        encode = make_application(alpha.repo, fn, held + unheld).wrap_strict()
+        asked = []
+        real = alpha.view.believed_size
+
+        def counted(key):
+            asked.append(key)
+            return real(key)
+
+        monkeypatch.setattr(alpha.view, "believed_size", counted)
+        assert alpha.quote_best(encode).candidate == "beta"
+        assert sorted(asked) == sorted(h.content_key() for h in unheld)
+
+
 class TestGossipLearnedPeer:
     """Inventory knowledge is no longer connect-time-only: anti-entropy
     carries third-party holdings, and placement acts on them."""
