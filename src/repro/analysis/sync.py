@@ -1,9 +1,10 @@
 """Tracked locks: a lock-order race detector for the executing runtime.
 
-The repo is a genuinely concurrent system - worker pools, wire-sequenced
-channels, gossip frames racing with in-flight delegations - and every
-concurrency bug so far was found *by hand in review*.  This module makes
-lock discipline machine-checked, lockdep-style:
+The repo is a genuinely concurrent system - serve and fork threads,
+wire-sequenced channels, gossip frames racing with in-flight
+delegations - and every concurrency bug so far was found *by hand in
+review*.  This module makes lock discipline machine-checked,
+lockdep-style:
 
 * :func:`TrackedLock` / :func:`TrackedRLock` / :func:`TrackedCondition`
   are drop-in factories for the ``threading`` primitives.  With tracking
@@ -30,9 +31,10 @@ lock discipline machine-checked, lockdep-style:
 * :func:`note_blocking` marks known blocking operations - paying
   :meth:`Channel.transit <repro.fixpoint.net.Channel.transit>` latency,
   waiting a :class:`~repro.fixpoint.net.Delegation` future
-  (:meth:`Job.wait <repro.fixpoint.jobs.Job.wait>`), a worker join,
-  ``Condition.wait`` - and records a **hold-while-blocking** event when
-  the calling thread holds any tracked lock at that moment (a condition
+  (:meth:`Job.wait <repro.fixpoint.jobs.Job.wait>`, also how a
+  fork/join parent waits for its forks), ``Condition.wait`` - and
+  records a **hold-while-blocking** event when the calling thread
+  holds any tracked lock at that moment (a condition
   waiter's own lock is exempt: ``wait`` releases it).  Holding a lock
   across a blocking call is how PR 4's one-worker dispatch wedge and
   most delivery-window hangs are born.  ``time.sleep`` announces

@@ -41,7 +41,6 @@ class MinIO:
         self._stripe_rng = random.Random(1349)
         self.gets = 0
         self.puts = 0
-        self.bytes_read = 0
         self.bytes_written = 0
 
     def node_for(self, name: str) -> str:
@@ -74,7 +73,6 @@ class MinIO:
         size, _node = self._objects[name]
         source = self._stripe_rng.choice(self._nodes)
         self.gets += 1
-        self.bytes_read += size
         return self.sim.process(
             self._op(source, dst, size), name=("minio.get {}", name)
         )

@@ -30,7 +30,7 @@ from .paperdata import (
 )
 
 
-def _rows(scale: float) -> List[Tuple[str, Callable[[], Platform], bool]]:
+def _rows() -> List[Tuple[str, Callable[[], Platform], bool]]:
     """(paper label, platform factory, map_only)."""
     return [
         ("Fixpoint", lambda: FixpointSim.build(nodes=FIG8B_NODES), False),
@@ -81,7 +81,7 @@ def run(scale: float = 1.0, seed: int = 42) -> ExperimentResult:
             f"{FIG8B_NODES} nodes / {FIG8B_NODES * 32} vCPUs"
         ),
     )
-    for label, factory, map_only in _rows(scale):
+    for label, factory, map_only in _rows():
         platform = factory()
         nodes = platform.cluster.machine_names()
         shards = declare_shards(shard_count, FIG8B_SHARD_BYTES, nodes, seed=seed)

@@ -15,11 +15,11 @@ sending Fix values in the packed wire format (paper section 4.2.1):
   can filter its reply through its view of the caller, and returns a
   :class:`Delegation` future immediately;
 * the peer serves the request on a ``fixpoint-serve`` thread of its own
-  (:meth:`~repro.fixpoint.runtime.Fixpoint.spawn`; a worker pool, if the
-  peer has one, only evaluates), and the reply - or an explicit error
-  frame, when peer-side evaluation fails - crosses the wire back and is
-  absorbed into the caller's repository on the serving thread; both
-  views advance - on send *and* on receive.
+  (:meth:`~repro.fixpoint.runtime.Fixpoint.spawn`, the one kind of
+  runtime thread; the peer's forked Encodes run on them too), and the
+  reply - or an explicit error frame, when peer-side evaluation fails -
+  crosses the wire back and is absorbed into the caller's repository on
+  the serving thread; both views advance - on send *and* on receive.
 
 Delegation is therefore **non-blocking end to end**: the per-peer
 ``outstanding`` count is raised at dispatch and lowered only once the
@@ -584,7 +584,7 @@ class Delegation:
     :class:`NetworkError`.
 
     Completion signalling is a :class:`~repro.fixpoint.jobs.Job` - the
-    same primitive the worker pool uses - so there is exactly one
+    same primitive a forked Encode uses - so there is exactly one
     result/error/event implementation in the package; this class adds
     the delegation identity, what its settlement undoes (the
     dispatching ``node``, the ``peer`` and the ``shipped`` keys), and
@@ -848,7 +848,8 @@ class FixpointNode:
         self.runtime.close()
 
     def crash(self) -> None:
-        """Simulate abrupt death: every link drops, the pool stops.
+        """Simulate abrupt death: every link drops, parked serve
+        threads are released.
 
         Closing the channels is what makes the death *observable*:
         peers' sends raise, frames parked in delivery windows and

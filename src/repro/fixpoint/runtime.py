@@ -7,9 +7,9 @@ This is the in-process analog of the paper's section 4.2.1 architecture:
   results;
 * a **program registry / ELF linker** (:class:`~repro.codelets.Linker`)
   mapping codelet handles to linked entrypoints;
-* a **thread pool of workers** sharing a queue of pending jobs; each
-  worker embeds a Scheduler (here: the evaluator itself) deciding what
-  I/O and computation an object needs under Fix semantics;
+* **worker threads** that each embed a Scheduler (here: the evaluator
+  itself) deciding what I/O and computation an object needs under Fix
+  semantics;
 * invocation happens by *jumping straight to the codelet's entrypoint* -
   no processes or containers are spawned, which is what makes the
   per-invocation overhead microscopic (fig. 7a).
@@ -17,28 +17,29 @@ This is the in-process analog of the paper's section 4.2.1 architecture:
 ``workers=0`` gives a purely sequential runtime (used for the fig. 9
 experiment, which the paper runs with a single worker thread, and for the
 microbenchmarks).  With ``workers=N`` the runtime evaluates independent
-Encode arguments in parallel: a thread that would block on a dependency
-instead *helps* by executing queued jobs, so any worker count is
-deadlock-free.
+Encode arguments in parallel: up to N sibling Encodes at once, runtime
+wide, are forked onto serve threads, and a sibling that finds no free
+fork slot runs on the thread that met it.  A fork never queues, so any
+worker count is deadlock-free.
 
-Every runtime, pooled or sequential, serves each incoming delegation
-off the caller's thread (:meth:`Fixpoint.spawn`), one ``fixpoint-serve``
-thread per request in flight, so a node that receives a burst of K
-requests holds K serve threads whatever its worker count.  The worker
-pool only evaluates Encodes: a serve waits on the wire, and one queued
-on a bounded pool could wait for a frame whose deliverer is queued
-behind it.  Serve threads are kept warm: one that finishes parks for
-the next request instead of exiting, so a steady stream of delegations
-reuses threads rather than starting one per request.
+The runtime has one kind of thread, ``fixpoint-serve``
+(:meth:`Fixpoint.spawn`).  Every runtime serves each incoming delegation
+on one, a thread per request in flight, so a node that receives a burst
+of K requests holds K serve threads whatever its worker count; forks
+run on them too.  Serve threads are kept warm: one that finishes parks
+for the next task instead of exiting, so a steady stream of delegations
+reuses threads rather than starting one per request.  A runtime starts
+no thread until it serves or forks.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence
 
-from ..analysis.sync import TrackedCondition, TrackedLock, note_blocking
+from ..analysis.sync import TrackedCondition, TrackedLock
 from ..codelets.linker import Linker
 from ..codelets.stdlib import compile_stdlib
 from ..codelets.toolchain import Toolchain
@@ -49,7 +50,8 @@ from ..core.handle import Handle
 from ..core.limits import DEFAULT_LIMITS, ResourceLimits
 from ..core.storage import Repository
 from ..core.thunks import Invocation, make_application
-from .jobs import JobQueue
+from ..obs import NULL_OBS
+from .jobs import Job
 from .tracing import Trace
 
 #: Seconds a parked serve thread waits for its next task before exiting.
@@ -57,7 +59,9 @@ _SERVE_IDLE_S = 2.0
 
 
 class _WorkerEvaluator(Evaluator):
-    """Evaluator wired to a runtime: applies codelets, may fork to the pool.
+    """Evaluator wired to a runtime: applies codelets, and on a runtime
+    with ``workers > 0`` forks an invocation's pending sibling Encodes
+    onto serve threads (:meth:`Fixpoint._fork_join`).
 
     A runtime builds one and every thread evaluates through it: it keeps
     no per-call state, and its repo and thunk cache are the runtime's."""
@@ -73,7 +77,7 @@ class _WorkerEvaluator(Evaluator):
 
     def resolve_invocation(self, definition: Handle, depth: int = 0) -> Handle:
         runtime = self.runtime
-        if runtime.pool is not None and depth < 64:
+        if runtime.workers > 0 and depth < 64:
             tree = self.repo.get_tree(definition)
             pending = [
                 child
@@ -81,7 +85,7 @@ class _WorkerEvaluator(Evaluator):
                 if child.is_encode and self.repo.get_result(child) is None
             ]
             if len(pending) > 1:
-                runtime._fork_join(pending)
+                runtime._fork_join(pending, depth)
         return super().resolve_invocation(definition, depth)
 
 
@@ -154,7 +158,8 @@ class _ServeThreads:
 class Fixpoint:
     """A single-node Fixpoint instance.
 
-    Use as a context manager (or call :meth:`close`) when ``workers > 0``.
+    Use as a context manager (or call :meth:`close`) to release its
+    parked serve threads at once rather than after their idle timeout.
     """
 
     def __init__(
@@ -171,43 +176,29 @@ class Fixpoint:
         self.memoize = memoize
         #: With an :class:`~repro.obs.Obs` the invocation trace emits
         #: into that obs' registry, so a node's codelet activity lands
-        #: in the same export as its wire and scheduling metrics.
+        #: in the same export as its wire and scheduling metrics;
+        #: without one, into the null registry nobody reads.
         self.obs = obs
-        self.trace = Trace(
-            registry=obs.registry if obs is not None else None
-        )
+        self.trace = Trace((obs or NULL_OBS).registry)
         self.stdlib: Dict[str, Handle] = (
             compile_stdlib(self.repo) if with_stdlib else {}
         )
         self._thunk_cache: Dict[Handle, Handle] = {}
         self._evaluator = _WorkerEvaluator(self)
-        self.pool: Optional[JobQueue] = None
-        self._threads: list[threading.Thread] = []
         self._serve = _ServeThreads()
-        if workers > 0:
-            self.pool = JobQueue()
-            for i in range(workers):
-                thread = threading.Thread(
-                    target=self._worker_loop, name=f"fixpoint-{i}", daemon=True
-                )
-                thread.start()
-                self._threads.append(thread)
+        #: Most sibling Encodes evaluating on serve threads at once.
+        self.workers = workers
+        self._forks = 0
+        self._fork_lock = TrackedLock("Fixpoint._fork_lock")
 
     # ------------------------------------------------------------------
     # Lifecycle
 
     def close(self) -> None:
-        """Stop the worker pool (draining queued Encode jobs) and release
-        the parked serve threads; a later :meth:`spawn` still runs its
-        task, on a thread that exits when the task returns."""
+        """Release the parked serve threads; a later :meth:`spawn` (a
+        fork included) still runs its task, on a thread that exits when
+        the task returns."""
         self._serve.close()
-        if self.pool is not None:
-            self.pool.close()
-            note_blocking("Thread.join")
-            for thread in self._threads:
-                thread.join(timeout=2.0)
-            self._threads.clear()
-            self.pool = None
 
     def __enter__(self) -> "Fixpoint":
         return self
@@ -233,14 +224,14 @@ class Fixpoint:
 
     def spawn(self, fn: Callable[[], object]) -> None:
         """Run ``fn`` off the caller's thread, on a ``fixpoint-serve``
-        daemon thread - with or without a worker pool.
+        daemon thread.
 
         This is how a :class:`~repro.fixpoint.net.FixpointNode` serves
-        incoming delegations without blocking the dispatching node.
-        Each request in flight gets a thread of its own at once: a
-        parked one from an earlier request when one is idle, a new one
-        otherwise, so no request waits for another to finish and a
-        serve never occupies a worker the pool needs for evaluation.
+        incoming delegations without blocking the dispatching node, and
+        how :meth:`_fork_join` runs a forked sibling.  Each task gets a
+        thread of its own at once: a parked one from an earlier task
+        when one is idle, a new one otherwise, so no task waits for
+        another to finish.
         """
         self._serve.run(fn)
 
@@ -306,34 +297,45 @@ class Fixpoint:
     # ------------------------------------------------------------------
     # Parallel fork/join
 
-    def _worker_loop(self) -> None:
-        pool = self.pool
-        if pool is None:
-            return
-        while True:
-            job = pool.pop()
-            if job is not None:
-                pool.run_job(job, self._execute_encode)
-            elif pool.closed:
-                # Drain before exiting: an Encode job queued just before
-                # close() still has a fork/join parent waiting on it.
-                break
+    def _fork_join(self, encodes: Sequence[Handle], depth: int) -> None:
+        """Evaluate sibling Encodes, forking all but the first onto serve
+        threads while a fork slot is free; the rest run on this thread.
 
-    def _execute_encode(self, encode: Handle) -> Handle:
-        return self._evaluator.eval_encode(encode)
+        Taking a slot never blocks, so a fork never waits for a thread
+        and a nested fork/join at any width finishes.
+        """
+        first, *rest = dict.fromkeys(encodes)
+        inline, forks = [first], []
+        for encode in rest:
+            if self._take_fork_slot():
+                job = Job(encode)
+                self.spawn(partial(self._run_fork, job))
+                forks.append(job)
+            else:
+                inline.append(encode)
+        for encode in inline:
+            self._evaluator._eval_encode(encode, depth + 1)
+        for job in forks:
+            job.wait()
+            job.value()  # re-raise a failure in the parent
 
-    def _fork_join(self, encodes: Sequence[Handle]) -> None:
-        """Submit sibling Encodes to the pool; help until all complete."""
-        pool = self.pool
-        if pool is None:
-            return
-        jobs = [pool.submit(encode) for encode in encodes]
-        for job in jobs:
-            while not job.done:
-                other = pool.try_pop()
-                if other is not None:
-                    pool.run_job(other, self._execute_encode)
-                else:
-                    job.wait(0.005)
-        for job in jobs:
-            job.value()  # re-raise failures in the parent
+    def _take_fork_slot(self) -> bool:
+        with self._fork_lock:
+            if self._forks >= self.workers:
+                return False
+            self._forks += 1
+            return True
+
+    def _run_fork(self, job: Job) -> None:
+        """A forked sibling's task: free the slot before publishing, so
+        a parent that sees the outcome sees the slot free too."""
+        try:
+            try:
+                result = self._evaluator.eval_encode(job.encode)
+            finally:
+                with self._fork_lock:
+                    self._forks -= 1
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the parent
+            job.fail(exc)
+        else:
+            job.complete(result)

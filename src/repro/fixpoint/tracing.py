@@ -17,9 +17,9 @@ Since the observability pass, :class:`Trace` is also a facade over
 * ``fixpoint_invocation_wall_seconds{function}`` (histogram)
 
 - so a node's invocations show up in the same cluster-wide export as its
-wire and scheduling metrics.  By default each Trace owns a private
-registry; a runtime constructed with an :class:`~repro.obs.Obs` shares
-that obs' registry instead (``Trace(registry=obs.registry)``).  The
+wire and scheduling metrics.  A runtime constructed with an
+:class:`~repro.obs.Obs` hands the trace that obs' registry; a bare one
+hands it ``NULL_OBS.registry``, whose instruments do nothing.  The
 trace's own per-function invocation and byte counts remain the
 queryable ground truth for the Table-2 count assertions - exact, and
 independent of which registry (real or null) backs the metrics - and
@@ -37,19 +37,11 @@ from ..obs.metrics import MetricsRegistry
 
 
 class Trace:
-    """Aggregated runtime activity; thread-safe.
+    """Aggregated runtime activity; thread-safe.  The metrics go to
+    ``registry``; the counts this trace answers from are its own."""
 
-    ``registry=None`` (the default) gives the trace a private
-    :class:`~repro.obs.metrics.MetricsRegistry`; passing one in makes
-    the trace emit into it - the path :class:`~repro.fixpoint.Fixpoint`
-    takes when constructed with an obs facade.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = (
-            registry if registry is not None
-            else MetricsRegistry(name="fixpoint.trace")
-        )
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
         #: function -> invocations / bytes mapped, in first-seen order
         self._counts: Dict[str, int] = {}
         self._mapped: Dict[str, int] = {}

@@ -31,10 +31,6 @@ class Resource:
         # Peak tracking for utilization reports.
         self.peak_in_use = 0
 
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
     def acquire(self, amount: int = 1) -> Event:
         """An event granting ``amount`` units (FIFO)."""
         if amount < 0:

@@ -43,7 +43,6 @@ class StorageService:
         )
         self.gets = 0
         self.puts = 0
-        self.bytes_read = 0
         self.bytes_written = 0
 
     def get(self, nbytes: int) -> Event:
@@ -51,7 +50,6 @@ class StorageService:
         if nbytes < 0:
             raise SimulationError("cannot GET negative bytes")
         self.gets += 1
-        self.bytes_read += nbytes
         return self.sim.process(self._op(nbytes), name=("{}.get", self.name))
 
     def put(self, nbytes: int) -> Event:

@@ -196,11 +196,12 @@ class TestSelfDeadlock:
 
 class TestHoldWhileBlocking:
     def test_job_wait_while_holding_a_lock_is_flagged(self):
+        from repro.core.storage import Repository
         from repro.fixpoint.jobs import Job
 
         with tracking() as t:
             lock = TrackedLock("holder")
-            job = Job()
+            job = Job(Repository().put_blob(b"job"))
             done = threading.Event()
 
             def completer():
@@ -218,11 +219,12 @@ class TestHoldWhileBlocking:
         assert any("holder" in h for e in report.blocking for h in e.held)
 
     def test_job_wait_on_completed_future_is_free(self):
+        from repro.core.storage import Repository
         from repro.fixpoint.jobs import Job
 
         with tracking() as t:
             lock = TrackedLock("holder")
-            job = Job()
+            job = Job(Repository().put_blob(b"job"))
             job.complete(None)
             with lock:
                 assert job.wait(timeout=0) is True

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.bench import fig7a, fig7b, fig8a, table2
+from repro.baselines.base import Platform
+from repro.bench import fig7a, fig7b, fig8a, fig8b, fig10, table2
 from repro.bench.__main__ import main as bench_main
 from repro.bench.harness import (
     ExperimentResult,
@@ -87,6 +89,75 @@ class TestGoldenTables:
         assert capsys.readouterr().out == self.GOLDEN_FIG7.read_text()
 
 
+SIM_STATISTICS = (
+    Path(__file__).parent / "golden" / "sim_statistics_scale_0.0625.json"
+)
+
+
+def record_simulated_statistics() -> dict:
+    """Every ``Platform.run`` of figs. 7a, 8a, 8b and 10, field by field.
+
+    Floats are kept as ``repr`` so a change in the last bit shows.
+    """
+    runs: dict = {}
+    original = Platform.run
+
+    def recording(platform, graph, *args, **kwargs):
+        result = original(platform, graph, *args, **kwargs)
+        runs[figure].append({
+            "platform": result.platform,
+            "makespan": repr(result.makespan),
+            "bytes": result.bytes_transferred,
+            "messages": result.messages,
+            "invocations": result.invocations,
+            "core_seconds": {
+                state: repr(value) for state, value in
+                platform.cluster.accountant.core_seconds().items()
+            },
+            "task_finish": {
+                name: repr(at) for name, at in result.task_finish.items()
+            },
+        })
+        return result
+
+    experiments = (
+        ("fig7a", lambda: fig7a.run(scale=0.01, measure_real=False)),
+        ("fig8a", lambda: fig8a.run(scale=0.0625)),
+        ("fig8b", lambda: fig8b.run(scale=0.0625)),
+        ("fig10", lambda: fig10.run(scale=0.0625)),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Platform, "run", recording)
+        for figure, experiment in experiments:
+            runs[figure] = []
+            experiment()
+    return runs
+
+
+class TestSimulatedStatisticsAreExact:
+    """Every simulated statistic, not just what the tables print.
+
+    ``TestGoldenTables`` sees rounded table cells: a change that moves a
+    byte count by 64 or a task's finish time by 0.35 s can leave them
+    intact.  This pins each run's makespan, bytes, messages,
+    invocations, CPU core-seconds per state and every task's finish
+    time, floats by ``repr``.  Regenerate it (only with a change that
+    means to move the simulation) with
+    ``PYTHONPATH=src python tests/test_bench_harness.py``.
+    """
+
+    def test_every_run_matches_golden(self):
+        golden = json.loads(SIM_STATISTICS.read_text())
+        recorded = record_simulated_statistics()
+        assert list(recorded) == list(golden)
+        for figure, runs in golden.items():
+            assert [r["platform"] for r in recorded[figure]] == [
+                r["platform"] for r in runs
+            ], figure
+            for got, want in zip(recorded[figure], runs):
+                assert got == want, (figure, want["platform"])
+
+
 class TestExperimentSmoke:
     """Tiny-scale runs of the cheap experiments (the big ones are covered
     in benchmarks/)."""
@@ -114,3 +185,9 @@ class TestExperimentSmoke:
         assert FIG8B_SECONDS["Fixpoint"] < FIG8B_SECONDS["Ray (blocking)"]
         ladder = list(FIG7A_SECONDS.values())
         assert ladder == sorted(ladder)
+
+
+if __name__ == "__main__":
+    SIM_STATISTICS.write_text(
+        json.dumps(record_simulated_statistics(), indent=1) + "\n"
+    )

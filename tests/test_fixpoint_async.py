@@ -132,9 +132,8 @@ class TestDelegateAsync:
         assert alpha.outstanding["beta"] == 0
 
     def test_pooled_peer_serves_on_serve_threads(self):
-        """A peer with a worker pool serves each request on a
-        ``fixpoint-serve`` thread; its pool only evaluates, and these
-        encodes have nothing to fork, so it is never handed a job."""
+        """A peer with ``workers=2`` serves each request on a
+        ``fixpoint-serve`` thread, as a sequential one does."""
         alpha = FixpointNode("alpha")
         with FixpointNode("beta", workers=2) as beta:
             alpha.connect(beta)
@@ -146,7 +145,6 @@ class TestDelegateAsync:
                 return real_serve(*request)
 
             beta._serve = serve
-            before = beta.runtime.pool.submitted
             futures = [
                 alpha.delegate_async("beta", add_encode(alpha, i, 1))
                 for i in range(3)
@@ -156,12 +154,11 @@ class TestDelegateAsync:
                 for f in futures
             ]
             assert values == [1, 2, 3]
-            assert beta.runtime.pool.submitted == before
             assert serving == ["fixpoint-serve"] * 3
 
     def test_serve_survives_a_closed_pool(self):
-        """A peer whose pool was shut down falls back to per-request
-        threads instead of enqueueing work nobody will pop."""
+        """A closed peer still serves: close() only releases parked
+        threads, and a later request runs on a thread of its own."""
         alpha = FixpointNode("alpha")
         beta = FixpointNode("beta", workers=2)
         alpha.connect(beta)

@@ -63,7 +63,7 @@ from repro.dist.membership import (
 from repro.dist.objectview import EMPTY_DIGEST, Digest, ObjectView
 from repro.dist.scheduler import DataflowScheduler
 from repro.fixpoint import net
-from repro.fixpoint.jobs import Job, JobQueue
+from repro.fixpoint.jobs import Job
 from repro.fixpoint.net import FixpointNode, NetworkError, NodeDirectory
 from repro.obs import SpanContext
 from repro.sim.cluster import Cluster, MachineSpec
@@ -2317,59 +2317,6 @@ class TestChannelCloseWakesWaiters:
         assert channel.closed
         with pytest.raises(NetworkError):
             channel.send(a, b"frame")
-
-
-class TestJobQueuePopDeadline:
-    """Satellite (c): ``pop`` must treat its timeout as a deadline, not
-    as the budget of a single ``Condition.wait`` - a spurious notify
-    used to make a worker's idle poll return early."""
-
-    def test_spurious_notify_does_not_cut_the_wait_short(self):
-        queue = JobQueue()
-
-        def spurious_notify():
-            time.sleep(0.05)
-            with queue._cond:
-                queue._cond.notify_all()  # no item enqueued
-
-        thread = threading.Thread(target=spurious_notify, daemon=True)
-        start = time.monotonic()
-        thread.start()
-        job = queue.pop(timeout=0.4)
-        elapsed = time.monotonic() - start
-        thread.join()
-        assert job is None
-        assert elapsed >= 0.35, f"pop returned after {elapsed:.3f}s"
-
-    def test_close_still_wakes_pop_immediately(self):
-        queue = JobQueue()
-
-        def close_soon():
-            time.sleep(0.05)
-            queue.close()
-
-        thread = threading.Thread(target=close_soon, daemon=True)
-        start = time.monotonic()
-        thread.start()
-        job = queue.pop(timeout=10.0)
-        elapsed = time.monotonic() - start
-        thread.join()
-        assert job is None
-        assert elapsed < 5.0, "pop ignored close and waited out the timeout"
-
-    def test_submit_still_wakes_pop_with_the_item(self):
-        queue = JobQueue()
-        encode = Repository().put_blob(b"job")
-
-        def submit_soon():
-            time.sleep(0.05)
-            queue.submit(encode)
-
-        thread = threading.Thread(target=submit_soon, daemon=True)
-        thread.start()
-        job = queue.pop(timeout=10.0)
-        thread.join()
-        assert job is not None
 
 
 # ----------------------------------------------------------------------

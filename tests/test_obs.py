@@ -591,7 +591,24 @@ class TestObs:
         assert counter.total() == node.runtime.trace.invocation_count()
         assert counter.total() >= 1
 
-    @pytest.mark.parametrize("registry", [None, NULL_OBS.registry])
+    def test_a_bare_runtime_traces_into_the_null_registry(self):
+        """Without an obs nobody can read the trace's metrics, so they
+        go nowhere; the trace's own counts stay exact."""
+        from repro.fixpoint.runtime import Fixpoint
+
+        fp = Fixpoint()
+        assert fp.trace.registry is NULL_OBS.registry
+        for i in range(3):
+            fp.eval(fp.invoke(fp.stdlib["add_u8"], [
+                fp.repo.put_blob(int_blob(i, 1)),
+                fp.repo.put_blob(int_blob(1, 1)),
+            ]).wrap_strict())
+        assert fp.trace.invocation_count() == 3
+        assert fp.trace.by_function() == {"add_u8": 3}
+
+    @pytest.mark.parametrize(
+        "registry", [MetricsRegistry(name="t"), NULL_OBS.registry]
+    )
     def test_trace_state_is_bounded_by_functions(self, registry):
         """10 000 invocations of one codelet leave the trace holding one
         count and one byte total per *function* - no per-invocation

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import gc
 import threading
 import time
@@ -14,6 +15,7 @@ from repro.core.errors import NotAFunctionError, ResourceLimitError
 from repro.core.limits import ResourceLimits
 from repro.core.thunks import make_application, make_identification, strict
 from repro.fixpoint import runtime as runtime_module
+from repro.fixpoint.jobs import Job
 from repro.fixpoint.runtime import Fixpoint
 
 
@@ -164,7 +166,7 @@ class TestRuntimeBehaviour:
 
 
 class TestSpawnAndTasks:
-    """Spawned tasks (how delegations are served) and the pool's jobs."""
+    """Spawned tasks: how delegations are served and siblings forked."""
 
     def test_spawn_with_a_pool_runs_on_a_serve_thread(self):
         with Fixpoint(workers=2) as fx:
@@ -175,10 +177,8 @@ class TestSpawnAndTasks:
                 names.append(threading.current_thread().name)
                 done.set()
 
-            before = fx.pool.submitted
             fx.spawn(task)
             assert done.wait(5)
-            assert fx.pool.submitted == before
             assert names == ["fixpoint-serve"]
 
     def test_spawn_without_pool_uses_a_thread(self):
@@ -187,33 +187,164 @@ class TestSpawnAndTasks:
         fx.spawn(done.set)
         assert done.wait(5)
 
-    def test_close_drains_queued_tasks(self):
-        """Encode jobs still queued when close() begins run before the
-        worker exits: a fork/join parent may be waiting on them."""
-        fx = Fixpoint(workers=1)
-        started, gate = threading.Event(), threading.Event()
-        real = fx._execute_encode
 
-        def gated(encode):
-            if not started.is_set():
-                started.set()
-                gate.wait(5)
-            return real(encode)
+SUM_SOURCE = (
+    "def _fix_apply(fix, input):\n"
+    "    total = 0\n"
+    "    for entry in fix.read_tree(input)[2:]:\n"
+    "        total += int.from_bytes(fix.read_blob(entry), 'little')\n"
+    "    return fix.create_blob(total.to_bytes(8, 'little'))\n"
+)
 
-        fx._execute_encode = gated
-        add, one = fx.stdlib["add_u8"], fx.repo.put_blob(int_blob(1, 1))
-        encodes = [
-            fx.invoke(add, [fx.repo.put_blob(int_blob(i, 1)), one])
-            for i in range(4)
-        ]
-        jobs = [fx.pool.submit(encode.wrap_strict()) for encode in encodes]
-        assert started.wait(5)  # the worker holds job 0; 1-3 are queued
-        threading.Timer(0.05, gate.set).start()
+
+class _Siblings(Fixpoint):
+    """A runtime whose leaf Encodes (``increment(v)``) are counted per
+    argument, on and off the caller's thread, and run ``on_leaf(v)``
+    just before they apply."""
+
+    def __init__(self, workers: int):
+        super().__init__(workers=workers)
+        self.sum = self.compile(SUM_SOURCE, "sum")
+        self.applied = collections.Counter()
+        self.forked = collections.Counter()
+        self.on_leaf = lambda value: None
+        self._count = threading.Lock()
+
+    def leaf(self, value):
+        arg = self.repo.put_blob(int_blob(value))
+        return self.invoke(self.stdlib["increment"], [arg]).wrap_strict()
+
+    def join(self, children):
+        return self.invoke(self.sum, children).wrap_strict()
+
+    def value(self, encode) -> int:
+        return blob_int(self.repo.get_blob(self.eval(encode)).data)
+
+    def _apply(self, evaluator, resolved, invocation):
+        if invocation.function == self.stdlib["increment"]:
+            arg = self.repo.get_tree(resolved)[2]
+            value = blob_int(self.repo.get_blob(arg).data)
+            with self._count:
+                self.applied[value] += 1
+                if threading.current_thread().name == "fixpoint-serve":
+                    self.forked[value] += 1
+            self.on_leaf(value)
+        return super()._apply(evaluator, resolved, invocation)
+
+
+def _in_background(fn):
+    """Run ``fn`` on a thread of its own; returns (thread, outcome list)."""
+    outcome = []
+    thread = threading.Thread(
+        target=lambda: outcome.append(fn()), daemon=True
+    )
+    thread.start()
+    return thread, outcome
+
+
+class TestForksNeverQueue:
+    """Sibling Encodes fork onto serve threads while one of ``workers``
+    slots is free and run on the caller's thread otherwise: nothing
+    queues, polls or waits for a thread."""
+
+    def test_at_most_workers_siblings_run_off_the_caller(self):
+        fx = _Siblings(workers=2)
+        entered, gate = threading.Semaphore(0), threading.Event()
+        caller = threading.current_thread()
+
+        def on_leaf(value):
+            if threading.current_thread() is caller:
+                if value == 0:
+                    # Both forks are blocked in flight at once.
+                    assert all(entered.acquire(timeout=5) for _ in range(2))
+                    gate.set()
+            else:
+                entered.release()
+                assert gate.wait(5)
+
+        fx.on_leaf = on_leaf
+        total = fx.value(fx.join([fx.leaf(v) for v in range(5)]))
+        assert total == sum(v + 1 for v in range(5))
+        assert sum(fx.forked.values()) == 2
+        assert sum(fx.applied.values()) == 5
+
+    def test_every_sibling_is_applied_once(self, monkeypatch):
+        fx = _Siblings(workers=4)
+        entered, parent_waits = threading.Semaphore(0), threading.Event()
+        caller = threading.current_thread()
+        real_wait = Job.wait
+
+        def wait(job, timeout=None):
+            if threading.current_thread() is caller:
+                parent_waits.set()
+            return real_wait(job, timeout)
+
+        def on_leaf(value):
+            if threading.current_thread() is caller:
+                if value == 0:
+                    # Every fork is past its memo check and blocked.
+                    assert all(entered.acquire(timeout=5) for _ in range(4))
+            else:
+                entered.release()
+                assert parent_waits.wait(5)
+
+        monkeypatch.setattr(Job, "wait", wait)
+        fx.on_leaf = on_leaf
+        total = fx.value(fx.join([fx.leaf(v) for v in range(5)]))
+        assert total == sum(v + 1 for v in range(5))
+        assert fx.applied == {v: 1 for v in range(5)}
+        assert fx.forked == {v: 1 for v in range(1, 5)}
+
+    def test_a_nested_fork_join_at_one_worker_finishes(self):
+        fx = _Siblings(workers=1)
+        left = fx.join([fx.leaf(1), fx.leaf(2)])
+        right = fx.join([fx.leaf(3), fx.leaf(4)])
+        thread, outcome = _in_background(
+            lambda: fx.value(fx.join([left, right]))
+        )
+        thread.join(10)
+        assert outcome == [2 + 3 + 4 + 5]
+        assert fx.applied == {v: 1 for v in range(1, 5)}
+
+    def test_a_failing_fork_raises_in_the_parent_and_frees_its_slot(self):
+        fx = _Siblings(workers=1)
+
+        def on_leaf(value):
+            if value == 2:
+                raise RuntimeError("boom")
+
+        fx.on_leaf = on_leaf
+        with pytest.raises(RuntimeError, match="boom"):
+            fx.value(fx.join([fx.leaf(1), fx.leaf(2)]))
+        assert fx.forked[2] == 1
+        # The slot is back: the next fork/join forks again.
+        assert fx.value(fx.join([fx.leaf(3), fx.leaf(4)])) == 4 + 5
+        assert fx.forked[4] == 1
+
+    def test_a_pooled_runtime_starts_no_thread(self):
+        before = set(threading.enumerate())
+        fx = Fixpoint(workers=4)
+        assert set(threading.enumerate()) <= before
         fx.close()
-        assert all(job.done for job in jobs)
-        assert [fx.repo.get_blob(job.value()).data for job in jobs] == [
-            int_blob(i + 1, 1) for i in range(4)
-        ]
+
+    def test_close_while_a_fork_runs_keeps_its_result(self):
+        fx = _Siblings(workers=1)
+        entered, gate = threading.Event(), threading.Event()
+
+        def on_leaf(value):
+            if threading.current_thread().name == "fixpoint-serve":
+                entered.set()
+                assert gate.wait(5)
+
+        fx.on_leaf = on_leaf
+        thread, outcome = _in_background(
+            lambda: fx.value(fx.join([fx.leaf(1), fx.leaf(2)]))
+        )
+        assert entered.wait(5)
+        fx.close()
+        gate.set()
+        thread.join(10)
+        assert outcome == [2 + 3]
 
 
 def _await(predicate, within=5.0):
