@@ -3,9 +3,9 @@
 A :class:`Platform` executes a :class:`~repro.dist.graph.JobGraph` on a
 :class:`~repro.sim.cluster.Cluster`: it registers the graph's initial data
 placements, runs every task as its dependencies complete (through
-:meth:`Platform._invoke_proc`, whose hooks each baseline fills in), and
-reports a :class:`RunResult` with the makespan and the
-``/proc/stat``-style CPU breakdown.
+:meth:`Platform._invoke_proc`, whose hooks every platform but OpenWhisk
+fills in, ``FixpointSim`` included), and reports a :class:`RunResult`
+with the makespan and the ``/proc/stat``-style CPU breakdown.
 
 The lifecycle is split so many jobs can share one platform instance:
 :meth:`Platform.start` loads a graph and launches its task drivers
@@ -138,9 +138,9 @@ class Platform:
         self._task_done: Dict[str, Event] = {}
         self._job_seq = 0
         #: In-flight invocations per machine, the one load map every
-        #: placement spreads by (:meth:`_choose`; ``FixpointSim`` shares
-        #: it with its job schedulers).  :meth:`_invoke_proc` and
-        #: ``OpenWhisk`` count a pick up and back down in ``finally``.
+        #: placement spreads by (:meth:`_choose`, ``FixpointSim``'s job
+        #: schedulers).  Only :meth:`_invoke_proc` and ``OpenWhisk``
+        #: write it: a pick counts up, and back down in ``finally``.
         self._outstanding: Dict[str, int] = dict.fromkeys(
             cluster.machine_names(), 0
         )
@@ -171,11 +171,11 @@ class Platform:
         )
 
     def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
-        """The one baseline invocation: the :meth:`_place` pick counts in
-        :attr:`_outstanding` through the control message (if
-        :meth:`_dispatched`), :meth:`_stage` and :meth:`_run` inside
-        :meth:`_reserved`; the output registers at :meth:`_home`."""
-        node = self._place(task)
+        """Every platform's invocation but OpenWhisk's: the :meth:`_place`
+        pick counts in :attr:`_outstanding` through the message (if
+        :meth:`_dispatched`), :meth:`_stage` (no core bound) and :meth:`_run`
+        in :meth:`_reserved`; the output registers at :meth:`_home`."""
+        node = self._place(task, job)
         self._outstanding[node] += 1
         try:
             if self._dispatched(task):
@@ -189,8 +189,8 @@ class Platform:
         )
         return node
 
-    def _place(self, task: TaskSpec) -> str:
-        """The machine ``task`` runs on: the least loaded by default."""
+    def _place(self, task: TaskSpec, job: JobRun) -> str:
+        """Where ``task`` of ``job`` runs: the least loaded by default."""
         return self._choose()
 
     def _dispatched(self, task: TaskSpec) -> bool:

@@ -15,6 +15,7 @@ import random
 from typing import Dict, Tuple
 
 from ..core.errors import SchedulingError
+from ..dist.graph import JobGraph
 from ..sim.cluster import Cluster
 from ..sim.engine import Event, Simulator
 from .calibration import MINIO_REQUEST_OVERHEAD
@@ -41,7 +42,6 @@ class MinIO:
         self._stripe_rng = random.Random(1349)
         self.gets = 0
         self.puts = 0
-        self.bytes_written = 0
 
     def node_for(self, name: str) -> str:
         return self._nodes[_shard(name, len(self._nodes))]
@@ -58,6 +58,14 @@ class MinIO:
         node = self.node_for(name)
         self._objects[name] = (size, node)
         return node
+
+    def load(self, graph: JobGraph) -> None:
+        """Preload all of ``graph``'s input data and register each datum
+        in the cluster at its shard: the platform's data starts here."""
+        graph.validate()
+        for spec in graph.data.values():
+            node = self.preload(spec.name, spec.size)
+            self.cluster.add_object(spec.name, spec.size, node)
 
     def get(self, name: str, dst: str) -> Event:
         """Fetch ``name`` to ``dst``; request overhead + network transfer.
@@ -82,7 +90,6 @@ class MinIO:
         node = self.node_for(name)
         self._objects[name] = (size, node)
         self.puts += 1
-        self.bytes_written += size
         return self.sim.process(self._op(src, node, size), name=("minio.put {}", name))
 
     def _op(self, src: str, dst: str, size: int):

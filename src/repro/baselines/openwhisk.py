@@ -11,6 +11,9 @@ while occupying them (iowait), computes, and PUTs its output back to
 MinIO.  Placement is Kubernetes': least-loaded, data-oblivious - the
 platform's :meth:`~repro.baselines.base.Platform._choose` with nothing
 priced; :class:`~repro.baselines.kubernetes.KubeScheduler` runs the pods.
+It keeps its own ``_invoke_proc``: in the shared one the controller's
+result-path charge falls after the load count-down (measured: fig. 8b's
+task finishes and core-seconds move).
 
 Pods have one temperature, ``cold``.  Warm (the default, fig. 7a's and
 fig. 8b's rows) means every function's container is already up on every
@@ -68,10 +71,7 @@ class OpenWhisk(Platform):
     def load(self, graph: JobGraph) -> None:
         """All input data starts in MinIO (the paper stores the Wikipedia
         shards and compile inputs there for OpenWhisk)."""
-        graph.validate()
-        for spec in graph.data.values():
-            node = self.minio.preload(spec.name, spec.size)
-            self.cluster.add_object(spec.name, spec.size, node)
+        self.minio.load(graph)
 
     def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
         # Control path: gateway -> controller -> Kafka; charged as system

@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..dist.graph import JobGraph, TaskSpec
 from ..sim.cluster import Cluster
 from ..sim.engine import Simulator
-from .base import Platform
+from .base import JobRun, Platform
 from .calibration import (
     PHEROMONE_CHAIN_STEP,
     PHEROMONE_CORE,
@@ -47,7 +47,7 @@ class Pheromone(Platform):
         super().load(graph)
         self._produced.update(graph.producers())
 
-    def _place(self, task: TaskSpec) -> str:
+    def _place(self, task: TaskSpec, job: JobRun) -> str:
         buckets = [n for n in task.inputs if n in self._produced]
         if not buckets:
             # External-data functions: no locality information.

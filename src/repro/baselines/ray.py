@@ -57,7 +57,7 @@ POPEN_BINARY_BYTES = 100 << 20
 class _RayDriver(Platform):
     """What every Ray row shares: one driver process submits the tasks
     serially; each then takes :meth:`Platform._invoke_proc`, the path
-    every baseline shares."""
+    every platform but OpenWhisk shares."""
 
     def __init__(self, sim: Simulator, cluster: Cluster, **kwargs):
         super().__init__(sim, cluster, **kwargs)
@@ -90,7 +90,7 @@ class RayPlatform(_RayDriver):
         self.style = style
         self.name = STYLES[style]
 
-    def _place(self, task: TaskSpec) -> str:
+    def _place(self, task: TaskSpec, job: JobRun) -> str:
         if self.style == "cps":
             # Locality-aware: Ray sees the same placement info as Fixpoint.
             return self._choose(task.inputs)
@@ -148,10 +148,7 @@ class RayPopenMinIO(_RayDriver):
 
     def load(self, graph: JobGraph) -> None:
         """All input data starts in MinIO."""
-        graph.validate()
-        for spec in graph.data.values():
-            node = self.minio.preload(spec.name, spec.size)
-            self.cluster.add_object(spec.name, spec.size, node)
+        self.minio.load(graph)
 
     def _stage(self, task: TaskSpec, node: str):
         if node not in self._binaries_loaded:

@@ -23,12 +23,12 @@ penalty once schedulable exceeds physical cores.
 **Many jobs, one platform** - :meth:`FixpointSim.start` (inherited
 lifecycle, specialised here) lets several ``(tenant, JobGraph)``
 submissions execute concurrently on one shared cluster, the regime the
-admission layer (:mod:`repro.dist.admission`) packs for.  Each job gets
-its *own* :class:`DataflowScheduler` over its own :class:`ObjectView`
-snapshot - a late-arriving job believes the cluster as it looked at its
-admission, and staleness costs only redundant transfers, never
-correctness - while all job schedulers share one outstanding-load map so
-co-resident jobs spread around each other's work.
+admission layer (:mod:`repro.dist.admission`) packs for.  Each job places
+through its *own* :class:`DataflowScheduler` over its own
+:class:`ObjectView` snapshot - a late-arriving job believes the cluster
+as it looked at its admission, and staleness costs only redundant
+transfers, never correctness - and the shared ``Platform._invoke_proc``
+counts the load every job scheduler prices, so co-resident jobs spread.
 
 **Gossiped beliefs** - pass a :class:`~repro.dist.gossip.GossipConfig`
 and jobs stop snapshotting the registry at admission: they are admitted
@@ -103,9 +103,8 @@ class FixpointSim(Platform):
             for machine in cluster.machines.values():
                 machine.resize_cores(oversubscribe_cores)
         self._seed = seed
-        #: job_id -> that job's scheduler (own view, shared load).  Jobs
-        #: place through these (:meth:`start`), which share the
-        #: platform's load map, ``_outstanding``.
+        #: job_id -> that job's scheduler (:meth:`start`), which
+        #: :meth:`_place` asks; each prices the shared ``_outstanding``.
         self._job_schedulers: Dict[str, DataflowScheduler] = {}
         #: Gossiped-belief mode: per-machine views plus a platform-global
         #: view anti-entropy through one seeded coordinator; the global
@@ -283,30 +282,27 @@ class FixpointSim(Platform):
 
     # ------------------------------------------------------------------
 
-    def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
+    def _place(self, task: TaskSpec, job: JobRun) -> str:
         scheduler = self._job_schedulers[job.job_id]
-        placement = scheduler.place(
-            task,
-            consumer_location=self._consumer_hint(task, job.graph, scheduler),
+        hint = self._consumer_hint(task, job.graph, scheduler)
+        return scheduler.place(task, consumer_location=hint).machine
+
+    def _stage(self, task: TaskSpec, node: str):
+        if not self.internal_io:
+            # Externalized I/O: network workers make every input resident
+            # while cores stay free (idle, not iowait), and late binding
+            # claims resources only afterwards.
+            yield self._fetch_all(task.inputs, node)
+
+    def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
+        # Delegation is one self-describing message (``_dispatched``): the
+        # handle carries the dependencies, with no scheduler round trips.
+        node = yield from super()._invoke_proc(task, submitter, job)
+        # The output is at the execution site; the job's scheduler learns
+        # it (consumers will chase the data).
+        self._job_schedulers[job.job_id].note_output(
+            task.output, node, task.output_size
         )
-        node = placement.machine
-        scheduler.task_started(node)
-        try:
-            # Delegation is one self-describing message: the handle carries
-            # the dependency information (no scheduler round trips).
-            yield self.cluster.network.message(submitter, node)
-            if not self.internal_io:
-                # Externalized I/O: network workers make every input
-                # resident while cores stay free (idle, not iowait), and
-                # late binding claims resources only afterwards.
-                yield self._fetch_all(task.inputs, node)
-            yield from self._reserved(task, node, self._run(task, node))
-        finally:
-            scheduler.task_finished(node)
-        # The output materializes at the execution site, and the
-        # scheduler's view learns it (consumers will chase the data).
-        self.cluster.add_object(task.output, task.output_size, node)
-        scheduler.note_output(task.output, node, task.output_size)
         if self.gossip is not None:
             # Gossiped beliefs: the executing machine knows its own new
             # replica; everyone else - the global view included - only

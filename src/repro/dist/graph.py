@@ -18,7 +18,7 @@ where construction order makes eager checks impossible (unknown inputs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..core.errors import SchedulingError
 
@@ -169,11 +169,6 @@ class JobGraph:
         """Output name -> producing task name."""
         return dict(self._producers)
 
-    def producer_of(self, name: str) -> Optional[TaskSpec]:
-        """The task producing ``name``, or None for initial data."""
-        task_name = self._producers.get(name)
-        return None if task_name is None else self.tasks[task_name]
-
     def dependencies(self, task: TaskSpec) -> List[str]:
         """Names of the tasks whose outputs ``task`` consumes (deduped,
         input order)."""
@@ -209,27 +204,6 @@ class JobGraph:
             stuck = sorted(set(self.tasks) - {t.name for t in order})
             raise SchedulingError(f"dependency cycle involving {stuck}")
         return order
-
-    def ready(self, available: Iterable[str]) -> Iterator[TaskSpec]:
-        """The ready set a dataflow scheduler iterates as objects
-        materialize: tasks whose every input is in ``available`` and whose
-        own output has not materialized yet (a finished task's output is
-        in ``available``, which retires it from the set)."""
-        have: Set[str] = set(available)
-        for task in self.tasks.values():
-            if task.output not in have and all(
-                name in have for name in task.inputs
-            ):
-                yield task
-
-    # ------------------------------------------------------------------
-    # Aggregates
-
-    def total_input_bytes(self) -> int:
-        return sum(spec.size for spec in self.data.values())
-
-    def total_compute_seconds(self) -> float:
-        return sum(task.compute_seconds for task in self.tasks.values())
 
     def schedule(self) -> Iterator[Tuple[TaskSpec, float, float]]:
         """``(task, start, finish)`` in dependency order, on an infinitely

@@ -21,7 +21,8 @@ their holders + contenders): it follows the data the task names, not
 the size of the cluster.  Only when no live machine is believed to hold a byte
 (external-only inputs, independent tasks, every holder dead) does
 everyone tie on bytes and every machine get compared, spreading by
-outstanding load, fed back through
+the ``outstanding`` load map: ``FixpointSim``'s invocation path writes
+it, and a bare scheduler's caller feeds it through
 :meth:`DataflowScheduler.task_started` / :meth:`task_finished`.
 
 ``locality=False`` is the one ablation lever: seeded-random placement,

@@ -126,9 +126,6 @@ class Cluster:
         except KeyError:
             raise SchedulingError(f"unknown object {name!r}") from None
 
-    def locate(self, name: str) -> Set[str]:
-        return set(self.object(name).locations)
-
     def bytes_missing(self, names: Iterable[str], machine: str) -> int:
         """Bytes that would have to move to run something needing ``names``
         on ``machine`` - the scheduler's placement cost (paper 4.2.2)."""
@@ -139,13 +136,15 @@ class Cluster:
         )
 
     def transfer_object(self, name: str, dst: str) -> Event:
-        """Replicate ``name`` to ``dst`` from its nearest holder."""
+        """Replicate ``name`` to ``dst`` from its nearest holder the
+        network can send from (not the storage service)."""
         info = self.object(name)
         if dst in info.locations:
             return self.sim.timeout(0.0, value=0)
-        if not info.locations:
+        holders = [loc for loc in info.locations if loc in self.network._nics]
+        if not holders:
             raise SchedulingError(f"object {name!r} has no replicas")
-        src = min(info.locations)  # deterministic choice
+        src = min(holders)  # deterministic choice
         done = self.sim.event(("replicate {} -> {}", name, dst))
 
         def finish(event: Event) -> None:

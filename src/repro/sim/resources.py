@@ -28,8 +28,6 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         self._waiters: Deque[Tuple[int, Event]] = deque()
-        # Peak tracking for utilization reports.
-        self.peak_in_use = 0
 
     def acquire(self, amount: int = 1) -> Event:
         """An event granting ``amount`` units (FIFO)."""
@@ -65,7 +63,6 @@ class Resource:
                 return  # FIFO: head blocks the queue
             self._waiters.popleft()
             self.in_use += amount
-            self.peak_in_use = max(self.peak_in_use, self.in_use)
             event.succeed(amount)
 
 class Pipe:
@@ -83,8 +80,6 @@ class Pipe:
         self.name = name
         self.bandwidth = bytes_per_second
         self._gate = Resource(sim, 1, name=f"{name}.gate")
-        self.bytes_moved = 0
-        self.busy_seconds = 0.0
 
     def send(self, nbytes: int) -> Event:
         """An event succeeding when ``nbytes`` have passed the pipe."""
@@ -96,8 +91,6 @@ class Pipe:
         def start(grant: Event) -> None:
             def finish(_: Event) -> None:
                 self._gate.release(1)
-                self.bytes_moved += nbytes
-                self.busy_seconds += duration
                 done.succeed(nbytes)
 
             self.sim.timeout(duration).add_callback(finish)

@@ -42,8 +42,6 @@ class StorageService:
             sim, max_connections, name=f"{self.name}.conns"
         )
         self.gets = 0
-        self.puts = 0
-        self.bytes_written = 0
 
     def get(self, nbytes: int) -> Event:
         """Fetch ``nbytes``; completes after latency + transfer time."""
@@ -51,13 +49,6 @@ class StorageService:
             raise SimulationError("cannot GET negative bytes")
         self.gets += 1
         return self.sim.process(self._op(nbytes), name=("{}.get", self.name))
-
-    def put(self, nbytes: int) -> Event:
-        if nbytes < 0:
-            raise SimulationError("cannot PUT negative bytes")
-        self.puts += 1
-        self.bytes_written += nbytes
-        return self.sim.process(self._op(nbytes), name=("{}.put", self.name))
 
     def _op(self, nbytes: int):
         yield self._connections.acquire(1)

@@ -21,7 +21,8 @@ from repro.baselines.pheromone import Pheromone
 from repro.baselines.ray import RayPlatform, RayPopenMinIO
 from repro.core.errors import SchedulingError
 from repro.dist.engine import FixpointSim
-from repro.dist.graph import CLIENT, JobGraph, TaskSpec
+from repro.dist.gossip import GossipConfig
+from repro.dist.graph import CLIENT, EXTERNAL, JobGraph, TaskSpec
 from repro.sim.cluster import Cluster, MachineSpec
 from repro.sim.engine import Simulator, all_of
 
@@ -259,8 +260,8 @@ class TestPheromone:
         )
         platform = Pheromone.build(nodes=3, cores=4)
         platform.run(graph)
-        producer_at = platform.cluster.locate("bucket")
-        consumer_at = platform.cluster.locate("final")
+        producer_at = platform.cluster.object("bucket").locations
+        consumer_at = platform.cluster.object("final").locations
         assert consumer_at <= producer_at  # ran where the bucket lives
 
     def test_cannot_reduce_on_external(self):
@@ -288,7 +289,7 @@ class TestPheromone:
         ran_on = [
             node
             for i in range(12)
-            for node in platform.cluster.locate(f"out{i}")
+            for node in platform.cluster.object(f"out{i}").locations
         ]
         assert sorted(ran_on.count(node) for node in set(ran_on)) == [4, 4, 4]
         assert result.bytes_transferred > 100 * MB
@@ -369,8 +370,8 @@ class TestPheromone:
 
 class TestEveryPickIsCounted:
     """``Platform._invoke_proc`` counts the machine it places on in
-    ``_outstanding`` while the task runs, for every baseline on it, and
-    every count is back to 0 when the job is done."""
+    ``_outstanding`` while the task runs, for every simulated platform
+    but OpenWhisk, and every count is back to 0 when the job is done."""
 
     @staticmethod
     def _chained_fan_out():
@@ -397,8 +398,22 @@ class TestEveryPickIsCounted:
             (RayPlatform, {"style": "cps"}),
             (RayPopenMinIO, {}),
             (Pheromone, {}),
+            (FixpointSim, {}),
+            (FixpointSim, {"locality": False}),
+            (FixpointSim, {"internal_io": True}),
+            (FixpointSim, {"gossip": GossipConfig(membership=True)}),
         ],
-        ids=["faasm", "ray-blocking", "ray-cps", "ray-popen", "pheromone"],
+        ids=[
+            "faasm",
+            "ray-blocking",
+            "ray-cps",
+            "ray-popen",
+            "pheromone",
+            "fixpoint",
+            "fixpoint-no-locality",
+            "fixpoint-internal-io",
+            "fixpoint-gossip-membership",
+        ],
     )
     def test_load_is_raised_where_each_task_runs(self, cls, kw):
         platform = cls.build(nodes=3, cores=4, **kw)
@@ -415,6 +430,58 @@ class TestEveryPickIsCounted:
         assert set(seen) == set(graph.tasks)
         assert all(load >= 1 for _node, load in seen.values()), seen
         assert set(platform._outstanding.values()) == {0}
+
+
+class TestExternalDataIsFetchedOnce:
+    """An external datum read on several nodes is GET from the storage
+    service once; every later copy comes from a machine holding it (the
+    network has no NIC named ``external`` to send from)."""
+
+    @staticmethod
+    def _chain_reading_external(n=6):
+        graph = JobGraph()
+        graph.add_data("x", 1 * MB, EXTERNAL)
+        graph.add_data("in", 1 * MB, "node0")
+        previous = "in"
+        for i in range(n):
+            graph.add_task(
+                TaskSpec(
+                    name=f"t{i}",
+                    fn="f",
+                    inputs=(previous, "x"),
+                    output=f"out{i}",
+                    output_size=8,
+                    compute_seconds=0.01,
+                    memory_bytes=64 * MB,
+                )
+            )
+            previous = f"out{i}"
+        return graph
+
+    @pytest.mark.parametrize(
+        "cls, kw",
+        [
+            (FixpointSim, {"locality": False, "seed": 3}),
+            (RayPlatform, {"style": "blocking", "seed": 1}),
+        ],
+        ids=["fixpoint-no-locality", "ray-blocking"],
+    )
+    def test_second_node_copies_from_a_holder(self, cls, kw):
+        platform = cls.build(nodes=3, cores=4, storage_latency=0.15, **kw)
+        graph = self._chain_reading_external()
+        ran_on = set()
+        run = platform._run
+
+        def recorded_run(task, node):
+            ran_on.add(node)
+            yield from run(task, node)
+
+        platform._run = recorded_run
+        result = platform.run(graph)
+        assert set(result.task_finish) == set(graph.tasks)
+        assert platform.storage.gets == 1
+        assert len(ran_on) > 1, ran_on
+        assert ran_on <= platform.cluster.object("x").locations
 
 
 class TestFaasm:

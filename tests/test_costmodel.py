@@ -359,7 +359,7 @@ class TestStaleness:
         assert set(job.task_finish) == {"a", "b"}
         # ...so ground truth has a replica at node1 that the job's view
         # never learned (fetch replicas are not outputs).
-        locations = platform.cluster.locate("a.out")
+        locations = platform.cluster.object("a.out").locations
         assert "node1" in locations
         assert view.where("a.out") == {"node0"}
         # Pricing a follow-up at node1 with the stale view charges the

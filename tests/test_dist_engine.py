@@ -210,7 +210,7 @@ class TestEngine:
         graph.add_data("in0", 10 * MB, "node2")
         graph.add_task(simple_task("a", ["in0"]))
         platform.run(graph)
-        assert "node2" in platform.cluster.locate("a.out")
+        assert "node2" in platform.cluster.object("a.out").locations
 
     def test_ablation_names(self):
         assert FixpointSim.build(nodes=1).name == "Fixpoint"
@@ -273,7 +273,7 @@ class TestOutputHints:
         moves."""
         platform, result, priced = self.run(monkeypatch, use_hints=True)
         assert priced == {"expand": "node1", "join": None}
-        assert platform.cluster.locate("expanded") == {"node1"}
+        assert platform.cluster.object("expanded").locations == {"node1"}
         assert result.bytes_transferred == 4 << 10
 
     def test_hints_disabled(self, monkeypatch):
@@ -281,5 +281,5 @@ class TestOutputHints:
         input and the 2 GiB intermediate crosses the network."""
         platform, result, priced = self.run(monkeypatch, use_hints=False)
         assert priced == {"expand": None, "join": None}
-        assert platform.cluster.locate("expanded") >= {"node0"}
+        assert platform.cluster.object("expanded").locations >= {"node0"}
         assert result.bytes_transferred == 2 << 30

@@ -26,8 +26,8 @@ class TestConstruction:
         graph.add_data("in", 100, "node0")
         graph.add_task(task("t", ["in"]))
         graph.validate()
-        assert graph.total_input_bytes() == 100
-        assert graph.total_compute_seconds() == 1.0
+        assert graph.data["in"].size == 100
+        assert graph.tasks["t"].compute_seconds == 1.0
 
     def test_duplicate_data_rejected(self):
         graph = JobGraph()
@@ -119,9 +119,9 @@ class TestTopology:
         }
 
     def test_producer_of(self):
-        graph = self._diamond()
-        assert graph.producer_of("b.out").name == "b"
-        assert graph.producer_of("in") is None
+        producers = self._diamond().producers()
+        assert producers["b.out"] == "b"
+        assert "in" not in producers
 
     def test_producers_cache_stays_fresh(self):
         graph = JobGraph()
@@ -129,42 +129,3 @@ class TestTopology:
         assert graph.producers() == {"a.out": "a"}
         graph.add_task(task("b"))
         assert graph.producers()["b.out"] == "b"
-
-
-class TestReadySet:
-    """ready(available) drives a dataflow loop: a task is in the set while
-    its inputs are available and its own output has not materialized."""
-
-    def _diamond(self):
-        return TestTopology._diamond(TestTopology())
-
-    def test_initial_ready_set(self):
-        graph = self._diamond()
-        assert {t.name for t in graph.ready({"in"})} == {"a"}
-
-    def test_ready_advances_as_outputs_materialize(self):
-        graph = self._diamond()
-        assert {t.name for t in graph.ready({"in", "a.out"})} == {"b", "c"}
-        assert {t.name for t in graph.ready({"in", "a.out", "b.out", "c.out"})} == {
-            "d"
-        }
-
-    def test_finished_tasks_retire(self):
-        graph = self._diamond()
-        # a's output is available, so a itself is no longer ready.
-        assert "a" not in {t.name for t in graph.ready({"in", "a.out"})}
-
-    def test_drain_to_empty(self):
-        graph = self._diamond()
-        available = {"in"}
-        executed = []
-        while True:
-            batch = [t for t in graph.ready(available)]
-            if not batch:
-                break
-            for t in batch:
-                executed.append(t.name)
-                available.add(t.output)
-        assert sorted(executed) == ["a", "b", "c", "d"]
-        order = {name: i for i, name in enumerate(executed)}
-        assert order["a"] < order["b"] and order["c"] < order["d"]

@@ -775,7 +775,7 @@ class TestFixpointSimGossip:
         assert set(result.task_finish) == {"a", "b"}
         assert not platform.view.where("a.out")
         # Ground truth has the replica; only the belief lags.
-        assert platform.cluster.locate("a.out")
+        assert platform.cluster.object("a.out").locations
 
     def test_without_gossip_behaviour_is_unchanged(self):
         """No gossip, no platform-wide view: each job snapshots the

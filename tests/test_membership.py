@@ -1578,7 +1578,7 @@ class TestEngineFailMachine:
         result = platform.run(self._graph())
         assert set(result.task_finish) == {"t"}
         # Ground truth: the output landed on a survivor.
-        locations = platform.cluster.locate("t.out")
+        locations = platform.cluster.object("t.out").locations
         assert locations and "node0" not in locations
 
     def test_fail_unknown_machine_raises(self):
@@ -1637,7 +1637,7 @@ class TestEngineFailMachine:
         assert set(result.task_finish) == {"t"}
         # The input never moved; locality places the task back on the
         # readmitted machine.
-        locations = platform.cluster.locate("t.out")
+        locations = platform.cluster.object("t.out").locations
         assert "node0" in locations
 
 

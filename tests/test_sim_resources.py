@@ -68,15 +68,17 @@ class TestResource:
     def test_peak_tracking(self):
         sim = Simulator()
         res = Resource(sim, 8)
+        held = []
 
         def user(sim):
             yield res.acquire(5)
+            held.append(res.in_use)
             yield sim.timeout(1.0)
             res.release(5)
 
         sim.process(user(sim))
         sim.run()
-        assert res.peak_in_use == 5
+        assert held == [5]
         assert res.in_use == 0
 
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=12))
@@ -107,8 +109,6 @@ class TestPipe:
         sim.run_until(all_of(sim, done))
         # Two 1-second sends through a serializing pipe: finishes at t=2.
         assert sim.now == pytest.approx(2.0)
-        assert pipe.bytes_moved == 200
-        assert pipe.busy_seconds == pytest.approx(2.0)
 
 
 class TestNetwork:
@@ -189,13 +189,6 @@ class TestStorageService:
         assert sim.now == pytest.approx(2.0)
         assert s3.gets == 4
 
-    def test_put_counts(self):
-        sim = Simulator()
-        s3 = StorageService(sim, response_latency=0.0, bandwidth=100.0)
-        sim.run_until(s3.put(1000))
-        assert s3.bytes_written == 1000
-        assert sim.now == pytest.approx(10.0)
-
 
 class TestCpuAccounting:
     def test_states_and_idle_residue(self):
@@ -253,7 +246,7 @@ class TestCluster:
         sim = Simulator()
         cluster = Cluster(sim, [MachineSpec("a"), MachineSpec("b")])
         cluster.add_object("chunk0", 100, "a")
-        assert cluster.locate("chunk0") == {"a"}
+        assert cluster.object("chunk0").locations == {"a"}
         assert cluster.bytes_missing(["chunk0"], "a") == 0
         assert cluster.bytes_missing(["chunk0"], "b") == 100
 
@@ -269,7 +262,7 @@ class TestCluster:
         cluster = Cluster(sim, [MachineSpec("a"), MachineSpec("b")])
         cluster.add_object("x", 10_000, "a")
         sim.run_until(cluster.transfer_object("x", "b"))
-        assert cluster.locate("x") == {"a", "b"}
+        assert cluster.object("x").locations == {"a", "b"}
 
     def test_transfer_to_holder_is_free(self):
         sim = Simulator()
