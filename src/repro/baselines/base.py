@@ -3,8 +3,8 @@
 A :class:`Platform` executes a :class:`~repro.dist.graph.JobGraph` on a
 :class:`~repro.sim.cluster.Cluster`: it registers the graph's initial data
 placements, runs every task as its dependencies complete (through
-:meth:`Platform._invoke_proc`, whose hooks every platform but OpenWhisk
-fills in, ``FixpointSim`` included), and reports a :class:`RunResult`
+:meth:`Platform._invoke_proc`, whose hooks every platform fills in,
+``FixpointSim`` included), and reports a :class:`RunResult`
 with the makespan and the ``/proc/stat``-style CPU breakdown.
 
 The lifecycle is split so many jobs can share one platform instance:
@@ -135,12 +135,11 @@ class Platform:
         # The client is a network endpoint (uploads, driver round trips).
         if CLIENT not in cluster.network._nics:
             cluster.network.attach(CLIENT, TCP_STREAM_BW)
-        self._task_done: Dict[str, Event] = {}
         self._job_seq = 0
         #: In-flight invocations per machine, the one load map every
         #: placement spreads by (:meth:`_choose`, ``FixpointSim``'s job
-        #: schedulers).  Only :meth:`_invoke_proc` and ``OpenWhisk``
-        #: write it: a pick counts up, and back down in ``finally``.
+        #: schedulers).  Only :meth:`_invoke_proc` writes it: a pick
+        #: counts up, and back down in ``finally``.
         self._outstanding: Dict[str, int] = dict.fromkeys(
             cluster.machine_names(), 0
         )
@@ -171,10 +170,10 @@ class Platform:
         )
 
     def _invoke_proc(self, task: TaskSpec, submitter: str, job: JobRun):
-        """Every platform's invocation but OpenWhisk's: the :meth:`_place`
-        pick counts in :attr:`_outstanding` through the message (if
-        :meth:`_dispatched`), :meth:`_stage` (no core bound) and :meth:`_run`
-        in :meth:`_reserved`; the output registers at :meth:`_home`."""
+        """Every platform's invocation: the :meth:`_place` pick counts in
+        :attr:`_outstanding` through the message (if :meth:`_dispatched`),
+        :meth:`_stage` (no core bound) and :meth:`_run` in
+        :meth:`_reserved`; the output registers at :meth:`_home`."""
         node = self._place(task, job)
         self._outstanding[node] += 1
         try:
@@ -265,12 +264,20 @@ class Platform:
         return job
 
     def run(self, graph: JobGraph, submitter: str = CLIENT) -> RunResult:
-        """Execute the whole graph; returns makespan and CPU report."""
+        """Execute the whole graph; returns makespan and CPU report, both
+        counted from this call on (a second run reports its own work)."""
+        accountant, network = self.cluster.accountant, self.cluster.network
+        busy = accountant.core_seconds()
+        moved, messages = network.bytes_transferred, network.messages
+        invocations = self.invocations
         job = self.start(graph, submitter)
         self.sim.run_until(job.done)
         makespan = self.sim.now - job.started_at
         cpu = report(
-            self.cluster.accountant,
+            {
+                state: seconds - busy[state]
+                for state, seconds in accountant.core_seconds().items()
+            },
             total_cores=self.cluster.total_cores,
             window_seconds=max(makespan, 1e-12),
         )
@@ -279,9 +286,9 @@ class Platform:
             makespan=makespan,
             cpu=cpu,
             task_finish=dict(job.task_finish),
-            bytes_transferred=self.cluster.network.bytes_transferred,
-            messages=self.cluster.network.messages,
-            invocations=self.invocations,
+            bytes_transferred=network.bytes_transferred - moved,
+            messages=network.messages - messages,
+            invocations=self.invocations - invocations,
         )
 
     # ------------------------------------------------------------------

@@ -22,8 +22,6 @@ from __future__ import annotations
 # ----------------------------------------------------------------------
 # Fig. 7a: per-invocation overheads (paper-measured)
 
-STATIC_CALL = 1.8e-9  # static C function call
-VIRTUAL_CALL = 12.2e-9  # C++ virtual call
 FIXPOINT_INVOKE = 1.46e-6  # Fixpoint codelet dispatch
 VFORK_EXEC = 449.1e-6  # Linux vfork+exec+wait of a trivial program
 PHEROMONE_INVOKE = 1.05e-3  # Pheromone client-triggered invocation

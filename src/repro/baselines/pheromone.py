@@ -31,10 +31,6 @@ class Pheromone(Platform):
 
     name = "Pheromone + MinIO"
     data_bandwidth = PHEROMONE_STREAM_BW
-    #: Pheromone cannot trigger a reduce on completion of external-data
-    #: consumers; experiment drivers must respect this (fig. 8b runs the
-    #: map phase only, as the paper did).
-    can_reduce_on_external = False
 
     def __init__(self, sim: Simulator, cluster: Cluster, **kwargs):
         super().__init__(sim, cluster, **kwargs)

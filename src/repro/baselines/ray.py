@@ -57,7 +57,7 @@ POPEN_BINARY_BYTES = 100 << 20
 class _RayDriver(Platform):
     """What every Ray row shares: one driver process submits the tasks
     serially; each then takes :meth:`Platform._invoke_proc`, the path
-    every platform but OpenWhisk shares."""
+    every platform shares."""
 
     def __init__(self, sim: Simulator, cluster: Cluster, **kwargs):
         super().__init__(sim, cluster, **kwargs)

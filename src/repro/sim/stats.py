@@ -91,10 +91,6 @@ class CpuReport:
         """The paper's "CPU waiting %" = idle + iowait (+irq, absent here)."""
         return self.iowait + self.idle
 
-    @property
-    def user_pct(self) -> float:
-        return self.user
-
     def as_row(self) -> Dict[str, float]:
         return {
             "user%": round(self.user, 1),
@@ -106,12 +102,13 @@ class CpuReport:
 
 
 def report(
-    accountant: CpuAccountant, total_cores: int, window_seconds: float
+    busy: Dict[str, float], total_cores: int, window_seconds: float
 ) -> CpuReport:
-    """Summarize cluster-wide CPU states over ``window_seconds``."""
+    """Summarize cluster-wide CPU states over ``window_seconds``, given
+    the busy core-seconds by state that fell inside it (a
+    :meth:`CpuAccountant.core_seconds`, or the difference of two)."""
     if window_seconds <= 0 or total_cores <= 0:
         raise SimulationError("report needs a positive window and core count")
-    busy = accountant.core_seconds()
     capacity = total_cores * window_seconds
     used = sum(busy.values())
     if used - capacity > 1e-6 * capacity:

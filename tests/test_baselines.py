@@ -14,7 +14,6 @@ from repro.baselines.calibration import (
     RAY_TASK_OVERHEAD,
 )
 from repro.baselines.faasm import Faasm
-from repro.baselines.kubernetes import KubeScheduler
 from repro.baselines.minio import MinIO
 from repro.baselines.openwhisk import OpenWhisk
 from repro.baselines.pheromone import Pheromone
@@ -91,31 +90,6 @@ class TestMinIO:
         assert minio.node_for("thing") == minio.node_for("thing")
 
 
-class TestKubeScheduler:
-    @staticmethod
-    def start_twice(cold):
-        """Two pods in a row on one node: (seconds each, cold starts)."""
-        sim = Simulator()
-        k8s = KubeScheduler(sim, Cluster(sim, [MachineSpec("a")]), cold)
-        sim.run_until(k8s.pod_start("a"))
-        first = sim.now
-        sim.run_until(k8s.pod_start("a"))
-        return (first, sim.now - first), k8s.cold_starts
-
-    def test_cold_and_warm_starts(self):
-        """A warm pod costs its scheduling decision only; a cold one also
-        boots, every time."""
-        warm, _starts = self.start_twice(cold=False)
-        cold, _starts = self.start_twice(cold=True)
-        assert warm == (K8S_SCHEDULE, K8S_SCHEDULE)
-        assert cold == (K8S_SCHEDULE + OW_COLD_START,) * 2
-
-    def test_per_invocation_pods(self):
-        """Cold means a fresh pod per activation; warm, none ever."""
-        assert self.start_twice(cold=True)[1] == 2
-        assert self.start_twice(cold=False)[1] == 0
-
-
 class TestOpenWhisk:
     def test_pods_place_least_loaded(self):
         """Two concurrent invocations land on distinct nodes; a third,
@@ -147,6 +121,22 @@ class TestOpenWhisk:
         assert platform.sim.run_until(platform.invoke(late, CLIENT, job)) == freed
         assert platform.sim.run_until(second) != freed
 
+    @staticmethod
+    def start_twice(cold):
+        """Seconds each of two pod starts in a row on one node."""
+        platform = OpenWhisk.build(nodes=1, cores=4, cold=cold)
+        sim = platform.sim
+        sim.run_until(sim.process(platform._pod_start("node0")))
+        first = sim.now
+        sim.run_until(sim.process(platform._pod_start("node0")))
+        return first, sim.now - first
+
+    def test_cold_and_warm_pod_starts(self):
+        """A warm pod costs its scheduling decision only; a cold one also
+        boots, every time: a fresh pod per activation."""
+        assert self.start_twice(cold=False) == (K8S_SCHEDULE, K8S_SCHEDULE)
+        assert self.start_twice(cold=True) == (K8S_SCHEDULE + OW_COLD_START,) * 2
+
     def test_single_invocation_near_measured_overhead(self):
         platform = OpenWhisk.build(nodes=1, cores=4)
         result = platform.run(one_task_graph(compute=0.0))
@@ -166,14 +156,13 @@ class TestOpenWhisk:
         assert result.cpu.iowait > result.cpu.user
 
     def test_cold_pods_pull_images_and_boot_per_activation(self):
-        """Cold: every activation boots a pod, and each node pulls each
-        function's image once; warm: neither happens."""
+        """Cold: each node pulls each function's image once (and every
+        activation boots a pod, timed above); warm: no pull happens."""
         warm = OpenWhisk.build(nodes=3, cores=4)
         warm.run(fan_out_graph())
         cold = OpenWhisk.build(nodes=3, cores=4, cold=True)
         cold.run(fan_out_graph())
-        assert (warm.k8s.cold_starts, warm._images) == (0, {})
-        assert cold.k8s.cold_starts == cold.invocations == 12
+        assert warm._images == {}
         assert set(cold._images) == {("f", f"node{i}") for i in range(3)}
 
 
@@ -263,9 +252,6 @@ class TestPheromone:
         producer_at = platform.cluster.object("bucket").locations
         consumer_at = platform.cluster.object("final").locations
         assert consumer_at <= producer_at  # ran where the bucket lives
-
-    def test_cannot_reduce_on_external(self):
-        assert Pheromone.can_reduce_on_external is False
 
     def test_external_inputs_have_no_locality(self):
         graph = JobGraph()
@@ -370,8 +356,8 @@ class TestPheromone:
 
 class TestEveryPickIsCounted:
     """``Platform._invoke_proc`` counts the machine it places on in
-    ``_outstanding`` while the task runs, for every simulated platform
-    but OpenWhisk, and every count is back to 0 when the job is done."""
+    ``_outstanding`` while the task runs, for every simulated platform,
+    and every count is back to 0 when the job is done."""
 
     @staticmethod
     def _chained_fan_out():
@@ -398,6 +384,8 @@ class TestEveryPickIsCounted:
             (RayPlatform, {"style": "cps"}),
             (RayPopenMinIO, {}),
             (Pheromone, {}),
+            (OpenWhisk, {}),
+            (OpenWhisk, {"cold": True}),
             (FixpointSim, {}),
             (FixpointSim, {"locality": False}),
             (FixpointSim, {"internal_io": True}),
@@ -409,6 +397,8 @@ class TestEveryPickIsCounted:
             "ray-cps",
             "ray-popen",
             "pheromone",
+            "openwhisk",
+            "openwhisk-cold",
             "fixpoint",
             "fixpoint-no-locality",
             "fixpoint-internal-io",
@@ -430,6 +420,37 @@ class TestEveryPickIsCounted:
         assert set(seen) == set(graph.tasks)
         assert all(load >= 1 for _node, load in seen.values()), seen
         assert set(platform._outstanding.values()) == {0}
+
+
+class TestASecondRunReportsItsOwnWork:
+    """``Platform.run`` counts core-seconds, bytes, messages and
+    invocations from its own start, so a second run on one platform fits
+    its window instead of reporting everything since t=0."""
+
+    @pytest.mark.parametrize(
+        "cls, kw",
+        [
+            (FixpointSim, {}),
+            (OpenWhisk, {}),
+            (RayPlatform, {"style": "blocking"}),
+        ],
+        ids=["fixpoint", "openwhisk", "ray-blocking"],
+    )
+    def test_second_run(self, cls, kw):
+        platform = cls.build(nodes=3, cores=4, **kw)
+        graph = fan_out_graph()
+        first = platform.run(graph)
+        second = platform.run(fan_out_graph())
+        assert first.invocations == second.invocations == len(graph.tasks)
+        cpu = second.cpu
+        total = cpu.user + cpu.system + cpu.iowait + cpu.idle
+        assert total == pytest.approx(100)
+        if cls is FixpointSim:
+            assert second.as_row() == first.as_row()
+            assert (second.bytes_transferred, second.messages) == (
+                first.bytes_transferred,
+                first.messages,
+            )
 
 
 class TestExternalDataIsFetchedOnce:

@@ -41,7 +41,6 @@ EXPECTED_MODULES = [
     "repro.baselines.base",
     "repro.baselines.calibration",
     "repro.baselines.faasm",
-    "repro.baselines.kubernetes",
     "repro.baselines.linuxproc",
     "repro.baselines.minio",
     "repro.baselines.openwhisk",

@@ -586,7 +586,7 @@ class TestSimConservation:
         done = all_of(sim, [sim.process(job(sim, n, d)) for n, d in tasks])
         sim.run_until(done)
         window = max(sim.now, 1e-9)
-        rep = report(acct, total_cores=4, window_seconds=window)
+        rep = report(acct.core_seconds(), total_cores=4, window_seconds=window)
         assert rep.user + rep.system + rep.iowait + rep.idle == pytest.approx(100)
         # Conservation: accounted busy time equals requested work exactly.
         expected = sum(n * d for n, d in tasks)

@@ -203,7 +203,7 @@ class TestCpuAccounting:
 
         sim.process(work(sim))
         sim.run()
-        rep = report(acct, total_cores=4, window_seconds=4.0)
+        rep = report(acct.core_seconds(), total_cores=4, window_seconds=4.0)
         # 6 user core-seconds, 1 iowait, capacity 16 -> 9 idle.
         assert rep.user == pytest.approx(100 * 6 / 16)
         assert rep.iowait == pytest.approx(100 * 1 / 16)
@@ -217,7 +217,7 @@ class TestCpuAccounting:
             sim.run_until(sim.timeout(2.0))
         with acct.track("node0", "iowait"):
             sim.run_until(sim.timeout(1.0))
-        rep = report(acct, total_cores=1, window_seconds=4.0)
+        rep = report(acct.core_seconds(), total_cores=1, window_seconds=4.0)
         assert rep.waiting_pct == pytest.approx(100 * (1.0 + 1.0) / 4.0)
 
     def test_overaccounting_detected(self):
@@ -226,7 +226,7 @@ class TestCpuAccounting:
         with acct.track("node0", "user", cores=100):
             sim.run_until(sim.timeout(1.0))
         with pytest.raises(SimulationError):
-            report(acct, total_cores=1, window_seconds=1.0)
+            report(acct.core_seconds(), total_cores=1, window_seconds=1.0)
 
     def test_unknown_state_rejected(self):
         sim = Simulator()
