@@ -75,21 +75,33 @@ _frame = FrameReader(GossipError)
 # Wire codec (shared with repro.fixpoint.net's GOSSIP frames)
 #
 # Each decoder reads an entry in one pass: fixed-width field groups
-# through one struct, bounds checked inline, origin and location strings
-# decoded once per frame.  An entry that pass cannot read - short,
-# not UTF-8, a bad tag or flag byte - sends the decoder to its
-# field-by-field loop from that entry on, which reads through the
-# FrameReader and refuses naming the field and the offset.
+# through one struct, bounds checked inline.  Origin and location
+# strings are encoded and decoded once per run: the delta codec keeps
+# the previous entry's origin and location with their ``[u16 len]
+# [utf-8]`` prefixes, and reuses them while they repeat, as they do
+# along one origin's run.  Along such a run of sized, bytes-named
+# entries (content keys) the decoder reads each entry through one
+# struct of the previous entry's layout, and checks what the layout
+# assumed.  An entry that pass cannot read - short, not UTF-8, a bad
+# tag or flag byte - sends the decoder to its field-by-field loop from
+# that entry on, which reads through the FrameReader and refuses
+# naming the field and the offset.
+
+
+def _caps_parts(versions: Dict[str, int]) -> List[bytes]:
+    """A digest's parts: ``[u32 count]`` then per origin, sorted:
+    ``[u16 len][origin][u64 cap]``."""
+    parts = [_COUNT.pack(len(versions))]
+    for origin in sorted(versions):
+        raw = origin.encode("utf-8")
+        parts.append(_LEN.pack(len(raw)) + raw + _U64.pack(versions[origin]))
+    return parts
 
 
 def pack_digest(digest: Digest) -> bytes:
     """``[u32 count]`` then per origin, sorted:
     ``[u16 len][origin][u64 cap]``."""
-    parts = [_COUNT.pack(len(digest.versions))]
-    for origin in sorted(digest.versions):
-        raw = origin.encode("utf-8")
-        parts.append(_LEN.pack(len(raw)) + raw + _U64.pack(digest.versions[origin]))
-    return b"".join(parts)
+    return b"".join(_caps_parts(digest.versions))
 
 
 def _cap_by_fields(raw: bytes, offset: int) -> Tuple[str, int, int]:
@@ -127,7 +139,12 @@ def pack_delta(delta: Delta) -> bytes:
     """``[digest of the caps][u32 count]`` then per entry ``[u16 len]
     [origin][u64 version][u8 name tag: 0 str, 1 bytes][u16 len][name]
     [u16 len][location][u8 0]`` or ``...[u8 1][u64 size]``."""
-    parts = [pack_digest(Digest(delta.versions)), _COUNT.pack(len(delta.entries))]
+    parts = _caps_parts(delta.versions)
+    parts.append(_COUNT.pack(len(delta.entries)))
+    extend, stamp, sized = parts.extend, _STAMP.pack, _SIZED.pack
+    # The previous entry's origin and location and their ``[u16 len]
+    # [utf-8]``: encoded again only where a run of either ends.
+    last_origin = last_location = None
     for origin, version, name, location, size in delta.entries:
         if isinstance(name, bytes):
             tag, name_raw = _NAME_BYTES, name
@@ -138,18 +155,24 @@ def pack_delta(delta: Delta) -> bytes:
                 f"cannot serialize object name of type {type(name).__name__!r} "
                 "(wire gossip carries str or bytes names)"
             )
-        origin_raw = origin.encode("utf-8")
-        location_raw = location.encode("utf-8")
-        parts.append(
-            _LEN.pack(len(origin_raw))
-            + origin_raw
-            + _STAMP.pack(version, tag, len(name_raw))
-            + name_raw
-            + _LEN.pack(len(location_raw))
-            + location_raw
-            + (_SIZELESS if size is None else _SIZED.pack(_HAS_SIZE, size))
-        )
+        if origin != last_origin:
+            last_origin, origin_raw = origin, _prefixed(origin)
+        if location != last_location:
+            last_location, location_raw = location, _prefixed(location)
+        extend((
+            origin_raw,
+            stamp(version, tag, len(name_raw)),
+            name_raw,
+            location_raw,
+            _SIZELESS if size is None else sized(_HAS_SIZE, size),
+        ))
     return b"".join(parts)
+
+
+def _prefixed(text: str) -> bytes:
+    """``[u16 len][utf-8]``: an origin or a location as a delta carries it."""
+    raw = text.encode("utf-8")
+    return _LEN.pack(len(raw)) + raw
 
 
 def _entry_by_fields(raw: bytes, offset: int) -> Tuple[Entry, int]:
@@ -179,57 +202,104 @@ def unpack_delta(raw: bytes, offset: int = 0) -> Tuple[Delta, int]:
     caps, offset = unpack_digest(raw, offset)
     count, offset = _frame.unpack(_COUNT, raw, offset, "entry count")
     end = len(raw)
-    texts: Dict[bytes, str] = {}  # origin and location bytes -> str
+    startswith = raw.startswith
+    stamp_from, u64_from = _STAMP.unpack_from, _U64.unpack_from
+    # The previous entry's origin and location: ``[u16 len][utf-8]`` as
+    # read, its length and the string it decoded to.  The empty
+    # string's prefix starts them: bytes that repeat it are the empty
+    # string.
+    origin_raw = location_raw = _prefixed("")
+    origin_len = location_len = len(origin_raw)
+    origin = location = ""
+    # The previous entry's whole layout when it was sized with a bytes
+    # name - origin, stamp, name, location, flag and size through one
+    # struct - and its name's length.  An entry that fits it and
+    # repeats the prefixes, tag, length and flag is read in one call.
+    whole: Optional[struct.Struct] = None
+    name_len = 0
     entries: List[Entry] = []
     append = entries.append
     for _ in range(count):
-        at = offset + 2
-        if at > end:
-            break
-        stamp = at + _LEN.unpack_from(raw, offset)[0]
+        if whole is not None and offset + whole.size <= end:
+            at_origin, version, tag, length, name, at_location, flag, size = (
+                whole.unpack_from(raw, offset)
+            )
+            if (
+                at_origin == origin_raw
+                and at_location == location_raw
+                and length == name_len
+                and tag == _NAME_BYTES
+                and flag == _HAS_SIZE
+            ):
+                append((origin, version, name, location, size))
+                offset += whole.size
+                continue
+        if startswith(origin_raw, offset):
+            stamp = offset + origin_len
+        else:
+            at = offset + 2
+            if at > end:
+                break
+            stamp = at + _LEN.unpack_from(raw, offset)[0]
+            if stamp > end:
+                break
+            try:
+                origin = raw[at:stamp].decode("utf-8")
+            except UnicodeDecodeError:
+                break
+            origin_raw = raw[offset:stamp]
+            origin_len = stamp - offset
         name_at = stamp + 11
         if name_at > end:
             break
-        version, tag, length = _STAMP.unpack_from(raw, stamp)
+        version, tag, length = stamp_from(raw, stamp)
         name_end = name_at + length
-        if name_end + 2 > end:
-            break
-        location_at = name_end + 2
-        flag_at = location_at + _LEN.unpack_from(raw, name_end)[0]
+        if startswith(location_raw, name_end):
+            flag_at = name_end + location_len
+        else:
+            location_at = name_end + 2
+            if location_at > end:
+                break
+            flag_at = location_at + _LEN.unpack_from(raw, name_end)[0]
+            if flag_at > end:
+                break
+            try:
+                location = raw[location_at:flag_at].decode("utf-8")
+            except UnicodeDecodeError:
+                break
+            location_raw = raw[name_end:flag_at]
+            location_len = flag_at - name_end
         if flag_at >= end:
             break
         flag = raw[flag_at]
         if flag == _NO_SIZE:
             size, next_at = None, flag_at + 1
         elif flag == _HAS_SIZE and flag_at + 9 <= end:
-            size, next_at = _U64.unpack_from(raw, flag_at + 1)[0], flag_at + 9
+            size, next_at = u64_from(raw, flag_at + 1)[0], flag_at + 9
         else:
             break
-        try:
-            if tag == _NAME_BYTES:
-                name = raw[name_at:name_end]
-            elif tag == _NAME_STR:
+        if tag == _NAME_BYTES:
+            name = raw[name_at:name_end]
+            if size is not None:
+                name_len = length
+                whole = struct.Struct(
+                    f"<{origin_len}sQBH{length}s{location_len}sBQ"
+                )
+        elif tag == _NAME_STR:
+            try:
                 name = raw[name_at:name_end].decode("utf-8")
-            else:
+            except UnicodeDecodeError:
                 break
-            key = raw[at:stamp]
-            origin = texts.get(key)
-            if origin is None:
-                origin = texts[key] = key.decode("utf-8")
-            key = raw[location_at:flag_at]
-            location = texts.get(key)
-            if location is None:
-                location = texts[key] = key.decode("utf-8")
-        except UnicodeDecodeError:
+        else:
             break
         append((origin, version, name, location, size))
         offset = next_at
     else:
-        return Delta(tuple(entries), dict(caps.versions)), offset
+        return Delta(tuple(entries), caps.versions), offset
     for _ in range(len(entries), count):
         entry, offset = _entry_by_fields(raw, offset)
         append(entry)
-    return Delta(tuple(entries), dict(caps.versions)), offset
+    return Delta(tuple(entries), caps.versions), offset
 
 
 # ----------------------------------------------------------------------

@@ -90,6 +90,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
@@ -151,8 +152,10 @@ def _caps_wire_bytes(versions: Dict[str, int]) -> int:
 #: travels with the entry through any number of merge hops.
 Entry = Tuple[str, int, Hashable, str, Optional[int]]
 
-#: ``bisect`` key: the version of a log row ``(version, name, ...)``.
-_VERSION = itemgetter(0)
+#: ``bisect`` key: the version of a log row, which is an :data:`Entry`.
+_VERSION = itemgetter(1)
+#: ``groupby`` key: the origin of an :data:`Entry` (a merge's runs).
+_ORIGIN = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -280,12 +283,15 @@ class ObjectView:
         #: peer digest is a binary search plus a tail slice - and the
         #: only record of who asserted which (name, location), so a
         #: retraction reads it rather than a second index that could
-        #: disagree with what deltas ship.
+        #: disagree with what deltas ship.  Rows are wire entries: the
+        #: :data:`Entry` a merge received is the row it keeps, and the
+        #: row is what a delta ships onward.  :meth:`_record` is the
+        #: log's one writer, a run of one origin's entries at a time.
         self._vector: Dict[str, int] = {}
         #: ``_vector`` as :meth:`digest` last handed it out; ``None``
         #: once ``_vector`` has moved since.
         self._digest: Optional[Digest] = None
-        self._log: Dict[str, List[Tuple[int, Hashable, str, Optional[int]]]] = {}
+        self._log: Dict[str, List[Entry]] = {}
         #: Tombstoned locations (membership-confirmed dead): beliefs
         #: about them are purged and can never be re-learned.
         self._evicted: Set[str] = set()
@@ -302,7 +308,15 @@ class ObjectView:
     def learn(
         self, name: Hashable, location: str, size: Optional[int] = None
     ) -> None:
-        """Record that ``location`` holds a replica of ``name``.
+        """Record that ``location`` holds a replica of ``name``: a run of
+        one for :meth:`learn_many`."""
+        self.learn_many(location, ((name, size),))
+
+    def learn_many(
+        self, location: str, pairs: Iterable[Tuple[Hashable, Optional[int]]]
+    ) -> None:
+        """Record that ``location`` holds each ``(name, size)`` replica,
+        in order, under one lock.
 
         The forward map, the per-location count and the sizes advance
         together.  Genuinely *new* information (a new replica belief,
@@ -310,20 +324,28 @@ class ObjectView:
         next version so anti-entropy can forward exactly it; re-learning
         what is already believed stamps nothing and logs nothing -
         repeat observations stay free on the gossip wire and in memory.
+        The stamps are one run of this view's origin, the same as one
+        :meth:`learn` per pair would make.
         """
         with self._lock:
             if location in self._evicted:
                 return  # tombstoned: the location is gone, not stale
-            size_is_news = size is not None and self._sizes.get(name) != size
-            is_new = self._add(name, location)
-            if size is not None:
-                self._sizes[name] = size
-            if not (is_new or size_is_news):
+            origin = self._origin
+            version = self._vector.get(origin, 0)
+            sizes = self._sizes
+            rows: List[Entry] = []
+            for name, size in pairs:
+                size_is_news = size is not None and sizes.get(name) != size
+                if self._add(name, location) or size_is_news:
+                    version += 1
+                    rows.append((origin, version, name, location, size))
+                if size is not None:
+                    sizes[name] = size
+            if not rows:
                 return
             if self._clock is not None:
                 self.last_advance = self._clock()
-            self._record(self._origin, self._vector.get(self._origin, 0) + 1,
-                         name, location, size)
+            self._record(origin, rows)
 
     def _add(self, name: Hashable, location: str) -> bool:
         """Believe ``location`` holds ``name``; whether that is a new
@@ -355,23 +377,21 @@ class ObjectView:
             if not held[1]:
                 del self._sets[old]
 
-    def _record(
-        self,
-        origin: str,
-        version: int,
-        name: Hashable,
-        location: str,
-        size: Optional[int],
-    ) -> None:
-        """Append one stamped entry to the log (lock held by caller).
-
-        Versions only ever grow past the current cap (learn increments
-        it, merge skips covered versions), so per-origin logs stay
-        ascending by construction.
+    def _record(self, origin: str, rows: List[Entry]) -> None:
+        """Append a run of ``origin``'s entries to its log and move its
+        cap to the last one (lock held by caller).  The log's one
+        writer: ``rows`` is non-empty, the caller's own list, and
+        ascending past the current cap (learns stamp the next versions,
+        a merge skips covered ones), so per-origin logs stay ascending
+        by construction.
         """
-        self._vector[origin] = max(self._vector.get(origin, 0), version)
+        log = self._log.get(origin)
+        if log is None:
+            self._log[origin] = rows
+        else:
+            log.extend(rows)
+        self._vector[origin] = rows[-1][1]
         self._digest = None
-        self._log.setdefault(origin, []).append((version, name, location, size))
 
     def forget(self, name: Hashable, location: str) -> None:
         """Retract the belief that ``location`` holds ``name``.
@@ -408,11 +428,11 @@ class ObjectView:
             for origin, log in self._log.items():
                 if origin in self._own_origins:
                     self._log[origin] = [
-                        e for e in log if e[1] != name or e[2] != location
+                        e for e in log if e[2] != name or e[3] != location
                     ]
                 elif not corroborated:
                     corroborated = any(
-                        e[1] == name and e[2] == location for e in log
+                        e[2] == name and e[3] == location for e in log
                     )
             if corroborated:
                 return  # the belief outlives the rollback of our own say
@@ -456,7 +476,7 @@ class ObjectView:
                 locations = self._locations[name]
                 self._hold(name, locations, locations - {location})
             for origin, log in self._log.items():
-                kept = [entry for entry in log if entry[2] != location]
+                kept = [entry for entry in log if entry[3] != location]
                 if len(kept) != len(log):
                     self._log[origin] = kept
             return purged
@@ -512,18 +532,18 @@ class ObjectView:
                 return 0
             self.epoch = epoch
             self._origin = f"{self.node}#{epoch}"
-            self._own_origins.add(self._origin)
-            restamped = 0
-            for name in sorted(self._names_at(self.node), key=repr):
-                self._record(
-                    self._origin,
-                    self._vector.get(self._origin, 0) + 1,
-                    name,
-                    self.node,
-                    self._sizes.get(name),
+            origin = self._origin
+            self._own_origins.add(origin)
+            start = self._vector.get(origin, 0) + 1
+            rows = [
+                (origin, version, name, self.node, self._sizes.get(name))
+                for version, name in enumerate(
+                    sorted(self._names_at(self.node), key=repr), start
                 )
-                restamped += 1
-            return restamped
+            ]
+            if rows:
+                self._record(origin, rows)
+            return len(rows)
 
     def is_evicted(self, location: str) -> bool:
         with self._lock:
@@ -609,9 +629,15 @@ class ObjectView:
 
     def refresh_local(self, cluster: "Cluster") -> None:
         """Learn this node's own holdings (a node always knows its disk)."""
-        for name, info in cluster.objects.items():
-            if self.node in info.locations:
-                self.learn(name, self.node, info.size)
+        node = self.node
+        self.learn_many(
+            node,
+            (
+                (name, info.size)
+                for name, info in cluster.objects.items()
+                if node in info.locations
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Anti-entropy: digest, delta, merge
@@ -639,8 +665,10 @@ class ObjectView:
         is read, which is what makes converged handshakes ~free.
         Otherwise only the origins this view is *ahead* on are visited:
         per-origin logs are ascending, so the uncovered tail is a binary
-        search plus a slice.  Entries forwarded keep their original
-        origin stamp, so a third party can tell what it already covers.
+        search plus a slice.  Rows are wire entries, so each tail is
+        copied whole, nothing re-tupled, and entries forwarded keep
+        their original origin stamp, so a third party can tell what it
+        already covers.
         """
         with self._lock:
             if digest.versions == self._vector:
@@ -655,43 +683,58 @@ class ObjectView:
             entries: List[Entry] = []
             for origin in sorted(caps):
                 log = self._log.get(origin, ())
-                tail = bisect_right(log, covered(origin, 0), key=_VERSION)
-                for version, name, location, size in log[tail:]:
-                    entries.append((origin, version, name, location, size))
+                entries.extend(
+                    log[bisect_right(log, covered(origin, 0), key=_VERSION):]
+                )
             return Delta(tuple(entries), caps)
 
     def merge_delta(self, delta: Delta) -> int:
         """Apply a peer's delta; returns how many entries were news.
 
+        Applied a run at a time: each maximal run of one origin's
+        entries is checked entry by entry and logged in one
+        :meth:`_record` call, and the received tuple is the row kept.
         Idempotent by version: an entry whose stamp is already covered
-        is skipped, so replayed/overlapping deltas (concurrent gossip
-        rounds) cannot double-apply.  Accepted entries are re-logged
-        under their *original* origin, which is what lets this view
-        serve them onward - the transitive spread gossip relies on.
-        Finally the version caps advance coverage even across entries
-        the sender had forgotten (gaps ship no tombstone).  An empty
-        delta is nothing to apply and returns without taking the lock.
+        - by the caps or by an entry applied earlier in the run - is
+        skipped, so replayed/overlapping deltas (concurrent gossip
+        rounds) cannot double-apply, in whatever order they list an
+        origin's versions.  Accepted entries are re-logged under their
+        *original* origin, which is what lets this view serve them
+        onward - the transitive spread gossip relies on.  Finally the
+        version caps advance coverage even across entries the sender
+        had forgotten (gaps ship no tombstone); the kept digest is
+        dropped only if the vector moved.  An empty delta is nothing to
+        apply and returns without taking the lock.
         """
         if delta.is_empty:
             return 0
         with self._lock:
+            vector, evicted, sizes = self._vector, self._evicted, self._sizes
+            add = self._add
             applied = 0
-            for origin, version, name, location, size in delta.entries:
-                if version <= self._vector.get(origin, 0):
-                    continue  # already covered: idempotence
-                if location in self._evicted:
-                    # Tombstone shadows the entry: drop the belief but
-                    # let the caps below advance coverage past it, so
-                    # the sender never re-offers it either.
-                    continue
-                self._add(name, location)
-                if size is not None:
-                    self._sizes[name] = size
-                self._record(origin, version, name, location, size)
-                applied += 1
+            for origin, run in groupby(delta.entries, _ORIGIN):
+                top = vector.get(origin, 0)
+                rows: List[Entry] = []
+                for entry in run:
+                    _origin, version, name, location, size = entry
+                    if version <= top:
+                        continue  # already covered: idempotence
+                    if location in evicted:
+                        # Tombstone shadows the entry: drop the belief but
+                        # let the caps below advance coverage past it, so
+                        # the sender never re-offers it either.
+                        continue
+                    add(name, location)
+                    if size is not None:
+                        sizes[name] = size
+                    rows.append(entry)
+                    top = version
+                if rows:
+                    self._record(origin, rows)
+                    applied += len(rows)
             for origin, top in delta.versions.items():
-                if top > self._vector.get(origin, 0):
-                    self._vector[origin] = top
+                if top > vector.get(origin, 0):
+                    vector[origin] = top
                     self._digest = None
             if applied and self._clock is not None:
                 self.last_advance = self._clock()

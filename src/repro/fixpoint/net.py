@@ -1021,16 +1021,17 @@ class FixpointNode:
 
         The store is asked for what it ranked above a watermark, so a
         converged handshake visits nothing and learns nothing, and k
-        puts cost k visits.  ``learn`` drops what the view already
-        believes.  When the view retracted a belief about this node or
-        lifted its eviction gate (``own_retractions`` moved), a stored
-        datum below the watermark may no longer be believed, so the
-        scan restarts from rank -1: the whole store, once."""
+        puts cost k visits.  One ``learn_many`` call stamps them, a
+        run of this node's origin, and stamps nothing for what the view
+        already believes.  When the view retracted a belief about this
+        node or lifted its eviction gate (``own_retractions`` moved), a
+        stored datum below the watermark may no longer be believed, so
+        the scan restarts from rank -1: the whole store, once."""
         rank, retractions = self._refreshed
         seen = self.view.own_retractions
         news, top = self.repo.sizes_after(rank if seen == retractions else -1)
-        for key, size in news:
-            self.view.learn(key, self.name, size)
+        if news:
+            self.view.learn_many(self.name, news)
         self._refreshed = (top, seen)
         return len(news)
 

@@ -2,7 +2,8 @@
 
 ``unpack_digest``, ``unpack_delta`` and ``unpack_members`` read a
 well-formed entry in one pass (combined structs, inline bounds, origin
-and location strings decoded once per frame) and fall back to reading
+and location strings decoded once per run, a run of sized bytes-named
+entries read an entry per struct call) and fall back to reading
 field by field only for an entry that pass refuses.  The reference here
 is the codec they replaced, kept as it was: every field read through
 the :class:`~repro.core.errors.FrameReader`, ``_pack_name`` /
@@ -302,7 +303,7 @@ SHIPPED = {
 
 # ----------------------------------------------------------------------
 # Values: non-ASCII nodes, node#epoch origins, str and bytes names,
-# sizeless entries, 0-64 entries
+# sizeless entries, runs of one origin and location, 0-64 entries
 
 NODES = st.one_of(
     st.sampled_from(["n0", "n1", "n10", "nö", "节点", "Ω", ""]),
@@ -317,6 +318,15 @@ U64 = st.one_of(st.integers(0, 300), st.integers(0, (1 << 64) - 1))
 NAMES = st.one_of(st.text(max_size=6), st.binary(max_size=12))
 ENTRIES = st.lists(
     st.tuples(ORIGINS, U64, NAMES, NODES, st.none() | U64), max_size=64
+) | st.lists(  # runs: repeated origins and locations, one name length
+    st.tuples(
+        st.sampled_from(["n0", "n1"]),
+        U64,
+        st.binary(min_size=2, max_size=2),
+        st.sampled_from(["n0", "n1"]),
+        st.none() | U64,
+    ),
+    max_size=64,
 )
 DIGESTS = st.dictionaries(ORIGINS, U64, max_size=64).map(Digest)
 DELTAS = st.builds(
@@ -328,16 +338,21 @@ MEMBERS = st.dictionaries(
     max_size=64,
 ).map(lambda rows: [Member(node, *row) for node, row in rows.items()])
 
-#: One value that trips each mutant below: locations that share a first
-#: byte, a sized entry (its flag byte substituted), and enough fields
+#: One value that trips each mutant below: a run of one origin read
+#: whole after its first entry, then origins and locations of one
+#: length but other bytes (what a reused prefix or layout must tell
+#: apart), a sized entry (its flag byte substituted), and enough fields
 #: that an off-by-one read reads something else.
 RICH_DELTA = Delta(
     (
         ("n0", 1, b"\x07" * 32, "n1", 7),
-        ("n0#2", 2, "str-name", "n10", None),
-        ("nö", 3, "", "n1", 1 << 40),
+        ("n0", 2, b"\x08" * 32, "n1", 1 << 40),
+        ("n0", 3, b"\x09" * 32, "n2", 5),
+        ("n0", 4, "str-name", "n2", None),
+        ("n1", 3, "", "n10", 1 << 40),
+        ("nö#2", 2, b"", "n1", None),
     ),
-    {"n0": 1, "n0#2": 2, "nö": 3},
+    {"n0": 4, "n1": 3, "nö#2": 2},
 )
 RICH_DIGEST = Digest({"n0": 1, "n0#2": 2, "节点": 9})
 RICH_MEMBERS = [
@@ -381,17 +396,16 @@ CODEC_MUTANTS = {
     "stamp_read_off_by_one": dict(
         old="name_at = stamp + 11", new="name_at = stamp + 10"
     ),
-    # Locations memoised by their first byte: "n1" then "n10" reads "n1".
-    "memo_keyed_on_first_byte": dict(
-        old="key = raw[location_at:flag_at]\n"
-        "            location = texts.get(key)\n"
-        "            if location is None:\n"
-        "                location = texts[key] = key.decode(\"utf-8\")",
-        new="key = raw[location_at:location_at + 1]\n"
-        "            location = texts.get(key)\n"
-        "            if location is None:\n"
-        "                location = texts[key] = "
-        "raw[location_at:flag_at].decode(\"utf-8\")",
+    # The previous location reused when only its length bytes repeat:
+    # "n1" then "n2" reads "n1".
+    "memo_keyed_on_length": dict(
+        old="if startswith(location_raw, name_end):",
+        new="if startswith(location_raw[:2], name_end):",
+    ),
+    # An entry that fits the previous layout read whole whatever its
+    # location: "n1" then "n2" reads "n1".
+    "layout_ignores_location": dict(
+        old="and at_location == location_raw\n", new=""
     ),
     # Any flag byte but 1 reads as sizeless.
     "size_flag_unchecked": dict(

@@ -22,6 +22,7 @@ import functools
 import importlib.util
 import math
 import random
+import struct
 import sys
 import threading
 import tracemalloc
@@ -59,12 +60,14 @@ from repro.dist.membership import DEAD, Member, pack_members
 from repro.dist.objectview import (
     EMPTY_DELTA,
     EMPTY_DIGEST,
+    Delta,
     Digest,
     ObjectView,
     _node_wire_weight,
 )
 from repro.fixpoint import net
 from repro.fixpoint.net import FixpointNode, NetworkError, NodeDirectory
+from test_codec_oracle import DELTAS, RICH_DELTA, mutant
 
 MB = 1 << 20
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -1283,9 +1286,10 @@ class _MirroredView(_SetPerName):
         super().__init__(*args, **kwargs)
         self._stamps = {}
 
-    def _record(self, origin, version, name, location, size):
-        super()._record(origin, version, name, location, size)
-        self._stamps.setdefault((name, location), []).append((origin, version))
+    def _record(self, origin, rows):
+        super()._record(origin, rows)
+        for _origin, version, name, location, _size in rows:
+            self._stamps.setdefault((name, location), []).append((origin, version))
 
     def forget(self, name, location):
         with self._lock:
@@ -1297,7 +1301,7 @@ class _MirroredView(_SetPerName):
             for origin, versions in own.items():
                 log = self._log.get(origin)
                 if log:
-                    self._log[origin] = [e for e in log if e[0] not in versions]
+                    self._log[origin] = [e for e in log if e[1] not in versions]
             foreign = [s for s in stamps if s[0] not in self._own_origins]
             if foreign:
                 self._stamps[(name, location)] = foreign
@@ -1322,7 +1326,7 @@ class _MirroredView(_SetPerName):
                     if not locations:
                         del self._locations[name]
             for origin, log in self._log.items():
-                self._log[origin] = [e for e in log if e[2] != location]
+                self._log[origin] = [e for e in log if e[3] != location]
             for key in [k for k in self._stamps if k[1] == location]:
                 del self._stamps[key]
             return purged
@@ -1753,6 +1757,244 @@ class TestTheLogIsBoundedByBeliefs:
             b.close()
 
 
+# ----------------------------------------------------------------------
+# A run is its entries: merges, learns and packs a run at a time
+
+
+def merge_entry_by_entry(view, delta):
+    """``merge_delta`` as it was, one entry at a time, kept as the
+    reference: each entry checked against the vector as it stands,
+    then logged, the vector moved and the digest dropped."""
+    if delta.is_empty:
+        return 0
+    with view._lock:
+        applied = 0
+        for entry in delta.entries:
+            origin, version, name, location, size = entry
+            if version <= view._vector.get(origin, 0):
+                continue
+            if location in view._evicted:
+                continue
+            view._add(name, location)
+            if size is not None:
+                view._sizes[name] = size
+            view._vector[origin] = max(view._vector.get(origin, 0), version)
+            view._digest = None
+            view._log.setdefault(origin, []).append(entry)
+            applied += 1
+        for origin, top in delta.versions.items():
+            if top > view._vector.get(origin, 0):
+                view._vector[origin] = top
+                view._digest = None
+        if applied and view._clock is not None:
+            view.last_advance = view._clock()
+        return applied
+
+
+def learn_one_by_one(view, location, pairs):
+    """``learn`` as it was, called per pair in order: the reference
+    for ``learn_many``."""
+    for name, size in pairs:
+        with view._lock:
+            if location in view._evicted:
+                continue
+            size_is_news = size is not None and view._sizes.get(name) != size
+            is_new = view._add(name, location)
+            if size is not None:
+                view._sizes[name] = size
+            if not (is_new or size_is_news):
+                continue
+            if view._clock is not None:
+                view.last_advance = view._clock()
+            origin = view._origin
+            version = view._vector.get(origin, 0) + 1
+            view._vector[origin] = version
+            view._digest = None
+            view._log.setdefault(origin, []).append(
+                (origin, version, name, location, size)
+            )
+
+
+def pack_delta_field_by_field(delta):
+    """``pack_delta`` as it was, kept as the field-writes reference:
+    every field of every entry encoded and written in turn."""
+    parts = [pack_digest(Digest(delta.versions)), struct.pack("<I", len(delta.entries))]
+    for origin, version, name, location, size in delta.entries:
+        tag, name_raw = (1, name) if isinstance(name, bytes) else (0, name.encode())
+        origin_raw, location_raw = origin.encode(), location.encode()
+        parts += [
+            struct.pack("<H", len(origin_raw)), origin_raw,
+            struct.pack("<Q", version),
+            struct.pack("<B", tag), struct.pack("<H", len(name_raw)), name_raw,
+            struct.pack("<H", len(location_raw)), location_raw,
+            struct.pack("<B", 0) if size is None else struct.pack("<BQ", 1, size),
+        ]
+    return b"".join(parts)
+
+
+RUN_ORIGINS = ("a", "b", "a#2")
+_RUN_WHERE = st.sampled_from(("a", "b", "d"))
+_RUN_SIZE = st.sampled_from((None, 1, 2))
+#: Small pools, so runs break and resume (non-contiguous origins),
+#: versions repeat and fall within an origin, and a pair the receiver
+#: believes comes back with another size.
+RUN_DELTAS = st.builds(
+    Delta,
+    st.lists(
+        st.tuples(
+            st.sampled_from(RUN_ORIGINS), st.integers(1, 6), _NAME, _RUN_WHERE,
+            _RUN_SIZE,
+        ),
+        max_size=12,
+    ).map(tuple),
+    st.dictionaries(st.sampled_from(RUN_ORIGINS), st.integers(0, 8), max_size=3),
+)
+RUN_LEARNS = st.lists(st.tuples(_NAME, _RUN_SIZE), max_size=8)
+RUN_PRIORS = st.lists(st.tuples(_NAME, _RUN_WHERE, _RUN_SIZE), max_size=6)
+RUN_EVICTED = st.sampled_from((None, "b", "d"))
+
+
+def _receiver(prior, before, evicted):
+    """A view ``r`` that learned ``prior``, merged ``before`` (by the
+    reference) and, unless ``evicted`` is None, tombstoned it."""
+    view = ObjectView("r", clock=lambda: 1.0)
+    for name, location, size in prior:
+        learn_one_by_one(view, location, [(name, size)])
+    merge_entry_by_entry(view, before)
+    if evicted is not None:
+        view.evict(evicted)
+    return view
+
+
+def _observed(view, step):
+    """``step(view)``, then what it returned, whether it kept the
+    digest, and the view as the oracles compare it."""
+    digest = view.digest()
+    returned = step(view)
+    return returned, view.digest() is digest, view.last_advance, view_fingerprint(view)
+
+
+def check_merge(prior, before, evicted, delta, merge=ObjectView.merge_delta):
+    """``merge`` against the per-entry loop on twin receivers: once,
+    then replayed (a replay applies nothing and keeps the digest)."""
+    ours, theirs = (_receiver(prior, before, evicted) for _ in range(2))
+    for _ in range(2):
+        assert _observed(ours, lambda v: merge(v, delta)) == _observed(
+            theirs, lambda v: merge_entry_by_entry(v, delta)
+        )
+
+
+def check_learn_many(prior, evicted, location, pairs, learn_many=ObjectView.learn_many):
+    """``learn_many`` against one ``learn`` per pair, in order."""
+    ours, theirs = (_receiver(prior, EMPTY_DELTA, evicted) for _ in range(2))
+    assert _observed(ours, lambda v: learn_many(v, location, pairs)) == _observed(
+        theirs, lambda v: learn_one_by_one(v, location, pairs)
+    )
+
+
+#: A receiver and a delta that trip each merge mutant: ``a``'s run
+#: breaks and resumes, falls from 3 to 2, re-sizes a believed pair and
+#: carries an entry about the tombstoned ``d``; the caps move nothing.
+MERGE_CASE = (
+    [("x", "a", 1)],
+    Delta((("b", 1, "y", "b", None),), {"b": 1}),
+    "d",
+    Delta(
+        (
+            ("a", 3, "x", "a", 2),
+            ("a", 2, "z", "a", None),
+            ("b", 2, "z", "b", 1),
+            ("a", 4, b"k", "d", 1),
+            ("a", 5, "y", "a", None),
+        ),
+        {"a": 5, "b": 1},
+    ),
+)
+MERGE_MUTANTS = {
+    # Coverage read at the run's start only: 2 after 3 is applied too.
+    "covered_at_run_start": ("top = version", "pass"),
+    # The kept digest dropped by every merge that carries caps, a
+    # replay's included.
+    "digest_always_dropped": (
+        "for origin, top in delta.versions.items():",
+        "for origin, top in delta.versions.items():\n"
+        "            self._digest = None",
+    ),
+    # An entry the tombstone shadows still counted as news.
+    "shadowed_counted": (
+        "re-offers it either.\n",
+        "re-offers it either.\n                    applied += 1\n",
+    ),
+}
+#: A receiver and a run for ``learn_many``: a re-size, a repeat, a
+#: sizeless belief later sized, and more than one news to stamp.
+LEARN_CASE = (
+    [("x", "a", 1)],
+    "d",
+    "a",
+    [("x", 2), ("y", None), ("y", 1), ("x", 2), ("z", 1)],
+)
+
+
+class TestARunIsItsEntries:
+    """The bulk path works a run at a time - ``merge_delta`` one run
+    per origin, ``learn_many`` one run of own stamps, ``pack_delta``
+    one prefix per run of an origin or a location - and each equals
+    the per-entry code it replaced, kept here as the reference."""
+
+    @given(RUN_PRIORS, RUN_DELTAS, RUN_EVICTED, RUN_DELTAS)
+    @settings(max_examples=200, deadline=None)
+    def test_a_merge_is_its_entries(self, prior, before, evicted, delta):
+        check_merge(prior, before, evicted, delta)
+
+    def test_the_listed_cases(self):
+        prior, before, evicted, delta = MERGE_CASE
+        check_merge(*MERGE_CASE)
+        check_merge(prior, before, evicted, Delta((), {"a": 9}))  # caps only
+        view = _receiver(prior, before, evicted)
+        assert view.merge_delta(delta) == 3  # a3, b2, a5: a2 and a4 skipped
+        assert view.where("x") == {"a"} and view.believed_size("x") == 2
+        assert not view.knows(b"k", "d")
+        assert [e[1] for e in view._log["a"]] == [3, 5]
+
+    @pytest.mark.parametrize("name", sorted(MERGE_MUTANTS))
+    def test_the_merge_oracle_catches_a_mutant(self, name):
+        merge = mutant(ObjectView.merge_delta, *MERGE_MUTANTS[name])
+        with pytest.raises(AssertionError):
+            check_merge(*MERGE_CASE, merge=merge)
+
+    @given(RUN_PRIORS, RUN_EVICTED, _RUN_WHERE, RUN_LEARNS)
+    @settings(max_examples=200, deadline=None)
+    def test_learn_many_is_a_learn_per_pair(self, prior, evicted, location, pairs):
+        check_learn_many(prior, evicted, location, pairs)
+
+    def test_the_learn_oracle_catches_one_stamp_per_run(self):
+        check_learn_many(*LEARN_CASE)
+        prior, evicted, _location, pairs = LEARN_CASE
+        check_learn_many(prior, evicted, evicted, pairs)  # learns nothing
+        learn_many = mutant(
+            ObjectView.learn_many,
+            "version += 1",
+            "version = self._vector.get(origin, 0) + 1",
+        )
+        with pytest.raises(AssertionError):
+            check_learn_many(*LEARN_CASE, learn_many=learn_many)
+
+    @given(DELTAS)
+    @settings(max_examples=100, deadline=None)
+    def test_a_packed_delta_is_its_field_writes(self, delta):
+        assert pack_delta(delta) == pack_delta_field_by_field(delta)
+
+    def test_the_pack_oracle_catches_a_prefix_kept_by_length(self):
+        assert pack_delta(RICH_DELTA) == pack_delta_field_by_field(RICH_DELTA)
+        packed = mutant(
+            pack_delta,
+            "if location != last_location:",
+            "if last_location is None or len(location) != len(last_location):",
+        )
+        assert packed(RICH_DELTA) != pack_delta_field_by_field(RICH_DELTA)
+
+
 def _count_calls(monkeypatch, owner, name, calls, tag=lambda args: None):
     real = getattr(owner, name)
 
@@ -1761,6 +2003,20 @@ def _count_calls(monkeypatch, owner, name, calls, tag=lambda args: None):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
+
+
+def _count_learned(monkeypatch, calls):
+    """Count the pairs each view is handed to learn (``learn`` is a
+    ``learn_many`` of one pair)."""
+    real = ObjectView.learn_many
+
+    def counted(view, location, pairs):
+        pairs = list(pairs)
+        if pairs:
+            calls["learned", view.node] += len(pairs)
+        return real(view, location, pairs)
+
+    monkeypatch.setattr(ObjectView, "learn_many", counted)
 
 
 def blob_or_tree():
@@ -1793,9 +2049,7 @@ class TestARefreshCostsItsNews:
         _count_calls(monkeypatch, core_handle, "blob_digest", calls)
         _count_calls(monkeypatch, core_data, "tree_digest", calls)
         _count_calls(monkeypatch, Repository, "handles", calls)
-        _count_calls(
-            monkeypatch, ObjectView, "learn", calls, tag=lambda args: args[0].node
-        )
+        _count_learned(monkeypatch, calls)
         for _ in range(3):
             traffic = a.gossip_with("beta")
             assert (traffic.entries_sent, traffic.entries_received) == (0, 0)
@@ -1808,7 +2062,7 @@ class TestARefreshCostsItsNews:
         assert calls.pop(("blob_digest", None)) == len(fresh)  # the puts
         traffic = a.gossip_with("beta")
         assert traffic.entries_sent == len(fresh)
-        assert calls == {("learn", "alpha"): len(fresh)}
+        assert calls == {("learned", "alpha"): len(fresh)}
         calls.clear()
         b.gossip_with("alpha")
         assert not calls
