@@ -433,12 +433,6 @@ class _TrackedLock:
     def __exit__(self, *exc) -> None:
         self.release()
 
-    def locked(self) -> bool:
-        locked = getattr(self._inner, "locked", None)
-        if locked is not None:
-            return locked()
-        return self._is_owned()
-
     # -- the Condition integration protocol ----------------------------
 
     def _is_owned(self) -> bool:

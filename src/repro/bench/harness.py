@@ -5,7 +5,7 @@ Every experiment module exposes ``run(scale=1.0) -> ExperimentResult``.
 benches finish quickly; ``scale=1.0`` is the paper's configuration.
 
 Results print as aligned tables with a paper-reported column, and the
-shape helpers (:func:`ordering_holds`, :func:`factor_within`) implement
+shape helpers (:func:`ordering_holds`, :func:`factor`) implement
 the reproduction's acceptance criterion: *who wins, by roughly what
 factor, where crossovers fall* - never absolute equality.
 """
@@ -102,18 +102,6 @@ def factor(result: ExperimentResult, column: str, slow: str, fast: str) -> float
     if denominator == 0:
         return float("inf")
     return result.value(slow, column) / denominator
-
-
-def factor_within(
-    result: ExperimentResult,
-    column: str,
-    slow: str,
-    fast: str,
-    low: float,
-    high: float,
-) -> bool:
-    """True when slow/fast lies in [low, high] - a factor *band*."""
-    return low <= factor(result, column, slow, fast) <= high
 
 
 def relative_error(measured: float, reported: float) -> float:

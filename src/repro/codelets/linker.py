@@ -105,11 +105,6 @@ class Linker:
                 self.links += 1
         return winner
 
-    def prelink(self, handles) -> None:
-        """Ahead-of-time link a batch of codelets (off the critical path)."""
-        for handle in handles:
-            self.link(handle)
-
     def cache_size(self) -> int:
         with self._lock:
             return len(self._cache)

@@ -19,10 +19,9 @@ Validation happens ahead of time, once per codelet content: the
 toolchain and the linker both take their verdict from
 :func:`~repro.codelets.toolchain.admit`, which runs
 :func:`validate_source` on a ``(name, source)`` it has not admitted
-before and never remembers a refusal.  ``Toolchain.recompile_check``
-re-runs the validator explicitly.  Nothing is checked on the invocation
-hot path, mirroring how Fixpoint jumps directly to a codelet's entry
-point.
+before and never remembers a refusal.  Nothing is checked on the
+invocation hot path, mirroring how Fixpoint jumps directly to a
+codelet's entry point.
 """
 
 from __future__ import annotations

@@ -84,10 +84,6 @@ class CodeletImage:
         return cls(name=name, source=source)
 
 
-def is_codelet_blob(raw: bytes) -> bool:
-    return raw.startswith(MAGIC)
-
-
 class Toolchain:
     """Compiles codelet source into content-addressed codelet blobs."""
 
@@ -107,18 +103,3 @@ class Toolchain:
     def compile_many(self, sources: dict[str, str]) -> dict[str, Handle]:
         """Compile a mapping of name -> source; returns name -> handle."""
         return {name: self.compile(src, name) for name, src in sources.items()}
-
-    def recompile_check(self, handle: Handle) -> CodeletImage:
-        """Re-validate an existing codelet blob (defense in depth).
-
-        An explicit re-validation: it runs the validator itself rather
-        than reading :func:`admit`'s remembered verdict."""
-        raw = self.repo.get_blob(handle).data
-        image = CodeletImage.unpack(raw)
-        try:
-            validate_source(image.source, source_name=image.name)
-        except SandboxError as exc:
-            raise SandboxError(
-                f"stored codelet {image.name!r} failed re-validation: {exc}"
-            ) from exc
-        return image

@@ -16,8 +16,7 @@ Thunk's handle graph:
 
 A function may not change its own minimum repository, but it can create
 child Thunks that grow it (by including an Encode) or shrink it (by
-dropping entries) - the grow/shrink rules are checked by
-:func:`check_derivation`.
+dropping entries).
 """
 
 from __future__ import annotations
@@ -122,25 +121,3 @@ def transitive_footprint(repo: Repository, handle: Handle) -> Footprint:
                 queue.append(encode)
     total = sum(repo.held_sizes(data).values())
     return Footprint(frozenset(data), frozenset(pending), total)
-
-
-def check_derivation(
-    repo: Repository,
-    parent: Footprint,
-    child: Handle,
-    created: FrozenSet[bytes] = frozenset(),
-) -> bool:
-    """Validate the grow/shrink rules for a child Thunk.
-
-    Every datum in the child's minimum repository must come from the
-    parent's repository, from data the parent created (``created``), or be
-    the (future) result of an Encode the child includes.  Returns True when
-    the derivation is legal.
-    """
-    child_fp = footprint(repo, child)
-    allowed = set(parent.data) | set(created)
-    if child.thunk_style is not ThunkStyle.NONE:
-        # The describing Tree of the child thunk is necessarily new data
-        # the parent just built; it is always legal.
-        allowed.add(child.definition().content_key())
-    return child_fp.data <= allowed

@@ -116,11 +116,6 @@ class Selection:
     start: int
     end: Optional[int]
 
-    @property
-    def is_range(self) -> bool:
-        return self.end is not None
-
-
 def make_selection(repo: Repository, target: Handle, index: int) -> Handle:
     """A Selection thunk extracting ``target[index]``."""
     tree = repo.put_tree([target, pack_index(index)])

@@ -216,8 +216,3 @@ class JobGraph:
             )
             finish[task.name] = start + task.compute_seconds
             yield task, start, finish[task.name]
-
-    def critical_path_seconds(self) -> float:
-        """Longest chain of compute time through the graph: the last
-        finish in :meth:`schedule` (the makespan floor)."""
-        return max((finish for _, _, finish in self.schedule()), default=0.0)

@@ -174,9 +174,6 @@ class Digest:
         default=None, init=False, repr=False, compare=False
     )
 
-    def covers(self, origin: str, version: int) -> bool:
-        return version <= self.versions.get(origin, 0)
-
     def wire_bytes(self) -> int:
         """``len(pack_digest(self))`` (the codec is in repro.dist.gossip)
         without running it.  Computed on the first call and kept with

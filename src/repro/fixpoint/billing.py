@@ -22,7 +22,7 @@ pay-for-results eats it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..core.errors import FixError
@@ -115,32 +115,3 @@ def job_bill(
     if model == "effort":
         return sum(bill_effort(m).total for m in meters)
     raise BillingError(f"unknown billing model {model!r}")
-
-
-def placement_immunity_ratio(
-    good_wall: float, bad_wall: float, meter: InvocationMeter
-) -> tuple[float, float]:
-    """How each model's charge changes when placement goes bad.
-
-    Returns (effort_ratio, results_ratio): the pay-for-effort bill scales
-    with the wall-clock blow-up, the pay-for-results bill genuinely does
-    not - and both ratios are *computed* from the two bills, so the
-    immunity claim is measured, never assumed.  A zero/zero charge (a
-    meter with no billable work under a model) ratios to 1.0: the charge
-    did not change; a zero-to-nonzero blow-up is infinite.
-    """
-    if good_wall <= 0:
-        raise BillingError("good placement wall time must be positive")
-    if bad_wall < 0:
-        raise BillingError("bad placement wall time cannot be negative")
-
-    def ratio(bad: float, good: float) -> float:
-        if good:
-            return bad / good
-        return float("inf") if bad else 1.0
-
-    good_effort = bill_effort(replace(meter, wall_seconds=good_wall)).total
-    bad_effort = bill_effort(replace(meter, wall_seconds=bad_wall)).total
-    good_results = bill_results(replace(meter, wall_seconds=good_wall)).total
-    bad_results = bill_results(replace(meter, wall_seconds=bad_wall)).total
-    return (ratio(bad_effort, good_effort), ratio(bad_results, good_results))

@@ -28,20 +28,19 @@ reply has been absorbed, so while work is in flight every
 cost model's tiebreak (believed bytes first, then load, then name)
 actually spread equal-priced work across peers - the property the
 paper's placement policy presumes, and the same overlap of in-flight
-remote work that Nexus-style I/O offloading wins come from.  Fan-out
-helpers build on it: :meth:`FixpointNode.scatter` quotes and dispatches
-a batch without waiting, :meth:`FixpointNode.eval_many` overlaps remote
-delegations with local evaluation and gathers results in order.  The
-blocking :meth:`FixpointNode.delegate` is dispatch-plus-wait.
+remote work that Nexus-style I/O offloading wins come from.
+:meth:`FixpointNode.scatter` builds on it: it quotes and dispatches a
+batch without waiting.  The blocking :meth:`FixpointNode.delegate` is
+dispatch-plus-wait.
 
-Placement (:meth:`FixpointNode.delegate_best` /
-:meth:`FixpointNode.eval_anywhere`) resolves through the same
-:mod:`repro.dist.costmodel` the simulated
+Placement (``quote_best``, ``delegate_best``, ``scatter`` and
+``retry_elsewhere``, all through one :meth:`FixpointNode._place`)
+resolves through the same :mod:`repro.dist.costmodel` the simulated
 :class:`~repro.dist.scheduler.DataflowScheduler` uses: peers are priced
 by the believed missing *bytes* of the footprint (not handle counts),
 genuine ties spread by in-flight delegation load, then break by name.
-Local evaluation is preferred whenever it is cheapest (a complete local
-footprint prices at zero, and no remote quote can beat zero).
+Placement always picks a peer; work whose footprint is complete here is
+the caller's to run on :attr:`FixpointNode.runtime`.
 
 Channels are in-memory here (the transport is pluggable), but every byte
 crossing them really is serialized and reparsed - the wire format is
@@ -123,7 +122,7 @@ from ..analysis.sync import (
     TrackedRLock,
     note_blocking,
 )
-from ..core.errors import FixError, FrameReader, MissingObjectError
+from ..core.errors import FixError, FrameReader
 from ..core.handle import HANDLE_BYTES, Handle
 from ..core.minrepo import Footprint, transitive_footprint
 from ..core.serialize import decode_bundle, encode_bundle
@@ -1448,11 +1447,8 @@ class FixpointNode:
         return sorted(names)
 
     def _place(
-        self,
-        encode: Handle,
-        candidates: Optional[List[str]] = None,
-        prefer_local: bool = False,
-    ) -> Tuple[Footprint, Optional[Quote]]:
+        self, encode: Handle, candidates: Optional[List[str]] = None
+    ) -> Tuple[Footprint, Quote]:
         """The one placement step every entry point below shares:
         footprint, what of it is held here, candidates, then a price for
         every candidate through the shared cost model.
@@ -1460,12 +1456,8 @@ class FixpointNode:
         The local sizes are read per quote, by the footprint's own keys
         (``Repository.held_sizes``): a quote costs its footprint, not
         the store, so all a batch lists once is ``candidates`` (a reply
-        absorbed mid-batch can only un-strand a key or keep newly local
-        work local).  ``prefer_local`` returns no quote when the
-        footprint is complete here: that prices at zero bytes moved and
-        no remote quote can beat zero.  (A node cannot *pull* data, so
-        an incomplete local footprint is never a candidate.)  The
-        footprint is returned so the dispatch does not walk it again.
+        absorbed mid-batch can only un-strand a key).  The footprint is
+        returned so the dispatch does not walk it again.
 
         Sizes are authoritative for locally-held data and believed (from
         the inventory gossip) otherwise; a key whose size nobody ever
@@ -1486,13 +1478,9 @@ class FixpointNode:
         """
         fp = transitive_footprint(self.repo, encode)
         local = self.repo.held_sizes(fp.data)
-        if prefer_local and fp.data <= local.keys():
-            return fp, None
         if candidates is None:
             candidates = self._candidates()
         if not candidates:
-            if prefer_local:
-                raise MissingObjectError(encode, self.name)
             raise NetworkError(f"{self.name}: no peers to delegate to")
         dead = self.membership.dead_nodes()
         with self._m_quote.time():
@@ -1533,15 +1521,6 @@ class FixpointNode:
         fp, quote = self._place(encode)
         return self._dispatch(quote.candidate, encode, fp).result()
 
-    def eval_anywhere(self, encode: Handle) -> Handle:
-        """Evaluate here when everything is resident (nothing remote
-        beats zero bytes moved); otherwise on the peer the shared cost
-        model prices cheapest."""
-        fp, quote = self._place(encode, prefer_local=True)
-        if quote is None:
-            return self.runtime.eval(encode)
-        return self._dispatch(quote.candidate, encode, fp).result()
-
     # ------------------------------------------------------------------
     # Fan-out: many delegations in flight at once
 
@@ -1560,36 +1539,6 @@ class FixpointNode:
             fp, quote = self._place(encode, candidates)
             futures.append(self._dispatch(quote.candidate, encode, fp))
         return futures
-
-    def eval_many(self, encodes: Sequence[Handle]) -> List[Handle]:
-        """Evaluate a batch, overlapping remote work with local work.
-
-        Per-encode placement follows :meth:`eval_anywhere`: a complete
-        local footprint runs here, anything else is dispatched
-        asynchronously to the cheapest peer.  All remote dispatches
-        happen *first*, so their wire time and peer-side evaluation
-        overlap the local evaluations that follow; results return in
-        input order.  The first failed delegation raises.  As in
-        :meth:`scatter`, candidates are listed once; a reply absorbed
-        mid-batch can only keep newly local work local.
-        """
-        remote: List[Tuple[int, Delegation]] = []
-        local_work: List[Tuple[int, Handle]] = []
-        results: Dict[int, Handle] = {}
-        candidates = self._candidates()
-        for index, encode in enumerate(encodes):
-            fp, quote = self._place(encode, candidates, prefer_local=True)
-            if quote is None:
-                local_work.append((index, encode))
-            else:
-                remote.append(
-                    (index, self._dispatch(quote.candidate, encode, fp))
-                )
-        for index, encode in local_work:
-            results[index] = self.runtime.eval(encode)
-        for index, future in remote:
-            results[index] = future.result()
-        return [results[index] for index in range(len(encodes))]
 
     def retry_elsewhere(self, failed: Delegation) -> Delegation:
         """Re-quote and re-dispatch a failed delegation on the survivors.

@@ -247,11 +247,6 @@ class Fixpoint:
         """
         return dict(self.repo.sizes_after(-1)[0])
 
-    def eval_blob(self, handle: Handle) -> bytes:
-        """Evaluate and return the resulting Blob's payload."""
-        result = self.eval(handle)
-        return self.repo.get_blob(result).data
-
     def invoke(
         self,
         function: Handle,

@@ -311,21 +311,6 @@ class Histogram(_Family):
             series = self._series.get(self._key(labels))
             return series.sum if series is not None else 0.0
 
-    def quantile(self, q: float, **labels: object) -> float:
-        """Bucket-resolution quantile: the upper bound of the bucket the
-        q-th observation falls in (+Inf collapses to the last bound)."""
-        with self._lock:
-            series = self._series.get(self._key(labels))
-            if series is None or series.count == 0:
-                return 0.0
-            target = q * series.count
-            seen = 0
-            for index, count in enumerate(series.counts):
-                seen += count
-                if seen >= target and count:
-                    return self.buckets[min(index, len(self.buckets) - 1)]
-            return self.buckets[-1]
-
     def reset(self) -> None:
         with self._lock:
             self._series.clear()

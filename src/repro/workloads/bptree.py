@@ -17,7 +17,6 @@ verified against this real implementation by instrumented traversal.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -88,13 +87,6 @@ class BPTree:
     def levels(self) -> int:
         """Nodes on a root-to-leaf path (the paper's Table 2 ``d``)."""
         return self.depth + 1
-
-
-def required_depth(key_count: int, arity: int) -> int:
-    """Levels-below-root needed so every node has at most ``arity`` children."""
-    if key_count <= arity:
-        return 0
-    return math.ceil(math.log(key_count, arity)) - 1
 
 
 def build_bptree(

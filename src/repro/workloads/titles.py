@@ -37,9 +37,3 @@ def make_titles(count: int, seed: int = 7) -> List[bytes]:
             title = f"{qualifier}_{topic}_{rng.randrange(10**11):011d}"
         titles.add(title.encode("ascii"))
     return sorted(titles)[:count]
-
-
-def mean_length(titles: List[bytes]) -> float:
-    if not titles:
-        return 0.0
-    return sum(len(t) for t in titles) / len(titles)

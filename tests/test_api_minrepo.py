@@ -11,7 +11,7 @@ from repro.core.errors import AccessError, ResourceLimitError
 from repro.core.handle import Handle
 from repro.core.limits import ResourceLimits
 from repro.core import minrepo
-from repro.core.minrepo import check_derivation, footprint, transitive_footprint
+from repro.core.minrepo import footprint, transitive_footprint
 from repro.core.thunks import make_application, make_identification, strict
 
 
@@ -176,23 +176,6 @@ class TestFootprint:
         big = footprint(repo, outer)
         assert small.is_subset_of(big)
         assert not big.is_subset_of(small)
-
-    def test_check_derivation(self, repo):
-        a = repo.put_blob(b"a" * 64)
-        b = repo.put_blob(b"b" * 64)
-        fn = repo.put_blob(b"f" * 64)
-        parent_tree = repo.put_tree([a, fn])
-        parent_fp = footprint(repo, parent_tree)
-        # Child using only parent data: legal.
-        child_ok = make_application(repo, fn, [a])
-        assert check_derivation(repo, parent_fp, child_ok)
-        # Child smuggling unrelated data: illegal.
-        child_bad = make_application(repo, fn, [b])
-        assert not check_derivation(repo, parent_fp, child_bad)
-        # ...unless the parent created it.
-        created = frozenset({b.content_key()})
-        assert check_derivation(repo, parent_fp, child_bad, created=created)
-
 
 def _closure(repo, handle):
     """``transitive_footprint``'s data and pending, by set unions."""

@@ -13,7 +13,6 @@ from repro.bench.__main__ import main as bench_main
 from repro.bench.harness import (
     ExperimentResult,
     factor,
-    factor_within,
     ordering_holds,
     relative_error,
 )
@@ -44,8 +43,6 @@ class TestHarness:
 
     def test_factor(self, sample):
         assert factor(sample, "time_s", "slow", "fast") == 10.0
-        assert factor_within(sample, "time_s", "slow", "fast", 5, 20)
-        assert not factor_within(sample, "time_s", "slow", "fast", 11, 20)
 
     def test_relative_error(self):
         assert relative_error(11.0, 10.0) == pytest.approx(0.1)

@@ -16,7 +16,6 @@ from repro.codelets.toolchain import (
     CodeletImage,
     Toolchain,
     admit,
-    is_codelet_blob,
 )
 from repro.core.errors import (
     CodeletError,
@@ -132,7 +131,6 @@ class TestToolchain:
         toolchain = Toolchain(repo)
         handle = toolchain.compile(VALID, "ident")
         raw = repo.get_blob(handle).data
-        assert is_codelet_blob(raw)
         image = CodeletImage.unpack(raw)
         assert image.name == "ident"
         assert image.source == VALID
@@ -148,11 +146,6 @@ class TestToolchain:
         with pytest.raises(SandboxError):
             toolchain.compile("import os\n" + VALID, "evil")
         assert len(repo) == before
-
-    def test_recompile_check(self, repo):
-        toolchain = Toolchain(repo)
-        handle = toolchain.compile(VALID, "ident")
-        assert toolchain.recompile_check(handle).name == "ident"
 
     def test_unpack_rejects_non_codelet(self):
         with pytest.raises(NotAFunctionError):
@@ -273,13 +266,6 @@ class TestLinker:
         assert linker.link(handle) is linked[0]
         assert linker.links == 1
         assert linker.cache_size() == 1
-
-    def test_prelink(self, repo):
-        toolchain = Toolchain(repo)
-        linker = Linker(repo)
-        handles = [toolchain.compile(src, name) for name, src in SOURCES.items()]
-        linker.prelink(handles)
-        assert linker.cache_size() == len(SOURCES)
 
     def test_no_state_leaks_between_invocations(self, fixpoint):
         # A codelet that tries to accumulate across calls via a module
@@ -472,10 +458,3 @@ class TestToolchainRunsOncePerContent:
         mutate(monkeypatch)
         with pytest.raises(AssertionError):
             guard()
-
-    def test_recompile_check_still_runs_the_validator(self, repo, monkeypatch):
-        toolchain = Toolchain(repo)
-        handle = toolchain.compile(VALID, "ident")
-        calls = count_validations(monkeypatch)
-        toolchain.recompile_check(handle)
-        assert calls == ["ident"]

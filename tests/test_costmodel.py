@@ -440,9 +440,9 @@ class TestOnePolicyBothRuntimes:
         # Same winner AND the same believed price, down to the byte.
         assert placement.machine == net_quote.candidate == "beta"
         assert placement.predicted_move_bytes == net_quote.move_bytes
-        # The choice is real: eval_anywhere delegates to that machine
+        # The choice is real: delegate_best delegates to that machine
         # and the evaluation succeeds there.
-        result = alpha.eval_anywhere(encode)
+        result = alpha.delegate_best(encode)
         assert beta.delegations_served == 1
         assert gamma.delegations_served == 0
         payload = alpha.repo.get_blob(result).data

@@ -3,6 +3,8 @@ billing, signed results, and Asyncify continuation capture."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.attestation import (
@@ -34,7 +36,6 @@ from repro.fixpoint.billing import (
     bill_effort,
     bill_results,
     job_bill,
-    placement_immunity_ratio,
 )
 from repro.fixpoint.runtime import Fixpoint
 from repro.flatware.asyncify import compile_io_program, run_io_program
@@ -200,32 +201,27 @@ class TestBilling:
             InvocationMeter(-1, 0, 0, 0, 0)
 
     def test_placement_immunity_ratio_is_computed(self):
-        """The results ratio is measured from the two bills (it used to
-        be hardcoded 1.0): effort scales with the blow-up, results is
-        genuinely wall-free, so the computed ratio comes out 1.0."""
-        effort_ratio, results_ratio = placement_immunity_ratio(
-            good_wall=0.6, bad_wall=6.0, meter=self.METER
+        """The same invocation placed well (0.6 s) and badly (6 s): the
+        effort bill scales with the wall-clock blow-up, the results bill
+        does not move - both measured from the bills themselves."""
+        good = replace(self.METER, wall_seconds=0.6)
+        bad = replace(self.METER, wall_seconds=6.0)
+        assert bill_effort(bad).total == pytest.approx(
+            10.0 * bill_effort(good).total
         )
-        assert effort_ratio == pytest.approx(10.0)
-        assert results_ratio == pytest.approx(1.0)
+        assert bill_results(bad) == bill_results(good)
 
     def test_immunity_ratio_zero_compute_meter(self):
-        """A meter with no billable work ratios 1.0/1.0 (a 0 -> 0 charge
-        did not change), instead of dividing by zero."""
-        nothing = InvocationMeter(0, 0, 0.0, 0, 0.0)
-        effort_ratio, results_ratio = placement_immunity_ratio(
-            good_wall=1.0, bad_wall=10.0, meter=nothing
-        )
-        assert effort_ratio == 1.0
-        assert results_ratio == 1.0
-        assert bill_results(nothing).total == 0.0
-        assert bill_effort(nothing).total == 0.0
+        """A meter with no billable work bills nothing under either
+        model, however long placement made it wait."""
+        for wall in (1.0, 10.0):
+            nothing = InvocationMeter(0, 0, 0.0, 0, wall)
+            assert bill_results(nothing).total == 0.0
+            assert bill_effort(nothing).total == 0.0
 
     def test_immunity_ratio_rejects_bad_walls(self):
         with pytest.raises(BillingError):
-            placement_immunity_ratio(0.0, 1.0, self.METER)
-        with pytest.raises(BillingError):
-            placement_immunity_ratio(1.0, -1.0, self.METER)
+            replace(self.METER, wall_seconds=-1.0)
 
     def test_discount_clamped_exactly_at_cap(self):
         """Past the cap, the discount is exactly MAX_DEADLINE_DISCOUNT of

@@ -343,45 +343,6 @@ class TestCrossedDelegationsSettle:
             assert beta.outstanding["alpha"] == 0
 
 
-class TestEvalMany:
-    def test_results_in_input_order_mixing_local_and_remote(self):
-        alpha = FixpointNode("alpha")
-        beta = FixpointNode("beta")
-        # A codelet only beta holds: those encodes must delegate.
-        fn = beta.runtime.compile(FAT_INC_SOURCE, "fat-inc")
-        alpha.connect(beta)
-        remote = fat_encode(alpha, fn, 9)
-        local_a = add_encode(alpha, 2, 3)
-        local_b = add_encode(alpha, 30, 12)
-        results = alpha.eval_many([local_a, remote, local_b])
-        values = [blob_int(alpha.repo.get_blob(r).data) for r in results]
-        assert values == [5, 10, 42]
-        assert alpha.delegations_sent == 1  # only the remote one shipped
-
-    def test_all_local_never_delegates(self):
-        alpha = FixpointNode("alpha")
-        beta = FixpointNode("beta")
-        alpha.connect(beta)
-        results = alpha.eval_many(
-            [add_encode(alpha, 1, 1), add_encode(alpha, 2, 2)]
-        )
-        assert [blob_int(alpha.repo.get_blob(r).data) for r in results] == [
-            2, 4,
-        ]
-        assert alpha.delegations_sent == 0
-
-    def test_no_peers_and_incomplete_footprint_raises(self):
-        from repro.core.errors import MissingObjectError
-
-        alpha = FixpointNode("alpha")
-        beta = FixpointNode("beta")
-        fn = beta.runtime.compile(FAT_INC_SOURCE, "fat-inc")
-        # Never connected: alpha knows the handle but holds nothing.
-        encode = fat_encode(alpha, fn, 1)
-        with pytest.raises(MissingObjectError):
-            alpha.eval_many([encode])
-
-
 class TestErrorFrames:
     def test_remote_eval_failure_crosses_the_wire(self):
         alpha = FixpointNode("alpha")

@@ -99,12 +99,8 @@ class TestDelegation:
 
 
 class TestEvalAnywhere:
-    def test_local_when_possible(self, pair):
-        a, _ = pair
-        encode = add_encode(a, 2, 3)
-        result = a.eval_anywhere(encode)
-        assert blob_int(a.repo.get_blob(result).data) == 5
-        assert a.delegations_sent == 0  # everything was local
+    """Work runs where its data is: ``delegate_best`` sends it to the
+    peer the cost model prices cheapest."""
 
     def test_follows_the_data(self):
         """The function's code lives on beta: alpha sends the job there."""
@@ -127,7 +123,7 @@ class TestEvalAnywhere:
         # Alpha builds the invocation against beta's code handle.
         thunk = make_application(a.repo, fn, [x, y])
         # Alpha cannot run it: the codelet blob is not local.
-        result = a.eval_anywhere(thunk.wrap_strict())
+        result = a.delegate_best(thunk.wrap_strict())
         assert blob_int(a.repo.get_blob(result).data) == 56
         assert a.delegations_sent == 1
 
@@ -136,8 +132,8 @@ class TestEvalAnywhere:
         a.connect(b)
         b.connect(c)
         encode = add_encode(b, 10, 20)
-        # b can serve both ends.
-        assert blob_int(b.repo.get_blob(b.eval_anywhere(encode)).data) == 30
+        # b holds the whole footprint: its own runtime evaluates it.
+        assert blob_int(b.repo.get_blob(b.runtime.eval(encode)).data) == 30
 
     def test_cold_peer_never_beats_warm_peer(self):
         """Regression: the old greedy scorer started at -1, so a peer
@@ -150,7 +146,7 @@ class TestEvalAnywhere:
         alpha.connect(warm)
         arg = alpha.repo.put_blob(int_blob(41))
         encode = make_application(alpha.repo, fn, [arg]).wrap_strict()
-        result = alpha.eval_anywhere(encode)
+        result = alpha.delegate_best(encode)
         assert blob_int(alpha.repo.get_blob(result).data) == 42
         assert warm.delegations_served == 1
         assert cold.delegations_served == 0
@@ -181,7 +177,7 @@ class TestEvalAnywhere:
         # The bait: "many" overlaps the footprint on more *objects*...
         quote = alpha.quote_best(encode)
         assert quote.candidate == "big"  # ...but fewer *bytes*
-        result = alpha.eval_anywhere(encode)
+        result = alpha.delegate_best(encode)
         assert big.delegations_served == 1
         assert many.delegations_served == 0
         total = int.from_bytes(alpha.repo.get_blob(result).data, "little")
@@ -236,7 +232,7 @@ class TestEvalAnywhere:
         # delegation would strand there.
         quote = alpha.quote_best(encode)
         assert quote.candidate == "gamma"
-        result = alpha.eval_anywhere(encode)
+        result = alpha.delegate_best(encode)
         assert gamma.delegations_served == 1
         assert beta.delegations_served == 0
         total = int.from_bytes(alpha.repo.get_blob(result).data, "little")
@@ -275,22 +271,11 @@ class TestEvalAnywhere:
         # a dead end and must be filtered out.
         quote = alpha.quote_best(encode)
         assert quote.candidate == "gamma"
-        result = alpha.eval_anywhere(encode)
+        result = alpha.delegate_best(encode)
         assert gamma.delegations_served == 1
         assert beta.delegations_served == 0
         total = int.from_bytes(alpha.repo.get_blob(result).data, "little")
         assert total == 40 + 2048
-
-    def test_local_preferred_even_when_a_peer_is_also_free(self):
-        """Prefer local when cheapest: a peer believed to hold the whole
-        footprint (price zero, like local) must not steal the job."""
-        a = FixpointNode("alpha")
-        b = FixpointNode("beta")
-        encode = add_encode(a, 2, 3)
-        a.connect(b)  # b holds the same stdlib: its price is zero too
-        result = a.eval_anywhere(encode)
-        assert blob_int(a.repo.get_blob(result).data) == 5
-        assert a.delegations_sent == 0
 
 
 class TestAQuoteReadsBeliefsForUnheldKeysOnly:

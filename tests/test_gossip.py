@@ -37,7 +37,7 @@ from repro.codelets.stdlib import blob_int, int_blob
 from repro.core import data as core_data
 from repro.core import handle as core_handle
 from repro.core import storage as core_storage
-from repro.core.errors import FixError, MissingObjectError
+from repro.core.errors import FixError
 from repro.core.gc import RecomputeIndex, collect
 from repro.core.minrepo import Footprint, footprint, transitive_footprint
 from repro.core.storage import Repository
@@ -101,8 +101,6 @@ class TestDigestDelta:
         view.learn("y", "m2", 20)
         digest = view.digest()
         assert digest.versions == {"a": 2}
-        assert digest.covers("a", 2)
-        assert not digest.covers("a", 3)
 
     def test_relearning_stamps_nothing(self):
         """Repeat observations are free on the gossip wire."""
@@ -2143,15 +2141,11 @@ def reference_footprint(repo, handle):
     return Footprint(frozenset(data), frozenset(pending), total)
 
 
-def price_like_the_parent(node, encode, fp, local, candidates, prefer_local):
+def price_like_the_parent(node, fp, local, candidates):
     """``FixpointNode._place`` as it was, from ``local`` on."""
-    if prefer_local and fp.data <= local.keys():
-        return fp, None
     if candidates is None:
         candidates = node._candidates()
     if not candidates:
-        if prefer_local:
-            raise MissingObjectError(encode, node.name)
         raise NetworkError(f"{node.name}: no peers to delegate to")
     dead = node.membership.dead_nodes()
     needs = [
@@ -2171,13 +2165,11 @@ def price_like_the_parent(node, encode, fp, local, candidates, prefer_local):
     )
 
 
-def reference_place(node, encode, candidates=None, prefer_local=False):
+def reference_place(node, encode, candidates=None):
     """The whole store re-hashed into a holdings dict for every quote."""
     fp = reference_footprint(node.repo, encode)
     local = {h.content_key(): h.byte_size() for h in node.repo.handles()}
-    return price_like_the_parent(
-        node, encode, fp, local, candidates, prefer_local
-    )
+    return price_like_the_parent(node, fp, local, candidates)
 
 
 REFERENCE_QUOTE = (
@@ -2244,13 +2236,25 @@ class _QuoteTwin(_Twin):
         node, encode = self.nodes[a], self.encode(a, *spec)
         return net.transitive_footprint(node.repo, encode), node.quote_best(encode)
 
+    def op_strand(self, a, x, small, big):
+        """A footprint split across holders: ``a`` and ``x`` store
+        ``big``, only the third node stores ``small``, and ``a`` has
+        heard so.  ``x`` is cheaper by bytes but stranded: ``a`` cannot
+        ship ``small`` to it."""
+        (y,) = set(self.NAMES) - {a, x}
+        held = self.store(y, core_data.Blob(small))
+        for name in (a, x):
+            self.store(name, core_data.Blob(big))
+        self.meet(a, x)
+        self.meet(a, y)
+        node = self.nodes[a]
+        args = [node.repo.put_blob(big), held]
+        encode = make_application(node.repo, self.twice, args).wrap_strict()
+        return net.transitive_footprint(node.repo, encode), node.quote_best(encode)
+
     def op_delegate_best(self, a, payload, *spec):
         encode = self.encode(a, payload, *spec)
         return self.checked(a, payload, self.nodes[a].delegate_best(encode))
-
-    def op_eval_anywhere(self, a, payload, *spec):
-        encode = self.encode(a, payload, *spec)
-        return self.checked(a, payload, self.nodes[a].eval_anywhere(encode))
 
     def op_scatter(self, a, batch):
         """Every peer's ``eval`` waits until ``scatter`` has returned:
@@ -2287,16 +2291,6 @@ class _QuoteTwin(_Twin):
                     outcomes.append((future.peer, type(exc).__name__))
         return outcomes
 
-    def op_eval_many(self, a, here, there, also_here):
-        """Two locally complete encodes around one that is not: a single
-        dispatch, so no quote depends on when a reply lands."""
-        batch = [(here,), there, (also_here,)]
-        results = self.nodes[a].eval_many([self.encode(a, *s) for s in batch])
-        return [
-            self.checked(a, payload, result)
-            for (payload, *_rest), result in zip(batch, results)
-        ]
-
     def fingerprint(self):
         """Beliefs and bytes.  Not ``_Twin``'s log order: after a
         scatter the hub absorbs its peers' replies in whichever order
@@ -2315,8 +2309,9 @@ class _QuoteTwin(_Twin):
 
 def quote_soup(seed, length=50):
     """A seeded script over every placement entry point (each at least
-    twice) between puts, replicas, gossip, and drops of footprint keys
-    that are quoted while gone and re-put a few ops later."""
+    twice) between puts, replicas, gossip, footprints split across
+    holders, and drops of footprint keys that are quoted while gone and
+    re-put a few ops later."""
     rng = random.Random(seed)
     names = _Twin.NAMES
 
@@ -2339,13 +2334,16 @@ def quote_soup(seed, length=50):
         "gossip": lambda: tuple(rng.sample(names, 2)),
         "bounce": lambda: (*rng.sample(names, 2), payload()),
         "quote": lambda: (rng.choice(names), *spec()),
+        "strand": lambda: (
+            *rng.sample(names, 2),
+            payload(),
+            rng.randbytes(rng.randint(600, 1200)),
+        ),
         "delegate_best": lambda: (rng.choice(names), *spec()),
-        "eval_anywhere": lambda: (rng.choice(names), *spec()),
         "scatter": lambda: (rng.choice(names), [spec() for _ in range(4)]),
-        "eval_many": lambda: (rng.choice(names), payload(), spec(), payload()),
     }
     weights = dict.fromkeys(makers, 2)
-    weights.update(blob=6, copy=4, gossip=6, drop=4, quote=8, scatter=1, eval_many=1)
+    weights.update(blob=6, copy=4, gossip=6, drop=4, quote=8, scatter=1)
     kinds = 2 * list(makers)
     kinds += rng.choices(
         list(weights), list(weights.values()), k=length - len(kinds)
@@ -2392,7 +2390,7 @@ def counts_absent_keys(repo, handle):
     return dataclasses.replace(fp, data_bytes=footprint(repo, handle).data_bytes)
 
 
-def believed_is_local(node, encode, candidates=None, prefer_local=False):
+def believed_is_local(node, encode, candidates=None):
     """Mutant: a size the view believes stands in for one the store
     holds, so ``unshippable`` shrinks and a footprint can look complete."""
     fp = net.transitive_footprint(node.repo, encode)
@@ -2402,9 +2400,7 @@ def believed_is_local(node, encode, candidates=None, prefer_local=False):
         if (size := node.view.believed_size(key))
     }
     local.update(node.repo.held_sizes(fp.data))
-    return price_like_the_parent(
-        node, encode, fp, local, candidates, prefer_local
-    )
+    return price_like_the_parent(node, fp, local, candidates)
 
 
 def answers_for_the_whole_store(repo, keys):
@@ -2836,7 +2832,7 @@ class TestGossipLearnedPlacement:
         encode = make_application(alpha.repo, fn, [arg]).wrap_strict()
         quote = alpha.quote_best(encode)
         assert quote.candidate == "gamma"  # priced without a channel
-        result = alpha.eval_anywhere(encode)
+        result = alpha.delegate_best(encode)
         assert blob_int(alpha.repo.get_blob(result).data) == 42
         assert gamma.delegations_served == 1
         assert beta.delegations_served == 0

@@ -42,8 +42,8 @@ class TestDistributedWordcount:
                 for i in range(0, len(level), 2)
             ]
         # The client cannot evaluate locally (no shards, no codelets) -
-        # eval_anywhere follows the data to the server.
-        result = client.eval_anywhere(level[0])
+        # delegate_best follows the data to the server.
+        result = client.delegate_best(level[0])
         got = blob_int(client.repo.get_blob(result).data)
         assert got == reference_count(shards, b"the")
         assert client.delegations_sent == 1

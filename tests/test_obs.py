@@ -119,8 +119,8 @@ class TestHistogram:
             h.observe(v)
         assert h.count() == 4
         assert h.sum() == pytest.approx(6.05)
-        assert h.quantile(0.5) <= 1.0
-        assert h.quantile(0.99) <= 10.0
+        # One count per bucket, the last for +Inf.
+        assert h.export()[0]["counts"] == [1, 2, 1, 0]
 
     def test_timer_uses_registry_clock(self):
         ticks = iter([10.0, 17.5])

@@ -137,12 +137,6 @@ class TestRuntimeBehaviour:
         with pytest.raises(ResourceLimitError):
             fixpoint.run(hog, [], limits=ResourceLimits(memory_bytes=500))
 
-    def test_eval_blob_convenience(self, fixpoint):
-        a = fixpoint.repo.put_blob(int_blob(1, 1))
-        b = fixpoint.repo.put_blob(int_blob(2, 1))
-        thunk = fixpoint.invoke(fixpoint.stdlib["add_u8"], [a, b])
-        assert fixpoint.eval_blob(thunk.wrap_strict()) == int_blob(3, 1)
-
     def test_identification_of_ref_performs_io(self, fixpoint):
         """The runtime, not the function, resolves a Ref dependency."""
         repo = fixpoint.repo

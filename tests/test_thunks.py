@@ -79,14 +79,12 @@ class TestSelection:
         assert sel.target == target
         assert sel.start == 0
         assert sel.end is None
-        assert not sel.is_range
 
     def test_range(self, repo):
         target = repo.put_blob(b"0123456789" * 10)
         thunk = make_selection_range(repo, target, 3, 7)
         sel = parse_selection(repo, thunk.definition())
         assert (sel.start, sel.end) == (3, 7)
-        assert sel.is_range
 
     def test_reversed_range_rejected(self, repo):
         target = repo.put_blob(b"x" * 64)

@@ -13,7 +13,6 @@ from repro.workloads.bptree import (
     build_bptree,
     compile_get,
     lookup,
-    required_depth,
     sample_queries,
 )
 from repro.workloads.chain import build_chain, run_chain
@@ -25,7 +24,7 @@ from repro.workloads.compilejob import (
 )
 from repro.workloads.corpus import declare_shards, make_corpus, make_shard, reference_count
 from repro.workloads.oneoff import build_oneoff_graph
-from repro.workloads.titles import make_titles, mean_length
+from repro.workloads.titles import make_titles
 from repro.workloads.wordcount import build_wordcount_graph, count_corpus, map_only_graph
 
 
@@ -104,11 +103,6 @@ class TestChain:
 
 
 class TestBPTree:
-    def test_required_depth(self):
-        assert required_depth(100, 256) == 0  # a single leaf
-        assert required_depth(6_000_000, 2**24) == 0
-        assert required_depth(6_000_000, 2**12) == 1
-
     def test_all_keys_found(self, fixpoint):
         titles = make_titles(300, seed=4)
         tree = build_bptree(fixpoint, titles, [b"v" + t for t in titles], 8)
@@ -166,7 +160,8 @@ class TestTitles:
         assert titles == sorted(set(titles))
 
     def test_mean_length_near_paper(self):
-        assert 18 <= mean_length(make_titles(3000)) <= 26  # paper: ~22
+        titles = make_titles(3000)
+        assert 18 <= sum(map(len, titles)) / len(titles) <= 26  # paper: ~22
 
 
 class TestCompileJob:

@@ -22,11 +22,24 @@ received it forwarded from ``admission.py``, so four hops carried 0.0.)
 A ``*args``/``**kwargs`` call is not a same-named pass: the values
 behind it are out of sight, so a parameter it reaches is never listed.
 
+``--readers`` is the same census over definitions instead of values: it
+lists each function, method and class in ``src/repro`` whose name nothing
+in ``src/``, ``benchmarks/`` or ``examples/`` reads, matched by name as
+callees are (``f``, ``x.f``, ``from m import f``).  A string constant
+that is a name reads it too, since some callers name what they patch by
+string (``benchmarks/perf/spans.py``'s ``TARGETS``); a dotted string
+such as a span name (``"gossip.absorb"``) reads nothing.  A read inside the definition itself does not count, and
+dunder methods are skipped (the language calls them).  Each definition
+kept although only tests read it is listed in :data:`KEPT` with its
+reason; the census also lists each ``KEPT`` entry that names nothing
+unread any more, so the table cannot outlive what it excuses.
+
 Run from the repo root::
 
     python tools/option_census.py              # the values no caller sets
     python tools/option_census.py --all        # every value, with its count
     python tools/option_census.py --forwarded  # values only ever forwarded
+    python tools/option_census.py --readers    # definitions only tests read
 
 The last line gives the totals.
 """
@@ -34,12 +47,92 @@ The last line gives the totals.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLERS = ("src", "benchmarks", "examples", "tests")
+READERS = ("src", "benchmarks", "examples")
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+_VISITOR = "an ast.NodeVisitor hook: NodeVisitor.visit calls it by name"
+_CONDITION = "threading.Condition's lock protocol: Condition calls it"
+_SEAM = "test seam: "
+
+#: Definitions that only tests read, kept on purpose: qualname (or the
+#: qualname of an enclosing module or class) -> why.  A test seam is kept
+#: because a test checks something else through it, and would otherwise
+#: have to re-inline its body.
+KEPT = {
+    "repro.core.api.FixAPI": "the paper's Fix API surface (core/api.py)",
+    "repro.core.attestation": "pay-for-results' end-to-end audit (README)",
+    "repro.dist.scheduler.DataflowScheduler.explain": (
+        "why a task landed where it did (README); ROADMAP items 2, 6 "
+        "and 9 build on it"
+    ),
+    "repro.analysis.lint._Checker.visit_Call": _VISITOR,
+    "repro.analysis.lint._Checker.visit_Import": _VISITOR,
+    "repro.analysis.lint._Checker.visit_ImportFrom": _VISITOR,
+    "repro.analysis.lint._Checker.visit_ExceptHandler": _VISITOR,
+    "repro.codelets.sandbox._Validator.visit_Name": _VISITOR,
+    "repro.codelets.sandbox._Validator.visit_Attribute": _VISITOR,
+    "repro.codelets.sandbox._Validator.visit_FunctionDef": _VISITOR,
+    "repro.analysis.sync._TrackedLock._is_owned": _CONDITION,
+    "repro.analysis.sync._TrackedLock._release_save": _CONDITION,
+    "repro.analysis.sync._TrackedLock._acquire_restore": _CONDITION,
+    "repro.flatware.template.render": (
+        "the template engine's one entry: deleting it is deleting "
+        "flatware/template.py and TestTemplate (ROADMAP item 11)"
+    ),
+    "repro.analysis.sync.RaceReport.clean": _SEAM + "test_analysis' verdicts",
+    "repro.baselines.base.RunResult.as_row": (
+        _SEAM + "TestASecondRunReportsItsOwnWork compares two runs' rows"
+    ),
+    "repro.baselines.minio.MinIO.size_of": _SEAM + "TestMinIO's preload size",
+    "repro.bench.harness.ExperimentResult.systems": (
+        _SEAM + "test_bench_harness' rows per system"
+    ),
+    "repro.codelets.linker.Linker.cache_size": _SEAM + "TestLinker's cache",
+    "repro.core.gc.index_from_repository": (
+        _SEAM + "the GC recovery tests' recipe index"
+    ),
+    "repro.core.minrepo.Footprint.is_subset_of": (
+        _SEAM + "the footprint subset properties"
+    ),
+    "repro.core.storage.Repository.absorb": (
+        _SEAM + "test_gossip's absorbed stores for the shipping filter"
+    ),
+    "repro.core.storage.Repository.result_count": (
+        _SEAM + "test_results_memoization's memo size"
+    ),
+    "repro.core.thunks.identified_value": (
+        _SEAM + "TestIdentification's round trip"
+    ),
+    "repro.dist.engine.FixpointSim.fail_machine": (
+        _SEAM + "the simulated kill in test_membership"
+    ),
+    "repro.dist.engine.FixpointSim.restart_machine": (
+        _SEAM + "the simulated restart in test_membership"
+    ),
+    "repro.dist.gossip.exchange": _SEAM + "the gossip tests' direct handshake",
+    "repro.dist.membership.MembershipView.declare_dead": (
+        _SEAM + "the membership tests' ground-truth kill"
+    ),
+    "repro.dist.membership.MembershipView.live_nodes": (
+        _SEAM + "test_membership's liveness checks"
+    ),
+    "repro.dist.multitenancy.AppProfile.lifetime": (
+        _SEAM + "the admission tests' profiles"
+    ),
+    "repro.flatware.archive.compress_archive": (
+        _SEAM + "extract_compressed's round trip"
+    ),
+    "repro.flatware.fs.read_file": _SEAM + "build_fs' round-trip property",
+    "repro.flatware.fs.list_dir": _SEAM + "build_fs' entry order",
+    "repro.sim.engine.any_of": _SEAM + "the simulator's process-tree property",
+}
 
 
 def _name(node: ast.expr) -> str:
@@ -167,7 +260,85 @@ def call_sites(paths, bases):
     return calls
 
 
+def declared(sources):
+    """``(qualname, name, path, first line, last line)`` for each function,
+    method and class at module or class level (dunder methods skipped)."""
+    for path in sources:
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+
+        def visit(body, prefix):
+            for node in body:
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    continue
+                qual = f"{prefix}.{node.name}"
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield qual, node.name, path, node.lineno, node.end_lineno
+                if isinstance(node, ast.ClassDef):
+                    yield from visit(node.body, qual)
+
+        yield from visit(_parse(path).body, module)
+
+
+def reads(paths):
+    """name -> ``[(path, line)]`` of every reference: a name, an
+    attribute, an imported name, or a string constant that is a name."""
+    found = defaultdict(list)
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = node.name.split(".")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value] if _NAME.fullmatch(node.value) else []
+            else:
+                continue
+            for name in names:
+                found[name].append((path, node.lineno))
+    return found
+
+
+def _kept_by(qual):
+    return next(
+        (key for key in KEPT if qual == key or qual.startswith(key + ".")), None
+    )
+
+
+def unread():
+    """``(unexplained, stale)``: each definition only tests read and
+    :data:`KEPT` does not excuse, as ``(qualname, path, line, lines)``;
+    and each ``KEPT`` key that excuses no such definition."""
+    sources = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    found = reads(p for top in READERS for p in sorted((ROOT / top).rglob("*.py")))
+    unexplained, used = [], set()
+    for qual, name, path, first, last in declared(sources):
+        if any(p != path or not first <= line <= last for p, line in found[name]):
+            continue
+        key = _kept_by(qual)
+        if key is None:
+            unexplained.append((qual, path, first, last - first + 1))
+        used.add(key)
+    return unexplained, sorted(set(KEPT) - used)
+
+
 def main(argv) -> int:
+    if "--readers" in argv:
+        unexplained, stale = unread()
+        for qual, path, line, lines in unexplained:
+            where = f"{path.relative_to(ROOT)}:{line}"
+            print(f"{lines:4d}  {qual}  ({where})")
+        for key in stale:
+            print(f"   -  {key}  (KEPT, but nothing it names is unread)")
+        print(
+            f"# read only by tests: {len(unexplained)} unexplained "
+            f"({sum(u[3] for u in unexplained)} lines), {len(KEPT)} kept; "
+            f"stale KEPT entries: {len(stale)}"
+        )
+        return 0
     sources = sorted((ROOT / "src" / "repro").rglob("*.py"))
     bases = defaultdict(set)
     for path in sources:
