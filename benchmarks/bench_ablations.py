@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from repro.codelets.stdlib import blob_int, int_blob
+from repro.codelets.stdlib import int_blob
 from repro.dist.engine import FixpointSim
 from repro.dist.graph import JobGraph, TaskSpec
 from repro.fixpoint.runtime import Fixpoint

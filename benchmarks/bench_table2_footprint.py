@@ -11,10 +11,8 @@ from __future__ import annotations
 from repro.bench import table2
 from repro.fixpoint.runtime import Fixpoint
 from repro.workloads.bptree import (
+    LOOKUP_STYLES,
     build_bptree,
-    fixpoint_costs,
-    ray_blocking_costs,
-    ray_cps_costs,
     sample_queries,
     walk_real_tree,
 )
@@ -51,9 +49,13 @@ def test_formulas_match_real_walks(benchmark):
             fix = walk_real_tree(fp, tree, key, "fixpoint")
             cps = walk_real_tree(fp, tree, key, "ray-cps")
             blocking = walk_real_tree(fp, tree, key, "ray-blocking")
-            assert fix.invocations == fixpoint_costs(d, arity).invocations
-            assert cps.invocations == ray_cps_costs(d, arity).invocations
-            assert blocking.invocations == ray_blocking_costs(d, arity).invocations
+            for walk, system in (
+                (fix, "Fixpoint"),
+                (cps, "Ray (continuation-passing)"),
+                (blocking, "Ray (blocking)"),
+            ):
+                costs = LOOKUP_STYLES[system].costs(d, arity)
+                assert walk.invocations == costs.invocations, system
             assert fix.bytes_fetched < cps.bytes_fetched == blocking.bytes_fetched
             assert fix.peak_resident <= cps.peak_resident < blocking.peak_resident
             checks += 1

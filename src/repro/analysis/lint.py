@@ -38,6 +38,12 @@ now the build re-derives it instead:
     shutdown; name the exception (``except BaseException:`` where a
     frame boundary genuinely must catch everything).
 
+``unused-import``
+    Every name a module-level import binds is read somewhere in the
+    module, by name or inside a string that spells an expression (a
+    quoted annotation, an ``__all__`` entry).  Package ``__init__.py``
+    files are exempt: importing is how they re-export.
+
 (Blocking while holding a lock is not checked here: tier-1 under
 ``pytest --race`` records every hold-while-blocking event and fails the
 test that made it, and ``sleep`` above covers the one wait the tracker
@@ -246,6 +252,44 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _spelled_in_strings(tree: ast.Module):
+    """Names a string constant spells as an expression: a quoted
+    annotation (``x: "Repository"``) or an ``__all__`` entry."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except (SyntaxError, ValueError):
+                continue
+            yield from (n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+
+
+def unused_imports(tree: ast.Module, relpath: str) -> List[Violation]:
+    """``unused-import``: each name a module-level import binds that the
+    module never reads."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read.update(_spelled_in_strings(tree))
+    violations = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound = [
+                (a.asname or a.name.partition(".")[0], a.name) for a in node.names
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [(a.asname or a.name, a.name) for a in node.names if a.name != "*"]
+        else:
+            continue
+        violations.extend(
+            Violation(
+                relpath, node.lineno, "unused-import",
+                f"{spelled} is imported but never read; drop the import",
+            )
+            for name, spelled in bound
+            if name not in read
+        )
+    return violations
+
+
 _SKIP_MARK = re.compile(r"#\s*lint:\s*skip\[([a-z-]+)\]")
 
 
@@ -277,8 +321,11 @@ def lint_source(source: str, relpath: str) -> List[Violation]:
         tracker_exempt=any(frag in normalized for frag in TRACKER_EXEMPT),
     )
     checker.visit(tree)
+    violations = checker.violations
+    if not normalized.endswith("__init__.py"):
+        violations += unused_imports(tree, relpath)
     marks = skip_marks(source)
-    return [v for v in checker.violations if marks.get(v.line) != v.rule]
+    return [v for v in violations if marks.get(v.line) != v.rule]
 
 
 def lint_path(path: Path) -> List[Violation]:

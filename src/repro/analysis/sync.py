@@ -387,14 +387,6 @@ class LockTracker:
                 edges=sum(len(row) for row in self._graph.values()),
             )
 
-    def reset(self) -> None:
-        with self._mutex:
-            self._graph.clear()
-            self._cycles.clear()
-            self._seen_cycles.clear()
-            self._blocking.clear()
-            self._seen_blocking.clear()
-
 
 class _TrackedLock:
     """Instrumented ``Lock``/``RLock`` twin reporting to one tracker.

@@ -6,12 +6,15 @@ single node with one worker; system state reset between sets (so a set
 shares a warm cache, across sets everything is cold again).
 
 Method here: the *structure* (node counts, keys-blob bytes, path node
-identities, cache behaviour) is computed exactly; per-visit costs come
-from the calibrated constants (:data:`CHARGES`); tests/test_fig9_model.py
-checks the model against real trees: nodes per level, and per query the
-instrumented walker's invocations, gets and child-ref bytes (32 B per
-child).  A visit is charged its level's mean fanout, rounded up, so its
-ref bytes match wherever the real node holds that many children.
+identities, cache behaviour) is computed exactly; what each system does
+per query and per visit is its
+:data:`~repro.workloads.bptree.LOOKUP_STYLES` record (Table 2 reads the
+same one), and what that costs comes from the calibrated constants
+(:data:`CHARGES`); tests/test_fig9_model.py checks the model against
+real trees: nodes per level, and per query the instrumented walker's
+invocations, gets and child-ref bytes (32 B per child).  A visit is
+charged its level's mean fanout, rounded up, so its ref bytes match
+wherever the real node holds that many children.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from ..baselines.calibration import (
     RAY_TASK_OVERHEAD,
 )
 from ..core.handle import HANDLE_BYTES
+from ..workloads.bptree import LOOKUP_STYLES
 from .harness import ExperimentResult
 from .paperdata import (
     FIG9_ARITIES,
@@ -74,6 +78,11 @@ class TreeShape:
         charged the same 32 bytes)."""
         return self.fanout(level) * HANDLE_BYTES
 
+    def touched(self, level: int, key_bytes: int, reads_refs: bool) -> int:
+        """Bytes one visit at ``level`` reads."""
+        keys = self.keys_bytes(level, key_bytes)
+        return keys + self.refs_bytes(level) if reads_refs else keys
+
 
 def tree_shape(key_count: int, arity: int) -> TreeShape:
     counts = [math.ceil(key_count / arity)]  # leaves
@@ -108,54 +117,42 @@ def _cold_read(nbytes: int) -> float:
 
 @dataclass(frozen=True)
 class Charges:
-    """What the model charges one system per query and per node visited.
-    Both Ray styles pay a driver session per query; as in Table 2, it is
-    the blocking lookup's one invocation, and CPS counts its steps."""
+    """What one system's work costs: its lookup style's query, each of
+    its invocations and gets, and each byte it touches.  Both Ray styles
+    pay a driver session per query; as in Table 2, it is the blocking
+    lookup's one invocation, and CPS counts its steps."""
 
-    query_invocations: int
     query_seconds: float
-    invocations: int  # per visit, each costing invocation_seconds
     invocation_seconds: float
-    gets: int  # per visit, each costing get_seconds
     get_seconds: float
-    reads_refs: bool  # the child-ref array as well as the keys blob
     read_bw: float  # bytes/s at which touched bytes are ingested
-
-    def touched(self, shape: TreeShape, level: int, key_bytes: int) -> int:
-        keys = shape.keys_bytes(level, key_bytes)
-        return keys + shape.refs_bytes(level) if self.reads_refs else keys
 
 
 _SESSION = RAY_DRIVER_SUBMIT + RAY_TASK_OVERHEAD
 CHARGES: Dict[str, Charges] = {
     # One object graph per lookup; selection thunks fetch only the keys.
-    "Fixpoint": Charges(
-        0, 0.0, 1, FIXPOINT_INVOKE + FIX_NODE_PARSE, 1, 0.0, False, LOCAL_READ_BW
-    ),
+    "Fixpoint": Charges(0.0, FIXPOINT_INVOKE + FIX_NODE_PARSE, 0.0, LOCAL_READ_BW),
     # One task; two gets per node (keys, child refs) inside it.
-    "Ray (blocking)": Charges(
-        1, _SESSION, 0, 0.0, 2, RAY_BLOCKING_GET, True, PY_DESER_BW
-    ),
+    "Ray (blocking)": Charges(_SESSION, 0.0, RAY_BLOCKING_GET, PY_DESER_BW),
     # A continuation per get boundary, which costs the get.
     "Ray (continuation-passing)": Charges(
-        0, _SESSION, 2, RAY_TASK_OVERHEAD + RAY_CPS_STEP_EXTRA, 2, 0.0, True,
-        PY_DESER_BW,
+        _SESSION, RAY_TASK_OVERHEAD + RAY_CPS_STEP_EXTRA, 0.0, PY_DESER_BW
     ),
 }
 
 
 def set_seconds(shape: TreeShape, system: str, seed: int, key_bytes: int) -> float:
     """Seconds for one set of 10 queries (shared cache within the set)."""
-    charges = CHARGES[system]
+    style, charges = LOOKUP_STYLES[system], CHARGES[system]
     total = 0.0
     cache: Set[Tuple[int, int]] = set()
     for path in _query_paths(shape, FIG9_QUERIES_PER_SET, seed):
         total += charges.query_seconds
         for level, index in path:
-            touched = charges.touched(shape, level, key_bytes)
+            touched = shape.touched(level, key_bytes, style.reads_refs)
             per_visit = (
-                charges.invocations * charges.invocation_seconds
-                + charges.gets * charges.get_seconds
+                style.invocations * charges.invocation_seconds
+                + style.gets * charges.get_seconds
                 + touched / charges.read_bw
             )
             if (level, index) not in cache:

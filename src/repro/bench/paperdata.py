@@ -44,7 +44,6 @@ FIG7B_SECONDS = {
     "nearby": {"Fixpoint": 5.0e-3, "Pheromone": 17.6e-3, "Ray": 0.821},
     "remote": {"Fixpoint": 25.7e-3, "Pheromone": 38.7e-3, "Ray": 11.7},
 }
-FIG7B_REMOTE_RTT = 21.3e-3
 FIG7B_CHAIN_LENGTH = 500
 
 # ----------------------------------------------------------------------
@@ -68,7 +67,7 @@ FIG8A = {
 }
 
 # ----------------------------------------------------------------------
-# Fig. 8b: Wikipedia word-count (seconds; waiting% where reported)
+# Fig. 8b: Wikipedia word-count (seconds)
 
 FIG8B_SECONDS = {
     "Fixpoint": 3.25,
@@ -79,11 +78,9 @@ FIG8B_SECONDS = {
     "Pheromone + MinIO (map only)": 42.29,
     "OpenWhisk + MinIO + K8s": 63.68,
 }
-FIG8B_WAITING_PCT = {"Fixpoint": 37.0, "OpenWhisk + MinIO + K8s": 92.0}
 FIG8B_SHARDS = 984
 FIG8B_SHARD_BYTES = 100 << 20
 FIG8B_NODES = 10
-FIG8B_CORES = 320
 
 # ----------------------------------------------------------------------
 # Fig. 9 / Table 2: B+-tree lookups
@@ -97,11 +94,6 @@ FIG9_ARITY256 = {
     "Fixpoint": 0.14,
     "Ray (blocking)": 2.8,
     "Ray (continuation-passing)": 5.74,
-}
-#: Slowdowns vs Fixpoint at arity 2^6 (section 5.4 analysis).
-FIG9_ARITY64_SLOWDOWN = {
-    "Ray (blocking)": 22.3,
-    "Ray (continuation-passing)": 49.9,
 }
 
 # ----------------------------------------------------------------------

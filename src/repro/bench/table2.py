@@ -3,7 +3,8 @@
 Two layers of evidence:
 
 * the **analytic formulas** from the paper (in Table 2's O() terms),
-  instantiated at the 6M-title scale for each arity;
+  read off each system's :data:`~repro.workloads.bptree.LOOKUP_STYLES`
+  record and instantiated at the 6M-title scale for each arity;
 * an **empirical verification**: a real B+-tree is built on the real
   runtime at a reduced scale, walked by the instrumented reference walker
   in each system's style, and the measured counts must match the
@@ -17,10 +18,8 @@ import math
 
 from ..fixpoint.runtime import Fixpoint
 from ..workloads.bptree import (
+    LOOKUP_STYLES,
     build_bptree,
-    fixpoint_costs,
-    ray_blocking_costs,
-    ray_cps_costs,
     sample_queries,
     walk_real_tree,
 )
@@ -28,6 +27,14 @@ from ..workloads.titles import make_titles
 from .fig9 import tree_shape
 from .harness import ExperimentResult
 from .paperdata import FIG9_ARITIES, FIG9_KEY_COUNT, FIG9_MEAN_KEY_BYTES
+
+#: Table 2's systems in its row order, each with the reference walker's
+#: name for its style.
+WALKS = {
+    "Fixpoint": "fixpoint",
+    "Ray (continuation-passing)": "ray-cps",
+    "Ray (blocking)": "ray-blocking",
+}
 
 
 def run(scale: float = 1.0, verify_keys: int = 4096, verify_arity: int = 16) -> ExperimentResult:
@@ -39,11 +46,8 @@ def run(scale: float = 1.0, verify_keys: int = 4096, verify_arity: int = 16) -> 
     for arity in FIG9_ARITIES:
         shape = tree_shape(key_count, arity)
         d = shape.levels
-        for label, costs in (
-            ("Fixpoint", fixpoint_costs(d, arity, FIG9_MEAN_KEY_BYTES)),
-            ("Ray (continuation-passing)", ray_cps_costs(d, arity, FIG9_MEAN_KEY_BYTES)),
-            ("Ray (blocking)", ray_blocking_costs(d, arity, FIG9_MEAN_KEY_BYTES)),
-        ):
+        for label in WALKS:
+            costs = LOOKUP_STYLES[label].costs(d, arity, FIG9_MEAN_KEY_BYTES)
             result.rows.append(
                 {
                     "system": f"{label} @ 2^{int(math.log2(arity))}",
@@ -58,12 +62,8 @@ def run(scale: float = 1.0, verify_keys: int = 4096, verify_arity: int = 16) -> 
     titles = make_titles(verify_keys)
     tree = build_bptree(fp, titles, [b"v:" + t for t in titles], verify_arity)
     d = tree.levels
-    for style, costs in (
-        ("fixpoint", fixpoint_costs),
-        ("ray-cps", ray_cps_costs),
-        ("ray-blocking", ray_blocking_costs),
-    ):
-        expect_inv = costs(d, verify_arity).invocations
+    for label, style in WALKS.items():
+        expect_inv = LOOKUP_STYLES[label].costs(d, verify_arity).invocations
         for key in sample_queries(titles, 5, seed=3):
             stats = walk_real_tree(fp, tree, key, style)
             if stats.invocations != expect_inv:

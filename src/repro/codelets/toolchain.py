@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import CodeType
 
-from ..core.errors import FrameReader, NotAFunctionError, SandboxError
+from ..core.errors import FrameReader, NotAFunctionError
 from ..core.handle import Handle
 from ..core.storage import Repository
 from .sandbox import validate_source

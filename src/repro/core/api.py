@@ -31,7 +31,6 @@ from .handle import Handle
 from .limits import DEFAULT_LIMITS, ResourceLimits
 from .storage import Repository
 from .thunks import (
-    make_application,
     make_identification,
     make_invocation_tree,
     make_selection,

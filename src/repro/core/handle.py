@@ -186,10 +186,6 @@ class Handle:
     # Introspection
 
     @property
-    def meta(self) -> int:
-        return self._meta
-
-    @property
     def size(self) -> int:
         """Blob byte count, or Tree entry count, of the referenced datum."""
         return self._size

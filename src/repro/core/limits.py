@@ -54,8 +54,5 @@ class ResourceLimits:
         """The literal handle carrying this limits blob."""
         return Handle.of_blob(self.pack())
 
-    def with_hint(self, output_size_hint: int) -> "ResourceLimits":
-        return ResourceLimits(self.memory_bytes, output_size_hint)
-
 
 DEFAULT_LIMITS = ResourceLimits()

@@ -61,10 +61,6 @@ class Invocation:
     function: Handle
     args: tuple[Handle, ...]
 
-    @property
-    def arity(self) -> int:
-        return len(self.args)
-
 
 def make_invocation_tree(
     repo: Repository,

@@ -17,7 +17,7 @@ where construction order makes eager checks impossible (unknown inputs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from ..core.errors import SchedulingError
@@ -27,9 +27,6 @@ CLIENT = "client"
 #: A remote storage service (fig. 8a's 150 ms data server); fetched
 #: through :class:`repro.sim.storage_service.StorageService`, never a NIC.
 EXTERNAL = "external"
-
-#: Placement sentinels that are not schedulable machines.
-NON_MACHINE_LOCATIONS = frozenset({CLIENT, EXTERNAL})
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ trace's own per-function invocation and byte counts remain the
 queryable ground truth for the Table-2 count assertions - exact, and
 independent of which registry (real or null) backs the metrics - and
 they are all it keeps: its state grows with the number of functions,
-not of invocations.  :meth:`clear` resets only the three families this
-trace emits, never a shared registry wholesale.
+not of invocations.
 """
 
 from __future__ import annotations
@@ -86,13 +85,3 @@ class Trace:
     def by_function(self) -> Dict[str, int]:
         with self._lock:
             return dict(self._counts)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._counts.clear()
-            self._mapped.clear()
-        # Scoped: only the families this trace emits - a shared
-        # registry's other instruments are not this trace's to wipe.
-        self._invocations.reset()
-        self._bytes.reset()
-        self._wall.reset()

@@ -12,8 +12,9 @@ shares:
   gossip wire frames of :mod:`repro.fixpoint.net`, so one job's spans
   stitch across nodes (:func:`stitch`).
 
-:meth:`Obs.export` is a JSON-ready dict; :meth:`Obs.summary` renders
-the text dashboard the examples print.
+:meth:`Obs.export` is a JSON-ready dict;
+:meth:`MetricsRegistry.summary` renders the text dashboard the examples
+print.
 
 ``NULL_OBS`` is the disabled twin - same API, no work - both the
 default for components that predate a caller opting in, and the control
@@ -65,21 +66,6 @@ class Obs:
             "traces": len({s.trace_id for s in spans}),
             "spans_dropped": self.tracer.dropped,
         }
-
-    def summary(self) -> str:
-        """The text dashboard: metrics, then every stitched trace."""
-        lines = [self.registry.summary()]
-        traces = self.tracer.traces()
-        if traces:
-            lines.append(f"== traces: {self.name} ({len(traces)}) ==")
-            for trace_id in sorted(traces):
-                lines.append(f"trace {trace_id:#x}")
-                lines.append(render_trace(traces[trace_id]))
-        return "\n".join(lines)
-
-    def reset(self) -> None:
-        self.registry.reset()
-        self.tracer.reset()
 
 
 class NullObs(Obs):

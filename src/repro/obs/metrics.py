@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..analysis.sync import TrackedLock
 from ..core.errors import FixError
@@ -48,7 +48,7 @@ from ..core.errors import FixError
 Clock = Callable[[], float]
 
 #: Series key: sorted ``(label, value)`` pairs.  ``()`` is the unlabeled
-#: series every bare ``inc()``/``set()`` touches.
+#: series every bare ``inc()``/``observe()`` touches.
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
@@ -144,10 +144,6 @@ class Counter(_Family):
                 if set(wanted) <= set(key)
             )
 
-    def reset(self) -> None:
-        with self._lock:
-            self._series.clear()
-
     def export(self) -> List[Dict[str, object]]:
         with self._lock:
             return [
@@ -164,7 +160,7 @@ class Counter(_Family):
 
 
 class Gauge(_Family):
-    """A labeled family of set/add values, plus sampled callbacks.
+    """A labeled family of sampled callbacks.
 
     :meth:`set_function` registers a callable evaluated at export time -
     how live structures (an :class:`~repro.dist.objectview.ObjectView`'s
@@ -177,17 +173,7 @@ class Gauge(_Family):
     def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
         self._lock = TrackedLock("Gauge._lock")
-        self._series: Dict[LabelKey, float] = {}
         self._fns: Dict[LabelKey, Callable[[], float]] = {}
-
-    def set(self, value: float, **labels: object) -> None:
-        with self._lock:
-            self._series[self._key(labels)] = float(value)
-
-    def add(self, value: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + value
 
     def set_function(self, fn: Callable[[], float], **labels: object) -> None:
         with self._lock:
@@ -197,22 +183,13 @@ class Gauge(_Family):
         key = self._key(labels)
         with self._lock:
             fn = self._fns.get(key)
-            if fn is None:
-                return self._series.get(key, 0.0)
-        return float(fn())
-
-    def reset(self) -> None:
-        with self._lock:
-            self._series.clear()
-            self._fns.clear()
+        return 0.0 if fn is None else float(fn())
 
     def _sampled(self) -> Dict[LabelKey, float]:
         with self._lock:
-            values = dict(self._series)
             fns = list(self._fns.items())
-        for key, fn in fns:  # outside the lock: callbacks may take others
-            values[key] = float(fn())
-        return values
+        # Outside the lock: callbacks may take others.
+        return {key: float(fn()) for key, fn in fns}
 
     def export(self) -> List[Dict[str, object]]:
         values = self._sampled()
@@ -311,10 +288,6 @@ class Histogram(_Family):
             series = self._series.get(self._key(labels))
             return series.sum if series is not None else 0.0
 
-    def reset(self) -> None:
-        with self._lock:
-            self._series.clear()
-
     def export(self) -> List[Dict[str, object]]:
         with self._lock:
             out = []
@@ -400,10 +373,6 @@ class MetricsRegistry:
         with self._lock:
             return [self._families[name] for name in sorted(self._families)]
 
-    def reset(self) -> None:
-        for family in self.families():
-            family.reset()  # type: ignore[attr-defined]
-
     def export(self) -> Dict[str, object]:
         """The whole registry as one JSON-ready dict (sorted, stable)."""
         counters: Dict[str, object] = {}
@@ -458,12 +427,6 @@ class NullCounter(Counter):
 class NullGauge(Gauge):
     def __init__(self):
         super().__init__("null")
-
-    def set(self, value: float, **labels: object) -> None:
-        return None
-
-    def add(self, value: float = 1.0, **labels: object) -> None:
-        return None
 
     def set_function(self, fn: Callable[[], float], **labels: object) -> None:
         return None

@@ -245,15 +245,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def traces(self) -> Dict[int, List[Span]]:
-        """Spans grouped by trace, each group in start order."""
-        return stitch(self)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._spans.clear()
-            self.dropped = 0
-
 
 class _NullSpan(Span):
     """The shared do-nothing span: carries NULL_CONTEXT onto the wire."""

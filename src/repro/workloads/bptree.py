@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..codelets.stdlib import int_blob
 from ..core.handle import HANDLE_BYTES, Handle
@@ -178,7 +178,8 @@ def lookup(fp: Fixpoint, tree: BPTree, get_fn: Handle, key: bytes) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Table 2: analytic access-cost formulas (verified against the real tree)
+# How each system walks a tree: the one description Table 2's analytic
+# rows and fig. 9's cost model both read (verified against the real tree)
 
 
 @dataclass(frozen=True)
@@ -190,34 +191,37 @@ class AccessCosts:
     memory_footprint: int  # peak bytes resident
 
 
-def fixpoint_costs(levels: int, arity: int, key_size: int = 22) -> AccessCosts:
-    """Fixpoint row: d invocations, a*d*O(key) accessed, a*O(key) peak."""
-    per_node_keys = arity * key_size
-    return AccessCosts(
-        invocations=levels,
-        data_accessed=levels * per_node_keys,
-        memory_footprint=per_node_keys,
-    )
+@dataclass(frozen=True)
+class LookupStyle:
+    """What one system's lookup does, per query and per node visited."""
+
+    query_invocations: int
+    invocations: int  # per visit
+    gets: int  # per visit
+    reads_refs: bool  # the child-ref array as well as the keys blob
+    holds_path: bool  # every node fetched stays resident to the end
+
+    def costs(self, levels: int, arity: int, key_size: int = 22) -> AccessCosts:
+        """Table 2's row for a ``levels``-deep tree of ``arity``."""
+        per_node = arity * (
+            key_size + HANDLE_BYTES if self.reads_refs else key_size
+        )
+        return AccessCosts(
+            invocations=self.query_invocations + levels * self.invocations,
+            data_accessed=levels * per_node,
+            memory_footprint=levels * per_node if self.holds_path else per_node,
+        )
 
 
-def ray_cps_costs(levels: int, arity: int, key_size: int = 22) -> AccessCosts:
-    """Ray CPS row: 2d invocations; keys *and* child-ref arrays accessed."""
-    per_node = arity * (key_size + HANDLE_BYTES)
-    return AccessCosts(
-        invocations=2 * levels,
-        data_accessed=levels * per_node,
-        memory_footprint=per_node,
-    )
-
-
-def ray_blocking_costs(levels: int, arity: int, key_size: int = 22) -> AccessCosts:
-    """Ray blocking row: 1 invocation holding everything it ever fetched."""
-    per_node = arity * (key_size + HANDLE_BYTES)
-    return AccessCosts(
-        invocations=1,
-        data_accessed=levels * per_node,
-        memory_footprint=levels * per_node,
-    )
+#: Fixpoint: one invocation per level, which strictly selects only the
+#: keys blob.  Ray blocking: one task (a driver session per query) that
+#: gets each node's keys and child refs and holds them all.  Ray CPS: a
+#: continuation per get boundary, releasing each node.
+LOOKUP_STYLES: Dict[str, LookupStyle] = {
+    "Fixpoint": LookupStyle(0, 1, 1, False, False),
+    "Ray (blocking)": LookupStyle(1, 0, 2, True, True),
+    "Ray (continuation-passing)": LookupStyle(0, 2, 2, True, False),
+}
 
 
 # ----------------------------------------------------------------------

@@ -38,14 +38,3 @@ def build_oneoff_graph(tasks: int = PAPER_TASKS) -> JobGraph:
             )
         )
     return graph
-
-
-ADD_TO_SELF_SOURCE = '''\
-"""The fig. 8a function body: add the input to itself."""
-
-def _fix_apply(fix, input):
-    entries = fix.read_tree(input)
-    data = fix.read_blob(entries[2])
-    doubled = bytes((2 * b) % 256 for b in data)
-    return fix.create_blob(doubled)
-'''

@@ -6,10 +6,11 @@ and the result leaves on stdout - exactly the porting recipe the paper
 describes (modify functions to read inputs from argv and the filesystem;
 represent the dependencies as Fix objects in Flatware's format).
 
-The in-program template renderer and RLE compressor are compact,
-sandbox-safe subsets of :mod:`repro.flatware.template` and
-:mod:`repro.flatware.archive`; the full host-side implementations verify
-their outputs in the tests.
+The template renderer (``{{ name }}`` and one ``{% for %}`` loop) runs
+inside the program, and the tests check its HTML literally.  The RLE
+compressor is a compact, sandbox-safe subset of
+:mod:`repro.flatware.archive`, whose host-side extractor checks its
+output in the tests.
 """
 
 from __future__ import annotations

@@ -4,16 +4,14 @@ The paper uses the list of English Wikipedia article titles: about six
 million entries averaging 22 bytes.  This generator produces a
 deterministic set with the same statistics; tests use tens of thousands,
 the analytic fig. 9 model uses the full six million (counts only, no
-materialization).
+materialization; :data:`repro.bench.paperdata.FIG9_KEY_COUNT` and
+``FIG9_MEAN_KEY_BYTES``).
 """
 
 from __future__ import annotations
 
 import random
 from typing import List
-
-PAPER_TITLE_COUNT = 6_000_000
-PAPER_MEAN_TITLE_BYTES = 22
 
 _TOPICS = (
     "Battle Treaty River Lake County Museum Castle Album Song Opera "

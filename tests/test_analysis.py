@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import sync
-from repro.analysis.lint import Violation, lint_source, lint_tree, main
+from repro.analysis.lint import lint_source, lint_tree, main
 from repro.analysis.sync import (
     DeadlockError,
     LockOrderError,
@@ -387,7 +387,7 @@ class TestLinter:
         assert _violations(ok, "src/repro/dist/gossip.py") == []
 
     def test_from_random_import_in_sim_clocked_module(self):
-        bad = "from random import choice\n"
+        bad = "from random import choice\n__all__ = ['choice']\n"
         assert [
             v.rule for v in _violations(bad, "src/repro/sim/cluster.py")
         ] == ["unseeded-random"]
@@ -462,7 +462,7 @@ class TestLinter:
         assert _violations(bad, "src/repro/analysis/sync.py") == []
 
     def test_from_threading_import_lock_flagged(self):
-        bad = "from threading import RLock\n"
+        bad = "from threading import RLock\nlock = RLock()\n"
         assert [
             v.rule for v in _violations(bad, "src/repro/core/new.py")
         ] == ["raw-lock"]
@@ -498,6 +498,34 @@ class TestLinter:
         assert [v.rule for v in out] == ["bare-except"]
         ok = "try:\n    pass\nexcept BaseException:\n    pass\n"
         assert _violations(ok) == []
+
+    def test_unused_import(self):
+        bad = (
+            "import os, sys\n"
+            "from typing import Dict, List as L\n"
+            "import xml.dom\n"
+            "def f(x: 'Dict[str, int]'):\n"
+            "    return sys.argv\n"
+        )
+        out = _violations(bad)
+        assert [(v.rule, v.line) for v in out] == [
+            ("unused-import", 1), ("unused-import", 2), ("unused-import", 3),
+        ]
+        assert [v.message.split()[0] for v in out] == ["os", "List", "xml.dom"]
+        # read anywhere, exported through __all__, a future import, or a
+        # package __init__ (which imports to re-export): all fine
+        ok = (
+            "from __future__ import annotations\n"
+            "import xml.dom\n"
+            "from typing import Dict\n"
+            "__all__ = ['Dict']\n"
+            "def f():\n"
+            "    return xml.dom\n"
+        )
+        assert _violations(ok) == []
+        assert _violations(bad, "src/repro/fixpoint/__init__.py") == []
+        skipped = "import os  # lint: skip[unused-import]\n"
+        assert _violations(skipped) == []
 
     def test_skip_comment_suppresses_one_rule(self):
         src = "import threading\nlock = threading.Lock()  # lint: skip[raw-lock]\n"

@@ -6,7 +6,6 @@ import pytest
 
 from repro.baselines.base import JobRun
 from repro.baselines.calibration import (
-    FIXPOINT_INVOKE,
     K8S_SCHEDULE,
     MINIO_STREAM_BW,
     OPENWHISK_INVOKE,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.dist.engine import FixpointSim
 from repro.dist.gossip import Participant, exchange
 from repro.dist.graph import EXTERNAL, JobGraph, TaskSpec

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import SchedulingError
-from repro.dist.graph import CLIENT, EXTERNAL, JobGraph, TaskSpec
+from repro.dist.graph import CLIENT, JobGraph, TaskSpec
 
 
 def task(name, inputs=(), output=None, compute=1.0, **kw):

@@ -27,7 +27,7 @@ from repro.core.thunks import (
     make_selection_range,
     strict,
 )
-from repro.codelets.stdlib import blob_int, int_blob
+from repro.codelets.stdlib import int_blob
 from repro.fixpoint.billing import (
     MAX_DEADLINE_DISCOUNT,
     Bill,

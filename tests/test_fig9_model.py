@@ -1,10 +1,11 @@
 """Fig. 9's analytic model against real B+-trees.
 
-``repro.bench.fig9`` computes a tree's shape and each system's charges
-per query and per visited node without building anything.  These tests
-build real trees with ``build_bptree`` and walk them with the
-instrumented walker of ``repro.workloads.bptree``: the shape must be the
-real one, and the walker must count what the model charges.
+``repro.bench.fig9`` computes a tree's shape without building anything,
+and charges each system for what its ``LOOKUP_STYLES`` record says it
+does per query and per visited node.  These tests build real trees with
+``build_bptree`` and walk them with the instrumented walker of
+``repro.workloads.bptree``: the shape must be the real one, and the
+walker must count what the record says.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from bisect import bisect_right
 
 import pytest
 
-from repro.bench.fig9 import CHARGES, tree_shape
+from repro.bench.fig9 import tree_shape
+from repro.bench.table2 import WALKS
 from repro.core.handle import HANDLE_BYTES
 from repro.fixpoint.runtime import Fixpoint
 from repro.workloads.bptree import (
+    LOOKUP_STYLES,
     SEPARATOR,
     build_bptree,
     sample_queries,
@@ -28,12 +31,6 @@ from repro.workloads.titles import make_titles
 #: (keys, arity): full levels, a partly filled last leaf, a deep tree
 #: whose inner levels end in partly filled nodes.
 SHAPES = ((4096, 16), (512, 8), (3000, 64), (10000, 4))
-#: The walker's style for each modeled system.
-STYLES = {
-    "Fixpoint": "fixpoint",
-    "Ray (blocking)": "ray-blocking",
-    "Ray (continuation-passing)": "ray-cps",
-}
 KEY_BYTES = 22
 
 
@@ -85,21 +82,24 @@ class TestFig9ModelIsTheRealTree:
         for level, children in enumerate(built.children_per_level()):
             mean = math.ceil(sum(children) / len(children))
             assert built.shape.fanout(level) == mean
-            for charges in CHARGES.values():
-                refs = charges.touched(
-                    built.shape, level, KEY_BYTES
+            for style in LOOKUP_STYLES.values():
+                refs = built.shape.touched(
+                    level, KEY_BYTES, style.reads_refs
                 ) - built.shape.keys_bytes(level, KEY_BYTES)
-                assert refs == (HANDLE_BYTES * mean if charges.reads_refs else 0)
+                assert refs == (HANDLE_BYTES * mean if style.reads_refs else 0)
 
     def test_walker_counts_what_the_model_charges(self, built):
         levels = built.shape.levels
         for key in built.queries:
-            for system, charges in CHARGES.items():
-                stats = walk_real_tree(built.fp, built.tree, key, STYLES[system])
+            for system, style in LOOKUP_STYLES.items():
+                stats = walk_real_tree(built.fp, built.tree, key, WALKS[system])
                 assert stats.invocations == (
-                    charges.query_invocations + levels * charges.invocations
+                    style.query_invocations + levels * style.invocations
                 ), system
-                assert stats.gets == levels * charges.gets, system
+                assert stats.invocations == style.costs(
+                    levels, built.tree.arity
+                ).invocations, system
+                assert stats.gets == levels * style.gets, system
 
     def test_ray_reads_a_32_byte_ref_per_child(self, built):
         """Every system reads the visited keys blobs; those the model
@@ -108,8 +108,23 @@ class TestFig9ModelIsTheRealTree:
             visits = built.path(key)
             keys = sum(size for size, _ in visits)
             refs = HANDLE_BYTES * sum(children for _, children in visits)
-            for system, charges in CHARGES.items():
-                stats = walk_real_tree(built.fp, built.tree, key, STYLES[system])
+            for system, style in LOOKUP_STYLES.items():
+                stats = walk_real_tree(built.fp, built.tree, key, WALKS[system])
                 assert stats.bytes_fetched - keys == (
-                    refs if charges.reads_refs else 0
+                    refs if style.reads_refs else 0
+                ), system
+
+    def test_a_path_held_is_everything_fetched(self, built):
+        """A style that holds its path peaks at all it fetched; any other
+        peaks at the one node it reads most of."""
+        for key in built.queries:
+            visits = built.path(key)
+            for system, style in LOOKUP_STYLES.items():
+                stats = walk_real_tree(built.fp, built.tree, key, WALKS[system])
+                read = [
+                    size + (HANDLE_BYTES * children if style.reads_refs else 0)
+                    for size, children in visits
+                ]
+                assert stats.peak_resident == (
+                    sum(read) if style.holds_path else max(read)
                 ), system

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.codelets.stdlib import ADD_U8_SOURCE, blob_int, int_blob
-from repro.core.errors import MissingObjectError
+from repro.codelets.stdlib import blob_int, int_blob
 from repro.core.thunks import make_application, make_identification, strict
 from repro.fixpoint.net import FixpointNode, NetworkError, NodeDirectory
 

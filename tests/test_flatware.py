@@ -1,4 +1,4 @@
-"""Tests for Flatware: fs-as-Trees, WASI driver, template engine, archive."""
+"""Tests for Flatware: fs-as-Trees, WASI driver, archive, SeBS ports."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from repro.flatware.fs import (
     read_file,
     resolve_path,
 )
-from repro.flatware.template import TemplateError, render
 from repro.flatware.wasi import compile_program, run_program
 from repro.workloads.sebs import run_compression, run_dynamic_html
 
@@ -182,54 +181,6 @@ class TestWasiPrograms:
         )
         with pytest.raises(CodeletError):
             run_program(fixpoint, program, [], {})
-
-
-class TestTemplate:
-    def test_substitution(self):
-        assert render("Hi {{ name }}!", {"name": "ada"}) == "Hi ada!"
-
-    def test_dotted_lookup(self):
-        assert render("{{ user.name }}", {"user": {"name": "bo"}}) == "bo"
-
-    def test_for_loop(self):
-        out = render("{% for x in xs %}[{{ x }}]{% endfor %}", {"xs": [1, 2]})
-        assert out == "[1][2]"
-
-    def test_nested_loops(self):
-        out = render(
-            "{% for r in rows %}{% for c in r.cells %}{{ c }};{% endfor %}|{% endfor %}",
-            {"rows": [{"cells": [1, 2]}, {"cells": [3]}]},
-        )
-        assert out == "1;2;|3;|"
-
-    def test_if_else(self):
-        template = "{% if flag %}yes{% else %}no{% endif %}"
-        assert render(template, {"flag": True}) == "yes"
-        assert render(template, {"flag": False}) == "no"
-        assert render(template, {}) == "no"  # undefined is falsy
-
-    def test_loop_scoping(self):
-        out = render(
-            "{{ x }}{% for x in xs %}{{ x }}{% endfor %}{{ x }}",
-            {"x": "o", "xs": ["i"]},
-        )
-        assert out == "oio"
-
-    def test_undefined_variable(self):
-        with pytest.raises(TemplateError):
-            render("{{ ghost }}", {})
-
-    def test_unterminated_tag(self):
-        with pytest.raises(TemplateError):
-            render("{{ oops", {})
-
-    def test_missing_endfor(self):
-        with pytest.raises(TemplateError):
-            render("{% for x in xs %}...", {"xs": []})
-
-    def test_unknown_tag(self):
-        with pytest.raises(TemplateError):
-            render("{% frobnicate %}", {})
 
 
 class TestArchive:

@@ -95,7 +95,6 @@ EXPECTED_MODULES = [
     "repro.flatware.archive",
     "repro.flatware.asyncify",
     "repro.flatware.fs",
-    "repro.flatware.template",
     "repro.flatware.wasi",
     "repro.obs",
     "repro.obs.metrics",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.codelets.stdlib import blob_int, int_blob
 from repro.core.attestation import Auditor, Provider
 from repro.core.eval import Evaluator

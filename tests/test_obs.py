@@ -93,12 +93,13 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_and_add(self):
+    def test_value_reads_the_callback(self):
         reg = MetricsRegistry(name="t")
         g = reg.gauge("depth")
-        g.set(3)
-        g.add(-1)
-        assert g.value() == 2
+        assert g.value() == 0.0  # nothing registered
+        g.set_function(lambda: 2, peer="x")
+        assert g.value(peer="x") == 2.0
+        assert g.value() == 0.0
 
     def test_callback_sampled_at_export(self):
         """set_function gauges read live structures only when exported -
@@ -135,7 +136,7 @@ class TestRegistry:
     def test_export_shape_and_json(self):
         reg = MetricsRegistry(name="node0")
         reg.counter("c").inc(peer="x")
-        reg.gauge("g").set(1.5)
+        reg.gauge("g").set_function(lambda: 1.5)
         reg.histogram("h").observe(0.01)
         snap = reg.export()
         assert snap["name"] == "node0"
@@ -145,7 +146,7 @@ class TestRegistry:
     def test_null_registry_is_inert(self):
         reg = NullRegistry()
         reg.counter("c").inc(peer="x")
-        reg.gauge("g").set(9)
+        reg.gauge("g").set_function(lambda: 9)
         with reg.histogram("h").time():
             pass
         snap = reg.export()
@@ -166,7 +167,7 @@ class TestSeriesKeyIsBuiltOnce:
     NAMES = ("peer", "kind", "role")
     VALUES = ("1", 1, True, 1.0, "True", "1.0", 0, False, "0", "a", "b",
               2.5, None, "None")
-    OPS = ("inc", "set", "add", "observe", "time", "read")
+    OPS = ("inc", "sample", "observe", "time", "read")
 
     def _soup(self, seed, n=600):
         """Seeded calls: 0-3 labels in a random keyword order, values of
@@ -194,10 +195,8 @@ class TestSeriesKeyIsBuiltOnce:
         for op, value, labels in calls:
             if op == "inc":
                 counter.inc(value, **labels)
-            elif op == "set":
-                gauge.set(value, **labels)
-            elif op == "add":
-                gauge.add(value, **labels)
+            elif op == "sample":
+                gauge.set_function(lambda value=value: value, **labels)
             elif op == "observe":
                 histogram.observe(value / 10, **labels)
             elif op == "time":
@@ -570,7 +569,7 @@ class TestObs:
     def test_summary_renders_text(self, pair):
         a, _ = pair
         a.delegate("beta", add_encode(a, 3, 4))
-        text = a.obs.summary()
+        text = a.obs.registry.summary()
         assert "delegations_sent_total" in text
 
     def test_null_obs_is_shared_and_inert(self):
@@ -628,5 +627,3 @@ class TestObs:
             if isinstance(v, (list, dict, set, tuple))
         ]
         assert sum(len(v) for v in held) == 2 * 2  # two dicts x two functions
-        trace.clear()
-        assert trace.invocation_count() == 0 and trace.by_function() == {}

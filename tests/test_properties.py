@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.data import Blob, Tree
-from repro.core.errors import FixError, HandleError, SerializationError
+from repro.core.errors import FixError, HandleError
 from repro.core.eval import Evaluator
 from repro.core.handle import HANDLE_BYTES, LITERAL_MAX, Handle, blob_digest
 from repro.core.minrepo import footprint
-from repro.core.serialize import decode_bundle, decode_frame, encode_bundle
+from repro.core.serialize import decode_bundle, encode_bundle
 from repro.core.storage import Repository
 from repro.core.thunks import (
     make_identification,

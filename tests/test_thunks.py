@@ -48,7 +48,7 @@ class TestInvocation:
         assert invocation.function == fn
         assert invocation.args == (a,)
         assert invocation.limits == limits
-        assert invocation.arity == 1
+        assert len(invocation.args) == 1
 
     def test_application_thunk_style(self, repo):
         fn = repo.put_blob(b"f" * 64)

@@ -25,14 +25,17 @@ behind it are out of sight, so a parameter it reaches is never listed.
 ``--readers`` is the same census over definitions instead of values: it
 lists each function, method and class in ``src/repro`` whose name nothing
 in ``src/``, ``benchmarks/`` or ``examples/`` reads, matched by name as
-callees are (``f``, ``x.f``, ``from m import f``).  A string constant
-that is a name reads it too, since some callers name what they patch by
-string (``benchmarks/perf/spans.py``'s ``TARGETS``); a dotted string
-such as a span name (``"gossip.absorb"``) reads nothing.  A read inside the definition itself does not count, and
-dunder methods are skipped (the language calls them).  Each definition
-kept although only tests read it is listed in :data:`KEPT` with its
-reason; the census also lists each ``KEPT`` entry that names nothing
-unread any more, so the table cannot outlive what it excuses.
+callees are (``x.f``, ``from m import f``, and a bare ``f`` for a
+module-level definition only: a method or property spelled bare is a
+same-named parameter or local, not a read).  A string constant that is
+a name reads it too, since some callers name what they patch by string
+(``benchmarks/perf/spans.py``'s ``TARGETS``); a dotted string such as a
+span name (``"gossip.absorb"``) reads nothing.  A read inside the
+definition itself does not count, and dunder methods are skipped (the
+language calls them).  Each definition kept although only tests read it
+is listed in :data:`KEPT` with its reason; the census also lists each
+``KEPT`` entry that names nothing unread any more, so the table cannot
+outlive what it excuses.
 
 Run from the repo root::
 
@@ -82,10 +85,6 @@ KEPT = {
     "repro.analysis.sync._TrackedLock._is_owned": _CONDITION,
     "repro.analysis.sync._TrackedLock._release_save": _CONDITION,
     "repro.analysis.sync._TrackedLock._acquire_restore": _CONDITION,
-    "repro.flatware.template.render": (
-        "the template engine's one entry: deleting it is deleting "
-        "flatware/template.py and TestTemplate (ROADMAP item 11)"
-    ),
     "repro.analysis.sync.RaceReport.clean": _SEAM + "test_analysis' verdicts",
     "repro.baselines.base.RunResult.as_row": (
         _SEAM + "TestASecondRunReportsItsOwnWork compares two runs' rows"
@@ -107,6 +106,10 @@ KEPT = {
     "repro.core.storage.Repository.result_count": (
         _SEAM + "test_results_memoization's memo size"
     ),
+    "repro.core.storage.Repository.data_bytes": (
+        _SEAM + "the stores' payload total in test_data_storage and "
+        "the shipping-filter oracle"
+    ),
     "repro.core.thunks.identified_value": (
         _SEAM + "TestIdentification's round trip"
     ),
@@ -115,6 +118,9 @@ KEPT = {
     ),
     "repro.dist.engine.FixpointSim.restart_machine": (
         _SEAM + "the simulated restart in test_membership"
+    ),
+    "repro.dist.gossip.GossipCoordinator.views": (
+        _SEAM + "the round and restart tests' registered views"
     ),
     "repro.dist.gossip.exchange": _SEAM + "the gossip tests' direct handshake",
     "repro.dist.membership.MembershipView.declare_dead": (
@@ -261,12 +267,13 @@ def call_sites(paths, bases):
 
 
 def declared(sources):
-    """``(qualname, name, path, first line, last line)`` for each function,
-    method and class at module or class level (dunder methods skipped)."""
+    """``(qualname, name, path, first line, last line, module level)``
+    for each function, method and class at module or class level (dunder
+    methods skipped)."""
     for path in sources:
         module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
 
-        def visit(body, prefix):
+        def visit(body, prefix, top):
             for node in body:
                 if not isinstance(
                     node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -274,21 +281,25 @@ def declared(sources):
                     continue
                 qual = f"{prefix}.{node.name}"
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    yield qual, node.name, path, node.lineno, node.end_lineno
+                    yield qual, node.name, path, node.lineno, node.end_lineno, top
                 if isinstance(node, ast.ClassDef):
-                    yield from visit(node.body, qual)
+                    yield from visit(node.body, qual, False)
 
-        yield from visit(_parse(path).body, module)
+        yield from visit(_parse(path).body, module, True)
 
 
 def reads(paths):
-    """name -> ``[(path, line)]`` of every reference: a name, an
-    attribute, an imported name, or a string constant that is a name."""
-    found = defaultdict(list)
+    """``(bare, named)``: name -> ``[(path, line)]`` of every bare name
+    (``f``), and of every attribute (``x.f``), imported name or string
+    constant that is a name.  A bare name reads only a module-level
+    definition: inside a function it is as likely a same-named
+    parameter or local as the definition."""
+    bare, named = defaultdict(list), defaultdict(list)
     for path in paths:
         for node in ast.walk(_parse(path)):
+            found = named
             if isinstance(node, ast.Name):
-                names = [node.id]
+                names, found = [node.id], bare
             elif isinstance(node, ast.Attribute):
                 names = [node.attr]
             elif isinstance(node, ast.alias):
@@ -299,7 +310,7 @@ def reads(paths):
                 continue
             for name in names:
                 found[name].append((path, node.lineno))
-    return found
+    return bare, named
 
 
 def _kept_by(qual):
@@ -313,10 +324,13 @@ def unread():
     :data:`KEPT` does not excuse, as ``(qualname, path, line, lines)``;
     and each ``KEPT`` key that excuses no such definition."""
     sources = sorted((ROOT / "src" / "repro").rglob("*.py"))
-    found = reads(p for top in READERS for p in sorted((ROOT / top).rglob("*.py")))
+    bare, named = reads(
+        p for top in READERS for p in sorted((ROOT / top).rglob("*.py"))
+    )
     unexplained, used = [], set()
-    for qual, name, path, first, last in declared(sources):
-        if any(p != path or not first <= line <= last for p, line in found[name]):
+    for qual, name, path, first, last, top in declared(sources):
+        found = named[name] + bare[name] if top else named[name]
+        if any(p != path or not first <= line <= last for p, line in found):
             continue
         key = _kept_by(qual)
         if key is None:
