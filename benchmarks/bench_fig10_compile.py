@@ -18,7 +18,7 @@ from repro.dist.scheduler import DataflowScheduler
 from repro.fixpoint.runtime import Fixpoint
 from repro.sim.cluster import Cluster, MachineSpec
 from repro.sim.engine import Simulator
-from repro.workloads.compilejob import compile_project, make_headers, make_source
+from repro.workloads.compilejob import HEADERS, compile_project, make_source
 
 #: The paper's fig. 10 link step consumes every object file at once.
 LINK_INPUTS = 1987
@@ -93,7 +93,7 @@ def test_real_compile_pipeline(benchmark):
             make_source(i, list(range(max(0, i - 2), i))) for i in range(24)
         ]
         return fp.repo.get_blob(
-            compile_project(fp, sources, make_headers())
+            compile_project(fp, sources, HEADERS)
         ).data
 
     exe = benchmark.pedantic(pipeline, rounds=1, iterations=1)

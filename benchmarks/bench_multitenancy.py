@@ -18,8 +18,6 @@ def test_density_headroom(benchmark, run_once):
             count=128,
             peak_bytes=4 * GB,
             sustained_bytes=256 << 20,
-            spike_seconds=1.0,
-            sustain_seconds=15.0,
             stagger_slots=16,
         )
         return density_ratio(apps, capacity_bytes=16 * GB)

@@ -18,9 +18,9 @@ from repro.baselines.ray import RayPopenMinIO
 from repro.core.errors import CodeletError
 from repro.dist.engine import FixpointSim
 from repro.workloads.compilejob import (
+    HEADERS,
     build_compile_graph,
     compile_project,
-    make_headers,
     make_source,
 )
 
@@ -29,7 +29,7 @@ def real_pipeline() -> None:
     print("=== real mini-compiler on the in-process runtime ===")
     fp = Fixpoint()
     sources = [make_source(i, list(range(max(0, i - 3), i))) for i in range(40)]
-    exe = fp.repo.get_blob(compile_project(fp, sources, make_headers())).data
+    exe = fp.repo.get_blob(compile_project(fp, sources, HEADERS)).data
     symbols = exe.decode().splitlines()
     print(f"linked executable with {len(symbols) - 1} symbols "
           f"({symbols[1]} ... {symbols[-1]})")
@@ -37,7 +37,7 @@ def real_pipeline() -> None:
 
     # Link-time failure injection: fn_999 is called but never defined.
     try:
-        compile_project(fp, [make_source(0, [999])], make_headers())
+        compile_project(fp, [make_source(0, [999])], HEADERS)
     except CodeletError as exc:
         print(f"link failure surfaces correctly: {exc}")
 

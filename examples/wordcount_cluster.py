@@ -43,7 +43,7 @@ def simulated_paper_run() -> None:
     print(f"{'platform':42s} {'time':>8s} {'waiting%':>9s} {'moved':>10s}")
     for label, factory in platforms:
         platform = factory()
-        shards = paper_shards(platform.cluster.machine_names(), seed=42)
+        shards = paper_shards(platform.cluster.machine_names())
         result = platform.run(build_wordcount_graph(shards))
         print(
             f"{label:42s} {result.makespan:7.2f}s "

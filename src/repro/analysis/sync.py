@@ -62,7 +62,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DeadlockError",
-    "LockOrderError",
     "LockTracker",
     "RaceReport",
     "TrackedCondition",
@@ -79,11 +78,7 @@ __all__ = [
 _STACK_DEPTH = 14
 
 
-class LockOrderError(RuntimeError):
-    """A lock-order inversion (raised only by ``on_cycle='raise'``)."""
-
-
-class DeadlockError(LockOrderError):
+class DeadlockError(RuntimeError):
     """An acquisition that would provably hang (self-deadlock)."""
 
 
@@ -185,18 +180,13 @@ class LockTracker:
     test reconstruct a deadlock against a private tracker without
     polluting the suite-wide ``--race`` report.
 
-    ``on_cycle='raise'`` turns inversion detection into an immediate
-    :class:`LockOrderError` at the closing acquisition (useful when a
-    test wants the failure at the faulty line); the default records the
-    cycle and lets execution continue, because this run's interleaving
-    already proved survivable - it is the *next* one that deadlocks.
+    An inversion is recorded and execution continues, because this
+    run's interleaving already proved survivable - it is the *next* one
+    that deadlocks.
     """
 
-    def __init__(self, name: str = "race", on_cycle: str = "record"):
-        if on_cycle not in ("record", "raise"):
-            raise ValueError(f"on_cycle must be 'record' or 'raise': {on_cycle!r}")
+    def __init__(self, name: str = "race"):
         self.name = name
-        self.on_cycle = on_cycle
         self._mutex = threading.Lock()  # raw by necessity: the tracker itself
         self._tls = threading.local()
         self._next_uid = 0
@@ -289,12 +279,6 @@ class LockTracker:
                 self._graph[src][dst] = _Edge(src_label, lock._label, stack_text)
             if cycle_path is not None:
                 self._record_cycle(cycle_src, lock, cycle_path, stack_text)
-        if cycle_path is not None and self.on_cycle == "raise":
-            raise LockOrderError(
-                f"{self.name}: lock-order inversion closing "
-                f"{cycle_src.lock._label} -> {lock._label}\n"
-                + self._cycles[-1].format()
-            )
 
     def _find_path(self, start: int, goal: int) -> Optional[List[_Edge]]:
         """DFS for a path ``start -> ... -> goal`` in the edge graph."""

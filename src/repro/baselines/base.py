@@ -95,8 +95,6 @@ class Platform:
         cls,
         nodes: int = 10,
         cores: int = 32,
-        memory_bytes: int = 128 << 30,
-        storage_latency: Optional[float] = None,
         seed: int = 0,
         **platform_kwargs,
     ) -> "Platform":
@@ -107,18 +105,11 @@ class Platform:
         sim = Simulator()
         specs = [
             MachineSpec(
-                name=f"node{i}",
-                cores=cores,
-                memory_bytes=memory_bytes,
-                nic_bandwidth=cls.data_bandwidth,
+                name=f"node{i}", cores=cores, nic_bandwidth=cls.data_bandwidth
             )
             for i in range(nodes)
         ]
-        cluster = Cluster(sim, specs)
-        storage = None
-        if storage_latency is not None:
-            storage = StorageService(sim, response_latency=storage_latency)
-        return cls(sim, cluster, storage=storage, seed=seed, **platform_kwargs)
+        return cls(sim, Cluster(sim, specs), seed=seed, **platform_kwargs)
 
     def __init__(
         self,

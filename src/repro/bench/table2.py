@@ -36,8 +36,11 @@ WALKS = {
     "Ray (blocking)": "ray-blocking",
 }
 
+#: Node arity of the real tree the formulas are checked against.
+VERIFY_ARITY = 16
 
-def run(scale: float = 1.0, verify_keys: int = 4096, verify_arity: int = 16) -> ExperimentResult:
+
+def run(scale: float = 1.0, verify_keys: int = 4096) -> ExperimentResult:
     key_count = max(4096, int(FIG9_KEY_COUNT * scale))
     result = ExperimentResult(
         experiment="table2",
@@ -60,10 +63,10 @@ def run(scale: float = 1.0, verify_keys: int = 4096, verify_arity: int = 16) -> 
     # Empirical verification on a real tree.
     fp = Fixpoint()
     titles = make_titles(verify_keys)
-    tree = build_bptree(fp, titles, [b"v:" + t for t in titles], verify_arity)
+    tree = build_bptree(fp, titles, [b"v:" + t for t in titles], VERIFY_ARITY)
     d = tree.levels
     for label, style in WALKS.items():
-        expect_inv = LOOKUP_STYLES[label].costs(d, verify_arity).invocations
+        expect_inv = LOOKUP_STYLES[label].costs(d, VERIFY_ARITY).invocations
         for key in sample_queries(titles, 5, seed=3):
             stats = walk_real_tree(fp, tree, key, style)
             if stats.invocations != expect_inv:
@@ -72,7 +75,7 @@ def run(scale: float = 1.0, verify_keys: int = 4096, verify_arity: int = 16) -> 
                     f"Table 2 predicts {expect_inv}"
                 )
     result.notes.append(
-        f"verified on a real {verify_keys}-key tree (arity {verify_arity}, "
+        f"verified on a real {verify_keys}-key tree (arity {VERIFY_ARITY}, "
         f"d={d}): invocation counts match the formulas for all three styles"
     )
     result.notes.append(

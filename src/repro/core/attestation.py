@@ -11,8 +11,8 @@ handle pair:
 
 * a :class:`Provider` evaluates Encodes and returns :class:`Attestation`s;
 * :func:`verify` checks a statement against a provider's key;
-* :class:`Auditor` re-runs a sampled fraction of attested computations on
-  a second provider and flags disagreements - which, thanks to
+* :class:`Auditor` re-runs each attested computation it observes on a
+  second provider and flags disagreements - which, thanks to
   determinism, are proof of a wrong (or forged) answer.
 """
 
@@ -96,24 +96,17 @@ class Auditor:
     insurance claims attach to it).
     """
 
-    def __init__(self, reference: Provider, sample_every: int = 1):
-        if sample_every < 1:
-            raise AttestationError("sample_every must be >= 1")
+    def __init__(self, reference: Provider):
         self.reference = reference
-        self.sample_every = sample_every
-        self._seen = 0
         self.findings: List[AuditFinding] = []
         self.checked = 0
 
     def observe(self, attestation: Attestation, key: bytes) -> Optional[AuditFinding]:
-        """Verify the signature, maybe recompute; returns a finding if bad."""
+        """Verify the signature and recompute; returns a finding if bad."""
         if not verify(attestation, key):
             raise AttestationError(
                 f"signature check failed for provider {attestation.provider!r}"
             )
-        self._seen += 1
-        if self._seen % self.sample_every:
-            return None
         self.checked += 1
         reference_answer = self.reference.run(attestation.encode)
         if reference_answer.result != attestation.result:

@@ -21,7 +21,7 @@ results:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from .data import Datum
 from .errors import MissingObjectError, StorageError
@@ -75,22 +75,16 @@ def collect(
     repo: Repository,
     index: RecomputeIndex,
     target_bytes: int,
-    protect: Optional[Set[bytes]] = None,
 ) -> CollectionReport:
     """Evict recoverable data, biggest first, until ``target_bytes`` freed.
 
-    ``protect`` holds content keys that must stay resident (e.g. pinned
-    session state).  Data without a recipe is never touched.
+    Data without a recipe is never touched.
     """
     if target_bytes < 0:
         raise StorageError("cannot free a negative byte count")
-    protect = protect or set()
     report = CollectionReport()
     candidates = []
     for handle in repo.handles():
-        key = handle.content_key()
-        if key in protect:
-            continue
         if not index.recoverable(handle):
             report.kept_unrecoverable += 1
             continue

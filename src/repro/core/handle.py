@@ -157,10 +157,9 @@ class Handle:
     # Constructors
 
     @classmethod
-    def blob(cls, digest: bytes, size: int, accessible: bool = True) -> "Handle":
-        """Handle for an out-of-line Blob of ``size`` bytes."""
-        meta = 0 if accessible else _META_REF
-        return cls(digest, size, meta)
+    def blob(cls, digest: bytes, size: int) -> "Handle":
+        """Handle for an accessible out-of-line Blob of ``size`` bytes."""
+        return cls(digest, size, 0)
 
     @classmethod
     def tree(cls, digest: bytes, length: int) -> "Handle":

@@ -176,7 +176,6 @@ class AdmissionController:
         #: tenant (exactly the starvation fair share must prevent).
         self._rr: Deque[str] = deque()
         self._active: List[JobTicket] = []
-        self._names: set = set()
         self._seq = 0
         #: Instant of the earliest pending pump alarm (None when none).
         self._alarm_at: Optional[float] = None
@@ -215,9 +214,9 @@ class AdmissionController:
         tenant: str,
         graph: JobGraph,
         at: Optional[float] = None,
-        name: Optional[str] = None,
     ) -> JobTicket:
-        """Queue one job for ``tenant``; returns its ticket.
+        """Queue one job for ``tenant`` as ``<tenant>-<seq>``; returns its
+        ticket.
 
         ``at`` schedules the submission at a future simulated instant
         (the staggered-arrival experiments); by default the job is
@@ -227,12 +226,9 @@ class AdmissionController:
         controller never violates the pointwise capacity proof to squeeze
         it in.
         """
-        if name is None:
-            name = f"{tenant}-{self._seq}"
-        if name in self._names:
-            # Names namespace the shared object registry: a duplicate
-            # would silently alias two tenants' objects onto each other.
-            raise AdmissionError(f"duplicate submission name {name!r}")
+        # Names namespace the shared object registry; ``seq`` counts
+        # accepted submissions, so no two are ever named alike.
+        name = f"{tenant}-{self._seq}"
         graph.validate()
         namespaced = graph.prefixed(name)
         profile = profile_from_graph(namespaced, name=name)
@@ -260,10 +256,6 @@ class AdmissionController:
                 f"job {name!r}: a task needs {widest} bytes but the "
                 f"largest machine has {machine_cap}"
             )
-        # The name is claimed (and the auto-name sequence advanced) only
-        # once the submission is accepted: a tenant that fixes a rejected
-        # graph may resubmit under the same name.
-        self._names.add(name)
         self._seq += 1
         ticket = JobTicket(
             tenant=tenant,

@@ -82,7 +82,6 @@ class FixpointSim(Platform):
         use_hints: bool = False,
         seed: int = 0,
         gossip: Optional[GossipConfig] = None,
-        obs: Optional[Obs] = None,
         **kwargs,
     ):
         super().__init__(sim, cluster, seed=seed, **kwargs)
@@ -91,9 +90,7 @@ class FixpointSim(Platform):
         #: whole export is bit-identical under seeded replay (asserted
         #: by the obs tests) - determinism is a property of the
         #: substrate, and measurement must not break it.
-        self.obs = obs if obs is not None else Obs(
-            name="fixpoint-sim", clock=lambda: sim.now
-        )
+        self.obs = Obs(name="fixpoint-sim", clock=lambda: sim.now)
         self.locality = locality
         self.internal_io = internal_io
         #: Output-size hints: the one decider of whether a placement

@@ -684,11 +684,9 @@ class GossipCoordinator:
         self._m_entries.inc(entries)
         return stats
 
-    def run_rounds(
-        self, count: int, participants: Optional[Set[str]] = None
-    ) -> List[RoundStats]:
+    def run_rounds(self, count: int) -> List[RoundStats]:
         """``count`` unconditional rounds (the platform's aging budget)."""
-        return [self.round(participants) for _ in range(count)]
+        return [self.round() for _ in range(count)]
 
     def run(self, max_rounds: int = 64) -> int:
         """Gossip until every view agrees; returns rounds used.

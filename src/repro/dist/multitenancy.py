@@ -223,7 +223,7 @@ def footprint_aware_packing(
 
 
 #: The section-6 spike shape: a short high-memory spike, then a long
-#: low-memory tail (``spiky_workload``'s defaults, and the durations of
+#: low-memory tail (``spiky_workload``'s phases, and the durations of
 #: :func:`repro.dist.admission.spike_job`'s two tasks).
 SPIKE_SECONDS = 1.0
 SUSTAIN_SECONDS = 15.0
@@ -233,8 +233,6 @@ def spiky_workload(
     count: int,
     peak_bytes: int,
     sustained_bytes: int,
-    spike_seconds: float = SPIKE_SECONDS,
-    sustain_seconds: float = SUSTAIN_SECONDS,
     stagger_slots: int = 1,
 ) -> List[AppProfile]:
     """A fleet of spiky apps: a short high-memory spike, then a long
@@ -248,12 +246,12 @@ def spiky_workload(
         raise SchedulingError("spiky_workload needs positive count and slots")
     apps: List[AppProfile] = []
     for i in range(count):
-        offset = (i % stagger_slots) * spike_seconds
+        offset = (i % stagger_slots) * SPIKE_SECONDS
         phases: List[Phase] = []
         if offset > 0:
             phases.append(Phase(offset, sustained_bytes))
-        phases.append(Phase(spike_seconds, peak_bytes))
-        phases.append(Phase(sustain_seconds, sustained_bytes))
+        phases.append(Phase(SPIKE_SECONDS, peak_bytes))
+        phases.append(Phase(SUSTAIN_SECONDS, sustained_bytes))
         apps.append(AppProfile(f"app-{i:04d}", tuple(phases)))
     return apps
 

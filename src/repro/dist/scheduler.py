@@ -235,12 +235,11 @@ class DataflowScheduler:
             self._m_move_bytes.inc(placement.predicted_move_bytes)
         return placement
 
-    def explain(
-        self, task: TaskSpec, consumer_location: Optional[str] = None
-    ) -> List[Quote]:
+    def explain(self, task: TaskSpec) -> List[Quote]:
         """Why ``task`` lands where it does: the quotes of its live
         contenders, cheapest first, so ``explain(task)[0]`` is the
-        machine :meth:`place` would pick from the same beliefs and loads.
+        machine :meth:`place` would pick from the same beliefs and loads
+        with no consumer hint.
 
         Read-only (no metric, no load, no belief moves) and off the hot
         path: it prices through the same :meth:`ObjectView.bid` call as
@@ -251,7 +250,7 @@ class DataflowScheduler:
         ``locality=False`` ablation draws at random and consults none of
         this - the quotes say what locality would have weighed.
         """
-        dead, contenders, move_bytes = self._bid(task, consumer_location)
+        dead, contenders, move_bytes = self._bid(task, None)
         return sorted(
             (
                 quote(
@@ -259,7 +258,6 @@ class DataflowScheduler:
                     move_bytes(machine),
                     self._outstanding[machine],
                     output_size=task.output_size,
-                    consumer_location=consumer_location,
                 )
                 for machine in contenders
                 if not dead or machine not in dead

@@ -91,9 +91,8 @@ def read_file(repo: Repository, root: Handle, path: str) -> bytes:
     return repo.get_blob(handle.as_object()).data
 
 
-def list_dir(repo: Repository, root: Handle, path: str = "") -> List[str]:
-    handle = resolve_path(repo, root, path) if path else root
-    return [name for _, name, _ in read_dir(repo, handle.as_object())]
+def list_dir(repo: Repository, root: Handle) -> List[str]:
+    return [name for _, name, _ in read_dir(repo, root.as_object())]
 
 
 GET_FILE_SOURCE = '''\

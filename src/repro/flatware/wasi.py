@@ -118,13 +118,13 @@ def run_program(
     program: Handle,
     args: Sequence[str],
     files: FileTree,
-    stdin: bytes = b"",
     limits: ResourceLimits = ResourceLimits(),
 ) -> bytes:
-    """Invoke a Flatware program; returns its stdout payload."""
+    """Invoke a Flatware program on an empty stdin; returns its stdout
+    payload."""
     repo = fp.repo
     argv_blob = repo.put_blob(b"\x00".join(a.encode("ascii") for a in args))
-    stdin_blob = repo.put_blob(stdin)
+    stdin_blob = repo.put_blob(b"")
     fsroot = build_fs(repo, files, accessible=True)
     thunk = fp.invoke(program, [argv_blob, stdin_blob, fsroot], limits)
     result = fp.eval(thunk.wrap_strict())

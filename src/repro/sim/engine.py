@@ -247,7 +247,7 @@ class Signal:
 
     __slots__ = ("sim", "name", "_event")
 
-    def __init__(self, sim: Simulator, name: str = ""):
+    def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
         self._event: Optional[Event] = None

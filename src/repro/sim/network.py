@@ -3,7 +3,7 @@
 Each machine attaches a :class:`NIC` with a transmit and a receive
 :class:`~repro.sim.resources.Pipe`.  A bulk transfer occupies the source's
 tx pipe and the destination's rx pipe for ``size / bandwidth`` seconds
-after a propagation ``latency`` - so concurrent transfers through the same
+after a propagation latency (:data:`LATENCY`) - so concurrent transfers through the same
 NIC contend, which is exactly the effect that makes non-local placement
 expensive in fig. 8b.
 
@@ -21,7 +21,7 @@ from .engine import Event, Simulator
 from .resources import Pipe
 
 DEFAULT_BANDWIDTH = 1.25e9  # 10 Gb/s, the m5.8xlarge class NIC
-DEFAULT_LATENCY = 0.0002  # 200 us intra-cluster
+LATENCY = 0.0002  # 200 us intra-cluster
 LOCAL_BANDWIDTH = 12.5e9  # in-memory / loopback copies
 
 
@@ -36,9 +36,8 @@ class NIC:
 class Network:
     """A full mesh of NICs with uniform latency."""
 
-    def __init__(self, sim: Simulator, latency: float = DEFAULT_LATENCY):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.latency = latency
         self._nics: Dict[str, NIC] = {}
         self.bytes_transferred = 0
         self.messages = 0
@@ -57,7 +56,7 @@ class Network:
             raise SimulationError(f"no NIC named {name!r}") from None
 
     def link_latency(self, src: str, dst: str) -> float:
-        return 0.0 if src == dst else self.latency
+        return 0.0 if src == dst else LATENCY
 
     # ------------------------------------------------------------------
     # Transfers

@@ -62,12 +62,8 @@ class CpuAccountant:
                 )
             per_machine[state] += (self.sim.now - started) * cores
 
-    def core_seconds(self, machine: str | None = None) -> Dict[str, float]:
-        """Busy core-seconds by state, for one machine or the whole cluster."""
-        if machine is not None:
-            return dict(
-                self._core_seconds.get(machine, {s: 0.0 for s in BUSY_STATES})
-            )
+    def core_seconds(self) -> Dict[str, float]:
+        """Busy core-seconds by state over the whole cluster."""
         totals = {state: 0.0 for state in BUSY_STATES}
         for per_machine in self._core_seconds.values():
             for state, value in per_machine.items():

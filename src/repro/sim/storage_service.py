@@ -16,6 +16,9 @@ from ..core.errors import SimulationError
 from .engine import Event, Simulator
 from .resources import Resource
 
+#: Transfer rate of a GET's payload, bytes per second.
+BANDWIDTH = 4e9
+
 
 class StorageService:
     """A latency + bandwidth + concurrency model of remote storage.
@@ -30,14 +33,12 @@ class StorageService:
         self,
         sim: Simulator,
         response_latency: float,
-        bandwidth: float = 4e9,
         max_connections: int = 4096,
     ):
-        if response_latency < 0 or bandwidth <= 0 or max_connections <= 0:
+        if response_latency < 0 or max_connections <= 0:
             raise SimulationError("invalid storage service parameters")
         self.sim = sim
         self.response_latency = response_latency
-        self.bandwidth = bandwidth
         self._connections = Resource(
             sim, max_connections, name=f"{self.name}.conns"
         )
@@ -54,7 +55,7 @@ class StorageService:
         yield self._connections.acquire(1)
         try:
             yield self.sim.timeout(
-                self.response_latency + nbytes / self.bandwidth
+                self.response_latency + nbytes / BANDWIDTH
             )
         finally:
             self._connections.release(1)

@@ -36,9 +36,10 @@ from ..core.handle import HANDLE_BYTES, Handle
 from ..fixpoint.runtime import Fixpoint
 
 
-def build_chain(fp: Fixpoint, length: int, start: int = 0) -> Handle:
-    """Nested increment applications: the whole chain is one Fix object."""
-    current = fp.repo.put_blob(int_blob(start))
+def build_chain(fp: Fixpoint, length: int) -> Handle:
+    """Nested increment applications from 0: the whole chain is one Fix
+    object."""
+    current = fp.repo.put_blob(int_blob(0))
     inc = fp.stdlib["increment"]
     for _ in range(length):
         thunk = fp.invoke(inc, [current])
@@ -46,8 +47,8 @@ def build_chain(fp: Fixpoint, length: int, start: int = 0) -> Handle:
     return current
 
 
-def run_chain(fp: Fixpoint, length: int, start: int = 0) -> int:
-    result = fp.eval(build_chain(fp, length, start))
+def run_chain(fp: Fixpoint, length: int) -> int:
+    result = fp.eval(build_chain(fp, length))
     return blob_int(fp.repo.get_blob(result).data)
 
 

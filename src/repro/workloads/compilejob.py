@@ -98,9 +98,8 @@ def make_source(index: int, callees: Sequence[int]) -> bytes:
     return "\n".join(lines).encode("ascii")
 
 
-def make_headers(extern_symbols: Sequence[str] = ()) -> bytes:
-    lines = ["#pragma once"] + [f"extern int {s};" for s in extern_symbols]
-    return "\n".join(lines).encode("ascii")
+#: The project's shared header: it declares no extern symbol.
+HEADERS = b"#pragma once"
 
 
 def compile_project(

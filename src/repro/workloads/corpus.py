@@ -82,9 +82,9 @@ def declare_shards(
     ]
 
 
-def paper_shards(nodes: Sequence[str], seed: int = 42) -> List[ShardSpec]:
+def paper_shards(nodes: Sequence[str]) -> List[ShardSpec]:
     """The paper's configuration: 984 shards of 100 MiB."""
-    return declare_shards(984, 100 * MIB, nodes, seed)
+    return declare_shards(984, 100 * MIB, nodes)
 
 
 def reference_count(shards: Sequence[bytes], needle: bytes) -> int:

@@ -213,12 +213,10 @@ class TestTenantIsolation:
 
         def run(controller):
             ctrl = controller(build_platform(), capacity_bytes=9 * GB)
-            ctrl.submit("alice", spike_job(peak_bytes=8 * GB), name="big-0")
-            ctrl.submit("alice", spike_job(peak_bytes=8 * GB), name="big-1")
+            ctrl.submit("alice", spike_job(peak_bytes=8 * GB))
+            ctrl.submit("alice", spike_job(peak_bytes=8 * GB))
             small = ctrl.submit(
-                "bob",
-                spike_job(peak_bytes=1 * GB, sustained_bytes=64 * MB),
-                name="small",
+                "bob", spike_job(peak_bytes=1 * GB, sustained_bytes=64 * MB)
             )
             ctrl.run()
             return small.queue_delay
@@ -248,24 +246,16 @@ class TestAdmissionSafety:
         with pytest.raises(AdmissionError):
             ctrl.submit("alice", spike_job(peak_bytes=200 * GB))
 
-    def test_duplicate_explicit_names_rejected(self):
-        """Names namespace the shared object registry; a duplicate would
-        alias two tenants' objects onto each other."""
-        platform = build_platform()
-        ctrl = AdmissionController(platform)
-        ctrl.submit("alice", spike_job(), name="same")
-        with pytest.raises(AdmissionError):
-            ctrl.submit("bob", spike_job(), name="same")
-
     def test_rejection_does_not_burn_the_name(self):
-        """A rejected submission never ran, so its name stays available:
-        the tenant fixes the graph and resubmits under the same name."""
+        """A rejected submission never ran, so it claims no sequence
+        number: the tenant's fixed resubmission gets the first name."""
         platform = build_platform()
         ctrl = AdmissionController(platform, capacity_bytes=2 * GB)
         with pytest.raises(AdmissionError):
-            ctrl.submit("alice", spike_job(peak_bytes=4 * GB), name="etl")
-        ticket = ctrl.submit("alice", spike_job(peak_bytes=1 * GB), name="etl")
+            ctrl.submit("alice", spike_job(peak_bytes=4 * GB))
+        ticket = ctrl.submit("alice", spike_job(peak_bytes=1 * GB))
         ctrl.run()
+        assert ticket.name == "alice-0"
         assert ticket.finished_at is not None
 
     def test_capacity_freed_by_declared_decay_admits_promptly(self):

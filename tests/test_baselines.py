@@ -23,6 +23,7 @@ from repro.dist.gossip import GossipConfig
 from repro.dist.graph import CLIENT, EXTERNAL, JobGraph, TaskSpec
 from repro.sim.cluster import Cluster, MachineSpec
 from repro.sim.engine import Simulator, all_of
+from repro.sim.storage_service import StorageService
 
 MB = 1 << 20
 
@@ -487,7 +488,8 @@ class TestExternalDataIsFetchedOnce:
         ids=["fixpoint-no-locality", "ray-blocking"],
     )
     def test_second_node_copies_from_a_holder(self, cls, kw):
-        platform = cls.build(nodes=3, cores=4, storage_latency=0.15, **kw)
+        platform = cls.build(nodes=3, cores=4, **kw)
+        platform.storage = StorageService(platform.sim, response_latency=0.15)
         graph = self._chain_reading_external()
         ran_on = set()
         run = platform._run

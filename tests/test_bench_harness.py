@@ -174,7 +174,7 @@ class TestExperimentSmoke:
         )
 
     def test_table2_small(self):
-        result = table2.run(scale=0.01, verify_keys=512, verify_arity=8)
+        result = table2.run(scale=0.01, verify_keys=512)
         assert any("Fixpoint" in s for s in result.systems())
 
     def test_paperdata_consistency(self):

@@ -954,23 +954,19 @@ class TestSameDecisionOracle:
         for _ in range(500):
             case = random_case(rng)
             scheduler, task = build_scheduler(case, case.view())
-            quotes = scheduler.explain(task, case.hinted_consumer)
+            quotes = scheduler.explain(task)
             assert quotes == sorted(quotes, key=reference_sort_key), case
             assert not case.dead & {q.candidate for q in quotes}, case
             if case.dead >= set(case.machines):
                 assert quotes == []
                 seen["refused"] += 1
                 continue
-            placement = scheduler.place(task, case.hinted_consumer)
+            placement = scheduler.place(task)
             assert (quotes[0].candidate, quotes[0].move_bytes) == (
                 placement.machine, placement.predicted_move_bytes,
             ), case
             total = sum(size for _name, size in case.sized_needs)
-            empty_handed = [
-                q.candidate
-                for q in quotes
-                if q.move_bytes == total and q.candidate != case.hinted_consumer
-            ]
+            empty_handed = [q.candidate for q in quotes if q.move_bytes == total]
             if total and any(q.move_bytes < total for q in quotes):
                 assert not empty_handed, case
                 seen["holders_only"] += 1
@@ -1035,8 +1031,8 @@ def check_bid(case: Case, unshippable) -> object:
         unshippable,
     )
     scheduler, task = build_scheduler(case, view)
-    quotes = scheduler.explain(task, case.hinted_consumer)
-    placed = outcome(scheduler.place, task, case.hinted_consumer)
+    quotes = scheduler.explain(task)
+    placed = outcome(scheduler.place, task)
     if placed == "SchedulingError":
         assert quotes == [], case
     else:

@@ -172,7 +172,10 @@ class TestEngine:
         for i in range(8):
             graph.add_data(f"x{i}", 8 << 10, EXTERNAL)
             graph.add_task(simple_task(f"t{i}", [f"x{i}"]))
-        platform = FixpointSim.build(nodes=1, cores=4, storage_latency=0.1)
+        sim = Simulator()
+        cluster = Cluster(sim, [MachineSpec("node0", cores=4)])
+        storage = StorageService(sim, response_latency=0.1)
+        platform = FixpointSim(sim, cluster, storage=storage)
         result = platform.run(graph)
         assert result.cpu.iowait == 0.0
 

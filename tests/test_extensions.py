@@ -65,13 +65,6 @@ class TestComputationalGC:
         assert report.bytes_freed > 0
         assert not repo.contains(base)
 
-    def test_collect_protects_pinned(self, repo):
-        base, target, encode, result = self._populate(repo)
-        index = index_from_repository(repo)
-        report = collect(repo, index, 10**9, protect={base.content_key()})
-        assert repo.contains(base)
-        assert base not in report.evicted
-
     def test_unrecoverable_data_never_evicted(self, repo):
         orphan = repo.put_blob(b"no recipe for me" * 4)
         index = index_from_repository(repo)
@@ -275,7 +268,7 @@ class TestAttestation:
     def test_auditor_confirms_honest_provider(self, fixpoint):
         provider = self._provider(fixpoint)
         reference = self._provider(fixpoint, name="ref", key=b"ref-key")
-        auditor = Auditor(reference, sample_every=1)
+        auditor = Auditor(reference)
         finding = auditor.observe(provider.run(self._encode(fixpoint)), b"secret-key")
         assert finding is None
         assert auditor.checked == 1
@@ -285,7 +278,7 @@ class TestAttestation:
         wrong = fixpoint.repo.put_blob(b"\x00")
         lying = sign("liar", b"liar-key", encode, wrong)
         reference = self._provider(fixpoint, name="ref", key=b"ref-key")
-        auditor = Auditor(reference, sample_every=1)
+        auditor = Auditor(reference)
         finding = auditor.observe(lying, b"liar-key")
         assert finding is not None
         assert finding.recomputed != wrong
@@ -293,17 +286,9 @@ class TestAttestation:
     def test_auditor_rejects_bad_signature(self, fixpoint):
         encode = self._encode(fixpoint)
         wrong_sig = sign("Z", b"not-the-key", encode, encode.definition())
-        auditor = Auditor(self._provider(fixpoint), sample_every=1)
+        auditor = Auditor(self._provider(fixpoint))
         with pytest.raises(AttestationError):
             auditor.observe(wrong_sig, b"the-real-key")
-
-    def test_sampling(self, fixpoint):
-        provider = self._provider(fixpoint)
-        reference = self._provider(fixpoint, name="ref", key=b"ref-key")
-        auditor = Auditor(reference, sample_every=3)
-        for _ in range(6):
-            auditor.observe(provider.run(self._encode(fixpoint)), b"secret-key")
-        assert auditor.checked == 2
 
 
 LINKED_LIST_WALK = '''\

@@ -45,7 +45,8 @@ class TestFilesystem:
     def test_list_dir(self, repo):
         root = build_fs(repo, SAMPLE_FS)
         assert list_dir(repo, root) == ["etc", "readme.txt", "usr"]
-        assert list_dir(repo, root, "etc") == ["hosts", "passwd"]
+        etc = resolve_path(repo, root, "etc")
+        assert list_dir(repo, etc) == ["hosts", "passwd"]
 
     def test_missing_path(self, repo):
         root = build_fs(repo, SAMPLE_FS)
@@ -144,10 +145,8 @@ class TestWasiPrograms:
             "    wasi['write_stdout'](wasi['stdin'] + b'|' + data)\n",
             "cat",
         )
-        out = run_program(
-            fixpoint, program, [], {"cfg": {"mode": b"fast"}}, stdin=b"in"
-        )
-        assert out == b"in|fast"
+        out = run_program(fixpoint, program, [], {"cfg": {"mode": b"fast"}})
+        assert out == b"|fast"
 
     def test_list_dir_and_stat(self, fixpoint):
         program = compile_program(

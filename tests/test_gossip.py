@@ -706,7 +706,8 @@ class TestStaleness:
             participants = None
             if step >= total_rounds - k:
                 participants = {m.node for m in machines}  # watcher out
-            coordinator.run_rounds(2, participants)
+            for _ in range(2):
+                coordinator.round(participants)
         needs = [(name, 1 * MB) for name in names]
         return watcher.price_moves(needs, ["m0"])["m0"]
 

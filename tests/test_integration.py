@@ -78,8 +78,8 @@ class TestGCOverRealWorkload:
             ).eval_encode(recipe)
         )
         index = index_from_repository(repo)
-        protect = set()  # inputs keep themselves: they have no recipes
-        report = collect(repo, index, target_bytes=3000, protect=protect)
+        # Inputs keep themselves: they have no recipes.
+        report = collect(repo, index, target_bytes=3000)
         assert report.bytes_freed >= 3000
         # Whatever was evicted flows back on demand; the answers stand.
         for shard, out in zip(shards, outputs):
@@ -111,7 +111,7 @@ class TestAttestedComputation:
         ).wrap_strict()
         assert encode == encode_b
         attestation = provider_a.run(encode)
-        auditor = Auditor(provider_b, sample_every=1)
+        auditor = Auditor(provider_b)
         # Content addressing makes the statement portable: provider B
         # evaluates the same Encode handle and must land on the same result.
         assert auditor.observe(attestation, b"key-a") is None

@@ -517,7 +517,7 @@ class TestCpuAccountantTrack:
         sim.run()
         assert not proc.ok  # the failure still propagates to waiters
         # ... but the 2 cores x 5 s actually held were accounted.
-        assert acct.core_seconds("m0")["user"] == pytest.approx(10.0)
+        assert acct.core_seconds()["user"] == pytest.approx(10.0)
 
     def test_fetch_failing_mid_wait_still_charges_iowait(self):
         """A blocking Ray worker claims 2 cores, pulls a peer-held input

@@ -10,7 +10,7 @@ from repro.baselines.base import Platform
 from repro.core.errors import SimulationError
 from repro.sim.cluster import Cluster, MachineSpec
 from repro.sim.engine import Simulator, all_of
-from repro.sim.network import Network
+from repro.sim.network import LATENCY, Network
 from repro.sim.resources import Pipe, Resource
 from repro.sim.stats import CpuAccountant, report
 from repro.sim.storage_service import StorageService
@@ -114,25 +114,25 @@ class TestPipe:
 class TestNetwork:
     def test_transfer_time(self):
         sim = Simulator()
-        net = Network(sim, latency=0.01)
+        net = Network(sim)
         net.attach("a", bandwidth=100.0)
         net.attach("b", bandwidth=100.0)
         done = net.transfer("a", "b", 1000)
         sim.run_until(done)
         # Store-and-forward: the bytes pass the tx pipe then the rx pipe.
-        assert sim.now == pytest.approx(0.01 + 10.0 + 10.0)
+        assert sim.now == pytest.approx(LATENCY + 10.0 + 10.0)
 
     def test_local_transfer_skips_nic(self):
         sim = Simulator()
-        net = Network(sim, latency=0.01)
+        net = Network(sim)
         net.attach("a", bandwidth=100.0)
         done = net.transfer("a", "a", 10_000)
         sim.run_until(done)
-        assert sim.now < 0.01  # memory-speed copy
+        assert sim.now < LATENCY  # memory-speed copy
 
     def test_nic_contention(self):
         sim = Simulator()
-        net = Network(sim, latency=0.0)
+        net = Network(sim)
         net.attach("src", bandwidth=100.0)
         net.attach("d1", bandwidth=100.0)
         net.attach("d2", bandwidth=100.0)
@@ -140,13 +140,13 @@ class TestNetwork:
             sim, [net.transfer("src", "d1", 500), net.transfer("src", "d2", 500)]
         )
         sim.run_until(done)
-        # Both leave through src's tx pipe (serialized: 5 s + 5 s); the
-        # second then spends 5 s in d2's rx pipe.
-        assert sim.now == pytest.approx(15.0)
+        # After the latency, both leave through src's tx pipe (serialized:
+        # 5 s + 5 s); the second then spends 5 s in d2's rx pipe.
+        assert sim.now == pytest.approx(LATENCY + 15.0)
 
     def test_crossing_transfers_do_not_deadlock(self):
         sim = Simulator()
-        net = Network(sim, latency=0.0)
+        net = Network(sim)
         net.attach("a", bandwidth=100.0)
         net.attach("b", bandwidth=100.0)
         done = all_of(
@@ -157,26 +157,26 @@ class TestNetwork:
 
     def test_message_is_latency_only(self):
         sim = Simulator()
-        net = Network(sim, latency=0.005)
+        net = Network(sim)
         net.attach("a")
         net.attach("b")
         sim.run_until(net.message("a", "b"))
-        assert sim.now == pytest.approx(0.005)
+        assert sim.now == pytest.approx(LATENCY)
 
     def test_bandwidth_mismatch_bound_by_slower(self):
         sim = Simulator()
-        net = Network(sim, latency=0.0)
+        net = Network(sim)
         net.attach("fast", bandwidth=1000.0)
         net.attach("slow", bandwidth=10.0)
         sim.run_until(net.transfer("fast", "slow", 100))
         # 0.1 s through the fast tx, 10 s through the slow rx.
-        assert sim.now == pytest.approx(10.1)
+        assert sim.now == pytest.approx(LATENCY + 10.1)
 
 
 class TestStorageService:
     def test_latency_dominates_small_gets(self):
         sim = Simulator()
-        s3 = StorageService(sim, response_latency=0.150, bandwidth=1e9)
+        s3 = StorageService(sim, response_latency=0.150)
         sim.run_until(s3.get(1000))
         assert sim.now == pytest.approx(0.150, rel=0.01)
 

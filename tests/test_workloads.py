@@ -17,9 +17,9 @@ from repro.workloads.bptree import (
 )
 from repro.workloads.chain import build_chain, run_chain
 from repro.workloads.compilejob import (
+    HEADERS,
     build_compile_graph,
     compile_project,
-    make_headers,
     make_source,
 )
 from repro.workloads.corpus import declare_shards, make_corpus, make_shard, reference_count
@@ -94,9 +94,6 @@ class TestChain:
     def test_chain_result(self, fixpoint, length):
         assert run_chain(fixpoint, length) == length
 
-    def test_chain_start_offset(self, fixpoint):
-        assert run_chain(fixpoint, 10, start=32) == 42
-
     def test_chain_is_one_object_graph(self, fixpoint):
         handle = build_chain(fixpoint, 25)
         assert handle.is_encode  # a single evaluable object
@@ -168,7 +165,7 @@ class TestCompileJob:
     def test_pipeline_produces_executable(self, fixpoint):
         sources = [make_source(i, list(range(i))) for i in range(5)]
         exe = fixpoint.repo.get_blob(
-            compile_project(fixpoint, sources, make_headers())
+            compile_project(fixpoint, sources, HEADERS)
         ).data
         assert exe.startswith(b"EXE\n")
         for i in range(5):
@@ -176,19 +173,19 @@ class TestCompileJob:
 
     def test_headers_satisfy_externs(self, fixpoint):
         sources = [make_source(0, []) + b"\ncall printf"]
-        exe = compile_project(fixpoint, sources, make_headers(["printf"]))
+        exe = compile_project(fixpoint, sources, HEADERS + b"\nextern int printf;")
         assert fixpoint.repo.get_blob(exe).data.startswith(b"EXE")
 
     def test_undefined_symbol_fails_at_link(self, fixpoint):
         sources = [make_source(0, [99])]  # calls fn_99, defined nowhere
         with pytest.raises(CodeletError) as excinfo:
-            compile_project(fixpoint, sources, make_headers())
+            compile_project(fixpoint, sources, HEADERS)
         assert "undefined" in str(excinfo.value)
 
     def test_duplicate_symbol_fails_at_link(self, fixpoint):
         sources = [make_source(0, []), make_source(0, [])]
         with pytest.raises(CodeletError) as excinfo:
-            compile_project(fixpoint, sources, make_headers())
+            compile_project(fixpoint, sources, HEADERS)
         assert "duplicate" in str(excinfo.value)
 
     def test_graph_shape(self):

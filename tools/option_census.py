@@ -1,26 +1,33 @@
-"""Census of settable values in ``src/repro`` that no caller sets.
+"""Census of settable values in ``src/repro`` with fewer than two in use.
 
 For each defaulted parameter of a public function, method or constructor
 in ``src/repro`` (and each defaulted field of a public frozen dataclass,
-a config object), count the call sites in ``src/``, ``benchmarks/``,
-``examples/`` and ``tests/`` that pass it, positionally or by keyword.
-Call sites are matched by callee name: ``f(...)`` and ``x.f(...)`` for a
-function or method, the class name for a constructor, ``cls(...)`` in a
-base class for its subclasses, ``super().__init__(...)`` for the bases,
-and ``replace(obj, field=...)`` for a dataclass field.  A call that
-forwards ``*args`` or ``**kwargs`` counts as passing every parameter.
+a config object), collect the values the call sites in ``src/``,
+``benchmarks/`` and ``examples/`` pass it; tests are not callers.  Call
+sites are matched by callee name: ``f(...)`` and ``x.f(...)`` for a
+function or method; the class name for a constructor, and the name of
+each subclass that inherits it (every subclass, for a dataclass field);
+``cls(...)`` in a class or one of its bases; ``super().__init__(...)``
+for the bases; and ``replace(obj, field=...)`` for a dataclass field.
+A call passes a value:
 
-A value every caller only forwards is as unset as one no caller passes.
-``--forwarded`` lists the defaulted parameters that some call passes,
-but only ever as a *same-named* value: ``p=p``, ``p=obj.p`` or a
-positional ``p``/``obj.p``.  Such a parameter is a hop in a chain, and
-the chain is followed by hand: look up who sets the forwarded name, and
-if it is another listed or unset parameter, every hop always holds the
-default.  (``AdmissionController.submit(deadline_slack_hours)`` was set
-by no caller, and ``Platform.start`` and ``FixpointSim.start`` only
-received it forwarded from ``admission.py``, so four hops carried 0.0.)
-A ``*args``/``**kwargs`` call is not a same-named pass: the values
-behind it are out of sight, so a parameter it reaches is never listed.
+- by omitting the argument, or passing a constant equal to the default:
+  the default;
+- by passing another constant: that constant;
+- by a *same-named forward* (``p=p``, or a positional ``p`` in ``p``'s
+  place) of a parameter of an enclosing function that nothing rebinds:
+  whatever values reach that parameter, followed through its own call
+  sites (a function nothing calls by name passes on its own default);
+- through ``**kwargs``, the enclosing function's own and otherwise
+  unread: what that function's callers pass under the parameter's name;
+  a ``**`` of anything else passes many values to each name a dict
+  display in the same file spells, and omits the rest;
+- by any other expression: many values.
+
+A value with fewer than two values in use should be a constant.  Each
+one kept is listed in :data:`KEPT_VALUES` with its reason; the census
+lists each one that is not, and each ``KEPT_VALUES`` entry that excuses
+nothing any more.
 
 ``--readers`` is the same census over definitions instead of values: it
 lists each function, method and class in ``src/repro`` whose name nothing
@@ -39,9 +46,8 @@ outlive what it excuses.
 
 Run from the repo root::
 
-    python tools/option_census.py              # the values no caller sets
-    python tools/option_census.py --all        # every value, with its count
-    python tools/option_census.py --forwarded  # values only ever forwarded
+    python tools/option_census.py              # values with < 2 in use
+    python tools/option_census.py --all        # every value, with its uses
     python tools/option_census.py --readers    # definitions only tests read
 
 The last line gives the totals.
@@ -50,13 +56,13 @@ The last line gives the totals.
 from __future__ import annotations
 
 import ast
+import operator
 import re
 import sys
 from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLERS = ("src", "benchmarks", "examples", "tests")
 READERS = ("src", "benchmarks", "examples")
 _NAME = re.compile(r"[A-Za-z_]\w*")
 
@@ -140,6 +146,105 @@ KEPT = {
     "repro.sim.engine.any_of": _SEAM + "the simulator's process-tree property",
 }
 
+_FORMAT = "the paper's own format or model: "
+_NULL = "a null object keeps its real class's signature"
+_CANNOT_FOLLOW = "a caller outside tests the census cannot follow: "
+
+#: Settable values with fewer than two values in use, kept on purpose:
+#: ``qualname(parameter)`` -> why.  A value stays for one of four
+#: reasons: the paper's own format or model; a null object; a test seam
+#: (a named test sets it to check something else); or a caller outside
+#: tests that the census cannot follow, named by file:line.
+KEPT_VALUES = {
+    "repro.fixpoint.runtime.Fixpoint.run(limits)": (
+        _FORMAT + "every invocation carries its resource limits"
+    ),
+    "repro.flatware.asyncify.io_invocation(limits)": (
+        _FORMAT + "every invocation carries its resource limits"
+    ),
+    "repro.flatware.asyncify.run_io_program(limits)": (
+        _FORMAT + "every invocation carries its resource limits"
+    ),
+    "repro.flatware.wasi.run_program(limits)": (
+        _FORMAT + "every invocation carries its resource limits"
+    ),
+    "repro.workloads.bptree.lookup_thunk(limits)": (
+        _FORMAT + "every invocation carries its resource limits"
+    ),
+    "repro.fixpoint.billing.InvocationMeter(deadline_slack_hours)": (
+        _FORMAT + "section 6's deadline discount"
+    ),
+    "repro.obs.__init__.NullObs.__init__(name)": _NULL,
+    "repro.obs.metrics.NullRegistry.__init__(name)": _NULL,
+    "repro.obs.metrics.NullRegistry.__init__(clock)": _NULL,
+    "repro.obs.trace.NullTracer.__init__(clock)": _NULL,
+    "repro.baselines.base.Platform.build(seed)": (
+        _SEAM + "the random draws of test_dist_engine's "
+        "test_no_locality_moves_data, TestRay, TestPheromone, "
+        "TestExternalDataIsFetchedOnce and test_admission's TestDeterminism"
+    ),
+    "repro.baselines.base.Platform.__init__(seed)": (
+        _SEAM + "Platform.build(seed), forwarded"
+    ),
+    "repro.dist.engine.FixpointSim.__init__(seed)": (
+        _SEAM + "Platform.build(seed), forwarded"
+    ),
+    "repro.dist.gossip.GossipConfig(membership)": (
+        _SEAM + "TestEngineFailMachine: simulated placement avoids a "
+        "tombstoned machine"
+    ),
+    "repro.dist.gossip.GossipConfig(suspect_after)": (
+        _SEAM + "TestEngineFailMachine's detection delay"
+    ),
+    "repro.dist.gossip.GossipConfig(confirm_after)": (
+        _SEAM + "TestEngineFailMachine's detection delay"
+    ),
+    "repro.dist.gossip.GossipConfig(rounds_per_output)": (
+        _SEAM + "TestFixpointSimGossip's stale and aged schedulers"
+    ),
+    "repro.dist.gossip.GossipCoordinator.__init__(fanout)": (
+        _SEAM + "TestRoundEquivalence at fanout 3, and test_membership's "
+        "all-pairs rounds"
+    ),
+    "repro.dist.multitenancy.spiky_workload(stagger_slots)": (
+        _SEAM + "TestPacking's aligned and staggered fleets"
+    ),
+    "repro.dist.admission.spike_job(peak_bytes)": (
+        _SEAM + "TestAdmissionSafety's refusals and "
+        "test_drr_admits_around_blocked_head_of_line"
+    ),
+    "repro.dist.admission.spike_job(sustained_bytes)": (
+        _SEAM + "test_drr_admits_around_blocked_head_of_line's small job"
+    ),
+    "repro.workloads.corpus.make_corpus(seed)": (
+        _SEAM + "the corpora of test_workloads and test_integration"
+    ),
+    "repro.workloads.titles.make_titles(seed)": (
+        _SEAM + "TestBPTree's key sets"
+    ),
+    "repro.dist.admission.AdmissionController.__init__(capacity_bytes)": (
+        _CANNOT_FOLLOW + "benchmarks/bench_admission.py:62,90 and "
+        "examples/admission_billing.py:48 pass it to a `controller` "
+        "parameter that holds the class"
+    ),
+}
+
+#: A value set the census cannot bound: any expression but a constant or
+#: a same-named forward.
+MANY = None
+
+_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos, ast.Not: operator.not_}
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod,
+    ast.Pow: operator.pow,
+    ast.LShift: operator.lshift,
+}
+
 
 def _name(node: ast.expr) -> str:
     return getattr(node, "attr", getattr(node, "id", ""))
@@ -149,12 +254,44 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _fold(node):
+    """The value of a constant expression; ``ValueError`` for any other."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_fold(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_fold(node.left), _fold(node.right))
+    if isinstance(node, ast.Tuple):
+        return tuple(map(_fold, node.elts))
+    raise ValueError(ast.unparse(node))
+
+
+def _value(default: ast.expr):
+    """The key a default is counted under: its value if constant, else
+    its source text."""
+    try:
+        return ("=", _fold(default))
+    except ValueError:
+        return ("expr", ast.unparse(default))
+
+
 def _init_false(value) -> bool:
     """``field(..., init=False)``: not a constructor parameter."""
     return isinstance(value, ast.Call) and any(
         k.arg == "init" and getattr(k.value, "value", True) is False
         for k in value.keywords
     )
+
+
+def _field_default(value):
+    """The default of a dataclass field's right-hand side, or ``None``."""
+    if not (isinstance(value, ast.Call) and _name(value.func) == "field"):
+        return value
+    keywords = {k.arg: k.value for k in value.keywords}
+    if "default" in keywords:
+        return keywords["default"]
+    return value if "default_factory" in keywords else None
 
 
 def _frozen_dataclass(node: ast.ClassDef) -> bool:
@@ -166,104 +303,352 @@ def _frozen_dataclass(node: ast.ClassDef) -> bool:
     )
 
 
-def definitions(sources):
-    """``(qualname, callee, kind, [(param, position or None)])`` for each
-    public callable (``kind``: "function", "init" or "field")."""
-    for path in sources:
-        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+class _Callable:
+    """A function, method, constructor or frozen dataclass, as the census
+    follows it: its parameters (name -> ``(position or None, default node
+    or None)``), its ``*args``/``**kwargs`` names, and which call-site
+    keys reach it (``kind``: "function", "init", "field" or "lambda")."""
 
-        def visit(body, cls=None):
-            for node in body:
-                if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+    def __init__(self, node, kind, name, params, star=(), kwarg=None):
+        self.node, self.kind, self.name = node, kind, name
+        self.params, self.star, self.kwarg = params, star, kwarg
+
+
+class _Site:
+    """One call: its positional arguments up to the first ``*``, whether
+    one follows, its keywords, its ``**`` arguments, the functions it sits
+    in (outermost first), the dict keys its file spells, and whether an
+    omitted argument keeps the value (``replace``) instead of defaulting."""
+
+    def __init__(self, call, scope, keys, keeps=False):
+        given = [] if keeps else call.args  # replace(obj, **fields)
+        self.args = []
+        for arg in given:
+            if isinstance(arg, ast.Starred):
+                break
+            self.args.append(arg)
+        self.star = len(self.args) < len(given)
+        self.keywords = {k.arg: k.value for k in call.keywords if k.arg}
+        self.splats = [k.value for k in call.keywords if k.arg is None]
+        self.scope, self.keys, self.keeps = scope, keys, keeps
+
+
+def _function(node, cls) -> _Callable:
+    if isinstance(node, ast.Lambda):
+        kind, name, bound = "lambda", "", 0
+    else:
+        kind = "init" if cls is not None and node.name == "__init__" else "function"
+        name = cls.name if kind == "init" else node.name
+        bound = int(
+            cls is not None
+            and "staticmethod" not in {_name(d) for d in node.decorator_list}
+        )
+    args = node.args
+    positional = args.posonlyargs + args.args
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    params = {
+        arg.arg: (index - bound, default)
+        for index, (arg, default) in enumerate(zip(positional, defaults))
+    }
+    params.update(
+        (arg.arg, (None, default))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+    )
+    star = {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    return _Callable(node, kind, name, params, star, args.kwarg and args.kwarg.arg)
+
+
+class _Census:
+    """The call sites of every file in :data:`READERS`, and the values
+    they pass, followed through forwards."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.trees = {}
+        self.callables = {}
+        self.bases = defaultdict(set)
+        self.inits = set()
+        self.fields = {}
+        self.calls = defaultdict(list)
+        self.memo = {}
+        paths = [p for top in READERS for p in sorted((root / top).rglob("*.py"))]
+        for path in paths:
+            tree = self.trees[path] = _parse(path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    self.bases[node.name] |= {_name(b) for b in node.bases}
+                    if any(
+                        isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                        for f in node.body
+                    ):
+                        self.inits.add(node.name)
                     if _frozen_dataclass(node):
-                        fields = [
-                            item.target.id
-                            for item in node.body
-                            if isinstance(item, ast.AnnAssign)
-                            and isinstance(item.target, ast.Name)
-                            and "ClassVar" not in ast.unparse(item.annotation)
-                            and not _init_false(item.value)
-                        ]
-                        defaulted = [
-                            (item.target.id, fields.index(item.target.id))
-                            for item in node.body
-                            if isinstance(item, ast.AnnAssign)
-                            and item.target.id in fields
-                            and item.value is not None
-                        ]
-                        if defaulted:
-                            yield f"{module}.{node.name}", node.name, "field", defaulted
-                    yield from visit(node.body, node)
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if node.name.startswith("_") and node.name != "__init__":
-                        continue
-                    args = node.args
-                    positional = args.posonlyargs + args.args
-                    bound = cls is not None and "staticmethod" not in {
-                        _name(d) for d in node.decorator_list
-                    }
-                    first = len(positional) - len(args.defaults)
-                    params = [
-                        (arg.arg, index - bound)
-                        for index, arg in enumerate(positional)
-                        if index >= first
-                    ]
-                    params += [
-                        (arg.arg, None)
-                        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-                        if default is not None
-                    ]
-                    if not params:
-                        continue
-                    if cls is None:
-                        yield f"{module}.{node.name}", node.name, "function", params
-                    elif node.name == "__init__":
-                        yield f"{module}.{cls.name}.__init__", cls.name, "init", params
-                    else:
-                        qual = f"{module}.{cls.name}.{node.name}"
-                        yield qual, node.name, "function", params
-
-        yield from visit(_parse(path).body)
-
-
-def call_sites(paths, bases):
-    """callee name -> ``[(positional names, keywords, forwards all)]``:
-    the name each positional argument's value has (``""`` for anything
-    but ``x`` or ``obj.x``), and keyword -> whether its value is
-    same-named."""
-    calls = defaultdict(list)
-    for path in paths:
-        tree = _parse(path)
-        owner = {}
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef):
-                for inner in ast.walk(cls):
-                    owner[id(inner)] = cls.name
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            site = (
-                [_name(a) for a in node.args if not isinstance(a, ast.Starred)],
-                {k.arg: _name(k.value) == k.arg for k in node.keywords if k.arg},
-                any(isinstance(a, ast.Starred) for a in node.args)
-                or any(k.arg is None for k in node.keywords),
+                        self.fields[node.name] = node
+        for path, tree in self.trees.items():
+            keys = frozenset(
+                k.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Dict)
+                for k in node.keys
+                if isinstance(k, ast.Constant) and isinstance(k.value, str)
+            ) | frozenset(
+                k.arg
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and _name(node.func) == "dict"
+                for k in node.keywords
+                if k.arg
             )
-            name = _name(node.func)
-            if name == "cls" and id(node) in owner:
-                calls["cls:" + owner[id(node)]].append(site)
-            elif (
-                name == "__init__"
-                and isinstance(node.func.value, ast.Call)
-                and _name(node.func.value.func) == "super"
-                and id(node) in owner
-            ):
-                for base in bases[owner[id(node)]]:
-                    calls[base].append(site)
-            elif name:
-                calls[name].append(site)
-                if name == "replace":  # dataclasses.replace(obj, field=...)
-                    calls["replace()"].append(([], site[1], site[2]))
-    return calls
+            self._walk(tree, (), None, keys)
+
+    # -- call sites ---------------------------------------------------
+
+    def function(self, node, cls=None) -> _Callable:
+        if id(node) not in self.callables:
+            self.callables[id(node)] = _function(node, cls)
+        return self.callables[id(node)]
+
+    def dataclass(self, cls: ast.ClassDef) -> _Callable:
+        """A frozen dataclass's constructor, its fields as parameters (a
+        frozen dataclass base's fields first)."""
+        if id(cls) not in self.callables:
+            params = {}
+            for base in self.bases[cls.name]:
+                if base in self.fields:
+                    params.update(self.dataclass(self.fields[base]).params)
+            for item in cls.body:
+                if (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(item.annotation)
+                    and not _init_false(item.value)
+                ):
+                    default = item.value and _field_default(item.value)
+                    params[item.target.id] = (len(params), default)
+            self.callables[id(cls)] = _Callable(cls, "field", cls.name, params)
+        return self.callables[id(cls)]
+
+    def _walk(self, node, scope, owner, keys):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                self._record(child, scope, owner, keys)
+            if isinstance(child, ast.ClassDef):
+                self._walk(child, scope, child.name, keys)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                method = node if isinstance(node, ast.ClassDef) else None
+                fn = self.function(child, method)
+                self._walk(child, scope + (fn,), owner, keys)
+            else:
+                self._walk(child, scope, owner, keys)
+
+    def _record(self, call, scope, owner, keys):
+        site = _Site(call, scope, keys)
+        name = _name(call.func)
+        if name == "cls" and owner:
+            self.calls["cls:" + owner].append(site)
+        elif (
+            name == "__init__"
+            and isinstance(call.func.value, ast.Call)
+            and _name(call.func.value.func) == "super"
+            and owner
+        ):
+            for base in self.bases[owner]:
+                self.calls[base].append(site)
+        elif name:
+            self.calls[name].append(site)
+            if name == "replace":  # dataclasses.replace(obj, field=...)
+                self.calls["replace()"].append(_Site(call, scope, keys, keeps=True))
+
+    def _related(self, name, step):
+        """``name`` and the classes reached from it by ``step``, for as
+        long as ``step`` yields them."""
+        seen, todo = {name}, [name]
+        while todo:
+            for other in step(todo.pop()) - seen:
+                seen.add(other)
+                todo.append(other)
+        return seen
+
+    def sites(self, fn: _Callable):
+        if fn.kind == "function":
+            return self.calls[fn.name]
+        if fn.kind == "lambda":
+            return []
+
+        def heirs(name):
+            """Subclasses calling ``fn``'s constructor as their own."""
+            return {
+                sub
+                for sub, bases in self.bases.items()
+                if name in bases and (fn.kind == "field" or sub not in self.inits)
+            }
+
+        found = []
+        for cls in self._related(fn.name, heirs):
+            found += self.calls[cls]
+        for cls in self._related(fn.name, lambda c: self.bases[c]):
+            found += self.calls["cls:" + cls]
+        if fn.kind == "field":
+            found += self.calls["replace()"]
+        return found
+
+    # -- values -------------------------------------------------------
+
+    def values(self, fn: _Callable, name: str):
+        """The values in use for ``fn``'s parameter ``name``: a set of
+        :func:`_value` keys, or :data:`MANY`."""
+        position, default = fn.params[name]
+        return self._gather(fn, name, position, default, (id(fn), name))
+
+    def _gather(self, fn, name, position, default, key):
+        if key not in self.memo:
+            self.memo[key] = set()  # a forwarding cycle adds nothing
+            sites = self.sites(fn)
+            if not sites:
+                found = MANY if default is None else {_value(default)}
+            else:
+                found = set()
+                for site in sites:
+                    more = self._passed(site, name, position, default)
+                    if more is MANY:
+                        found = MANY
+                        break
+                    found |= more
+            self.memo[key] = found
+        return self.memo[key]
+
+    def _passed(self, site, name, position, default):
+        if name in site.keywords:
+            return self._expr(site.keywords[name], name, default, site)
+        if position is not None:
+            if position < len(site.args):
+                return self._expr(site.args[position], name, default, site)
+            if site.star:
+                return MANY
+        for splat in site.splats:
+            hop = self._hop(splat, site)
+            if hop is not None:
+                key = (id(hop), "**" + name, default and _value(default))
+                return self._gather(hop, name, None, default, key)
+            if name in site.keys:
+                return MANY
+        if site.keeps or default is None:
+            return set()
+        return {_value(default)}
+
+    def _binder(self, name, site):
+        """The innermost enclosing function that binds ``name``, and
+        whether it binds it as an unrebound parameter."""
+        for fn in reversed(site.scope):
+            stored = any(
+                isinstance(n, ast.Name)
+                and n.id == name
+                and not isinstance(n.ctx, ast.Load)
+                for n in ast.walk(fn.node)
+            )
+            if name in fn.params or name in fn.star or stored:
+                return fn, name in fn.params and not stored
+        return None, False
+
+    def _hop(self, splat, site):
+        """The function whose own ``**kwargs`` ``splat`` passes on whole,
+        or ``None``."""
+        if not isinstance(splat, ast.Name):
+            return None
+        fn, _ = self._binder(splat.id, site)
+        if fn is None or fn.kwarg != splat.id:
+            return None
+        splats = {
+            id(k.value) for n in ast.walk(fn.node) if isinstance(n, ast.Call)
+            for k in n.keywords if k.arg is None
+        }
+        loads = [
+            n for n in ast.walk(fn.node)
+            if isinstance(n, ast.Name) and n.id == splat.id
+        ]
+        return fn if all(id(n) in splats for n in loads) else None
+
+    def _expr(self, node, name, default, site):
+        try:
+            return {("=", _fold(node))}
+        except ValueError:
+            pass
+        if isinstance(node, ast.Name) and node.id == name:
+            fn, forward = self._binder(name, site)
+            if forward:
+                return self.values(fn, name)
+            if fn is not None:
+                return MANY
+        if default is not None and ast.unparse(node) == ast.unparse(default):
+            return {_value(default)}
+        return MANY
+
+    # -- the census ---------------------------------------------------
+
+    def definitions(self):
+        """``(label, callable, parameter)`` for each defaulted parameter
+        of a public callable in ``src/repro``."""
+        for path, tree in self.trees.items():
+            if not path.is_relative_to(self.root / "src" / "repro"):
+                continue
+            module = ".".join(
+                path.relative_to(self.root / "src").with_suffix("").parts
+            )
+            yield from self._defined(tree.body, module, None)
+
+    def _defined(self, body, module, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if _frozen_dataclass(node):
+                    fn = self.dataclass(node)
+                    for item in node.body:
+                        if (
+                            isinstance(item, ast.AnnAssign)
+                            and item.target.id in fn.params
+                            and item.value is not None
+                            and fn.params[item.target.id][1] is not None
+                        ):
+                            qual = f"{module}.{node.name}({item.target.id})"
+                            yield qual, fn, item.target.id
+                yield from self._defined(node.body, module, node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and node.name != "__init__":
+                    continue
+                fn = self.function(node, cls)
+                prefix = module if cls is None else f"{module}.{cls.name}"
+                for param, (position, default) in fn.params.items():
+                    if default is not None and (position is None or position >= 0):
+                        yield f"{prefix}.{node.name}({param})", fn, param
+
+
+def in_use():
+    """``label -> values`` for each defaulted value in ``src/repro``: a
+    set of value keys, or :data:`MANY`."""
+    census = _Census(ROOT)
+    return {
+        label: census.values(fn, param)
+        for label, fn, param in census.definitions()
+    }
+
+
+def unset(found=None):
+    """``(unexplained, stale)``: each value with fewer than two values in
+    use that :data:`KEPT_VALUES` does not excuse, and each
+    ``KEPT_VALUES`` key that excuses no such value."""
+    found = in_use() if found is None else found
+    few = {
+        label
+        for label, values in found.items()
+        if values is not MANY and len(values) < 2
+    }
+    return sorted(few - set(KEPT_VALUES)), sorted(set(KEPT_VALUES) - few)
+
+
+def _shown(values) -> str:
+    if values is MANY:
+        return "many"
+    return "{" + ", ".join(
+        sorted(repr(v) if kind == "=" else v for kind, v in values)
+    ) + "}"
 
 
 def declared(sources):
@@ -353,53 +738,19 @@ def main(argv) -> int:
             f"stale KEPT entries: {len(stale)}"
         )
         return 0
-    sources = sorted((ROOT / "src" / "repro").rglob("*.py"))
-    bases = defaultdict(set)
-    for path in sources:
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.ClassDef):
-                bases[node.name] |= {_name(b) for b in node.bases}
-
-    def ancestors(name):
-        seen, todo = {name}, [name]
-        while todo:
-            for base in bases[todo.pop()] - seen:
-                seen.add(base)
-                todo.append(base)
-        return seen
-
-    paths = [p for top in CALLERS for p in sorted((ROOT / top).rglob("*.py"))]
-    calls = call_sites(paths, bases)
-    forwarded_only = "--forwarded" in argv
-    total = unset = forwarded = 0
-    for qual, callee, kind, params in definitions(sources):
-        sites = list(calls[callee])
-        if kind == "init":
-            for base in ancestors(callee):
-                sites += calls["cls:" + base]
-        elif kind == "field":
-            sites += calls["replace()"]
-        for param, position in params:
-            passed = through = 0
-            for names, keywords, forwards in sites:
-                if param in keywords:
-                    through += keywords[param]
-                elif position is not None and position < len(names):
-                    through += names[position] == param
-                elif not forwards:
-                    continue
-                passed += 1
-            total += 1
-            unset += passed == 0
-            only_forwarded = 0 < passed == through
-            forwarded += only_forwarded
-            shown = only_forwarded if forwarded_only else passed == 0
-            if shown or "--all" in argv:
-                print(f"{passed:4d}  {qual}({param})")
-    line = f"# defaulted values: {total}; set by no caller: {unset}"
-    if forwarded_only:
-        line += f"; set only by forwarding: {forwarded}"
-    print(line)
+    found = in_use()
+    unexplained, stale = unset(found)
+    for label, values in found.items():
+        if "--all" in argv or label in unexplained:
+            count = "many" if values is MANY else f"{len(values):4d}"
+            print(f"{count:>4}  {label}  {_shown(values)}")
+    for label in stale:
+        print(f"   -  {label}  (KEPT_VALUES, but two or more values are in use)")
+    print(
+        f"# defaulted values: {len(found)}; fewer than two in use: "
+        f"{len(unexplained)} unexplained, {len(KEPT_VALUES) - len(stale)} kept; "
+        f"stale KEPT_VALUES entries: {len(stale)}"
+    )
     return 0
 
 
