@@ -216,9 +216,7 @@ def lost_work_experiment():
 
     obs = Obs("churn")
     nodes = [
-        FixpointNode(
-            f"n{i}", workers=2, obs=obs, suspect_after=2, confirm_after=2
-        )
+        FixpointNode(f"n{i}", obs=obs, suspect_after=2, confirm_after=2)
         for i in range(4)
     ]
     caller, victim = nodes[0], nodes[-1]

@@ -6,7 +6,7 @@ Public surface:
 * :mod:`repro.core` - the Fix ABI: Handles, Blobs/Trees, Thunks, Encodes,
   minimum repositories, and the evaluator.
 * :mod:`repro.codelets` - the trusted toolchain, sandbox, and linker.
-* :mod:`repro.fixpoint` - the executable multi-worker runtime (and the
+* :mod:`repro.fixpoint` - the executable runtime (and the
   functional multi-node delegation in :mod:`repro.fixpoint.net`).
 * :mod:`repro.sim` - the discrete-event cluster substrate.
 * :mod:`repro.dist` - distributed Fixpoint: the job IR, the passive

@@ -1,6 +1,6 @@
 """Tracked locks: a lock-order race detector for the executing runtime.
 
-The repo is a genuinely concurrent system - serve and fork threads,
+The repo is a genuinely concurrent system - serve threads,
 wire-sequenced channels, gossip frames racing with in-flight
 delegations - and every concurrency bug so far was found *by hand in
 review*.  This module makes lock discipline machine-checked,
@@ -31,8 +31,8 @@ lockdep-style:
 * :func:`note_blocking` marks known blocking operations - paying
   :meth:`Channel.transit <repro.fixpoint.net.Channel.transit>` latency,
   waiting a :class:`~repro.fixpoint.net.Delegation` future
-  (:meth:`Job.wait <repro.fixpoint.jobs.Job.wait>`, also how a
-  fork/join parent waits for its forks), ``Condition.wait`` - and
+  (:meth:`Delegation.wait <repro.fixpoint.net.Delegation.wait>`),
+  ``Condition.wait`` - and
   records a **hold-while-blocking** event when the calling thread
   holds any tracked lock at that moment (a condition
   waiter's own lock is exempt: ``wait`` releases it).  Holding a lock

@@ -85,17 +85,14 @@ class Evaluator:
         repo: Repository,
         apply_fn: Optional[ApplyFn] = None,
         memoize: bool = True,
-        thunk_cache: Optional[Dict[Handle, Handle]] = None,
     ):
         self.repo = repo
         self.apply_fn = apply_fn
         self.memoize = memoize
-        # May be shared across evaluators and threads (a Fixpoint's one
-        # evaluator serves them all); writes are idempotent because
-        # evaluation is deterministic.
-        self._thunk_cache: Dict[Handle, Handle] = (
-            thunk_cache if thunk_cache is not None else {}
-        )
+        # Shared by every thread evaluating through this evaluator (a
+        # Fixpoint's one evaluator serves them all); writes are
+        # idempotent because evaluation is deterministic.
+        self._thunk_cache: Dict[Handle, Handle] = {}
 
     # ------------------------------------------------------------------
     # Public entry points

@@ -3,7 +3,7 @@
 Maps Blobs and Trees to their contents and Encodes to their evaluation
 results (paper section 4.2.1: "a runtime storage that maps from Blobs and
 Trees to their data and from Encodes to evaluation results").  The store is
-thread-safe - Fixpoint worker threads share one repository.
+thread-safe - a Fixpoint's callers and serve threads share one repository.
 
 Memoization of Encode results is what makes repeated evaluation cheap and
 is the hook for the paper's "computational garbage collection" future-work

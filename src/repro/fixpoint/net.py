@@ -16,7 +16,7 @@ sending Fix values in the packed wire format (paper section 4.2.1):
   :class:`Delegation` future immediately;
 * the peer serves the request on a ``fixpoint-serve`` thread of its own
   (:meth:`~repro.fixpoint.runtime.Fixpoint.spawn`, the one kind of
-  runtime thread; the peer's forked Encodes run on them too), and the
+  runtime thread, which also evaluates the request), and the
   reply - or an explicit error frame, when peer-side evaluation fails -
   crosses the wire back and is absorbed into the caller's repository on
   the serving thread; both views advance - on send *and* on receive.
@@ -113,6 +113,7 @@ re-dispatches the work on the survivors.
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -143,7 +144,6 @@ from ..dist.membership import (
 )
 from ..dist.objectview import Delta, Digest, ObjectView
 from ..obs import CONTEXT_BYTES, Obs, SpanContext
-from .jobs import Job
 from .runtime import Fixpoint
 
 _SENDER_LEN = struct.Struct("<H")
@@ -582,12 +582,9 @@ class Delegation:
     future with :class:`RemoteEvalError`; a transport failure with
     :class:`NetworkError`.
 
-    Completion signalling is a :class:`~repro.fixpoint.jobs.Job` - the
-    same primitive a forked Encode uses - so there is exactly one
-    result/error/event implementation in the package; this class adds
-    the delegation identity, what its settlement undoes (the
+    It holds the delegation identity, what its settlement undoes (the
     dispatching ``node``, the ``peer`` and the ``shipped`` keys), and
-    the timeout-to-:class:`NetworkError` translation.
+    the outcome with the event a waiter blocks on.
 
     Every way a delegation ends - the reply absorbed, a transport or
     remote failure, a spawn that never ran, :meth:`cancel` or a
@@ -597,7 +594,7 @@ class Delegation:
     and no race can undo them twice.
     """
 
-    __slots__ = ("node", "peer", "encode", "shipped", "_job", "_settled")
+    __slots__ = ("node", "peer", "encode", "shipped", "_event", "_outcome")
 
     def __init__(
         self,
@@ -610,15 +607,22 @@ class Delegation:
         self.peer = peer
         self.encode = encode
         self.shipped = shipped
-        self._job = Job(encode)
-        self._settled = False
+        self._event = threading.Event()
+        #: The reply's handle or the failure; None until settled.
+        self._outcome: Union[Handle, BaseException, None] = None
 
     @property
     def done(self) -> bool:
-        return self._job.done
+        return self._event.is_set()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._job.wait(timeout)
+        if not self._event.is_set():
+            # A genuine block (the reply is not in yet): if the caller
+            # holds a tracked lock this is the hold-while-blocking
+            # pattern - waiting on a future that may need that very
+            # lock to settle (PR 4's dispatch wedge).
+            note_blocking("Delegation.wait")
+        return self._event.wait(timeout)
 
     def cancel(self) -> bool:
         """Abandon this delegation from the caller's side.
@@ -650,12 +654,14 @@ class Delegation:
         first, and since a settle resolves the future before it lets go
         of the node lock, the freshly-arrived outcome is returned.
         """
-        if not self._job.wait(timeout) and self.cancel():
+        if not self.wait(timeout) and self.cancel():
             raise NetworkError(
                 f"delegation to {self.peer!r} timed out after "
                 f"{timeout}s (rolled back)"
             )
-        return self._job.value()
+        if isinstance(self._outcome, BaseException):
+            raise self._outcome
+        return self._outcome
 
     def _settle(self, outcome: Union[Handle, BaseException]) -> bool:
         """End this delegation with ``outcome``: True for the first
@@ -666,23 +672,26 @@ class Delegation:
         :meth:`result` returns never sees its own phantom load."""
         node = self.node
         with node._lock:
-            if self._settled:
+            if self._outcome is not None:
                 return False
-            self._settled = True
+            self._outcome = outcome
             node.outstanding[self.peer] -= 1
-            if isinstance(outcome, Handle):
-                self._job.complete(outcome)
-                return True
-            for key in self.shipped:
-                node.view.forget(key, self.peer)
-            if self.shipped:
-                node._m_rollbacks.inc(peer=self.peer)
-            self._job.fail(outcome)
+            if not isinstance(outcome, Handle):
+                for key in self.shipped:
+                    node.view.forget(key, self.peer)
+                if self.shipped:
+                    node._m_rollbacks.inc(peer=self.peer)
+            self._event.set()
             return True
 
 
 class FixpointNode:
-    """One executing node: a Fixpoint runtime plus peer channels."""
+    """One executing node: a Fixpoint runtime plus peer channels.
+
+    ``workers`` is accepted and unused, as :class:`Fixpoint`'s is: only
+    ``benchmarks/perf/workloads.py`` still passes it, until ROADMAP
+    item 1a drops that call site and then the parameter.
+    """
 
     def __init__(
         self,
@@ -702,7 +711,7 @@ class FixpointNode:
         #: ``repro.obs.NULL_OBS`` to run dark, or share one Obs across
         #: nodes to get a single cluster-wide registry.
         self.obs = obs if obs is not None else Obs(name)
-        self.runtime = Fixpoint(workers=workers, obs=self.obs)
+        self.runtime = Fixpoint(obs=self.obs)
         self.peers: Dict[str, Channel] = {}
         #: What this node believes its peers hold (the passive view):
         #: object names are content keys, locations are peer names, and
@@ -1276,7 +1285,7 @@ class FixpointNode:
         window absorbs it here), settle.
 
         Runs on one of the *peer's* serve threads, so the dispatcher
-        never blocks and no worker waits on the wire.  Every outcome
+        never blocks and never waits on the wire.  Every outcome
         ends in :meth:`Delegation._settle`: a failure, transport or
         remote, rolls back the shipped beliefs, and after a caller's
         cancel or timeout this thread's outcome changes nothing.

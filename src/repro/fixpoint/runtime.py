@@ -1,42 +1,36 @@
-"""The Fixpoint runtime: an executable, multi-worker Fix evaluator.
+"""The Fixpoint runtime: an executable Fix evaluator.
 
 This is the in-process analog of the paper's section 4.2.1 architecture:
 
-* a **runtime storage** (one :class:`~repro.core.storage.Repository`)
-  shared by all workers, mapping Blobs/Trees to data and Encodes to
-  results;
+* a **runtime storage** (one :class:`~repro.core.storage.Repository`),
+  mapping Blobs/Trees to data and Encodes to results;
 * a **program registry / ELF linker** (:class:`~repro.codelets.Linker`)
   mapping codelet handles to linked entrypoints;
-* **worker threads** that each embed a Scheduler (here: the evaluator
-  itself) deciding what I/O and computation an object needs under Fix
-  semantics;
+* a Scheduler (here: the evaluator itself) deciding what I/O and
+  computation an object needs under Fix semantics;
 * invocation happens by *jumping straight to the codelet's entrypoint* -
   no processes or containers are spawned, which is what makes the
   per-invocation overhead microscopic (fig. 7a).
 
-``workers=0`` gives a purely sequential runtime (used for the fig. 9
-experiment, which the paper runs with a single worker thread, and for the
-microbenchmarks).  With ``workers=N`` the runtime evaluates independent
-Encode arguments in parallel: up to N sibling Encodes at once, runtime
-wide, are forked onto serve threads, and a sibling that finds no free
-fork slot runs on the thread that met it.  A fork never queues, so any
-worker count is deadlock-free.
+Every evaluation runs on the thread that asks for it: the caller's, or
+the serve thread answering a delegation.  Parallelism across
+invocations is the platform's business - placing them across cores and
+machines - which :mod:`repro.dist` simulates (figs. 8 and 10) and
+:mod:`repro.fixpoint.net` does by delegating to peers.
 
 The runtime has one kind of thread, ``fixpoint-serve``
 (:meth:`Fixpoint.spawn`).  Every runtime serves each incoming delegation
 on one, a thread per request in flight, so a node that receives a burst
-of K requests holds K serve threads whatever its worker count; forks
-run on them too.  Serve threads are kept warm: one that finishes parks
-for the next task instead of exiting, so a steady stream of delegations
-reuses threads rather than starting one per request.  A runtime starts
-no thread until it serves or forks.
+of K requests holds K serve threads.  Serve threads are kept warm: one
+that finishes parks for the next task instead of exiting, so a steady
+stream of delegations reuses threads rather than starting one per
+request.  A runtime starts no thread until it serves.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from functools import partial
 from typing import Callable, Dict, Optional, Sequence
 
 from ..analysis.sync import TrackedCondition, TrackedLock
@@ -51,42 +45,10 @@ from ..core.limits import DEFAULT_LIMITS, ResourceLimits
 from ..core.storage import Repository
 from ..core.thunks import Invocation, make_application
 from ..obs import NULL_OBS
-from .jobs import Job
 from .tracing import Trace
 
 #: Seconds a parked serve thread waits for its next task before exiting.
 _SERVE_IDLE_S = 2.0
-
-
-class _WorkerEvaluator(Evaluator):
-    """Evaluator wired to a runtime: applies codelets, and on a runtime
-    with ``workers > 0`` forks an invocation's pending sibling Encodes
-    onto serve threads (:meth:`Fixpoint._fork_join`).
-
-    A runtime builds one and every thread evaluates through it: it keeps
-    no per-call state, and its repo and thunk cache are the runtime's."""
-
-    def __init__(self, runtime: "Fixpoint"):
-        super().__init__(
-            runtime.repo,
-            apply_fn=runtime._apply,
-            memoize=runtime.memoize,
-            thunk_cache=runtime._thunk_cache,
-        )
-        self.runtime = runtime
-
-    def resolve_invocation(self, definition: Handle, depth: int = 0) -> Handle:
-        runtime = self.runtime
-        if runtime.workers > 0 and depth < 64:
-            tree = self.repo.get_tree(definition)
-            pending = [
-                child
-                for child in tree
-                if child.is_encode and self.repo.get_result(child) is None
-            ]
-            if len(pending) > 1:
-                runtime._fork_join(pending, depth)
-        return super().resolve_invocation(definition, depth)
 
 
 class _Parked:
@@ -160,6 +122,11 @@ class Fixpoint:
 
     Use as a context manager (or call :meth:`close`) to release its
     parked serve threads at once rather than after their idle timeout.
+
+    ``workers`` is accepted and unused: the perf harness still passes
+    it (``benchmarks/perf/workloads.py``'s ``scatter_resident`` peers
+    and ``layers.py``'s ``pool`` spawn probe).  ROADMAP item 1a drops
+    those two call sites, and then the parameter.
     """
 
     def __init__(
@@ -173,7 +140,6 @@ class Fixpoint:
         self.repo = repo if repo is not None else Repository()
         self.toolchain = Toolchain(self.repo)
         self.linker = Linker(self.repo)
-        self.memoize = memoize
         #: With an :class:`~repro.obs.Obs` the invocation trace emits
         #: into that obs' registry, so a node's codelet activity lands
         #: in the same export as its wire and scheduling metrics;
@@ -183,21 +149,19 @@ class Fixpoint:
         self.stdlib: Dict[str, Handle] = (
             compile_stdlib(self.repo) if with_stdlib else {}
         )
-        self._thunk_cache: Dict[Handle, Handle] = {}
-        self._evaluator = _WorkerEvaluator(self)
+        #: One evaluator, shared by every thread that evaluates here: it
+        #: keeps no per-call state.
+        self._evaluator = Evaluator(
+            self.repo, apply_fn=self._apply, memoize=memoize
+        )
         self._serve = _ServeThreads()
-        #: Most sibling Encodes evaluating on serve threads at once.
-        self.workers = workers
-        self._forks = 0
-        self._fork_lock = TrackedLock("Fixpoint._fork_lock")
 
     # ------------------------------------------------------------------
     # Lifecycle
 
     def close(self) -> None:
-        """Release the parked serve threads; a later :meth:`spawn` (a
-        fork included) still runs its task, on a thread that exits when
-        the task returns."""
+        """Release the parked serve threads; a later :meth:`spawn` still
+        runs its task, on a thread that exits when the task returns."""
         self._serve.close()
 
     def __enter__(self) -> "Fixpoint":
@@ -227,8 +191,8 @@ class Fixpoint:
         daemon thread.
 
         This is how a :class:`~repro.fixpoint.net.FixpointNode` serves
-        incoming delegations without blocking the dispatching node, and
-        how :meth:`_fork_join` runs a forked sibling.  Each task gets a
+        incoming delegations without blocking the dispatching node.
+        Each task gets a
         thread of its own at once: a parked one from an earlier task
         when one is idle, a new one otherwise, so no task waits for
         another to finish.
@@ -288,49 +252,3 @@ class Fixpoint:
             threading.current_thread().name,
         )
         return result
-
-    # ------------------------------------------------------------------
-    # Parallel fork/join
-
-    def _fork_join(self, encodes: Sequence[Handle], depth: int) -> None:
-        """Evaluate sibling Encodes, forking all but the first onto serve
-        threads while a fork slot is free; the rest run on this thread.
-
-        Taking a slot never blocks, so a fork never waits for a thread
-        and a nested fork/join at any width finishes.
-        """
-        first, *rest = dict.fromkeys(encodes)
-        inline, forks = [first], []
-        for encode in rest:
-            if self._take_fork_slot():
-                job = Job(encode)
-                self.spawn(partial(self._run_fork, job))
-                forks.append(job)
-            else:
-                inline.append(encode)
-        for encode in inline:
-            self._evaluator._eval_encode(encode, depth + 1)
-        for job in forks:
-            job.wait()
-            job.value()  # re-raise a failure in the parent
-
-    def _take_fork_slot(self) -> bool:
-        with self._fork_lock:
-            if self._forks >= self.workers:
-                return False
-            self._forks += 1
-            return True
-
-    def _run_fork(self, job: Job) -> None:
-        """A forked sibling's task: free the slot before publishing, so
-        a parent that sees the outcome sees the slot free too."""
-        try:
-            try:
-                result = self._evaluator.eval_encode(job.encode)
-            finally:
-                with self._fork_lock:
-                    self._forks -= 1
-        except BaseException as exc:  # noqa: BLE001 - re-raised by the parent
-            job.fail(exc)
-        else:
-            job.complete(result)

@@ -15,12 +15,5 @@ def repo() -> Repository:
 
 @pytest.fixture
 def fixpoint() -> Fixpoint:
-    """A sequential (single-threaded) Fixpoint with the stdlib compiled."""
-    return Fixpoint(workers=0)
-
-
-@pytest.fixture
-def parallel_fixpoint():
-    """A 4-worker Fixpoint, closed after the test."""
-    with Fixpoint(workers=4) as fp:
-        yield fp
+    """A Fixpoint with the stdlib compiled."""
+    return Fixpoint()

@@ -183,40 +183,43 @@ class TestSelfDeadlock:
 # Hold-while-blocking
 
 
-class TestHoldWhileBlocking:
-    def test_job_wait_while_holding_a_lock_is_flagged(self):
-        from repro.core.storage import Repository
-        from repro.fixpoint.jobs import Job
+def _pending_delegation():
+    """A delegation to ``beta`` that nothing will settle on its own."""
+    from repro.fixpoint.net import Delegation, FixpointNode
 
+    node = FixpointNode("alpha")
+    node.outstanding["beta"] = 1
+    return Delegation(node, "beta", node.repo.put_blob(b"job"), ())
+
+
+class TestHoldWhileBlocking:
+    def test_delegation_wait_while_holding_a_lock_is_flagged(self):
         with tracking() as t:
+            future = _pending_delegation()
             lock = TrackedLock("holder")
-            job = Job(Repository().put_blob(b"job"))
             done = threading.Event()
 
-            def completer():
+            def settler():
                 done.wait(1.0)
-                job.complete(None)
+                future._settle(future.encode)
 
-            th = threading.Thread(target=completer)
+            th = threading.Thread(target=settler)
             th.start()
             with lock:
                 done.set()
-                job.wait(timeout=1.0)
+                future.wait(timeout=1.0)
             th.join()
         report = t.report()
-        assert any(e.what == "Job.wait" for e in report.blocking)
+        assert any(e.what == "Delegation.wait" for e in report.blocking)
         assert any("holder" in h for e in report.blocking for h in e.held)
 
-    def test_job_wait_on_completed_future_is_free(self):
-        from repro.core.storage import Repository
-        from repro.fixpoint.jobs import Job
-
+    def test_delegation_wait_on_a_settled_future_is_free(self):
         with tracking() as t:
+            future = _pending_delegation()
+            future._settle(future.encode)
             lock = TrackedLock("holder")
-            job = Job(Repository().put_blob(b"job"))
-            job.complete(None)
             with lock:
-                assert job.wait(timeout=0) is True
+                assert future.wait(timeout=0) is True
         assert not t.report().blocking
 
     def test_channel_transit_while_holding_a_lock_is_flagged(self):

@@ -68,6 +68,41 @@ class TestEveryDefinitionHasAReader:
         unexplained, _stale = census.unread()
         assert [qual for qual, *_ in unexplained] == ["repro.box.Box.meta"]
 
+    def test_a_read_through_a_foreign_module_reads_nothing(self, tmp_path):
+        source = tmp_path / "src" / "repro" / "gc.py"
+        source.parent.mkdir(parents=True)
+        source.write_text(
+            "def collect(repo):\n"
+            "    return 0\n"
+            "\n"
+            "\n"
+            "def sweep(repo):\n"
+            "    return 1\n"
+            "\n"
+            "\n"
+            "def join(*parts):\n"
+            "    return parts\n"
+        )
+        example = tmp_path / "examples" / "run.py"
+        example.parent.mkdir()
+        example.write_text(
+            "import gc\n"
+            "import os as system\n"
+            "from os.path import join\n"
+            "\n"
+            "gc.collect()\n"
+            "system.path.join('a', 'b')\n"
+            "join('a', 'b')\n"
+            "from repro.gc import sweep\n"
+        )
+        census = load_census()
+        census.ROOT = tmp_path
+        unexplained, _stale = census.unread()
+        assert [qual for qual, *_ in unexplained] == [
+            "repro.gc.collect",
+            "repro.gc.join",
+        ]
+
 
 def flagged(tmp_path, files):
     """The values the census lists for a project of ``files`` (path ->

@@ -132,10 +132,9 @@ class TestDelegateAsync:
         assert alpha.outstanding["beta"] == 0
 
     def test_pooled_peer_serves_on_serve_threads(self):
-        """A peer with ``workers=2`` serves each request on a
-        ``fixpoint-serve`` thread, as a sequential one does."""
+        """A peer serves each request on a ``fixpoint-serve`` thread."""
         alpha = FixpointNode("alpha")
-        with FixpointNode("beta", workers=2) as beta:
+        with FixpointNode("beta") as beta:
             alpha.connect(beta)
             serving = []
             real_serve = beta._serve
@@ -160,7 +159,7 @@ class TestDelegateAsync:
         """A closed peer still serves: close() only releases parked
         threads, and a later request runs on a thread of its own."""
         alpha = FixpointNode("alpha")
-        beta = FixpointNode("beta", workers=2)
+        beta = FixpointNode("beta")
         alpha.connect(beta)
         beta.runtime.close()
         result = alpha.delegate("beta", add_encode(alpha, 2, 2))
@@ -275,7 +274,7 @@ class TestConcurrentDispatch:
         import sys
 
         alpha = FixpointNode("alpha")
-        with FixpointNode("beta", workers=1) as beta:
+        with FixpointNode("beta") as beta:
             alpha.connect(beta)
             errors = []
 
@@ -311,17 +310,17 @@ class TestConcurrentDispatch:
 
 
 class TestCrossedDelegationsSettle:
-    """Two pooled nodes delegating to each other at once.  Each
-    direction carries one side's requests ahead of the other side's
-    replies, so every reply waits for a request frame to be delivered
-    first.  Were serves queued on the bounded pools, each node's
-    workers would sit in a reply's delivery window while the request
-    they wait for sat queued in the other node's pool."""
+    """Two nodes delegating to each other at once.  Each direction
+    carries one side's requests ahead of the other side's replies, so
+    every reply waits for a request frame to be delivered first.  Were
+    serves queued behind a bounded set of threads, each node's threads
+    would sit in a reply's delivery window while the request they wait
+    for sat queued on the other node."""
 
-    @pytest.mark.parametrize("workers, per_side", [(1, 2), (2, 3)])
-    def test_every_crossed_delegation_settles(self, workers, per_side):
-        alpha = FixpointNode("alpha", workers=workers)
-        beta = FixpointNode("beta", workers=workers)
+    @pytest.mark.parametrize("per_side", [2, 3])
+    def test_every_crossed_delegation_settles(self, per_side):
+        alpha = FixpointNode("alpha")
+        beta = FixpointNode("beta")
         with alpha, beta:
             alpha.connect(beta)
             for channel in alpha.peers.values():

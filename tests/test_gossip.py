@@ -30,7 +30,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.codelets.stdlib import blob_int, int_blob
@@ -2601,6 +2601,17 @@ def store_ops():
 
 
 @settings(max_examples=60, deadline=None, report_multiple_bugs=False)
+@example(
+    # Two puts, then the first re-put: it must list last, which the
+    # rank_survives_forget mutant misses on every run.
+    ops=[
+        ("put", core_data.Blob(b"a" * 64)),
+        ("put", core_data.Blob(b"b" * 64)),
+        ("reput", 0),
+    ],
+    mask=0,
+    absent=[],
+)
 @given(
     store_ops(),
     st.integers(0, (1 << 32) - 1),
@@ -2737,7 +2748,7 @@ class TestGossipConcurrencyStress:
     def test_concurrent_gossip_and_delegations(self):
         directory = NodeDirectory()
         nodes = [
-            FixpointNode(f"n{i}", workers=2, directory=directory)
+            FixpointNode(f"n{i}", directory=directory)
             for i in range(self.NODES)
         ]
         try:

@@ -87,7 +87,6 @@ EXPECTED_MODULES = [
     "repro.dist.scheduler",
     "repro.fixpoint",
     "repro.fixpoint.billing",
-    "repro.fixpoint.jobs",
     "repro.fixpoint.net",
     "repro.fixpoint.runtime",
     "repro.fixpoint.tracing",

@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-from repro.codelets.stdlib import blob_int, int_blob
+from repro.codelets.stdlib import blob_int
 from repro.core.attestation import Auditor, Provider
 from repro.core.eval import Evaluator
 from repro.core.gc import RecoveringRepository, collect, index_from_repository
 from repro.fixpoint.net import FixpointNode
 from repro.fixpoint.runtime import Fixpoint
 from repro.workloads.corpus import make_corpus, reference_count
-from repro.workloads.wordcount import (
-    COUNT_STRING_SOURCE,
-    MERGE_COUNTS_SOURCE,
-    count_corpus,
-)
+from repro.workloads.wordcount import COUNT_STRING_SOURCE, MERGE_COUNTS_SOURCE
 
 
 class TestDistributedWordcount:
@@ -116,23 +112,3 @@ class TestAttestedComputation:
         # evaluates the same Encode handle and must land on the same result.
         assert auditor.observe(attestation, b"key-a") is None
         assert not auditor.findings
-
-
-class TestParallelRuntimeConsistency:
-    def test_parallel_and_sequential_wordcount_agree(self):
-        shards = make_corpus(6, 2000, seed=77)
-        sequential = count_corpus(Fixpoint(), shards, b"the")
-        with Fixpoint(workers=4) as fp:
-            parallel = count_corpus(fp, shards, b"the")
-        assert sequential == parallel == reference_count(shards, b"the")
-
-    def test_worker_count_does_not_change_any_result(self):
-        for workers in (0, 2, 8):
-            fp = Fixpoint(workers=workers)
-            try:
-                x = fp.repo.put_blob(int_blob(17))
-                thunk = fp.invoke(fp.stdlib["fib"], [fp.stdlib["add"], x])
-                result = fp.eval(thunk.wrap_strict())
-                assert blob_int(fp.repo.get_blob(result).data) == 1597
-            finally:
-                fp.close()

@@ -63,8 +63,12 @@ from repro.dist.membership import (
 from repro.dist.objectview import EMPTY_DIGEST, Digest, ObjectView
 from repro.dist.scheduler import DataflowScheduler
 from repro.fixpoint import net
-from repro.fixpoint.jobs import Job
-from repro.fixpoint.net import FixpointNode, NetworkError, NodeDirectory
+from repro.fixpoint.net import (
+    Delegation,
+    FixpointNode,
+    NetworkError,
+    NodeDirectory,
+)
 from repro.obs import SpanContext
 from repro.sim.cluster import Cluster, MachineSpec
 from repro.sim.engine import Simulator
@@ -2191,14 +2195,15 @@ class TestOneSettle:
     def test_cancel_racing_the_reply_settles_once(self, linked, monkeypatch):
         x, y, channel, fn = linked
         channel.latency = 0.005
-        resolved = []  # every resolved Job, kept alive so ids stay unique
-        for name in ("complete", "fail"):
+        settled = []  # every settling call, kept alive so ids stay unique
 
-            def counted(job, outcome, real=getattr(Job, name)):
-                resolved.append(job)
-                real(job, outcome)
+        def counted(future, outcome, real=Delegation._settle):
+            won = real(future, outcome)
+            if won:
+                settled.append(future)
+            return won
 
-            monkeypatch.setattr(Job, name, counted)
+        monkeypatch.setattr(Delegation, "_settle", counted)
         # y's serves, each marked done when it returns: the late settles
         # all happen before the checks below.  (A parked serve thread
         # outlives its task, so joining threads would wait out its idle
@@ -2247,8 +2252,8 @@ class TestOneSettle:
         for done in served:
             done.wait(10.0)
         # The losers' late settles changed nothing.
-        counts = collections.Counter(map(id, resolved))
-        assert [counts[id(f._job)] for f in futures] == [1] * len(futures)
+        counts = collections.Counter(map(id, settled))
+        assert [counts[id(f)] for f in futures] == [1] * len(futures)
         assert x.outstanding["y"] == 0
 
     def test_spawn_failure_settles_and_frees_the_sequence(
@@ -2330,7 +2335,7 @@ class TestChurnStress:
 
     def test_kill_a_node_mid_scatter(self):
         nodes = [
-            FixpointNode(f"n{i}", workers=2, suspect_after=2, confirm_after=2)
+            FixpointNode(f"n{i}", suspect_after=2, confirm_after=2)
             for i in range(self.NODES)
         ]
         a = nodes[0]
@@ -2387,7 +2392,6 @@ class TestRejoinStress:
         nodes = [
             FixpointNode(
                 f"n{i}",
-                workers=2,
                 directory=directory,
                 suspect_after=2,
                 confirm_after=2,
@@ -2424,7 +2428,6 @@ class TestRejoinStress:
             # past its tombstone, dials a survivor and rejoins.
             reborn = FixpointNode(
                 victim.name,
-                workers=2,
                 directory=directory,
                 suspect_after=2,
                 confirm_after=2,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import collections
 import gc
 import threading
 import time
@@ -15,7 +14,6 @@ from repro.core.errors import NotAFunctionError, ResourceLimitError
 from repro.core.limits import ResourceLimits
 from repro.core.thunks import make_application, make_identification, strict
 from repro.fixpoint import runtime as runtime_module
-from repro.fixpoint.jobs import Job
 from repro.fixpoint.runtime import Fixpoint
 
 
@@ -94,12 +92,22 @@ class TestFibonacci:
         # with it, one invocation per distinct n plus the adds.
         assert fixpoint.trace.invocation_count("fib") == 21
 
-    def test_parallel_matches_sequential(self, parallel_fixpoint):
-        fp = parallel_fixpoint
-        x = fp.repo.put_blob(int_blob(14))
-        thunk = fp.invoke(fp.stdlib["fib"], [fp.stdlib["add"], x])
-        result = fp.eval(thunk.wrap_strict())
-        assert blob_int(fp.repo.get_blob(result).data) == fib_reference(14)
+
+class TestOneEvaluationPerEncode:
+    """Every Encode is evaluated once, on the thread that asked for it,
+    whatever ``workers`` says: no sibling is evaluated elsewhere and
+    then again here."""
+
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_unmemoized_fib_applies_each_call_once(self, workers):
+        with Fixpoint(workers=workers, memoize=False) as fp:
+            x = fp.repo.put_blob(int_blob(10))
+            thunk = fp.invoke(fp.stdlib["fib"], [fp.stdlib["add"], x])
+            result = fp.eval(thunk.wrap_strict())
+            assert blob_int(fp.repo.get_blob(result).data) == 55
+            # The call tree of fib(10): 177 fib calls, and one add for
+            # each of its 88 inner nodes.
+            assert fp.trace.invocation_count() == 265
 
 
 class TestTailCalls:
@@ -154,16 +162,16 @@ class TestRuntimeBehaviour:
         assert repo.get_blob(result).data == b"secret"
 
     def test_double_close_is_safe(self):
-        fp = Fixpoint(workers=2)
+        fp = Fixpoint()
         fp.close()
         fp.close()
 
 
 class TestSpawnAndTasks:
-    """Spawned tasks: how delegations are served and siblings forked."""
+    """Spawned tasks: how delegations are served."""
 
     def test_spawn_with_a_pool_runs_on_a_serve_thread(self):
-        with Fixpoint(workers=2) as fx:
+        with Fixpoint() as fx:
             done = threading.Event()
             names = []
 
@@ -176,169 +184,18 @@ class TestSpawnAndTasks:
             assert names == ["fixpoint-serve"]
 
     def test_spawn_without_pool_uses_a_thread(self):
-        fx = Fixpoint(workers=0)
+        fx = Fixpoint()
         done = threading.Event()
         fx.spawn(done.set)
         assert done.wait(5)
 
-
-SUM_SOURCE = (
-    "def _fix_apply(fix, input):\n"
-    "    total = 0\n"
-    "    for entry in fix.read_tree(input)[2:]:\n"
-    "        total += int.from_bytes(fix.read_blob(entry), 'little')\n"
-    "    return fix.create_blob(total.to_bytes(8, 'little'))\n"
-)
-
-
-class _Siblings(Fixpoint):
-    """A runtime whose leaf Encodes (``increment(v)``) are counted per
-    argument, on and off the caller's thread, and run ``on_leaf(v)``
-    just before they apply."""
-
-    def __init__(self, workers: int):
-        super().__init__(workers=workers)
-        self.sum = self.compile(SUM_SOURCE, "sum")
-        self.applied = collections.Counter()
-        self.forked = collections.Counter()
-        self.on_leaf = lambda value: None
-        self._count = threading.Lock()
-
-    def leaf(self, value):
-        arg = self.repo.put_blob(int_blob(value))
-        return self.invoke(self.stdlib["increment"], [arg]).wrap_strict()
-
-    def join(self, children):
-        return self.invoke(self.sum, children).wrap_strict()
-
-    def value(self, encode) -> int:
-        return blob_int(self.repo.get_blob(self.eval(encode)).data)
-
-    def _apply(self, evaluator, resolved, invocation):
-        if invocation.function == self.stdlib["increment"]:
-            arg = self.repo.get_tree(resolved)[2]
-            value = blob_int(self.repo.get_blob(arg).data)
-            with self._count:
-                self.applied[value] += 1
-                if threading.current_thread().name == "fixpoint-serve":
-                    self.forked[value] += 1
-            self.on_leaf(value)
-        return super()._apply(evaluator, resolved, invocation)
-
-
-def _in_background(fn):
-    """Run ``fn`` on a thread of its own; returns (thread, outcome list)."""
-    outcome = []
-    thread = threading.Thread(
-        target=lambda: outcome.append(fn()), daemon=True
-    )
-    thread.start()
-    return thread, outcome
-
-
-class TestForksNeverQueue:
-    """Sibling Encodes fork onto serve threads while one of ``workers``
-    slots is free and run on the caller's thread otherwise: nothing
-    queues, polls or waits for a thread."""
-
-    def test_at_most_workers_siblings_run_off_the_caller(self):
-        fx = _Siblings(workers=2)
-        entered, gate = threading.Semaphore(0), threading.Event()
-        caller = threading.current_thread()
-
-        def on_leaf(value):
-            if threading.current_thread() is caller:
-                if value == 0:
-                    # Both forks are blocked in flight at once.
-                    assert all(entered.acquire(timeout=5) for _ in range(2))
-                    gate.set()
-            else:
-                entered.release()
-                assert gate.wait(5)
-
-        fx.on_leaf = on_leaf
-        total = fx.value(fx.join([fx.leaf(v) for v in range(5)]))
-        assert total == sum(v + 1 for v in range(5))
-        assert sum(fx.forked.values()) == 2
-        assert sum(fx.applied.values()) == 5
-
-    def test_every_sibling_is_applied_once(self, monkeypatch):
-        fx = _Siblings(workers=4)
-        entered, parent_waits = threading.Semaphore(0), threading.Event()
-        caller = threading.current_thread()
-        real_wait = Job.wait
-
-        def wait(job, timeout=None):
-            if threading.current_thread() is caller:
-                parent_waits.set()
-            return real_wait(job, timeout)
-
-        def on_leaf(value):
-            if threading.current_thread() is caller:
-                if value == 0:
-                    # Every fork is past its memo check and blocked.
-                    assert all(entered.acquire(timeout=5) for _ in range(4))
-            else:
-                entered.release()
-                assert parent_waits.wait(5)
-
-        monkeypatch.setattr(Job, "wait", wait)
-        fx.on_leaf = on_leaf
-        total = fx.value(fx.join([fx.leaf(v) for v in range(5)]))
-        assert total == sum(v + 1 for v in range(5))
-        assert fx.applied == {v: 1 for v in range(5)}
-        assert fx.forked == {v: 1 for v in range(1, 5)}
-
-    def test_a_nested_fork_join_at_one_worker_finishes(self):
-        fx = _Siblings(workers=1)
-        left = fx.join([fx.leaf(1), fx.leaf(2)])
-        right = fx.join([fx.leaf(3), fx.leaf(4)])
-        thread, outcome = _in_background(
-            lambda: fx.value(fx.join([left, right]))
-        )
-        thread.join(10)
-        assert outcome == [2 + 3 + 4 + 5]
-        assert fx.applied == {v: 1 for v in range(1, 5)}
-
-    def test_a_failing_fork_raises_in_the_parent_and_frees_its_slot(self):
-        fx = _Siblings(workers=1)
-
-        def on_leaf(value):
-            if value == 2:
-                raise RuntimeError("boom")
-
-        fx.on_leaf = on_leaf
-        with pytest.raises(RuntimeError, match="boom"):
-            fx.value(fx.join([fx.leaf(1), fx.leaf(2)]))
-        assert fx.forked[2] == 1
-        # The slot is back: the next fork/join forks again.
-        assert fx.value(fx.join([fx.leaf(3), fx.leaf(4)])) == 4 + 5
-        assert fx.forked[4] == 1
-
-    def test_a_pooled_runtime_starts_no_thread(self):
+    def test_a_runtime_starts_no_thread_until_it_serves(self):
         before = set(threading.enumerate())
-        fx = Fixpoint(workers=4)
+        fx = Fixpoint()
+        fx.eval(fx.invoke(fx.stdlib["identity"], [fx.repo.put_blob(b"x")])
+                .wrap_strict())
         assert set(threading.enumerate()) <= before
         fx.close()
-
-    def test_close_while_a_fork_runs_keeps_its_result(self):
-        fx = _Siblings(workers=1)
-        entered, gate = threading.Event(), threading.Event()
-
-        def on_leaf(value):
-            if threading.current_thread().name == "fixpoint-serve":
-                entered.set()
-                assert gate.wait(5)
-
-        fx.on_leaf = on_leaf
-        thread, outcome = _in_background(
-            lambda: fx.value(fx.join([fx.leaf(1), fx.leaf(2)]))
-        )
-        assert entered.wait(5)
-        fx.close()
-        gate.set()
-        thread.join(10)
-        assert outcome == [2 + 3]
 
 
 def _await(predicate, within=5.0):
@@ -357,7 +214,7 @@ class TestServeThreadsAreReused:
     when one is idle, and on a new thread at once when none is."""
 
     def test_awaited_spawns_run_on_one_thread(self):
-        fx = Fixpoint(workers=0, with_stdlib=False)
+        fx = Fixpoint(with_stdlib=False)
         seen = []
         for _ in range(50):
             done = threading.Event()
@@ -375,7 +232,7 @@ class TestServeThreadsAreReused:
         fx.close()
 
     def test_concurrent_tasks_never_queue(self):
-        fx = Fixpoint(workers=0, with_stdlib=False)
+        fx = Fixpoint(with_stdlib=False)
         warm = threading.Event()
         fx.spawn(warm.set)  # one parked thread to hand a task to
         assert warm.wait(5)
@@ -397,7 +254,7 @@ class TestServeThreadsAreReused:
     def test_a_raising_task_ends_its_thread(self, monkeypatch):
         raised = []
         monkeypatch.setattr(threading, "excepthook", raised.append)
-        fx = Fixpoint(workers=0, with_stdlib=False)
+        fx = Fixpoint(with_stdlib=False)
         threads = []
 
         def boom():
@@ -419,7 +276,7 @@ class TestServeThreadsAreReused:
 
     def test_an_idle_thread_exits_and_is_not_handed_work(self, monkeypatch):
         monkeypatch.setattr(runtime_module, "_SERVE_IDLE_S", 0.05)
-        fx = Fixpoint(workers=0, with_stdlib=False)
+        fx = Fixpoint(with_stdlib=False)
         threads = []
         for _ in range(2):
             done = threading.Event()
@@ -435,7 +292,7 @@ class TestServeThreadsAreReused:
     def test_close_releases_parked_threads(self, monkeypatch):
         # Far longer than the join bound: only close() can end them.
         monkeypatch.setattr(runtime_module, "_SERVE_IDLE_S", 60.0)
-        fx = Fixpoint(workers=0, with_stdlib=False)
+        fx = Fixpoint(with_stdlib=False)
         barrier = threading.Barrier(4, timeout=5)
         threads = []
 
@@ -463,7 +320,7 @@ class TestServeThreadsAreReused:
     def test_a_parked_thread_drops_its_finished_task(self, monkeypatch):
         # Far longer than the poll bound: the thread stays parked.
         monkeypatch.setattr(runtime_module, "_SERVE_IDLE_S", 60.0)
-        fx = Fixpoint(workers=0, with_stdlib=False)
+        fx = Fixpoint(with_stdlib=False)
         done = threading.Event()
 
         def task():

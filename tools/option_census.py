@@ -42,7 +42,10 @@ definition itself does not count, and dunder methods are skipped (the
 language calls them).  Each definition kept although only tests read it
 is listed in :data:`KEPT` with its reason; the census also lists each
 ``KEPT`` entry that names nothing unread any more, so the table cannot
-outlive what it excuses.
+outlive what it excuses.  A read through a module outside ``repro``
+reads nothing: an attribute of a name ``import X`` bound (the stdlib's
+``gc.collect()`` is not ``repro.core.gc.collect``), or a name ``from X
+import`` bound.
 
 Run from the repo root::
 
@@ -100,6 +103,10 @@ KEPT = {
         _SEAM + "test_bench_harness' rows per system"
     ),
     "repro.codelets.linker.Linker.cache_size": _SEAM + "TestLinker's cache",
+    "repro.core.gc.collect": (
+        _SEAM + "the store-ops property check_handles_of_is_the_scan_"
+        "asked_by_key (test_gossip) runs its `gc` op through it"
+    ),
     "repro.core.gc.index_from_repository": (
         _SEAM + "the GC recovery tests' recipe index"
     ),
@@ -673,15 +680,53 @@ def declared(sources):
         yield from visit(_parse(path).body, module, True)
 
 
+def _foreign(module: str) -> bool:
+    return module.split(".")[0] != "repro"
+
+
+def _through_foreign(tree):
+    """The ids of the nodes in ``tree`` that read through a module
+    outside ``repro``: the aliases of its imports, each use of a name
+    ``from X import`` bound, and each attribute of a name ``import X``
+    bound (``gc.collect`` is the stdlib's, not ``repro.core.gc``'s)."""
+    modules, names, skip = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if _foreign(alias.name):
+                    modules.add(alias.asname or alias.name.split(".")[0])
+                    skip.add(id(alias))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and _foreign(node.module):
+                for alias in node.names:
+                    names.add(alias.asname or alias.name)
+                    skip.add(id(alias))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in names:
+            skip.add(id(node))
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules | names:
+                skip.add(id(node))
+    return skip
+
+
 def reads(paths):
     """``(bare, named)``: name -> ``[(path, line)]`` of every bare name
     (``f``), and of every attribute (``x.f``), imported name or string
     constant that is a name.  A bare name reads only a module-level
     definition: inside a function it is as likely a same-named
-    parameter or local as the definition."""
+    parameter or local as the definition.  A read through a module
+    outside ``repro`` reads nothing (:func:`_through_foreign`)."""
     bare, named = defaultdict(list), defaultdict(list)
     for path in paths:
-        for node in ast.walk(_parse(path)):
+        tree = _parse(path)
+        skip = _through_foreign(tree)
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
             found = named
             if isinstance(node, ast.Name):
                 names, found = [node.id], bare
