@@ -21,8 +21,8 @@ from pathlib import Path
 
 from repro.dist.admission import AdmissionController, spike_job
 from repro.dist.engine import FixpointSim
+from repro.dist.graph import DataSpec
 from repro.dist.multitenancy import validate_timeline
-from repro.workloads.corpus import ShardSpec
 from repro.workloads.wordcount import build_wordcount_graph
 
 GB = 1 << 30
@@ -71,7 +71,7 @@ def billing_demo() -> None:
         ctrl = AdmissionController(platform)
         for tenant in ("alice", "bob"):
             shards = [
-                ShardSpec(f"{tenant}-s{i}", 100 * MB, nodes[i % len(nodes)])
+                DataSpec(f"{tenant}-s{i}", 100 * MB, nodes[i % len(nodes)])
                 for i in range(8)
             ]
             ctrl.submit(

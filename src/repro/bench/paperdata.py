@@ -7,6 +7,8 @@ substrate is a simulator, not the authors' testbed).
 
 from __future__ import annotations
 
+from ..workloads import compilejob, corpus
+
 # ----------------------------------------------------------------------
 # Fig. 7a: trivial-invocation overhead (seconds)
 
@@ -78,8 +80,8 @@ FIG8B_SECONDS = {
     "Pheromone + MinIO (map only)": 42.29,
     "OpenWhisk + MinIO + K8s": 63.68,
 }
-FIG8B_SHARDS = 984
-FIG8B_SHARD_BYTES = 100 << 20
+FIG8B_SHARDS = corpus.PAPER_SHARDS
+FIG8B_SHARD_BYTES = corpus.PAPER_SHARD_BYTES
 FIG8B_NODES = 10
 
 # ----------------------------------------------------------------------
@@ -104,4 +106,4 @@ FIG10_SECONDS = {
     "Ray + MinIO": 76.87,
     "OpenWhisk + MinIO + K8s": 100.01,
 }
-FIG10_TU_COUNT = 1987
+FIG10_TU_COUNT = compilejob.PAPER_TU_COUNT

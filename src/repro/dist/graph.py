@@ -7,6 +7,13 @@ distributed Fixpoint (:mod:`repro.dist.engine`) and every baseline in
 :mod:`repro.baselines` execute the same graphs on the same simulated
 clusters - only the platform machinery differs, which is the point.
 
+A paper-scale job is read off the thunk tree the runtime evaluates
+(:meth:`JobGraph.from_encode`).  The tree carries the dataflow, the
+inputs' sizes (their handles'), each task's function (its codelet's
+name) and its memory budget and output-size hint (its
+``ResourceLimits``).  The caller supplies the data's names and
+placements, and a labeller the task and output names and compute times.
+
 Placements may name a cluster machine, the :data:`CLIENT` endpoint (data
 that starts on the submitting host and must be uploaded), or
 :data:`EXTERNAL` (data living on a remote storage service, fig. 8a's
@@ -18,15 +25,25 @@ where construction order makes eager checks impossible (unknown inputs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
+from ..codelets.toolchain import CodeletImage
 from ..core.errors import SchedulingError
+from ..core.handle import EncodeStyle, Handle, ThunkStyle, blob_digest
+from ..core.limits import ResourceLimits
+from ..core.storage import Repository
 
 #: The submitting client: a network endpoint, not a cluster machine.
 CLIENT = "client"
 #: A remote storage service (fig. 8a's 150 ms data server); fetched
 #: through :class:`repro.sim.storage_service.StorageService`, never a NIC.
 EXTERNAL = "external"
+
+
+def declared(name: str, size: int) -> Handle:
+    """A paper-scale leaf: a ``size``-byte Blob no store holds, named by
+    ``name``'s digest."""
+    return Handle.blob(blob_digest(name.encode()), size)
 
 
 @dataclass(frozen=True)
@@ -118,6 +135,62 @@ class JobGraph:
         self.tasks[task.name] = task
         self._producers[task.output] = task.name
         return task
+
+    @classmethod
+    def from_encode(
+        cls,
+        repo: Repository,
+        roots: Sequence[Handle],
+        data: Mapping[Handle, Tuple[str, str]],
+        label: Callable[[str, Tuple[str, ...]], Tuple[str, str, float]],
+    ) -> "JobGraph":
+        """One task per application the strict Encodes ``roots`` reach,
+        a nested Encode argument naming its producer's output.
+
+        ``data`` maps every other non-literal argument to its ``(name,
+        location)``; its entries become the graph's data, in order.
+        Literals and functions are no inputs.  ``fn`` is the codelet's
+        name, ``memory_bytes`` and ``output_size`` the invocation's
+        ``ResourceLimits``.  ``label(fn, inputs)`` gives ``(name, output,
+        compute_seconds)``, asked in task order: by height from the
+        leaves, post-order within a height.
+        """
+        graph, trees, heights = cls(), {}, {}
+        names: Dict[Handle, str] = {}  # a datum's name, or an Encode's output
+        for handle, (name, location) in data.items():
+            names[handle] = graph.add_data(name, handle.byte_size(), location).name
+        stack = [(root, False) for root in reversed(roots)]
+        while stack:  # a post-order walk, one get_tree per Encode
+            encode, walked = stack.pop()
+            if walked:
+                below = [heights[arg] for arg in trees[encode][2:] if arg.is_encode]
+                heights[encode] = 1 + max(below, default=-1)
+            elif encode not in trees:
+                if (
+                    encode.encode_style is not EncodeStyle.STRICT
+                    or encode.thunk_style is not ThunkStyle.APPLICATION
+                ):
+                    raise SchedulingError(f"{encode!r} is not a strict application")
+                trees[encode] = tree = repo.get_tree(encode.definition()).children
+                stack.append((encode, True))
+                stack.extend((a, False) for a in reversed(tree[2:]) if a.is_encode)
+        heads = {tree[:2] for tree in trees.values()}  # each decoded once
+        blob = repo.get_blob
+        limits = {h: ResourceLimits.unpack(blob(h).data) for h, _ in heads}
+        fns = {h: CodeletImage.unpack(blob(h).data).name for _, h in heads}
+        for encode in sorted(heights, key=heights.__getitem__):
+            limit, function, *args = trees[encode]
+            try:
+                inputs = tuple(names[arg] for arg in args if not arg.is_literal)
+            except KeyError as missing:
+                raise SchedulingError(f"{missing} is not in the data table") from None
+            fn, budget = fns[function], limits[limit]
+            name, names[encode], seconds = label(fn, inputs)
+            graph.add_task(
+                TaskSpec(name, fn, inputs, names[encode], budget.output_size_hint,
+                         seconds, memory_bytes=budget.memory_bytes)
+            )
+        return graph
 
     def prefixed(self, prefix: str) -> "JobGraph":
         """A renamed copy: every data, task, and object name gains

@@ -1,6 +1,6 @@
 """``repro.workloads`` - the paper's evaluation workloads.
 
-Each workload has two layers: real codelets exercised on the in-process
-runtime (correctness), and declared-size job graphs executed by the
-simulated platforms (performance shape at paper scale).
+Fig. 8b's and fig. 10's jobs are one thunk tree each: the runtime
+evaluates it over real blobs, and the simulated platforms run the job
+read off it over declared-size leaves (``JobGraph.from_encode``).
 """

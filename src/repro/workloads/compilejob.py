@@ -4,31 +4,39 @@ The paper compiles a project of almost 2,000 translation units with
 libclang in parallel (each depending on its source plus system and clang
 headers) followed by one liblld link combining every object file.
 
-Two layers, like the other workloads:
-
-* **real mini-compiler codelets** - a deterministic toy "compiler" that
-  extracts symbol definitions from C-ish source and a "linker" that
-  merges symbol tables, rejecting duplicates; enough to make the dataflow
-  real and failure-injectable (duplicate symbols, missing headers);
-* **the declared-size JobGraph** at paper scale, with per-TU compile
-  times drawn deterministically from a long-tailed distribution.
+The codelets are a deterministic toy "compiler" that extracts symbol
+definitions from C-ish source and a "linker" that merges symbol tables,
+rejecting duplicates; enough to make the dataflow real and
+failure-injectable (duplicate symbols, missing headers).  One program,
+two drivers: :func:`compile_tree` builds the thunk tree once.
+:func:`compile_project` evaluates it over real sources on the in-process
+runtime, and :func:`build_compile_graph` reads the paper-scale job off
+the same tree over declared sources, with per-TU compile times drawn
+deterministically from a long-tailed distribution.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Sequence, Tuple, Union
 
+from ..codelets.toolchain import Toolchain
 from ..core.handle import Handle
-from ..dist.graph import CLIENT, JobGraph, TaskSpec
+from ..core.limits import ResourceLimits
+from ..core.storage import Repository
+from ..core.thunks import make_application
+from ..dist.graph import CLIENT, JobGraph, declared
 from ..fixpoint.runtime import Fixpoint
 
 PAPER_TU_COUNT = 1987  # "almost 2,000 C source files"
 MEAN_SOURCE_BYTES = 30 << 10
 HEADER_BUNDLE_BYTES = 45 << 20  # system + clang headers, shared
-OBJECT_BYTES = 96 << 10
 MEAN_COMPILE_SECONDS = 2.6
 LINK_SECONDS = 7.0
+#: Each compile's memory budget and declared object size.
+COMPILE_LIMITS = ResourceLimits(1 << 30, 96 << 10)
+#: The link's memory budget and declared executable size.
+LINK_LIMITS = ResourceLimits(8 << 30, 64 << 20)
 
 COMPILE_SOURCE = '''\
 """Toy libclang: 'compile' a C-ish source into a symbol-table object.
@@ -102,18 +110,28 @@ def make_source(index: int, callees: Sequence[int]) -> bytes:
 HEADERS = b"#pragma once"
 
 
-def compile_project(
-    fp: Fixpoint, sources: Sequence[bytes], headers: bytes
+def compile_tree(
+    compiler: Union[Fixpoint, Toolchain], sources: Sequence[Handle], headers: Handle
 ) -> Handle:
-    """Run the real mini compile+link pipeline on the in-process runtime."""
-    compile_fn = fp.compile(COMPILE_SOURCE, "libclang")
-    link_fn = fp.compile(LINK_SOURCE, "liblld")
-    headers_handle = fp.repo.put_blob(headers)
+    """The strict Encode of one link over one compile per source, stored
+    in ``compiler.repo`` beside the two codelets."""
+    repo = compiler.repo
+    compile_fn = compiler.compile(COMPILE_SOURCE, "libclang")
+    link_fn = compiler.compile(LINK_SOURCE, "liblld")
     objects = [
-        fp.invoke(compile_fn, [fp.repo.put_blob(src), headers_handle]).wrap_strict()
+        make_application(repo, compile_fn, [src, headers], COMPILE_LIMITS).wrap_strict()
         for src in sources
     ]
-    return fp.eval(fp.invoke(link_fn, objects).wrap_strict())
+    return make_application(repo, link_fn, objects, LINK_LIMITS).wrap_strict()
+
+
+def compile_project(fp: Fixpoint, sources: Sequence[bytes], headers: bytes) -> Handle:
+    """Run the real mini compile+link pipeline: evaluate
+    :func:`compile_tree` over the stored sources on the in-process
+    runtime."""
+    put = fp.repo.put_blob
+    headers_handle = put(headers)
+    return fp.eval(compile_tree(fp, [put(s) for s in sources], headers_handle))
 
 
 # ----------------------------------------------------------------------
@@ -125,37 +143,24 @@ def build_compile_graph(tu_count: int = PAPER_TU_COUNT, seed: int = 11) -> JobGr
 
     Compile times are deterministic draws from a long-tailed (lognormal)
     distribution - big TUs exist in every real project and shape the
-    tail of fig. 10.
+    tail of fig. 10.  One stream draws each source size, then its time.
     """
     rng = random.Random(seed)
-    graph = JobGraph()
-    graph.add_data("headers", HEADER_BUNDLE_BYTES, CLIENT)
-    objects: List[str] = []
+    data = {declared("headers", HEADER_BUNDLE_BYTES): ("headers", CLIENT)}
+    seconds = []
     for i in range(tu_count):
-        src_name = f"src-{i:04d}.c"
         size = max(2 << 10, int(rng.lognormvariate(0, 0.6) * MEAN_SOURCE_BYTES))
-        graph.add_data(src_name, size, CLIENT)
-        compute = max(0.3, rng.lognormvariate(0, 0.45) * MEAN_COMPILE_SECONDS)
-        task = TaskSpec(
-            name=f"cc-{i:04d}",
-            fn="libclang",
-            inputs=(src_name, "headers"),
-            output=f"obj-{i:04d}.o",
-            output_size=OBJECT_BYTES,
-            compute_seconds=compute,
-            memory_bytes=1 << 30,
-        )
-        graph.add_task(task)
-        objects.append(task.output)
-    graph.add_task(
-        TaskSpec(
-            name="link",
-            fn="liblld",
-            inputs=tuple(objects),
-            output="project.exe",
-            output_size=64 << 20,
-            compute_seconds=LINK_SECONDS,
-            memory_bytes=8 << 30,
-        )
-    )
-    return graph
+        data[declared(f"src-{i:04d}.c", size)] = (f"src-{i:04d}.c", CLIENT)
+        seconds.append(max(0.3, rng.lognormvariate(0, 0.45) * MEAN_COMPILE_SECONDS))
+    headers, *sources = data
+    toolchain = Toolchain(Repository())
+    root = compile_tree(toolchain, sources, headers)
+    compiles = iter(range(tu_count))
+
+    def label(fn: str, inputs: Tuple[str, ...]) -> Tuple[str, str, float]:
+        if fn == "liblld":
+            return "link", "project.exe", LINK_SECONDS
+        i = next(compiles)
+        return f"cc-{i:04d}", f"obj-{i:04d}.o", seconds[i]
+
+    return JobGraph.from_encode(toolchain.repo, [root], data, label)

@@ -14,10 +14,14 @@ needs *some* text.  This module generates:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Sequence
 
+from ..dist.graph import DataSpec
+
 MIB = 1 << 20
+#: The paper's corpus: 984 shards of 100 MiB (section 5.3.2).
+PAPER_SHARDS = 984
+PAPER_SHARD_BYTES = 100 * MIB
 
 #: A small fixed vocabulary; enough to make substring counting
 #: non-trivial (overlaps, punctuation, repeated trigrams).
@@ -53,27 +57,18 @@ def make_corpus(shards: int, shard_size: int, seed: int = 42) -> List[bytes]:
     return [make_shard(shard_size, seed * 1_000_003 + i) for i in range(shards)]
 
 
-@dataclass(frozen=True)
-class ShardSpec:
-    """A declared-size shard and the node holding it."""
-
-    name: str
-    size: int
-    location: str
-
-
 def declare_shards(
     shards: int,
     shard_size: int,
     nodes: Sequence[str],
     seed: int = 42,
-) -> List[ShardSpec]:
+) -> List[DataSpec]:
     """Paper-scale shard descriptors scattered randomly across ``nodes``
     (section 5.3.2: "the 100 MiB chunks are scattered among the 10 nodes
     randomly")."""
     rng = random.Random(seed)
     return [
-        ShardSpec(
+        DataSpec(
             name=f"wiki-chunk-{i:04d}",
             size=shard_size,
             location=rng.choice(list(nodes)),
@@ -82,9 +77,9 @@ def declare_shards(
     ]
 
 
-def paper_shards(nodes: Sequence[str]) -> List[ShardSpec]:
+def paper_shards(nodes: Sequence[str]) -> List[DataSpec]:
     """The paper's configuration: 984 shards of 100 MiB."""
-    return declare_shards(984, 100 * MIB, nodes)
+    return declare_shards(PAPER_SHARDS, PAPER_SHARD_BYTES, nodes)
 
 
 def reference_count(shards: Sequence[bytes], needle: bytes) -> int:

@@ -6,23 +6,31 @@ Two functions (paper section 5.3.2):
   non-overlapping occurrences;
 * ``merge-counts`` merges two results in a binary reduction.
 
-This module provides both the **real codelets** (run on the in-process
-Fixpoint runtime against miniature corpora; correctness asserted against
-``bytes.count``) and the **declared-size JobGraph** executed by every
-simulated platform at paper scale.
+One program, two drivers: :func:`count_tree` builds the thunk tree
+once.  :func:`count_corpus` evaluates it over real blobs on the
+in-process runtime (correctness asserted against ``bytes.count``), and
+:func:`build_wordcount_graph` reads the paper-scale job every simulated
+platform runs off the same tree over declared shards
+(:meth:`~repro.dist.graph.JobGraph.from_encode`).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import List, Sequence
+from typing import List, Sequence, Tuple, Union
 
 from ..baselines.calibration import MEMORY_SCAN_BW
 from ..codelets.stdlib import blob_int
+from ..codelets.toolchain import Toolchain
 from ..core.handle import Handle
-from ..dist.graph import JobGraph, TaskSpec
+from ..core.limits import ResourceLimits
+from ..core.storage import Repository
+from ..core.thunks import make_application
+from ..dist.graph import DataSpec, JobGraph, declared
 from ..fixpoint.runtime import Fixpoint
-from .corpus import ShardSpec
+
+COUNT_TASK_MEMORY = 1 << 30
 
 COUNT_STRING_SOURCE = '''\
 """Count non-overlapping occurrences of a needle in one chunk."""
@@ -45,37 +53,46 @@ def _fix_apply(fix, input):
 '''
 
 
-def compile_wordcount(fp: Fixpoint) -> tuple[Handle, Handle]:
-    """Compile the two codelets; returns (count_string, merge_counts)."""
-    return (
-        fp.compile(COUNT_STRING_SOURCE, "count-string"),
-        fp.compile(MERGE_COUNTS_SOURCE, "merge-counts"),
-    )
+def count_tree(
+    compiler: Union[Fixpoint, Toolchain],
+    shards: Sequence[Handle],
+    needle: Handle,
+    task_memory: int,
+) -> List[Handle]:
+    """The strict Encodes of one count per shard (in shard order), then
+    of a binary merge tree level by level: the root is last.  They and
+    the two codelets are stored in ``compiler.repo``.
+
+    Counts and merges are 8-byte Blobs, which Fix inlines as literals,
+    but the simulated platforms move each as an 8-byte datum, so the
+    limits hint that output size.
+    """
+    repo = compiler.repo
+    count_fn = compiler.compile(COUNT_STRING_SOURCE, "count-string")
+    merge_fn = compiler.compile(MERGE_COUNTS_SOURCE, "merge-counts")
+    counts, merges = ResourceLimits(task_memory, 8), ResourceLimits(64 << 20, 8)
+    level = [
+        make_application(repo, count_fn, [shard, needle], counts).wrap_strict()
+        for shard in shards
+    ]
+    encodes = list(level)
+    while len(level) > 1:  # an odd level carries its last Encode up
+        pairs = [
+            make_application(repo, merge_fn, level[i : i + 2], merges).wrap_strict()
+            for i in range(0, len(level) - 1, 2)
+        ]
+        encodes += pairs
+        level = pairs + level[2 * len(pairs) :]
+    return encodes
 
 
 def count_corpus(fp: Fixpoint, shards: Sequence[bytes], needle: bytes) -> int:
-    """Run the real map-reduce on the in-process runtime.
-
-    Builds one count-string thunk per shard and a binary merge tree, all
-    lazily, then strictly evaluates the root - exactly the dataflow the
-    distributed engine schedules at scale.
-    """
-    count_fn, merge_fn = compile_wordcount(fp)
-    needle_handle = fp.repo.put_blob(needle)
-    level = [
-        fp.invoke(count_fn, [fp.repo.put_blob(shard), needle_handle]).wrap_strict()
-        for shard in shards
-    ]
-    while len(level) > 1:
-        next_level: List[Handle] = []
-        for i in range(0, len(level) - 1, 2):
-            merged = fp.invoke(merge_fn, [level[i], level[i + 1]])
-            next_level.append(merged.wrap_strict())
-        if len(level) % 2:
-            next_level.append(level[-1])
-        level = next_level
-    result = fp.eval(level[0])
-    return blob_int(fp.repo.get_blob(result).data)
+    """Evaluate :func:`count_tree` over the stored shards on the
+    in-process runtime: the tree :func:`build_wordcount_graph` reads, so
+    exactly the dataflow the distributed engine schedules at scale."""
+    put = fp.repo.put_blob
+    tree = count_tree(fp, [put(s) for s in shards], put(needle), COUNT_TASK_MEMORY)
+    return blob_int(fp.repo.get_blob(fp.eval(tree[-1])).data)
 
 
 # ----------------------------------------------------------------------
@@ -88,68 +105,40 @@ def count_corpus(fp: Fixpoint, shards: Sequence[bytes], needle: bytes) -> int:
 #: one ``random.Random(SCAN_SEED)`` stream in shard order.
 SCAN_JITTER = 0.30
 SCAN_SEED = 97
-COUNT_TASK_MEMORY = 1 << 30
 MERGE_COMPUTE_SECONDS = 2e-6
 
 
-def _map_phase(
-    graph: JobGraph, shards: Sequence[ShardSpec], task_memory: int
-) -> List[str]:
-    """Add each shard and its count task to ``graph``; returns the count
-    outputs in shard order.
-
-    A count task's ``compute_seconds`` is its shard's in-memory scan
-    time (``MEMORY_SCAN_BW``), jittered by ``SCAN_JITTER``.
-    """
+def _graph(shards: Sequence[DataSpec], task_memory: int, roots: slice) -> JobGraph:
+    """The job of ``roots`` of :func:`count_tree` over declared shards.
+    A count's ``compute_seconds`` is its shard's jittered scan time."""
     rng = random.Random(SCAN_SEED)
-    outputs: List[str] = []
-    for spec in shards:
-        graph.add_data(spec.name, spec.size, spec.location)
-        base = spec.size / MEMORY_SCAN_BW
-        task = TaskSpec(
-            name=f"count:{spec.name}",
-            fn="count-string",
-            inputs=(spec.name,),
-            output=f"cnt:{spec.name}",
-            output_size=8,
-            compute_seconds=base * (1.0 + SCAN_JITTER * (2 * rng.random() - 1)),
-            memory_bytes=task_memory,
-        )
-        graph.add_task(task)
-        outputs.append(task.output)
-    return outputs
+    scan = {
+        s.name: s.size / MEMORY_SCAN_BW * (1.0 + SCAN_JITTER * (2 * rng.random() - 1))
+        for s in shards
+    }
+    leaves = {declared(s.name, s.size): (s.name, s.location) for s in shards}
+    toolchain = Toolchain(Repository())
+    needle = Handle.of_blob(b"the")  # a literal: it rides in the Encodes
+    tree = count_tree(toolchain, list(leaves), needle, task_memory)
+    merges = itertools.count()
+
+    def label(fn: str, inputs: Tuple[str, ...]) -> Tuple[str, str, float]:
+        if fn == "count-string":
+            return f"count:{inputs[0]}", f"cnt:{inputs[0]}", scan[inputs[0]]
+        index = next(merges)
+        return f"merge:{index}", f"mrg:{index}", MERGE_COMPUTE_SECONDS
+
+    return JobGraph.from_encode(toolchain.repo, tree[roots], leaves, label)
 
 
 def build_wordcount_graph(
-    shards: Sequence[ShardSpec], task_memory: int = COUNT_TASK_MEMORY
+    shards: Sequence[DataSpec], task_memory: int = COUNT_TASK_MEMORY
 ) -> JobGraph:
     """The fig. 8b dataflow: one count per shard, binary merge tree."""
-    graph = JobGraph()
-    level = _map_phase(graph, shards, task_memory)
-    merge_index = 0
-    while len(level) > 1:
-        next_level: List[str] = []
-        for i in range(0, len(level) - 1, 2):
-            task = TaskSpec(
-                name=f"merge:{merge_index}",
-                fn="merge-counts",
-                inputs=(level[i], level[i + 1]),
-                output=f"mrg:{merge_index}",
-                output_size=8,
-                compute_seconds=MERGE_COMPUTE_SECONDS,
-                memory_bytes=64 << 20,
-            )
-            graph.add_task(task)
-            next_level.append(task.output)
-            merge_index += 1
-        if len(level) % 2:
-            next_level.append(level[-1])
-        level = next_level
-    return graph
+    return _graph(shards, task_memory, slice(-1, None))
 
 
-def map_only_graph(shards: Sequence[ShardSpec]) -> JobGraph:
-    """The map phase alone - all Pheromone can express (section 5.3.2)."""
-    graph = JobGraph()
-    _map_phase(graph, shards, COUNT_TASK_MEMORY)
-    return graph
+def map_only_graph(shards: Sequence[DataSpec]) -> JobGraph:
+    """The map phase alone - all Pheromone can express (section 5.3.2):
+    the same tree, cut at its count level."""
+    return _graph(shards, COUNT_TASK_MEMORY, slice(len(shards)))

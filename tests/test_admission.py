@@ -14,14 +14,13 @@ from repro.dist.admission import (
     spike_job,
 )
 from repro.dist.engine import FixpointSim
-from repro.dist.graph import JobGraph, TaskSpec
+from repro.dist.graph import DataSpec, JobGraph, TaskSpec
 from repro.dist.multitenancy import (
     fits_online,
     profile_from_graph,
     validate_timeline,
 )
 from repro.fixpoint.billing import job_bill
-from repro.workloads.corpus import ShardSpec
 from repro.workloads.wordcount import build_wordcount_graph
 
 GB = 1 << 30
@@ -342,7 +341,7 @@ class TestDeterminism:
 class TestWordcountBillingRegression:
     def _shards(self, owner, nodes, count=8, size=100 * MB):
         return [
-            ShardSpec(
+            DataSpec(
                 name=f"{owner}-shard{i}",
                 size=size,
                 location=nodes[i % len(nodes)],

@@ -9,7 +9,7 @@ from repro.core.gc import RecoveringRepository, collect, index_from_repository
 from repro.fixpoint.net import FixpointNode
 from repro.fixpoint.runtime import Fixpoint
 from repro.workloads.corpus import make_corpus, reference_count
-from repro.workloads.wordcount import COUNT_STRING_SOURCE, MERGE_COUNTS_SOURCE
+from repro.workloads.wordcount import COUNT_STRING_SOURCE, COUNT_TASK_MEMORY, count_tree
 
 
 class TestDistributedWordcount:
@@ -19,25 +19,15 @@ class TestDistributedWordcount:
         client = FixpointNode("client")
         server = FixpointNode("server")
         # The corpus lives on the server; the client knows only handles.
-        shards = make_corpus(4, 2500, seed=31)
+        shards = make_corpus(5, 2500, seed=31)
         shard_handles = [server.repo.put_blob(s) for s in shards]
-        count_fn = server.runtime.compile(COUNT_STRING_SOURCE, "count-string")
-        merge_fn = server.runtime.compile(MERGE_COUNTS_SOURCE, "merge-counts")
         client.connect(server)
 
         needle = client.repo.put_blob(b"the")
-        level = [
-            client.runtime.invoke(count_fn, [shard, needle]).wrap_strict()
-            for shard in shard_handles
-        ]
-        while len(level) > 1:
-            level = [
-                client.runtime.invoke(merge_fn, [level[i], level[i + 1]]).wrap_strict()
-                for i in range(0, len(level), 2)
-            ]
-        # The client cannot evaluate locally (no shards, no codelets) -
+        tree = count_tree(client.runtime, shard_handles, needle, COUNT_TASK_MEMORY)
+        # The client cannot evaluate locally (it holds no shard) -
         # delegate_best follows the data to the server.
-        result = client.delegate_best(level[0])
+        result = client.delegate_best(tree[-1])
         got = blob_int(client.repo.get_blob(result).data)
         assert got == reference_count(shards, b"the")
         assert client.delegations_sent == 1
