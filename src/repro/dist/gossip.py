@@ -294,8 +294,6 @@ def unpack_delta(raw: bytes, offset: int = 0) -> Tuple[Delta, int]:
             break
         append((origin, version, name, location, size))
         offset = next_at
-    else:
-        return Delta(tuple(entries), caps.versions), offset
     for _ in range(len(entries), count):
         entry, offset = _entry_by_fields(raw, offset)
         append(entry)
@@ -499,10 +497,9 @@ class GossipCoordinator:
         self._parties: Dict[str, Participant] = {}
         for view in views:
             self.add_view(view)
-        #: NULL_OBS by default; the simulated platform passes its
-        #: sim-clocked obs so round/byte counters land in the same
-        #: export as the scheduler's (and stay replay-deterministic).
-        self.obs = obs
+        # NULL_OBS by default; the simulated platform passes its
+        # sim-clocked obs so round/byte counters land in the same
+        # export as the scheduler's (and stay replay-deterministic).
         self._m_rounds = obs.registry.counter(
             "gossip_coordinator_rounds_total", "Epidemic rounds driven"
         )

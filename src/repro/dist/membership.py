@@ -230,8 +230,6 @@ def unpack_members(raw: bytes, offset: int = 0) -> Tuple[Tuple[Member, ...], int
             break
         members.append(Member(node, heartbeat, status, incarnation))
         offset = stop + 17
-    else:
-        return tuple(members), offset
     for _ in range(len(members), count):
         member, offset = _member_by_fields(raw, offset)
         members.append(member)
@@ -276,7 +274,7 @@ class MembershipView:
         self._ticks = 0
         #: Tick at which each node's record last *changed* - the
         #: staleness the detector ages against.
-        self._since: Dict[str, int] = {node: 0}
+        self._since: Dict[str, int] = {}
         # The three hooks, fixed at construction and fired outside the
         # lock: a tombstone transition, a dead->alive flip at a higher
         # incarnation, and this node refuting its own tombstone (the
@@ -360,11 +358,9 @@ class MembershipView:
         if me.is_dead:
             reborn = Member(self.node, 1, ALIVE, me.incarnation + 1)
             self._members[self.node] = reborn
-            self._since[self.node] = self._ticks
             return reborn.heartbeat, reborn.incarnation
         bumped = Member(self.node, me.heartbeat + 1, ALIVE, me.incarnation)
         self._members[self.node] = bumped
-        self._since[self.node] = self._ticks
         return bumped.heartbeat, None
 
     def suspect(self, node: str) -> None:

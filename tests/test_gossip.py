@@ -53,10 +53,9 @@ from repro.dist.gossip import (
     pack_delta,
     pack_digest,
     unpack_delta,
-    unpack_digest,
 )
 from repro.dist.graph import JobGraph, TaskSpec
-from repro.dist.membership import DEAD, Member, pack_members
+from repro.dist.membership import DEAD, Member, MembershipView, pack_members
 from repro.dist.objectview import (
     EMPTY_DELTA,
     EMPTY_DIGEST,
@@ -67,6 +66,7 @@ from repro.dist.objectview import (
 )
 from repro.fixpoint import net
 from repro.fixpoint.net import FixpointNode, NetworkError, NodeDirectory
+from repro.obs import Obs
 from test_codec_oracle import DELTAS, RICH_DELTA, mutant
 
 MB = 1 << 20
@@ -150,6 +150,18 @@ class TestDigestDelta:
         # And c's coverage means a has nothing left to send it.
         assert a.delta_since(c.digest()).is_empty
 
+    def test_a_peer_without_membership_trades_inventory_only(self):
+        """A frame with no liveness piggyback merges no members, on
+        either side of the handshake."""
+        a, b = ObjectView("a"), ObjectView("b")
+        a.learn("x", "a", 10)
+        b.learn("y", "b", 20)
+        liveness = MembershipView("a")
+        exchange(Participant(a, liveness), Participant(b))
+        exchange(Participant(b), Participant(a, liveness))
+        assert a.snapshot() == b.snapshot() == {"x": {"a"}, "y": {"b"}}
+        assert [member.node for member in liveness.members()] == ["a"]
+
     def test_forgotten_entries_never_gossip_onward(self):
         """forget retracts the stamp from future deltas (no tombstones),
         while coverage stays advanced so peers don't re-send it."""
@@ -163,24 +175,6 @@ class TestDigestDelta:
         assert fresh.snapshot() == a.snapshot()
         # Coverage includes the retracted stamp: nothing to re-send.
         assert a.delta_since(fresh.digest()).is_empty
-
-    def test_forget_keeps_a_foreign_corroborated_belief(self):
-        """A rollback retracts only this view's own assertion.  When the
-        same belief carries a foreign stamp (the holder itself, or a
-        third party, said so), it survives the forget - stripping the
-        foreign stamp would leave its version covered by our digest
-        forever, making a true fact permanently unlearnable via gossip.
-        """
-        caller, holder = ObjectView("caller"), ObjectView("holder")
-        caller.learn("k", "holder", 10)  # the optimistic advance
-        holder.learn("k", "holder", 10)  # the holder's own assertion...
-        caller.merge_delta(holder.delta_since(caller.digest()))  # ...merged
-        caller.forget("k", "holder")
-        assert caller.knows("k", "holder")  # corroborated: kept
-        # And the foreign stamp still forwards to third parties.
-        third = ObjectView("third")
-        third.merge_delta(caller.delta_since(third.digest()))
-        assert third.knows("k", "holder")
 
     def test_exchange_still_produces_the_union(self, make_cluster=None):
         from repro.sim.cluster import Cluster, MachineSpec
@@ -218,25 +212,6 @@ class TestConvergedExchangeRegression:
         assert again.delta_bytes <= 16
         # ...orders of magnitude below the full state the old code sent.
         assert again.bytes_shipped < first.bytes_shipped / 20
-
-    def test_wire_codec_matches_the_accounting(self):
-        """Digest/Delta wire_bytes must equal the real serialization the
-        executing runtime ships (repro.dist.gossip codec)."""
-        view = ObjectView("a")
-        view.learn(b"\x07" * 32, "b", 7)  # content-key-style bytes name
-        view.learn("string-name", "c")  # sizeless str name
-        delta = view.delta_since(EMPTY_DIGEST)
-        raw = pack_delta(delta)
-        assert len(raw) == delta.wire_bytes()
-        decoded, offset = unpack_delta(raw)
-        assert decoded == delta
-        assert offset == len(raw)
-        digest = view.digest()
-        raw = pack_digest(digest)
-        assert len(raw) == digest.wire_bytes()
-        decoded, offset = unpack_digest(raw)
-        assert decoded == digest
-        assert offset == len(raw)
 
     def test_unpackable_name_type_is_a_gossip_error(self):
         view = ObjectView("a")
@@ -609,6 +584,47 @@ class TestCoordinator:
         for view in views:
             assert view.snapshot() == expected_union
 
+    def test_run_stops_at_the_round_that_converges(self):
+        coordinator = GossipCoordinator(seeded_views(2), seed=0)
+        assert coordinator.run(max_rounds=5) == 1
+        assert len(coordinator.rounds) == 1
+        obs = Obs("gossip")
+        assert GossipCoordinator(seeded_views(2), obs=obs).run(max_rounds=1) == 1
+        assert obs.registry.histogram("gossip_convergence_rounds").sum() == 1
+
+    def test_no_live_view_is_converged(self):
+        coordinator = GossipCoordinator(seeded_views(1))
+        coordinator.kill("node000")
+        assert coordinator.run() == 0
+
+    @pytest.mark.parametrize("membership", [False, True])
+    def test_the_counters_sum_the_rounds(self, membership):
+        obs = Obs("gossip")
+        coordinator = GossipCoordinator(
+            seeded_views(6), seed=3, obs=obs, membership=membership
+        )
+        used = coordinator.run()
+        rounds, registry = coordinator.rounds, obs.registry
+        counted = registry.counter("gossip_coordinator_bytes_total")
+        kinds = ["delta", "digest"] + ["membership"] * membership
+        assert [s["labels"]["kind"] for s in counted.export()] == kinds
+        for kind in kinds:
+            field = f"{kind}_bytes"
+            assert counted.value(kind=kind) == sum(getattr(r, field) for r in rounds)
+        for name, total in (
+            ("rounds", len(rounds)),
+            ("exchanges", sum(len(r.pairs) for r in rounds)),
+            ("entries", sum(r.entries_shipped for r in rounds)),
+        ):
+            counter = registry.counter(f"gossip_coordinator_{name}_total")
+            assert counter.value() == total
+        convergence = registry.histogram("gossip_convergence_rounds")
+        assert (convergence.count(), convergence.sum()) == (1, used)
+
+    def test_a_fanout_below_one_is_refused(self):
+        with pytest.raises(GossipError, match="fanout must be at least 1"):
+            GossipCoordinator(seeded_views(2), fanout=0)
+
     def test_run_raises_when_budget_too_small(self):
         views = seeded_views(32)
         coordinator = GossipCoordinator(views, seed=0)
@@ -686,6 +702,19 @@ class TestStaleness:
     """A view excluded from k rounds prices placements worse - more
     believed-missing bytes - than a converged one, monotonically in k:
     the unit-level companion of benchmarks/bench_gossip.py."""
+
+    def test_a_view_is_not_stale_until_a_clock_sees_it_advance(self):
+        assert ObjectView("a").staleness() == 0.0
+        now = [5.0]
+        view = ObjectView("a", clock=lambda: now[0])
+        assert view.staleness() == 0.0
+        view.learn("x", "a", 1)
+        now[0] = 7.5
+        assert view.staleness() == 2.5
+        news = ObjectView("b")
+        news.learn("y", "b", 1)
+        view.merge_delta(news.delta_since(view.digest()))
+        assert view.staleness() == 0.0
 
     def excluded_missing_bytes(self, k: int) -> int:
         """Run 6 rounds of fresh data + gossip; the watcher view sits

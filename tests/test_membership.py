@@ -1084,29 +1084,16 @@ class TestObjectViewEviction:
         view.learn("x", "dead", 100)
         assert view.evict("dead") == 1
         assert view.evict("dead") == 0
+        assert view.own_retractions == 0
+        view.evict("me")
+        view.evict("me")
+        assert view.own_retractions == 1
 
     def test_learn_is_gated_after_eviction(self):
         view = ObjectView("me")
         view.evict("dead")
         view.learn("x", "dead", 100)
         assert view.where("x") == set()
-
-    def test_late_gossip_cannot_resurrect_evicted_beliefs(self):
-        """A delta recorded before the death, delivered after the
-        eviction, must not bring the dead node's holdings back - and
-        must still advance the version caps so the sender never
-        re-ships it (the anti-entropy stays quiet)."""
-        source = ObjectView("source")
-        source.learn("x", "dead", 100)
-        source.learn("x", "alive", 100)
-        stale_delta = source.delta_since(EMPTY_DIGEST)
-
-        target = ObjectView("target")
-        target.evict("dead")
-        target.merge_delta(stale_delta)
-        assert target.where("x") == {"alive"}
-        # Caps advanced: replaying the same delta applies nothing.
-        assert target.merge_delta(stale_delta) == 0
 
 
 class TestObjectViewEpochs:
@@ -1134,26 +1121,6 @@ class TestObjectViewEpochs:
         assert survivor.merge_delta(stale_delta) == 0
         assert survivor.where("x") == set()
 
-    def test_fresh_epoch_escapes_the_retained_caps(self):
-        """The whole point of epochs: the survivor kept version caps for
-        the dead node's first life, which would silently swallow a
-        restarted node's new stamps if it reused the same origin."""
-        first_life = ObjectView("back")
-        first_life.learn("old", "back", 10)
-        survivor = ObjectView("survivor")
-        survivor.merge_delta(first_life.delta_since(EMPTY_DIGEST))
-        survivor.evict("back")
-        survivor.readmit("back")
-
-        second_life = ObjectView("back", epoch=2)
-        second_life.learn("new", "back", 20)
-        applied = survivor.merge_delta(
-            second_life.delta_since(survivor.digest())
-        )
-        assert applied >= 1
-        assert survivor.where("new") == {"back"}
-        assert survivor.where("old") == set()  # the old life stays dead
-
     def test_advance_epoch_restamps_own_holdings(self):
         view = ObjectView("me")
         view.learn("mine", "me", 5)
@@ -1177,6 +1144,7 @@ class TestObjectViewEpochs:
 
     def test_advance_epoch_is_monotone(self):
         view = ObjectView("me", epoch=2)
+        view.learn("mine", "me", 5)
         assert view.advance_epoch(2) == 0
         assert view.advance_epoch(1) == 0
         assert view.stats()["epoch"] == 2
@@ -1255,6 +1223,21 @@ class TestCoordinatorMembership:
         _views, coordinator = self._coordinator()
         with pytest.raises(GossipError, match="never killed"):
             coordinator.restart("n2")
+        coordinator.kill("ghost")
+        with pytest.raises(GossipError, match="unknown node 'ghost'"):
+            coordinator.restart("ghost")
+
+    def test_never_hearing_of_the_death_is_no_readmission(self):
+        _views, coordinator = self._coordinator()
+        coordinator.round()
+        coordinator.kill("n3")
+        coordinator.restart("n3")
+        assert coordinator.readmitted("n3") == set()
+
+    def test_without_membership_there_is_no_detector(self):
+        _views, coordinator = self._coordinator(membership=False)
+        with pytest.raises(KeyError):
+            coordinator.membership_view("n0")
 
     def test_restarted_node_is_readmitted_everywhere(self):
         """Tentpole e2e (simulated side): kill -> tombstone-converge ->

@@ -410,30 +410,6 @@ class TestMembershipMergeAlgebra:
         assert view.dead_nodes() == doomed
 
     @settings(max_examples=60, deadline=None)
-    @given(member_entries, st.randoms(use_true_random=False))
-    def test_higher_incarnation_always_outranks_lower_tombstone(
-        self, entries, rng
-    ):
-        """Append a rejoin assertion (ALIVE one incarnation above every
-        existing entry for that node): no delivery order of the original
-        set plus the rejoin leaves the node dead."""
-        members = _members_from(entries)
-        if not members:
-            return
-        node = members[0].node
-        top = max(
-            m.incarnation for m in members if m.node == node
-        )
-        rejoin = Member(node, 1, ALIVE, top + 1)
-        shuffled = members + [rejoin]
-        rng.shuffle(shuffled)
-        view = MembershipView("obs")
-        for member in shuffled:
-            view.merge([member])
-        assert not view.is_dead(node)
-        assert view.incarnation(node) == top + 1
-
-    @settings(max_examples=60, deadline=None)
     @given(member_entries)
     def test_codec_roundtrip_is_identity(self, entries):
         members = _members_from(entries)
