@@ -569,6 +569,8 @@ class GossipCoordinator:
         The rounds-to-no-dead-placement gap is exactly what
         ``bench_churn.py`` measures.
         """
+        if node not in self._parties:
+            raise GossipError(f"cannot kill unknown node {node!r}")
         self._dead.add(node)
 
     def restart(self, node: str, clock=None) -> ObjectView:
@@ -590,9 +592,7 @@ class GossipCoordinator:
             raise GossipError(
                 f"cannot restart {node!r}: it was never killed"
             )
-        old = self._parties.get(node)
-        if old is None:
-            raise GossipError(f"cannot restart unknown node {node!r}")
+        old = self._parties[node]
         fresh = ObjectView(node, clock=clock, epoch=old.view.epoch + 1)
         self._parties[node] = self._party(fresh)
         self._dead.discard(node)

@@ -1223,8 +1223,9 @@ class TestCoordinatorMembership:
         _views, coordinator = self._coordinator()
         with pytest.raises(GossipError, match="never killed"):
             coordinator.restart("n2")
-        coordinator.kill("ghost")
         with pytest.raises(GossipError, match="unknown node 'ghost'"):
+            coordinator.kill("ghost")
+        with pytest.raises(GossipError, match="never killed"):
             coordinator.restart("ghost")
 
     def test_never_hearing_of_the_death_is_no_readmission(self):

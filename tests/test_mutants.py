@@ -26,15 +26,11 @@ def load_tool(root=None, **tables):
 def ids_of(tmp_path, source):
     box = tmp_path / "src" / "repro" / "box.py"
     box.parent.mkdir(parents=True, exist_ok=True)
+    # A regular package, so it shadows a ``repro`` installed elsewhere
+    # on ``sys.path`` the way a copy of the real ``src/`` does.
+    (box.parent / "__init__.py").write_text("")
     box.write_text(source)
     return [m.id for m in load_tool(tmp_path).mutants("box.py")]
-
-
-FLIPS = [
-    ("<", "<="), ("<=", "<"), (">", ">="), (">=", ">"), ("==", "!="),
-    ("!=", "=="), ("in", "not in"), ("not in", "in"), ("is", "is not"),
-    ("is not", "is"),
-]
 
 
 BOX = (
@@ -50,6 +46,8 @@ BOX = (
 TESTS = (
     "from repro.box import clamp, label\n"
     "\n"
+    "assert clamp(5, 3) == 3  # at import: a mutant failing it fails collection\n"
+    "\n"
     "\n"
     "def test_clamp():\n"
     "    assert clamp(5, 3) == 3\n"
@@ -62,15 +60,7 @@ TESTS = (
 
 
 class TestTheMutationTool:
-    @pytest.mark.parametrize("op, flipped", FLIPS)
-    def test_a_comparison_flips(self, tmp_path, op, flipped):
-        ids = ids_of(tmp_path, f"def f(a, b):\n    return a {op} b\n")
-        assert ids == [
-            f"box.f: return a {op} b -> pass",
-            f"box.f: a {op} b -> a {flipped} b",
-        ]
-
-    def test_each_other_operator(self, tmp_path):
+    def test_each_operator(self, tmp_path):
         ids = ids_of(
             tmp_path,
             "def pick(a, b):\n"
@@ -78,8 +68,14 @@ class TestTheMutationTool:
             "    total = a + 1\n"
             "    if a or not b:\n"
             "        pass\n"
-            "    return total\n",
+            "    return (a < b, a <= b, a > b, a >= b, a == b, a != b,\n"
+            "            a in b, a not in b, a is b, a is not b)\n",
         )
+        flips = [
+            ("<", "<="), ("<=", "<"), (">", ">="), (">=", ">"), ("==", "!="),
+            ("!=", "=="), ("in", "not in"), ("not in", "in"), ("is", "is not"),
+            ("is not", "is"),
+        ]
         assert ids == [
             "box.pick: total = a + 1 -> return",
             "box.pick: total = a + 1 -> pass",
@@ -87,8 +83,9 @@ class TestTheMutationTool:
             "box.pick: if a or not b: -> pass",
             "box.pick: a or not b -> a and (not b)",
             "box.pick: not b -> b",
-            "box.pick: return total -> pass",
-        ]
+            "box.pick: return (a < b, a <= b, a > b, a >= b, a == b, a != b, "
+            "a in b, a not in b, a is b, a is not b) -> pass",
+        ] + [f"box.pick: a {op} b -> a {to} b" for op, to in flips]
 
     def test_a_repeated_edit_is_numbered_and_methods_are_qualified(self, tmp_path):
         ids = ids_of(
@@ -114,7 +111,6 @@ class TestTheMutationTool:
         after = ids_of(tmp_path, "LIMIT = 3\n\n\n" + source)
         assert after == before and len(before) == 6
 
-
     def test_verdicts_and_an_untouched_tree(self, tmp_path, capsys):
         ids_of(tmp_path, BOX)
         (tmp_path / "tests").mkdir()
@@ -126,12 +122,12 @@ class TestTheMutationTool:
             tmp_path,
             EQUIVALENT={"box.clamp: x > top -> x >= top": "at x == top both return top"},
         )
-        found, verdicts, kills, tests = tool.campaign(workers=1)
+        found, verdicts, kills, tests = tool.campaign()
         assert verdicts == {
-            "box.clamp: if x > top: -> return": "killed",
-            "box.clamp: if x > top: -> pass": "killed",
+            "box.clamp: if x > top: -> return": "collection",
+            "box.clamp: if x > top: -> pass": "collection",
             "box.clamp: x > top -> x >= top": "survived",
-            "box.clamp: return top -> pass": "killed",
+            "box.clamp: return top -> pass": "collection",
             "box.clamp: return x -> pass": "killed",
             "box.label: return 'big' if x >= top else 'small' -> pass": "killed",
             "box.label: x >= top -> x > top": "survived",

@@ -25,11 +25,13 @@ reach its function, in a worker's own copy of ``src/`` put first on
 core.  The plugin loads a Hypothesis profile that is derandomized,
 keeps no example database and does not shrink, so a kill replays.
 
-Verdicts: *killed* (a selected test failed), *collection* (pytest exit
-2: a test module that calls the mutant at import), *timeout* (the run
-outlived ``TIMEOUT_FACTOR`` times its tests' baseline time plus
-``STARTUP_S``), *survived*.  A survivor ends in a test that kills it,
-in :data:`EQUIVALENT` with the reason no input tells it apart, or in
+Verdicts: *killed* (a selected test failed), *collection* (a test
+module failed to collect, such as one that calls the mutant at import,
+or pytest exited 2), *timeout* (the run outlived ``TIMEOUT_FACTOR``
+times its tests' baseline time plus ``STARTUP_S``), *survived*; any
+other pytest exit (an internal or usage error, no tests) stops the
+campaign.  A survivor ends in a test that kills it, in
+:data:`EQUIVALENT` with the reason no input tells it apart, or in
 deleting a statement no input tells apart from ``pass`` (safety code,
 such as a check of outside input, stays).
 
@@ -81,6 +83,8 @@ TARGETS = (
 )
 TIMEOUT_FACTOR = 3
 STARTUP_S = 30
+#: pytest's exit code (``None`` at the timeout) -> verdict.
+_VERDICTS = {None: "timeout", 0: "survived", 1: "killed", 2: "collection"}
 PYTEST = ("-q", "-m", "not bench", "-p", "no:cacheprovider", "-p", "mutants")
 _GUARD = re.compile(r'"(tests/[\w/]+\.py::\w+)"')
 
@@ -267,8 +271,9 @@ def apply(source: bytes, mutant: Mutant) -> bytes:
 
 # ----------------------------------------------------------------------
 # The pytest plugin: ``-p mutants`` with this directory on PYTHONPATH.
-# Each test started ("R id") and failed ("F id") is a line appended to
-# MUTANTS_LOG, so a run killed at its timeout still names its kills.
+# Each test started ("R id"), test failed ("F id") and module that
+# failed to collect ("C path") is a line appended to MUTANTS_LOG, so a
+# run killed at its timeout still names its kills.
 # MUTANTS_TRACE names the file the baseline's per-test records go to.
 # With MUTANTS_FULL set, the first that many tests named on the command
 # line run whatever fails, and the run stops at a failure after them.
@@ -308,6 +313,11 @@ def pytest_runtest_logreport(report):
     if report.failed:
         _FAILED.add(report.nodeid)
         _log("F " + report.nodeid)
+
+
+def pytest_collectreport(report):
+    if report.failed:
+        _log("C " + report.nodeid)
 
 
 @pytest.hookimpl(wrapper=True)
@@ -364,8 +374,8 @@ def pytest_sessionfinish(session):
 
 def _pytest(tree: Path, args, timeout=None, **env) -> Tuple[int, List[str]]:
     """pytest over ``tree``'s copy of ``src``: the exit code (``None`` at
-    the timeout) and the tests that failed, the one running at the
-    timeout included."""
+    the timeout, 2 when a test module failed to collect) and the tests
+    that failed, the one running at the timeout included."""
     log = tree / "log"
     log.write_text("")
     env = {k: v for k, v in os.environ.items() if not k.startswith("MUTANTS_")} | env
@@ -384,6 +394,8 @@ def _pytest(tree: Path, args, timeout=None, **env) -> Tuple[int, List[str]]:
     except subprocess.TimeoutExpired:
         code = None
     lines = log.read_text().splitlines()
+    if any(line[0] == "C" for line in lines):
+        code = 2  # it exits 4 when the module's tests were named by id
     failed = [line[2:] for line in lines if line[0] == "F"]
     if code is None and lines and lines[-1][0] == "R":
         failed.append(lines[-1][2:])
@@ -404,7 +416,7 @@ def _candidates(tests) -> Set[str]:
     }
 
 
-def campaign(workers: int = os.cpu_count() or 1):
+def campaign():
     """Run every mutant: ``(mutants, verdicts, kills, tests)``.
 
     ``verdicts[id]`` is ``killed``, ``collection``, ``timeout`` or
@@ -413,6 +425,7 @@ def campaign(workers: int = os.cpu_count() or 1):
     first, and stop there); ``tests`` is the baseline's record per test.
     """
     found = [m for path in TARGETS for m in mutants(path)]
+    workers = os.cpu_count() or 1
     scratch = Path(tempfile.mkdtemp(prefix="mutants-"))
     trees: Queue = Queue()
     try:
@@ -423,10 +436,12 @@ def campaign(workers: int = os.cpu_count() or 1):
             )
             trees.put(scratch / str(i))
         trace = scratch / "trace.json"
-        _, failing = _pytest(
+        code, failing = _pytest(
             scratch / "0", [],
             MUTANTS_TRACE=str(trace), MUTANTS_TARGETS=os.pathsep.join(TARGETS),
         )
+        if code not in (0, 1):
+            raise RuntimeError(f"the baseline run exited {code}")
         tests = {t: r for t, r in json.loads(trace.read_text()).items() if t not in failing}
         candidates = _candidates(tests)
         reaching: Dict[str, List[str]] = defaultdict(list)
@@ -454,8 +469,9 @@ def campaign(workers: int = os.cpu_count() or 1):
             finally:
                 target.write_bytes(original)
                 trees.put(tree)
-            verdict = {None: "timeout", 0: "survived", 1: "killed"}.get(code, "collection")
-            return verdict, failed
+            if code not in _VERDICTS:
+                raise RuntimeError(f"pytest exited {code} under {mutant.id}")
+            return _VERDICTS[code], failed
 
         verdicts, kills = {}, {}
         with ThreadPoolExecutor(workers) as pool:
