@@ -362,10 +362,11 @@ class Platform:
         replicas + contenders).  With no inputs every machine ties on
         bytes: least-loaded placement, ties broken by name.
         """
-        lookup = self.cluster.object
         contenders, move_bytes = bid(
-            ((name, lookup(name).size) for name in inputs),
-            lambda name: lookup(name).locations,
+            (
+                (info.locations, info.size)
+                for info in map(self.cluster.object, inputs)
+            ),
             self._outstanding,
         )
         return choose(

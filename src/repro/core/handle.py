@@ -114,7 +114,9 @@ class Handle:
     internal and validates invariants.
     """
 
-    __slots__ = ("_payload", "_size", "_meta")
+    #: ``_hash`` is the value :meth:`__hash__` computed, or ``None``
+    #: before the first call: a handle is a dict key many times over.
+    __slots__ = ("_payload", "_size", "_meta", "_hash")
 
     def __init__(self, payload: bytes, size: int, meta: int):
         if meta & ~_META_KNOWN:
@@ -152,6 +154,7 @@ class Handle:
         self._payload = bytes(payload)
         self._size = size
         self._meta = meta
+        self._hash = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -378,7 +381,10 @@ class Handle:
         )
 
     def __hash__(self) -> int:
-        return hash((self._payload, self._size, self._meta))
+        value = self._hash
+        if value is None:
+            value = self._hash = hash((self._payload, self._size, self._meta))
+        return value
 
     def __repr__(self) -> str:
         kind = self._describe_kind()

@@ -17,6 +17,7 @@ so limits never cost a storage round-trip::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import HandleError
 from .handle import Handle
@@ -51,8 +52,15 @@ class ResourceLimits:
         )
 
     def handle(self) -> Handle:
-        """The literal handle carrying this limits blob."""
-        return Handle.of_blob(self.pack())
+        """The literal handle carrying this limits blob, built once per
+        value: every Application tree's first entry is one, and a
+        program uses a handful of values."""
+        return _literal(self)
+
+
+@lru_cache(maxsize=256)
+def _literal(limits: ResourceLimits) -> Handle:
+    return Handle.of_blob(limits.pack())
 
 
 DEFAULT_LIMITS = ResourceLimits()

@@ -83,9 +83,8 @@ _frame = FrameReader(GossipError)
 # entries (content keys) the decoder reads each entry through one
 # struct of the previous entry's layout, and checks what the layout
 # assumed.  An entry that pass cannot read - short, not UTF-8, a bad
-# tag or flag byte - sends the decoder to its field-by-field loop from
-# that entry on, which reads through the FrameReader and refuses
-# naming the field and the offset.
+# tag or flag byte - is read again field by field through the
+# FrameReader, which refuses it naming the field and the offset.
 
 
 def _caps_parts(versions: Dict[str, int]) -> List[bytes]:
@@ -104,18 +103,20 @@ def pack_digest(digest: Digest) -> bytes:
     return b"".join(_caps_parts(digest.versions))
 
 
-def _cap_by_fields(raw: bytes, offset: int) -> Tuple[str, int, int]:
+def _refuse_cap(raw: bytes, offset: int) -> None:
+    """The cap :func:`unpack_digest`'s one pass stopped at, read field
+    by field: the pass stops only at a cap one of these reads refuses,
+    so this raises, naming the field and the offset."""
     length, offset = _frame.unpack(_LEN, raw, offset, "origin length")
-    origin, offset = _frame.text(raw, offset, length, "origin")
-    version, offset = _frame.unpack(_U64, raw, offset, "version cap")
-    return origin, version, offset
+    _, offset = _frame.text(raw, offset, length, "origin")
+    _frame.unpack(_U64, raw, offset, "version cap")
 
 
 def unpack_digest(raw: bytes, offset: int = 0) -> Tuple[Digest, int]:
     count, offset = _frame.unpack(_COUNT, raw, offset, "origin count")
     end = len(raw)
     versions: Dict[str, int] = {}
-    for read in range(count):
+    for _ in range(count):
         at = offset + 2
         if at > end:
             break
@@ -130,9 +131,7 @@ def unpack_digest(raw: bytes, offset: int = 0) -> Tuple[Digest, int]:
         offset = stop + 8
     else:
         return Digest(versions), offset
-    for _ in range(read, count):
-        origin, versions[origin], offset = _cap_by_fields(raw, offset)
-    return Digest(versions), offset
+    _refuse_cap(raw, offset)
 
 
 def pack_delta(delta: Delta) -> bytes:
@@ -175,27 +174,29 @@ def _prefixed(text: str) -> bytes:
     return _LEN.pack(len(raw)) + raw
 
 
-def _entry_by_fields(raw: bytes, offset: int) -> Tuple[Entry, int]:
+def _refuse_entry(raw: bytes, offset: int) -> None:
+    """The entry :func:`unpack_delta`'s one pass stopped at, read field
+    by field: the pass stops only at an entry one of these reads
+    refuses, so this raises, naming the field and the offset (or the
+    bad tag or flag byte)."""
     length, offset = _frame.unpack(_LEN, raw, offset, "origin length")
-    origin, offset = _frame.text(raw, offset, length, "origin")
-    version, offset = _frame.unpack(_U64, raw, offset, "version")
+    _, offset = _frame.text(raw, offset, length, "origin")
+    _, offset = _frame.unpack(_U64, raw, offset, "version")
     tag, offset = _frame.take(raw, offset, 1, "name tag")
     length, offset = _frame.unpack(_LEN, raw, offset, "name length")
     if tag[0] == _NAME_STR:
-        name, offset = _frame.text(raw, offset, length, "name")
+        _, offset = _frame.text(raw, offset, length, "name")
     else:
-        name, offset = _frame.take(raw, offset, length, "name")
+        _, offset = _frame.take(raw, offset, length, "name")
         if tag[0] != _NAME_BYTES:
             raise GossipError(f"bad name tag byte {tag!r} in gossip delta")
     length, offset = _frame.unpack(_LEN, raw, offset, "location length")
-    location, offset = _frame.text(raw, offset, length, "location")
+    _, offset = _frame.text(raw, offset, length, "location")
     flag, offset = _frame.take(raw, offset, 1, "size flag")
-    size: Optional[int] = None
     if flag[0] == _HAS_SIZE:
-        size, offset = _frame.unpack(_U64, raw, offset, "size")
+        _frame.unpack(_U64, raw, offset, "size")
     elif flag[0] != _NO_SIZE:
         raise GossipError(f"bad size flag byte {flag!r} in gossip delta")
-    return (origin, version, name, location, size), offset
 
 
 def unpack_delta(raw: bytes, offset: int = 0) -> Tuple[Delta, int]:
@@ -294,10 +295,9 @@ def unpack_delta(raw: bytes, offset: int = 0) -> Tuple[Delta, int]:
             break
         append((origin, version, name, location, size))
         offset = next_at
-    for _ in range(len(entries), count):
-        entry, offset = _entry_by_fields(raw, offset)
-        append(entry)
-    return Delta(tuple(entries), caps.versions), offset
+    else:
+        return Delta(tuple(entries), caps.versions), offset
+    _refuse_entry(raw, offset)
 
 
 # ----------------------------------------------------------------------

@@ -193,23 +193,24 @@ def members_wire_bytes(members: Optional[Iterable[Member]]) -> int:
     return _COUNT.size + sum(m.wire_bytes() for m in members)
 
 
-def _member_by_fields(raw: bytes, offset: int) -> Tuple[Member, int]:
+def _refuse_member(raw: bytes, offset: int) -> None:
+    """The member :func:`unpack_members`' one pass stopped at, read
+    field by field: the pass stops only at a member one of these reads
+    refuses, so this raises, naming the field and the offset."""
     length, offset = _frame.unpack(_LEN, raw, offset, "node length")
-    node, offset = _frame.text(raw, offset, length, "node name")
-    incarnation, offset = _frame.unpack(_U64, raw, offset, "incarnation")
-    heartbeat, offset = _frame.unpack(_U64, raw, offset, "heartbeat")
+    _, offset = _frame.text(raw, offset, length, "node name")
+    _, offset = _frame.unpack(_U64, raw, offset, "incarnation")
+    _, offset = _frame.unpack(_U64, raw, offset, "heartbeat")
     rank, offset = _frame.unpack(_STATUS, raw, offset, "status")
-    status = _BY_RANK.get(rank)
-    if status is None:
+    if rank not in _BY_RANK:
         raise MembershipError(f"bad membership status byte {rank}")
-    return Member(node, heartbeat, status, incarnation), offset
 
 
 def unpack_members(raw: bytes, offset: int = 0) -> Tuple[Tuple[Member, ...], int]:
     """Each member in one pass: ``incarnation, heartbeat, status``
     through one struct, bounds checked inline.  A member that pass
-    cannot read sends the rest of the frame through the field-by-field
-    reads, which refuse naming the field and the offset."""
+    cannot read is refused by the field-by-field reads, which name the
+    field and the offset."""
     count, offset = _frame.unpack(_COUNT, raw, offset, "count")
     end = len(raw)
     members: List[Member] = []
@@ -230,10 +231,9 @@ def unpack_members(raw: bytes, offset: int = 0) -> Tuple[Tuple[Member, ...], int
             break
         members.append(Member(node, heartbeat, status, incarnation))
         offset = stop + 17
-    for _ in range(len(members), count):
-        member, offset = _member_by_fields(raw, offset)
-        members.append(member)
-    return tuple(members), offset
+    else:
+        return tuple(members), offset
+    _refuse_member(raw, offset)
 
 
 class MembershipView:

@@ -90,7 +90,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
@@ -791,7 +791,8 @@ class ObjectView:
 
     def bid(
         self,
-        needs: Iterable[Tuple[Hashable, int]],
+        names: Iterable[Hashable],
+        sizes: Iterable[int],
         candidates: Collection[str],
         *,
         unshippable: Collection[Hashable] = (),
@@ -801,40 +802,33 @@ class ObjectView:
         """:func:`repro.dist.costmodel.bid` over these beliefs, priced
         per distinct holder set rather than per input.
 
-        One pass over ``needs`` sums their bytes under each name's
-        believed holders - the view's one copy of that set, whose hash
-        is cached, or the empty set for a name it never heard of - and
+        ``names`` and ``sizes`` are the task's inputs and their bytes,
+        two streams read in step.  The names' believed holders are read
+        by ``map`` over the forward map's ``get`` - the view's one copy
+        of each set, whose hash is cached, or the empty set for a name
+        it never heard of - and one loop sums the sizes per set;
         :func:`~repro.dist.costmodel.bid` prices those ``(holder set,
-        bytes)`` pairs with the set as its own locations.  The
-        unshippable keys go in as their distinct holder sets: a
-        candidate is in every key's set exactly when it is in every one
-        of the distinct sets, so viability is unchanged.  The sums are
-        exact, so every price is the per-input pass's; the cost is
-        O(inputs + unshippable + distinct holder sets x their holders +
-        contenders), and a wide task whose inputs sit on a few sets pays
-        a dict update per input, not a walk of its holders.
+        bytes)`` pairs.  The unshippable keys go in as their distinct
+        holder sets: a candidate is in every key's set exactly when it
+        is in every one of the distinct sets, so viability is unchanged.
+        The sums are exact, so every price is the per-input pass's; the
+        cost is O(inputs + unshippable + distinct holder sets x their
+        holders + contenders), and a wide task whose inputs sit on a few
+        sets pays one dict update per input, not a walk of its holders.
 
-        The lock is held across the grouping, which consumes ``needs``,
-        and both pricing passes: no belief changes mid-quote."""
+        The lock is held across the grouping, which consumes both
+        streams, and both pricing passes: no belief changes mid-quote."""
         with self._lock:
             get = self._locations.get
             grouped: Dict[FrozenSet[str], int] = {}
-            for name, size in needs:
-                held = get(name, _NOTHING)
+            for held, size in zip(map(get, names, repeat(_NOTHING)), sizes):
                 grouped[held] = grouped.get(held, 0) + size
             if unshippable:
-                unshippable = {get(key, _NOTHING) for key in unshippable}
+                unshippable = set(map(get, unshippable, repeat(_NOTHING)))
             return costmodel.bid(
                 grouped.items(),
-                _itself,
                 candidates,
                 unshippable=unshippable,
                 consumer_location=consumer_location,
                 exclude=exclude,
             )
-
-
-def _itself(held: FrozenSet[str]) -> FrozenSet[str]:
-    """The locations of a holder set: the set (what :meth:`ObjectView.bid`
-    prices by)."""
-    return held

@@ -5,25 +5,34 @@ believes would have to move there (paper 4.2.2), so a task lands on the
 holder of its largest dependency and ``predicted_move_bytes`` is zero
 when the data is local.  Pricing and the decision itself live in
 :mod:`repro.dist.costmodel`, on the one path the executing runtime's
-:meth:`repro.fixpoint.net.FixpointNode._place` takes too:
-:meth:`ObjectView.bid` makes one pass over the inputs, summing their
-bytes per distinct set of believed holders (so fig. 10's 1,987-input
-link walks each set's holders once, not O(machines x inputs)), and
-keeps the machines that can still win, the live holders and the hinted
-consumer;
-:func:`~repro.dist.costmodel.choose` compares their ``(priced bytes,
-load, name)`` keys and builds a :class:`~repro.dist.costmodel.Quote`
-for the winner only.  The
-scheduler passes registry sizes, the consumer it is handed and the
-tombstoned machines, and no unshippable keys: the simulated network moves
-anything.  A placement is therefore O(inputs + distinct holder sets x
-their holders + contenders): it follows the data the task names, not
-the size of the cluster.  Only when no live machine is believed to hold a byte
-(external-only inputs, independent tasks, every holder dead) does
-everyone tie on bytes and every machine get compared, spreading by
-the ``outstanding`` load map: ``FixpointSim``'s invocation path writes
-it, and a bare scheduler's caller feeds it through
-:meth:`DataflowScheduler.task_started` / :meth:`task_finished`.
+:meth:`repro.fixpoint.net.FixpointNode._place` and the baselines'
+:meth:`repro.baselines.base.Platform._choose` take too, and a
+placement is one pass from the task's inputs to the winning
+``(priced bytes, load, name)`` key.  The scheduler hands
+:meth:`ObjectView.bid` the input names and their sizes as two streams,
+the sizes read from the registry's name -> size index
+(:attr:`Cluster.sizes <repro.sim.cluster.Cluster.sizes>`, one ``dict``
+read per input through ``map``); the view reads each name's believed
+holders the same way and sums the bytes per distinct holder set, so
+fig. 10's 1,987-input link pays one dict update per input and walks
+each set's holders once, not O(machines x inputs).
+:func:`~repro.dist.costmodel.bid` keeps the machines that can still
+win, the live holders and the hinted consumer, with their prices in a
+dict, and :func:`~repro.dist.costmodel.choose` compares their
+``(priced bytes, load, name)`` keys by ``map``, ``zip`` and ``min``
+and builds a :class:`~repro.dist.costmodel.Quote` for the winner only:
+no Python frame runs per contender.  The scheduler passes the consumer
+it is handed and the tombstoned machines, and no unshippable keys: the
+simulated network moves anything.  A placement is therefore O(inputs +
+distinct holder sets x their holders + contenders): it follows the data
+the task names, not the size of the cluster.  Only when no live machine
+is believed to hold a byte (external-only inputs, independent tasks,
+every holder dead) does everyone tie on bytes and every machine get
+compared, spreading by the ``outstanding`` load map: ``FixpointSim``'s
+invocation path writes it, and a bare scheduler's caller feeds it
+through :meth:`DataflowScheduler.task_started` / :meth:`task_finished`.
+An input the registry has no record of raises the typed
+:class:`~repro.core.errors.SchedulingError` naming it.
 
 ``locality=False`` is the one ablation lever: seeded-random placement,
 the fig. 8b "Fixpoint (no locality)" row.  Output-size hints are not a
@@ -38,22 +47,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.errors import SchedulingError
 from ..obs import NULL_OBS, Obs
-from .costmodel import Quote, choose, quote
+from .costmodel import Quote, choose
 from .graph import TaskSpec
 from .membership import MembershipView
 from .objectview import ObjectView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.cluster import Cluster
-
-#: An input's registry size, read without a Python frame per input.
-_size = attrgetter("size")
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -157,17 +161,17 @@ class DataflowScheduler:
         """What :meth:`place` and :meth:`explain` both price from: the
         tombstoned machines (``None`` without membership) and
         :meth:`ObjectView.bid`'s ``(contenders, move_bytes)`` over the
-        task's registry sizes and ``consumer_location``.  An input the
-        registry does not know raises the typed :class:`SchedulingError`
-        naming it."""
+        task's inputs, their sizes read from the registry's size index,
+        and ``consumer_location``.  An input the registry does not know
+        raises the typed :class:`SchedulingError` naming it."""
         dead = (
             self.membership.dead_nodes() if self.membership is not None else None
         )
         inputs = task.inputs
-        sizes = map(_size, map(self.cluster.objects.__getitem__, inputs))
         try:
             contenders, move_bytes = self.view.bid(
-                zip(inputs, sizes),
+                inputs,
+                map(self.cluster.sizes.__getitem__, inputs),
                 self._candidates,
                 consumer_location=consumer_location,
                 exclude=dead,
@@ -225,11 +229,7 @@ class DataflowScheduler:
                     consumer_location=consumer_location,
                     exclude=dead,
                 )
-                placement = Placement(
-                    task=task.name,
-                    machine=best.candidate,
-                    predicted_move_bytes=best.move_bytes,
-                )
+                placement = Placement(task.name, best.candidate, best.move_bytes)
         self._m_placements.inc(machine=placement.machine)
         if placement.predicted_move_bytes:
             self._m_move_bytes.inc(placement.predicted_move_bytes)
@@ -253,12 +253,7 @@ class DataflowScheduler:
         dead, contenders, move_bytes = self._bid(task, None)
         return sorted(
             (
-                quote(
-                    machine,
-                    move_bytes(machine),
-                    self._outstanding[machine],
-                    output_size=task.output_size,
-                )
+                Quote(machine, move_bytes(machine), 0, self._outstanding[machine])
                 for machine in contenders
                 if not dead or machine not in dead
             ),

@@ -115,6 +115,7 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.sync import (
@@ -1496,9 +1497,9 @@ class FixpointNode:
             # A held key is priced at its stored size; only the others
             # ask the view (one lock acquisition each).
             unheld = [key for key in fp.data if key not in local]
-            believed = map(self.view.believed_size, unheld)
             contenders, move_bytes = self.view.bid(
-                [*local.items(), *zip(unheld, believed)],
+                chain(local, unheld),
+                chain(local.values(), map(self.view.believed_size, unheld)),
                 dict.fromkeys(candidates),
                 unshippable=unheld,
                 exclude=dead,

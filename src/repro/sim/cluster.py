@@ -57,8 +57,9 @@ class Machine:
 class ObjectInfo:
     """A named, sized datum and the set of places holding a replica.
 
-    Slotted: a placement reads ``size`` once per input, and a slot read
-    touches the object alone, not the object and its ``__dict__``."""
+    The registry's truth: ``size`` is fixed once the record exists, and
+    :attr:`Cluster.sizes` mirrors it by name for placement, which reads
+    a task's sizes without an attribute read per input."""
 
     name: str
     size: int
@@ -78,6 +79,10 @@ class Cluster:
             self.machines[spec.name] = Machine(sim, spec, self.network)
         self.accountant = CpuAccountant(sim)
         self.objects: Dict[str, ObjectInfo] = {}
+        #: Each object's size by name, written beside ``objects`` by
+        #: :meth:`add_object`: a placement reads its inputs' sizes here,
+        #: one ``dict`` read each and no attribute read.
+        self.sizes: Dict[str, int] = {}
 
     @property
     def total_cores(self) -> int:
@@ -113,6 +118,7 @@ class Cluster:
         if info is None:
             info = ObjectInfo(name=name, size=size)
             self.objects[name] = info
+            self.sizes[name] = size
         elif info.size != size:
             raise SimulationError(
                 f"object {name!r} re-registered with size {size} != {info.size}"

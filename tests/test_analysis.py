@@ -592,7 +592,8 @@ class TestObjectViewLockDiscipline:
             exchange(Participant(view), Participant(peer))
         elif kind == "price":
             view.bid(
-                [(op[1], 1024), (op[2], 0)],
+                [op[1], op[2]],
+                [1024, 0],
                 dict.fromkeys(["n0", "n1", "n2"]),
                 unshippable=[op[2]],
             )

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.base import Platform
-from repro.core.errors import SchedulingError
+from repro.core.errors import SchedulingError, SimulationError
 from repro.core.minrepo import transitive_footprint
 from repro.core.thunks import make_application
 from repro.dist import costmodel
@@ -34,7 +34,6 @@ from repro.dist.costmodel import (
     choose,
     price_held,
     price_moves,
-    quote,
 )
 from repro.dist.gossip import Participant, exchange
 from repro.dist.graph import CLIENT, EXTERNAL, TaskSpec
@@ -124,9 +123,14 @@ class TestChoose:
         )
         assert best.candidate == "m2"
         assert best.hint_bytes == 0  # at the consumer, the output stays put
-        assert quote("m1", 0, 0, output_size=100, consumer_location="m2") == Quote(
-            "m1", 0, 100, 0
+        off_consumer = choose(
+            ["m1"],
+            prices.__getitem__,
+            lambda m: 0,
+            output_size=100,
+            consumer_location="m2",
         )
+        assert off_consumer == Quote("m1", 0, 100, 0)
 
     def test_empty_candidates_is_an_error(self):
         with pytest.raises(SchedulingError, match="no candidate"):
@@ -149,10 +153,12 @@ class TestSparsePricing:
     def locations(self, name):
         return self.TABLE.get(name, ())
 
+    def held_needs(self):
+        """``NEEDS`` as ``price_held`` takes them: ``(holders, size)``."""
+        return [(self.locations(name), size) for name, size in self.NEEDS]
+
     def test_held_lists_only_believed_holders_among_the_candidates(self):
-        total, held = price_held(
-            self.NEEDS, self.locations, {"m1", "m2", "m3", "m4"}
-        )
+        total, held = price_held(self.held_needs(), {"m1", "m2", "m3", "m4"})
         assert total == 42
         # m3 holds only the zero-size object, m4 nothing, and
         # "elsewhere" is not a candidate.
@@ -160,7 +166,7 @@ class TestSparsePricing:
 
     def test_dense_prices_are_total_minus_held(self):
         candidates = ["m1", "m2", "m3", "m4"]
-        total, held = price_held(self.NEEDS, self.locations, set(candidates))
+        total, held = price_held(self.held_needs(), set(candidates))
         dense = price_moves(self.NEEDS, self.locations, candidates)
         assert dense == {m: total - held.get(m, 0) for m in candidates}
         assert list(dense) == candidates  # candidate order is kept
@@ -171,7 +177,9 @@ class TestSparsePricing:
             for location in locations:
                 view.learn(name, location)
         candidates = ["m1", "m2", "m3", "m4"]
-        contenders, move_bytes = view.bid(self.NEEDS, frozenset(candidates))
+        contenders, move_bytes = view.bid(
+            *zip(*self.NEEDS), frozenset(candidates)
+        )
         assert sorted(contenders) == ["m1", "m2"]  # m3 holds 0 bytes
         assert [move_bytes(m) for m in candidates] == [27, 17, 42, 42]
         assert view.price_moves(self.NEEDS, candidates) == {
@@ -182,8 +190,8 @@ class TestSparsePricing:
 def contenders(candidates, held, **options):
     """``bid``'s contenders when each machine in ``held`` is believed to
     hold one object of that size, nothing else."""
-    needs = [(machine, size) for machine, size in held.items()]
-    return bid(needs, lambda name: (name,), candidates, **options)[0]
+    needs = [((machine,), size) for machine, size in held.items()]
+    return bid(needs, candidates, **options)[0]
 
 
 class TestContenders:
@@ -218,6 +226,15 @@ class TestContenders:
     def test_consumer_outside_the_candidates_is_never_added(self):
         got = contenders(self.MACHINES, {"m2": 5}, consumer_location="client")
         assert list(got) == ["m2"]
+
+    def test_every_candidate_is_priced_not_only_the_contenders(self):
+        """``move_bytes`` prices any candidate: one that holds nothing,
+        a zero-byte holder and a tombstoned holder, whether the live
+        holders contend or, every holder of a byte dead, all tie."""
+        needs = [(("m2",), 5), (("m3",), 0), (("m4",), 2)]
+        for exclude in (None, {"m2", "m4"}):
+            _contenders, move_bytes = bid(needs, self.MACHINES, exclude=exclude)
+            assert [move_bytes(m) for m in self.MACHINES] == [7, 2, 7, 5]
 
 
 class TestHoldingsIndex:
@@ -713,6 +730,11 @@ class Case:
         return [(name, self.sizes[name]) for name in self.needs]
 
     @property
+    def need_sizes(self) -> List[int]:
+        """The needs' sizes, the second stream ``ObjectView.bid`` reads."""
+        return [self.sizes[name] for name in self.needs]
+
+    @property
     def hinted_consumer(self) -> Optional[str]:
         """The consumer a placement is handed: ``FixpointSim`` infers
         one only with hints on."""
@@ -807,7 +829,8 @@ def decide_sparse(case: Case, view: ObjectView) -> Quote:
     placement makes."""
     return choose(
         *view.bid(
-            case.sized_needs,
+            case.needs,
+            case.need_sizes,
             frozenset(case.machines),
             consumer_location=case.hinted_consumer,
             exclude=case.dead,
@@ -1008,7 +1031,8 @@ def decide_dense(case: Case, view: ObjectView, unshippable) -> Quote:
 def decide_bid(case: Case, view: ObjectView, unshippable) -> Quote:
     return choose(
         *view.bid(
-            case.sized_needs,
+            case.needs,
+            case.need_sizes,
             dict.fromkeys(case.machines),
             unshippable=unshippable,
             consumer_location=case.hinted_consumer,
@@ -1150,9 +1174,14 @@ def assert_prices_as_its_inputs(soup: HolderSetSoup) -> None:
         consumer_location=soup.consumer_location,
         exclude=soup.exclude,
     )
-    contenders, move_bytes = soup.view.bid(soup.needs, soup.candidates, **options)
+    contenders, move_bytes = soup.view.bid(
+        *zip(*soup.needs), soup.candidates, **options
+    )
+    where = soup.view.where
     want_contenders, want_bytes = bid(
-        soup.needs, soup.view.where, soup.candidates, **options
+        [(where(name), size) for name, size in soup.needs],
+        soup.candidates,
+        **dict(options, unshippable=[where(key) for key in soup.unshippable]),
     )
     assert set(contenders) == set(want_contenders), soup
     assert {c: move_bytes(c) for c in soup.candidates} == {
@@ -1181,7 +1210,9 @@ def check_holder_set_bid(soups: int = 400) -> None:
         names = [name for name, _size in soup.needs]
         holders = {soup.view.where(name) for name in names} - {frozenset()}
         stranded = bid(
-            (), soup.view.where, soup.candidates, unshippable=soup.unshippable
+            (),
+            soup.candidates,
+            unshippable=[soup.view.where(key) for key in soup.unshippable],
         )[0]
         seen["few_sets_many_names"] += len(holders) <= 4 and len(set(names)) >= 20
         seen["repeated_names"] += len(set(names)) < len(names)
@@ -1198,20 +1229,14 @@ def bid_grouped_by(key):
     """``ObjectView.bid`` with the grouping keyed by ``key(holders)``
     (``None`` drops the name) - the shape of the two mutants below."""
 
-    def mutant(self, needs, candidates, *, unshippable=(), **options):
+    def mutant(self, names, sizes, candidates, *, unshippable=(), **options):
         grouped: Dict[FrozenSet[str], int] = {}
-        for name, size in needs:
+        for name, size in zip(names, sizes):
             held = key(self.where(name))
             if held is not None:
                 grouped[held] = grouped.get(held, 0) + size
         keys = {key(self.where(name)) for name in unshippable} - {None}
-        return bid(
-            grouped.items(),
-            lambda held: held,
-            candidates,
-            unshippable=keys,
-            **options,
-        )
+        return bid(grouped.items(), candidates, unshippable=keys, **options)
 
     return mutant
 
@@ -1290,8 +1315,7 @@ def no_load_tie_break(self, inputs=()):
     """Mutant: bytes, then name; the load never spreads a tie."""
     lookup = self.cluster.object
     contenders, move_bytes = bid(
-        ((name, lookup(name).size) for name in inputs),
-        lambda name: lookup(name).locations,
+        ((lookup(name).locations, lookup(name).size) for name in inputs),
         self._outstanding,
     )
     return choose(contenders, move_bytes, lambda _machine: 0).candidate
@@ -1301,8 +1325,7 @@ def priced_by_replica_count(self, inputs=()):
     """Mutant: an input missing from a machine costs 1, not its size."""
     lookup = self.cluster.object
     contenders, move_bytes = bid(
-        ((name, 1) for name in inputs),
-        lambda name: lookup(name).locations,
+        ((lookup(name).locations, 1) for name in inputs),
         self._outstanding,
     )
     return choose(contenders, move_bytes, self._outstanding.__getitem__).candidate
@@ -1381,9 +1404,7 @@ class TestPlacementCostIsItsContenders:
     def test_sparse_path_reads_its_two_holders(self, machines, quotes_built):
         names, scheduler, loads = self.build(machines)
         best = choose(
-            *scheduler.view.bid(
-                [("a", 10), ("b", 20), ("c", 5)], frozenset(names)
-            ),
+            *scheduler.view.bid(("a", "b", "c"), (10, 20, 5), frozenset(names)),
             loads.__getitem__,
         )
         assert (best.candidate, best.move_bytes) == (names[42], 10)
@@ -1493,3 +1514,35 @@ class TestUnknownInputIsATypedError:
             scheduler.explain(task)
         placement = scheduler.place(make_task("held"))  # still places
         assert placement.machine == "node1" or not locality
+
+
+class TestTheSizeIndexIsTheRegistry:
+    """``Cluster.sizes``, what a placement reads its inputs' sizes
+    from, is the registry's records by name; the records stay the
+    truth."""
+
+    def test_the_index_is_the_records_sizes(self):
+        _sim, cluster = make_cluster()
+        rng = random.Random(41)
+        for _ in range(300):
+            name = f"o{rng.randrange(80)}"
+            size = cluster.sizes.get(name, rng.randrange(1 << 20))
+            holder = rng.choice(["node0", "node1", "node2", CLIENT])
+            assert cluster.add_object(name, size, holder).size == size
+        with pytest.raises(SimulationError, match="re-registered"):
+            cluster.add_object("o0", cluster.sizes["o0"] + 1, "node0")
+        assert cluster.sizes == {n: o.size for n, o in cluster.objects.items()}
+
+    @pytest.mark.parametrize("locality", [True, False])
+    def test_an_input_only_the_view_knows_is_named(self, locality):
+        """The view believes ``ghost`` is on node0, but the registry has
+        no record of it: its size is unknown, and the placement says so
+        instead of pricing it from the belief."""
+        _sim, cluster = make_cluster()
+        cluster.add_object("held", 64, "node1")
+        view = ObjectView("sched")
+        view.sync_from_cluster(cluster)
+        view.learn("ghost", "node0", 8)
+        scheduler = DataflowScheduler(cluster, view, locality=locality)
+        with pytest.raises(SchedulingError, match="'ghost'"):
+            scheduler.place(make_task("held", "ghost"))

@@ -248,6 +248,28 @@ class TestEquality:
         handle = make_blob_handle()
         assert handle != handle.as_ref()
 
+    def test_derived_handles_hash_as_they_compare(self):
+        """A derived handle hashes like the unpacked copy it equals,
+        whether either was hashed first, and by the value of its
+        ``(payload, size, meta)``, so a cached hash is the same number."""
+        blob, tree = make_blob_handle(), make_tree_handle()
+        strict = tree.make_application().wrap_strict()
+        pairs = [
+            (blob.as_ref(), Handle.unpack(blob.as_ref().pack())),
+            (blob.as_ref().as_object(), blob),
+            (strict, Handle.unpack(strict.pack())),
+            (strict.unwrap_encode(), tree.make_application()),
+        ]
+        for derived, twin in pairs:
+            assert derived == twin
+            hash(twin)  # one side's hash is cached, the other's is not
+            assert hash(derived) == hash(twin) == hash(derived)
+            assert hash(derived) == hash(
+                (derived._payload, derived._size, derived._meta)
+            )
+        assert hash(blob.as_ref()) != hash(blob)  # unequal views, two keys
+        assert len({blob, blob.as_ref(), Handle.unpack(blob.pack())}) == 2
+
     def test_repr_smoke(self):
         assert "literal" in repr(Handle.of_blob(b"x"))
         assert "blob" in repr(make_blob_handle())

@@ -69,6 +69,14 @@ class TestInvocation:
         tree = repo.put_tree([stored, fn])
         assert parse_invocation(repo, tree).limits == limits
 
+    def test_limits_handle_is_built_once_per_value(self):
+        limits = ResourceLimits(memory_bytes=123456, output_size_hint=77)
+        handle = limits.handle()
+        assert handle.is_literal and handle.literal_data == limits.pack()
+        twin = ResourceLimits(memory_bytes=123456, output_size_hint=77)
+        assert twin.handle() is handle
+        assert ResourceLimits(memory_bytes=123456).handle() != handle
+
 
 class TestSelection:
     def test_single_index(self, repo):

@@ -88,14 +88,6 @@ _VERDICTS = {None: "timeout", 0: "survived", 1: "killed", 2: "collection"}
 PYTEST = ("-q", "-m", "not bench", "-p", "no:cacheprovider", "-p", "mutants")
 _GUARD = re.compile(r'"(tests/[\w/]+\.py::\w+)"')
 
-_FIELD_READS = (
-    "the one-pass loop stops only at an item the field reads refuse, "
-    "so they raise before this line"
-)
-_BOUNDARY = (
-    "an item that ends the frame falls to the field reads, which read "
-    "it the same"
-)
 _SHORT = (
     "a length that ends the frame leaves no fields, and the field reads "
     "refuse that too"
@@ -108,28 +100,18 @@ _EMPTY = (
 
 #: Survivors no input tells apart from the module as written: id -> why.
 EQUIVALENT = {
-    "costmodel.choose: key < best -> key <= best":
-        "a key ends in its candidate's name: equal keys are one candidate",
+    "costmodel.choose: there < (moved + hint, busy, winner)"
+    " -> there <= (moved + hint, busy, winner)":
+        "the consumer's key and the winner's end in two names, so they "
+        "are never equal",
     "membership.join_members: b.order_key() > a.order_key()"
     " -> b.order_key() >= a.order_key()":
         "equal order keys of one node are equal Members",
-    "membership._member_by_fields: return (Member(node, heartbeat, status,"
-    " incarnation), offset) -> pass": _FIELD_READS,
-    "membership.unpack_members: members.append(member) -> pass": _FIELD_READS,
-    "membership.unpack_members: for _ in range(count): -> pass":
-        "the field reads decode every frame the same; the one-pass loop "
-        "is the speed path gossip_churn times",
     "membership.unpack_members: at > end -> at >= end": _SHORT,
-    "membership.unpack_members: stop + 17 > end -> stop + 17 >= end": _BOUNDARY,
-    "membership.unpack_members: stop + 17 -> stop + 18": _BOUNDARY,
-    "gossip._cap_by_fields: return (origin, version, offset) -> pass": _FIELD_READS,
     "gossip.unpack_digest: at > end -> at >= end": _SHORT,
-    "gossip.unpack_digest: stop + 8 > end -> stop + 8 >= end": _BOUNDARY,
-    "gossip.unpack_digest: stop + 8 -> stop + 9": _BOUNDARY,
-    "gossip.unpack_digest: return (Digest(versions), offset) -> pass #2": _FIELD_READS,
     "gossip.unpack_delta: offset + whole.size <= end -> offset + whole.size < end":
         "an entry that ends the frame falls from the one-struct read to "
-        "the per-field pass, which reads it the same",
+        "the entry's own reads, which read it the same",
     "gossip.unpack_delta: at > end -> at >= end": _SHORT,
     "gossip.unpack_delta: if stamp > end: -> pass": _LATER,
     "gossip.unpack_delta: stamp > end -> stamp >= end": _LATER,
@@ -139,9 +121,6 @@ EQUIVALENT = {
     "gossip.unpack_delta: if flag_at > end: -> pass": _LATER,
     "gossip.unpack_delta: flag_at > end -> flag_at >= end": _LATER,
     "gossip.unpack_delta: break -> pass #6": _LATER,
-    "gossip.unpack_delta: flag_at + 9 <= end -> flag_at + 9 < end": _BOUNDARY,
-    "gossip.unpack_delta: flag_at + 9 -> flag_at + 10": _BOUNDARY,
-    "gossip.unpack_delta: append(entry) -> pass": _FIELD_READS,
     "gossip.unpack_delta: name_len = 0 -> pass":
         "name_len is read only once whole is set, and the two are set together",
     "objectview.ObjectView.merge_delta: if delta.is_empty: -> pass": _EMPTY,
