@@ -39,7 +39,7 @@ peak reservation and one global FIFO queue - are subclasses in
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
@@ -185,16 +185,24 @@ class AdmissionController:
         #: sim-clocked, so queue delays are simulated seconds and stay
         #: replay-deterministic); NULL_OBS otherwise.
         self.obs = getattr(platform, "obs", None) or NULL_OBS
+        #: ``(tenant, reason)`` -> submissions refused; what was accepted
+        #: and admitted is read off :attr:`tickets`.
+        self._rejected: Counter = Counter()
         registry = self.obs.registry
-        self._m_submitted = registry.counter(
+        registry.counter(
             "admission_submitted_total", "Submissions accepted into a queue"
-        )
-        self._m_admitted = registry.counter(
+        ).read(lambda: Counter(t.tenant for t in self.tickets), "tenant")
+        registry.counter(
             "admission_admitted_total", "Jobs launched, by tenant"
+        ).read(
+            lambda: Counter(
+                t.tenant for t in self.tickets if t.admitted_at is not None
+            ),
+            "tenant",
         )
-        self._m_rejected = registry.counter(
+        registry.counter(
             "admission_rejected_total", "Submissions rejected, by reason"
-        )
+        ).read(self._rejected.copy, "tenant", "reason")
         self._m_wait = registry.histogram(
             "admission_wait_seconds", "Queue delay from submit to launch"
         )
@@ -233,7 +241,7 @@ class AdmissionController:
         namespaced = graph.prefixed(name)
         profile = profile_from_graph(namespaced, name=name)
         if profile.peak_bytes > self.capacity_bytes:
-            self._m_rejected.inc(tenant=tenant, reason="peak_over_capacity")
+            self._rejected[tenant, "peak_over_capacity"] += 1
             raise AdmissionError(
                 f"job {name!r}: derived peak {profile.peak_bytes} exceeds "
                 f"admission capacity {self.capacity_bytes}"
@@ -251,7 +259,7 @@ class AdmissionController:
             for machine in self.platform.cluster.machines.values()
         )
         if widest > machine_cap:
-            self._m_rejected.inc(tenant=tenant, reason="task_over_machine")
+            self._rejected[tenant, "task_over_machine"] += 1
             raise AdmissionError(
                 f"job {name!r}: a task needs {widest} bytes but the "
                 f"largest machine has {machine_cap}"
@@ -266,7 +274,6 @@ class AdmissionController:
             admitted=self.sim.event(f"admitted:{name}"),
         )
         self.tickets.append(ticket)
-        self._m_submitted.inc(tenant=tenant)
         if at is None or at <= self.sim.now:
             self._enqueue(ticket)
         else:
@@ -311,8 +318,8 @@ class AdmissionController:
         self._rr.remove(ticket.tenant)
         self._rr.append(ticket.tenant)
         self.admit_order.append(ticket.name)
-        self._m_admitted.inc(tenant=ticket.tenant)
-        self._m_wait.observe(ticket.admitted_at - ticket.submitted_at)
+        if self._m_wait is not None:
+            self._m_wait.observe(ticket.admitted_at - ticket.submitted_at)
         self.timeline.append((ticket.profile, ticket.admitted_at))
         self.max_concurrent = max(self.max_concurrent, len(self._active))
         ticket.admitted.succeed(ticket.admitted_at)

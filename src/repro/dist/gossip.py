@@ -498,28 +498,43 @@ class GossipCoordinator:
         for view in views:
             self.add_view(view)
         # NULL_OBS by default; the simulated platform passes its
-        # sim-clocked obs so round/byte counters land in the same
-        # export as the scheduler's (and stay replay-deterministic).
-        self._m_rounds = obs.registry.counter(
-            "gossip_coordinator_rounds_total", "Epidemic rounds driven"
-        )
-        self._m_exchanges = obs.registry.counter(
-            "gossip_coordinator_exchanges_total",
-            "Pairwise handshakes across all rounds",
-        )
-        self._m_bytes = obs.registry.counter(
+        # sim-clocked obs so the round counters land in the same export
+        # as the scheduler's (and stay replay-deterministic).  They read
+        # ``rounds``, the coordinator's one record of what it ran.
+        registry = obs.registry
+        for name, help, per_round in (
+            ("rounds", "Epidemic rounds driven", lambda r: 1),
+            ("exchanges", "Pairwise handshakes across all rounds",
+             lambda r: len(r.pairs)),
+            ("entries", "Delta entries shipped", lambda r: r.entries_shipped),
+        ):
+            registry.counter(f"gossip_coordinator_{name}_total", help).read(
+                lambda per_round=per_round: (
+                    {(): sum(map(per_round, self.rounds))}
+                    if self.rounds else {}
+                )
+            )
+        registry.counter(
             "gossip_coordinator_bytes_total",
             "Handshake bytes by kind (digest vs delta)",
-        )
-        self._m_entries = obs.registry.counter(
-            "gossip_coordinator_entries_total", "Delta entries shipped"
-        )
-        self._m_convergence = obs.registry.histogram(
+        ).read(self._bytes_by_kind, "kind")
+        self._m_convergence = registry.histogram(
             "gossip_convergence_rounds",
             "Rounds a run() needed to converge every view",
             buckets=(1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0,
                      32.0, 48.0, 64.0),
         )
+
+    def _bytes_by_kind(self) -> Dict[str, int]:
+        """Handshake bytes per kind over the rounds run (membership
+        only once a round shipped some)."""
+        totals = {
+            kind: sum(getattr(r, f"{kind}_bytes") for r in self.rounds)
+            for kind in ("digest", "delta", "membership")
+        }
+        if not totals["membership"]:
+            del totals["membership"]
+        return totals if self.rounds else {}
 
     @property
     def views(self) -> Tuple[ObjectView, ...]:
@@ -672,13 +687,6 @@ class GossipCoordinator:
             membership_bytes=membership_bytes,
         )
         self.rounds.append(stats)
-        self._m_rounds.inc()
-        self._m_exchanges.inc(len(pairs))
-        self._m_bytes.inc(digest_bytes, kind="digest")
-        self._m_bytes.inc(delta_bytes, kind="delta")
-        if membership_bytes:
-            self._m_bytes.inc(membership_bytes, kind="membership")
-        self._m_entries.inc(entries)
         return stats
 
     def run_rounds(self, count: int) -> List[RoundStats]:
@@ -694,13 +702,16 @@ class GossipCoordinator:
         after the last one), so the accounting in :attr:`rounds` never
         includes a round past the budget.
         """
+        convergence = self._m_convergence
         for used in range(max_rounds):
             if self.converged():
-                self._m_convergence.observe(float(used))
+                if convergence is not None:
+                    convergence.observe(float(used))
                 return used
             self.round()
         if self.converged():
-            self._m_convergence.observe(float(max_rounds))
+            if convergence is not None:
+                convergence.observe(float(max_rounds))
             return max_rounds
         raise GossipError(
             f"gossip failed to converge within {max_rounds} rounds "

@@ -98,18 +98,26 @@ class DataflowScheduler:
         #: sim-clocked obs, so ``scheduler_place_seconds`` observes
         #: simulated durations (0.0: placement is instantaneous in sim
         #: time) and stays bit-identical under seeded replay, while the
-        #: benchmarks pass a wall-clocked obs to get real us/decision.
+        #: benchmarks pass a wall-clocked obs to get real us/decision
+        #: (off, the histogram is ``None`` and :meth:`place` times nothing).
         self.obs = obs
+        self._clock = obs.clock
         self._m_place = obs.registry.histogram(
             "scheduler_place_seconds", "Placement decision time"
         )
-        self._m_placements = obs.registry.counter(
+        #: Placements and their believed move bytes, per machine, as the
+        #: counters read them: through these dicts, not the scheduler,
+        #: so a finished job's view is not kept alive.
+        self._placed: Dict[str, int] = {}
+        self._moved: Dict[str, int] = {}
+        moved = self._moved
+        obs.registry.counter(
             "scheduler_placements_total", "Placement decisions, by machine"
-        )
-        self._m_move_bytes = obs.registry.counter(
+        ).read(self._placed.copy, "machine")
+        obs.registry.counter(
             "scheduler_predicted_move_bytes_total",
             "Believed bytes the chosen placements must move",
-        )
+        ).read(lambda: {(): sum(moved.copy().values())} if moved else {})
         self._machines: List[str] = cluster.machine_names()
         if not self._machines:
             raise SchedulingError("cannot schedule on an empty cluster")
@@ -204,7 +212,9 @@ class DataflowScheduler:
         confirmed dead - because then all machines tie on bytes and the
         spread by load has to see them all.
         """
-        with self._m_place.time():
+        timer = self._m_place
+        started = self._clock() if timer is not None else 0.0
+        try:
             dead, contenders, move_bytes = self._bid(task, consumer_location)
             if not self.locality:
                 live = (
@@ -230,9 +240,13 @@ class DataflowScheduler:
                     exclude=dead,
                 )
                 placement = Placement(task.name, best.candidate, best.move_bytes)
-        self._m_placements.inc(machine=placement.machine)
-        if placement.predicted_move_bytes:
-            self._m_move_bytes.inc(placement.predicted_move_bytes)
+        finally:
+            if timer is not None:
+                timer.observe(self._clock() - started)
+        machine, moving = placement.machine, placement.predicted_move_bytes
+        self._placed[machine] = self._placed.get(machine, 0) + 1
+        if moving:
+            self._moved[machine] = self._moved.get(machine, 0) + moving
         return placement
 
     def explain(self, task: TaskSpec) -> List[Quote]:

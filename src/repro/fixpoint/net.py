@@ -485,17 +485,26 @@ class Channel:
                     f"channel {self.a.name}<->{self.b.name} is closed: "
                     f"cannot send from {sender.name}"
                 )
+            size = len(payload)
             if direction == "ab":
-                self.bytes_ab += len(payload)
+                self.bytes_ab += size
+                receiver = self.b
             else:
-                self.bytes_ba += len(payload)
+                self.bytes_ba += size
+                receiver = self.a
             seq = self._sent[direction]
             self._sent[direction] += 1
-        # Both endpoints count the frame - outside the condition lock,
-        # so metric updates never serialize the wire.
-        receiver = self.b if direction == "ab" else self.a
-        sender._note_frame(receiver.name, "out", len(payload))
-        receiver._note_frame(sender.name, "in", len(payload))
+            # Both endpoints count the frame, under this lock: while it
+            # is open, no other channel joins the same two names.
+            for node, peer, way in (
+                (sender, receiver.name, "out"),
+                (receiver, sender.name, "in"),
+            ):
+                counted = node.counted
+                frames = ("net_frames_total", peer, way)
+                wire = ("net_bytes_total", peer, way)
+                counted[frames] = counted.get(frames, 0) + 1
+                counted[wire] = counted.get(wire, 0) + size
         return bytes(payload), seq  # the wire copy
 
     def arrival(self, sender: "FixpointNode", seq: int) -> _Arrival:
@@ -681,9 +690,32 @@ class Delegation:
                 for key in self.shipped:
                     node.view.forget(key, self.peer)
                 if self.shipped:
-                    node._m_rollbacks.inc(peer=self.peer)
+                    node._count(("delegation_rollbacks_total", self.peer))
             self._event.set()
             return True
+
+
+#: A node's counters: name, label names, help.  Each reads the keys of
+#: :attr:`FixpointNode.counted` that start with its name.
+COUNTERS = (
+    ("net_frames_total", ("peer", "direction"), "Wire frames"),
+    ("net_bytes_total", ("peer", "direction"), "Wire bytes"),
+    ("delegations_sent_total", ("peer",), "Delegations dispatched"),
+    ("delegations_served_total", ("peer",), "Delegations served, by caller"),
+    ("delegation_rollbacks_total", ("peer",),
+     "Failed delegations whose optimistic view advance was rolled back"),
+    ("delegation_retries_total", ("peer", "target"),
+     "Failed delegations re-quoted and re-dispatched on survivors"),
+    ("membership_evictions_total", ("peer",),
+     "Peers confirmed dead and evicted from the view"),
+    ("membership_rejoins_total", ("peer",),
+     "Tombstoned peers readmitted at a higher incarnation"),
+    ("membership_refutations_total", (),
+     "Own tombstones refuted by bumping the incarnation"),
+    ("gossip_rounds_total", ("peer", "role"), "Anti-entropy rounds"),
+    ("gossip_entries_total", ("direction",), "Gossip delta entries"),
+    ("gossip_bytes_total", ("peer",), "Gossip frame bytes"),
+)
 
 
 class FixpointNode:
@@ -707,7 +739,7 @@ class FixpointNode:
         self.name = name
         #: Observability: metrics registry + tracer.  Each node gets its
         #: own wall-clocked :class:`~repro.obs.Obs` by default (cheap:
-        #: metric updates are a lock and a dict write), so two-node
+        #: counters read :attr:`counted` at export), so two-node
         #: examples produce stitched traces out of the box; pass
         #: ``repro.obs.NULL_OBS`` to run dark, or share one Obs across
         #: nodes to get a single cluster-wide registry.
@@ -754,64 +786,38 @@ class FixpointNode:
         #: In-flight delegations per peer - the load signal the cost
         #: model spreads equal-price candidates with.  Raised at
         #: dispatch, lowered when the reply has been absorbed, so it is
-        #: *live* while work is in flight.
+        #: *live* while work is in flight.  Every candidate placement
+        #: prices has an entry: :meth:`connect` and :meth:`_candidates`
+        #: seed them at 0.
         self.outstanding: Dict[str, int] = {}
-        self.delegations_served = 0
-        self.delegations_sent = 0
         #: Serializes dispatch (footprint, send, optimistic view
         #: advance, outstanding bump) against reply bookkeeping.
         self._lock = TrackedRLock("FixpointNode._lock")
-        # Instruments (get-or-create: shared-Obs nodes share families,
-        # distinguished by labels).  Live structures - in-flight load,
-        # view size, view staleness - are sampled at export via gauge
-        # callbacks instead of pushed on the hot path.
+        #: Everything this node counts, keyed by a :data:`COUNTERS`
+        #: name followed by that counter's label values; the counters
+        #: read it at export.  A frame's keys are bumped under its
+        #: channel's lock (:meth:`Channel.send`), every other key under
+        #: ``_lock``.
+        self.counted: Dict[tuple, int] = {}
+        # Get-or-create: shared-Obs nodes share families, distinguished
+        # by labels, and their series sum.  Live structures - in-flight
+        # load, view size, view staleness - are gauge callbacks.
         registry = self.obs.registry
-        self._m_frames = registry.counter(
-            "net_frames_total", "Wire frames by peer and direction"
-        )
-        self._m_bytes = registry.counter(
-            "net_bytes_total", "Wire bytes by peer and direction"
-        )
+        counted = self.counted
+        for name, labels, help in COUNTERS:
+            registry.counter(name, help).read(
+                lambda name=name: {
+                    key[1:]: n
+                    for key, n in counted.copy().items()
+                    if key[0] == name
+                },
+                *labels,
+            )
         self._m_transit = registry.histogram(
             "net_transit_seconds", "Per-frame wire time, by peer"
         )
         self._m_quote = registry.histogram(
             "quote_seconds", "Placement quote time through the cost model"
-        )
-        self._m_sent = registry.counter(
-            "delegations_sent_total", "Delegations dispatched, by peer"
-        )
-        self._m_served = registry.counter(
-            "delegations_served_total", "Delegations served, by caller"
-        )
-        self._m_rollbacks = registry.counter(
-            "delegation_rollbacks_total",
-            "Failed delegations whose optimistic view advance was rolled back",
-        )
-        self._m_evictions = registry.counter(
-            "membership_evictions_total",
-            "Peers confirmed dead and evicted from the view",
-        )
-        self._m_rejoins = registry.counter(
-            "membership_rejoins_total",
-            "Tombstoned peers readmitted at a higher incarnation",
-        )
-        self._m_refutations = registry.counter(
-            "membership_refutations_total",
-            "Own tombstones refuted by bumping the incarnation",
-        )
-        self._m_retries = registry.counter(
-            "delegation_retries_total",
-            "Failed delegations re-quoted and re-dispatched on survivors",
-        )
-        self._m_gossip_rounds = registry.counter(
-            "gossip_rounds_total", "Anti-entropy rounds by peer and role"
-        )
-        self._m_gossip_entries = registry.counter(
-            "gossip_entries_total", "Gossip delta entries by direction"
-        )
-        self._m_gossip_bytes = registry.counter(
-            "gossip_bytes_total", "Gossip frame bytes, by peer"
         )
         registry.gauge(
             "delegations_inflight", "Live in-flight delegation load"
@@ -847,11 +853,19 @@ class FixpointNode:
     def repo(self) -> Repository:
         return self.runtime.repo
 
-    def _note_frame(self, peer: str, direction: str, nbytes: int) -> None:
-        """Count one wire frame (called by :meth:`Channel.send` for
-        both endpoints, outside the channel's condition lock)."""
-        self._m_frames.inc(peer=peer, direction=direction)
-        self._m_bytes.inc(nbytes, peer=peer, direction=direction)
+    @property
+    def delegations_served(self) -> int:
+        """Delegations this node served, for every caller."""
+        return sum(
+            n
+            for key, n in self.counted.copy().items()
+            if key[0] == "delegations_served_total"
+        )
+
+    def _count(self, key: tuple, amount: int = 1) -> None:
+        """Add ``amount`` to :attr:`counted` under ``key``."""
+        with self._lock:
+            self.counted[key] = self.counted.get(key, 0) + amount
 
     def close(self) -> None:
         self.runtime.close()
@@ -884,7 +898,7 @@ class FixpointNode:
         settle through it); placement ignores dead candidates anyway.
         """
         evicted = self.view.evict(peer_name)
-        self._m_evictions.inc(peer=peer_name)
+        self._count(("membership_evictions_total", peer_name))
         with _TOPOLOGY_LOCK:
             channel = self.peers.pop(peer_name, None)
         if channel is not None:
@@ -915,7 +929,7 @@ class FixpointNode:
             channel = self.peers.get(peer_name)
             if channel is not None and not channel.closed:
                 self.directory.register(channel.far_end(self))
-        self._m_rejoins.inc(peer=peer_name)
+        self._count(("membership_rejoins_total", peer_name))
         self.obs.tracer.start(
             "membership.rejoin", peer=peer_name
         ).set(readmitted=readmitted).finish()
@@ -935,7 +949,7 @@ class FixpointNode:
         restamped = self.view.advance_epoch(incarnation)
         if self.directory is not None:
             self.directory.register(self)
-        self._m_refutations.inc()
+        self._count(("membership_refutations_total",))
         self.obs.tracer.start(
             "membership.refute", incarnation=incarnation
         ).set(restamped=restamped).finish()
@@ -1088,10 +1102,10 @@ class FixpointNode:
                 entries_out=len(delta_out),
                 stamped=stamped,
             )
-        self._m_gossip_rounds.inc(peer=peer_name, role="caller")
-        self._m_gossip_bytes.inc(bytes_shipped, peer=peer_name)
-        self._m_gossip_entries.inc(len(delta_in), direction="in")
-        self._m_gossip_entries.inc(len(delta_out), direction="out")
+        self._count(("gossip_rounds_total", peer_name, "caller"))
+        self._count(("gossip_bytes_total", peer_name), bytes_shipped)
+        self._count(("gossip_entries_total", "in"), len(delta_in))
+        self._count(("gossip_entries_total", "out"), len(delta_out))
         return GossipTraffic(
             peer=peer_name,
             bytes_shipped=bytes_shipped,
@@ -1115,7 +1129,7 @@ class FixpointNode:
         ) as span:
             digest, delta, members = self._gossip.on_syn(*syn)
             span.set(entries_out=len(delta), stamped=stamped)
-        self._m_gossip_rounds.inc(peer=sender, role="server")
+        self._count(("gossip_rounds_total", sender, "server"))
         return self._send_back(
             sender, pack_ack(span.context, digest, delta, members)
         )
@@ -1238,14 +1252,12 @@ class FixpointNode:
             wire, request_seq = channel.send(
                 self, pack_request(self.name, span.context, encode, bundle)
             )
-            self.delegations_sent += 1
-            self._m_sent.inc(peer=peer_name)
+            key = ("delegations_sent_total", peer_name)
+            self.counted[key] = self.counted.get(key, 0) + 1
             self._note_held(peer_name, to_ship)
             shipped = [handle.content_key() for handle in to_ship]
             future = Delegation(self, peer_name, encode, shipped)
-            self.outstanding[peer_name] = (
-                self.outstanding.get(peer_name, 0) + 1
-            )
+            self.outstanding[peer_name] += 1
             span.set(
                 bytes=len(wire),
                 footprint=len(fp.data),
@@ -1346,10 +1358,8 @@ class FixpointNode:
         ordered after the reply that shipped it.  Returns the sent reply
         (wire copy, sequence).
         """
-        with self._lock:
-            self.delegations_served += 1
+        self._count(("delegations_served_total", sender))
         span = self.obs.tracer.start("delegate.serve", parent=ctx, peer=sender)
-        self._m_served.inc(peer=sender)
         try:
             result = self.runtime.eval(encode)
             with self._lock:
@@ -1413,8 +1423,16 @@ class FixpointNode:
         inside the window.  The window is released however the handler
         ends; a transit fails only on a closed channel, which delivers
         no frame after it, so there is no window to release then."""
-        with self._m_transit.time(peer=channel.far_end(self).name):
+        timer = self._m_transit
+        started = self.obs.clock() if timer is not None else 0.0
+        try:
             channel.transit()
+        finally:
+            if timer is not None:
+                timer.observe(
+                    self.obs.clock() - started,
+                    peer=channel.far_end(self).name,
+                )
         with channel.arrival(sender, seq):
             return handler(*args)
 
@@ -1439,6 +1457,8 @@ class FixpointNode:
         between a tombstone landing and the eviction callback running.
         ``is_dead`` takes a lock, so the scan reads a snapshot of the
         peers: a concurrent dial or eviction may change the dict mid-loop.
+        A gossip-learned name gets its ``outstanding`` entry here, as a
+        dialed peer gets it in :meth:`connect`.
         """
         names = {
             peer
@@ -1454,6 +1474,7 @@ class FixpointNode:
                     and self.directory.get(location) is not None
                 ):
                     names.add(location)
+                    self.outstanding.setdefault(location, 0)
         return sorted(names)
 
     def _place(
@@ -1493,7 +1514,9 @@ class FixpointNode:
         if not candidates:
             raise NetworkError(f"{self.name}: no peers to delegate to")
         dead = self.membership.dead_nodes()
-        with self._m_quote.time():
+        timer = self._m_quote
+        started = self.obs.clock() if timer is not None else 0.0
+        try:
             # A held key is priced at its stored size; only the others
             # ask the view (one lock acquisition each).
             unheld = [key for key in fp.data if key not in local]
@@ -1505,11 +1528,12 @@ class FixpointNode:
                 exclude=dead,
             )
             return fp, choose(
-                contenders,
-                move_bytes,
-                lambda peer: self.outstanding.get(peer, 0),
+                contenders, move_bytes, self.outstanding.__getitem__,
                 exclude=dead,
             )
+        finally:
+            if timer is not None:
+                timer.observe(self.obs.clock() - started)
 
     def quote_best(self, encode: Handle) -> Quote:
         """The cheapest remote quote for evaluating ``encode``.
@@ -1584,5 +1608,5 @@ class FixpointNode:
                 f"delegation that died on {failed.peer!r}"
             )
         fp, quote = self._place(failed.encode, candidates=candidates)
-        self._m_retries.inc(peer=failed.peer, target=quote.candidate)
+        self._count(("delegation_retries_total", failed.peer, quote.candidate))
         return self._dispatch(quote.candidate, failed.encode, fp)

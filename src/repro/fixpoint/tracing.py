@@ -9,8 +9,8 @@ the paper's Table 2 formulas), the fig. 9 cost model (converting measured
 operation counts into simulated latencies), and EXPERIMENTS.md.
 
 Since the observability pass, :class:`Trace` is also a facade over
-:mod:`repro.obs`: every :meth:`record` lands in a
-:class:`~repro.obs.metrics.MetricsRegistry` as three families -
+:mod:`repro.obs`: its registry reads every :meth:`record` as three
+families -
 
 * ``fixpoint_invocations_total{function,worker}`` (counter),
 * ``fixpoint_invocation_bytes_total{function}`` (counter),
@@ -19,41 +19,45 @@ Since the observability pass, :class:`Trace` is also a facade over
 - so a node's invocations show up in the same cluster-wide export as its
 wire and scheduling metrics.  A runtime constructed with an
 :class:`~repro.obs.Obs` hands the trace that obs' registry; a bare one
-hands it ``NULL_OBS.registry``, whose instruments do nothing.  The
-trace's own per-function invocation and byte counts remain the
-queryable ground truth for the Table-2 count assertions - exact, and
-independent of which registry (real or null) backs the metrics - and
-they are all it keeps: its state grows with the number of functions,
-not of invocations.
+hands it ``NULL_OBS.registry``, which reads nothing and binds no
+histogram.  The two counters read the trace's own counts - invocations
+per function and worker, bytes mapped per function - which are also the
+queryable ground truth for the Table-2 count assertions, and all it
+keeps: its state grows with the functions and workers seen, not with
+the invocations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..analysis.sync import TrackedLock
 from ..obs.metrics import MetricsRegistry
 
 
 class Trace:
-    """Aggregated runtime activity; thread-safe.  The metrics go to
-    ``registry``; the counts this trace answers from are its own."""
+    """Aggregated runtime activity; thread-safe.  ``registry`` reads the
+    counts this trace answers from."""
 
     def __init__(self, registry: MetricsRegistry):
         self.registry = registry
-        #: function -> invocations / bytes mapped, in first-seen order
-        self._counts: Dict[str, int] = {}
+        #: (function, worker) -> invocations, and function -> bytes
+        #: mapped, in first-seen order
+        self._counts: Dict[Tuple[str, str], int] = {}
         self._mapped: Dict[str, int] = {}
         self._lock = TrackedLock("Trace._lock")
-        self._invocations = self.registry.counter(
+        registry.counter(
             "fixpoint_invocations_total",
             "Codelet invocations by function and worker",
-        )
-        self._bytes = self.registry.counter(
+        ).read(self._counts.copy, "function", "worker")
+        registry.counter(
             "fixpoint_invocation_bytes_total",
             "Bytes mapped into codelets, by function",
+        ).read(
+            lambda: {f: n for f, n in self._mapped.copy().items() if n},
+            "function",
         )
-        self._wall = self.registry.histogram(
+        self._wall = registry.histogram(
             "fixpoint_invocation_wall_seconds",
             "Per-invocation wall time, by function",
         )
@@ -62,26 +66,28 @@ class Trace:
         self, function: str, wall_seconds: float, bytes_mapped: int, worker: str
     ) -> None:
         """One codelet invocation as observed by the runtime."""
+        key = (function, worker)
         with self._lock:
-            self._counts[function] = self._counts.get(function, 0) + 1
+            self._counts[key] = self._counts.get(key, 0) + 1
             self._mapped[function] = (
                 self._mapped.get(function, 0) + bytes_mapped
             )
-        self._invocations.inc(function=function, worker=worker)
-        if bytes_mapped:
-            self._bytes.inc(bytes_mapped, function=function)
-        self._wall.observe(wall_seconds, function=function)
+        if self._wall is not None:
+            self._wall.observe(wall_seconds, function=function)
 
     def invocation_count(self, function: Optional[str] = None) -> int:
-        with self._lock:
-            if function is None:
-                return sum(self._counts.values())
-            return self._counts.get(function, 0)
+        counts = self.by_function()
+        if function is None:
+            return sum(counts.values())
+        return counts.get(function, 0)
 
     def total_bytes_mapped(self) -> int:
         with self._lock:
             return sum(self._mapped.values())
 
     def by_function(self) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
         with self._lock:
-            return dict(self._counts)
+            for (function, _worker), n in self._counts.items():
+                counts[function] = counts.get(function, 0) + n
+        return counts

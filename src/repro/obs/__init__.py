@@ -16,9 +16,12 @@ shares:
 :meth:`MetricsRegistry.summary` renders the text dashboard the examples
 print.
 
-``NULL_OBS`` is the disabled twin - same API, no work - both the
-default for components that predate a caller opting in, and the control
-the overhead benchmark prices real instrumentation against.
+``NULL_OBS`` is observability off - the default for components that
+predate a caller opting in, and the control the overhead benchmark
+prices real instrumentation against.  Its registry keeps nothing and
+hands out no histograms, so an instrumented component binds ``None`` at
+construction and its timed sites make no call; its counts are the
+component's own state either way, read only by a registry that exports.
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ SNAPSHOT_SCHEMA = 1
 class Obs:
     """Registry + tracer under one name and one clock."""
 
-    enabled = True
-
     def __init__(self, name: str = "obs", clock: Optional[Clock] = None):
         self.name = name
         self.clock: Clock = clock if clock is not None else time.perf_counter
@@ -69,25 +70,14 @@ class Obs:
 
 
 class NullObs(Obs):
-    """Observability off: every instrument is a shared no-op."""
-
-    enabled = False
+    """Observability off: a registry that keeps nothing, a tracer that
+    records nothing."""
 
     def __init__(self, name: str = "null"):
         self.name = name
         self.clock = time.perf_counter
         self.registry = NullRegistry(name=name)
         self.tracer = NullTracer(node=name)
-
-    def export(self) -> Dict[str, object]:
-        return {
-            "schema": SNAPSHOT_SCHEMA,
-            "name": self.name,
-            "metrics": self.registry.export(),
-            "spans": [],
-            "traces": 0,
-            "spans_dropped": 0,
-        }
 
 
 #: The shared disabled instance - pass as ``obs=NULL_OBS`` to run a

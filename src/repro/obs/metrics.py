@@ -18,29 +18,33 @@ Two properties are load-bearing:
   stay bit-identical under seeded replay (a property the tests assert),
   exactly like the rest of the deterministic substrate.
 
-* **Off the critical path.**  Updating a metric is one lock acquire and
-  a dict write; nothing is formatted, flushed, or exported until someone
-  asks (:meth:`MetricsRegistry.export`).  Each family remembers the
-  series key of every all-``str`` label set it has seen, so a repeated
-  update finds its key with one lookup instead of sorting its labels.
-  The Lithops invoker/monitor split (PAPERS.md) is the pattern:
-  measurement must never serialize the hot path it measures.
-  :class:`NullRegistry` is the control: the same API compiled down to
-  no-ops, which the overhead benchmark prices against the real thing
-  (<5% on ``scatter`` fan-out is asserted).
+* **Off the critical path.**  No hot path counts through here.  A
+  counter is the component's own state - an int, or a dict keyed by
+  label values - bumped under a lock the path already holds and read
+  through the reader the component registered at construction
+  (:meth:`Counter.read`); a gauge is a callback (:meth:`Gauge.set_function`).
+  Both are sampled only when someone asks (:meth:`MetricsRegistry.export`),
+  outside the family lock.  Histograms are bound at construction: a
+  component with observability off (:class:`NullRegistry`) holds ``None``
+  and pays one ``is None`` test per timed site.  The Lithops
+  invoker/monitor split (PAPERS.md) is the pattern: measurement must
+  never serialize the hot path it measures.  The overhead benchmark
+  prices a real registry against the null one (<5% on ``scatter``
+  fan-out is asserted).
 
 Label handling is open-schema: any keyword arguments form a series key,
-and one family may hold series with different label sets (the gossip
-round counter is bumped unlabeled by the coordinator and per-peer by the
-wire path).  Export is deterministic: families and series sort by name
-and label key.
+and one family may hold series with different label sets.  Each family
+remembers the series key of every all-``str`` label set it has seen, so
+a repeated ``inc``/``observe`` finds its key with one lookup instead of
+sorting its labels.  Export is deterministic: families and series sort
+by name and label key.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.sync import TrackedLock
 from ..core.errors import FixError
@@ -50,6 +54,10 @@ Clock = Callable[[], float]
 #: Series key: sorted ``(label, value)`` pairs.  ``()`` is the unlabeled
 #: series every bare ``inc()``/``observe()`` touches.
 LabelKey = Tuple[Tuple[str, str], ...]
+
+#: A counter's reader: label values -> count, sampled at export
+#: (:meth:`Counter.read`).
+Reader = Callable[[], Mapping[object, int]]
 
 
 class MetricsError(FixError):
@@ -64,7 +72,7 @@ class _Family:
     """What every metric family shares: a name, help text, and the
     memo from the label sets it was called with to their series keys."""
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str, help: str):
         self.name = name
         self.help = help
         self._keys: Dict[Tuple[Tuple[str, object], ...], LabelKey] = {}
@@ -113,15 +121,42 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class Counter(_Family):
-    """A monotonically increasing labeled family of floats."""
+class _Sampled(_Family):
+    """A family read when asked: :meth:`export` and :meth:`summary_lines`
+    render what :meth:`_sampled` returns, each series' current value."""
+
+    def export(self) -> List[Dict[str, object]]:
+        values = self._sampled()
+        return [
+            {"labels": _labels_dict(key), "value": values[key]}
+            for key in sorted(values)
+        ]
+
+    def summary_lines(self) -> List[str]:
+        values = self._sampled()
+        return [
+            f"{_format_series(self.name, key)} {values[key]:g}"
+            for key in sorted(values)
+        ]
+
+
+class Counter(_Sampled):
+    """A monotonically increasing labeled family.
+
+    Components keep their counts as their own state and register a
+    reader with :meth:`read`, sampled when the family is read.
+    :meth:`inc` is the family's own source, for callers with no state to
+    read.  All series sum on the one export path: ``inc``'s with the
+    readers', and those of components sharing one registry.
+    """
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str, help: str):
         super().__init__(name, help)
         self._lock = TrackedLock("Counter._lock")
         self._series: Dict[LabelKey, float] = {}
+        self._readers: List[Tuple[Reader, Tuple[str, ...]]] = []
 
     def inc(self, value: float = 1.0, **labels: object) -> None:
         if value < 0:
@@ -130,36 +165,40 @@ class Counter(_Family):
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + value
 
-    def value(self, **labels: object) -> float:
+    def read(self, fn: Reader, *names: str) -> None:
+        """Sample ``fn`` whenever the family is read.  ``fn()`` maps
+        label values - a tuple, one per name in ``names``, or the bare
+        value of a single label - to a count; a series it has no key for
+        was never counted.  It must return a mapping its component no
+        longer writes (``dict.copy`` of the live state), and it runs
+        outside the family lock, so it may take the component's."""
         with self._lock:
-            return self._series.get(self._key(labels), 0.0)
+            self._readers.append((fn, names))
+
+    def _sampled(self) -> Dict[LabelKey, float]:
+        with self._lock:
+            values = dict(self._series)
+            readers = list(self._readers)
+        for fn, names in readers:
+            for labels, count in fn().items():
+                if type(labels) is not tuple:
+                    labels = (labels,)
+                key = _label_key(dict(zip(names, labels)))
+                values[key] = values.get(key, 0.0) + count
+        return values
+
+    def value(self, **labels: object) -> float:
+        return self._sampled().get(self._key(labels), 0.0)
 
     def total(self, **label_filter: object) -> float:
         """Sum over every series matching the given label subset."""
-        wanted = _label_key(label_filter)
-        with self._lock:
-            return sum(
-                v
-                for key, v in self._series.items()
-                if set(wanted) <= set(key)
-            )
-
-    def export(self) -> List[Dict[str, object]]:
-        with self._lock:
-            return [
-                {"labels": _labels_dict(key), "value": self._series[key]}
-                for key in sorted(self._series)
-            ]
-
-    def summary_lines(self) -> List[str]:
-        with self._lock:
-            return [
-                f"{_format_series(self.name, key)} {self._series[key]:g}"
-                for key in sorted(self._series)
-            ]
+        wanted = set(_label_key(label_filter))
+        return sum(
+            v for key, v in self._sampled().items() if wanted <= set(key)
+        )
 
 
-class Gauge(_Family):
+class Gauge(_Sampled):
     """A labeled family of sampled callbacks.
 
     :meth:`set_function` registers a callable evaluated at export time -
@@ -170,7 +209,7 @@ class Gauge(_Family):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str, help: str):
         super().__init__(name, help)
         self._lock = TrackedLock("Gauge._lock")
         self._fns: Dict[LabelKey, Callable[[], float]] = {}
@@ -190,20 +229,6 @@ class Gauge(_Family):
             fns = list(self._fns.items())
         # Outside the lock: callbacks may take others.
         return {key: float(fn()) for key, fn in fns}
-
-    def export(self) -> List[Dict[str, object]]:
-        values = self._sampled()
-        return [
-            {"labels": _labels_dict(key), "value": values[key]}
-            for key in sorted(values)
-        ]
-
-    def summary_lines(self) -> List[str]:
-        values = self._sampled()
-        return [
-            f"{_format_series(self.name, key)} {values[key]:g}"
-            for key in sorted(values)
-        ]
 
 
 class _HistogramSeries:
@@ -242,11 +267,7 @@ class Histogram(_Family):
     kind = "histogram"
 
     def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        clock: Clock = time.perf_counter,
+        self, name: str, help: str, buckets: Sequence[float], clock: Clock
     ):
         if not buckets or list(buckets) != sorted(buckets):
             raise MetricsError(
@@ -335,37 +356,32 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
 
-    def _get_or_create(self, kind: type, name: str, factory):
+    def _get_or_create(self, kind: type, name: str, *args):
         with self._lock:
             family = self._families.get(name)
-            if family is not None:
-                if not isinstance(family, kind):
-                    raise MetricsError(
-                        f"metric {name!r} already registered as "
-                        f"{family.kind}, not {kind.kind}"  # type: ignore[attr-defined]
-                    )
-                return family
-            family = factory()
-            self._families[name] = family
+            if family is None:
+                family = self._families[name] = kind(name, *args)
+            elif not isinstance(family, kind):
+                raise MetricsError(
+                    f"metric {name!r} already registered as "
+                    f"{family.kind}, not {kind.kind}"  # type: ignore[attr-defined]
+                )
             return family
 
     def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, lambda: Counter(name, help))
+        return self._get_or_create(Counter, name, help)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, lambda: Gauge(name, help))
+        return self._get_or_create(Gauge, name, help)
 
     def histogram(
         self,
         name: str,
         help: str = "",
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram,
-            name,
-            lambda: Histogram(name, help, buckets=buckets, clock=self.clock),
-        )
+    ) -> Optional[Histogram]:
+        """The family, or ``None`` with metrics off (:class:`NullRegistry`)."""
+        return self._get_or_create(Histogram, name, help, buckets, self.clock)
 
     # ------------------------------------------------------------------
 
@@ -375,22 +391,13 @@ class MetricsRegistry:
 
     def export(self) -> Dict[str, object]:
         """The whole registry as one JSON-ready dict (sorted, stable)."""
-        counters: Dict[str, object] = {}
-        gauges: Dict[str, object] = {}
-        histograms: Dict[str, object] = {}
-        for family in self.families():
-            target = {
-                "counter": counters,
-                "gauge": gauges,
-                "histogram": histograms,
-            }[family.kind]  # type: ignore[attr-defined]
-            target[family.name] = family.export()  # type: ignore[attr-defined]
-        return {
-            "name": self.name,
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
+        snapshot: Dict[str, object] = {
+            "name": self.name, "counters": {}, "gauges": {}, "histograms": {}
         }
+        for family in self.families():
+            kind = family.kind + "s"  # type: ignore[attr-defined]
+            snapshot[kind][family.name] = family.export()  # type: ignore
+        return snapshot
 
     def summary(self) -> str:
         lines = [f"== metrics: {self.name} =="]
@@ -400,87 +407,17 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# The no-op twin: same API, zero work - the overhead-guard control.
-
-
-class _NullTimer:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
-
-
-class NullCounter(Counter):
-    def __init__(self):
-        super().__init__("null")
-
-    def inc(self, value: float = 1.0, **labels: object) -> None:
-        return None
-
-
-class NullGauge(Gauge):
-    def __init__(self):
-        super().__init__("null")
-
-    def set_function(self, fn: Callable[[], float], **labels: object) -> None:
-        return None
-
-
-class NullHistogram(Histogram):
-    def __init__(self):
-        super().__init__("null", buckets=(1.0,))
-
-    def observe(self, value: float, **labels: object) -> None:
-        return None
-
-    def time(self, **labels: object) -> _NullTimer:  # type: ignore[override]
-        return _NULL_TIMER
-
-
-_NULL_COUNTER = NullCounter()
-_NULL_GAUGE = NullGauge()
-_NULL_HISTOGRAM = NullHistogram()
+# Observability off
 
 
 class NullRegistry(MetricsRegistry):
-    """Every family is a shared no-op; export is empty.
+    """Metrics off: nothing is registered, so the export is empty.
 
-    This is what "metrics disabled" means: the instrumentation points
-    stay in the code, each one costing a single dynamic call into a
-    body that immediately returns - the cost the <5% ``scatter``
-    overhead bench compares against.
+    A histogram is ``None``: a component binds it at construction and,
+    holding ``None``, times nothing - one ``is None`` test per site, no
+    call.  A counter or gauge is a fresh family nobody keeps, so what is
+    registered on it costs construction time only.
     """
 
-    def __init__(self, name: str = "null", clock: Clock = time.perf_counter):
-        super().__init__(name, clock)
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return _NULL_GAUGE
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return _NULL_HISTOGRAM
-
-    def export(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
-
-    def summary(self) -> str:
-        return f"== metrics: {self.name} (disabled) =="
+    def _get_or_create(self, kind: type, name: str, *args):
+        return None if kind is Histogram else kind(name, *args)

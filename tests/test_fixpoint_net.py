@@ -43,7 +43,7 @@ class TestDelegation:
         result = a.delegate("beta", encode)
         assert blob_int(a.repo.get_blob(result).data) == 42
         assert b.delegations_served == 1
-        assert a.delegations_sent == 1
+        assert a.counted[("delegations_sent_total", "beta")] == 1
 
     def test_bytes_actually_cross_the_wire(self, pair):
         a, b = pair
@@ -124,7 +124,7 @@ class TestEvalAnywhere:
         # Alpha cannot run it: the codelet blob is not local.
         result = a.delegate_best(thunk.wrap_strict())
         assert blob_int(a.repo.get_blob(result).data) == 56
-        assert a.delegations_sent == 1
+        assert a.counted[("delegations_sent_total", "beta")] == 1
 
     def test_three_node_chain(self):
         a, b, c = FixpointNode("a"), FixpointNode("b"), FixpointNode("c")
@@ -328,6 +328,30 @@ class TestGossipLearnedPeer:
         assert gamma.delegations_served == 1
         assert beta.delegations_served == 0
         assert "gamma" in alpha.peers  # the delegation dialed it
+
+    def test_a_gossip_learned_holder_is_priced_at_zero_load(self):
+        """Listing a gossip-learned candidate gives it its ``outstanding``
+        entry, as dialing does, so placement reads the load map by key;
+        the in-flight gauge still sums the same."""
+        directory = NodeDirectory()
+        alpha = FixpointNode("alpha", directory=directory)
+        beta = FixpointNode("beta", directory=directory)
+        gamma = FixpointNode("gamma", directory=directory)
+        alpha.connect(beta)
+        beta.connect(gamma)
+        fn = gamma.runtime.compile(FAT_INC_SOURCE, "fat-inc")
+        beta.gossip_with("gamma")
+        alpha.gossip_with("beta")
+        inflight = alpha.obs.registry.gauge("delegations_inflight")
+        assert "gamma" not in alpha.outstanding
+        arg = alpha.repo.put_blob(int_blob(6))
+        encode = make_application(alpha.repo, fn, [arg]).wrap_strict()
+        assert alpha.quote_best(encode).candidate == "gamma"
+        assert alpha.outstanding == {"beta": 0, "gamma": 0}
+        assert inflight.value(node="alpha") == 0.0
+        result = alpha.delegate_best(encode)
+        assert blob_int(alpha.repo.get_blob(result).data) == 7
+        assert inflight.value(node="alpha") == 0.0
 
 
 class TestReplyFiltering:

@@ -30,7 +30,7 @@ class TestDistributedWordcount:
         result = client.delegate_best(tree[-1])
         got = blob_int(client.repo.get_blob(result).data)
         assert got == reference_count(shards, b"the")
-        assert client.delegations_sent == 1
+        assert client.counted[("delegations_sent_total", "server")] == 1
         assert server.delegations_served == 1
         # The shards themselves never crossed the wire (they were already
         # at the server); only the job and the tiny result did.

@@ -10,17 +10,24 @@ serve span still rides home inside the error reply.
 
 from __future__ import annotations
 
+import collections
 import json
 import random
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.baselines.calibration import RAY_PULL_BW
 from repro.baselines.ray import RayPlatform
 from repro.codelets.stdlib import blob_int, int_blob
 from repro.core.errors import FixError, SchedulingError
 from repro.dist.engine import FixpointSim
 from repro.dist.graph import EXTERNAL, JobGraph, TaskSpec
+from repro.dist.objectview import ObjectView
+from repro.dist.scheduler import DataflowScheduler
 from repro.fixpoint.net import FixpointNode, NetworkError, RemoteEvalError
 from repro.obs import (
     NULL_CONTEXT,
@@ -33,6 +40,7 @@ from repro.obs import (
     Tracer,
     stitch,
 )
+from repro.sim.cluster import Cluster, MachineSpec
 from repro.sim.engine import Simulator
 from repro.sim.stats import CpuAccountant
 
@@ -144,11 +152,13 @@ class TestRegistry:
         json.dumps(snap)  # must be JSON-serializable as-is
 
     def test_null_registry_is_inert(self):
+        """Families are handed out and kept by nobody; a histogram is
+        ``None``, which a component binds and then skips."""
         reg = NullRegistry()
         reg.counter("c").inc(peer="x")
+        reg.counter("c").read(lambda: {("x",): 1}, "peer")
         reg.gauge("g").set_function(lambda: 9)
-        with reg.histogram("h").time():
-            pass
+        assert reg.histogram("h") is None
         snap = reg.export()
         assert snap["counters"] == {}
         assert snap["gauges"] == {}
@@ -610,8 +620,9 @@ class TestObs:
     )
     def test_trace_state_is_bounded_by_functions(self, registry):
         """10 000 invocations of one codelet leave the trace holding one
-        count and one byte total per *function* - no per-invocation
-        record - whichever registry (real or null) backs the metrics."""
+        count per *function and worker* and one byte total per function -
+        no per-invocation record - whichever registry (real or null)
+        backs the metrics."""
         from repro.fixpoint.tracing import Trace
 
         trace = Trace(registry=registry)
@@ -627,3 +638,360 @@ class TestObs:
             if isinstance(v, (list, dict, set, tuple))
         ]
         assert sum(len(v) for v in held) == 2 * 2  # two dicts x two functions
+
+
+# ----------------------------------------------------------------------
+# Golden metric snapshots: names, label sets, series and values
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _metrics_only(export, deterministic=True):
+    """The metrics part of an ``Obs.export()``, made comparable across
+    processes: thread names in the ``worker`` label become ``worker``
+    (series that then coincide sum); with ``deterministic`` off (a wall
+    clock), histograms keep their counts only and the staleness gauge
+    its series but not its values."""
+    metrics = export["metrics"]
+    counters = {}
+    for name, series in metrics["counters"].items():
+        merged = {}
+        for one in series:
+            labels = dict(one["labels"])
+            if "worker" in labels and labels["worker"] != "MainThread":
+                labels["worker"] = "worker"
+            key = json.dumps(labels, sort_keys=True)
+            merged[key] = merged.get(key, 0.0) + one["value"]
+        counters[name] = [
+            {"labels": json.loads(key), "value": merged[key]}
+            for key in sorted(merged)
+        ]
+    gauges = {
+        name: [
+            {
+                "labels": one["labels"],
+                "value": (
+                    one["value"]
+                    if deterministic or name != "view_staleness_seconds"
+                    else None
+                ),
+            }
+            for one in series
+        ]
+        for name, series in metrics["gauges"].items()
+    }
+    histograms = {
+        name: [
+            one if deterministic
+            else {"labels": one["labels"], "count": one["count"]}
+            for one in series
+        ]
+        for name, series in metrics["histograms"].items()
+    }
+    return {
+        "name": metrics["name"],
+        "counters": counters,
+        "gauges": gauges,
+        "histograms": histograms,
+    }
+
+
+def _admission_metrics():
+    """A seeded admission run on a gossiping platform that places at
+    random (so placements move bytes): two submissions refused (one for
+    each reason), three admitted, the last after a wait."""
+    from repro.dist.admission import AdmissionController, AdmissionError, spike_job
+    from repro.dist.gossip import GossipConfig
+
+    gib = 1 << 30
+    platform = FixpointSim.build(
+        nodes=4, cores=8, seed=5, locality=False,
+        gossip=GossipConfig(seed=3, membership=True),
+    )
+    ctrl = AdmissionController(platform, capacity_bytes=300 * gib)
+    for peak in (400 * gib, 200 * gib):
+        with pytest.raises(AdmissionError):
+            ctrl.submit("mallory", spike_job(peak_bytes=peak))
+    ctrl.submit("alice", spike_job(peak_bytes=120 * gib, location="node0"))
+    ctrl.submit("bob", spike_job(peak_bytes=120 * gib, location="node1"))
+    ctrl.submit("alice", spike_job(peak_bytes=120 * gib), at=0.5)
+    ctrl.run()
+    return _metrics_only(platform.obs.export())
+
+
+def _wire_metrics():
+    """A scripted three-node run: alpha on its own Obs, beta and gamma
+    sharing one (their series sum).  A delegation, an error reply that
+    rolls back, a gossip round, a delegation lost in transit to a
+    crashed gamma and retried on beta, gamma evicted, and a restarted
+    gamma rejoining."""
+    own, shared = Obs("alpha"), Obs("pair")
+    alpha = FixpointNode("alpha", obs=own, suspect_after=1, confirm_after=1)
+    beta = FixpointNode("beta", obs=shared)
+    gamma = FixpointNode("gamma", obs=shared)
+    alpha.connect(beta)
+    alpha.connect(gamma)
+    assert blob_int(alpha.repo.get_blob(
+        alpha.delegate("beta", add_encode(alpha, 20, 22))
+    ).data) == 42
+    alpha.quote_best(add_encode(alpha, 1, 1))
+    kaboom = alpha.runtime.compile(KABOOM_SOURCE, "kaboom")
+    with pytest.raises(RemoteEvalError):
+        alpha.delegate("beta", alpha.runtime.invoke(
+            kaboom, [alpha.repo.put_blob(int_blob(1, 1))]
+        ).wrap_strict())
+    alpha.gossip_with("beta")
+
+    alpha.peers["gamma"].latency = 30.0
+    lost = alpha.delegate_async("gamma", add_encode(alpha, 100, 7))
+    gamma.crash()
+    assert lost.wait(10)
+    with pytest.raises(NetworkError):
+        lost.result()
+    retried = alpha.retry_elsewhere(lost)
+    assert blob_int(alpha.repo.get_blob(retried.result(10)).data) == 107
+    for _ in range(10):
+        alpha.gossip_sweep()
+        if alpha.membership.is_dead("gamma"):
+            break
+    assert alpha.membership.is_dead("gamma")
+
+    reborn = FixpointNode("gamma", obs=Obs("gamma-2"), incarnation=2)
+    reborn.rejoin(alpha)
+    assert not alpha.membership.is_dead("gamma")
+    return {
+        obs.name: _metrics_only(obs.export(), deterministic=False)
+        for obs in (own, shared, reborn.obs)
+    }
+
+
+METRIC_GOLDENS = {
+    "metrics_sim_seed7.json": lambda: _metrics_only(
+        json.loads(_simulated_snapshot(7))
+    ),
+    "metrics_admission.json": _admission_metrics,
+    "metrics_wire.json": _wire_metrics,
+}
+
+
+def write_metric_goldens():
+    """Regenerate the goldens, only with a change that means to move a
+    metric: ``PYTHONPATH=src:tests python -c "import test_obs;
+    test_obs.write_metric_goldens()"``."""
+    for name, snapshot in METRIC_GOLDENS.items():
+        (GOLDEN / name).write_text(
+            json.dumps(snapshot(), indent=1, sort_keys=True) + "\n"
+        )
+
+
+class TestMetricGoldens:
+    """Every metric name, label set, series and value the three
+    scenarios export, against a snapshot taken before counters became
+    sampled reads: a counter that reads the wrong state, a series that
+    appears at zero or a pair of shared-Obs series that stop summing
+    shows up here."""
+
+    @pytest.mark.parametrize("name", sorted(METRIC_GOLDENS))
+    def test_export_matches_golden(self, name):
+        want = json.loads((GOLDEN / name).read_text())
+        got = json.loads(json.dumps(METRIC_GOLDENS[name](), sort_keys=True))
+        assert got == want
+
+
+# ----------------------------------------------------------------------
+# No metric call when observability is off
+
+
+SRC = str(Path(repro.__file__).parent)
+
+
+def _frames(run, build=lambda: None):
+    """``run(build())``'s Python frames under ``src/repro``, by (path,
+    function); ``build``'s are not counted.
+
+    The profile is on for every thread started inside either too: a
+    node's serve threads start when it is built.  The lock tracker's own
+    frames (``analysis/sync.py``, present only under ``--race``) are not
+    counted."""
+    calls = collections.Counter()
+    counting = []
+
+    def profile(frame, event, arg):
+        path = frame.f_code.co_filename
+        if event == "call" and counting and path.startswith(SRC):
+            where = path[len(SRC) + 1:]
+            if where != "analysis/sync.py":
+                calls[where, frame.f_code.co_name] += 1
+
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        built = build()
+        counting.append(True)
+        run(built)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return calls
+
+
+def _metric_calls(calls):
+    return {k: n for k, n in calls.items() if k[0] == "obs/metrics.py"}
+
+
+class TestNoMetricCallWhenOff:
+    def test_a_narrow_place_makes_six_calls(self):
+        """place, _bid, ObjectView.bid, costmodel.bid, price_held and
+        choose: no timer, no counter."""
+        rng = random.Random(1)
+        names = [f"node{i:03d}" for i in range(100)]
+        cluster = Cluster(
+            Simulator(), [MachineSpec(name, cores=4) for name in names]
+        )
+        objects = [f"x{i:04d}" for i in range(2000)]
+        for name in objects:
+            cluster.add_object(name, rng.randrange(1 << 10, 1 << 20),
+                               rng.choice(names))
+        view = ObjectView("storm")
+        view.sync_from_cluster(cluster)
+        scheduler = DataflowScheduler(cluster, view, obs=NULL_OBS)
+        tasks = [
+            TaskSpec(name=f"t{i}", fn="f",
+                     inputs=tuple(rng.sample(objects, rng.randint(1, 4))),
+                     output=f"t{i}.out", output_size=1 << 10,
+                     compute_seconds=0.0)
+            for i in range(200)
+        ]
+
+        def storm(_):
+            for task in tasks:
+                scheduler.task_started(scheduler.place(task).machine)
+
+        calls = _frames(storm)
+        calls.pop(("dist/scheduler.py", "task_started"))
+        assert sum(calls.values()) == 6 * len(tasks)
+        assert not _metric_calls(calls)
+
+    def test_a_dark_delegation_never_calls_into_metrics(self):
+        def build():
+            hub = FixpointNode("hub", obs=NULL_OBS)
+            peer = FixpointNode("peer", obs=NULL_OBS)
+            hub.connect(peer)
+            return hub, peer
+
+        def run(nodes):
+            hub, _peer = nodes
+            for n in range(5):
+                result = hub.delegate_best(add_encode(hub, n, 1))
+                assert blob_int(hub.repo.get_blob(result).data) == n + 1
+            hub.gossip_with("peer")
+            for node in nodes:
+                node.close()
+
+        calls = _frames(run, build)
+        assert calls["fixpoint/net.py", "delegate_best"] == 5
+        assert not _metric_calls(calls)
+
+    @pytest.mark.parametrize("name", sorted(METRIC_GOLDENS))
+    def test_no_counter_is_bumped_through_inc(self, name):
+        """The golden scenarios, observed: every counter they export is
+        a reader's, so nothing in ``src`` calls ``Counter.inc``."""
+        calls = _frames(lambda _: METRIC_GOLDENS[name]())
+        assert _metric_calls(calls)  # the histograms were observed
+        assert calls["obs/metrics.py", "inc"] == 0
+
+
+@pytest.mark.stress
+class TestNoCountIsLost:
+    """Every thread that sends, dispatches, serves or gossips bumps its
+    node's ``counted`` in place; a lost update would leave a count short
+    of what the channels and the threads did.
+
+    Each node delegates operands no other node uses.  Two nodes sending
+    one peer the same content at once trip a different fault, not this
+    test's subject: a node that believes the peer holds a datum only
+    because a third node shipped it (learned through gossip) omits it,
+    and its request can reach the peer before the third node's does."""
+
+    ROUNDS = 12  # per thread
+
+    def test_counts_match_the_traffic_under_contention(self):
+        nodes = [FixpointNode(name) for name in ("n0", "n1", "n2")]
+        errors = []
+
+        def delegating(node):
+            # Node i adds i + 1 to 10 + 20i ..: no operand or sum of one
+            # node is another's.
+            i = nodes.index(node)
+            try:
+                for n in range(10 + 20 * i, 10 + 20 * i + self.ROUNDS):
+                    for peer in sorted(node.peers):
+                        future = node.delegate_async(
+                            peer, add_encode(node, n, i + 1)
+                        )
+                        result = future.result(30)
+                        got = blob_int(node.repo.get_blob(result).data)
+                        assert got == n + i + 1
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def gossiping(node):
+            try:
+                for _ in range(self.ROUNDS):
+                    for peer in sorted(node.peers):
+                        node.gossip_with(peer)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i, node in enumerate(nodes):
+                for other in nodes[i + 1:]:
+                    node.connect(other)
+            threads = [
+                threading.Thread(target=work, args=(node,), daemon=True)
+                for node in nodes
+                for work in (delegating, gossiping)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            alive = [thread for thread in threads if thread.is_alive()]
+        finally:
+            sys.setswitchinterval(old_interval)
+            for node in nodes:
+                node.close()
+        assert not alive, "traffic threads deadlocked"
+        assert not errors, f"traffic failed: {errors[0]!r}"
+
+        def total(name):
+            return sum(
+                n
+                for node in nodes
+                for key, n in node.counted.items()
+                if key[0] == name
+            )
+
+        per_pair = self.ROUNDS * len(nodes) * (len(nodes) - 1)
+        assert total("delegations_sent_total") == per_pair
+        assert sum(node.delegations_served for node in nodes) == per_pair
+        # connect's handshake is a round too, one per pair.
+        rounds = per_pair + len(nodes) * (len(nodes) - 1) // 2
+        assert total("gossip_rounds_total") == 2 * rounds
+        for node in nodes:
+            for peer, channel in node.peers.items():
+                way = "ab" if channel.a is node else "ba"
+                sent = (channel._sent[way],
+                        channel.bytes_ab if way == "ab" else channel.bytes_ba)
+                far = channel.far_end(node).counted
+                assert (
+                    node.counted["net_frames_total", peer, "out"],
+                    node.counted["net_bytes_total", peer, "out"],
+                ) == sent
+                assert (
+                    far["net_frames_total", node.name, "in"],
+                    far["net_bytes_total", node.name, "in"],
+                ) == sent

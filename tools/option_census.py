@@ -182,8 +182,10 @@ KEPT_VALUES = {
         _FORMAT + "section 6's deadline discount"
     ),
     "repro.obs.__init__.NullObs.__init__(name)": _NULL,
-    "repro.obs.metrics.NullRegistry.__init__(name)": _NULL,
-    "repro.obs.metrics.NullRegistry.__init__(clock)": _NULL,
+    "repro.obs.metrics.Counter.inc(value)": (
+        _SEAM + "TestCounter's amounts: every counter in src reads its "
+        "component's state, and benchmarks/perf/layers.py prices inc(1)"
+    ),
     "repro.obs.trace.NullTracer.__init__(clock)": _NULL,
     "repro.baselines.base.Platform.build(seed)": (
         _SEAM + "the random draws of test_dist_engine's "
