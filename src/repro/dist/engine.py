@@ -91,6 +91,17 @@ class FixpointSim(Platform):
         #: by the obs tests) - determinism is a property of the
         #: substrate, and measurement must not break it.
         self.obs = Obs(name="fixpoint-sim", clock=lambda: sim.now)
+        #: Placements per machine and the believed bytes they must move,
+        #: over every job this platform places (:meth:`_place`).
+        self._placed: Dict[str, int] = {}
+        self._moved = 0
+        self.obs.registry.counter(
+            "scheduler_placements_total", "Placement decisions, by machine"
+        ).read(self._placed.copy, "machine")
+        self.obs.registry.counter(
+            "scheduler_predicted_move_bytes_total",
+            "Believed bytes the chosen placements must move",
+        ).read(lambda: {(): self._moved} if self._moved else {})
         self.locality = locality
         self.internal_io = internal_io
         #: Output-size hints: the one decider of whether a placement
@@ -282,7 +293,11 @@ class FixpointSim(Platform):
     def _place(self, task: TaskSpec, job: JobRun) -> str:
         scheduler = self._job_schedulers[job.job_id]
         hint = self._consumer_hint(task, job.graph, scheduler)
-        return scheduler.place(task, consumer_location=hint).machine
+        placement = scheduler.place(task, consumer_location=hint)
+        machine = placement.machine
+        self._placed[machine] = self._placed.get(machine, 0) + 1
+        self._moved += placement.predicted_move_bytes
+        return machine
 
     def _stage(self, task: TaskSpec, node: str):
         if not self.internal_io:

@@ -105,19 +105,6 @@ class DataflowScheduler:
         self._m_place = obs.registry.histogram(
             "scheduler_place_seconds", "Placement decision time"
         )
-        #: Placements and their believed move bytes, per machine, as the
-        #: counters read them: through these dicts, not the scheduler,
-        #: so a finished job's view is not kept alive.
-        self._placed: Dict[str, int] = {}
-        self._moved: Dict[str, int] = {}
-        moved = self._moved
-        obs.registry.counter(
-            "scheduler_placements_total", "Placement decisions, by machine"
-        ).read(self._placed.copy, "machine")
-        obs.registry.counter(
-            "scheduler_predicted_move_bytes_total",
-            "Believed bytes the chosen placements must move",
-        ).read(lambda: {(): sum(moved.copy().values())} if moved else {})
         self._machines: List[str] = cluster.machine_names()
         if not self._machines:
             raise SchedulingError("cannot schedule on an empty cluster")
@@ -243,10 +230,6 @@ class DataflowScheduler:
         finally:
             if timer is not None:
                 timer.observe(self._clock() - started)
-        machine, moving = placement.machine, placement.predicted_move_bytes
-        self._placed[machine] = self._placed.get(machine, 0) + 1
-        if moving:
-            self._moved[machine] = self._moved.get(machine, 0) + moving
         return placement
 
     def explain(self, task: TaskSpec) -> List[Quote]:

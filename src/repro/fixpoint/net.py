@@ -64,15 +64,15 @@ has one ``pack_*``/``unpack_*`` pair below, and its layout is stated on
 the ``pack_*`` docstring and nowhere else; :class:`FixpointNode` only
 ever handles decoded values.  A decoder refuses a byte past its frame's
 last field (a request's or ok reply's remainder is its bundle, which
-refuses its own).  Every frame carries a 16-byte
-:class:`~repro.obs.SpanContext`, which is how tracing crosses the wire:
-the request carries the caller's *dispatch* span, the reply (ok or
-error) the peer's *serve* span, and the caller's *absorb* span parents
-to that - one dispatch -> serve -> absorb chain per delegation, across
-nodes, reassembled by :func:`repro.obs.stitch`.  A gossip SYN/PUSH
-ships the caller's *round* span and the ACK the peer's *serve* span.
-An untraced node ships :data:`~repro.obs.NULL_CONTEXT` and its peers
-degrade to local roots.
+refuses its own).  Every frame carries a span's ``context``, 16 bytes
+the codecs copy through without looking inside, which is how tracing
+crosses the wire: the request carries the caller's *dispatch* span, the
+reply (ok or error) the peer's *serve* span, and the caller's *absorb*
+span parents to that - one dispatch -> serve -> absorb chain per
+delegation, across nodes, reassembled by :func:`repro.obs.stitch`.  A
+gossip SYN/PUSH ships the caller's *round* span and the ACK the peer's
+*serve* span.  An untraced node ships :data:`~repro.obs.NULL_CONTEXT`
+and its peers degrade to local roots.
 
 **Gossip.**  :meth:`FixpointNode.gossip_with` runs one push-pull
 anti-entropy round over a live channel, sequenced like every other
@@ -144,7 +144,7 @@ from ..dist.membership import (
     unpack_members,
 )
 from ..dist.objectview import Delta, Digest, ObjectView
-from ..obs import CONTEXT_BYTES, Obs, SpanContext
+from ..obs import CONTEXT_BYTES, Obs
 from .runtime import Fixpoint
 
 _SENDER_LEN = struct.Struct("<H")
@@ -199,9 +199,8 @@ Members = Sequence[Member]
 RemoteError = Tuple[str, str]
 
 
-def _unpack_ctx(wire: bytes, offset: int) -> Tuple[SpanContext, int]:
-    raw, offset = _frame.take(wire, offset, CONTEXT_BYTES, "span context")
-    return SpanContext.unpack(raw)[0], offset
+def _unpack_ctx(wire: bytes, offset: int) -> Tuple[bytes, int]:
+    return _frame.take(wire, offset, CONTEXT_BYTES, "span context")
 
 
 def _unpack_handle(wire: bytes, offset: int, what: str) -> Tuple[Handle, int]:
@@ -217,14 +216,14 @@ def _unpack_tag(wire: bytes, tag: bytes, what: str) -> int:
     return offset
 
 
-def _pack_header(sender: str, ctx: SpanContext) -> bytes:
+def _pack_header(sender: str, ctx: bytes) -> bytes:
     """``[u16 sender length][sender utf-8][16-byte span context]`` - how
     a request, a gossip SYN and a gossip PUSH each name their sender."""
     raw = sender.encode("utf-8")
-    return _SENDER_LEN.pack(len(raw)) + raw + ctx.pack()
+    return _SENDER_LEN.pack(len(raw)) + raw + ctx
 
 
-def _unpack_header(wire: bytes, offset: int) -> Tuple[str, SpanContext, int]:
+def _unpack_header(wire: bytes, offset: int) -> Tuple[str, bytes, int]:
     length, offset = _frame.unpack(_SENDER_LEN, wire, offset, "sender length")
     sender, offset = _frame.text(wire, offset, length, "sender")
     ctx, offset = _unpack_ctx(wire, offset)
@@ -258,34 +257,34 @@ def _unpack_error(wire: bytes, offset: int = 0) -> RemoteError:
 
 
 def pack_request(
-    sender: str, ctx: SpanContext, encode: Handle, bundle: bytes
+    sender: str, ctx: bytes, encode: Handle, bundle: bytes
 ) -> bytes:
     """``[header][32-byte encode handle][bundle]`` - evaluate ``encode``;
     the bundle is the part of its minimum repository the peer lacks."""
     return _pack_header(sender, ctx) + encode.pack() + bundle
 
 
-def unpack_request(wire: bytes) -> Tuple[str, SpanContext, Handle, bytes]:
+def unpack_request(wire: bytes) -> Tuple[str, bytes, Handle, bytes]:
     sender, ctx, offset = _unpack_header(wire, 0)
     encode, offset = _unpack_handle(wire, offset, "encode handle")
     return sender, ctx, encode, wire[offset:]
 
 
 def pack_reply(
-    ctx: SpanContext,
+    ctx: bytes,
     outcome: Union[Handle, BaseException],
     bundle: bytes = b"",
 ) -> bytes:
     """``[ctx][u8 0][32-byte result handle][bundle]`` for a result;
     ``[ctx][u8 1][error]`` for the exception the evaluation raised."""
     if isinstance(outcome, Handle):
-        return ctx.pack() + _STATUS_OK + outcome.pack() + bundle
-    return ctx.pack() + _STATUS_ERR + _pack_error(outcome)
+        return ctx + _STATUS_OK + outcome.pack() + bundle
+    return ctx + _STATUS_ERR + _pack_error(outcome)
 
 
 def unpack_reply(
     wire: bytes,
-) -> Tuple[SpanContext, Union[Handle, RemoteError], bytes]:
+) -> Tuple[bytes, Union[Handle, RemoteError], bytes]:
     ctx, offset = _unpack_ctx(wire, 0)
     status, offset = _frame.take(wire, offset, 1, "status")
     if status == _STATUS_ERR:
@@ -297,14 +296,14 @@ def unpack_reply(
 
 
 def pack_syn(
-    sender: str, ctx: SpanContext, digest: Digest, members: Members
+    sender: str, ctx: bytes, digest: Digest, members: Members
 ) -> bytes:
     """``[u8 0x10][header][digest][members]``"""
     body = pack_digest(digest) + pack_members(members)
     return _GOSSIP_SYN + _pack_header(sender, ctx) + body
 
 
-def unpack_syn(wire: bytes) -> Tuple[str, SpanContext, Digest, Members]:
+def unpack_syn(wire: bytes) -> Tuple[str, bytes, Digest, Members]:
     offset = _unpack_tag(wire, _GOSSIP_SYN, "gossip syn tag")
     sender, ctx, offset = _unpack_header(wire, offset)
     digest, offset = unpack_digest(wire, offset)
@@ -314,14 +313,14 @@ def unpack_syn(wire: bytes) -> Tuple[str, SpanContext, Digest, Members]:
 
 
 def pack_ack(
-    ctx: SpanContext, digest: Digest, delta: Delta, members: Members
+    ctx: bytes, digest: Digest, delta: Delta, members: Members
 ) -> bytes:
     """``[u8 0x11][ctx][digest][delta][members]``"""
     body = pack_digest(digest) + pack_delta(delta) + pack_members(members)
-    return _GOSSIP_ACK + ctx.pack() + body
+    return _GOSSIP_ACK + ctx + body
 
 
-def unpack_ack(wire: bytes) -> Tuple[SpanContext, Digest, Delta, Members]:
+def unpack_ack(wire: bytes) -> Tuple[bytes, Digest, Delta, Members]:
     offset = _unpack_tag(wire, _GOSSIP_ACK, "gossip ack tag")
     ctx, offset = _unpack_ctx(wire, offset)
     digest, offset = unpack_digest(wire, offset)
@@ -331,12 +330,12 @@ def unpack_ack(wire: bytes) -> Tuple[SpanContext, Digest, Delta, Members]:
     return ctx, digest, delta, members
 
 
-def pack_push(sender: str, ctx: SpanContext, delta: Delta) -> bytes:
+def pack_push(sender: str, ctx: bytes, delta: Delta) -> bytes:
     """``[u8 0x12][header][delta]``"""
     return _GOSSIP_PUSH + _pack_header(sender, ctx) + pack_delta(delta)
 
 
-def unpack_push(wire: bytes) -> Tuple[str, SpanContext, Delta]:
+def unpack_push(wire: bytes) -> Tuple[str, bytes, Delta]:
     offset = _unpack_tag(wire, _GOSSIP_PUSH, "gossip push tag")
     sender, ctx, offset = _unpack_header(wire, offset)
     delta, offset = unpack_delta(wire, offset)
@@ -906,8 +905,8 @@ class FixpointNode:
         if self.directory is not None:
             self.directory.unregister(peer_name)
         self.obs.tracer.start(
-            "membership.evict", peer=peer_name
-        ).set(beliefs_evicted=evicted).finish()
+            "membership.evict", peer=peer_name, beliefs_evicted=evicted
+        ).finish()
 
     def _on_peer_rejoin(self, peer_name: str) -> None:
         """React to a tombstoned peer reasserting life at a higher
@@ -931,8 +930,8 @@ class FixpointNode:
                 self.directory.register(channel.far_end(self))
         self._count(("membership_rejoins_total", peer_name))
         self.obs.tracer.start(
-            "membership.rejoin", peer=peer_name
-        ).set(readmitted=readmitted).finish()
+            "membership.rejoin", peer=peer_name, readmitted=readmitted
+        ).finish()
 
     def _on_self_refute(self, incarnation: int) -> None:
         """React to *this node* beating its own tombstone.
@@ -951,8 +950,8 @@ class FixpointNode:
             self.directory.register(self)
         self._count(("membership_refutations_total",))
         self.obs.tracer.start(
-            "membership.refute", incarnation=incarnation
-        ).set(restamped=restamped).finish()
+            "membership.refute", incarnation=incarnation, restamped=restamped
+        ).finish()
 
     def __enter__(self) -> "FixpointNode":
         return self
@@ -1341,7 +1340,7 @@ class FixpointNode:
         return outcome
 
     def _serve(
-        self, sender: str, encode: Handle, ctx: SpanContext
+        self, sender: str, encode: Handle, ctx: bytes
     ) -> Tuple[bytes, int]:
         """Peer side: evaluate a request :meth:`_absorb_request` decoded,
         reply with the *filtered* bundle.
@@ -1380,7 +1379,7 @@ class FixpointNode:
 
     def _absorb_request(
         self, wire: bytes
-    ) -> Tuple[str, Handle, SpanContext]:
+    ) -> Tuple[str, Handle, bytes]:
         """Decode one request frame into the repository: the request's
         handler, run inside its delivery window (wire order)."""
         sender, ctx, encode, bundle = unpack_request(wire)

@@ -7,8 +7,8 @@ shares:
   gauges, and fixed-bucket histograms (pluggable clock: wall time for
   the executing runtime, ``sim.now`` for :class:`FixpointSim`, so
   simulated metrics are bit-identical under seeded replay);
-* a :class:`~repro.obs.trace.Tracer` of causal spans whose 16-byte
-  :class:`~repro.obs.trace.SpanContext` rides inside the delegation and
+* a :class:`~repro.obs.trace.Tracer` of causal spans whose context -
+  the span's two ids, 16 bytes packed - rides inside the delegation and
   gossip wire frames of :mod:`repro.fixpoint.net`, so one job's spans
   stitch across nodes (:func:`stitch`).
 
@@ -34,7 +34,6 @@ from .trace import (
     CONTEXT_BYTES,
     NULL_CONTEXT,
     NullTracer,
-    SpanContext,
     Tracer,
     render_trace,
     stitch,
@@ -95,7 +94,6 @@ __all__ = [
     "NullRegistry",
     "Obs",
     "SNAPSHOT_SCHEMA",
-    "SpanContext",
     "Tracer",
     "render_trace",
     "stitch",

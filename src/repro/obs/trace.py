@@ -3,8 +3,8 @@
 "Why was this placement slow" is unanswerable from per-node logs once a
 job hops a delegation: the caller's dispatch, the peer's serve, and the
 caller's absorb happen on three threads on two nodes.  A :class:`Span`
-records one timed step; a :class:`SpanContext` (``trace_id`` +
-``span_id``, 16 bytes packed) rides *inside* the wire frames of
+records one timed step; its ``context`` is ``trace_id`` and ``span_id``
+packed ``<QQ``, the 16 bytes that ride *inside* the wire frames of
 :mod:`repro.fixpoint.net` - delegation request/reply and gossip
 SYN/ACK/PUSH alike - so the remote side's spans join the caller's trace
 and :func:`stitch` reassembles the causal chain afterwards::
@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional
 
 from ..analysis.sync import TrackedLock
 
@@ -37,48 +37,14 @@ Clock = Callable[[], float]
 
 _CTX = struct.Struct("<QQ")
 
-#: Bytes a packed :class:`SpanContext` occupies inside a wire frame.
+#: Bytes a span context occupies inside a wire frame.
 CONTEXT_BYTES = _CTX.size  # 16
 
-
-class SpanContext:
-    """The 16 bytes of identity a frame carries: (trace_id, span_id)."""
-
-    __slots__ = ("trace_id", "span_id")
-
-    def __init__(self, trace_id: int, span_id: int):
-        self.trace_id = trace_id
-        self.span_id = span_id
-
-    def pack(self) -> bytes:
-        return _CTX.pack(self.trace_id, self.span_id)
-
-    @classmethod
-    def unpack(cls, raw: bytes, offset: int = 0) -> Tuple["SpanContext", int]:
-        trace_id, span_id = _CTX.unpack_from(raw, offset)
-        return cls(trace_id, span_id), offset + _CTX.size
-
-    def __bool__(self) -> bool:
-        return self.trace_id != 0
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SpanContext)
-            and other.trace_id == self.trace_id
-            and other.span_id == self.span_id
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.trace_id, self.span_id))
-
-    def __repr__(self) -> str:
-        return f"SpanContext({self.trace_id:#x}, {self.span_id:#x})"
-
-
 #: "No trace": what a frame from an untraced (null-obs) node carries.
-NULL_CONTEXT = SpanContext(0, 0)
+NULL_CONTEXT = bytes(CONTEXT_BYTES)
 
-Parent = Union["Span", SpanContext, None]
+#: Spans a tracer retains; past it new spans are minted but not kept.
+MAX_SPANS = 100_000
 
 
 class Span:
@@ -91,7 +57,7 @@ class Span:
 
     __slots__ = (
         "tracer", "name", "node", "trace_id", "span_id", "parent_id",
-        "start", "end", "attrs", "status", "error",
+        "context", "start", "end", "attrs", "status", "error",
     )
 
     def __init__(
@@ -110,15 +76,13 @@ class Span:
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
+        #: What a frame carries: the two ids packed ``<QQ``.
+        self.context = _CTX.pack(trace_id, span_id)
         self.start = start
         self.end: Optional[float] = None
         self.attrs = attrs
         self.status = "ok"
         self.error: Optional[str] = None
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
 
     @property
     def duration(self) -> float:
@@ -184,57 +148,45 @@ def _node_salt(node: str) -> int:
 class Tracer:
     """Mints and records spans for one node.
 
-    ``max_spans`` bounds memory on long-lived nodes: past the cap new
+    Memory is bounded on long-lived nodes: past :data:`MAX_SPANS` new
     spans are still minted (identity must keep flowing onto the wire)
     but no longer retained, and :attr:`dropped` counts them - a bounded
     buffer that degrades visibly, never a silent unbounded list.
     """
 
-    def __init__(
-        self,
-        node: str = "",
-        clock: Clock = time.perf_counter,
-        max_spans: int = 100_000,
-    ):
+    def __init__(self, node: str = "", clock: Clock = time.perf_counter):
         self.node = node
         self.clock = clock
-        self.max_spans = max_spans
         self.dropped = 0
         self._salt = _node_salt(node)
         self._seq = 0
         self._lock = TrackedLock("Tracer._lock")
         self._spans: List[Span] = []
 
-    def _next_id(self) -> int:
-        # Called with the lock held.
-        self._seq += 1
-        return (self._salt << 32) | (self._seq & 0xFFFFFFFF)
-
-    def start(self, name: str, parent: Parent = None, **attrs: object) -> Span:
+    def start(
+        self, name: str, parent: bytes = NULL_CONTEXT, **attrs: object
+    ) -> Span:
         """Mint (and retain) a span.
 
-        ``parent=None`` starts a fresh trace (the span is its root:
-        ``trace_id == span_id``); a :class:`Span` or :class:`SpanContext`
-        parent joins its trace - this is the call the wire paths make
-        with the context they just unpacked, which is all "distributed
-        tracing" is.  A false context (``NULL_CONTEXT``) behaves like no
-        parent, so traffic from untraced peers degrades to local roots.
+        ``parent`` is a span context: another span's ``context``, or the
+        16 bytes a frame carried - this is the call the wire paths make
+        with the context they just decoded, which is all "distributed
+        tracing" is.  The span joins the parent's trace; with
+        ``NULL_CONTEXT`` (no parent, or a frame from an untraced peer)
+        it starts a fresh trace as its root (``trace_id == span_id``).
         """
-        if isinstance(parent, Span):
-            parent = parent.context
-        if parent is not None and not parent:
-            parent = None
         with self._lock:
-            span_id = self._next_id()
-            if parent is None:
+            self._seq += 1
+            span_id = (self._salt << 32) | (self._seq & 0xFFFFFFFF)
+            if parent == NULL_CONTEXT:
                 trace_id, parent_id = span_id, 0
             else:
-                trace_id, parent_id = parent.trace_id, parent.span_id
+                trace_id, parent_id = _CTX.unpack(parent)
             span = Span(
                 self, name, trace_id, span_id, parent_id,
                 self.clock(), dict(attrs),
             )
-            if len(self._spans) < self.max_spans:
+            if len(self._spans) < MAX_SPANS:
                 self._spans.append(span)
             else:
                 self.dropped += 1
@@ -256,6 +208,7 @@ class _NullSpan(Span):
         self.trace_id = 0
         self.span_id = 0
         self.parent_id = 0
+        self.context = NULL_CONTEXT
         self.start = 0.0
         self.end = 0.0
         self.attrs = {}
@@ -278,15 +231,14 @@ _NULL_SPAN = _NullSpan()
 class NullTracer(Tracer):
     """Same API, no spans, no ids - frames carry :data:`NULL_CONTEXT`."""
 
-    def __init__(self, node: str = "null", clock: Clock = time.perf_counter):
-        super().__init__(node, clock, max_spans=0)
-
-    def start(self, name: str, parent: Parent = None, **attrs: object) -> Span:
+    def start(
+        self, name: str, parent: bytes = NULL_CONTEXT, **attrs: object
+    ) -> Span:
         return _NULL_SPAN
 
 
-def stitch(*sources: Union[Tracer, Iterable[Span]]) -> Dict[int, List[Span]]:
-    """Reassemble traces from any number of tracers/span lists.
+def stitch(*tracers: Tracer) -> Dict[int, List[Span]]:
+    """Reassemble traces from any number of tracers.
 
     This is the cross-node join: hand it every node's tracer and each
     returned group is one causal chain - caller dispatch, remote serve,
@@ -295,9 +247,8 @@ def stitch(*sources: Union[Tracer, Iterable[Span]]) -> Dict[int, List[Span]]:
     deterministic even for zero-duration sim spans).
     """
     grouped: Dict[int, List[Span]] = {}
-    for source in sources:
-        spans = source.spans if isinstance(source, Tracer) else source
-        for span in spans:
+    for tracer in tracers:
+        for span in tracer.spans:
             if span.trace_id == 0:
                 continue
             grouped.setdefault(span.trace_id, []).append(span)

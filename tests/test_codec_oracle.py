@@ -36,7 +36,6 @@ from repro.dist.membership import ALIVE, DEAD, SUSPECT, Member, MembershipError
 from repro.dist.objectview import Delta, Digest
 from repro.fixpoint import net
 from repro.fixpoint.net import NetworkError
-from repro.obs import SpanContext
 
 # ----------------------------------------------------------------------
 # The reference: the per-field codec the one-pass decoders replaced
@@ -247,7 +246,7 @@ def check_frame(frame, reference, shipped):
         same_reading(raw, reference, shipped, whole_frame=True)
 
 
-CTX = SpanContext(7, 9)
+CTX = struct.pack("<QQ", 7, 9)
 
 
 def check_digest(digest, members, decoders):

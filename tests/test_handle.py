@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +23,6 @@ from repro.core.handle import (
 from repro.core.serialize import MAGIC, decode_bundle
 from repro.core.storage import Repository
 from repro.fixpoint.net import pack_reply, unpack_reply
-from repro.obs import SpanContext
 
 
 def make_blob_handle(data: bytes = b"x" * 100) -> Handle:
@@ -126,7 +127,8 @@ class TestPacking:
         bundle = MAGIC + (1).to_bytes(4, "little") + raw + bytes(4)
         with pytest.raises(HandleError, match="0b11"):
             decode_bundle(Repository(), bundle)
-        reply = bytearray(pack_reply(SpanContext(7, 9), make_tree_handle(), b""))
+        ctx = struct.pack("<QQ", 7, 9)
+        reply = bytearray(pack_reply(ctx, make_tree_handle(), b""))
         reply[-HANDLE_BYTES:] = raw
         with pytest.raises(HandleError, match="0b11"):
             unpack_reply(bytes(reply))

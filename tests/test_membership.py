@@ -24,6 +24,7 @@ import importlib
 import inspect
 import pathlib
 import random
+import struct
 import sys
 import textwrap
 import threading
@@ -69,7 +70,6 @@ from repro.fixpoint.net import (
     NetworkError,
     NodeDirectory,
 )
-from repro.obs import SpanContext
 from repro.sim.cluster import Cluster, MachineSpec
 from repro.sim.engine import Simulator
 
@@ -198,7 +198,7 @@ class TestCodecTruncation:
     ENTRIES = _three_entry_delta()
     DELTA = pack_delta(ENTRIES)
 
-    CTX = SpanContext(7, 9)
+    CTX = struct.pack("<QQ", 7, 9)
     REPO = Repository()
     BLOB = REPO.put_blob(b"x" * 40)
     BUNDLE = encode_bundle(REPO, [BLOB])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import collections
 import json
 import random
+import struct
 import sys
 import threading
 from pathlib import Path
@@ -30,13 +31,13 @@ from repro.dist.objectview import ObjectView
 from repro.dist.scheduler import DataflowScheduler
 from repro.fixpoint.net import FixpointNode, NetworkError, RemoteEvalError
 from repro.obs import (
+    CONTEXT_BYTES,
     NULL_CONTEXT,
     NULL_OBS,
     MetricsError,
     MetricsRegistry,
     NullRegistry,
     Obs,
-    SpanContext,
     Tracer,
     stitch,
 )
@@ -252,20 +253,6 @@ class TestSeriesKeyIsBuiltOnce:
 # Tracing
 
 
-class TestSpanContext:
-    def test_pack_unpack_roundtrip(self):
-        ctx = SpanContext(0xDEADBEEF12345678, 0x42)
-        wire = b"prefix" + ctx.pack() + b"suffix"
-        out, offset = SpanContext.unpack(wire, 6)
-        assert out == ctx
-        assert offset == 6 + 16
-        assert wire[offset:] == b"suffix"
-
-    def test_null_context_is_falsy(self):
-        assert not NULL_CONTEXT
-        assert SpanContext(1, 1)
-
-
 class TestTracer:
     def test_root_span_starts_its_trace(self):
         tracer = Tracer("node0")
@@ -279,6 +266,28 @@ class TestTracer:
         child = tracer.start("child", parent=root.context)
         assert child.trace_id == root.trace_id
         assert child.parent_id == root.span_id
+
+    def test_context_is_the_ids_packed(self):
+        """What a frame carries is the span's two ids, ``<QQ``."""
+        span = Tracer("node0").start("work")
+        assert span.context == struct.pack("<QQ", span.trace_id, span.span_id)
+        assert len(span.context) == CONTEXT_BYTES
+        assert NULL_OBS.tracer.start("x").context == NULL_CONTEXT
+
+    def test_null_context_parent_starts_a_local_root(self):
+        """A frame from an untraced peer carries ``NULL_CONTEXT``: the
+        span it parents is a root of its own trace, not a child."""
+        tracer = Tracer("node0")
+        span = tracer.start("serve", parent=NULL_CONTEXT)
+        assert (span.trace_id, span.parent_id) == (span.span_id, 0)
+
+    def test_an_untraced_caller_leaves_the_peer_local_roots(self):
+        a = FixpointNode("alpha", obs=NULL_OBS)
+        b = FixpointNode("beta")
+        a.connect(b)
+        a.delegate("beta", add_encode(a, 1, 2))
+        (serve,) = [s for s in b.obs.tracer.spans if s.name == "delegate.serve"]
+        assert (serve.trace_id, serve.parent_id) == (serve.span_id, 0)
 
     def test_context_manager_marks_errors(self):
         tracer = Tracer("node0")
@@ -478,8 +487,7 @@ class TestFailedWireSpansEndInError:
 # Determinism: sim-clocked metrics are bit-identical under replay
 
 
-def _simulated_snapshot(seed: int) -> str:
-    platform = FixpointSim.build(nodes=3, cores=4, seed=seed)
+def _six_tasks() -> JobGraph:
     graph = JobGraph()
     for i in range(6):
         graph.add_data(f"x{i}", (i + 1) << 10, f"node{i % 3}")
@@ -493,7 +501,12 @@ def _simulated_snapshot(seed: int) -> str:
                 compute_seconds=0.05,
             )
         )
-    platform.run(graph)
+    return graph
+
+
+def _simulated_snapshot(seed: int) -> str:
+    platform = FixpointSim.build(nodes=3, cores=4, seed=seed)
+    platform.run(_six_tasks())
     return json.dumps(platform.obs.export(), sort_keys=True)
 
 
@@ -507,6 +520,21 @@ class TestSimDeterminism:
         histograms = snap["metrics"]["histograms"]
         assert counters["scheduler_placements_total"]
         assert histograms["scheduler_place_seconds"][0]["count"] > 0
+
+    def test_jobs_add_no_counter_readers(self):
+        """The platform counts its jobs' placements: a job's scheduler
+        registers no reader, so five runs leave one per family."""
+        platform = FixpointSim.build(nodes=3, cores=4, seed=7)
+        for _ in range(5):
+            platform.run(_six_tasks())
+        registry = platform.obs.registry
+        for name in (
+            "scheduler_placements_total",
+            "scheduler_predicted_move_bytes_total",
+        ):
+            assert len(registry.counter(name)._readers) == 1
+        placed = registry.counter("scheduler_placements_total")
+        assert placed.total() == 5 * 6
 
 
 # ----------------------------------------------------------------------
@@ -900,6 +928,46 @@ class TestNoMetricCallWhenOff:
         calls = _frames(lambda _: METRIC_GOLDENS[name]())
         assert _metric_calls(calls)  # the histograms were observed
         assert calls["obs/metrics.py", "inc"] == 0
+
+
+class TestASpanIsItsWireBytes:
+    """A span context is the 16 bytes its frame carries: no object is
+    built to pack one or made from one a frame carried.  A
+    ``delegate_best`` op - dispatch, serve, absorb - calls into
+    ``obs/trace.py`` only to start, annotate and end its three spans
+    (and, lit, to build them)."""
+
+    OPS = 5
+
+    def _trace_calls_per_op(self, obs):
+        def build():
+            hub = FixpointNode("hub", obs=obs("hub"))
+            peer = FixpointNode("peer", obs=obs("peer"))
+            hub.connect(peer)
+            return hub, peer
+
+        def run(nodes):
+            hub = nodes[0]
+            for n in range(self.OPS):
+                result = hub.delegate_best(add_encode(hub, n, 1))
+                assert blob_int(hub.repo.get_blob(result).data) == n + 1
+            for node in nodes:
+                node.close()
+
+        calls = _frames(run, build)
+        assert calls["fixpoint/net.py", "delegate_best"] == self.OPS
+        traced = {k: n for k, n in calls.items() if k[0] == "obs/trace.py"}
+        return sum(traced.values()) / self.OPS
+
+    def test_a_dark_op_makes_ten_calls(self):
+        """start, __enter__, set, __exit__ (dispatch); start, set,
+        finish (serve, absorb)."""
+        assert self._trace_calls_per_op(lambda _: NULL_OBS) == 10
+
+    def test_a_lit_op_makes_fourteen_calls(self):
+        """The dark ten, a ``Span.__init__`` per span and the dispatch
+        span's ``finish`` under ``__exit__``."""
+        assert self._trace_calls_per_op(Obs) == 14
 
 
 @pytest.mark.stress

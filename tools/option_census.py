@@ -186,7 +186,6 @@ KEPT_VALUES = {
         _SEAM + "TestCounter's amounts: every counter in src reads its "
         "component's state, and benchmarks/perf/layers.py prices inc(1)"
     ),
-    "repro.obs.trace.NullTracer.__init__(clock)": _NULL,
     "repro.baselines.base.Platform.build(seed)": (
         _SEAM + "the random draws of test_dist_engine's "
         "test_no_locality_moves_data, TestRay, TestPheromone, "
