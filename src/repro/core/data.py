@@ -85,7 +85,7 @@ class Tree:
 
     def serialize(self) -> bytes:
         """Concatenation of the packed 32-byte child handles."""
-        return b"".join(child.pack() for child in self._children)
+        return b"".join(map(Handle.pack, self._children))
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "Tree":

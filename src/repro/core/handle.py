@@ -33,6 +33,13 @@ A Handle is a pure value: hashable, comparable, immutable.  Deriving a
 Thunk from its definition, or an Encode from a Thunk, only re-tags the
 metadata - the digest and size travel unchanged, which is what lets any
 node parse a computation without consulting a scheduler.
+
+Every field is set once, in ``__init__``, after the metadata is
+validated: the kind bits a hot path reads (``is_literal``, ``is_tree``,
+``is_encode``, ``is_data``) and the content key are plain slots, not
+recomputed per read.  The 32 wire bytes are kept too: the frame
+:meth:`Handle.unpack` parsed, or the bytes the first :meth:`Handle.pack`
+built.
 """
 
 from __future__ import annotations
@@ -114,9 +121,13 @@ class Handle:
     internal and validates invariants.
     """
 
-    #: ``_hash`` is the value :meth:`__hash__` computed, or ``None``
-    #: before the first call: a handle is a dict key many times over.
-    __slots__ = ("_payload", "_size", "_meta", "_hash")
+    #: ``_hash`` is the value :meth:`__hash__` computed and ``_packed``
+    #: the wire bytes, each ``None`` until first needed: a handle is a
+    #: dict key, and a child in a packed tree, many times over.
+    __slots__ = (
+        "_payload", "_size", "_meta", "_hash", "_key", "_packed",
+        "is_literal", "is_tree", "is_encode", "is_data",
+    )
 
     def __init__(self, payload: bytes, size: int, meta: int):
         if meta & ~_META_KNOWN:
@@ -151,10 +162,22 @@ class Handle:
         if thunk in _TREE_THUNKS:
             if not meta & _META_TREE:
                 raise HandleError("application/selection thunks refer to Trees")
-        self._payload = bytes(payload)
+        payload = bytes(payload)
+        tree = bool(meta & _META_TREE)
+        self._payload = payload
         self._size = size
         self._meta = meta
         self._hash = None
+        self._packed = None
+        #: Storage key: identity of the referenced datum (see
+        #: :meth:`content_key`).
+        self._key = (b"L" if literal else b"T" if tree else b"B") + payload
+        self.is_literal = literal
+        #: True when the referenced datum (or definition) is a Tree.
+        self.is_tree = tree
+        self.is_encode = bool(encode)
+        #: True for plain data handles (Objects and Refs).
+        self.is_data = not thunk
 
     # ------------------------------------------------------------------
     # Constructors
@@ -193,15 +216,6 @@ class Handle:
         return self._size
 
     @property
-    def is_literal(self) -> bool:
-        return bool(self._meta & _META_LITERAL)
-
-    @property
-    def is_tree(self) -> bool:
-        """True when the referenced datum (or definition) is a Tree."""
-        return bool(self._meta & _META_TREE)
-
-    @property
     def is_blob(self) -> bool:
         return not self.is_tree
 
@@ -218,15 +232,6 @@ class Handle:
         """True for bare Thunks (not wrapped in an Encode)."""
         meta = self._meta
         return bool(meta & _META_THUNK_MASK) and not meta & _META_ENCODE_MASK
-
-    @property
-    def is_encode(self) -> bool:
-        return bool(self._meta & _META_ENCODE_MASK)
-
-    @property
-    def is_data(self) -> bool:
-        """True for plain data handles (Objects and Refs)."""
-        return not self._meta & _META_THUNK_MASK
 
     @property
     def is_object(self) -> bool:
@@ -254,12 +259,11 @@ class Handle:
         """Storage key: identity of the referenced datum.
 
         Ignores the view bits (Ref/Object, thunk and encode wrappers) so a
-        repository stores each datum once regardless of how it is named.
+        repository stores each datum once regardless of how it is named:
+        ``L`` + the payload for a literal, else ``T`` (Tree) or ``B``
+        (Blob) + the digest.
         """
-        tag = b"T" if self.is_tree else b"B"
-        if self.is_literal:
-            return b"L" + self._payload
-        return tag + self._payload
+        return self._key
 
     def byte_size(self) -> int:
         """Approximate wire size in bytes of the referenced datum."""
@@ -345,12 +349,15 @@ class Handle:
     # Packing
 
     def pack(self) -> bytes:
-        """Serialize to the 32-byte wire representation."""
-        if self.is_literal:
-            body = self._payload + b"\x00" * (LITERAL_MAX - len(self._payload))
-        else:
-            body = self._payload + self._size.to_bytes(6, "little")
-        return body + self._meta.to_bytes(2, "little")
+        """Serialize to the 32-byte wire representation (built once)."""
+        packed = self._packed
+        if packed is None:
+            if self.is_literal:
+                body = self._payload + b"\x00" * (LITERAL_MAX - len(self._payload))
+            else:
+                body = self._payload + self._size.to_bytes(6, "little")
+            packed = self._packed = body + self._meta.to_bytes(2, "little")
+        return packed
 
     @classmethod
     def unpack(cls, raw: bytes) -> "Handle":
@@ -364,9 +371,12 @@ class Handle:
             litlen = (meta & _META_LITLEN_MASK) >> _META_LITLEN_SHIFT
             if any(raw[litlen:LITERAL_MAX]):
                 raise HandleError("literal padding must be zero")
-            return cls(raw[:litlen], litlen, meta)
-        size = int.from_bytes(raw[24:30], "little")
-        return cls(raw[:DIGEST_BYTES], size, meta)
+            handle = cls(raw[:litlen], litlen, meta)
+        else:
+            size = int.from_bytes(raw[24:30], "little")
+            handle = cls(raw[:DIGEST_BYTES], size, meta)
+        handle._packed = bytes(raw)
+        return handle
 
     # ------------------------------------------------------------------
     # Value semantics

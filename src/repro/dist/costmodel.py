@@ -43,7 +43,6 @@ arrive as callables/pairs so any view representation can plug in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import filterfalse, repeat
 from typing import (
     Callable,
@@ -52,6 +51,7 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
+    NamedTuple,
     Optional,
     Tuple,
 )
@@ -59,8 +59,7 @@ from typing import (
 from ..core.errors import SchedulingError
 
 
-@dataclass(frozen=True)
-class Quote:
+class Quote(NamedTuple):
     """The priced option for running one task at one candidate location.
 
     ``move_bytes`` is what the belief says must travel *to* the

@@ -46,8 +46,7 @@ a small-input/large-output producer toward its consumer), and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 from ..core.errors import SchedulingError
 from ..obs import NULL_OBS, Obs
@@ -59,8 +58,7 @@ from .objectview import ObjectView
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.cluster import Cluster
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """A scheduling decision and its believed data-movement price."""
 
     task: str

@@ -31,7 +31,10 @@ paper's placement policy presumes, and the same overlap of in-flight
 remote work that Nexus-style I/O offloading wins come from.
 :meth:`FixpointNode.scatter` builds on it: it quotes and dispatches a
 batch without waiting.  The blocking :meth:`FixpointNode.delegate` is
-dispatch-plus-wait.
+dispatch-plus-wait.  The blocking :meth:`FixpointNode.delegate_best`
+starts no serve thread: its caller would only wait, so the caller's
+thread delivers the request, evaluates it for the peer and absorbs the
+reply - the same steps, in the same delivery windows.
 
 Placement (``quote_best``, ``delegate_best``, ``scatter`` and
 ``retry_elsewhere``, all through one :meth:`FixpointNode._place`)
@@ -49,8 +52,9 @@ frames carry per-direction sequence numbers and are decoded in send
 order, like a real stream transport.  That ordering is what makes the
 dispatcher's optimistic "already on the wire" filtering sound under
 concurrency.  A channel may carry a per-direction ``latency``; it is
-paid on the *serving* thread, never the dispatching one, so in-flight
-delegations overlap their wire time (pipelined, still ordered).
+paid on the *serving* thread, never under the dispatcher's lock, so
+in-flight delegations overlap their wire time (pipelined, still
+ordered).
 
 Every frame takes one delivery step (:meth:`FixpointNode._deliver`): its
 wire time, its delivery window, then its handler inside the window.  A
@@ -115,6 +119,7 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -145,6 +150,7 @@ from ..dist.membership import (
 )
 from ..dist.objectview import Delta, Digest, ObjectView
 from ..obs import CONTEXT_BYTES, Obs
+from ..obs.trace import Span
 from .runtime import Fixpoint
 
 _SENDER_LEN = struct.Struct("<H")
@@ -744,6 +750,8 @@ class FixpointNode:
         #: nodes to get a single cluster-wide registry.
         self.obs = obs if obs is not None else Obs(name)
         self.runtime = Fixpoint(obs=self.obs)
+        #: The runtime's repository: every delegation reads and writes it.
+        self.repo: Repository = self.runtime.repo
         self.peers: Dict[str, Channel] = {}
         #: What this node believes its peers hold (the passive view):
         #: object names are content keys, locations are peer names, and
@@ -847,10 +855,6 @@ class FixpointNode:
         retained version caps (which cover everything the *previous*
         incarnation ever said) do not swallow the fresh ones."""
         return self.membership.incarnation(self.name)
-
-    @property
-    def repo(self) -> Repository:
-        return self.runtime.repo
 
     @property
     def delegations_served(self) -> int:
@@ -1221,12 +1225,13 @@ class FixpointNode:
         lowered when the reply is absorbed, so quotes taken while the
         work is in flight see the load.
         """
-        return self._dispatch(peer_name, encode, None)
+        return self._spawn(*self._dispatch(peer_name, encode, None))
 
     def _dispatch(
         self, peer_name: str, encode: Handle, fp: Optional[Footprint]
-    ) -> Delegation:
-        """Build, send, and hand off one request frame.
+    ) -> Tuple[Delegation, "partial[None]"]:
+        """Build and send one request frame; returns its future and its
+        serving half, :meth:`_finish_delegation` bound to the frame.
 
         ``fp`` lets callers that already computed the footprint for a
         placement quote (every caller of :meth:`_place`) skip the
@@ -1237,76 +1242,102 @@ class FixpointNode:
         safe against concurrent delegations because the channel is
         wire-serialized: a later request's bundle is never parsed by
         the peer before this one's has landed in its repository.
+
+        The node lock is released before this returns, so the serving
+        half may run on any thread: :meth:`delegate_best` runs it on
+        its own, which waits for the reply anyway, and every other
+        caller hands it to a serve thread of the peer (:meth:`_spawn`).
+        The dispatch span ends when the request is delivered, or ends
+        ``error`` on whatever stops it first: a closed channel at send
+        or a footprint or bundle failure here, a refused spawn, a
+        failed transit.
         """
         channel = self._ensure_channel(peer_name)
-        peer = channel.far_end(self)
-        # The span ends ``error`` on every raising path: a closed
-        # channel at send, a footprint or bundle failure, a failed spawn.
         span = self.obs.tracer.start("delegate.dispatch", peer=peer_name)
-        with span, self._lock:
-            if fp is None:
-                fp = transitive_footprint(self.repo, encode)
-            to_ship = self._unheld_by(peer_name, fp)
-            bundle = encode_bundle(self.repo, to_ship)
-            wire, request_seq = channel.send(
-                self, pack_request(self.name, span.context, encode, bundle)
-            )
-            key = ("delegations_sent_total", peer_name)
-            self.counted[key] = self.counted.get(key, 0) + 1
-            self._note_held(peer_name, to_ship)
-            shipped = [handle.content_key() for handle in to_ship]
-            future = Delegation(self, peer_name, encode, shipped)
-            self.outstanding[peer_name] += 1
-            span.set(
-                bytes=len(wire),
-                footprint=len(fp.data),
-                handles_shipped=len(shipped),
-            )
-            # Every request gets a running serve thread at once, so the
-            # lowest undelivered frame of each direction always has a
-            # thread delivering it, whatever order the spawns land in.
-            try:
-                peer.runtime.spawn(
-                    lambda: self._finish_delegation(
-                        future, channel, wire, request_seq
-                    )
+        try:
+            with self._lock:
+                if fp is None:
+                    fp = transitive_footprint(self.repo, encode)
+                to_ship = self._unheld_by(peer_name, fp)
+                bundle = encode_bundle(self.repo, to_ship)
+                wire, request_seq = channel.send(
+                    self, pack_request(self.name, span.context, encode, bundle)
                 )
-            except BaseException as exc:
-                # No serving thread will ever run: settle (belief, load)
-                # and free the frame's slot in the delivery order - an
-                # unreleased sequence number would wedge the direction.
-                future._settle(exc)
-                channel.arrival(self, request_seq).release()
-                raise
+                key = ("delegations_sent_total", peer_name)
+                self.counted[key] = self.counted.get(key, 0) + 1
+                self._note_held(peer_name, to_ship)
+                shipped = [handle.content_key() for handle in to_ship]
+                future = Delegation(self, peer_name, encode, shipped)
+                self.outstanding[peer_name] += 1
+                span.set(
+                    bytes=len(wire),
+                    footprint=len(fp.data),
+                    handles_shipped=len(shipped),
+                )
+        except BaseException as exc:
+            span.finish(status="error", error=f"{type(exc).__name__}: {exc}")
+            raise
+        return future, partial(
+            self._finish_delegation, span, future, channel, wire, request_seq
+        )
+
+    def _spawn(self, future: Delegation, serve: "partial[None]") -> Delegation:
+        """Hand a dispatched request's serving half to a
+        ``fixpoint-serve`` thread of the peer; returns ``future``.
+
+        Every request gets a running serve thread at once, so the
+        lowest undelivered frame of each direction always has a thread
+        delivering it, whatever order the spawns land in: no lock is
+        needed to keep spawn order and wire order together.
+        """
+        span, _future, channel, _wire, seq = serve.args
+        try:
+            channel.far_end(self).runtime.spawn(serve)
+        except BaseException as exc:
+            # No thread will ever serve: end the span and settle
+            # (belief, load), and free the frame's slot in the delivery
+            # order - an unreleased sequence number would wedge the
+            # direction.
+            span.finish(status="error", error=f"{type(exc).__name__}: {exc}")
+            future._settle(exc)
+            channel.arrival(self, seq).release()
+            raise
         return future
 
     def delegate(self, peer_name: str, encode: Handle) -> Handle:
         """Evaluate ``encode`` on a peer; returns the (absorbed) result.
 
-        Blocking convenience over :meth:`delegate_async` - the load
-        signal stays live for the whole round trip either way.
+        Blocking convenience over :meth:`delegate_async`, served on a
+        serve thread of the peer while this one waits - the load signal
+        stays live for the whole round trip either way.
         """
         return self.delegate_async(peer_name, encode).result()
 
     def _finish_delegation(
-        self, future: Delegation, channel: Channel, wire: bytes, seq: int
+        self,
+        span: Span,
+        future: Delegation,
+        channel: Channel,
+        wire: bytes,
+        seq: int,
     ) -> None:
-        """Serving-thread half of one delegation: deliver the request
-        (its window decodes the bundle into the peer's repository),
-        serve (the peer evaluates, in no window), deliver the reply (its
-        window absorbs it here), settle.
+        """Serving half of one delegation: deliver the request (its
+        window decodes the bundle into the peer's repository, and ends
+        the dispatch ``span``), serve (the peer evaluates, in no
+        window), deliver the reply (its window absorbs it here), settle.
 
-        Runs on one of the *peer's* serve threads, so the dispatcher
-        never blocks and never waits on the wire.  Every outcome
-        ends in :meth:`Delegation._settle`: a failure, transport or
-        remote, rolls back the shipped beliefs, and after a caller's
+        Runs on whichever thread the dispatcher picked (see
+        :meth:`_dispatch`) and holds no lock of the dispatcher's.  Every
+        outcome ends in :meth:`Delegation._settle`: a failure, transport
+        or remote, rolls back the shipped beliefs, and after a caller's
         cancel or timeout this thread's outcome changes nothing.
         """
         peer = channel.far_end(self)
         try:
-            request = self._deliver(
-                channel, self, seq, peer._absorb_request, wire
-            )
+            with span:
+                request = self._deliver(
+                    channel, self, seq, peer._absorb_request, wire
+                )
             wire_back, reply_seq = peer._serve(*request)
             outcome = self._deliver(
                 channel, peer, reply_seq, self._absorb_reply, future, wire_back
@@ -1347,7 +1378,8 @@ class FixpointNode:
 
         The reply ships only result data the sender is not believed to
         hold - never data the sender itself just shipped.  Runs on the
-        serve thread, in no delivery window; a failure (missing
+        serving thread (this node's serve thread, or a
+        ``delegate_best`` caller's), in no delivery window; a failure (missing
         data, codelet error) becomes an error-response frame, never an
         exception through the serving thread.
 
@@ -1550,9 +1582,16 @@ class FixpointNode:
         return self._place(encode)[1]
 
     def delegate_best(self, encode: Handle) -> Handle:
-        """Delegate to the peer the shared cost model prices cheapest."""
+        """Delegate to the peer the shared cost model prices cheapest.
+
+        Served on this thread: it would only wait for the reply, so it
+        runs the serving half itself, and no serve thread is woken or
+        started for it.
+        """
         fp, quote = self._place(encode)
-        return self._dispatch(quote.candidate, encode, fp).result()
+        future, serve = self._dispatch(quote.candidate, encode, fp)
+        serve()
+        return future.result()
 
     # ------------------------------------------------------------------
     # Fan-out: many delegations in flight at once
@@ -1570,7 +1609,9 @@ class FixpointNode:
         futures: List[Delegation] = []
         for encode in encodes:
             fp, quote = self._place(encode, candidates)
-            futures.append(self._dispatch(quote.candidate, encode, fp))
+            futures.append(
+                self._spawn(*self._dispatch(quote.candidate, encode, fp))
+            )
         return futures
 
     def retry_elsewhere(self, failed: Delegation) -> Delegation:
@@ -1608,4 +1649,4 @@ class FixpointNode:
             )
         fp, quote = self._place(failed.encode, candidates=candidates)
         self._count(("delegation_retries_total", failed.peer, quote.candidate))
-        return self._dispatch(quote.candidate, failed.encode, fp)
+        return self._spawn(*self._dispatch(quote.candidate, failed.encode, fp))

@@ -19,12 +19,16 @@ machines - which :mod:`repro.dist` simulates (figs. 8 and 10) and
 :mod:`repro.fixpoint.net` does by delegating to peers.
 
 The runtime has one kind of thread, ``fixpoint-serve``
-(:meth:`Fixpoint.spawn`).  Every runtime serves each incoming delegation
-on one, a thread per request in flight, so a node that receives a burst
-of K requests holds K serve threads.  Serve threads are kept warm: one
-that finishes parks for the next task instead of exiting, so a steady
+(:meth:`Fixpoint.spawn`).  A delegation whose caller goes on without
+waiting (``delegate_async``, ``scatter``, and the blocking ``delegate``
+built on ``delegate_async``) is served on one, a thread per request in flight, so a
+node that receives a burst of K such requests holds K serve threads.
+A blocking ``delegate_best`` is served on its caller's thread, which
+would only wait: the paper's jump straight to the entrypoint, with no
+thread handoff per call.  Serve threads are kept warm: one that
+finishes parks for the next task instead of exiting, so a steady
 stream of delegations reuses threads rather than starting one per
-request.  A runtime starts no thread until it serves.
+request.  A runtime starts no thread until it serves on one.
 """
 
 from __future__ import annotations
@@ -191,7 +195,9 @@ class Fixpoint:
         daemon thread.
 
         This is how a :class:`~repro.fixpoint.net.FixpointNode` serves
-        incoming delegations without blocking the dispatching node.
+        a delegation whose dispatcher does not wait for it
+        (``delegate_async`` and what is built on it); a blocking
+        ``delegate_best`` serves on its own thread instead.
         Each task gets a
         thread of its own at once: a parked one from an earlier task
         when one is idle, a new one otherwise, so no task waits for

@@ -1392,10 +1392,15 @@ class TestPlacementCostIsItsContenders:
     def quotes_built(self, monkeypatch):
         built = []
 
+        # A Quote is a tuple: it is made whole in ``__new__``, and has no
+        # ``__init__`` of its own to forward arguments to.
         class CountingQuote(Quote):
-            def __init__(self, *args, **kwargs):
-                built.append(self)
-                super().__init__(*args, **kwargs)
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                quote = super().__new__(cls, *args, **kwargs)
+                built.append(quote)
+                return quote
 
         monkeypatch.setattr(costmodel, "Quote", CountingQuote)
         return built

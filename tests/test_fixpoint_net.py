@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.codelets.stdlib import blob_int, int_blob
@@ -95,6 +97,63 @@ class TestDelegation:
         a, _ = pair
         with pytest.raises(NetworkError):
             a.delegate("gamma", add_encode(a, 1, 1))
+
+
+class TestDelegateBestServesWhereItWaits:
+    """A blocking ``delegate_best`` runs its serving half on the thread
+    that waits for the reply and starts no ``fixpoint-serve`` thread;
+    ``delegate_async``, ``scatter`` and the blocking ``delegate`` built
+    on ``delegate_async`` still hand theirs to one."""
+
+    @staticmethod
+    def watch(peer, monkeypatch):
+        """The threads ``peer`` serves on, and the tasks it spawns."""
+        served, spawned = [], []
+        real_serve, real_spawn = peer._serve, peer.runtime.spawn
+
+        def serve(*request):
+            served.append(threading.current_thread())
+            return real_serve(*request)
+
+        def spawn(task):
+            spawned.append(task)
+            real_spawn(task)
+
+        monkeypatch.setattr(peer, "_serve", serve)
+        monkeypatch.setattr(peer.runtime, "spawn", spawn)
+        return served, spawned
+
+    def test_delegate_best_serves_on_the_callers_thread(
+        self, pair, monkeypatch
+    ):
+        a, b = pair
+        served, spawned = self.watch(b, monkeypatch)
+        before = set(threading.enumerate())
+        for n in range(3):
+            result = a.delegate_best(add_encode(a, n, 1))
+            assert blob_int(a.repo.get_blob(result).data) == n + 1
+        assert served == [threading.current_thread()] * 3
+        assert spawned == []
+        started = set(threading.enumerate()) - before
+        assert not [t for t in started if t.name == "fixpoint-serve"]
+        assert a.outstanding["beta"] == 0
+
+    @pytest.mark.parametrize("entry", ["delegate_async", "delegate", "scatter"])
+    def test_the_others_serve_on_serve_threads(self, pair, monkeypatch, entry):
+        a, b = pair
+        served, spawned = self.watch(b, monkeypatch)
+        encode = add_encode(a, 2, 3)
+        if entry == "delegate_async":
+            result = a.delegate_async("beta", encode).result(10)
+        elif entry == "delegate":
+            result = a.delegate("beta", encode)
+        else:
+            (future,) = a.scatter([encode])
+            result = future.result(10)
+        assert blob_int(a.repo.get_blob(result).data) == 5
+        assert [t.name for t in served] == ["fixpoint-serve"]
+        assert served[0] is not threading.current_thread()
+        assert len(spawned) == 1
 
 
 class TestEvalAnywhere:

@@ -308,8 +308,11 @@ class TestPredicatesReadBits:
         """Each metadata value, with a digest payload and with a literal
         payload of its length: what ``__init__`` refuses is what the
         rules refuse (encode bits 0b11 among them), and on what it
-        accepts, the styles are the Enum's own members and the five
-        predicates equal their definitions through the enums."""
+        accepts, the styles are the Enum's own members, the predicates
+        equal their definitions through the enums and the bits, and so
+        do the content key and the wire bytes.  The wire bytes are kept:
+        ``pack`` hands out one bytes object, and a handle ``unpack``
+        made from them keeps the very bytes it parsed."""
         accepted = 0
         for meta in every_known_meta():
             litlen = meta >> 8 & 31
@@ -347,4 +350,19 @@ class TestPredicatesReadBits:
                     type(handle.is_object),
                     type(handle.is_ref),
                 } == {bool}
+                literal, tree = bool(meta & 64), bool(meta & 1)
+                assert (handle.is_literal, handle.is_tree) == (literal, tree)
+                assert {type(handle.is_literal), type(handle.is_tree)} == {bool}
+                tag = b"L" if literal else b"T" if tree else b"B"
+                assert handle.content_key() == tag + payload
+                if literal:
+                    body = payload.ljust(LITERAL_MAX, b"\x00")
+                else:
+                    body = payload + size.to_bytes(6, "little")
+                packed = handle.pack()
+                assert packed == body + meta.to_bytes(2, "little")
+                assert handle.pack() is packed
+                again = Handle.unpack(packed)
+                assert again == handle
+                assert again.pack() is packed
         assert accepted == 152

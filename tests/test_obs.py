@@ -930,6 +930,43 @@ class TestNoMetricCallWhenOff:
         assert calls["obs/metrics.py", "inc"] == 0
 
 
+class TestADarkDelegateBestOpCountsItsCalls:
+    """What one warmed-up ``delegate_best`` op costs in Python calls
+    under ``src/repro``, every thread counted, with hub and peer dark:
+    the op serves on the caller's thread, a handle's kind bits, content
+    key and wire bytes are fields read without a call, and
+    ``FixpointNode.repo`` is an attribute.  A change that puts a call
+    back on this path moves the count.  Comprehensions are not counted:
+    Python 3.12 runs them inline, with no frame of their own."""
+
+    OPS = 5
+    CALLS_PER_OP = 345
+    INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+
+    def test_a_dark_op_makes_its_pinned_calls(self):
+        def build():
+            hub = FixpointNode("hub", obs=NULL_OBS)
+            peer = FixpointNode("peer", obs=NULL_OBS)
+            hub.connect(peer)
+            hub.delegate_best(add_encode(hub, 200, 1))  # warm-up
+            return hub, [add_encode(hub, n, 1) for n in range(self.OPS)]
+
+        results = []
+
+        def run(built):
+            hub, encodes = built
+            for encode in encodes:
+                results.append(hub.delegate_best(encode))
+
+        calls = _frames(run, build)
+        assert calls["fixpoint/net.py", "delegate_best"] == self.OPS
+        counted = [n for (_, name), n in calls.items() if name not in self.INLINED]
+        assert sum(counted) == self.CALLS_PER_OP * self.OPS
+        assert [blob_int(r.literal_data) for r in results] == [
+            n + 1 for n in range(self.OPS)
+        ]
+
+
 class TestASpanIsItsWireBytes:
     """A span context is the 16 bytes its frame carries: no object is
     built to pack one or made from one a frame carried.  A
