@@ -34,18 +34,29 @@ Thunk from its definition, or an Encode from a Thunk, only re-tags the
 metadata - the digest and size travel unchanged, which is what lets any
 node parse a computation without consulting a scheduler.
 
-Every field is set once, in ``__init__``, after the metadata is
-validated: the kind bits a hot path reads (``is_literal``, ``is_tree``,
-``is_encode``, ``is_data``) and the content key are plain slots, not
-recomputed per read.  The 32 wire bytes are kept too: the frame
-:meth:`Handle.unpack` parsed, or the bytes the first :meth:`Handle.pack`
-built.
+Every field is set once, when the handle is made, and never recomputed
+per read: the kind predicates (``is_literal``, ``is_tree``, ``is_encode``,
+``is_data``, ``is_ref``, ``is_object``, ``is_thunk``) and the two styles
+are plain slots, and so is the content key.  The metadata is checked by
+one table read: ``_FACTS`` holds, for each of the 152 metadata values
+the rules accept, the payload length and size range they allow and the
+slot values, built at import by running the rules (:func:`_refusal`)
+over every value of the known bits.  Anything else - an unknown meta, a
+wrong payload length or size - is refused by running the same rules one
+check at a time, so a refusal names the first rule broken.  A
+derivation only re-tags: it copies the payload, size and content key of
+the handle it derives from (no derivation touches the Tree or literal
+bits those depend on), reads the new meta's slots from the table, and
+returns the handle itself when no bit changes.  The 32 wire bytes are
+kept too: the frame :meth:`Handle.unpack` parsed, or the bytes the first
+:meth:`Handle.pack` built.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+from typing import Optional
 
 from .errors import HandleError
 
@@ -74,6 +85,9 @@ _META_KNOWN = (
     | _META_LITERAL
     | _META_LITLEN_MASK
 )
+#: The bits a handle's payload, size and content key depend on: a
+#: re-tag that keeps them keeps all three.
+_META_SHAPE = _META_TREE | _META_LITERAL | _META_LITLEN_MASK
 
 
 class ThunkStyle(enum.IntEnum):
@@ -101,6 +115,85 @@ _ENCODE_STYLES = tuple(EncodeStyle)
 _TREE_THUNKS = (int(ThunkStyle.APPLICATION), int(ThunkStyle.SELECTION))
 
 
+def _refusal(payload: bytes, size: int, meta: int) -> Optional[str]:
+    """The layout's rules, one check at a time: why ``(payload, size,
+    meta)`` names no handle (the first rule broken), or None."""
+    if meta & ~_META_KNOWN:
+        return f"reserved metadata bits set: {meta:#06x}"
+    if not 0 <= size <= SIZE_MAX:
+        return f"size out of range: {size}"
+    litlen = (meta & _META_LITLEN_MASK) >> _META_LITLEN_SHIFT
+    if meta & _META_LITERAL:
+        if meta & _META_TREE:
+            return "literal handles are always Blobs"
+        if meta & _META_REF:
+            return "literal handles are always accessible"
+        if len(payload) != litlen or litlen > LITERAL_MAX:
+            return "literal payload/length mismatch"
+        if size != litlen:
+            return "literal size must equal its length"
+    else:
+        if litlen:
+            return "literal length set on a non-literal handle"
+        if len(payload) != DIGEST_BYTES:
+            return f"digest must be {DIGEST_BYTES} bytes, got {len(payload)}"
+    thunk = (meta & _META_THUNK_MASK) >> _META_THUNK_SHIFT
+    encode = (meta & _META_ENCODE_MASK) >> _META_ENCODE_SHIFT
+    if encode:
+        if encode >= len(_ENCODE_STYLES):
+            return f"encode bits {encode:#04b} name no EncodeStyle"
+        if not thunk:
+            return "an Encode must wrap a Thunk"
+    if thunk in _TREE_THUNKS and not meta & _META_TREE:
+        return "application/selection thunks refer to Trees"
+    return None
+
+
+def _facts(meta: int) -> Optional[tuple]:
+    """What the rules say of ``meta``: None when they refuse it with
+    every payload, else ``(payload length, least size, greatest size,
+    content key tag, slot values)``; the slot values are in the order
+    :meth:`Handle.__init__` assigns them."""
+    literal = bool(meta & _META_LITERAL)
+    litlen = (meta & _META_LITLEN_MASK) >> _META_LITLEN_SHIFT
+    if literal:
+        length, low, high = litlen, litlen, litlen
+    else:
+        length, low, high = DIGEST_BYTES, 0, SIZE_MAX
+    if _refusal(bytes(length), low, meta) is not None:
+        return None
+    tree = bool(meta & _META_TREE)
+    ref = bool(meta & _META_REF)
+    thunk = (meta & _META_THUNK_MASK) >> _META_THUNK_SHIFT
+    encode = (meta & _META_ENCODE_MASK) >> _META_ENCODE_SHIFT
+    slots = (
+        literal,
+        tree,
+        bool(encode),
+        not thunk,
+        ref and not thunk,
+        not (ref or thunk),
+        bool(thunk) and not encode,
+        _THUNK_STYLES[thunk],
+        _ENCODE_STYLES[encode],
+    )
+    return length, low, high, b"L" if literal else b"T" if tree else b"B", slots
+
+
+def _table() -> dict:
+    """Metadata value -> its :func:`_facts`, for every value the rules
+    accept: each value up to the known bits is run through them once."""
+    table = {}
+    for meta in range(_META_KNOWN + 1):
+        facts = _facts(meta)
+        if facts is not None:
+            table[meta] = facts
+    return table
+
+
+_FACTS = _table()
+
+
 def blob_digest(data: bytes) -> bytes:
     """Domain-separated 192-bit digest of Blob contents."""
     return hashlib.blake2b(data, digest_size=DIGEST_BYTES, person=_BLOB_PERSON).digest()
@@ -123,47 +216,38 @@ class Handle:
 
     #: ``_hash`` is the value :meth:`__hash__` computed and ``_packed``
     #: the wire bytes, each ``None`` until first needed: a handle is a
-    #: dict key, and a child in a packed tree, many times over.
+    #: dict key, and a child in a packed tree, many times over.  The
+    #: slots from ``is_literal`` on are read from the meta's table row.
     __slots__ = (
         "_payload", "_size", "_meta", "_hash", "_key", "_packed",
-        "is_literal", "is_tree", "is_encode", "is_data",
+        "is_literal", "is_tree", "is_encode", "is_data", "is_ref",
+        "is_object", "is_thunk", "thunk_style", "encode_style",
     )
 
+    is_literal: bool
+    #: True when the referenced datum (or definition) is a Tree.
+    is_tree: bool
+    is_encode: bool
+    #: True for plain data handles (Objects and Refs).
+    is_data: bool
+    #: True for inaccessible data (type/size visible, payload not).
+    is_ref: bool
+    #: True for accessible data (mappable by a codelet).
+    is_object: bool
+    #: True for bare Thunks (not wrapped in an Encode).
+    is_thunk: bool
+    thunk_style: ThunkStyle
+    encode_style: EncodeStyle
+
     def __init__(self, payload: bytes, size: int, meta: int):
-        if meta & ~_META_KNOWN:
-            raise HandleError(f"reserved metadata bits set: {meta:#06x}")
-        if not 0 <= size <= SIZE_MAX:
-            raise HandleError(f"size out of range: {size}")
-        literal = bool(meta & _META_LITERAL)
-        litlen = (meta & _META_LITLEN_MASK) >> _META_LITLEN_SHIFT
-        if literal:
-            if meta & _META_TREE:
-                raise HandleError("literal handles are always Blobs")
-            if meta & _META_REF:
-                raise HandleError("literal handles are always accessible")
-            if len(payload) != litlen or litlen > LITERAL_MAX:
-                raise HandleError("literal payload/length mismatch")
-            if size != litlen:
-                raise HandleError("literal size must equal its length")
-        else:
-            if litlen:
-                raise HandleError("literal length set on a non-literal handle")
-            if len(payload) != DIGEST_BYTES:
-                raise HandleError(
-                    f"digest must be {DIGEST_BYTES} bytes, got {len(payload)}"
-                )
-        thunk = (meta & _META_THUNK_MASK) >> _META_THUNK_SHIFT
-        encode = (meta & _META_ENCODE_MASK) >> _META_ENCODE_SHIFT
-        if encode:
-            if encode >= len(_ENCODE_STYLES):
-                raise HandleError(f"encode bits {encode:#04b} name no EncodeStyle")
-            if not thunk:
-                raise HandleError("an Encode must wrap a Thunk")
-        if thunk in _TREE_THUNKS:
-            if not meta & _META_TREE:
-                raise HandleError("application/selection thunks refer to Trees")
+        facts = _FACTS.get(meta)
+        if (
+            facts is None
+            or len(payload) != facts[0]
+            or not facts[1] <= size <= facts[2]
+        ):
+            raise HandleError(_refusal(payload, size, meta))
         payload = bytes(payload)
-        tree = bool(meta & _META_TREE)
         self._payload = payload
         self._size = size
         self._meta = meta
@@ -171,13 +255,12 @@ class Handle:
         self._packed = None
         #: Storage key: identity of the referenced datum (see
         #: :meth:`content_key`).
-        self._key = (b"L" if literal else b"T" if tree else b"B") + payload
-        self.is_literal = literal
-        #: True when the referenced datum (or definition) is a Tree.
-        self.is_tree = tree
-        self.is_encode = bool(encode)
-        #: True for plain data handles (Objects and Refs).
-        self.is_data = not thunk
+        self._key = facts[3] + payload
+        (
+            self.is_literal, self.is_tree, self.is_encode, self.is_data,
+            self.is_ref, self.is_object, self.is_thunk, self.thunk_style,
+            self.encode_style,
+        ) = facts[4]
 
     # ------------------------------------------------------------------
     # Constructors
@@ -220,30 +303,6 @@ class Handle:
         return not self.is_tree
 
     @property
-    def thunk_style(self) -> ThunkStyle:
-        return _THUNK_STYLES[(self._meta & _META_THUNK_MASK) >> _META_THUNK_SHIFT]
-
-    @property
-    def encode_style(self) -> EncodeStyle:
-        return _ENCODE_STYLES[(self._meta & _META_ENCODE_MASK) >> _META_ENCODE_SHIFT]
-
-    @property
-    def is_thunk(self) -> bool:
-        """True for bare Thunks (not wrapped in an Encode)."""
-        meta = self._meta
-        return bool(meta & _META_THUNK_MASK) and not meta & _META_ENCODE_MASK
-
-    @property
-    def is_object(self) -> bool:
-        """True for accessible data (mappable by a codelet)."""
-        return not self._meta & (_META_THUNK_MASK | _META_REF)
-
-    @property
-    def is_ref(self) -> bool:
-        """True for inaccessible data (type/size visible, payload not)."""
-        return (self._meta & (_META_THUNK_MASK | _META_REF)) == _META_REF
-
-    @property
     def digest(self) -> bytes:
         if self.is_literal:
             raise HandleError("literal handles carry no digest")
@@ -275,7 +334,30 @@ class Handle:
     # Derivations (re-tagging; digest and size are unchanged)
 
     def _with_meta(self, meta: int) -> "Handle":
-        return Handle(self._payload, self._size, meta)
+        """This handle re-tagged with ``meta``: itself when no bit
+        changes, else a copy of its payload, size and content key with
+        the new meta's slots.  A meta the table lacks, or one that
+        changes the bits those three depend on, is built (and refused)
+        by ``__init__``."""
+        old = self._meta
+        if meta == old:
+            return self
+        facts = _FACTS.get(meta)
+        if facts is None or (meta ^ old) & _META_SHAPE:
+            return Handle(self._payload, self._size, meta)
+        handle = object.__new__(Handle)
+        handle._payload = self._payload
+        handle._size = self._size
+        handle._meta = meta
+        handle._hash = None
+        handle._packed = None
+        handle._key = self._key
+        (
+            handle.is_literal, handle.is_tree, handle.is_encode, handle.is_data,
+            handle.is_ref, handle.is_object, handle.is_thunk, handle.thunk_style,
+            handle.encode_style,
+        ) = facts[4]
+        return handle
 
     def as_object(self) -> "Handle":
         """The accessible view of a data handle."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Set
 
-from .handle import Handle, ThunkStyle
+from .handle import Handle
 from .storage import Repository
 
 
@@ -54,44 +54,34 @@ def footprint(repo: Repository, handle: Handle) -> Footprint:
     Tolerates missing data: a referenced-but-absent datum is still counted
     in ``data`` (by content key) using the size recorded in its handle, so
     schedulers can cost placements before any transfer happens.
+
+    Only the handle being evaluated needs its definition resident (paper
+    fig. 2).  At the root, an Encode is pending work and, like a bare
+    Thunk, is walked as its definition.  Below the root, an Encode is
+    only pending, and a bare Thunk, a Ref or a literal adds nothing:
+    the Thunk is somebody else's problem, the Ref is metadata only and
+    the literal's payload rides inside its handle.  The walk is one
+    loop over a stack of handles that reads their kind slots.
     """
-    seen: Set[bytes] = set()
     data: Set[bytes] = set()
     pending: Set[Handle] = set()
     total = 0
-
-    def visit(h: Handle, subject: bool) -> None:
-        """``subject`` is True only along the spine being evaluated.
-
-        Paper fig. 2: a bare Thunk handed to a child *excludes* its
-        definition from the minimum repository; only the thunk actually
-        being evaluated needs its definition resident.
-        """
-        nonlocal total
+    if handle.is_encode:
+        pending.add(handle)
+    if not handle.is_data:
+        handle = handle.definition()
+    stack = [handle]
+    while stack:
+        h = stack.pop()
         if h.is_encode:
             pending.add(h)
-            if subject:
-                visit(h.unwrap_encode(), subject=True)
-            return
-        if h.thunk_style is not ThunkStyle.NONE:
-            if subject:
-                visit(h.definition(), subject=False)
-            return
-        if h.is_ref:
-            return  # metadata only
-        if h.is_literal:
-            return  # the payload rides inside the handle; no residency needed
-        key = h.content_key()
-        if key in seen:
-            return
-        seen.add(key)
-        data.add(key)
-        total += h.byte_size()
-        if h.is_tree and repo.contains(h):
-            for child in repo.get_tree(h):
-                visit(child, subject=False)
-
-    visit(handle, subject=True)
+        elif h.is_object and not h.is_literal:
+            key = h.content_key()
+            if key not in data:
+                data.add(key)
+                total += h.byte_size()
+                if h.is_tree and repo.contains(h):
+                    stack.extend(repo.get_tree(h).children)
     return Footprint(frozenset(data), frozenset(pending), total)
 
 

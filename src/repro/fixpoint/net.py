@@ -599,7 +599,9 @@ class Delegation:
 
     It holds the delegation identity, what its settlement undoes (the
     dispatching ``node``, the ``peer`` and the ``shipped`` keys), and
-    the outcome with the event a waiter blocks on.
+    the outcome.  The event a waiter blocks on exists only once someone
+    waits before the outcome is in: :meth:`FixpointNode.delegate_best`
+    serves before it waits, so its future never makes one.
 
     Every way a delegation ends - the reply absorbed, a transport or
     remote failure, a spawn that never ran, :meth:`cancel` or a
@@ -622,22 +624,31 @@ class Delegation:
         self.peer = peer
         self.encode = encode
         self.shipped = shipped
-        self._event = threading.Event()
+        #: Set by :meth:`_settle`; made, under the node lock, by the
+        #: first :meth:`wait` that finds no outcome.
+        self._event: Optional[threading.Event] = None
         #: The reply's handle or the failure; None until settled.
         self._outcome: Union[Handle, BaseException, None] = None
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._outcome is not None
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        if not self._event.is_set():
-            # A genuine block (the reply is not in yet): if the caller
-            # holds a tracked lock this is the hold-while-blocking
-            # pattern - waiting on a future that may need that very
-            # lock to settle (PR 4's dispatch wedge).
-            note_blocking("Delegation.wait")
-        return self._event.wait(timeout)
+        if self._outcome is not None:
+            return True
+        # A genuine block (the reply is not in yet): if the caller
+        # holds a tracked lock this is the hold-while-blocking
+        # pattern - waiting on a future that may need that very lock
+        # to settle (PR 4's dispatch wedge).
+        note_blocking("Delegation.wait")
+        with self.node._lock:
+            if self._outcome is not None:
+                return True
+            event = self._event
+            if event is None:
+                event = self._event = threading.Event()
+        return event.wait(timeout)
 
     def cancel(self) -> bool:
         """Abandon this delegation from the caller's side.
@@ -689,14 +700,17 @@ class Delegation:
         with node._lock:
             if self._outcome is not None:
                 return False
-            self._outcome = outcome
             node.outstanding[self.peer] -= 1
             if not isinstance(outcome, Handle):
                 for key in self.shipped:
                     node.view.forget(key, self.peer)
                 if self.shipped:
                     node._count(("delegation_rollbacks_total", self.peer))
-            self._event.set()
+            # Last: a waiter that finds the outcome without the lock
+            # sees the load and beliefs it settled.
+            self._outcome = outcome
+            if self._event is not None:
+                self._event.set()
             return True
 
 
@@ -1423,10 +1437,16 @@ class FixpointNode:
         """``peer`` evidently holds ``handles``: it shipped them, or was
         just shipped them (the view advances on send *and* receive).  A
         literal is never stored or shipped - its handle *is* the data -
-        so it is no belief and stays out of the view."""
-        for handle in handles:
-            if not handle.is_literal:
-                self.view.learn(handle.content_key(), peer, handle.byte_size())
+        so it is no belief and stays out of the view.  One
+        ``learn_many`` call records them all, with the stamps one
+        ``learn`` per handle would make."""
+        pairs = [
+            (handle.content_key(), handle.byte_size())
+            for handle in handles
+            if not handle.is_literal
+        ]
+        if pairs:
+            self.view.learn_many(peer, pairs)
 
     def _unheld_by(self, peer: str, fp: Footprint) -> List[Handle]:
         """The data of ``fp`` held here that ``peer`` is not believed to

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import collections
+import random
 
 import pytest
 
 from repro.core.api import FixAPI
 from repro.core.errors import AccessError, ResourceLimitError
-from repro.core.handle import Handle
+from repro.core.data import Tree
+from repro.core.handle import Handle, ThunkStyle
 from repro.core.limits import ResourceLimits
 from repro.core import minrepo
 from repro.core.minrepo import footprint, transitive_footprint
@@ -176,6 +178,70 @@ class TestFootprint:
         big = footprint(repo, outer)
         assert small.is_subset_of(big)
         assert not big.is_subset_of(small)
+
+def _visited(repo, handle):
+    """The minimum repository by the recursive visit ``footprint`` was
+    written as: the spine being evaluated needs its definition, and
+    below it a Thunk is somebody else's problem."""
+    seen, pending, total = set(), set(), [0]
+
+    def visit(h, subject):
+        if h.is_encode:
+            pending.add(h)
+            if subject:
+                visit(h.unwrap_encode(), True)
+            return
+        if h.thunk_style is not ThunkStyle.NONE:
+            if subject:
+                visit(h.definition(), False)
+            return
+        if h.is_ref or h.is_literal or h.content_key() in seen:
+            return
+        seen.add(h.content_key())
+        total[0] += h.byte_size()
+        if h.is_tree and repo.contains(h):
+            for child in repo.get_tree(h):
+                visit(child, False)
+
+    visit(handle, True)
+    return minrepo.Footprint(frozenset(seen), frozenset(pending), total[0])
+
+
+class TestTheWalkIsTheRecursiveVisit:
+    """``footprint``'s stack loop against the recursive visit, rooted at
+    every handle of seeded graphs: shared and absent subtrees, literals,
+    Refs, and every thunk and encode style nested at any depth."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_root_of_a_seeded_graph(self, repo, seed):
+        rng = random.Random(seed)
+        pool = [repo.put_blob(bytes([seed, n]) * 40) for n in range(3)]
+        for n in range(120):
+            pick = rng.random()
+            if pick < 0.15:
+                handle = repo.put_blob(bytes([seed, n, 1]) * rng.randint(1, 40))
+            elif pick < 0.45:
+                children = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
+                if rng.random() < 0.2:
+                    handle = Tree(children).handle()  # named, never stored
+                else:
+                    handle = repo.put_tree(children)
+            else:
+                base = rng.choice(pool)
+                if base.is_data:
+                    derive = rng.choice(
+                        ["as_ref", "make_identification"]
+                        + ["make_application", "make_selection"] * base.is_tree
+                    )
+                elif base.is_thunk:
+                    derive = rng.choice(["wrap_strict", "wrap_shallow", "definition"])
+                else:
+                    derive = rng.choice(["unwrap_encode", "definition"])
+                handle = getattr(base, derive)()
+            pool.append(handle)
+        for root in pool:
+            assert footprint(repo, root) == _visited(repo, root), root
+
 
 def _closure(repo, handle):
     """``transitive_footprint``'s data and pending, by set unions."""

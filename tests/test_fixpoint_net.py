@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.codelets.stdlib import blob_int, int_blob
 from repro.core.thunks import make_application, make_identification, strict
-from repro.fixpoint.net import FixpointNode, NetworkError, NodeDirectory
+from repro.fixpoint import net
+from repro.fixpoint.net import Delegation, FixpointNode, NetworkError, NodeDirectory
 
 #: A padded codelet whose shipping cost is visible on the wire.
 FAT_INC_SOURCE = (
@@ -154,6 +157,133 @@ class TestDelegateBestServesWhereItWaits:
         assert [t.name for t in served] == ["fixpoint-serve"]
         assert served[0] is not threading.current_thread()
         assert len(spawned) == 1
+
+
+class TestAFutureMakesItsEventOnlyForAWaiter:
+    """A ``Delegation`` makes the event a waiter blocks on only when one
+    arrives before the outcome: ``delegate_best`` serves before it
+    waits, so its op builds none, while a ``delegate_async`` waiter
+    that blocks before the reply lands is still woken by the settle."""
+
+    def test_a_delegate_best_op_builds_no_event(self, pair, monkeypatch):
+        a, _b = pair
+        a.delegate_best(add_encode(a, 200, 1))  # warm-up
+        encodes = [add_encode(a, n, 1) for n in range(3)]
+        made = []
+
+        class Counted(threading.Event):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(threading, "Event", Counted)
+        for n, encode in enumerate(encodes):
+            result = a.delegate_best(encode)
+            assert blob_int(a.repo.get_blob(result).data) == n + 1
+        assert made == []
+
+    def test_a_waiter_blocked_before_the_reply_wakes(self, pair, monkeypatch):
+        a, b = pair
+        release = threading.Event()
+        real_eval = b.runtime.eval
+
+        def gated(encode):
+            assert release.wait(10), "the test never released the serve"
+            return real_eval(encode)
+
+        monkeypatch.setattr(b.runtime, "eval", gated)
+        future = a.delegate_async("beta", add_encode(a, 20, 22))
+        assert future._event is None
+        results = []
+
+        def wait():
+            results.append(future.wait(10))  # True only if woken
+            results.append(future.result())
+
+        waiter = threading.Thread(target=wait)
+        waiter.start()
+        for _ in range(1000):  # until the waiter has made its event
+            if future._event is not None:
+                break
+            time.sleep(0.01)
+        assert future._event is not None
+        assert not future.done
+        release.set()
+        waiter.join(10)
+        assert not waiter.is_alive()
+        assert future.done
+        assert results[0] is True
+        assert blob_int(a.repo.get_blob(results[1]).data) == 42
+
+    @pytest.mark.parametrize("between", ["a settle", "another waiter"])
+    def test_what_lands_before_the_waiter_locks(self, monkeypatch, between):
+        """A waiter finds no outcome; before it takes the node lock the
+        future settles, or a second waiter makes the event.  Either
+        way every waiter wakes: the first re-reads the outcome, or
+        waits on the event already made, under the lock."""
+        node = FixpointNode("alpha")
+        node.outstanding["beta"] = 1
+        encode = node.repo.put_blob(b"job" * 20)
+        future = Delegation(node, "beta", encode, ())
+        threads, woke = [], []
+
+        def landing(what):
+            monkeypatch.setattr(net, "note_blocking", lambda what: None)
+            if between == "a settle":
+                future._settle(encode)
+                return
+            other = threading.Thread(target=lambda: woke.append(future.wait(10)))
+            settler = threading.Timer(0.1, future._settle, (encode,))
+            threads.extend([other, settler])
+            other.start()
+            for _ in range(1000):  # until the second waiter made the event
+                if future._event is not None:
+                    break
+                time.sleep(0.01)
+            settler.start()
+
+        monkeypatch.setattr(net, "note_blocking", landing)
+        woke.append(future.wait(10))
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert woke == [True] * (1 if between == "a settle" else 2)
+
+    @pytest.mark.stress
+    def test_waiters_racing_the_settle_all_wake(self):
+        """Three waiters and a settler start together, 150 times, with
+        the switch interval shortened: whichever comes first, every
+        waiter returns True well inside its timeout."""
+        node = FixpointNode("alpha")
+        encode = node.repo.put_blob(b"job" * 20)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(150):
+                node.outstanding["beta"] = 1
+                future = Delegation(node, "beta", encode, ())
+                woke = []
+                start = threading.Barrier(4)
+
+                def waiter():
+                    start.wait(10)
+                    woke.append(future.wait(10))
+
+                def settler():
+                    start.wait(10)
+                    future._settle(encode)
+
+                threads = [threading.Thread(target=waiter) for _ in range(3)]
+                threads.append(threading.Thread(target=settler))
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10)
+                    assert not thread.is_alive()
+                assert woke == [True] * 3
+                assert node.outstanding["beta"] == 0
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestEvalAnywhere:

@@ -366,3 +366,128 @@ class TestPredicatesReadBits:
                 assert again == handle
                 assert again.pack() is packed
         assert accepted == 152
+
+    # A derivation re-tags: it copies the payload, size and content key
+    # and reads the new meta's slots from the table.  The reference is
+    # what every derivation built before, a fresh handle through
+    # ``__init__``; the two must accept and refuse alike.
+
+    DERIVATIONS = (
+        "as_object",
+        "as_ref",
+        "make_application",
+        "make_identification",
+        "make_selection",
+        "wrap_strict",
+        "wrap_shallow",
+        "unwrap_encode",
+        "definition",
+    )
+
+    def accepted_handles(self):
+        """``(payload, size, meta)`` of every handle the rules accept."""
+        for meta in every_known_meta():
+            litlen = meta >> 8 & 31
+            for payload, size in ((b"\x07" * DIGEST_BYTES, 40), (b"a" * litlen, litlen)):
+                if not refused_by_the_rules(payload, size, meta):
+                    yield payload, size, meta
+
+    def test_every_derivation_agrees_with_a_rebuilt_handle(self):
+        """Over every accepted handle, each derivation gives what a
+        handle built by ``__init__`` from the derived meta gives - every
+        field, the wire bytes and any refusal's message - and a
+        derivation that flips no bit returns the handle itself."""
+        unchanged = 0
+        for payload, size, meta in self.accepted_handles():
+            handle = Handle(payload, size, meta)
+            rebuilt = _Rebuilt(payload, size, meta)
+            assert _fields(handle) == _fields(rebuilt)
+            for name in self.DERIVATIONS:
+                got = _outcome(getattr(handle, name))
+                assert got == _outcome(getattr(rebuilt, name)), (meta, name)
+                if got[0] == "made" and got[1]["_meta"] == meta:
+                    assert getattr(handle, name)() is handle, (meta, name)
+                    unchanged += 1
+        # as_object on the 2 + 31 Objects (Blob, Tree, the literals);
+        # as_ref on the 2 Refs and the 31 literals.
+        assert unchanged == (2 + 31) + (2 + 31)
+
+    def test_a_retag_to_any_meta_agrees_with_init(self):
+        """``_with_meta`` to every known meta, from a Blob, a Tree, a
+        literal and an empty literal: the same handle or the same
+        refusal as ``__init__``, the Tree and literal bits included."""
+        sources = [
+            make_blob_handle(),
+            make_tree_handle(),
+            Handle.of_blob(b"lit"),
+            Handle.of_blob(b""),
+        ]
+        for source in sources:
+            for meta in every_known_meta():
+                def init():
+                    return Handle(source._payload, source._size, meta)
+
+                assert _outcome(lambda: source._with_meta(meta)) == _outcome(init)
+
+    def test_unpack_agrees_with_init(self):
+        """Over every known meta (and a few with reserved bits), the
+        frame of a digest, a literal and a literal with a stray padding
+        byte: ``unpack`` gives the handle ``__init__`` builds from the
+        fields, or the refusal the layout's checks raise, in order."""
+        reserved = [1 << 7, 1 << 13, 1 << 14, 1 << 15]
+        for meta in [*every_known_meta(), *(m | r for m in (0, 1, 64) for r in reserved)]:
+            litlen = meta >> 8 & 31
+            size = litlen if meta & 64 else 40
+            frames = [
+                b"\x07" * DIGEST_BYTES + size.to_bytes(6, "little"),
+                (b"a" * litlen).ljust(LITERAL_MAX, b"\x00")[:LITERAL_MAX],
+                (b"a" * litlen + b"\x01").ljust(LITERAL_MAX, b"\x00")[:LITERAL_MAX],
+            ]
+            for body in frames:
+                raw = body + meta.to_bytes(2, "little")
+                assert _outcome(lambda: Handle.unpack(raw)) == _outcome(
+                    lambda: unpack_by_the_rules(raw)
+                ), meta
+
+
+class _Rebuilt(Handle):
+    """A handle whose derivations build through ``__init__``."""
+
+    __slots__ = ()
+
+    def _with_meta(self, meta):
+        return Handle(self._payload, self._size, meta)
+
+
+def unpack_by_the_rules(raw: bytes) -> Handle:
+    """The frame's own checks, in order, then ``__init__``."""
+    if len(raw) != HANDLE_BYTES:
+        raise HandleError(f"handles are {HANDLE_BYTES} bytes, got {len(raw)}")
+    meta = int.from_bytes(raw[30:32], "little")
+    if meta & ~_META_KNOWN:
+        raise HandleError(f"reserved metadata bits set: {meta:#06x}")
+    if meta & 64:
+        litlen = meta >> 8 & 31
+        if any(raw[litlen:LITERAL_MAX]):
+            raise HandleError("literal padding must be zero")
+        return Handle(raw[:litlen], litlen, meta)
+    return Handle(raw[:DIGEST_BYTES], int.from_bytes(raw[24:30], "little"), meta)
+
+
+def _fields(handle: Handle) -> dict:
+    """Every slot but the two caches, and the wire bytes."""
+    fields = {
+        name: getattr(handle, name)
+        for name in Handle.__slots__
+        if name not in ("_hash", "_packed")
+    }
+    fields["pack"] = handle.pack()
+    return fields
+
+
+def _outcome(make):
+    try:
+        handle = make()
+    except HandleError as exc:
+        return "refused", str(exc)
+    return "made", _fields(handle)
