@@ -88,7 +88,7 @@ class Linker:
 
     def link(self, handle: Handle) -> LinkedCodelet:
         """Link (or fetch the cached link of) the codelet blob at ``handle``."""
-        key = handle.content_key()
+        key = handle.key
         with self._lock:
             cached = self._cache.get(key)
         if cached is not None:

@@ -27,18 +27,17 @@ the blob; a linker still needs it present) and the linker's own cache.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from types import CodeType
 
-from ..core.errors import FrameReader, NotAFunctionError
+from ..core.errors import NotAFunctionError
+from ..core.frames import LEN, FrameReader, prefixed
 from ..core.handle import Handle
 from ..core.storage import Repository
 from .sandbox import validate_source
 
 MAGIC = b"FIXCODELET\x00"
-_NAME_LEN = struct.Struct("<H")
 _READ = FrameReader(NotAFunctionError)
 
 
@@ -66,10 +65,7 @@ class CodeletImage:
     source: str
 
     def pack(self) -> bytes:
-        name_bytes = self.name.encode("utf-8")
-        return MAGIC + _NAME_LEN.pack(len(name_bytes)) + name_bytes + self.source.encode(
-            "utf-8"
-        )
+        return MAGIC + prefixed(self.name) + self.source.encode("utf-8")
 
     @classmethod
     def unpack(cls, raw: bytes) -> "CodeletImage":
@@ -78,7 +74,7 @@ class CodeletImage:
         :class:`NotAFunctionError` naming the field and the offset."""
         if not raw.startswith(MAGIC):
             raise NotAFunctionError("blob is not a codelet (bad magic)")
-        name_len, offset = _READ.unpack(_NAME_LEN, raw, len(MAGIC), "name length")
+        name_len, offset = _READ.unpack(LEN, raw, len(MAGIC), "name length")
         name, offset = _READ.text(raw, offset, name_len, "name")
         source, _ = _READ.text(raw, offset, len(raw) - offset, "source")
         return cls(name=name, source=source)

@@ -61,7 +61,7 @@ class FixAPI:
 
     def _grant(self, handle: Handle) -> None:
         if handle.is_data and handle.is_object:
-            self._accessible.add(handle.content_key())
+            self._accessible.add(handle.key)
 
     def _require_accessible(self, handle: Handle, action: str) -> None:
         if not handle.is_data:
@@ -73,7 +73,7 @@ class FixAPI:
             )
         if handle.is_literal:
             return  # literals carry their own payload
-        if handle.content_key() not in self._accessible:
+        if handle.key not in self._accessible:
             raise AccessError(
                 f"cannot {action} {handle!r}: outside this invocation's "
                 "minimum repository"

@@ -112,4 +112,4 @@ Datum = Union[Blob, Tree]
 
 def verify(datum: Datum, handle: Handle) -> bool:
     """Check that ``datum`` is the referent of ``handle`` (same content key)."""
-    return datum.handle().content_key() == handle.content_key()
+    return datum.handle().key == handle.key

@@ -103,59 +103,3 @@ class SimulationError(FixError):
     Examples: a process resumed after the simulation ended, time moving
     backwards, or releasing more of a resource than was held.
     """
-
-
-class FrameReader:
-    """The refusals every ``unpack_*`` raises: a read past the frame, a
-    string field that is not UTF-8, or bytes left after a whole frame
-    raise ``error`` (the decoder's own :class:`FixError` subclass)
-    naming the field and the offset, instead of letting ``struct`` or
-    ``decode`` raise a bare error - or a slice silently come back short
-    and the tail misparse as garbage fields.
-
-    The gossip and membership decoders read a well-formed entry in one
-    pass with their bounds checked inline, and come here only for an
-    entry that pass refused: re-read field by field, it raises the
-    error that names what was wrong.
-    """
-
-    def __init__(self, error: type):
-        self.error = error
-
-    def take(self, raw: bytes, offset: int, size: int, field: str):
-        """``size`` bytes at ``offset``: ``(bytes, end offset)``."""
-        end = offset + size
-        if end > len(raw):
-            raise self.error(
-                f"truncated frame: {field} needs {size} byte(s) at offset "
-                f"{offset} but only {len(raw)} byte(s) total"
-            )
-        return raw[offset:end], end
-
-    def unpack(self, fmt, raw: bytes, offset: int, field: str):
-        """One single-field ``struct.Struct``: ``(value, end offset)``."""
-        end = offset + fmt.size
-        if end > len(raw):
-            self.take(raw, offset, fmt.size, field)  # raises
-        return fmt.unpack_from(raw, offset)[0], end
-
-    def done(self, raw: bytes, offset: int, frame: str) -> None:
-        """Refuse bytes past ``offset``, where a whole ``frame`` ends."""
-        if offset != len(raw):
-            raise self.error(
-                f"trailing bytes: {frame} ends at offset {offset} but "
-                f"{len(raw)} byte(s) arrived"
-            )
-
-    def text(self, raw: bytes, offset: int, size: int, field: str):
-        """``size`` bytes of UTF-8 at ``offset``: ``(str, end offset)``."""
-        end = offset + size
-        if end > len(raw):
-            self.take(raw, offset, size, field)  # raises
-        try:
-            return raw[offset:end].decode("utf-8"), end
-        except UnicodeDecodeError as exc:
-            raise self.error(
-                f"malformed frame: {field} at offset {offset} is not "
-                f"UTF-8 ({exc.reason} at byte {exc.start})"
-            ) from None

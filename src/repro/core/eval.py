@@ -162,7 +162,7 @@ class Evaluator:
                 resolved.append(new)
             elif child.is_tree:
                 new = self._deep_resolve_tree(child, depth + 1)
-                changed = changed or new.content_key() != child.content_key()
+                changed = changed or new.key != child.key
                 # Preserve the original accessibility view of the entry.
                 resolved.append(new.as_ref() if child.is_ref else new)
             else:

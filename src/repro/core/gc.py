@@ -37,13 +37,13 @@ class RecomputeIndex:
 
     def learn(self, encode: Handle, result: Handle) -> None:
         if result.is_data and not result.is_literal:
-            self.recipes[result.content_key()] = encode
+            self.recipes[result.key] = encode
 
     def recipe_for(self, handle: Handle) -> Optional[Handle]:
-        return self.recipes.get(handle.content_key())
+        return self.recipes.get(handle.key)
 
     def recoverable(self, handle: Handle) -> bool:
-        return handle.content_key() in self.recipes
+        return handle.key in self.recipes
 
 
 def index_from_repository(repo: Repository) -> RecomputeIndex:
@@ -89,7 +89,7 @@ def collect(
             report.kept_unrecoverable += 1
             continue
         candidates.append(handle)
-    candidates.sort(key=lambda h: (-h.byte_size(), h.content_key()))
+    candidates.sort(key=lambda h: (-h.byte_size(), h.key))
     for handle in candidates:
         if report.bytes_freed >= target_bytes:
             break

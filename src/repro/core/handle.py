@@ -37,19 +37,19 @@ node parse a computation without consulting a scheduler.
 Every field is set once, when the handle is made, and never recomputed
 per read: the kind predicates (``is_literal``, ``is_tree``, ``is_encode``,
 ``is_data``, ``is_ref``, ``is_object``, ``is_thunk``) and the two styles
-are plain slots, and so is the content key.  The metadata is checked by
-one table read: ``_FACTS`` holds, for each of the 152 metadata values
-the rules accept, the payload length and size range they allow and the
-slot values, built at import by running the rules (:func:`_refusal`)
-over every value of the known bits.  Anything else - an unknown meta, a
-wrong payload length or size - is refused by running the same rules one
-check at a time, so a refusal names the first rule broken.  A
-derivation only re-tags: it copies the payload, size and content key of
-the handle it derives from (no derivation touches the Tree or literal
-bits those depend on), reads the new meta's slots from the table, and
-returns the handle itself when no bit changes.  The 32 wire bytes are
-kept too: the frame :meth:`Handle.unpack` parsed, or the bytes the first
-:meth:`Handle.pack` built.
+are plain slots, and so is the content key, ``key``.  The metadata is
+checked by one table read: ``_FACTS`` holds, for each of the 152
+metadata values the rules accept, the payload length and size range
+they allow and the slot values, built at import by running the rules
+(:func:`_refusal`) over every value of the known bits.  Anything else -
+an unknown meta, a wrong payload length or size - is refused by running
+the same rules one check at a time, so a refusal names the first rule
+broken.  A derivation only re-tags: it copies the payload, size and
+content key of the handle it derives from (no derivation touches the
+Tree or literal bits those depend on), reads the new meta's slots from
+the table, and returns the handle itself when no bit changes.  The 32
+wire bytes are kept too: the frame :meth:`Handle.unpack` parsed, or the
+bytes the first :meth:`Handle.pack` built.
 """
 
 from __future__ import annotations
@@ -219,11 +219,16 @@ class Handle:
     #: dict key, and a child in a packed tree, many times over.  The
     #: slots from ``is_literal`` on are read from the meta's table row.
     __slots__ = (
-        "_payload", "_size", "_meta", "_hash", "_key", "_packed",
+        "_payload", "_size", "_meta", "_hash", "key", "_packed",
         "is_literal", "is_tree", "is_encode", "is_data", "is_ref",
         "is_object", "is_thunk", "thunk_style", "encode_style",
     )
 
+    #: Storage key, the identity of the referenced datum: ``L`` + the
+    #: payload for a literal, else ``T`` (Tree) or ``B`` (Blob) + the
+    #: digest.  No view bit (Ref/Object, thunk and encode wrappers)
+    #: changes it, so a repository stores each datum once.
+    key: bytes
     is_literal: bool
     #: True when the referenced datum (or definition) is a Tree.
     is_tree: bool
@@ -253,9 +258,7 @@ class Handle:
         self._meta = meta
         self._hash = None
         self._packed = None
-        #: Storage key: identity of the referenced datum (see
-        #: :meth:`content_key`).
-        self._key = facts[3] + payload
+        self.key = facts[3] + payload
         (
             self.is_literal, self.is_tree, self.is_encode, self.is_data,
             self.is_ref, self.is_object, self.is_thunk, self.thunk_style,
@@ -314,16 +317,6 @@ class Handle:
             raise HandleError("not a literal handle")
         return self._payload
 
-    def content_key(self) -> bytes:
-        """Storage key: identity of the referenced datum.
-
-        Ignores the view bits (Ref/Object, thunk and encode wrappers) so a
-        repository stores each datum once regardless of how it is named:
-        ``L`` + the payload for a literal, else ``T`` (Tree) or ``B``
-        (Blob) + the digest.
-        """
-        return self._key
-
     def byte_size(self) -> int:
         """Approximate wire size in bytes of the referenced datum."""
         if self.is_tree:
@@ -351,7 +344,7 @@ class Handle:
         handle._meta = meta
         handle._hash = None
         handle._packed = None
-        handle._key = self._key
+        handle.key = self.key
         (
             handle.is_literal, handle.is_tree, handle.is_encode, handle.is_data,
             handle.is_ref, handle.is_object, handle.is_thunk, handle.thunk_style,

@@ -42,7 +42,7 @@ class Footprint:
     data_bytes: int
 
     def __contains__(self, handle: Handle) -> bool:
-        return handle.content_key() in self.data
+        return handle.key in self.data
 
     def is_subset_of(self, other: "Footprint") -> bool:
         return self.data <= other.data
@@ -76,7 +76,7 @@ def footprint(repo: Repository, handle: Handle) -> Footprint:
         if h.is_encode:
             pending.add(h)
         elif h.is_object and not h.is_literal:
-            key = h.content_key()
+            key = h.key
             if key not in data:
                 data.add(key)
                 total += h.byte_size()

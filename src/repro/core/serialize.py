@@ -73,7 +73,7 @@ def encode_bundle(repo: Repository, handles: Iterable[Handle]) -> bytes:
     seen: set[bytes] = set()
     count = 0
     for handle in handles:
-        key = handle.content_key()
+        key = handle.key
         if key in seen:
             continue
         seen.add(key)

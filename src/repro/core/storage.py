@@ -77,7 +77,7 @@ class Repository:
         a literal is not stored - its handle carries the payload."""
         if not handle.is_literal:
             with self._lock:
-                self._store(handle.content_key(), datum)
+                self._store(handle.key, datum)
         return handle
 
     # ------------------------------------------------------------------
@@ -109,7 +109,7 @@ class Repository:
         just computed, on a mismatch nothing is stored.  Returns whether
         it matched."""
         handle = datum.handle()
-        if handle.content_key() != claimed.content_key():
+        if handle.key != claimed.key:
             return False
         self._keep(datum, handle)
         return True
@@ -118,7 +118,7 @@ class Repository:
         if handle.is_literal:
             return True
         with self._lock:
-            return handle.content_key() in self._data
+            return handle.key in self._data
 
     def get(self, handle: Handle) -> Datum:
         """The referent of ``handle``, regardless of its view bits.
@@ -129,7 +129,7 @@ class Repository:
         if handle.is_literal:
             return Blob(handle.literal_data)
         with self._lock:
-            datum = self._data.get(handle.content_key())
+            datum = self._data.get(handle.key)
         if datum is None:
             raise MissingObjectError(handle, self.name)
         return datum
@@ -239,7 +239,7 @@ class Repository:
         """
         if handle.is_literal:
             return False
-        key = handle.content_key()
+        key = handle.key
         with self._lock:
             self._rank.pop(key, None)
             return self._data.pop(key, None) is not None

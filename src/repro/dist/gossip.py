@@ -35,7 +35,7 @@ The module also carries the real wire codec for digests and deltas
 (:func:`pack_digest` / :func:`pack_delta` and their unpack twins) used
 by the executing runtime's GOSSIP frames in :mod:`repro.fixpoint.net` -
 the byte *accounting* in ``Digest.wire_bytes``/``Delta.wire_bytes``
-mirrors exactly this encoding.
+reads the widths this encoding is declared with, beside those classes.
 """
 
 from __future__ import annotations
@@ -45,17 +45,12 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from ..core.errors import FixError, FrameReader
+from ..core.errors import FixError
+from ..core.frames import COUNT, LEN, U64, FrameReader, prefixed
 from ..obs import NULL_OBS, Obs
 from .membership import Member, MembershipView, members_wire_bytes
-from .objectview import Delta, Digest, Entry, ObjectView
+from .objectview import CAPS, STAMP, Delta, Digest, Entry, ObjectView
 
-_COUNT = struct.Struct("<I")
-_LEN = struct.Struct("<H")
-_U64 = struct.Struct("<Q")
-#: A delta entry's fields between its origin and its name, always
-#: present together: ``[u64 version][u8 name tag][u16 name length]``.
-_STAMP = struct.Struct("<QBH")
 #: A sized entry's tail: ``[u8 size flag 1][u64 size]``.
 _SIZED = struct.Struct("<BQ")
 
@@ -74,7 +69,8 @@ _frame = FrameReader(GossipError)
 # ----------------------------------------------------------------------
 # Wire codec (shared with repro.fixpoint.net's GOSSIP frames)
 #
-# Each decoder reads an entry in one pass: fixed-width field groups
+# A digest, and a delta's caps prefix, are the rows ``CAPS`` declares.
+# A delta's entries are read in one pass: fixed-width field groups
 # through one struct, bounds checked inline.  Origin and location
 # strings are encoded and decoded once per run: the delta codec keeps
 # the previous entry's origin and location with their ``[u16 len]
@@ -87,60 +83,28 @@ _frame = FrameReader(GossipError)
 # FrameReader, which refuses it naming the field and the offset.
 
 
-def _caps_parts(versions: Dict[str, int]) -> List[bytes]:
-    """A digest's parts: ``[u32 count]`` then per origin, sorted:
-    ``[u16 len][origin][u64 cap]``."""
-    parts = [_COUNT.pack(len(versions))]
-    for origin in sorted(versions):
-        raw = origin.encode("utf-8")
-        parts.append(_LEN.pack(len(raw)) + raw + _U64.pack(versions[origin]))
-    return parts
-
-
 def pack_digest(digest: Digest) -> bytes:
     """``[u32 count]`` then per origin, sorted:
     ``[u16 len][origin][u64 cap]``."""
-    return b"".join(_caps_parts(digest.versions))
-
-
-def _refuse_cap(raw: bytes, offset: int) -> None:
-    """The cap :func:`unpack_digest`'s one pass stopped at, read field
-    by field: the pass stops only at a cap one of these reads refuses,
-    so this raises, naming the field and the offset."""
-    length, offset = _frame.unpack(_LEN, raw, offset, "origin length")
-    _, offset = _frame.text(raw, offset, length, "origin")
-    _frame.unpack(_U64, raw, offset, "version cap")
+    versions = digest.versions
+    origins = sorted(versions)
+    return CAPS.pack(origins, [(versions[o],) for o in origins])
 
 
 def unpack_digest(raw: bytes, offset: int = 0) -> Tuple[Digest, int]:
-    count, offset = _frame.unpack(_COUNT, raw, offset, "origin count")
-    end = len(raw)
-    versions: Dict[str, int] = {}
-    for _ in range(count):
-        at = offset + 2
-        if at > end:
-            break
-        stop = at + _LEN.unpack_from(raw, offset)[0]
-        if stop + 8 > end:
-            break
-        try:
-            origin = raw[at:stop].decode("utf-8")
-        except UnicodeDecodeError:
-            break
-        versions[origin] = _U64.unpack_from(raw, stop)[0]
-        offset = stop + 8
-    else:
-        return Digest(versions), offset
-    _refuse_cap(raw, offset)
+    origins, rows, offset = CAPS.unpack(_frame, raw, offset)
+    return Digest({o: cap for o, (cap,) in zip(origins, rows)}), offset
 
 
 def pack_delta(delta: Delta) -> bytes:
     """``[digest of the caps][u32 count]`` then per entry ``[u16 len]
     [origin][u64 version][u8 name tag: 0 str, 1 bytes][u16 len][name]
     [u16 len][location][u8 0]`` or ``...[u8 1][u64 size]``."""
-    parts = _caps_parts(delta.versions)
-    parts.append(_COUNT.pack(len(delta.entries)))
-    extend, stamp, sized = parts.extend, _STAMP.pack, _SIZED.pack
+    versions = delta.versions
+    origins = sorted(versions)
+    parts = [CAPS.pack(origins, [(versions[o],) for o in origins])]
+    parts.append(COUNT.pack(len(delta.entries)))
+    extend, stamp, sized = parts.extend, STAMP.pack, _SIZED.pack
     # The previous entry's origin and location and their ``[u16 len]
     # [utf-8]``: encoded again only where a run of either ends.
     last_origin = last_location = None
@@ -155,9 +119,9 @@ def pack_delta(delta: Delta) -> bytes:
                 "(wire gossip carries str or bytes names)"
             )
         if origin != last_origin:
-            last_origin, origin_raw = origin, _prefixed(origin)
+            last_origin, origin_raw = origin, prefixed(origin)
         if location != last_location:
-            last_location, location_raw = location, _prefixed(location)
+            last_location, location_raw = location, prefixed(location)
         extend((
             origin_raw,
             stamp(version, tag, len(name_raw)),
@@ -168,48 +132,42 @@ def pack_delta(delta: Delta) -> bytes:
     return b"".join(parts)
 
 
-def _prefixed(text: str) -> bytes:
-    """``[u16 len][utf-8]``: an origin or a location as a delta carries it."""
-    raw = text.encode("utf-8")
-    return _LEN.pack(len(raw)) + raw
-
-
 def _refuse_entry(raw: bytes, offset: int) -> None:
     """The entry :func:`unpack_delta`'s one pass stopped at, read field
     by field: the pass stops only at an entry one of these reads
     refuses, so this raises, naming the field and the offset (or the
     bad tag or flag byte)."""
-    length, offset = _frame.unpack(_LEN, raw, offset, "origin length")
+    length, offset = _frame.unpack(LEN, raw, offset, "origin length")
     _, offset = _frame.text(raw, offset, length, "origin")
-    _, offset = _frame.unpack(_U64, raw, offset, "version")
+    _, offset = _frame.unpack(U64, raw, offset, "version")
     tag, offset = _frame.take(raw, offset, 1, "name tag")
-    length, offset = _frame.unpack(_LEN, raw, offset, "name length")
+    length, offset = _frame.unpack(LEN, raw, offset, "name length")
     if tag[0] == _NAME_STR:
         _, offset = _frame.text(raw, offset, length, "name")
     else:
         _, offset = _frame.take(raw, offset, length, "name")
         if tag[0] != _NAME_BYTES:
             raise GossipError(f"bad name tag byte {tag!r} in gossip delta")
-    length, offset = _frame.unpack(_LEN, raw, offset, "location length")
+    length, offset = _frame.unpack(LEN, raw, offset, "location length")
     _, offset = _frame.text(raw, offset, length, "location")
     flag, offset = _frame.take(raw, offset, 1, "size flag")
     if flag[0] == _HAS_SIZE:
-        _frame.unpack(_U64, raw, offset, "size")
+        _frame.unpack(U64, raw, offset, "size")
     elif flag[0] != _NO_SIZE:
         raise GossipError(f"bad size flag byte {flag!r} in gossip delta")
 
 
 def unpack_delta(raw: bytes, offset: int = 0) -> Tuple[Delta, int]:
     caps, offset = unpack_digest(raw, offset)
-    count, offset = _frame.unpack(_COUNT, raw, offset, "entry count")
+    count, offset = _frame.unpack(COUNT, raw, offset, "entry count")
     end = len(raw)
     startswith = raw.startswith
-    stamp_from, u64_from = _STAMP.unpack_from, _U64.unpack_from
+    stamp_from, u64_from = STAMP.unpack_from, U64.unpack_from
     # The previous entry's origin and location: ``[u16 len][utf-8]`` as
     # read, its length and the string it decoded to.  The empty
     # string's prefix starts them: bytes that repeat it are the empty
     # string.
-    origin_raw = location_raw = _prefixed("")
+    origin_raw = location_raw = prefixed("")
     origin_len = location_len = len(origin_raw)
     origin = location = ""
     # The previous entry's whole layout when it was sized with a bytes
@@ -241,7 +199,7 @@ def unpack_delta(raw: bytes, offset: int = 0) -> Tuple[Delta, int]:
             at = offset + 2
             if at > end:
                 break
-            stamp = at + _LEN.unpack_from(raw, offset)[0]
+            stamp = at + LEN.unpack_from(raw, offset)[0]
             if stamp > end:
                 break
             try:
@@ -261,7 +219,7 @@ def unpack_delta(raw: bytes, offset: int = 0) -> Tuple[Delta, int]:
             location_at = name_end + 2
             if location_at > end:
                 break
-            flag_at = location_at + _LEN.unpack_from(raw, name_end)[0]
+            flag_at = location_at + LEN.unpack_from(raw, name_end)[0]
             if flag_at > end:
                 break
             try:
@@ -374,7 +332,7 @@ class Participant(NamedTuple):
 @dataclass(frozen=True)
 class ExchangeStats:
     """What one handshake shipped, priced by the values' ``wire_bytes()``
-    (which mirror the codec above byte for byte)."""
+    (sized from the declarations the codec above packs with)."""
 
     digest_bytes: int
     delta_bytes: int

@@ -52,12 +52,13 @@ replay deterministically under a seed.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..analysis.sync import TrackedLock
-from ..core.errors import FixError, FrameReader
+from ..core.errors import FixError
+from ..core.frames import FrameReader, Rows
 
 __all__ = [
     "ALIVE",
@@ -81,14 +82,7 @@ DEAD = "dead"
 
 _RANK = {ALIVE: 0, SUSPECT: 1, DEAD: 2}
 _BY_RANK = {rank: status for status, rank in _RANK.items()}
-
-_COUNT = struct.Struct("<I")
-_LEN = struct.Struct("<H")
-_U64 = struct.Struct("<Q")
-_STATUS = struct.Struct("<B")
-#: A member's fields after its name, always present together:
-#: ``[u64 incarnation][u64 heartbeat][u8 status]``.
-_LIFE = struct.Struct("<QQB")
+_NODE = attrgetter("node")
 
 
 class MembershipError(FixError):
@@ -137,15 +131,15 @@ class Member:
     def is_dead(self) -> bool:
         return self.status == DEAD
 
-    def wire_bytes(self) -> int:
-        """Bytes this entry occupies in :func:`pack_members`."""
-        return (
-            _LEN.size
-            + len(self.node.encode("utf-8"))
-            + _U64.size  # incarnation
-            + _U64.size  # heartbeat
-            + 1
-        )
+
+#: A membership map on the wire: per member, sorted by node, ``[u16 len]
+#: [node][u64 incarnation][u64 heartbeat][u8 status]``.
+MEMBERS = Rows(
+    count="count",
+    key=("node length", "node name"),
+    fields=(("incarnation", "Q"), ("heartbeat", "Q"), ("status", "B")),
+    tag=(_BY_RANK, "bad membership status byte {}"),
+)
 
 
 def join_members(a: Member, b: Member) -> Member:
@@ -170,18 +164,11 @@ def join_members(a: Member, b: Member) -> Member:
 def pack_members(members: Iterable[Member]) -> bytes:
     """``[u32 count]`` then per member
     ``[u16 len][node][u64 incarnation][u64 hb][u8 st]``."""
-    entries = sorted(members, key=lambda m: m.node)
-    parts = [_COUNT.pack(len(entries))]
-    for member in entries:
-        raw = member.node.encode("utf-8")
-        parts.append(
-            _LEN.pack(len(raw))
-            + raw
-            + _LIFE.pack(
-                member.incarnation, member.heartbeat, _RANK[member.status]
-            )
-        )
-    return b"".join(parts)
+    ordered = sorted(members, key=_NODE)
+    return MEMBERS.pack(
+        [m.node for m in ordered],
+        [(m.incarnation, m.heartbeat, _RANK[m.status]) for m in ordered],
+    )
 
 
 def members_wire_bytes(members: Optional[Iterable[Member]]) -> int:
@@ -190,50 +177,18 @@ def members_wire_bytes(members: Optional[Iterable[Member]]) -> int:
     accounting: it never runs the codec)."""
     if members is None:
         return 0
-    return _COUNT.size + sum(m.wire_bytes() for m in members)
-
-
-def _refuse_member(raw: bytes, offset: int) -> None:
-    """The member :func:`unpack_members`' one pass stopped at, read
-    field by field: the pass stops only at a member one of these reads
-    refuses, so this raises, naming the field and the offset."""
-    length, offset = _frame.unpack(_LEN, raw, offset, "node length")
-    _, offset = _frame.text(raw, offset, length, "node name")
-    _, offset = _frame.unpack(_U64, raw, offset, "incarnation")
-    _, offset = _frame.unpack(_U64, raw, offset, "heartbeat")
-    rank, offset = _frame.unpack(_STATUS, raw, offset, "status")
-    if rank not in _BY_RANK:
-        raise MembershipError(f"bad membership status byte {rank}")
+    return MEMBERS.size(list(map(_NODE, members)))
 
 
 def unpack_members(raw: bytes, offset: int = 0) -> Tuple[Tuple[Member, ...], int]:
-    """Each member in one pass: ``incarnation, heartbeat, status``
-    through one struct, bounds checked inline.  A member that pass
-    cannot read is refused by the field-by-field reads, which name the
-    field and the offset."""
-    count, offset = _frame.unpack(_COUNT, raw, offset, "count")
-    end = len(raw)
-    members: List[Member] = []
-    for _ in range(count):
-        at = offset + 2
-        if at > end:
-            break
-        stop = at + _LEN.unpack_from(raw, offset)[0]
-        if stop + 17 > end:
-            break
-        incarnation, heartbeat, rank = _LIFE.unpack_from(raw, stop)
-        status = _BY_RANK.get(rank)
-        if status is None:
-            break
-        try:
-            node = raw[at:stop].decode("utf-8")
-        except UnicodeDecodeError:
-            break
-        members.append(Member(node, heartbeat, status, incarnation))
-        offset = stop + 17
-    else:
-        return tuple(members), offset
-    _refuse_member(raw, offset)
+    """The :data:`MEMBERS` rows at ``offset`` as members, and the offset
+    after them."""
+    nodes, rows, offset = MEMBERS.unpack(_frame, raw, offset)
+    members = [
+        Member(node, heartbeat, _BY_RANK[rank], incarnation)
+        for node, (incarnation, heartbeat, rank) in zip(nodes, rows)
+    ]
+    return tuple(members), offset
 
 
 class MembershipView:

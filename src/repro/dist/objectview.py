@@ -87,9 +87,9 @@ respect to concurrent observations.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import groupby, repeat
 from operator import itemgetter
 from typing import (
@@ -108,19 +108,13 @@ from typing import (
 )
 
 from ..analysis.sync import TrackedRLock
+from ..core.frames import COUNT, LEN, U64, Rows, utf8_size
 from . import costmodel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.cluster import Cluster
 
 _NOTHING: frozenset = frozenset()
-
-#: Wire-size accounting constants (mirrored by the real serialization in
-#: :mod:`repro.dist.gossip`): a u32 count, u16 length prefixes, u64
-#: versions/sizes, and one tag byte per variable-width field.
-_COUNT_BYTES = 4
-_LEN_BYTES = 2
-_U64_BYTES = 8
 
 
 def _name_wire_weight(name: Hashable) -> int:
@@ -129,22 +123,7 @@ def _name_wire_weight(name: Hashable) -> int:
         return len(name)
     if isinstance(name, str):
         return len(name.encode("utf-8"))
-    return _U64_BYTES
-
-
-@lru_cache(maxsize=4096)
-def _node_wire_weight(node: str) -> int:
-    """UTF-8 bytes of an origin id or a location - memoised, a cluster
-    has a handful and every handshake asks about the same ones (object
-    names are unbounded, so not those)."""
-    return len(node.encode("utf-8"))
-
-
-def _caps_wire_bytes(versions: Dict[str, int]) -> int:
-    """Bytes of the per-origin ``[u16 len][origin][u64 cap]`` rows."""
-    return (_LEN_BYTES + _U64_BYTES) * len(versions) + sum(
-        map(_node_wire_weight, versions)
-    )
+    return U64.size
 
 
 #: One versioned belief: ``(origin, version, name, location, size)``.
@@ -181,14 +160,29 @@ class Digest:
         invalidates it - a view that moved hands out a new one."""
         size = self._wire_bytes
         if size is None:
-            size = _COUNT_BYTES + _caps_wire_bytes(self.versions)
+            size = CAPS.size(self.versions)
             object.__setattr__(self, "_wire_bytes", size)  # frozen
         return size
+
+
+#: A digest on the wire, and the caps prefix of every delta: per origin,
+#: sorted, ``[u16 len][origin][u64 cap]``.
+CAPS = Rows(
+    count="origin count",
+    key=("origin length", "origin"),
+    fields=(("version cap", "Q"),),
+    tag=None,
+)
 
 
 #: The digest of a view that has seen nothing: a delta against it is the
 #: sender's full state (the bootstrap, and the bench's full-state baseline).
 EMPTY_DIGEST = Digest()
+
+
+#: A delta entry's fields between its origin and its name, always present
+#: together: ``[u64 version][u8 name tag][u16 name length]``.
+STAMP = struct.Struct("<QBH")
 
 
 @dataclass(frozen=True)
@@ -213,20 +207,20 @@ class Delta:
     def wire_bytes(self) -> int:
         """``len(pack_delta(self))`` without running the codec.  Not
         kept: a delta is priced once."""
-        # Fixed-width fields by count (per entry: origin length and
-        # version, name tag and length, location length, size flag),
-        # then the variable ones by weight.
+        # Fixed-width fields by count (per entry: two length prefixes,
+        # the stamp and the size flag), then the variable ones by weight.
         total = (
-            2 * _COUNT_BYTES
-            + _caps_wire_bytes(self.versions)
-            + (3 * _LEN_BYTES + _U64_BYTES + 2) * len(self.entries)
+            CAPS.size(self.versions)
+            + COUNT.size
+            + (2 * LEN.size + STAMP.size + 1) * len(self.entries)
         )
+        sized = U64.size
         for origin, _version, name, location, size in self.entries:
             total += (
-                _node_wire_weight(origin)
+                utf8_size(origin)
                 + _name_wire_weight(name)
-                + _node_wire_weight(location)
-                + (_U64_BYTES if size is not None else 0)
+                + utf8_size(location)
+                + (sized if size is not None else 0)
             )
         return total
 

@@ -129,7 +129,8 @@ from ..analysis.sync import (
     TrackedRLock,
     note_blocking,
 )
-from ..core.errors import FixError, FrameReader
+from ..core.errors import FixError
+from ..core.frames import LEN, FrameReader, prefixed
 from ..core.handle import HANDLE_BYTES, Handle
 from ..core.minrepo import Footprint, transitive_footprint
 from ..core.serialize import decode_bundle, encode_bundle
@@ -153,8 +154,6 @@ from ..obs import CONTEXT_BYTES, Obs
 from ..obs.trace import Span
 from .runtime import Fixpoint
 
-_SENDER_LEN = struct.Struct("<H")
-_ERR_TYPE_LEN = struct.Struct("<H")
 _ERR_MSG_LEN = struct.Struct("<I")
 
 _STATUS_OK = b"\x00"
@@ -225,12 +224,11 @@ def _unpack_tag(wire: bytes, tag: bytes, what: str) -> int:
 def _pack_header(sender: str, ctx: bytes) -> bytes:
     """``[u16 sender length][sender utf-8][16-byte span context]`` - how
     a request, a gossip SYN and a gossip PUSH each name their sender."""
-    raw = sender.encode("utf-8")
-    return _SENDER_LEN.pack(len(raw)) + raw + ctx
+    return prefixed(sender) + ctx
 
 
 def _unpack_header(wire: bytes, offset: int) -> Tuple[str, bytes, int]:
-    length, offset = _frame.unpack(_SENDER_LEN, wire, offset, "sender length")
+    length, offset = _frame.unpack(LEN, wire, offset, "sender length")
     sender, offset = _frame.text(wire, offset, length, "sender")
     ctx, offset = _unpack_ctx(wire, offset)
     return sender, ctx, offset
@@ -239,20 +237,14 @@ def _unpack_header(wire: bytes, offset: int) -> Tuple[str, bytes, int]:
 def _pack_error(exc: BaseException) -> bytes:
     """``[u16 type length][type utf-8][u32 message length][message
     utf-8]`` - an exception, as the body of an error reply."""
-    error_type = type(exc).__name__.encode("utf-8")
     message = str(exc).encode("utf-8")
     return (
-        _ERR_TYPE_LEN.pack(len(error_type))
-        + error_type
-        + _ERR_MSG_LEN.pack(len(message))
-        + message
+        prefixed(type(exc).__name__) + _ERR_MSG_LEN.pack(len(message)) + message
     )
 
 
 def _unpack_error(wire: bytes, offset: int = 0) -> RemoteError:
-    length, offset = _frame.unpack(
-        _ERR_TYPE_LEN, wire, offset, "error type length"
-    )
+    length, offset = _frame.unpack(LEN, wire, offset, "error type length")
     error_type, offset = _frame.text(wire, offset, length, "error type")
     length, offset = _frame.unpack(
         _ERR_MSG_LEN, wire, offset, "error message length"
@@ -1280,7 +1272,7 @@ class FixpointNode:
                 key = ("delegations_sent_total", peer_name)
                 self.counted[key] = self.counted.get(key, 0) + 1
                 self._note_held(peer_name, to_ship)
-                shipped = [handle.content_key() for handle in to_ship]
+                shipped = [handle.key for handle in to_ship]
                 future = Delegation(self, peer_name, encode, shipped)
                 self.outstanding[peer_name] += 1
                 span.set(
@@ -1441,7 +1433,7 @@ class FixpointNode:
         ``learn_many`` call records them all, with the stamps one
         ``learn`` per handle would make."""
         pairs = [
-            (handle.content_key(), handle.byte_size())
+            (handle.key, handle.byte_size())
             for handle in handles
             if not handle.is_literal
         ]
@@ -1463,7 +1455,7 @@ class FixpointNode:
         return [
             handle
             for handle in self.repo.handles_of(fp.data)
-            if not self.view.knows(handle.content_key(), peer)
+            if not self.view.knows(handle.key, peer)
         ]
 
     def _deliver(

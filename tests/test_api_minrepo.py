@@ -195,9 +195,9 @@ def _visited(repo, handle):
             if subject:
                 visit(h.definition(), False)
             return
-        if h.is_ref or h.is_literal or h.content_key() in seen:
+        if h.is_ref or h.is_literal or h.key in seen:
             return
-        seen.add(h.content_key())
+        seen.add(h.key)
         total[0] += h.byte_size()
         if h.is_tree and repo.contains(h):
             for child in repo.get_tree(h):

@@ -6,7 +6,7 @@ and location strings decoded once per run, a run of sized bytes-named
 entries read an entry per struct call) and fall back to reading
 field by field only for an entry that pass refuses.  The reference here
 is the codec they replaced, kept as it was: every field read through
-the :class:`~repro.core.errors.FrameReader`, ``_pack_name`` /
+the :class:`~repro.core.frames.FrameReader`, ``_pack_name`` /
 ``_unpack_name`` as their own pair.
 
 On every drawn value both sides must pack the same bytes and decode the
@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import FrameReader
+from repro.core.frames import FrameReader
 from repro.dist import gossip, membership
 from repro.dist.gossip import GossipError
 from repro.dist.membership import ALIVE, DEAD, SUSPECT, Member, MembershipError

@@ -472,11 +472,11 @@ class TestOnePolicyBothRuntimes:
         # too (alpha learns of it late - another inventory exchange).
         big = bytes(range(256)) * 4
         hbig = gamma.repo.put_blob(big)
-        alpha.view.learn(hbig.content_key(), "gamma", hbig.byte_size())
+        alpha.view.learn(hbig.key, "gamma", hbig.byte_size())
         small = b"s" * 40
         hsmall = alpha.repo.put_blob(small)
-        alpha.view.learn(hsmall.content_key(), "beta", hsmall.byte_size())
-        alpha.view.learn(hsmall.content_key(), "gamma", hsmall.byte_size())
+        alpha.view.learn(hsmall.key, "beta", hsmall.byte_size())
+        alpha.view.learn(hsmall.key, "gamma", hsmall.byte_size())
         assert alpha.quote_best(encode).candidate == "beta"  # name tie-break
         alpha.outstanding["beta"] = 3
         assert alpha.quote_best(encode).candidate == "gamma"  # load wins

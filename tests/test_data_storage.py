@@ -133,7 +133,7 @@ class TestRepository:
         tree = repo.put_tree([Handle.of_blob(b"a"), Handle.of_blob(b"b")])
         assert repo.data_bytes() == 100 + 2 * HANDLE_BYTES
         assert tree in set(repo.handles())  # handles() yields canonical
-        assert repo.handles_of({tree.content_key()}) == [tree]
+        assert repo.handles_of({tree.key}) == [tree]
 
     def test_absorb(self, repo):
         other = Repository("other")

@@ -42,13 +42,13 @@ class TestIdentification:
         value = repo.put_blob(b"v" * 64)
         result = ev.eval_encode(strict(make_identification(value.as_ref())))
         assert result.is_object
-        assert result.content_key() == value.content_key()
+        assert result.key == value.key
 
     def test_shallow_identification_yields_ref(self, repo, ev):
         value = repo.put_blob(b"v" * 64)
         result = ev.eval_encode(shallow(make_identification(value)))
         assert result.is_ref
-        assert result.content_key() == value.content_key()
+        assert result.key == value.key
 
     def test_shallow_of_literal_stays_literal(self, repo, ev):
         value = repo.put_blob(b"tiny")
@@ -62,7 +62,7 @@ class TestSelection:
         b = repo.put_blob(b"b" * 64)
         target = repo.put_tree([a, b])
         result = ev.eval_encode(strict(make_selection(repo, target, 1)))
-        assert result.content_key() == b.content_key()
+        assert result.key == b.key
 
     def test_select_tree_range_makes_subtree(self, repo, ev):
         children = [repo.put_blob(bytes([i]) * 64) for i in range(5)]
@@ -93,7 +93,7 @@ class TestSelection:
         first = make_selection(repo, outer, 1)  # forces to the inner tree
         chained = repo.put_tree([first, pack_index(0)]).make_selection()
         result = ev.eval_encode(strict(chained))
-        assert result.content_key() == inner_child.content_key()
+        assert result.key == inner_child.key
 
     def test_selection_returns_child_asis_even_if_ref(self, repo, ev):
         hidden = repo.put_blob(b"h" * 64).as_ref()
@@ -109,7 +109,7 @@ class TestSelection:
         target = repo.put_tree(children)
         index = data.draw(st.integers(min_value=0, max_value=len(children) - 1))
         result = ev.eval_encode(strict(make_selection(repo, target, index)))
-        assert result.content_key() == children[index].content_key()
+        assert result.key == children[index].key
 
 
 class TestStrictDeepResolution:
@@ -120,7 +120,7 @@ class TestStrictDeepResolution:
         result = ev.eval(tree)
         resolved = repo.get_tree(result)
         assert resolved[0].is_object
-        assert resolved[0].content_key() == value.content_key()
+        assert resolved[0].key == value.key
 
     def test_ref_entries_are_preserved(self, repo, ev):
         ref = repo.put_blob(b"r" * 64).as_ref()
@@ -134,7 +134,7 @@ class TestStrictDeepResolution:
 
     def test_unchanged_tree_keeps_handle(self, repo, ev):
         tree = repo.put_tree([repo.put_blob(b"a" * 64)])
-        assert ev.eval(tree).content_key() == tree.content_key()
+        assert ev.eval(tree).key == tree.key
 
     def test_nested_tree_resolution(self, repo, ev):
         value = repo.put_blob(b"n" * 64)
@@ -142,7 +142,7 @@ class TestStrictDeepResolution:
         outer = repo.put_tree([inner])
         result = ev.eval(outer)
         inner_resolved = repo.get_tree(repo.get_tree(result)[0])
-        assert inner_resolved[0].content_key() == value.content_key()
+        assert inner_resolved[0].key == value.key
 
 
 class _CountingEvaluator(Evaluator):
@@ -215,9 +215,9 @@ class TestErrors:
             ThunkStyle.IDENTIFICATION: 1,
         }
         assert selected.is_object
-        assert selected.content_key() == value.content_key()
+        assert selected.key == value.key
         assert identified.is_ref
-        assert identified.content_key() == value.content_key()
+        assert identified.key == value.key
 
 
 class _SaveRestoreEachCall:

@@ -419,7 +419,7 @@ class TestViewRollback:
             beta._absorb_request = real_absorb
         # The rollback: alpha no longer believes beta holds the payload
         # it never actually received...
-        assert not alpha.view.knows(blob.content_key(), "beta")
+        assert not alpha.view.knows(blob.key, "beta")
         # ...so the retry re-ships it and succeeds.  (Without the
         # rollback the retry omits the blob and the peer dies with
         # MissingObjectError.)
@@ -475,4 +475,4 @@ class TestViewRollback:
         ).wrap_strict()
         with pytest.raises(RemoteEvalError):
             alpha.delegate("beta", encode)
-        assert not alpha.view.knows(fn.content_key(), "beta")
+        assert not alpha.view.knows(fn.key, "beta")

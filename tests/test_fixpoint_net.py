@@ -444,8 +444,8 @@ class TestEvalAnywhere:
         # Gamma acquires the key *after* the inventory exchange; alpha
         # hears about the location through a path that carried no size.
         hkey = gamma.repo.put_blob(b"k" * 40)
-        alpha.view.learn(hkey.content_key(), "gamma")  # location, no size
-        assert alpha.view.believed_size(hkey.content_key()) == 0  # the trap
+        alpha.view.learn(hkey.key, "gamma")  # location, no size
+        assert alpha.view.believed_size(hkey.key) == 0  # the trap
         fn = alpha.runtime.compile(
             "def _fix_apply(fix, input):\n"
             "    entries = fix.read_tree(input)\n"
@@ -486,7 +486,7 @@ class TestAQuoteReadsBeliefsForUnheldKeysOnly:
 
         monkeypatch.setattr(alpha.view, "believed_size", counted)
         assert alpha.quote_best(encode).candidate == "beta"
-        assert sorted(asked) == sorted(h.content_key() for h in unheld)
+        assert sorted(asked) == sorted(h.key for h in unheld)
 
 
 class TestGossipLearnedPeer:
@@ -587,7 +587,7 @@ class TestReplyFiltering:
         payload = bytes(range(256)) * 8
         blob = a.repo.put_blob(payload)
         a.delegate("beta", strict(make_identification(blob)))
-        assert b.view.knows(blob.content_key(), "alpha")
+        assert b.view.knows(blob.key, "alpha")
         channel = a.peers["beta"]
         before = channel.total_bytes
         # Beta now delegates work over that datum back to alpha.

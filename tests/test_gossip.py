@@ -26,6 +26,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+from operator import attrgetter
 from pathlib import Path
 from unittest import mock
 
@@ -38,6 +39,7 @@ from repro.core import data as core_data
 from repro.core import handle as core_handle
 from repro.core import storage as core_storage
 from repro.core.errors import FixError
+from repro.core.frames import utf8_size
 from repro.core.gc import RecomputeIndex, collect
 from repro.core.minrepo import Footprint, footprint, transitive_footprint
 from repro.core.storage import Repository
@@ -62,7 +64,6 @@ from repro.dist.objectview import (
     Delta,
     Digest,
     ObjectView,
-    _node_wire_weight,
 )
 from repro.fixpoint import net
 from repro.fixpoint.net import FixpointNode, NetworkError, NodeDirectory
@@ -521,12 +522,12 @@ class TestAHandshakeCostsItsNews:
             view._log = _CountingDict(view._log)
             view._vector = _CountingDict(view._vector)
         digests = (views[0].digest(), views[1].digest())
-        weighed = _node_wire_weight.cache_info()
+        weighed = utf8_size.cache_info()
         for _ in range(3):
             assert exchange(a, b) == settled
         assert settled.entries_shipped == 0
         assert settled.delta_bytes == 2 * len(pack_delta(EMPTY_DELTA))
-        assert _node_wire_weight.cache_info() == weighed  # not even a hit
+        assert utf8_size.cache_info() == weighed  # not even a hit
         assert [view._log.reads for view in views[:2]] == [0, 0]
         assert [view._vector.reads for view in views[:2]] == [0, 0]  # no walk
         assert (views[0].digest(), views[1].digest()) == digests
@@ -843,8 +844,8 @@ class TestNetGossip:
         blob = a.repo.put_blob(b"fresh" * 100)
         traffic = a.gossip_with("beta")
         assert traffic.entries_sent >= 1  # the new blob's belief shipped
-        assert b.view.knows(blob.content_key(), "alpha")
-        assert b.view.believed_size(blob.content_key()) == blob.byte_size()
+        assert b.view.knows(blob.key, "alpha")
+        assert b.view.believed_size(blob.key) == blob.byte_size()
         assert channel.total_bytes - before == traffic.bytes_shipped
 
     def test_converged_peers_gossip_for_digest_bytes_only(self):
@@ -873,8 +874,8 @@ class TestNetGossip:
         beta.gossip_with("gamma")
         alpha.gossip_with("beta")
         assert "gamma" not in alpha.peers
-        assert alpha.view.knows(fn.content_key(), "gamma")
-        assert alpha.view.believed_size(fn.content_key()) > 600
+        assert alpha.view.knows(fn.key, "gamma")
+        assert alpha.view.believed_size(fn.key) > 600
 
     def test_literal_results_stay_out_of_every_view(self):
         """A literal result is never stored or shipped, so no view may
@@ -924,7 +925,7 @@ def reference_refresh(node):
     store (what ``holdings()`` did then), ``learn`` every datum, and let
     the dedup in ``learn`` throw the repeats away."""
     for handle in node.repo.handles():
-        node.view.learn(handle.content_key(), node.name, handle.byte_size())
+        node.view.learn(handle.key, node.name, handle.byte_size())
     return 0  # the count only feeds a span attribute (tests/test_obs.py)
 
 
@@ -1011,7 +1012,7 @@ class _Twin:
         datum = self.put[name][pick % len(self.put[name])]
         self.dropped[name].append(datum)
         if retract:
-            node.view.forget(datum.handle().content_key(), name)
+            node.view.forget(datum.handle().key, name)
         return node.repo.forget_data(datum.handle())
 
     def op_reput(self, name):
@@ -1024,7 +1025,7 @@ class _Twin:
         stores (what a rolled-back optimistic advance does)."""
         if self.put[name]:
             datum = self.put[name][pick % len(self.put[name])]
-            self.nodes[name].view.forget(datum.handle().content_key(), name)
+            self.nodes[name].view.forget(datum.handle().key, name)
 
     def op_absorb(self, name, payloads):
         side = Repository("side")
@@ -2129,7 +2130,7 @@ class TestARefreshCostsItsNews:
             """``sizes_after`` at every watermark from -1 to past the
             top, the ranks of forgotten data included, against the
             hashing scan."""
-            want = [(h.content_key(), h.byte_size()) for h in repo.handles()]
+            want = [(h.key, h.byte_size()) for h in repo.handles()]
             ranks = [repo._rank[key] for key, _ in want]
             assert ranks == sorted(ranks)
             top = ranks[-1] if ranks else -1
@@ -2166,7 +2167,7 @@ def reference_footprint(repo, handle):
         pending |= fp.pending
     total = 0
     for resident in repo.handles():
-        if resident.content_key() in data:
+        if resident.key in data:
             total += resident.byte_size()
     return Footprint(frozenset(data), frozenset(pending), total)
 
@@ -2198,7 +2199,7 @@ def price_like_the_parent(node, fp, local, candidates):
 def reference_place(node, encode, candidates=None):
     """The whole store re-hashed into a holdings dict for every quote."""
     fp = reference_footprint(node.repo, encode)
-    local = {h.content_key(): h.byte_size() for h in node.repo.handles()}
+    local = {h.key: h.byte_size() for h in node.repo.handles()}
     return price_like_the_parent(node, fp, local, candidates)
 
 
@@ -2602,7 +2603,7 @@ class TestAQuoteCostsItsFootprint:
         assert fp.data_bytes == sum(
             h.byte_size() for h in held if not h.is_literal
         )
-        assert fp.data >= {h.content_key() for h in gone if not h.is_literal}
+        assert fp.data >= {h.key for h in gone if not h.is_literal}
 
 
 # ----------------------------------------------------------------------
@@ -2662,11 +2663,11 @@ def check_handles_of_is_the_scan_asked_by_key(ops, mask, absent):
 
     def check():
         scan = list(repo.handles())
-        held = {h.content_key() for i, h in enumerate(scan) if mask >> i & 1}
-        gone = {h.content_key() for h in named} - {h.content_key() for h in scan}
+        held = {h.key for i, h in enumerate(scan) if mask >> i & 1}
+        gone = {h.key for h in named} - {h.key for h in scan}
         for keys in (held, set(absent), held | gone | set(absent), set(), gone):
             assert repo.handles_of(frozenset(keys)) == [
-                h for h in scan if h.content_key() in keys
+                h for h in scan if h.key in keys
             ]
 
     for op in ops:
@@ -2683,7 +2684,7 @@ def check_handles_of_is_the_scan_asked_by_key(ops, mask, absent):
             datum = repo.get(handle)
             repo.forget_data(handle)
             repo.put(datum)
-            every = frozenset(h.content_key() for h in stored)
+            every = frozenset(h.key for h in stored)
             assert repo.handles_of(every)[-1] == handle
         elif op[0] == "absorb":
             other = Repository("other")
@@ -2691,7 +2692,7 @@ def check_handles_of_is_the_scan_asked_by_key(ops, mask, absent):
             repo.absorb(other)
         elif op[0] == "gc":
             picked = [h for i, h in enumerate(repo.handles()) if op[1] >> i & 1]
-            index = RecomputeIndex({h.content_key(): encode for h in picked})
+            index = RecomputeIndex({h.key: encode for h in picked})
             collect(repo, index, op[2])
         check()
 
@@ -2702,13 +2703,13 @@ HANDLES_OF = Repository.handles_of
 def sorted_by_key(repo, keys):
     """Mutant: the right handles, in key order rather than store order
     (a bundle could then name a Tree before its children)."""
-    return sorted(HANDLES_OF(repo, keys), key=core_handle.Handle.content_key)
+    return sorted(HANDLES_OF(repo, keys), key=attrgetter("key"))
 
 
 def trees_sized_in_bytes(repo, keys):
     """Mutant: a Tree's handle sized by its wire bytes, not its entries."""
     return [
-        core_handle.Handle.tree(h.content_key()[1:], h.byte_size())
+        core_handle.Handle.tree(h.key[1:], h.byte_size())
         if h.is_tree
         else h
         for h in HANDLES_OF(repo, keys)
@@ -2722,7 +2723,7 @@ def rank_survives_forget(repo, keys):
     first = vars(repo).setdefault("_first_rank_seen", {})
     for key, rank in repo._rank.items():
         first.setdefault(key, rank)
-    return sorted(HANDLES_OF(repo, keys), key=lambda h: first[h.content_key()])
+    return sorted(HANDLES_OF(repo, keys), key=lambda h: first[h.key])
 
 
 HANDLES_OF_MUTANTS = {
@@ -2917,7 +2918,7 @@ class TestGossipLearnedPlacement:
         fn = gamma.runtime.compile(FAT_INC_SOURCE, "fat-inc")
         beta.gossip_with("gamma")
         alpha.gossip_with("beta")
-        assert alpha.view.knows(fn.content_key(), "gamma")
+        assert alpha.view.knows(fn.key, "gamma")
         # Knowledge without an endpoint: placement must stick to peers
         # it can actually reach.
         assert "gamma" not in alpha._candidates()

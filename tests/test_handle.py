@@ -205,7 +205,7 @@ class TestDerivations:
         ref = make_blob_handle().as_ref()
         definition = ref.make_identification().definition()
         assert definition.is_object
-        assert definition.content_key() == ref.content_key()
+        assert definition.key == ref.key
 
     def test_thunk_is_not_data(self):
         thunk = make_tree_handle().make_application()
@@ -220,10 +220,10 @@ class TestContentKey:
     def test_view_bits_do_not_change_content_key(self):
         handle = make_tree_handle()
         keys = {
-            handle.content_key(),
-            handle.as_ref().content_key(),
-            handle.make_application().content_key(),
-            handle.make_application().wrap_strict().content_key(),
+            handle.key,
+            handle.as_ref().key,
+            handle.make_application().key,
+            handle.make_application().wrap_strict().key,
         }
         assert len(keys) == 1
 
@@ -231,7 +231,7 @@ class TestContentKey:
         digest = blob_digest(b"collision")
         blob = Handle.blob(digest, 9)
         tree = Handle.tree(digest, 9)
-        assert blob.content_key() != tree.content_key()
+        assert blob.key != tree.key
 
     def test_byte_size(self):
         assert make_blob_handle(b"x" * 100).byte_size() == 100
@@ -354,7 +354,7 @@ class TestPredicatesReadBits:
                 assert (handle.is_literal, handle.is_tree) == (literal, tree)
                 assert {type(handle.is_literal), type(handle.is_tree)} == {bool}
                 tag = b"L" if literal else b"T" if tree else b"B"
-                assert handle.content_key() == tag + payload
+                assert handle.key == tag + payload
                 if literal:
                     body = payload.ljust(LITERAL_MAX, b"\x00")
                 else:

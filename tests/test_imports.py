@@ -68,6 +68,7 @@ EXPECTED_MODULES = [
     "repro.core.data",
     "repro.core.errors",
     "repro.core.eval",
+    "repro.core.frames",
     "repro.core.gc",
     "repro.core.handle",
     "repro.core.limits",

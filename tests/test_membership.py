@@ -58,6 +58,7 @@ from repro.dist.membership import (
     MembershipError,
     MembershipView,
     join_members,
+    members_wire_bytes,
     pack_members,
     unpack_members,
 )
@@ -151,8 +152,8 @@ class TestMemberLattice:
 
     def test_wire_bytes_matches_packed_length(self):
         members = [Member("a-node", 7, SUSPECT), Member("b", 1, ALIVE)]
-        per_member = sum(m.wire_bytes() for m in members)
-        assert len(pack_members(members)) == 4 + per_member
+        assert members_wire_bytes(members) == len(pack_members(members))
+        assert members_wire_bytes(members) == 4 + (2 + 6 + 17) + (2 + 1 + 17)
 
 
 def _three_entry_delta():
@@ -180,7 +181,7 @@ class TestCodecTruncation:
     frame used to raise a bare ``struct.error``, slice a short field and
     misparse the tail as garbage, or - ``net._unpack_error`` - silently
     return a truncated message.  Every read is now bounds-checked
-    through the one :class:`repro.core.errors.FrameReader` and refuses
+    through the one :class:`repro.core.frames.FrameReader` and refuses
     with the decoder's own error type, naming the field and the
     offset; so is every string field that does not decode.
 
@@ -2093,9 +2094,9 @@ class TestDelegationRollback:
 
     def _believed_by(self, node, peer):
         return {
-            h.content_key()
+            h.key
             for h in node.repo.handles()
-            if node.view.knows(h.content_key(), peer)
+            if node.view.knows(h.key, peer)
         }
 
     def test_timeout_rolls_back_view_and_outstanding(self):

@@ -67,10 +67,10 @@ class TestHandleAlgebra:
 
     @given(data_handles())
     def test_view_changes_preserve_content_key(self, handle):
-        assert handle.as_ref().content_key() == handle.content_key()
+        assert handle.as_ref().key == handle.key
         ident = handle.make_identification()
-        assert ident.content_key() == handle.content_key()
-        assert ident.wrap_strict().content_key() == handle.content_key()
+        assert ident.key == handle.key
+        assert ident.wrap_strict().key == handle.key
 
     @given(data_handles())
     def test_identification_definition_roundtrip(self, handle):

@@ -34,7 +34,7 @@ class TestTrivialFunctions:
     def test_identity(self, fixpoint):
         arg = fixpoint.repo.put_blob(b"v" * 64)
         result = fixpoint.run(fixpoint.stdlib["identity"], [arg])
-        assert result.content_key() == arg.content_key()
+        assert result.key == arg.key
 
     def test_increment(self, fixpoint):
         arg = fixpoint.repo.put_blob(int_blob(41))

@@ -128,7 +128,7 @@ class TestAFrameIsHashedOnce:
             handles.append(
                 source.put_tree([handles[i % len(handles)] for i in picks if handles])
             )
-        n = len({h.content_key() for h in handles if not h.is_literal})
+        n = len({h.key for h in handles if not h.is_literal})
         bundle = encode_bundle(source, handles)
         dest = Repository("dest")
         for _ in range(2):
@@ -149,7 +149,7 @@ class TestAFrameIsHashedOnce:
             handle = repo.put_tree([child, child.as_ref()])
         dest = Repository("dest")
         decode_bundle(dest, encode_bundle(repo, [child]))
-        keys = frozenset({child.content_key(), handle.content_key()})
+        keys = frozenset({child.key, handle.key})
         before = (len(dest), dest.handles_of(keys), dict(dest._rank))
         raw = encode_frame(repo, handle)
         corrupt = bytearray(raw)

@@ -116,7 +116,7 @@ class TestIdentification:
         value = repo.put_blob(b"v" * 64)
         thunk = make_identification(value.as_ref())
         assert thunk.thunk_style is ThunkStyle.IDENTIFICATION
-        assert identified_value(thunk).content_key() == value.content_key()
+        assert identified_value(thunk).key == value.key
 
     def test_rejects_thunks(self, repo):
         fn = repo.put_blob(b"f" * 64)

@@ -1,4 +1,5 @@
-"""Mutation campaign over ``dist/``'s protocol core.
+"""Mutation campaign over ``dist/``'s protocol core and the wire rows
+of ``core/frames.py``.
 
 A *mutant* is a target module with one small edit inside a function
 body; a test *kills* it when the test fails with the edit applied, and a
@@ -76,6 +77,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 #: The modules mutated, relative to ``src/repro``.
 TARGETS = (
+    "core/frames.py",
     "dist/costmodel.py",
     "dist/membership.py",
     "dist/gossip.py",
@@ -107,8 +109,6 @@ EQUIVALENT = {
     "membership.join_members: b.order_key() > a.order_key()"
     " -> b.order_key() >= a.order_key()":
         "equal order keys of one node are equal Members",
-    "membership.unpack_members: at > end -> at >= end": _SHORT,
-    "gossip.unpack_digest: at > end -> at >= end": _SHORT,
     "gossip.unpack_delta: offset + whole.size <= end -> offset + whole.size < end":
         "an entry that ends the frame falls from the one-struct read to "
         "the entry's own reads, which read it the same",
